@@ -122,6 +122,10 @@ def _operator(family: str, k: int, replace: bool) -> InterpolationOperator:
 
 def cmd_check(args) -> int:
     _check_kmax(args)
+    try:
+        seed = env_seed()
+    except ValueError as exc:
+        raise UsageError(str(exc))
     replace = args.debug_disable_div_moments
     families = _family_list(args.family)
     failures: List[str] = []
@@ -137,7 +141,6 @@ def cmd_check(args) -> int:
             ok = bool(rep["nonsingular"]) and rep["condition"] <= COND_LIMIT
             record("unisolvence", family, k, "condition", rep["condition"], ok)
 
-    seed = env_seed()
     for family in families:
         for k in _degree_range(family, args.kmax):
             try:

@@ -14,6 +14,31 @@ tests are shifted-Legendre (same spans as the defining monomial test
 spaces, far better conditioning); divergence tests are the exact
 monomials, which the commuting property needs verbatim.
 
+A whole DOF set is applied through a plan: interpolation points plus
+weights, as Basix encodes DOFs and FIAT its point/weight functionals.
+The points are the n Gauss points of each edge and one n x n tensor
+grid; the weights are separable, so the plan stores only n-column 1-D
+matrices (w L_i(t) for edge and interior tests, w t^a for divergence
+tests) and applies them by contraction.  A DOF vector therefore costs
+one field evaluation at all points (4n + n^2, or 4n when the set has no
+interior moments), plus one divergence evaluation on the n^2 grid
+points for ABF.  The rule size n is
+
+    NONPOLY_POINTS (20)            non-polynomial fields
+    n_for_degree(d + k + 1)        polynomial fields of maximal
+                                   component degree d: every moment
+                                   integrand has degree <= d + k + 1
+                                   per direction, so the rule is exact
+
+dof_matrix_ld applies the same plan to the tabulated basis.  Matrix and
+member DOF vectors then share one rule, so M c and the DOF vector of
+the member with coefficients c agree to roundoff and members are
+reproduced to the extended-precision floor.  Plans are cached by value
+on (family, k, div_moments_replaced, n); n takes a handful of values
+per (family, k), so the cache stays bounded however many spaces and
+DOF sets are built.  apply_dof / apply_dof_ld keep the per-functional
+quadrature as an independent reference.
+
 All quadrature in this module runs in extended precision: the DOF
 matrices reach condition 1e6 at k = 4 and the projection property at
 1e-12 leaves no budget for double-rounded right-hand sides.
@@ -21,6 +46,7 @@ matrices reach condition 1e6 at k = 4 and the projection property at
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -58,6 +84,13 @@ class DofFunctional:
 
 @dataclass(frozen=True, eq=False)
 class DofSet:
+    """An ordered DOF list; make it with build_dofs.
+
+    dof_vector_ld and dof_matrix_ld apply a set through the plan of
+    build_dofs(family, k, div_moments_replaced) and raise ValueError
+    for a set whose functionals differ from that one.
+    """
+
     family: ElementFamily
     k: int
     functionals: Tuple[DofFunctional, ...]
@@ -66,6 +99,12 @@ class DofSet:
     @property
     def count(self) -> int:
         return len(self.functionals)
+
+    @functools.cached_property
+    def canonical(self) -> bool:
+        """Whether the functionals are those build_dofs makes for this key."""
+        ref = _canonical_signature(self.family, self.k, self.div_moments_replaced)
+        return _signature(self.functionals) == ref
 
     def count_by_kind(self) -> dict:
         out = {"edge_moment": 0, "interior_moment": 0, "div_moment": 0}
@@ -126,6 +165,20 @@ def build_dofs(family, k: int, replace_div_moments: bool = False) -> DofSet:
     dofset = DofSet(family, int(k), tuple(fns), div_moments_replaced=replace_div_moments)
     assert dofset.count == space_dimension(family, k)
     return dofset
+
+
+def _signature(functionals) -> tuple:
+    """What a plan reads of each functional, comparable by value."""
+    return tuple(
+        (f.kind, f.edge, f.normal_sign, f.component, f.leg,
+         f.test.coeffs.shape, f.test.coeffs.tobytes())
+        for f in functionals
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _canonical_signature(family: ElementFamily, k: int, div_moments_replaced: bool) -> tuple:
+    return _signature(build_dofs(family, k, div_moments_replaced).functionals)
 
 
 def _interior(comp: int, i: int, j: int) -> DofFunctional:
@@ -216,8 +269,109 @@ def apply_dof(fn: DofFunctional, field) -> float:
     return float(apply_dof_ld(fn, field))
 
 
+def _weighted_legendre(deg: int, t, w) -> np.ndarray:
+    """Rows w L_i(t) for i = 0..deg; no rows when deg < 0."""
+    return w * np.array(legendre.values(max(deg, 0), t)[: deg + 1]).reshape(deg + 1, len(t))
+
+
+class DofPlan:
+    """One quadrature rule and separable weights for a whole DOF set.
+
+    Points: the n Gauss points of each edge (EDGE_ORDER), then the n x n
+    tensor grid, x-major, when there are interior moments; divergences
+    are sampled on the grid alone.  Weights are 1-D matrices over the n nodes:
+    ``edge[d] = w L_d(t)`` and ``interior[i] = w L_i(t)`` for the
+    Legendre tests, ``div[a] = w t^a`` for the monomial divergence tests.
+    A plan turns point values into the DOF vector by contraction: one
+    ``edge @ vals`` per edge and ``A G A^T`` on the tensor grid, where G
+    holds the grid values.  Moments land in one raw vector that
+    ``index`` reorders into functional order.
+    """
+
+    def __init__(self, functionals, n: int):
+        rule = gauss_legendre_01(n)
+        t, w = rule.nodes_ld, rule.weights_ld
+        self.n = n
+        edge_deg = max((f.leg[1] for f in functionals if f.kind == "edge_moment"), default=-1)
+        int_deg = max((max(f.leg[1:]) for f in functionals if f.kind == "interior_moment"),
+                      default=-1)
+        div_deg = max((max(f.test.dx, f.test.dy) for f in functionals
+                       if f.kind == "div_moment"), default=-1)
+        self.edge = _weighted_legendre(edge_deg, t, w)
+        self.interior = _weighted_legendre(int_deg, t, w)
+        self.div = w * t ** np.arange(div_deg + 1)[:, None]
+        self.has_interior = int_deg >= 0
+        self.has_div = div_deg >= 0
+        grid = tensor_rule(n, n)
+        self.grid_xs, self.grid_ys = grid.xs_ld, grid.ys_ld
+        # the grid carries field values only when there are interior moments
+        parts = [_edge_nodes(edge, n) for edge in EDGE_ORDER]
+        if self.has_interior:
+            parts.append((grid.xs_ld, grid.ys_ld))
+        self.xs = np.concatenate([p[0] for p in parts])
+        self.ys = np.concatenate([p[1] for p in parts])
+        ne, na, nd = edge_deg + 1, int_deg + 1, div_deg + 1
+        index, signs = [], []
+        for f in functionals:
+            if f.kind == "edge_moment":
+                index.append(EDGE_ORDER.index(f.edge) * ne + f.leg[1])
+                signs.append(f.normal_sign)
+            elif f.kind == "interior_moment":
+                index.append(4 * ne + (f.component * na + f.leg[1]) * na + f.leg[2])
+                signs.append(1)
+            else:
+                index.append(4 * ne + 2 * na * na + f.test.dx * nd + f.test.dy)
+                signs.append(1)
+        self.index = np.array(index)
+        self.signs = np.array(signs, dtype=np.longdouble)
+
+    def apply(self, U, V, D=None) -> np.ndarray:
+        """DOF values from point values; leading axes of U, V, D batch."""
+        n = self.n
+        batch = U.shape[:-1]
+        parts = []
+        for e, edge in enumerate(EDGE_ORDER):
+            vals = U if _EDGE_COMPONENT[edge] == 0 else V
+            parts.append(vals[..., e * n:(e + 1) * n] @ self.edge.T)
+        if self.has_interior:
+            for vals in (U, V):
+                G = vals[..., 4 * n:].reshape(batch + (n, n))
+                parts.append((self.interior @ G @ self.interior.T).reshape(batch + (-1,)))
+        if self.has_div:
+            G = D.reshape(batch + (n, n))
+            parts.append((self.div @ G @ self.div.T).reshape(batch + (-1,)))
+        return self.signs * np.concatenate(parts, axis=-1)[..., self.index]
+
+
+@functools.lru_cache(maxsize=None)
+def dof_plan(family: ElementFamily, k: int, div_moments_replaced: bool, n: int) -> DofPlan:
+    """The cached plan of build_dofs(family, k, div_moments_replaced) at n points.
+
+    _plan_for rejects any other DOF set, so the key names the functionals.
+    """
+    return DofPlan(build_dofs(family, k, div_moments_replaced).functionals, n)
+
+
+def _plan_for(dofset: DofSet, max_degree: Optional[int]) -> DofPlan:
+    if not dofset.canonical:
+        raise ValueError(
+            "DOF set differs from build_dofs(family, k, div_moments_replaced); "
+            "only those sets can be applied"
+        )
+    # exact for component degree max_degree against tests up to degree k + 1
+    n = NONPOLY_POINTS if max_degree is None else n_for_degree(max_degree + dofset.k + 1)
+    return dof_plan(dofset.family, dofset.k, dofset.div_moments_replaced, n)
+
+
 def dof_vector_ld(dofset: DofSet, field) -> np.ndarray:
-    return np.array([apply_dof_ld(fn, field) for fn in dofset.functionals], dtype=np.longdouble)
+    """The field's DOF vector: one uv call, plus one div_values call for div moments."""
+    degs = _component_degrees(field)
+    plan = _plan_for(dofset, None if degs is None else max(max(d) for d in degs))
+    U, V = (np.broadcast_to(a, plan.xs.shape) for a in field.uv(plan.xs, plan.ys))
+    D = None
+    if plan.has_div:
+        D = np.broadcast_to(field.div_values(plan.grid_xs, plan.grid_ys), plan.grid_xs.shape)
+    return plan.apply(U, V, D)
 
 
 def dof_vector(dofset: DofSet, field) -> np.ndarray:
@@ -227,59 +381,11 @@ def dof_vector(dofset: DofSet, field) -> np.ndarray:
 def dof_matrix_ld(dofset: DofSet, space: ElementSpace) -> np.ndarray:
     """M[a, b] = functional a applied to basis member b, extended precision.
 
-    Specialized assembly: basis members are single Legendre products (or
-    the two BDM curls), so each functional row is filled from recurrence
-    values without going through generic field evaluation.
+    The basis is tabulated once at the points of the plan that every
+    member's DOF vector uses, so M c and the DOF vector of the member
+    with coefficients c come from the same quadrature.
     """
-    dim = space.dim
-    (dx0, dy0), (dx1, dy1) = space.comp_degrees
-    maxdeg = space._maxdeg
-    M = np.zeros((dim, dim), dtype=np.longdouble)
-    for a, fn in enumerate(dofset.functionals):
-        if fn.kind == "edge_moment":
-            comp = _EDGE_COMPONENT[fn.edge]
-            along = (dy0 if comp == 0 else dx1) + fn.test.dx
-            x, y, t, w = _edge_nodes(fn.edge, n_for_degree(along))
-            wt = np.longdouble(fn.normal_sign) * w * _test_values_1d(fn, t)
-            Lx = legendre.values(maxdeg, x)
-            Ly = legendre.values(maxdeg, y)
-            for b, lab in enumerate(space.labels):
-                if lab[0] == "x" and comp == 0:
-                    M[a, b] = np.sum(wt * Lx[lab[1]] * Ly[lab[2]])
-                elif lab[0] == "y" and comp == 1:
-                    M[a, b] = np.sum(wt * Lx[lab[1]] * Ly[lab[2]])
-                elif lab[0] == "curl":
-                    wfield = space._curl_fields[lab[1] - 1]
-                    p = wfield.u if comp == 0 else wfield.v
-                    M[a, b] = np.sum(wt * p.eval(x, y))
-        elif fn.kind == "interior_moment":
-            dx, dy = (dx0, dy0) if fn.component == 0 else (dx1, dy1)
-            rule = tensor_rule(n_for_degree(dx + fn.test.dx), n_for_degree(dy + fn.test.dy))
-            xs, ys = rule.xs_ld, rule.ys_ld
-            wt = rule.ws_ld * _test_values_2d(fn, xs, ys)
-            Lx = legendre.values(maxdeg, xs)
-            Ly = legendre.values(maxdeg, ys)
-            for b, lab in enumerate(space.labels):
-                if lab[0] == ("x" if fn.component == 0 else "y"):
-                    M[a, b] = np.sum(wt * Lx[lab[1]] * Ly[lab[2]])
-                elif lab[0] == "curl":
-                    wfield = space._curl_fields[lab[1] - 1]
-                    p = wfield.u if fn.component == 0 else wfield.v
-                    M[a, b] = np.sum(wt * p.eval(xs, ys))
-        else:
-            nx = n_for_degree(max(dx0 - 1, dx1, 0) + fn.test.dx)
-            ny = n_for_degree(max(dy0, dy1 - 1, 0) + fn.test.dy)
-            rule = tensor_rule(nx, ny)
-            xs, ys = rule.xs_ld, rule.ys_ld
-            wt = rule.ws_ld * _test_values_2d(fn, xs, ys)
-            Lx = legendre.values(maxdeg, xs)
-            Ly = legendre.values(maxdeg, ys)
-            dLx = legendre.deriv_values(maxdeg, xs)
-            dLy = legendre.deriv_values(maxdeg, ys)
-            for b, lab in enumerate(space.labels):
-                if lab[0] == "x":
-                    M[a, b] = np.sum(wt * dLx[lab[1]] * Ly[lab[2]])
-                elif lab[0] == "y":
-                    M[a, b] = np.sum(wt * Lx[lab[1]] * dLy[lab[2]])
-                # curls are divergence-free: the entry stays exactly 0
-    return M
+    plan = _plan_for(dofset, space._maxdeg)
+    U, V = space.tabulate(plan.xs, plan.ys)
+    D = space.tabulate_div(plan.grid_xs, plan.grid_ys) if plan.has_div else None
+    return plan.apply(U, V, D).T

@@ -79,10 +79,12 @@ class SpaceMember(VectorPoly2D):
     """A concrete field in an element space.
 
     Inherits the polynomial-grid form (u, v) for exact algebra and adds
-    the basis-coefficient vector.  uv/div_values are overridden with the
-    Legendre recurrence so that high-degree members evaluate to full
-    precision; the coefficient grids of degree-6 products lose several
-    digits to cancellation and must not feed quadrature.
+    the basis-coefficient vector.  uv/div_values contract the
+    coefficients with ElementSpace.tabulate, which evaluates the basis
+    by the Legendre recurrence (DOF assembly uses it too), so that
+    high-degree members evaluate to full precision; the coefficient
+    grids of degree-6 products lose several digits to cancellation and
+    must not feed quadrature.
     """
 
     __slots__ = ("space", "coeffs")
@@ -104,50 +106,14 @@ class SpaceMember(VectorPoly2D):
         self.coeffs = coeffs
 
     def uv(self, x, y):
-        x = np.asarray(x)
-        y = np.asarray(y)
-        space = self.space
-        nmax = space._maxdeg
-        Lx = legendre.values(nmax, x)
-        Ly = legendre.values(nmax, y)
-        U = np.zeros_like(Lx[0])
-        V = np.zeros_like(U)
-        for b, lab in enumerate(space.labels):
-            c = self.coeffs[b]
-            if c == 0.0:
-                continue
-            if lab[0] == "x":
-                U = U + c * (Lx[lab[1]] * Ly[lab[2]])
-            elif lab[0] == "y":
-                V = V + c * (Lx[lab[1]] * Ly[lab[2]])
-            else:
-                w = space._curl_fields[lab[1] - 1]
-                U = U + c * w.u.eval(x, y)
-                V = V + c * w.v.eval(x, y)
-        return U, V
+        U, V = self.space.tabulate(x, y)
+        return np.tensordot(self.coeffs, U, axes=1), np.tensordot(self.coeffs, V, axes=1)
 
     def __call__(self, x, y):
         return self.uv(x, y)
 
     def div_values(self, x, y):
-        x = np.asarray(x)
-        y = np.asarray(y)
-        space = self.space
-        nmax = space._maxdeg
-        Lx = legendre.values(nmax, x)
-        Ly = legendre.values(nmax, y)
-        dLx = legendre.deriv_values(nmax, x)
-        dLy = legendre.deriv_values(nmax, y)
-        out = np.zeros_like(Lx[0])
-        for b, lab in enumerate(space.labels):
-            c = self.coeffs[b]
-            if c == 0.0 or lab[0] == "curl":
-                continue
-            if lab[0] == "x":
-                out = out + c * (dLx[lab[1]] * Ly[lab[2]])
-            else:
-                out = out + c * (Lx[lab[1]] * dLy[lab[2]])
-        return out
+        return np.tensordot(self.coeffs, self.space.tabulate_div(x, y), axes=1)
 
 
 class ElementSpace:
@@ -182,6 +148,41 @@ class ElementSpace:
         self.basis: List[SpaceMember] = [
             SpaceMember(self, np.eye(self.dim)[b]) for b in range(self.dim)
         ]
+
+    def tabulate(self, x, y):
+        """Basis values (U, V), each of shape (dim,) + broadcast shape of x, y."""
+        x, y = np.broadcast_arrays(x, y)
+        Lx = legendre.values(self._maxdeg, x)
+        Ly = legendre.values(self._maxdeg, y)
+        zero = np.zeros_like(Lx[0])
+        U, V = [], []
+        for lab in self.labels:
+            if lab[0] == "curl":
+                w = self._curl_fields[lab[1] - 1]
+                U.append(w.u.eval(x, y))
+                V.append(w.v.eval(x, y))
+            else:
+                row = Lx[lab[1]] * Ly[lab[2]]
+                U.append(row if lab[0] == "x" else zero)
+                V.append(zero if lab[0] == "x" else row)
+        return np.array(U), np.array(V)
+
+    def tabulate_div(self, x, y):
+        """Basis divergences, shape (dim,) + broadcast shape of x, y."""
+        x, y = np.broadcast_arrays(x, y)
+        Lx = legendre.values(self._maxdeg, x)
+        Ly = legendre.values(self._maxdeg, y)
+        dLx = legendre.deriv_values(self._maxdeg, x)
+        dLy = legendre.deriv_values(self._maxdeg, y)
+        rows = []
+        for lab in self.labels:
+            if lab[0] == "x":
+                rows.append(dLx[lab[1]] * Ly[lab[2]])
+            elif lab[0] == "y":
+                rows.append(Lx[lab[1]] * dLy[lab[2]])
+            else:
+                rows.append(np.zeros_like(Lx[0]))
+        return np.array(rows)
 
     def member(self, coeffs) -> SpaceMember:
         return SpaceMember(self, coeffs)

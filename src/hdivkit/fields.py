@@ -28,11 +28,21 @@ DEFAULT_SEED = 42
 
 
 def env_seed() -> int:
-    """Seed for randomized members, from HDIV_SEED (default 42)."""
+    """Seed for randomized members, from HDIV_SEED (default 42).
+
+    Raises ValueError naming the variable unless it holds an integer >= 0.
+    """
     raw = os.environ.get("HDIV_SEED", "")
     if not raw.strip():
         return DEFAULT_SEED
-    return int(raw)
+    error = ValueError(f"HDIV_SEED must be a non-negative integer, got {raw!r}")
+    try:
+        seed = int(raw)
+    except ValueError:
+        raise error from None
+    if seed < 0:
+        raise error
+    return seed
 
 
 class ManufacturedField:

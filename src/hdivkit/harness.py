@@ -221,8 +221,10 @@ class StudyConfig:
             raise ValueError("levels must be >= 3")
         if not (0 < self.h0 <= 1):
             raise ValueError("h0 must lie in (0, 1]")
-        if self.p < 1:
-            raise ValueError("p must be >= 1")
+        if not (math.isfinite(self.p) and self.p >= 1):
+            raise ValueError("p must be finite and >= 1")
+        if not (math.isfinite(self.rate_tolerance) and self.rate_tolerance >= 0):
+            raise ValueError("rate tolerance must be finite and >= 0")
         if self.mode == "fixed_aspect" and self.rho <= 0:
             raise ValueError("aspect ratio must be positive")
 

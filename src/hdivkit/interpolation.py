@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import functools
 import warnings
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -61,7 +60,11 @@ def _lu_det_sign(lu: np.ndarray, piv: np.ndarray) -> int:
 
 
 class InterpolationOperator:
-    """Moment interpolation onto one element space."""
+    """Moment interpolation onto one element space.
+
+    dofs, when given, must come from build_dofs for the space's family
+    and degree; any other set raises ValueError.
+    """
 
     def __init__(self, space: ElementSpace, dofs: Optional[DofSet] = None,
                  replace_div_moments: bool = False):
@@ -136,37 +139,12 @@ def unisolvence_report(family, k: int, replace_div_moments: bool = False) -> dic
     return report
 
 
-def _cholesky_ld(G: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor in extended precision (SPD by construction)."""
-    n = G.shape[0]
-    L = np.zeros_like(G, dtype=np.longdouble)
-    A = G.astype(np.longdouble)
-    for i in range(n):
-        for j in range(i + 1):
-            s = A[i, j] - np.dot(L[i, :j], L[j, :j])
-            if i == j:
-                if s <= 0:
-                    raise OperatorConstructionError("Gram matrix not positive definite")
-                L[i, j] = np.sqrt(s)
-            else:
-                L[i, j] = s / L[j, j]
-    return L
-
-
 class L2Projector:
     """Best L2(K) approximation in a divergence-image scalar space."""
 
     def __init__(self, scalar_space: ScalarSpace):
         self.scalar_space = scalar_space
-        exps = scalar_space.exponents
-        n = len(exps)
-        G = np.empty((n, n))
-        for a, (ia, ja) in enumerate(exps):
-            for b, (ib, jb) in enumerate(exps):
-                G[a, b] = 1.0 / ((ia + ib + 1) * (ja + jb + 1))
-        self.gram = G
-        self.gram_factor = _cholesky_ld(G).astype(float)
-        self._index = exps
+        self._index = scalar_space.exponents
 
     def coeffs_internal(self, w) -> dict:
         """Legendre-product coefficients of the projection, keyed (i, j)."""

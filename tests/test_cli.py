@@ -260,3 +260,39 @@ def test_bad_mode_usage_error(capsys):
 def test_bad_aspect_usage_error(capsys):
     code, _, err = run(capsys, "converge", "--mode", "fixed_aspect(-2)", "--levels", "4")
     assert code == 2
+
+
+# -------------------------------------------------------- input validation
+
+
+@pytest.mark.parametrize(
+    "flag,value",
+    [
+        ("--rate-tolerance", "nan"),  # every NaN comparison passed both verdicts
+        ("--rate-tolerance", "-0.1"),
+        ("--p", "nan"),  # printed a NaN table
+        ("--p", "inf"),  # reported a bogus fail
+    ],
+)
+def test_converge_rejects_bad_p_and_tolerance(capsys, flag, value):
+    code, out, err = run(capsys, "converge", "--levels", "4", flag, value)
+    assert code == 2
+    assert out == "" and "error:" in err
+
+
+@pytest.mark.parametrize("line", ["p = nan", "p = inf", "rate_tolerance = nan",
+                                  "rate_tolerance = -1"])
+def test_converge_config_rejects_bad_p_and_tolerance(tmp_path, capsys, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"levels = 4\n{line}\n")
+    code, out, err = run(capsys, "converge", "--config", str(cfg))
+    assert code == 2
+    assert out == "" and "error:" in err
+
+
+@pytest.mark.parametrize("seed", ["abc", "-1", "1.5"])
+def test_check_bad_seed_is_usage_error(capsys, monkeypatch, seed):
+    monkeypatch.setenv("HDIV_SEED", seed)
+    code, out, err = run(capsys, "check", "--family", "RT", "--kmax", "0")
+    assert code == 2
+    assert out == "" and "HDIV_SEED" in err

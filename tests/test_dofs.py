@@ -3,8 +3,21 @@
 import numpy as np
 import pytest
 
-from hdivkit.dofs import EDGE_ORDER, apply_dof, apply_dof_ld, build_dofs, dof_matrix_ld, dof_vector
+from hdivkit.dofs import (
+    EDGE_ORDER,
+    DofSet,
+    apply_dof,
+    apply_dof_ld,
+    build_dofs,
+    dof_matrix_ld,
+    dof_plan,
+    dof_vector,
+    dof_vector_ld,
+)
 from hdivkit.elements import build_space
+from hdivkit.fields import MS_G, CallableField
+from hdivkit.harness import PhysicalRect, piola_pullback
+from hdivkit.interpolation import InterpolationOperator
 from hdivkit.poly import Polynomial2D, VectorPoly2D
 
 
@@ -106,16 +119,70 @@ def test_dof_vector_matches_loop():
     assert vec.dtype == np.float64
 
 
-@pytest.mark.parametrize("family,k", [("RT", 1), ("BDM", 2), ("ABF", 1)])
-def test_dof_matrix_matches_per_entry(family, k):
+PAIRS = [("RT", k) for k in range(5)] + [("BDM", k) for k in range(1, 5)] + \
+    [("ABF", k) for k in range(5)]
+
+
+@pytest.mark.parametrize(
+    "family,k,replace",
+    [pytest.param(f, k, False, id=f"{f}-{k}") for f, k in PAIRS]
+    + [pytest.param("ABF", 2, True, id="ABF-2-replaced")],
+)
+def test_dof_matrix_matches_per_entry(family, k, replace):
     space = build_space(family, k)
-    dofset = build_dofs(family, k)
+    dofset = build_dofs(family, k, replace_div_moments=replace)
     M = dof_matrix_ld(dofset, space)
     assert M.shape == (space.dim, space.dim)
     for b in range(space.dim):
         member = space.basis[b]
         col = np.array([float(apply_dof_ld(fn, member)) for fn in dofset.functionals])
         np.testing.assert_allclose(M[:, b].astype(float), col, atol=1e-14)
+
+
+@pytest.mark.parametrize("family,k", PAIRS)
+def test_dof_vector_matches_loop_nonpolynomial(family, k):
+    # MS-G pulled back to a 1 x 1/64 rectangle: the plan's one evaluation
+    # at all points against one quadrature per functional
+    dofset = build_dofs(family, k)
+    fld = piola_pullback(PhysicalRect(1.0, 1.0 / 64.0), MS_G)
+    vec = dof_vector_ld(dofset, fld)
+    loop = np.array([apply_dof_ld(fn, fld) for fn in dofset.functionals])
+    assert vec.dtype == np.longdouble
+    assert np.max(np.abs(vec - loop)) <= 1e-15 * np.max(np.abs(loop))
+
+
+def test_dof_vector_scalar_valued_field():
+    # a callable may return plain numbers; the plan broadcasts them
+    dofset = build_dofs("ABF", 1)
+    fld = CallableField(lambda x, y: (1.0, 2.0), lambda x, y: 0.5)
+    loop = np.array([apply_dof_ld(fn, fld) for fn in dofset.functionals])
+    np.testing.assert_allclose(dof_vector_ld(dofset, fld).astype(float), loop.astype(float),
+                               rtol=0, atol=1e-15)
+
+
+def test_plan_cache_bounded():
+    # plans are keyed by value, never by the identity of a space or DOF set
+    for family, k in PAIRS:
+        InterpolationOperator(build_space(family, k))
+    size = dof_plan.cache_info().currsize
+    for i in range(50):
+        InterpolationOperator(build_space(*PAIRS[i % len(PAIRS)]))
+    assert dof_plan.cache_info().currsize == size
+
+
+def test_plan_rejects_noncanonical_dofset():
+    # a plan applies the functionals of build_dofs; a reordered set must not
+    # be applied as if it were that one
+    canonical = build_dofs("RT", 1)
+    swapped = DofSet(canonical.family, canonical.k, canonical.functionals[::-1])
+    space = build_space("RT", 1)
+    with pytest.raises(ValueError, match="build_dofs"):
+        InterpolationOperator(space, dofs=swapped)
+    with pytest.raises(ValueError, match="build_dofs"):
+        dof_vector_ld(swapped, space.basis[0])
+    # an equal set built separately is accepted
+    np.testing.assert_array_equal(dof_matrix_ld(build_dofs("RT", 1), space),
+                                  dof_matrix_ld(canonical, space))
 
 
 def test_replace_div_moments_abf_only():

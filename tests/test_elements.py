@@ -151,6 +151,21 @@ def test_member_eval_matches_grid_polynomials():
     )
 
 
+@pytest.mark.parametrize("family,k", [("RT", 1), ("BDM", 2), ("ABF", 1)])
+def test_member_eval_broadcasts(family, k):
+    # points given as a column and a row evaluate on their outer grid
+    member = build_space(family, k).random_member(np.random.default_rng(5))
+    x = np.linspace(0, 1, 4)[:, None]
+    y = np.linspace(0, 1, 3)[None, :]
+    X, Y = np.broadcast_arrays(x, y)
+    for a, b in zip(member.uv(x, y), member.uv(X, Y)):
+        assert a.shape == (4, 3)
+        np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(member.div_values(x, y), member.div_values(X, Y))
+    u, v = member.uv(0.3, np.linspace(0, 1, 5))
+    assert u.shape == v.shape == (5,)
+
+
 def test_member_linear_in_coefficients():
     space = build_space("ABF", 1)
     c1 = RNG.standard_normal(space.dim)

@@ -108,6 +108,13 @@ def test_env_seed(monkeypatch):
     assert env_seed() == 1234
 
 
+@pytest.mark.parametrize("raw", ["abc", "-1", "1.5"])
+def test_env_seed_rejects_bad_values(monkeypatch, raw):
+    monkeypatch.setenv("HDIV_SEED", raw)
+    with pytest.raises(ValueError, match="HDIV_SEED"):
+        env_seed()
+
+
 def test_reproduction_field_deterministic(monkeypatch):
     monkeypatch.delenv("HDIV_SEED", raising=False)
     a = make_reproduction_field("RT", 1)
