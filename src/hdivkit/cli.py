@@ -88,9 +88,14 @@ def _degree_range(family: str, kmax: int) -> range:
     return range(1 if family == "BDM" else 0, kmax + 1)
 
 
+def _check_degree(name: str, k: int) -> None:
+    # the documented degree range, the one tabulate and check cover
+    if not 0 <= k <= KMAX_LIMIT:
+        raise UsageError(f"{name} must be between 0 and {KMAX_LIMIT}")
+
+
 def _check_kmax(args) -> None:
-    if not 0 <= args.kmax <= KMAX_LIMIT:
-        raise UsageError(f"kmax must be between 0 and {KMAX_LIMIT}")
+    _check_degree("kmax", args.kmax)
     if args.family == "BDM" and args.kmax < 1:
         raise UsageError("BDM requires k >= 1")
 
@@ -358,6 +363,7 @@ def cmd_converge(args) -> int:
             f"unknown field '{settings['field']}' (choose from {', '.join(FIELD_IDS)})"
         )
     mode, rho = _parse_mode(str(settings["mode"]))
+    _check_degree("k", int(settings["k"]))
     try:
         config = StudyConfig(
             family=settings["family"],

@@ -53,7 +53,9 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import legendre
-from .elements import ElementFamily, ElementSpace, _as_family, _validate_degree, space_dimension
+from .elements import (
+    ElementFamily, ElementSpace, SpaceMember, _as_family, _validate_degree, space_dimension,
+)
 from .poly import Polynomial2D, VectorPoly2D
 from .quadrature import NONPOLY_POINTS, gauss_legendre_01, n_for_degree, tensor_rule
 
@@ -191,6 +193,8 @@ def _interior(comp: int, i: int, j: int) -> DofFunctional:
 
 
 def _component_degrees(field):
+    if isinstance(field, SpaceMember):
+        return field.degree_bounds  # from the labels, no grid build
     if isinstance(field, VectorPoly2D):
         return (field.u.dx, field.u.dy), (field.v.dx, field.v.dy)
     return None

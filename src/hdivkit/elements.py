@@ -13,22 +13,25 @@ The tensor components are spanned by shifted-Legendre products
 L_i(x) L_j(y) rather than raw monomials.  The spanned spaces are
 identical (the index sets are downward closed), but the orthogonal
 basis keeps the DOF matrices well-conditioned at k = 4 where monomial
-bases are numerically singular.  Members carry both an exact
-coefficient grid (for polynomial algebra) and a recurrence evaluation
-path (for quadrature-grade accuracy at high degree).
+bases are numerically singular.  A space holds its basis as index data
+(component, i, j per label, plus BDM's two exact curl members) and
+evaluates it by the Legendre recurrence; a member is its coefficient
+vector, with monomial grids only as lazy views.  Because the Legendre
+products are orthogonal and differentiate with integer coefficients,
+the Gram matrix has a closed form and the div-span certificate runs in
+exact arithmetic, with no monomial grids at all.
 """
 
 from __future__ import annotations
 
 import enum
 import warnings
-from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from . import legendre
-from .poly import Polynomial2D, VectorPoly2D, curl_scalar, integrate_rect
+from .poly import Polynomial2D, VectorPoly2D, curl_scalar
 
 MAX_DEGREE = 8
 
@@ -76,34 +79,57 @@ def space_dimension(family: ElementFamily, k: int) -> int:
 
 
 class SpaceMember(VectorPoly2D):
-    """A concrete field in an element space.
+    """A concrete field in an element space: its basis-coefficient vector.
 
-    Inherits the polynomial-grid form (u, v) for exact algebra and adds
-    the basis-coefficient vector.  uv/div_values contract the
-    coefficients with ElementSpace.tabulate, which evaluates the basis
-    by the Legendre recurrence (DOF assembly uses it too), so that
-    high-degree members evaluate to full precision; the coefficient
-    grids of degree-6 products lose several digits to cancellation and
+    uv/div_values contract the coefficients with ElementSpace.tabulate
+    (the Legendre recurrence, which DOF assembly uses too), so members
+    evaluate to full precision at high degree.  The monomial grids u, v
+    and divergence() are lazy views for exact algebra, built on first
+    access and cached; degree-6 grids lose digits to cancellation and
     must not feed quadrature.
     """
 
-    __slots__ = ("space", "coeffs")
+    __slots__ = ("space", "coeffs", "_grids", "_div")
 
     def __init__(self, space: "ElementSpace", coeffs):
         coeffs = np.array(coeffs, dtype=float)
         if coeffs.shape != (space.dim,):
             raise ValueError(f"expected {space.dim} coefficients, got {coeffs.shape}")
         coeffs.setflags(write=False)
-        u = Polynomial2D.zero()
-        v = Polynomial2D.zero()
-        for c, (pu, pv) in zip(coeffs, space._grids):
-            if c == 0.0:
-                continue
-            u = u + pu * float(c)
-            v = v + pv * float(c)
-        super().__init__(u, v)
         self.space = space
         self.coeffs = coeffs
+        self._grids = None
+        self._div = None
+
+    @property
+    def degree_bounds(self) -> Tuple[Tuple[int, int], Tuple[int, int]]:
+        """((dx, dy) of u, (dx, dy) of v), from the labels of the nonzero coefficients."""
+        d = self.space._label_degrees[self.coeffs != 0.0].max(axis=0, initial=0)
+        return (int(d[0]), int(d[1])), (int(d[2]), int(d[3]))
+
+    def _views(self) -> Tuple[Polynomial2D, Polynomial2D]:
+        if self._grids is None:
+            grids = tuple(np.zeros((dx + 1, dy + 1)) for dx, dy in self.degree_bounds)
+            # in label order, one scaled grid per nonzero coefficient
+            for b in np.flatnonzero(self.coeffs):
+                c = float(self.coeffs[b])
+                for g, part in zip(grids, self.space._monomial_grids(b)):
+                    g[: part.shape[0], : part.shape[1]] += part * c
+            self._grids = (Polynomial2D(grids[0]), Polynomial2D(grids[1]))
+        return self._grids
+
+    @property
+    def u(self) -> Polynomial2D:
+        return self._views()[0]
+
+    @property
+    def v(self) -> Polynomial2D:
+        return self._views()[1]
+
+    def divergence(self) -> Polynomial2D:
+        if self._div is None:
+            self._div = super().divergence()
+        return self._div
 
     def uv(self, x, y):
         U, V = self.space.tabulate(x, y)
@@ -116,8 +142,17 @@ class SpaceMember(VectorPoly2D):
         return np.tensordot(self.coeffs, self.space.tabulate_div(x, y), axes=1)
 
 
+_ZERO_GRID = Polynomial2D.zero().coeffs
+
+
 class ElementSpace:
-    """Ordered basis of one of the reference H(div) spaces."""
+    """Ordered basis of one of the reference H(div) spaces.
+
+    The basis is index data: tensor label b < len(_i) is L_i(x) L_j(y)
+    with (i, j) = (_i[b], _j[b]) in component u for b < _nx and in v
+    after, and the BDM curl members (exact polynomial fields in _curl)
+    come last.
+    """
 
     def __init__(self, family, k: int):
         family = _as_family(family)
@@ -125,64 +160,53 @@ class ElementSpace:
         self.family = family
         self.k = int(k)
         self.labels: Tuple[tuple, ...] = tuple(_make_labels(family, self.k))
-        self._grids: List[Tuple[Polynomial2D, Polynomial2D]] = []
-        self._curl_fields: List[VectorPoly2D] = []
-        zero = Polynomial2D.zero()
-        for lab in self.labels:
-            if lab[0] == "x":
-                self._grids.append((legendre.product_poly(lab[1], lab[2]), zero))
-            elif lab[0] == "y":
-                self._grids.append((zero, legendre.product_poly(lab[1], lab[2])))
-            else:
-                if lab[1] == 1:
-                    w = curl_scalar(Polynomial2D.monomial(self.k + 1, 1))
-                else:
-                    w = curl_scalar(Polynomial2D.monomial(1, self.k + 1))
-                self._curl_fields.append(w)
-                self._grids.append((w.u, w.v))
         self.dim = len(self.labels)
         assert self.dim == space_dimension(family, self.k)
-        d0, d1 = component_degrees(family, self.k)
-        self.comp_degrees = (d0, d1)
-        self._maxdeg = max(d0[0], d0[1], d1[0], d1[1])
-        self.basis: List[SpaceMember] = [
-            SpaceMember(self, np.eye(self.dim)[b]) for b in range(self.dim)
-        ]
+        tensor = [lab for lab in self.labels if lab[0] != "curl"]
+        self._nx = sum(lab[0] == "x" for lab in tensor)
+        self._i, self._j = (np.array([lab[a] for lab in tensor], dtype=np.intp) for a in (1, 2))
+        self._curl: Tuple[VectorPoly2D, ...] = () if family is not ElementFamily.BDM else (
+            curl_scalar(Polynomial2D.monomial(self.k + 1, 1)),
+            curl_scalar(Polynomial2D.monomial(1, self.k + 1)))
+        # per label: (dx, dy) of its u grid, then of its v grid
+        self._label_degrees = np.array(
+            [(i, j, 0, 0) if c == "x" else (0, 0, i, j) for c, i, j in tensor]
+            + [(w.u.dx, w.u.dy, w.v.dx, w.v.dy) for w in self._curl], dtype=np.intp)
+        self._maxdeg = int(self._label_degrees.max())
+        self.basis: List[SpaceMember] = [SpaceMember(self, e) for e in np.eye(self.dim)]
+
+    def _monomial_grids(self, b: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Monomial coefficient grids (u, v) of basis member b."""
+        if b >= len(self._i):
+            w = self._curl[b - len(self._i)]
+            return w.u.coeffs, w.v.coeffs
+        g = np.outer(legendre.coeffs(self._i[b]), legendre.coeffs(self._j[b]))
+        return (g, _ZERO_GRID) if b < self._nx else (_ZERO_GRID, g)
 
     def tabulate(self, x, y):
         """Basis values (U, V), each of shape (dim,) + broadcast shape of x, y."""
         x, y = np.broadcast_arrays(x, y)
-        Lx = legendre.values(self._maxdeg, x)
-        Ly = legendre.values(self._maxdeg, y)
-        zero = np.zeros_like(Lx[0])
-        U, V = [], []
-        for lab in self.labels:
-            if lab[0] == "curl":
-                w = self._curl_fields[lab[1] - 1]
-                U.append(w.u.eval(x, y))
-                V.append(w.v.eval(x, y))
-            else:
-                row = Lx[lab[1]] * Ly[lab[2]]
-                U.append(row if lab[0] == "x" else zero)
-                V.append(zero if lab[0] == "x" else row)
-        return np.array(U), np.array(V)
+        Lx, Ly = (np.array(legendre.values(self._maxdeg, t)) for t in (x, y))
+        rows = Lx[self._i] * Ly[self._j]
+        curl = [a for w in self._curl for a in w.uv(x, y)]  # u, v of each curl member
+        U = np.zeros((self.dim,) + x.shape, np.result_type(rows, *curl))
+        V = np.zeros_like(U)
+        nx, nt = self._nx, len(self._i)
+        U[:nx], V[nx:nt] = rows[:nx], rows[nx:]
+        if curl:
+            U[nt:], V[nt:] = curl[0::2], curl[1::2]
+        return U, V
 
     def tabulate_div(self, x, y):
         """Basis divergences, shape (dim,) + broadcast shape of x, y."""
         x, y = np.broadcast_arrays(x, y)
-        Lx = legendre.values(self._maxdeg, x)
-        Ly = legendre.values(self._maxdeg, y)
-        dLx = legendre.deriv_values(self._maxdeg, x)
-        dLy = legendre.deriv_values(self._maxdeg, y)
-        rows = []
-        for lab in self.labels:
-            if lab[0] == "x":
-                rows.append(dLx[lab[1]] * Ly[lab[2]])
-            elif lab[0] == "y":
-                rows.append(Lx[lab[1]] * dLy[lab[2]])
-            else:
-                rows.append(np.zeros_like(Lx[0]))
-        return np.array(rows)
+        Lx, Ly, dLx, dLy = (np.array(fn(self._maxdeg, t))
+                            for fn in (legendre.values, legendre.deriv_values) for t in (x, y))
+        nx, I, J = self._nx, self._i, self._j
+        rows = np.zeros((self.dim,) + x.shape, Lx.dtype)
+        rows[:nx] = dLx[I[:nx]] * Ly[J[:nx]]
+        rows[nx:len(I)] = Lx[I[nx:]] * dLy[J[nx:]]
+        return rows
 
     def member(self, coeffs) -> SpaceMember:
         return SpaceMember(self, coeffs)
@@ -255,55 +279,70 @@ def build_div_space(family, k: int) -> ScalarSpace:
     return ScalarSpace(f"Q_{k + 1}-minus-corner", exps)
 
 
+def _legendre_coordinates(space: ElementSpace) -> np.ndarray:
+    """Exact coordinates C[b, comp, i, j] of basis member b over L_i(x) L_j(y).
+
+    Python numbers in an object array: tensor labels are unit
+    coordinates, the BDM curl members expand with Fractions.
+    """
+    n = space._maxdeg + 1
+    nt = len(space._i)
+    C = np.zeros((space.dim, 2, n, n), dtype=object)
+    C[np.arange(nt), (np.arange(nt) >= space._nx).astype(np.intp), space._i, space._j] = 1
+    for c, w in enumerate(space._curl):
+        for comp, p in enumerate((w.u, w.v)):
+            for (i, j), val in legendre.grid_to_basis_exact(p.coeffs).items():
+                C[nt + c, comp, i, j] = val
+    return C
+
+
+def _product_norms(n: int) -> np.ndarray:
+    """Squared L2(K) norms 1 / ((2i+1)(2j+1)) of L_i(x) L_j(y), i, j < n."""
+    r = 2.0 * np.arange(n) + 1.0
+    return 1.0 / np.outer(r, r)
+
+
 def gram_matrix(space: ElementSpace) -> np.ndarray:
-    """Exact L2(K) Gram matrix of the basis (closed-form integrals)."""
-    n = space.dim
-    G = np.empty((n, n))
-    for a in range(n):
-        ua, va = space._grids[a]
-        for b in range(a, n):
-            ub, vb = space._grids[b]
-            G[a, b] = integrate_rect(ua * ub, 1.0, 1.0) + integrate_rect(va * vb, 1.0, 1.0)
-            G[b, a] = G[a, b]
-    return G
+    """L2(K) Gram matrix of the basis in closed form.
+
+    Legendre products are orthogonal, so with basis coordinates C
+    G = sum over components of C diag(1 / ((2i+1)(2j+1))) C^T.
+    """
+    n = space._maxdeg + 1
+    C = _legendre_coordinates(space).astype(float).reshape(space.dim, 2, n * n)
+    w = _product_norms(n).ravel()
+    return sum((C[:, comp] * w) @ C[:, comp].T for comp in range(2))
 
 
 def span_check(space: ElementSpace) -> dict:
     """Certify div(space) against the declared scalar space.
 
-    Membership is exact: each basis divergence is expanded over
-    orthogonal Legendre products with rational arithmetic and the mass
-    outside the scalar space's index set is reported as an L2 residual.
-    Surjectivity is a rank check of the divergence coefficient map.
+    Membership is exact: basis divergences come in Legendre coordinates
+    from the integer derivative matrix (Fractions only for the BDM curl
+    members), and the mass outside the scalar space's index set is
+    reported as an L2 residual.  Surjectivity is a rank check of the
+    divergence coordinates on that index set; the index sets are
+    downward closed, so the Legendre products on them span the same
+    space as the monomials.
     """
     div_space = build_div_space(space.family, space.k)
-    allowed = set()
-    for i, j in div_space.exponents:
-        allowed.add((i, j))
+    C = _legendre_coordinates(space)
+    n = C.shape[-1]
+    D = legendre.derivative_matrix(n)
+    div = D.T @ C[:, 0] + C[:, 1] @ D
+    inside = np.zeros((n, n), dtype=bool)
+    rows, cols = np.array(div_space.exponents, dtype=np.intp).reshape(-1, 2).T
+    inside[rows, cols] = True
+    # exactly zero outside the index set for every member of the space
+    outside = div[:, ~inside].astype(float)
     failures = []
     max_residual = 0.0
-    rows = []
-    nexp = {e: a for a, e in enumerate(div_space.exponents)}
-    for b, member in enumerate(space.basis):
-        d = member.u.partial("x", 1) + member.v.partial("y", 1)
-        coeffs = legendre.grid_to_basis_exact(d.coeffs)
-        res2 = Fraction(0)
-        for (i, j), c in coeffs.items():
-            if (i, j) not in allowed:
-                res2 += c * c * Fraction(1, (2 * i + 1) * (2 * j + 1))
-        residual = float(res2) ** 0.5
+    for b, residual in enumerate(np.sqrt(outside**2 @ _product_norms(n)[~inside]).tolist()):
         max_residual = max(max_residual, residual)
         if residual > 1e-12:
             failures.append(f"basis member {space.labels[b]} leaves the scalar space "
                             f"(residual {residual:.3e})")
-        row = np.zeros(div_space.dim)
-        g = d.coeffs
-        for i in range(g.shape[0]):
-            for j in range(g.shape[1]):
-                if g[i, j] != 0.0 and (i, j) in nexp:
-                    row[nexp[(i, j)]] = g[i, j]
-        rows.append(row)
-    A = np.array(rows)
+    A = div[:, rows, cols].astype(float)
     rank = int(np.linalg.matrix_rank(A)) if A.size else 0
     if rank < div_space.dim:
         for m, exp in enumerate(div_space.exponents):
@@ -311,7 +350,7 @@ def span_check(space: ElementSpace) -> dict:
             e[m] = 1.0
             _, res, _, _ = np.linalg.lstsq(A.T, e, rcond=None)
             if res.size and res[0] > 1e-18:
-                failures.append(f"scalar direction x^{exp[0]} y^{exp[1]} not reached")
+                failures.append(f"scalar direction L_{exp[0]}(x) L_{exp[1]}(y) not reached")
     G = gram_matrix(space)
     gram_cond = float(np.linalg.cond(G))
     if gram_cond > 1e12:

@@ -79,6 +79,18 @@ def deriv_values(nmax: int, x) -> list:
     return out
 
 
+def derivative_matrix(n: int) -> np.ndarray:
+    """Exact d/dt L_a = sum_m D[a, m] L_m, D[a, m] = 2 (2m + 1) for m < a, a - m odd.
+
+    Python integers in an object array, so products stay exact.
+    """
+    D = np.zeros((n, n), dtype=object)
+    for a in range(n):
+        for m in range(a - 1, -1, -2):
+            D[a, m] = 2 * (2 * m + 1)
+    return D
+
+
 @functools.lru_cache(maxsize=None)
 def coeffs_frac(n: int) -> tuple:
     return tuple(

@@ -296,3 +296,18 @@ def test_check_bad_seed_is_usage_error(capsys, monkeypatch, seed):
     code, out, err = run(capsys, "check", "--family", "RT", "--kmax", "0")
     assert code == 2
     assert out == "" and "HDIV_SEED" in err
+
+
+def test_converge_rejects_unverified_degree(capsys):
+    # k = 5 was accepted and could pass although no check covers it
+    code, out, err = run(capsys, "converge", "--family", "RT", "--k", "5", "--levels", "3")
+    assert code == 2
+    assert out == "" and "error: k must be between 0 and 4" in err
+
+
+def test_converge_config_rejects_unverified_degree(tmp_path, capsys):
+    cfg = tmp_path / "k5.cfg"
+    cfg.write_text("family = RT\nk = 5\nlevels = 3\n")
+    code, out, err = run(capsys, "converge", "--config", str(cfg))
+    assert code == 2
+    assert out == "" and "error: k must be between 0 and 4" in err

@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
+from hdivkit import elements, legendre
+from hdivkit.dofs import build_dofs, dof_vector_ld
 from hdivkit.elements import (
     ElementFamily,
     MAX_DEGREE,
+    ScalarSpace,
     build_div_space,
     build_space,
     component_degrees,
@@ -13,7 +16,7 @@ from hdivkit.elements import (
     space_dimension,
     span_check,
 )
-from hdivkit.poly import Polynomial2D, VectorPoly2D
+from hdivkit.poly import Polynomial2D, VectorPoly2D, curl_scalar, divergence, integrate_rect
 
 RNG = np.random.default_rng(11)
 
@@ -22,6 +25,7 @@ DIM_CASES = [
     ("BDM", 1, 8), ("BDM", 2, 14), ("BDM", 3, 22), ("BDM", 4, 32),
     ("ABF", 0, 6), ("ABF", 1, 16), ("ABF", 2, 30), ("ABF", 3, 48), ("ABF", 4, 70),
 ]
+ALL_PAIRS = [(family, k) for family, k, _ in DIM_CASES]
 
 
 @pytest.mark.parametrize("family,k,dim", DIM_CASES)
@@ -131,11 +135,101 @@ def test_span_check_exact(family, kmax):
         assert report["rank"] == report["div_dim"]
 
 
-@pytest.mark.parametrize("family,k", [("RT", 1), ("BDM", 2), ("ABF", 1)])
+def test_span_check_detects_missing_direction(monkeypatch):
+    # negative control: RT_2 against Q_2 without x^2 y^2 must fail
+    q2 = build_div_space("RT", 2)
+    smaller = ScalarSpace("Q_2-minus-corner", [e for e in q2.exponents if e != (2, 2)])
+    monkeypatch.setattr(elements, "build_div_space", lambda family, k: smaller)
+    report = span_check(build_space("RT", 2))
+    assert not report["ok"]
+    assert report["max_residual"] > 0.0
+    assert any("leaves the scalar space" in f for f in report["failures"])
+
+
+@pytest.mark.parametrize("family,k", ALL_PAIRS)
 def test_gram_matrix_spd(family, k):
     G = gram_matrix(build_space(family, k))
     np.testing.assert_allclose(G, G.T, atol=1e-15)
     assert np.linalg.eigvalsh(G).min() > 0
+
+
+def _reference_gram(space):
+    """Monomial-product Gram matrix and, per entry, the absolute sum of its terms."""
+    n = space.dim
+    G = np.empty((n, n))
+    S = np.empty((n, n))
+    N = np.empty((n, n))
+    for a in range(n):
+        ua, va = space.basis[a].u, space.basis[a].v
+        for b in range(a, n):
+            ub, vb = space.basis[b].u, space.basis[b].v
+            pu, pv = ua * ub, va * vb
+            G[a, b] = G[b, a] = integrate_rect(pu, 1.0, 1.0) + integrate_rect(pv, 1.0, 1.0)
+            S[a, b] = S[b, a] = (integrate_rect(Polynomial2D(np.abs(pu.coeffs)), 1.0, 1.0)
+                                 + integrate_rect(Polynomial2D(np.abs(pv.coeffs)), 1.0, 1.0))
+            N[a, b] = N[b, a] = pu.coeffs.size + pv.coeffs.size
+    return G, S, N
+
+
+@pytest.mark.parametrize("family,k", ALL_PAIRS)
+def test_gram_closed_form_matches_monomial_products(family, k):
+    # The reference sums N terms c / ((i+1)(j+1)) of integer product grids,
+    # each rounded about 4 times, with cancellation: its error is at most
+    # (N + 4) eps S, S the absolute sum of its terms (up to 1e11 at ABF_4,
+    # where entries are below 1).  The closed form adds a few eps |G| from
+    # rounding the curl members' Legendre coordinates.
+    space = build_space(family, k)
+    G = gram_matrix(space)
+    R, S, N = _reference_gram(space)
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(G - R) <= (N + 4) * eps * S + 4 * eps * np.abs(G))
+
+
+def _reference_grids(space, coeffs):
+    """Sum of c_b times the monomial grid of label b, in label order."""
+    u = v = Polynomial2D.zero()
+    for c, lab in zip(coeffs, space.labels):
+        if c == 0.0:
+            continue
+        if lab[0] == "x":
+            u = u + legendre.product_poly(lab[1], lab[2]) * float(c)
+        elif lab[0] == "y":
+            v = v + legendre.product_poly(lab[1], lab[2]) * float(c)
+        else:
+            exps = (space.k + 1, 1) if lab[1] == 1 else (1, space.k + 1)
+            w = curl_scalar(Polynomial2D.monomial(*exps))
+            u = u + w.u * float(c)
+            v = v + w.v * float(c)
+    return u, v
+
+
+@pytest.mark.parametrize("family,k", ALL_PAIRS)
+def test_member_views_match_label_grids(family, k):
+    space = build_space(family, k)
+    rng = np.random.default_rng(17)
+    dense = rng.standard_normal(space.dim)
+    sparse = np.where(rng.random(space.dim) < 0.3, dense, 0.0)
+    for coeffs in (dense, sparse, np.zeros(space.dim)):
+        member = space.member(coeffs)
+        u, v = _reference_grids(space, coeffs)
+        assert member.degree_bounds == ((u.dx, u.dy), (v.dx, v.dy))
+        np.testing.assert_array_equal(member.u.coeffs, u.coeffs)
+        np.testing.assert_array_equal(member.v.coeffs, v.coeffs)
+        np.testing.assert_array_equal(member.divergence().coeffs,
+                                      divergence(VectorPoly2D(u, v)).coeffs)
+
+
+def test_member_dof_vectors_build_no_grids(monkeypatch):
+    space = build_space("ABF", 4)
+    dofs = build_dofs("ABF", 4)
+    calls = []
+    mul = Polynomial2D.__mul__
+    monkeypatch.setattr(Polynomial2D, "__mul__",
+                        lambda self, other: calls.append(1) or mul(self, other))
+    rng = np.random.default_rng(23)
+    for _ in range(20):
+        dof_vector_ld(dofs, space.random_member(rng))
+    assert calls == []
 
 
 def test_member_eval_matches_grid_polynomials():

@@ -50,6 +50,17 @@ def test_values_recurrence_matches_coefficient_eval():
         np.testing.assert_allclose(vals[n], direct, atol=1e-12)
 
 
+def test_derivative_matrix_exact():
+    # sum_m D[a, m] L_m has the monomial coefficients of d/dt L_a, exactly
+    D = legendre.derivative_matrix(9)
+    for a in range(9):
+        ca = legendre.coeffs_frac(a)
+        want = [m * ca[m] for m in range(1, a + 1)] + [0] * (9 - a)
+        got = [sum(D[a, m] * legendre.coeffs_frac(m)[p] for m in range(p, 9))
+               for p in range(9)]
+        assert got == want
+
+
 def test_deriv_values_matches_polynomial_derivative():
     xs = RNG.uniform(0, 1, size=13)
     dvals = legendre.deriv_values(8, xs)
