@@ -28,7 +28,6 @@ from .elements import build_div_space, build_space, span_check
 from .fields import FIELD_IDS, commuting_battery, env_seed
 from .harness import MODES, StudyConfig, run_refinement_study
 from .interpolation import (
-    InterpolationOperator,
     OperatorConstructionError,
     commuting_residual,
     reference_operator,
@@ -119,12 +118,6 @@ def cmd_tabulate(args) -> int:
 
 # --- check ----------------------------------------------------------------
 
-def _operator(family: str, k: int, replace: bool) -> InterpolationOperator:
-    if replace:
-        return InterpolationOperator(build_space(family, k), replace_div_moments=True)
-    return reference_operator(family, k)
-
-
 def cmd_check(args) -> int:
     _check_kmax(args)
     try:
@@ -149,7 +142,7 @@ def cmd_check(args) -> int:
     for family in families:
         for k in _degree_range(family, args.kmax):
             try:
-                op = _operator(family, k, replace)
+                op = reference_operator(family, k, replace)
             except OperatorConstructionError:
                 record("projection", family, k, "max_rel_coeff_err", math.inf, False)
                 continue

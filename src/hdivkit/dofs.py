@@ -2,39 +2,45 @@
 
 Three kinds of moments:
 
-    edge_moment      int_F (w . n) q(t) dt     q in P_k of the edge parameter
-    interior_moment  int_K w_c q               vector tests (q,0) / (0,q)
-    div_moment       int_K (div w) q           ABF only, q = x^i y^{k+1} or
-                                               x^{k+1} y^j with i, j <= k
+    edge_moment      int_F (w . n) L_i(t) dt   i <= k, t the edge parameter
+    interior_moment  int_K w_c L_i(x) L_j(y)   component c = 0 or 1
+    div_moment       int_K (div w) x^i y^j     ABF only, (i, k+1) and (k+1, j)
+                                               with i, j <= k
 
-Ordering is deterministic: edges left, right, bottom, top with test
-degree ascending, then interior moments (component 0 before 1, tests in
-lexicographic (i, j) order), then divergence moments.  Edge and interior
-tests are shifted-Legendre (same spans as the defining monomial test
-spaces, far better conditioning); divergence tests are the exact
-monomials, which the commuting property needs verbatim.
+A functional is plain index data, (kind, i, j, edge, component), equal
+and hashable by value.  Ordering is deterministic: edges left, right,
+bottom, top (quadrature.EDGES) with test degree ascending, then interior
+moments (component 0 before 1, tests in lexicographic (i, j) order),
+then divergence moments.  Edge and interior tests are shifted-Legendre
+(same spans as the defining monomial test spaces, far better
+conditioning); divergence tests are the exact monomials, which the
+commuting property needs verbatim.
 
 A whole DOF set is applied through a plan: interpolation points plus
 weights, as Basix encodes DOFs and FIAT its point/weight functionals.
-The points are the n Gauss points of each edge and one n x n tensor
-grid; the weights are separable, so the plan stores only n-column 1-D
-matrices (w L_i(t) for edge and interior tests, w t^a for divergence
-tests) and applies them by contraction.  A DOF vector therefore costs
-one field evaluation at all points (4n + n^2, or 4n when the set has no
-interior moments), plus one divergence evaluation on the n^2 grid
-points for ABF.  The rule size n is
+The points are the n Gauss points of each edge (quadrature.edge_rule)
+and one n x n tensor grid; the weights are separable, so the plan
+stores only n-column 1-D matrices (w L_i(t) for edge and interior tests,
+w t^a for divergence tests) and applies them by contraction.  A DOF
+vector therefore costs one field evaluation at all points (4n + n^2, or
+4n when the set has no interior moments), plus one divergence
+evaluation on the n^2 grid points when the set has divergence moments.
+The rule size n is
 
     NONPOLY_POINTS (20)            non-polynomial fields
-    n_for_degree(d + k + 1)        polynomial fields of maximal
-                                   component degree d: every moment
-                                   integrand has degree <= d + k + 1
-                                   per direction, so the rule is exact
+    n_for_degree(d + t)            polynomial fields of maximal
+                                   component degree d, t the set's
+                                   DofSet.test_degree (k + 1 for every
+                                   standard set): every moment integrand
+                                   has degree <= d + t per direction, so
+                                   the rule is exact
 
 dof_matrix_ld applies the same plan to the tabulated basis.  Matrix and
 member DOF vectors then share one rule, so M c and the DOF vector of
 the member with coefficients c agree to roundoff and members are
-reproduced to the extended-precision floor.  Plans are cached by value
-on (family, k, div_moments_replaced, n); n takes a handful of values
+reproduced to the extended-precision floor.  Plans are built from the
+set's own functionals and cached by value on (functionals, n), so any
+DOF set applies, reordered ones included; n takes a handful of values
 per (family, k), so the cache stays bounded however many spaces and
 DOF sets are built.  apply_dof / apply_dof_ld keep the per-functional
 quadrature as an independent reference.
@@ -48,7 +54,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -56,63 +62,60 @@ from . import legendre
 from .elements import (
     ElementFamily, ElementSpace, SpaceMember, _as_family, _validate_degree, space_dimension,
 )
-from .poly import Polynomial2D, VectorPoly2D
-from .quadrature import NONPOLY_POINTS, gauss_legendre_01, n_for_degree, tensor_rule
-
-EDGE_ORDER = ("left", "right", "bottom", "top")
+from .poly import VectorPoly2D
+from .quadrature import (
+    EDGES, NONPOLY_POINTS, edge_rule, gauss_legendre_01, n_for_degree, tensor_rule,
+)
 
 # outward normals: left (-1,0), right (1,0), bottom (0,-1), top (0,1)
 _EDGE_SIGN = {"left": -1, "right": 1, "bottom": -1, "top": 1}
 _EDGE_COMPONENT = {"left": 0, "right": 0, "bottom": 1, "top": 1}
 
 
-@dataclass(frozen=True, eq=False)
-class DofFunctional:
-    kind: str
-    test: Polynomial2D
-    edge: Optional[str] = None
-    normal_sign: int = 0
-    component: Optional[int] = None
-    # stable-evaluation hint: ("t", n) edge Legendre, ("xy", i, j) product
-    leg: Optional[tuple] = None
+class DofFunctional(NamedTuple):
+    """One moment as index data, equal and hashable by value.
 
-    def describe(self) -> str:
-        if self.kind == "edge_moment":
-            return f"edge_moment({self.edge}, deg {self.leg[1]})"
-        if self.kind == "interior_moment":
-            return f"interior_moment(comp {self.component})"
-        return "div_moment"
+    The test is L_i(t) on an edge, L_i(x) L_j(y) against a component, or
+    x^i y^j against the divergence.
+    """
+
+    kind: str
+    i: int
+    j: int = 0
+    edge: Optional[str] = None
+    component: Optional[int] = None
 
 
 @dataclass(frozen=True, eq=False)
 class DofSet:
-    """An ordered DOF list; make it with build_dofs.
+    """An ordered DOF list; build_dofs makes the family's standard one.
 
-    dof_vector_ld and dof_matrix_ld apply a set through the plan of
-    build_dofs(family, k, div_moments_replaced) and raise ValueError
-    for a set whose functionals differ from that one.
+    Any set applies: its plan is built from its own functionals.
     """
 
     family: ElementFamily
     k: int
     functionals: Tuple[DofFunctional, ...]
-    div_moments_replaced: bool = False
+
+    @functools.cached_property
+    def test_degree(self) -> int:
+        """Test degree the plan's rule covers: k + 1 (the ABF divergence
+        tests reach it) for every standard set, more for higher tests."""
+        return max(self.k + 1, max((max(f.i, f.j) for f in self.functionals), default=0))
 
     @property
     def count(self) -> int:
         return len(self.functionals)
-
-    @functools.cached_property
-    def canonical(self) -> bool:
-        """Whether the functionals are those build_dofs makes for this key."""
-        ref = _canonical_signature(self.family, self.k, self.div_moments_replaced)
-        return _signature(self.functionals) == ref
 
     def count_by_kind(self) -> dict:
         out = {"edge_moment": 0, "interior_moment": 0, "div_moment": 0}
         for f in self.functionals:
             out[f.kind] += 1
         return out
+
+
+def _interior(comp: int, i: int, j: int) -> DofFunctional:
+    return DofFunctional("interior_moment", i, j, component=comp)
 
 
 def build_dofs(family, k: int, replace_div_moments: bool = False) -> DofSet:
@@ -125,71 +128,23 @@ def build_dofs(family, k: int, replace_div_moments: bool = False) -> DofSet:
     """
     family = _as_family(family)
     _validate_degree(family, k)
-    fns = []
-    for edge in EDGE_ORDER:
-        for deg in range(k + 1):
-            fns.append(
-                DofFunctional(
-                    kind="edge_moment",
-                    test=legendre.as_poly(deg, "x"),
-                    edge=edge,
-                    normal_sign=_EDGE_SIGN[edge],
-                    leg=("t", deg),
-                )
-            )
+    fns = [DofFunctional("edge_moment", deg, edge=edge) for edge in EDGES for deg in range(k + 1)]
     if family is ElementFamily.BDM:
-        for comp in (0, 1):
-            for i in range(k - 1):
-                for j in range(k - 1 - i):
-                    fns.append(_interior(comp, i, j))
+        fns += [_interior(comp, i, j)
+                for comp in (0, 1) for i in range(k - 1) for j in range(k - 1 - i)]
     else:
-        for i in range(k):
-            for j in range(k + 1):
-                fns.append(_interior(0, i, j))
-        for i in range(k + 1):
-            for j in range(k):
-                fns.append(_interior(1, i, j))
+        fns += [_interior(0, i, j) for i in range(k) for j in range(k + 1)]
+        fns += [_interior(1, i, j) for i in range(k + 1) for j in range(k)]
     if family is ElementFamily.ABF:
         if replace_div_moments:
-            for j in range(k + 1):
-                fns.append(_interior(0, k, j))
-            for i in range(k + 1):
-                fns.append(_interior(1, i, k))
+            fns += [_interior(0, k, j) for j in range(k + 1)]
+            fns += [_interior(1, i, k) for i in range(k + 1)]
         else:
-            for i in range(k + 1):
-                fns.append(
-                    DofFunctional(kind="div_moment", test=Polynomial2D.monomial(i, k + 1))
-                )
-            for j in range(k + 1):
-                fns.append(
-                    DofFunctional(kind="div_moment", test=Polynomial2D.monomial(k + 1, j))
-                )
-    dofset = DofSet(family, int(k), tuple(fns), div_moments_replaced=replace_div_moments)
+            fns += [DofFunctional("div_moment", i, k + 1) for i in range(k + 1)]
+            fns += [DofFunctional("div_moment", k + 1, j) for j in range(k + 1)]
+    dofset = DofSet(family, int(k), tuple(fns))
     assert dofset.count == space_dimension(family, k)
     return dofset
-
-
-def _signature(functionals) -> tuple:
-    """What a plan reads of each functional, comparable by value."""
-    return tuple(
-        (f.kind, f.edge, f.normal_sign, f.component, f.leg,
-         f.test.coeffs.shape, f.test.coeffs.tobytes())
-        for f in functionals
-    )
-
-
-@functools.lru_cache(maxsize=None)
-def _canonical_signature(family: ElementFamily, k: int, div_moments_replaced: bool) -> tuple:
-    return _signature(build_dofs(family, k, div_moments_replaced).functionals)
-
-
-def _interior(comp: int, i: int, j: int) -> DofFunctional:
-    return DofFunctional(
-        kind="interior_moment",
-        test=legendre.product_poly(i, j),
-        component=comp,
-        leg=("xy", i, j),
-    )
 
 
 def _component_degrees(field):
@@ -200,72 +155,43 @@ def _component_degrees(field):
     return None
 
 
-def _edge_nodes(edge: str, n: int):
-    r = gauss_legendre_01(n)
-    t = r.nodes_ld
-    w = r.weights_ld
-    zero = np.zeros_like(t)
-    one = np.ones_like(t)
-    if edge == "left":
-        return zero, t, t, w
-    if edge == "right":
-        return one, t, t, w
-    if edge == "bottom":
-        return t, zero, t, w
-    if edge == "top":
-        return t, one, t, w
-    raise ValueError(f"unknown edge {edge!r}")
-
-
-def _test_values_1d(fn: DofFunctional, t):
-    if fn.leg is not None and fn.leg[0] == "t":
-        return legendre.values(fn.leg[1], t)[fn.leg[1]]
-    return fn.test.eval(t, np.zeros_like(t))
-
-
-def _test_values_2d(fn: DofFunctional, x, y):
-    if fn.leg is not None and fn.leg[0] == "xy":
-        i, j = fn.leg[1], fn.leg[2]
-        return legendre.values(i, x)[i] * legendre.values(j, y)[j]
-    return fn.test.eval(x, y)
-
-
 def apply_dof_ld(fn: DofFunctional, field) -> np.longdouble:
     """One functional applied to a field, in extended precision."""
     degs = _component_degrees(field)
     if fn.kind == "edge_moment":
         comp = _EDGE_COMPONENT[fn.edge]
-        tdeg = fn.test.dx
         if degs is None:
             n = NONPOLY_POINTS
         else:
             along = degs[comp][1] if comp == 0 else degs[comp][0]
-            n = n_for_degree(along + tdeg)
-        x, y, t, w = _edge_nodes(fn.edge, n)
+            n = n_for_degree(along + fn.i)
+        x, y, t, w = edge_rule(fn.edge, n)
         U, V = field.uv(x, y)
         vals = U if comp == 0 else V
-        return np.longdouble(fn.normal_sign) * np.sum(w * vals * _test_values_1d(fn, t))
+        test = legendre.values(fn.i, t)[fn.i]
+        return np.longdouble(_EDGE_SIGN[fn.edge]) * np.sum(w * vals * test)
     if fn.kind == "interior_moment":
         if degs is None:
             nx = ny = NONPOLY_POINTS
         else:
             dx, dy = degs[fn.component]
-            nx = n_for_degree(dx + fn.test.dx)
-            ny = n_for_degree(dy + fn.test.dy)
+            nx = n_for_degree(dx + fn.i)
+            ny = n_for_degree(dy + fn.j)
         rule = tensor_rule(nx, ny)
         U, V = field.uv(rule.xs_ld, rule.ys_ld)
         vals = U if fn.component == 0 else V
-        return np.sum(rule.ws_ld * vals * _test_values_2d(fn, rule.xs_ld, rule.ys_ld))
+        test = legendre.values(fn.i, rule.xs_ld)[fn.i] * legendre.values(fn.j, rule.ys_ld)[fn.j]
+        return np.sum(rule.ws_ld * vals * test)
     if fn.kind == "div_moment":
         if degs is None:
             nx = ny = NONPOLY_POINTS
         else:
             (dx0, dy0), (dx1, dy1) = degs
-            nx = n_for_degree(max(dx0 - 1, dx1, 0) + fn.test.dx)
-            ny = n_for_degree(max(dy0, dy1 - 1, 0) + fn.test.dy)
+            nx = n_for_degree(max(dx0 - 1, dx1, 0) + fn.i)
+            ny = n_for_degree(max(dy0, dy1 - 1, 0) + fn.j)
         rule = tensor_rule(nx, ny)
         vals = field.div_values(rule.xs_ld, rule.ys_ld)
-        return np.sum(rule.ws_ld * vals * _test_values_2d(fn, rule.xs_ld, rule.ys_ld))
+        return np.sum(rule.ws_ld * vals * rule.xs_ld ** fn.i * rule.ys_ld ** fn.j)
     raise ValueError(f"unknown DOF kind {fn.kind!r}")
 
 
@@ -278,10 +204,15 @@ def _weighted_legendre(deg: int, t, w) -> np.ndarray:
     return w * np.array(legendre.values(max(deg, 0), t)[: deg + 1]).reshape(deg + 1, len(t))
 
 
+def _max_index(functionals, kind: str) -> int:
+    """Largest test index of the functionals of one kind; -1 when there are none."""
+    return max((max(f.i, f.j) for f in functionals if f.kind == kind), default=-1)
+
+
 class DofPlan:
     """One quadrature rule and separable weights for a whole DOF set.
 
-    Points: the n Gauss points of each edge (EDGE_ORDER), then the n x n
+    Points: the n Gauss points of each edge (EDGES), then the n x n
     tensor grid, x-major, when there are interior moments; divergences
     are sampled on the grid alone.  Weights are 1-D matrices over the n nodes:
     ``edge[d] = w L_d(t)`` and ``interior[i] = w L_i(t)`` for the
@@ -296,11 +227,9 @@ class DofPlan:
         rule = gauss_legendre_01(n)
         t, w = rule.nodes_ld, rule.weights_ld
         self.n = n
-        edge_deg = max((f.leg[1] for f in functionals if f.kind == "edge_moment"), default=-1)
-        int_deg = max((max(f.leg[1:]) for f in functionals if f.kind == "interior_moment"),
-                      default=-1)
-        div_deg = max((max(f.test.dx, f.test.dy) for f in functionals
-                       if f.kind == "div_moment"), default=-1)
+        edge_deg = _max_index(functionals, "edge_moment")
+        int_deg = _max_index(functionals, "interior_moment")
+        div_deg = _max_index(functionals, "div_moment")
         self.edge = _weighted_legendre(edge_deg, t, w)
         self.interior = _weighted_legendre(int_deg, t, w)
         self.div = w * t ** np.arange(div_deg + 1)[:, None]
@@ -309,7 +238,7 @@ class DofPlan:
         grid = tensor_rule(n, n)
         self.grid_xs, self.grid_ys = grid.xs_ld, grid.ys_ld
         # the grid carries field values only when there are interior moments
-        parts = [_edge_nodes(edge, n) for edge in EDGE_ORDER]
+        parts = [edge_rule(edge, n) for edge in EDGES]
         if self.has_interior:
             parts.append((grid.xs_ld, grid.ys_ld))
         self.xs = np.concatenate([p[0] for p in parts])
@@ -318,14 +247,16 @@ class DofPlan:
         index, signs = [], []
         for f in functionals:
             if f.kind == "edge_moment":
-                index.append(EDGE_ORDER.index(f.edge) * ne + f.leg[1])
-                signs.append(f.normal_sign)
+                index.append(EDGES.index(f.edge) * ne + f.i)
+                signs.append(_EDGE_SIGN[f.edge])
             elif f.kind == "interior_moment":
-                index.append(4 * ne + (f.component * na + f.leg[1]) * na + f.leg[2])
+                index.append(4 * ne + (f.component * na + f.i) * na + f.j)
+                signs.append(1)
+            elif f.kind == "div_moment":
+                index.append(4 * ne + 2 * na * na + f.i * nd + f.j)
                 signs.append(1)
             else:
-                index.append(4 * ne + 2 * na * na + f.test.dx * nd + f.test.dy)
-                signs.append(1)
+                raise ValueError(f"unknown DOF kind {f.kind!r}")
         self.index = np.array(index)
         self.signs = np.array(signs, dtype=np.longdouble)
 
@@ -334,7 +265,7 @@ class DofPlan:
         n = self.n
         batch = U.shape[:-1]
         parts = []
-        for e, edge in enumerate(EDGE_ORDER):
+        for e, edge in enumerate(EDGES):
             vals = U if _EDGE_COMPONENT[edge] == 0 else V
             parts.append(vals[..., e * n:(e + 1) * n] @ self.edge.T)
         if self.has_interior:
@@ -348,23 +279,15 @@ class DofPlan:
 
 
 @functools.lru_cache(maxsize=None)
-def dof_plan(family: ElementFamily, k: int, div_moments_replaced: bool, n: int) -> DofPlan:
-    """The cached plan of build_dofs(family, k, div_moments_replaced) at n points.
-
-    _plan_for rejects any other DOF set, so the key names the functionals.
-    """
-    return DofPlan(build_dofs(family, k, div_moments_replaced).functionals, n)
+def dof_plan(functionals: Tuple[DofFunctional, ...], n: int) -> DofPlan:
+    """The cached plan of these functionals at n points per direction."""
+    return DofPlan(functionals, n)
 
 
 def _plan_for(dofset: DofSet, max_degree: Optional[int]) -> DofPlan:
-    if not dofset.canonical:
-        raise ValueError(
-            "DOF set differs from build_dofs(family, k, div_moments_replaced); "
-            "only those sets can be applied"
-        )
-    # exact for component degree max_degree against tests up to degree k + 1
-    n = NONPOLY_POINTS if max_degree is None else n_for_degree(max_degree + dofset.k + 1)
-    return dof_plan(dofset.family, dofset.k, dofset.div_moments_replaced, n)
+    # exact for component degree max_degree against the set's tests
+    n = NONPOLY_POINTS if max_degree is None else n_for_degree(max_degree + dofset.test_degree)
+    return dof_plan(dofset.functionals, n)
 
 
 def dof_vector_ld(dofset: DofSet, field) -> np.ndarray:

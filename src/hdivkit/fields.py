@@ -53,8 +53,6 @@ class ManufacturedField:
     symbolically so rate predictions can see structural zeros.
     """
 
-    quad_degree = None  # non-polynomial: fixed high-order quadrature
-
     def __init__(self, fid: str, partial_fn: Callable, nonzero_fn: Callable):
         self.id = fid
         self._partial = partial_fn
@@ -250,8 +248,6 @@ def make_reproduction_field(family, k: int, seed: Optional[int] = None) -> Repro
 
 class CallableField:
     """Adapter giving plain callables the field protocol (uv, div_values)."""
-
-    quad_degree = None
 
     def __init__(self, uv_fn: Callable, div_fn: Optional[Callable] = None, fid: str = "custom"):
         self.id = fid

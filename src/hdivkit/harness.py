@@ -61,8 +61,6 @@ class PulledBackField:
     div_ref = hx hy (div u) . F.
     """
 
-    quad_degree = None
-
     def __init__(self, fld, rect: PhysicalRect):
         self.field = fld
         self.rect = rect
@@ -159,7 +157,21 @@ def error_Lp(fld, interpolant, rect: PhysicalRect, p: float, which: str) -> floa
         d1 = fld.div_values(xs, ys)
         d2 = interpolant.div_values(xs, ys)
         mag = np.abs(np.asarray(d1 - d2, dtype=float))
-    return float(np.sum(ws * mag**p) ** (1.0 / p))
+    return _lp_sum(ws, mag, p)
+
+
+def _lp_sum(ws, mag, p: float) -> float:
+    """(sum ws mag^p)^(1/p).
+
+    When the plain sum underflows or overflows (large p), mag is first
+    scaled by its maximum, so the result stays finite and nonzero.
+    """
+    with np.errstate(over="ignore", under="ignore"):
+        total = np.sum(ws * mag**p)
+        if (np.isfinite(total) and total >= np.finfo(float).tiny) or not np.any(mag):
+            return float(total ** (1.0 / p))
+        top = np.max(mag)
+        return float(top * np.sum(ws * (mag / top) ** p) ** (1.0 / p))
 
 
 def norm_Lp(fld, rect: PhysicalRect, p: float, which: str) -> float:
@@ -187,7 +199,7 @@ def error_Lp_reference(ref_field, member: SpaceMember, rect: PhysicalRect,
         d1 = ref_field.div_values(xs, ys)
         d2 = member.div_values(xs, ys)
         mag = np.abs(np.asarray(d1 - d2, dtype=float)) / area
-    return float((area * np.sum(ws * mag**p)) ** (1.0 / p))
+    return _lp_sum(area * ws, mag, p)
 
 
 @dataclass(frozen=True)

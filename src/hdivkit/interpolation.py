@@ -26,7 +26,10 @@ import scipy.linalg
 
 from . import legendre
 from .dofs import DofSet, build_dofs, dof_vector_ld, dof_matrix_ld
-from .elements import ElementSpace, ScalarSpace, SpaceMember, build_div_space, build_space
+from .elements import (
+    ElementFamily, ElementSpace, ScalarSpace, SpaceMember, _as_family, build_div_space,
+    build_space,
+)
 from .poly import Polynomial2D
 from .quadrature import NONPOLY_POINTS, tensor_rule
 
@@ -62,14 +65,13 @@ def _lu_det_sign(lu: np.ndarray, piv: np.ndarray) -> int:
 class InterpolationOperator:
     """Moment interpolation onto one element space.
 
-    dofs, when given, must come from build_dofs for the space's family
-    and degree; any other set raises ValueError.
+    dofs may be any DOF set whose count matches space.dim, in any order;
+    the default is build_dofs(space.family, space.k).
     """
 
-    def __init__(self, space: ElementSpace, dofs: Optional[DofSet] = None,
-                 replace_div_moments: bool = False):
+    def __init__(self, space: ElementSpace, dofs: Optional[DofSet] = None):
         if dofs is None:
-            dofs = build_dofs(space.family, space.k, replace_div_moments=replace_div_moments)
+            dofs = build_dofs(space.family, space.k)
         if dofs.count != space.dim:
             raise ValueError("DOF count does not match space dimension")
         self.space = space
@@ -89,10 +91,6 @@ class InterpolationOperator:
             )
         if self.condition > COND_WARN:
             warnings.warn(f"{tag}: DOF matrix condition {self.condition:.3e}", RuntimeWarning)
-
-    def dof_values(self, field) -> np.ndarray:
-        """The field's DOF vector F (doubles)."""
-        return dof_vector_ld(self.dofs, field).astype(float)
 
     def solve_coefficients(self, field) -> np.ndarray:
         b = dof_vector_ld(self.dofs, field)
@@ -114,17 +112,26 @@ def interpolate(op: InterpolationOperator, field) -> SpaceMember:
     return op.interpolate(field)
 
 
+def reference_operator(family, k: int,
+                       replace_div_moments: bool = False) -> InterpolationOperator:
+    """The cached operator of build_space(family, k) and build_dofs(family, k, ...).
+
+    replace_div_moments=True gives the negative-control operator whose
+    ABF divergence moments are swapped out (see build_dofs).
+    """
+    return _reference_operator(_as_family(family), k, replace_div_moments)
+
+
 @functools.lru_cache(maxsize=None)
-def reference_operator(family, k: int) -> InterpolationOperator:
-    """Cached operator for the standard DOF set."""
-    return InterpolationOperator(build_space(family, k))
+def _reference_operator(family: ElementFamily, k: int, replace: bool) -> InterpolationOperator:
+    return InterpolationOperator(build_space(family, k), build_dofs(family, k, replace))
 
 
 def unisolvence_report(family, k: int, replace_div_moments: bool = False) -> dict:
     space = build_space(family, k)
     report = {"family": space.family.value, "k": space.k}
     try:
-        op = InterpolationOperator(space, replace_div_moments=replace_div_moments)
+        op = InterpolationOperator(space, build_dofs(space.family, k, replace_div_moments))
     except OperatorConstructionError as exc:
         report.update(det_sign=0, condition=np.inf, nonsingular=False, ok=False,
                       warn=True, detail=str(exc))
@@ -177,10 +184,6 @@ class L2Projector:
         return f"L2Projector({self.scalar_space.description})"
 
 
-def project_div(proj: L2Projector, w) -> Polynomial2D:
-    return proj.project(w)
-
-
 @functools.lru_cache(maxsize=None)
 def reference_projector(family, k: int) -> L2Projector:
     return L2Projector(build_div_space(family, k))
@@ -195,10 +198,7 @@ def commuting_residual(family, k: int, field, replace_div_moments: bool = False)
     Both sides are sampled through the Legendre recurrence; expanding
     either to a monomial grid first would cost two digits at k >= 3.
     """
-    if replace_div_moments:
-        op = InterpolationOperator(build_space(family, k), replace_div_moments=True)
-    else:
-        op = reference_operator(family, k)
+    op = reference_operator(family, k, replace_div_moments)
     proj = reference_projector(family, k)
     m = op.interpolate(field)
     coeffs = proj.coeffs_internal(field.div_values)

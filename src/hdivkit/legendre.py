@@ -38,22 +38,6 @@ def coeffs(n: int) -> np.ndarray:
     return c
 
 
-def norm2(n: int) -> float:
-    """Squared L2([0,1]) norm, 1 / (2n + 1)."""
-    return 1.0 / (2 * n + 1)
-
-
-@functools.lru_cache(maxsize=None)
-def as_poly(n: int, var: str = "x") -> Polynomial2D:
-    """The degree-n member as a univariate Polynomial2D in x or y."""
-    c = coeffs(n)
-    if var == "x":
-        return Polynomial2D(c[:, None])
-    if var == "y":
-        return Polynomial2D(c[None, :])
-    raise ValueError("var must be 'x' or 'y'")
-
-
 def values(nmax: int, x) -> list:
     """Values of degrees 0..nmax at x via the recurrence, dtype-preserving."""
     x = np.asarray(x)

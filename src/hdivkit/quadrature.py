@@ -6,6 +6,11 @@ polynomial with Chebyshev-angle starting guesses.  The iteration runs in
 doubles, and extended-precision copies are kept for the interpolation
 pipeline, which needs integrals a little more accurate than double
 rounding allows.
+
+``edge_rule`` owns the map from the edge parameter t to the boundary of
+the unit square (``EDGES`` fixes the edge order); its points, parameter
+and weights are extended precision, since the DOF functionals integrate
+along the edges with them.
 """
 
 from __future__ import annotations
@@ -89,11 +94,9 @@ def gauss_legendre_01(n: int) -> QuadratureRule1D:
 class QuadratureRule2D:
     """Tensor-product rule on the unit square."""
 
-    __slots__ = ("rule_x", "rule_y", "points", "xs", "ys", "ws", "xs_ld", "ys_ld", "ws_ld")
+    __slots__ = ("xs", "ys", "ws", "xs_ld", "ys_ld", "ws_ld")
 
     def __init__(self, rule_x: QuadratureRule1D, rule_y: QuadratureRule1D):
-        self.rule_x = rule_x
-        self.rule_y = rule_y
         X, Y = np.meshgrid(rule_x.nodes_ld, rule_y.nodes_ld, indexing="ij")
         W = np.outer(rule_x.weights_ld, rule_y.weights_ld)
         self.xs_ld = X.ravel()
@@ -102,8 +105,7 @@ class QuadratureRule2D:
         self.xs = self.xs_ld.astype(float)
         self.ys = self.ys_ld.astype(float)
         self.ws = self.ws_ld.astype(float)
-        self.points = np.column_stack([self.xs, self.ys, self.ws])
-        for a in (self.xs, self.ys, self.ws, self.xs_ld, self.ys_ld, self.ws_ld, self.points):
+        for a in (self.xs, self.ys, self.ws, self.xs_ld, self.ys_ld, self.ws_ld):
             a.setflags(write=False)
 
     def integrate(self, f) -> float:
@@ -119,26 +121,19 @@ EDGES = ("left", "right", "bottom", "top")
 
 
 @functools.lru_cache(maxsize=None)
-def edge_rule(edge: str, n: int) -> np.ndarray:
-    """1D Gauss points embedded on an edge of the unit square.
+def edge_rule(edge: str, n: int) -> tuple:
+    """n Gauss points on an edge of the unit square, extended precision.
 
-    Returns an (n, 3) array of (x, y, w).  The arc parameter t runs with
-    the increasing coordinate: left edge (0, t), right (1, t), bottom
-    (t, 0), top (t, 1).
+    Returns read-only arrays (x, y, t, w): the points, the edge parameter
+    and the weights.  t runs with the increasing coordinate: left edge
+    (0, t), right (1, t), bottom (t, 0), top (t, 1).
     """
     if edge not in EDGES:
         raise ValueError(f"unknown edge {edge!r}")
     r = gauss_legendre_01(n)
-    t = r.nodes
-    z = np.zeros(n)
-    o = np.ones(n)
-    if edge == "left":
-        pts = np.column_stack([z, t, r.weights])
-    elif edge == "right":
-        pts = np.column_stack([o, t, r.weights])
-    elif edge == "bottom":
-        pts = np.column_stack([t, z, r.weights])
-    else:
-        pts = np.column_stack([t, o, r.weights])
-    pts.setflags(write=False)
-    return pts
+    t = r.nodes_ld
+    side = np.full(n, np.longdouble(edge in ("right", "top")))
+    side.setflags(write=False)
+    if edge in ("left", "right"):
+        return side, t, t, r.weights_ld
+    return t, side, t, r.weights_ld

@@ -98,6 +98,15 @@ def test_converge_stdout_csv(capsys):
     assert lines[-1].startswith("div: fitted=") and "verdict=pass" in lines[-1]
 
 
+def test_converge_large_p_is_not_vacuous(capsys):
+    code, out, err = run(capsys, "converge", "--family", "RT", "--k", "1", "--field", "MS-G",
+                         "--p", "1000")
+    assert err == ""
+    assert "(reproduction)" not in out
+    rows = [line.split(",") for line in out.splitlines()[1:7]]
+    assert all(float(r[3]) > 0 and float(r[4]) > 0 for r in rows)
+
+
 def test_converge_csv_file_bit_stable(tmp_path, capsys):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hdivkit.dofs import (
-    EDGE_ORDER,
+    DofFunctional,
     DofSet,
     apply_dof,
     apply_dof_ld,
@@ -19,6 +21,7 @@ from hdivkit.fields import MS_G, CallableField
 from hdivkit.harness import PhysicalRect, piola_pullback
 from hdivkit.interpolation import InterpolationOperator
 from hdivkit.poly import Polynomial2D, VectorPoly2D
+from hdivkit.quadrature import EDGES
 
 
 def _field(ux, uy, vx, vy, cu=1.0, cv=1.0):
@@ -56,10 +59,10 @@ def test_edge_ordering():
     head = dofset.functionals[:12]
     assert all(f.kind == "edge_moment" for f in head)
     # left, right, bottom, top blocks; test degree ascends inside each
-    for b, edge in enumerate(EDGE_ORDER):
+    for b, edge in enumerate(EDGES):
         block = head[3 * b : 3 * b + 3]
         assert [f.edge for f in block] == [edge] * 3
-        assert [f.leg[1] for f in block] == [0, 1, 2]
+        assert [f.i for f in block] == [0, 1, 2]
     tail = dofset.functionals[12:]
     assert [f.kind for f in tail] == ["interior_moment"] * 12
     assert [f.component for f in tail] == [0] * 6 + [1] * 6
@@ -170,30 +173,82 @@ def test_plan_cache_bounded():
     assert dof_plan.cache_info().currsize == size
 
 
-def test_plan_rejects_noncanonical_dofset():
-    # a plan applies the functionals of build_dofs; a reordered set must not
-    # be applied as if it were that one
-    canonical = build_dofs("RT", 1)
-    swapped = DofSet(canonical.family, canonical.k, canonical.functionals[::-1])
-    space = build_space("RT", 1)
-    with pytest.raises(ValueError, match="build_dofs"):
-        InterpolationOperator(space, dofs=swapped)
-    with pytest.raises(ValueError, match="build_dofs"):
-        dof_vector_ld(swapped, space.basis[0])
-    # an equal set built separately is accepted
-    np.testing.assert_array_equal(dof_matrix_ld(build_dofs("RT", 1), space),
-                                  dof_matrix_ld(canonical, space))
+def _permuted(dofset, perm):
+    return DofSet(dofset.family, dofset.k, tuple(dofset.functionals[i] for i in perm))
+
+
+CASES = [pytest.param(f, k, False, id=f"{f}-{k}") for f, k in PAIRS] + [
+    pytest.param("ABF", 2, True, id="ABF-2-replaced")
+]
+
+
+@pytest.mark.parametrize("family,k,replace", CASES)
+@settings(max_examples=3, deadline=None)
+@given(data=st.data())
+def test_permuted_dofset_permutes_matrix_and_vector(family, k, replace, data):
+    # a reordered set is applied as itself: rows and entries follow the order
+    dofset = build_dofs(family, k, replace_div_moments=replace)
+    perm = data.draw(st.permutations(range(dofset.count)))
+    permuted = _permuted(dofset, perm)
+    space = build_space(family, k)
+    np.testing.assert_array_equal(dof_matrix_ld(permuted, space),
+                                  dof_matrix_ld(dofset, space)[perm])
+    member = space.random_member(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
+    for fld in (member, piola_pullback(PhysicalRect(1.0, 1.0 / 64.0), MS_G)):
+        np.testing.assert_array_equal(dof_vector_ld(permuted, fld),
+                                      dof_vector_ld(dofset, fld)[perm])
+
+
+@pytest.mark.parametrize("family,k,replace", CASES)
+@settings(max_examples=3, deadline=None)
+@given(data=st.data())
+def test_permuted_dofset_reproduces_members(family, k, replace, data):
+    dofset = build_dofs(family, k, replace_div_moments=replace)
+    perm = data.draw(st.permutations(range(dofset.count)))
+    op = InterpolationOperator(build_space(family, k), _permuted(dofset, perm))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    for _ in range(3):
+        member = op.space.random_member(rng)
+        back = op.solve_coefficients(member)
+        assert np.max(np.abs(back - member.coeffs)) <= 1e-12 * np.max(np.abs(member.coeffs))
+
+
+def test_high_degree_functional_sizes_the_rule():
+    # a hand-made set with a test above degree k + 1 is integrated exactly
+    dofset = build_dofs("RT", 1)
+    high = DofSet(dofset.family, dofset.k,
+                  dofset.functionals[:-1] + (DofFunctional("interior_moment", 6, 6, component=1),))
+    fld = _field(0, 0, 6, 6, cu=0.0)
+    vec = dof_vector_ld(high, fld)
+    loop = np.array([apply_dof_ld(fn, fld) for fn in high.functionals])
+    assert loop[-1] > 1e-9
+    assert np.max(np.abs(vec - loop)) <= 1e-15 * np.max(np.abs(loop))
+
+
+def test_unknown_kind_rejected():
+    dofset = build_dofs("RT", 1)
+    bad = DofSet(dofset.family, dofset.k,
+                 dofset.functionals[:-1] + (DofFunctional("interior_momnet", 0, 0, component=1),))
+    with pytest.raises(ValueError, match="unknown DOF kind"):
+        dof_vector_ld(bad, _field(1, 0, 0, 1))
+
+
+def test_functionals_are_values():
+    # equal and hashable by value: two builds of a set share one plan key
+    a, b = build_dofs("ABF", 2), build_dofs("ABF", 2)
+    assert a.functionals == b.functionals
+    assert hash(a.functionals) == hash(b.functionals)
+    assert len(set(a.functionals)) == a.count
 
 
 def test_replace_div_moments_abf_only():
     plain = build_dofs("ABF", 1)
     swapped = build_dofs("ABF", 1, replace_div_moments=True)
-    assert swapped.div_moments_replaced
     assert swapped.count == plain.count
     assert swapped.count_by_kind() == {"edge_moment": 8, "interior_moment": 8, "div_moment": 0}
     # the first 12 functionals (edges + regular interior) are unchanged in kind
     for a, b in zip(plain.functionals[:12], swapped.functionals[:12]):
-        assert a.kind == b.kind and a.leg == b.leg
+        assert a == b
     for family in ("RT", "BDM"):
         p = build_dofs(family, 2)
         s = build_dofs(family, 2, replace_div_moments=True)

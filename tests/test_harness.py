@@ -1,6 +1,7 @@
 """Piola transport, physical errors, rate fitting, and study verdicts."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from hdivkit.harness import (
 )
 from hdivkit.interpolation import reference_operator
 from hdivkit.poly import Polynomial2D, VectorPoly2D
+from hdivkit.quadrature import NONPOLY_POINTS, tensor_rule
 
 
 def _vec(ux, uy, vx, vy, cu=1.0, cv=1.0):
@@ -151,8 +153,37 @@ def test_norm_homogeneity():
             )
 
 
+def _lp_max_scaled(ws, mag, p):
+    top = np.max(mag)
+    return top * np.sum(ws * (mag / top) ** p) ** (1.0 / p)
+
+
+def test_large_p_errors_are_not_vacuous():
+    # at p = 1000 the plain sum of |e|^p underflows (errors below 1) or
+    # overflows (divergences above 1); the errors must stay the real ones,
+    # not zeros that read as a reproduction pass
+    p = 1000.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = run_refinement_study(StudyConfig("RT", 1, p, "MS-G", "isotropic"))
+    for which in ("field", "div"):
+        assert "reproduction" not in table.flags.get(which, {})
+    rule = tensor_rule(NONPOLY_POINTS, NONPOLY_POINTS)
+    for rec in table.records:
+        rect = PhysicalRect(rec.hx, rec.hy)
+        interp = interpolate_on_rect("RT", 1, rect, MS_G)
+        xs, ys, ws = rect.hx * rule.xs, rect.hy * rule.ys, rect.hx * rect.hy * rule.ws
+        (U1, V1), (U2, V2) = MS_G.uv(xs, ys), interp.uv(xs, ys)
+        d1, d2 = MS_G.div_values(xs, ys), interp.div_values(xs, ys)
+        ef = _lp_max_scaled(ws, np.hypot(U1 - U2, V1 - V2), p) / (rect.hx * rect.hy) ** (1 / p)
+        ed = _lp_max_scaled(ws, np.abs(d1 - d2), p) / _lp_max_scaled(ws, np.abs(d1), p)
+        assert rec.err_field_Lp > 0 and rec.err_div_Lp > 0
+        assert rec.err_field_Lp == pytest.approx(ef, rel=1e-12)
+        assert rec.err_div_Lp == pytest.approx(ed, rel=1e-12)
+
+
 @pytest.mark.parametrize("which", ["field", "div"])
-@pytest.mark.parametrize("p", [1.0, 2.0])
+@pytest.mark.parametrize("p", [1.0, 2.0, 1000.0])
 def test_error_reference_side_consistency(which, p):
     # the physical integral and its reference-square form must agree
     rect = PhysicalRect(0.5, 0.125)

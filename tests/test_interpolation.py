@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hdivkit.dofs import apply_dof, build_dofs
 from hdivkit.elements import build_div_space, build_space
-from hdivkit.fields import MS_G, commuting_battery
+from hdivkit.fields import MS_G, CallableField, commuting_battery
 from hdivkit.interpolation import (
     InterpolationOperator,
     L2Projector,
@@ -76,7 +78,7 @@ def test_interpolant_matches_all_dofs(family, k):
     for fn in op.dofs.functionals:
         a = apply_dof(fn, m)
         b = apply_dof(fn, MS_G)
-        assert a == pytest.approx(b, abs=2e-13), fn.describe()
+        assert a == pytest.approx(b, abs=2e-13), fn
 
 
 @pytest.mark.parametrize("family,k", [("RT", 1), ("ABF", 0)])
@@ -91,6 +93,28 @@ def test_against_independent_assembly(family, k):
     expect = np.linalg.solve(M, rhs)
     got = reference_operator(family, k).solve_coefficients(MS_G)
     np.testing.assert_allclose(got, expect, rtol=1e-12, atol=1e-13)
+
+
+@pytest.mark.parametrize("family,k", ALL_SPACES)
+@settings(max_examples=3, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       a=st.floats(-4.0, 4.0, allow_nan=False), b=st.floats(-4.0, 4.0, allow_nan=False))
+def test_interpolate_is_linear(family, k, seed, a, b):
+    # I(a f + b g) = a I(f) + b I(g) for random members f, g, applied as
+    # generic callables so the operator takes the non-polynomial rule
+    op = reference_operator(family, k)
+    rng = np.random.default_rng(seed)
+    f, g = op.space.random_member(rng), op.space.random_member(rng)
+
+    def uv(x, y):
+        (Uf, Vf), (Ug, Vg) = f.uv(x, y), g.uv(x, y)
+        return a * Uf + b * Ug, a * Vf + b * Vg
+
+    combo = CallableField(uv, lambda x, y: a * f.div_values(x, y) + b * g.div_values(x, y))
+    got = op.interpolate(combo).coeffs
+    want = a * op.interpolate(f).coeffs + b * op.interpolate(g).coeffs
+    scale = max(abs(a), abs(b), 1.0) * max(np.abs(f.coeffs).max(), np.abs(g.coeffs).max())
+    assert np.max(np.abs(got - want)) <= 1e-12 * scale
 
 
 def test_interpolate_helper():

@@ -37,11 +37,6 @@ def test_endpoint_normalization(n):
     assert c[0] == (-1) ** n  # L_n(0) = (-1)^n
 
 
-def test_norm2_closed_form():
-    for n in range(9):
-        assert legendre.norm2(n) == pytest.approx(1.0 / (2 * n + 1), rel=1e-16)
-
-
 def test_values_recurrence_matches_coefficient_eval():
     xs = RNG.uniform(0, 1, size=13)
     vals = legendre.values(8, xs)
@@ -117,15 +112,10 @@ def test_grid_to_basis_exact_is_rational():
     assert expansion[(0, 1)] == Fraction(1, 2)
 
 
-def test_as_poly_and_product_poly():
+def test_product_poly():
     x, y = 0.31, 0.77
-    for n in range(5):
-        px = legendre.as_poly(n, "x")
-        py = legendre.as_poly(n, "y")
-        assert px.eval(x, y) == pytest.approx(float(legendre.values(n, x)[n]), rel=1e-13)
-        assert py.eval(x, y) == pytest.approx(float(legendre.values(n, y)[n]), rel=1e-13)
     prod = legendre.product_poly(2, 3)
-    want = legendre.as_poly(2, "x").eval(x, y) * legendre.as_poly(3, "y").eval(x, y)
+    want = float(legendre.values(2, x)[2]) * float(legendre.values(3, y)[3])
     assert prod.eval(x, y) == pytest.approx(want, rel=1e-13)
 
 

@@ -72,24 +72,28 @@ def test_n_for_degree_sufficient():
 
 @pytest.mark.parametrize("edge", EDGES)
 def test_edge_rule_geometry(edge):
-    pts = edge_rule(edge, 5)
-    assert pts.shape == (5, 3)
-    x, y, w = pts[:, 0], pts[:, 1], pts[:, 2]
+    x, y, t, w = edge_rule(edge, 5)
+    assert all(a.shape == (5,) and a.dtype == np.longdouble for a in (x, y, t, w))
     assert float(np.sum(w)) == pytest.approx(1.0, abs=1e-14)
+    np.testing.assert_array_equal(t, gauss_legendre_01(5).nodes_ld)
     if edge == "left":
         np.testing.assert_array_equal(x, 0.0)
+        np.testing.assert_array_equal(y, t)
     elif edge == "right":
         np.testing.assert_array_equal(x, 1.0)
+        np.testing.assert_array_equal(y, t)
     elif edge == "bottom":
         np.testing.assert_array_equal(y, 0.0)
+        np.testing.assert_array_equal(x, t)
     else:
         np.testing.assert_array_equal(y, 1.0)
+        np.testing.assert_array_equal(x, t)
 
 
 def test_edge_rule_integrates_edge_polynomial():
     # int_0^1 t^3 along the top edge, parametrized by x
-    pts = edge_rule("top", 4)
-    got = float(np.sum(pts[:, 2] * pts[:, 0] ** 3))
+    x, y, t, w = edge_rule("top", 4)
+    got = float(np.sum(w * x**3))
     assert got == pytest.approx(0.25, abs=1e-14)
 
 
