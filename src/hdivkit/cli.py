@@ -24,51 +24,32 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .dofs import build_dofs
-from .elements import build_div_space, build_space, span_check
-from .fields import FIELD_IDS, commuting_battery, env_seed
-from .harness import MODES, StudyConfig, run_refinement_study
+from .elements import (
+    MAX_DEGREE, ElementFamily, _as_family, _validate_degree, build_div_space, build_space,
+    degree_range, span_check,
+)
+from .fields import commuting_battery, env_seed
+from .harness import StudyConfig, run_refinement_study
 from .interpolation import (
+    COMMUTING_TOL,
+    COND_WARN,
     OperatorConstructionError,
     commuting_residual,
     reference_operator,
     unisolvence_report,
 )
 
-FAMILIES = ("RT", "BDM", "ABF")
-KMAX_LIMIT = 4
+FAMILIES = tuple(f.value for f in ElementFamily)
 COMMUTING_KMAX = 3
 PROJECTION_MEMBERS = 20
-COND_LIMIT = 1e9
 PROJECTION_TOL = 1e-12
-COMMUTING_TOL = 1e-10
-SPAN_TOL = 1e-12
 
-CONFIG_DEFAULTS = {
-    "family": "RT",
-    "k": 0,
-    "p": 2.0,
-    "field": "MS-G",
-    "mode": "isotropic",
-    "levels": 6,
-    "h0": 0.5,
-    "rate_tolerance": 0.15,
-    "output": None,
-    "format": "csv",
-}
+# converge's study flags, which are also its config-file keys; absent keys
+# take StudyConfig's defaults, output defaults to stdout and format to csv
+CONFIG_KEYS = ("family", "k", "p", "field", "mode", "levels", "h0", "rate_tolerance",
+               "output", "format")
 _INT_KEYS = {"k", "levels"}
 _FLOAT_KEYS = {"p", "h0", "rate_tolerance"}
-_STUDY_FLAGS = (
-    "family",
-    "k",
-    "p",
-    "field",
-    "mode",
-    "levels",
-    "h0",
-    "rate_tolerance",
-    "output",
-    "format",
-)
 
 
 class UsageError(Exception):
@@ -76,27 +57,16 @@ class UsageError(Exception):
 
 
 def _family_list(name: Optional[str]) -> List[str]:
-    if name is None:
-        return list(FAMILIES)
-    if name not in FAMILIES:
-        raise UsageError(f"unknown family '{name}' (choose from {', '.join(FAMILIES)})")
-    return [name]
-
-
-def _degree_range(family: str, kmax: int) -> range:
-    return range(1 if family == "BDM" else 0, kmax + 1)
-
-
-def _check_degree(name: str, k: int) -> None:
-    # the documented degree range, the one tabulate and check cover
-    if not 0 <= k <= KMAX_LIMIT:
-        raise UsageError(f"{name} must be between 0 and {KMAX_LIMIT}")
+    # argparse choices restrict name to FAMILIES
+    return list(FAMILIES) if name is None else [name]
 
 
 def _check_kmax(args) -> None:
-    _check_degree("kmax", args.kmax)
-    if args.family == "BDM" and args.kmax < 1:
-        raise UsageError("BDM requires k >= 1")
+    # with no family, BDM's k >= 1 is left to degree_range
+    try:
+        _validate_degree(_as_family(args.family or "RT"), args.kmax)
+    except ValueError as exc:
+        raise UsageError(str(exc))
 
 
 # --- tabulate -------------------------------------------------------------
@@ -104,7 +74,7 @@ def _check_kmax(args) -> None:
 def cmd_tabulate(args) -> int:
     _check_kmax(args)
     for family in _family_list(args.family):
-        for k in _degree_range(family, args.kmax):
+        for k in degree_range(family, args.kmax):
             space = build_space(family, k)
             counts = build_dofs(family, k).count_by_kind()
             div_space = build_div_space(family, k)
@@ -134,13 +104,13 @@ def cmd_check(args) -> int:
             failures.append(f"{family}_{k} {check}")
 
     for family in families:
-        for k in _degree_range(family, args.kmax):
+        for k in degree_range(family, args.kmax):
             rep = unisolvence_report(family, k, replace_div_moments=replace)
-            ok = bool(rep["nonsingular"]) and rep["condition"] <= COND_LIMIT
+            ok = bool(rep["nonsingular"]) and rep["condition"] <= COND_WARN
             record("unisolvence", family, k, "condition", rep["condition"], ok)
 
     for family in families:
-        for k in _degree_range(family, args.kmax):
+        for k in degree_range(family, args.kmax):
             try:
                 op = reference_operator(family, k, replace)
             except OperatorConstructionError:
@@ -157,7 +127,7 @@ def cmd_check(args) -> int:
 
     battery = commuting_battery()
     for family in families:
-        for k in _degree_range(family, min(args.kmax, COMMUTING_KMAX)):
+        for k in degree_range(family, min(args.kmax, COMMUTING_KMAX)):
             try:
                 worst = max(
                     commuting_residual(family, k, f, replace_div_moments=replace)
@@ -170,10 +140,9 @@ def cmd_check(args) -> int:
             record("commuting", family, k, "max_residual", worst, ok)
 
     for family in families:
-        for k in _degree_range(family, args.kmax):
+        for k in degree_range(family, args.kmax):
             report = span_check(build_space(family, k))
-            ok = bool(report["ok"]) and report["max_residual"] <= SPAN_TOL
-            record("span", family, k, "max_residual", report["max_residual"], ok)
+            record("span", family, k, "max_residual", report["max_residual"], report["ok"])
 
     if failures:
         print("FAILED: " + "; ".join(failures))
@@ -184,30 +153,23 @@ def cmd_check(args) -> int:
 
 # --- converge -------------------------------------------------------------
 
-def _parse_mode(text: str):
+def _parse_mode(text: str) -> dict:
+    """Split fixed_aspect(R) into mode and rho; StudyConfig checks both."""
     name = text.strip()
-    rho = 64.0
     if name.startswith("fixed_aspect(") and name.endswith(")"):
         inner = name[len("fixed_aspect("):-1]
         try:
-            rho = float(inner)
+            return {"mode": "fixed_aspect", "rho": float(inner)}
         except ValueError:
             raise UsageError(f"bad aspect ratio '{inner}'")
-        if not (math.isfinite(rho) and rho > 0):
-            raise UsageError("aspect ratio must be positive and finite")
-        name = "fixed_aspect"
-    if name not in MODES:
-        raise UsageError(
-            f"unknown mode '{text}' (choose from {', '.join(MODES)} or fixed_aspect(R))"
-        )
-    return name, rho
+    return {"mode": name}
 
 
 def _read_config_file(path: str) -> Dict[str, str]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file: {exc}")
     out: Dict[str, str] = {}
     for num, raw in enumerate(text.splitlines(), 1):
@@ -218,7 +180,7 @@ def _read_config_file(path: str) -> Dict[str, str]:
             raise UsageError(f"{path}:{num}: expected key=value")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in CONFIG_DEFAULTS:
+        if key not in CONFIG_KEYS:
             raise UsageError(f"{path}:{num}: unknown key '{key}'")
         if key in out:
             raise UsageError(f"{path}:{num}: duplicate key '{key}'")
@@ -227,29 +189,25 @@ def _read_config_file(path: str) -> Dict[str, str]:
 
 
 def _converge_settings(args) -> dict:
-    settings = dict(CONFIG_DEFAULTS)
-    if args.config is not None:
-        given = [f for f in _STUDY_FLAGS if getattr(args, f) is not None]
-        if given:
-            raise UsageError("--config cannot be combined with study flags")
-        for key, value in _read_config_file(args.config).items():
-            if key in _INT_KEYS:
-                try:
-                    settings[key] = int(value)
-                except ValueError:
-                    raise UsageError(f"key '{key}' expects an integer, got '{value}'")
-            elif key in _FLOAT_KEYS:
-                try:
-                    settings[key] = float(value)
-                except ValueError:
-                    raise UsageError(f"key '{key}' expects a number, got '{value}'")
-            else:
-                settings[key] = value
-    else:
-        for flag in _STUDY_FLAGS:
-            value = getattr(args, flag)
-            if value is not None:
-                settings[flag] = value
+    """The converge keys that were given, from the flags or the config file."""
+    settings = {key: getattr(args, key) for key in CONFIG_KEYS if getattr(args, key) is not None}
+    if args.config is None:
+        return settings
+    if settings:
+        raise UsageError("--config cannot be combined with study flags")
+    for key, value in _read_config_file(args.config).items():
+        if key in _INT_KEYS:
+            try:
+                settings[key] = int(value)
+            except ValueError:
+                raise UsageError(f"key '{key}' expects an integer, got '{value}'")
+        elif key in _FLOAT_KEYS:
+            try:
+                settings[key] = float(value)
+            except ValueError:
+                raise UsageError(f"key '{key}' expects a number, got '{value}'")
+        else:
+            settings[key] = value
     return settings
 
 
@@ -348,38 +306,24 @@ def _verdict_lines(table) -> List[str]:
 
 def cmd_converge(args) -> int:
     settings = _converge_settings(args)
-    fmt = settings["format"]
+    fmt = settings.pop("format", "csv")
+    output = settings.pop("output", None)
     if fmt not in ("csv", "json"):
         raise UsageError(f"unknown format '{fmt}' (csv or json)")
-    if settings["field"] not in FIELD_IDS:
-        raise UsageError(
-            f"unknown field '{settings['field']}' (choose from {', '.join(FIELD_IDS)})"
-        )
-    mode, rho = _parse_mode(str(settings["mode"]))
-    _check_degree("k", int(settings["k"]))
+    if "mode" in settings:
+        settings.update(_parse_mode(settings["mode"]))
     try:
-        config = StudyConfig(
-            family=settings["family"],
-            k=int(settings["k"]),
-            p=float(settings["p"]),
-            field=settings["field"],
-            mode=mode,
-            rho=rho,
-            levels=int(settings["levels"]),
-            h0=float(settings["h0"]),
-            rate_tolerance=float(settings["rate_tolerance"]),
-        )
-        table = run_refinement_study(config)
+        table = run_refinement_study(StudyConfig(**settings))
     except ValueError as exc:
         raise UsageError(str(exc))
     text = _csv_text(table) if fmt == "csv" else _json_text(table)
-    if settings["output"]:
+    if output:
         try:
-            _atomic_write(settings["output"], text)
+            _atomic_write(output, text)
         except OSError as exc:
             print(f"cannot write output: {exc}", file=sys.stderr)
             return 3
-        print(f"wrote {settings['output']}")
+        print(f"wrote {output}")
     else:
         sys.stdout.write(text)
     for line in _verdict_lines(table):
@@ -404,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="print space dimension, DOF counts, and divergence space per family/degree",
     )
     tab.add_argument("--family", choices=FAMILIES, default=None)
-    tab.add_argument("--kmax", type=int, default=KMAX_LIMIT)
+    tab.add_argument("--kmax", type=int, default=MAX_DEGREE)
 
     chk = sub.add_parser(
         "check",

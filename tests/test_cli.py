@@ -3,8 +3,11 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hdivkit import cli
+from hdivkit.harness import StudyConfig
 
 CSV_HEADER = "level,hx,hy,err_field,err_div,rate_field,rate_div"
 
@@ -45,8 +48,9 @@ def test_tabulate_bdm_kmax_zero_is_usage_error(capsys):
 
 
 def test_tabulate_kmax_out_of_range(capsys):
-    code, _, err = run(capsys, "tabulate", "--kmax", "7")
+    code, out, err = run(capsys, "tabulate", "--kmax", "7")
     assert code == 2 and "error:" in err
+    assert out == "" and "error: k must be between 0 and 4" in err
 
 
 # -------------------------------------------------------------------- check
@@ -58,6 +62,12 @@ def test_check_passes(capsys):
     assert "unisolvence RT_0" in out
     assert "all checks passed" in out
     assert "FAIL" not in out
+
+
+def test_check_kmax_out_of_range(capsys):
+    code, out, err = run(capsys, "check", "--kmax", "5")
+    assert code == 2
+    assert out == "" and "error: k must be between 0 and 4" in err
 
 
 def test_check_debug_switch_fails_commuting_only(capsys):
@@ -241,6 +251,71 @@ def test_converge_config_excludes_flags(tmp_path, capsys):
 def test_converge_missing_config_file(tmp_path, capsys):
     code, _, err = run(capsys, "converge", "--config", str(tmp_path / "absent.cfg"))
     assert code == 2
+
+
+def test_converge_config_not_utf8(tmp_path, capsys):
+    # the decode error escaped as a traceback with exit 1, the verdict-failure code
+    cfg = tmp_path / "bytes.cfg"
+    cfg.write_bytes(b"family = RT\nk = \xff\n")
+    code, out, err = run(capsys, "converge", "--config", str(cfg))
+    assert code == 2
+    assert out == "" and "error: cannot read config file:" in err
+
+
+def test_converge_absent_keys_take_study_defaults(tmp_path, capsys):
+    cfg = tmp_path / "study.cfg"
+    target = tmp_path / "study.json"
+    cfg.write_text(f"levels = 3\nformat = json\noutput = {target}\n")
+    code, _, _ = run(capsys, "converge", "--config", str(cfg))
+    assert code in (0, 1)
+    assert json.loads(target.read_text())["config"] == StudyConfig(levels=3).describe()
+
+
+# text that str.splitlines cannot split and UTF-8 can encode
+_TEXT = st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")), max_size=12)
+_WILD = st.one_of(
+    st.integers(-3, 9).map(str).map(str.encode),
+    st.floats().map(repr).map(str.encode),
+    st.sampled_from([b"nan", b"inf", b"-inf"]),
+    _TEXT.map(str.encode),
+    st.binary(max_size=3).map(lambda b: b"\xff" + b),  # never UTF-8
+)
+_PLAUSIBLE = {"family": "RT ABF bdm", "k": "0 1 4", "p": "1 2.5", "field": "MS-G MS-X MS-P",
+              "mode": "isotropic shrink_y fixed_aspect(8)", "h0": "0.5 1",
+              "rate_tolerance": "0 0.15", "format": "csv json"}
+
+
+def _entry(key, value):
+    return value.map(lambda v: key.encode() + b" = " + v)
+
+
+def _study_line(key):
+    return _entry(key, st.sampled_from(_PLAUSIBLE[key].split()).map(str.encode) | _WILD)
+
+
+# distinct keys with plausible or wild values, then at most one defect:
+# a key with a wild value (a duplicate when it is already set), an
+# unknown key or a line without '='
+_STUDY = st.lists(st.sampled_from(sorted(_PLAUSIBLE)), unique=True, max_size=4).flatmap(
+    lambda keys: st.tuples(*map(_study_line, keys)))
+_DEFECT = st.sampled_from(sorted(_PLAUSIBLE) + ["levels", "flavor", ""]).flatmap(
+    lambda key: _entry(key, _WILD)) | _TEXT.map(lambda t: t.replace("=", "").encode())
+
+
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(levels=st.integers(2, 4), study=_STUDY, defects=st.lists(_DEFECT, max_size=1))
+def test_config_files_never_traceback(tmp_path, capsys, levels, study, defects):
+    # every key but output is drawn; the output goes to a file, so stdout
+    # holds only status lines
+    assert set(_PLAUSIBLE) | {"levels", "output"} == set(cli.CONFIG_KEYS)
+    cfg = tmp_path / "study.cfg"
+    head = [f"levels = {levels}".encode(), f"output = {tmp_path / 'study.out'}".encode()]
+    cfg.write_bytes(b"\n".join(head + list(study) + defects) + b"\n")
+    code, out, err = run(capsys, "converge", "--config", str(cfg))
+    assert code in (0, 1, 2, 3)
+    if code == 2:
+        assert out == "" and err.startswith("error: ")
 
 
 # ---------------------------------------------------------------- exit codes

@@ -12,6 +12,7 @@ from hdivkit.elements import (
     build_div_space,
     build_space,
     component_degrees,
+    degree_range,
     gram_matrix,
     space_dimension,
     span_check,
@@ -54,6 +55,19 @@ def test_degree_bounds_rejected():
         build_space("RT", MAX_DEGREE + 1)
     with pytest.raises(ValueError):
         build_space("XF", 1)
+
+
+def test_degree_range_is_the_verified_range():
+    assert [(f, k) for f in ("RT", "BDM", "ABF") for k in degree_range(f)] == ALL_PAIRS
+    assert list(degree_range("bdm", 2)) == [1, 2]
+    # ABF_6 reproduces members only to ~1e-11, ABF_7 has DOF condition ~2e10
+    for family, k in (("ABF", 6), ("ABF", 7), ("RT", MAX_DEGREE + 1)):
+        with pytest.raises(ValueError, match="k must be between 0 and 4"):
+            build_space(family, k)
+    with pytest.raises(ValueError, match="k must be between 0 and 4"):
+        build_dofs("RT", 5)
+    with pytest.raises(ValueError, match="k must be between 0 and 4"):
+        build_div_space("ABF", 5)
 
 
 def _span_residual(space, target: VectorPoly2D) -> float:

@@ -312,6 +312,21 @@ def test_config_validation():
     assert set(MODES) == {"shrink_x", "shrink_y", "isotropic", "fixed_aspect"}
 
 
+@pytest.mark.parametrize("kwargs,message", [
+    ({"k": 5}, "k must be between 0 and 4"),
+    ({"k": -1}, "k must be between 0 and 4"),
+    ({"family": "BDM", "k": 0}, "BDM requires k >= 1"),
+    ({"field": "MS-Q"}, "unknown field 'MS-Q'"),
+    ({"mode": "fixed_aspect", "rho": float("inf")}, "aspect ratio"),
+    ({"mode": "fixed_aspect", "rho": float("nan")}, "aspect ratio"),
+])
+def test_config_owns_the_study_schema(kwargs, message):
+    # the rules converge applies are the config's own, so a library caller
+    # cannot build a study the CLI would reject
+    with pytest.raises(ValueError, match=message):
+        StudyConfig(**kwargs)
+
+
 def test_rect_at_modes():
     base = dict(k=0, levels=4, h0=0.5)
     assert StudyConfig(mode="shrink_x", **base).rect_at(2) == PhysicalRect(0.125, 0.5)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hdivkit.dofs import apply_dof, build_dofs
-from hdivkit.elements import build_div_space, build_space
+from hdivkit.elements import ElementFamily, build_div_space, build_space
 from hdivkit.fields import MS_G, CallableField, commuting_battery
 from hdivkit.interpolation import (
     InterpolationOperator,
@@ -129,8 +129,11 @@ def test_mismatched_dofset_rejected():
 
 
 def test_operator_cache():
-    assert reference_operator("RT", 2) is reference_operator("RT", 2)
-    assert reference_projector("ABF", 1) is reference_projector("ABF", 1)
+    # every spelling of one family names one space, so it keeps one entry
+    for cached in (reference_operator, reference_projector):
+        first = cached("RT", 2)
+        assert cached("rt", 2) is first and cached(ElementFamily.RT, 2) is first
+        assert cached("ABF", 1) is cached("ABF", 1)
 
 
 # ---------------------------------------------------------------- projector
