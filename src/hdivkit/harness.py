@@ -244,6 +244,8 @@ class StudyConfig:
             raise ValueError("rate tolerance must be finite and >= 0")
         if not (math.isfinite(self.rho) and self.rho > 0):
             raise ValueError("aspect ratio must be positive and finite")
+        if self.mode == "fixed_aspect" and self.h0 > self.rho:
+            raise ValueError("fixed_aspect(R) needs h0 / R <= 1 (h_y may not exceed 1)")
 
     def rect_at(self, level: int) -> PhysicalRect:
         h = self.h0 * 2.0**-level

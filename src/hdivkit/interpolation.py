@@ -2,11 +2,12 @@
 
 The interpolation operator solves M c = F(field) where M is the
 DOF-matrix of the element basis and F the field's DOF vector.  M is
-assembled in extended precision, factorized in doubles, and solves are
-polished with three extended-precision residual-correction sweeps; the
-coefficient error then tracks the extended epsilon rather than the
-double one, which is what keeps space members reproducible to 1e-12
-through condition numbers around 1e6.
+assembled in extended precision; every solve goes through numpy's LAPACK
+gesv in doubles and is polished with three extended-precision
+residual-correction sweeps.  The coefficient error then tracks the
+extended epsilon rather than the double one, which is what keeps space
+members reproducible to 1e-12 through condition numbers around 1e6.
+`condition` is the exact 1-norm condition number of M, not an estimate.
 
 The projector works in an orthogonal Legendre-product basis of the same
 span as the declared monomial basis (all divergence index sets are
@@ -22,7 +23,6 @@ import warnings
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from . import legendre
 from .dofs import DofSet, build_dofs, dof_vector_ld, dof_matrix_ld
@@ -44,26 +44,6 @@ class OperatorConstructionError(RuntimeError):
     """DOF matrix singular or too ill-conditioned to trust."""
 
 
-def _lu_condition(M: np.ndarray, lu: np.ndarray) -> float:
-    gecon = scipy.linalg.get_lapack_funcs(("gecon",), (M,))[0]
-    anorm = np.linalg.norm(M, 1)
-    rcond, info = gecon(lu, anorm, norm="1")
-    if info != 0 or rcond == 0.0:
-        return np.inf
-    return 1.0 / float(rcond)
-
-
-def _lu_det_sign(lu: np.ndarray, piv: np.ndarray) -> int:
-    sign = 1
-    for i, p in enumerate(piv):
-        if p != i:
-            sign = -sign
-    diag = np.diag(lu)
-    if np.any(diag == 0.0):
-        return 0
-    return sign * int(np.prod(np.sign(diag)))
-
-
 class InterpolationOperator:
     """Moment interpolation onto one element space.
 
@@ -81,25 +61,24 @@ class InterpolationOperator:
         self._M_ld = dof_matrix_ld(dofs, space)
         self.dof_matrix = self._M_ld.astype(float)
         tag = f"{space.family.value}_{space.k}"
-        try:
-            self._lu, self._piv = scipy.linalg.lu_factor(self.dof_matrix)
-        except (ValueError, scipy.linalg.LinAlgError) as exc:
-            raise OperatorConstructionError(f"{tag}: DOF matrix factorization failed") from exc
-        self.det_sign = _lu_det_sign(self._lu, self._piv)
-        self.condition = _lu_condition(self.dof_matrix, self._lu)
-        if self.det_sign == 0 or not np.isfinite(self.condition) or self.condition > COND_FAIL:
+        # inf for a singular M, nan for a non-finite one
+        self.condition = float(np.linalg.cond(self.dof_matrix, 1))
+        if not np.isfinite(self.condition) or self.condition > COND_FAIL:
             raise OperatorConstructionError(
                 f"{tag}: DOF matrix singular or ill-conditioned (cond {self.condition:.3e})"
             )
+        self.det_sign = int(np.linalg.slogdet(self.dof_matrix)[0])
         if self.condition > COND_WARN:
             warnings.warn(f"{tag}: DOF matrix condition {self.condition:.3e}", RuntimeWarning)
 
     def solve_coefficients(self, field) -> np.ndarray:
         b = dof_vector_ld(self.dofs, field)
-        x = np.longdouble(scipy.linalg.lu_solve((self._lu, self._piv), b.astype(float)))
+        if not np.all(np.isfinite(b)):
+            raise ValueError("DOF vector is not finite")
+        x = np.longdouble(np.linalg.solve(self.dof_matrix, b.astype(float)))
         for _ in range(REFINE_SWEEPS):
             r = b - self._M_ld @ x
-            x = x + scipy.linalg.lu_solve((self._lu, self._piv), r.astype(float))
+            x = x + np.linalg.solve(self.dof_matrix, r.astype(float))
         return x.astype(float)
 
     def interpolate(self, field) -> SpaceMember:

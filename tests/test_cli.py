@@ -1,6 +1,7 @@
 """Command-line interface: output contracts, exit codes, determinism."""
 
 import json
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -344,6 +345,17 @@ def test_bad_mode_usage_error(capsys):
 def test_bad_aspect_usage_error(capsys):
     code, _, err = run(capsys, "converge", "--mode", "fixed_aspect(-2)", "--levels", "4")
     assert code == 2
+
+
+@pytest.mark.parametrize("rho", ["1e-3", "1e-300"])
+def test_aspect_below_h0_usage_error(capsys, rho):
+    # R < h0 would study rectangles taller than the unit square
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "converge", "--family", "RT", "--k", "1", "--field", "MS-X",
+                             "--mode", f"fixed_aspect({rho})", "--levels", "3")
+    assert code == 2 and out == "" and not caught
+    assert err == "error: fixed_aspect(R) needs h0 / R <= 1 (h_y may not exceed 1)\n"
 
 
 # -------------------------------------------------------- input validation

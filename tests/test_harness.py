@@ -319,6 +319,7 @@ def test_config_validation():
     ({"field": "MS-Q"}, "unknown field 'MS-Q'"),
     ({"mode": "fixed_aspect", "rho": float("inf")}, "aspect ratio"),
     ({"mode": "fixed_aspect", "rho": float("nan")}, "aspect ratio"),
+    ({"mode": "fixed_aspect", "rho": 1e-3}, "h0 / R <= 1"),
 ])
 def test_config_owns_the_study_schema(kwargs, message):
     # the rules converge applies are the config's own, so a library caller

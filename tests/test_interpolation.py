@@ -1,5 +1,10 @@
 """Moment interpolation and the divergence-image L2 projector."""
 
+import dataclasses
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +16,7 @@ from hdivkit.fields import MS_G, CallableField, commuting_battery
 from hdivkit.interpolation import (
     InterpolationOperator,
     L2Projector,
+    OperatorConstructionError,
     commuting_residual,
     interpolate,
     reference_operator,
@@ -126,6 +132,45 @@ def test_interpolate_helper():
 def test_mismatched_dofset_rejected():
     with pytest.raises(ValueError):
         InterpolationOperator(build_space("RT", 1), dofs=build_dofs("RT", 0))
+
+
+@pytest.mark.parametrize("family,k", ALL_SPACES)
+def test_condition_is_exact(family, k):
+    # the exact 1-norm condition ||M||_1 ||M^-1||_1, not an estimate
+    op = reference_operator(family, k)
+    M = op.dof_matrix
+    inv = np.linalg.solve(M, np.eye(len(M)))
+    exact = np.abs(M).sum(axis=0).max() * np.abs(inv).sum(axis=0).max()
+    assert op.condition == pytest.approx(exact, rel=1e-12)
+
+
+def test_abf2_condition_pinned():
+    # LAPACK's gecon estimate read 2900 here
+    assert reference_operator("ABF", 2).condition == pytest.approx(3480.0, rel=1e-9)
+
+
+def test_singular_dofset_rejected():
+    # a repeated functional makes M singular: one check rejects it
+    dofs = build_dofs("RT", 1)
+    first = dofs.functionals[0]
+    twice = dataclasses.replace(dofs, functionals=(first, first) + dofs.functionals[2:])
+    with pytest.raises(OperatorConstructionError, match="singular or ill-conditioned"):
+        InterpolationOperator(build_space("RT", 1), twice)
+
+
+def test_nonfinite_dof_vector_rejected():
+    nan_field = CallableField(lambda x, y: (np.full_like(x, np.nan), np.zeros_like(x)))
+    with pytest.raises(ValueError, match="DOF vector is not finite"):
+        reference_operator("RT", 1).solve_coefficients(nan_field)
+
+
+def test_no_scipy_at_import():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = "import sys, hdivkit, hdivkit.cli; print('scipy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_operator_cache():
