@@ -1,9 +1,12 @@
 """Manufactured vector fields with closed-form partial derivatives.
 
-Every field knows its components, any partial derivative up to total
-order 6 (enough for the highest predicted rate k+2 at k = 4), and which
-derivatives vanish identically.  The divergence and its derivatives are
-assembled from component partials, so the two can never drift apart.
+Each component of a manufactured field is one term: a product fx(x) fy(y)
+of 1-D factors (1, the coordinate, exp, sin or cos of pi z) or a plane
+wave g(a x + b y) with g in sin, cos, exp.  Asked for a partial (a1, a2),
+a term returns its closed form, or None where it vanishes identically, so
+the partials (up to total order 6, enough for the rate k+2 at k = 4) and
+the structural zeros the rate predictions read share one description.
+The divergence is assembled from component partials.
 
 The fixed ids used by the refinement studies:
 
@@ -15,16 +18,20 @@ The fixed ids used by the refinement studies:
 
 from __future__ import annotations
 
+import functools
 import os
 from typing import Callable, List, Optional
 
 import numpy as np
 
-from .elements import ElementSpace, SpaceMember, build_space
+from .elements import SpaceMember, build_space
 
 HALF_PI = np.pi / 2.0
 MAX_PARTIAL_ORDER = 6
 DEFAULT_SEED = 42
+
+# (a1, a2) -> the partial d^{a1}_x d^{a2}_y, or None where it vanishes identically
+Term = Callable[[int, int], Optional[Callable]]
 
 
 def env_seed() -> int:
@@ -45,168 +52,113 @@ def env_seed() -> int:
     return seed
 
 
-class ManufacturedField:
-    """Smooth field on the plane with analytic partials.
-
-    partial(a1, a2, comp) returns a vectorized callable for
-    d^{a1+a2} u_comp / dx^{a1} dy^{a2}; deriv_nonzero mirrors it
-    symbolically so rate predictions can see structural zeros.
-    """
-
-    def __init__(self, fid: str, partial_fn: Callable, nonzero_fn: Callable):
-        self.id = fid
-        self._partial = partial_fn
-        self._nonzero = nonzero_fn
-
-    def partial(self, a1: int, a2: int, comp: int) -> Callable:
-        if a1 < 0 or a2 < 0 or a1 + a2 > MAX_PARTIAL_ORDER:
-            raise ValueError("partial order out of the supported range")
-        if comp not in (0, 1):
-            raise ValueError("component must be 0 or 1")
-        return self._partial(a1, a2, comp)
-
-    def deriv_nonzero(self, a1: int, a2: int, comp: int) -> bool:
-        return bool(self._nonzero(a1, a2, comp))
-
-    def div_deriv_nonzero(self, a1: int, a2: int) -> bool:
-        return self.deriv_nonzero(a1 + 1, a2, 0) or self.deriv_nonzero(a1, a2 + 1, 1)
-
-    def eval(self, x, y):
-        return self.partial(0, 0, 0)(x, y), self.partial(0, 0, 1)(x, y)
-
-    def uv(self, x, y):
-        return self.eval(x, y)
-
-    def __call__(self, x, y):
-        return self.eval(x, y)
-
-    def div_eval(self, x, y):
-        return self.partial(1, 0, 0)(x, y) + self.partial(0, 1, 1)(x, y)
-
-    def div_values(self, x, y):
-        return self.div_eval(x, y)
-
-    def __repr__(self):
-        return f"ManufacturedField({self.id})"
-
-
 def _zero_fn(x, y):
     x = np.asarray(x)
     return np.zeros_like(np.asarray(x, dtype=x.dtype if x.dtype.kind == "f" else float))
 
 
-# Separable building blocks; phases implement d/dz sin(z) = sin(z + pi/2).
+def _factor(kind: str, n: int) -> Optional[Callable]:
+    """The n-th derivative of a 1-D factor, or None where it vanishes identically.
 
-def _sin_deriv(freq: float, order: int) -> Callable:
-    def f(z):
-        return freq**order * np.sin(freq * np.asarray(z) + order * HALF_PI)
-
-    return f
-
-
-def _cos_deriv(freq: float, order: int) -> Callable:
-    def f(z):
-        return freq**order * np.cos(freq * np.asarray(z) + order * HALF_PI)
-
-    return f
-
-
-def _product(fx: Callable, fy: Callable) -> Callable:
-    def f(x, y):
-        return fx(x) * fy(y)
-
-    return f
+    kind is "1", "z" (the coordinate), "exp", or "sin" / "cos" of pi z,
+    whose phases implement d/dz sin(z) = sin(z + pi/2).
+    """
+    if kind == "exp":
+        return np.exp
+    if kind in ("sin", "cos"):
+        g = np.sin if kind == "sin" else np.cos
+        return lambda z: np.pi**n * g(np.pi * np.asarray(z) + n * HALF_PI)
+    degree = ("1", "z").index(kind)  # the monomials z^0 and z^1
+    if n > degree:
+        return None
+    return np.ones_like if n == degree else np.asarray
 
 
-def _x_exp_y(a1: int, a2: int) -> Callable:
-    # d^{a1}_x d^{a2}_y of x e^y
-    if a1 == 0:
-        return lambda x, y: np.asarray(x) * np.exp(y)
-    if a1 == 1:
-        return lambda x, y: np.exp(y) + 0.0 * np.asarray(x)
-    return _zero_fn
+def separable(fx: str, fy: str) -> Term:
+    """The term fx(x) * fy(y) of two 1-D factors (kinds as in _factor)."""
+
+    @functools.lru_cache(maxsize=None)
+    def term(a1: int, a2: int) -> Optional[Callable]:
+        px, py = _factor(fx, a1), _factor(fy, a2)
+        if px is None or py is None:
+            return None
+        return lambda x, y: px(x) * py(y)
+
+    return term
 
 
-def _y_exp_x(a1: int, a2: int) -> Callable:
-    if a2 == 0:
-        return lambda x, y: np.asarray(y) * np.exp(x)
-    if a2 == 1:
-        return lambda x, y: np.exp(x) + 0.0 * np.asarray(y)
-    return _zero_fn
+def _times(c: int, z):
+    return z if c == 1 else c * z  # skips the exact product by 1
 
 
-def _ms_g_partial(a1, a2, comp):
-    if comp == 0:
-        return _product(_sin_deriv(np.pi, a1), _cos_deriv(np.pi, a2))
-    return _x_exp_y(a1, a2)
+def wave(g: str, a: int, b: int) -> Term:
+    """The plane-wave term g(a x + b y), g in sin, cos, exp, with a, b nonzero."""
+    fn = getattr(np, g)
+
+    @functools.lru_cache(maxsize=None)
+    def term(a1: int, a2: int) -> Callable:
+        amp = a**a1 * b**a2
+
+        def f(x, y):
+            t = _times(a, np.asarray(x)) + _times(b, np.asarray(y))
+            return _times(amp, fn(t) if g == "exp" else fn(t + (a1 + a2) * HALF_PI))
+
+        return f
+
+    return term
 
 
-def _ms_g_nonzero(a1, a2, comp):
-    if comp == 0:
-        return True
-    return a1 <= 1
+def zero(a1: int, a2: int) -> None:
+    """The identically zero component."""
+    return None
 
 
-def _ms_x_partial(a1, a2, comp):
-    if comp == 0 and a2 == 0:
-        sd = _sin_deriv(np.pi, a1)
-        return lambda x, y: sd(x) + 0.0 * np.asarray(y)
-    return _zero_fn
+class ManufacturedField:
+    """Smooth field on the plane: one term per component.
+
+    partial(a1, a2, comp) returns a vectorized callable for
+    d^{a1+a2} u_comp / dx^{a1} dy^{a2}.  deriv_nonzero reads the same
+    term's answer, so a flag is False exactly when the partial vanishes
+    by construction, and rate predictions see every structural zero.
+    """
+
+    def __init__(self, fid: str, u: Term, v: Term):
+        self.id = fid
+        self._terms = (u, v)
+
+    def _term(self, a1: int, a2: int, comp: int) -> Optional[Callable]:
+        if comp not in (0, 1):
+            raise ValueError("component must be 0 or 1")
+        return self._terms[comp](a1, a2)
+
+    def partial(self, a1: int, a2: int, comp: int) -> Callable:
+        if a1 < 0 or a2 < 0 or a1 + a2 > MAX_PARTIAL_ORDER:
+            raise ValueError("partial order out of the supported range")
+        return self._term(a1, a2, comp) or _zero_fn
+
+    def deriv_nonzero(self, a1: int, a2: int, comp: int) -> bool:
+        return self._term(a1, a2, comp) is not None
+
+    def div_deriv_nonzero(self, a1: int, a2: int) -> bool:
+        return self.deriv_nonzero(a1 + 1, a2, 0) or self.deriv_nonzero(a1, a2 + 1, 1)
+
+    def uv(self, x, y):
+        return self.partial(0, 0, 0)(x, y), self.partial(0, 0, 1)(x, y)
+
+    def div_values(self, x, y):
+        return self.partial(1, 0, 0)(x, y) + self.partial(0, 1, 1)(x, y)
+
+    def __repr__(self):
+        return f"ManufacturedField({self.id})"
 
 
-def _ms_y_partial(a1, a2, comp):
-    if comp == 1 and a1 == 0:
-        sd = _sin_deriv(np.pi, a2)
-        return lambda x, y: sd(y) + 0.0 * np.asarray(x)
-    return _zero_fn
-
-
-def _b2_partial(a1, a2, comp):
-    # (cos(pi x) sin(pi y), y e^x)
-    if comp == 0:
-        return _product(_cos_deriv(np.pi, a1), _sin_deriv(np.pi, a2))
-    return _y_exp_x(a1, a2)
-
-
-def _b3_partial(a1, a2, comp):
-    # (e^{x+y}, sin(x - y))
-    if comp == 0:
-        return lambda x, y: np.exp(np.asarray(x) + np.asarray(y))
-    sign = (-1.0) ** a2
-    order = a1 + a2
-    return lambda x, y: sign * np.sin(np.asarray(x) - np.asarray(y) + order * HALF_PI)
-
-
-def _b4_partial(a1, a2, comp):
-    # (x e^y, y e^x)
-    if comp == 0:
-        return _x_exp_y(a1, a2)
-    return _y_exp_x(a1, a2)
-
-
-def _b5_partial(a1, a2, comp):
-    # (sin(2x + y), cos(x - 2y))
-    order = a1 + a2
-    if comp == 0:
-        amp = 2.0**a1
-        return lambda x, y: amp * np.sin(
-            2.0 * np.asarray(x) + np.asarray(y) + order * HALF_PI
-        )
-    amp = (-2.0) ** a2
-    return lambda x, y: amp * np.cos(np.asarray(x) - 2.0 * np.asarray(y) + order * HALF_PI)
-
-
-def _always(a1, a2, comp):
-    return True
-
-
-MS_G = ManufacturedField("MS-G", _ms_g_partial, _ms_g_nonzero)
-MS_X = ManufacturedField("MS-X", _ms_x_partial, lambda a1, a2, c: c == 0 and a2 == 0)
-MS_Y = ManufacturedField("MS-Y", _ms_y_partial, lambda a1, a2, c: c == 1 and a1 == 0)
-_B2 = ManufacturedField("B-2", _b2_partial, lambda a1, a2, c: True if c == 0 else a2 <= 1)
-_B3 = ManufacturedField("B-3", _b3_partial, _always)
-_B4 = ManufacturedField("B-4", _b4_partial, lambda a1, a2, c: (a1 <= 1) if c == 0 else (a2 <= 1))
-_B5 = ManufacturedField("B-5", _b5_partial, _always)
+MS_G = ManufacturedField("MS-G", separable("sin", "cos"), separable("z", "exp"))
+MS_X = ManufacturedField("MS-X", separable("sin", "1"), zero)
+MS_Y = ManufacturedField("MS-Y", zero, separable("1", "sin"))
+_B2 = ManufacturedField("B-2", separable("cos", "sin"), separable("exp", "z"))
+_B3 = ManufacturedField("B-3", wave("exp", 1, 1), wave("sin", 1, -1))
+_B4 = ManufacturedField("B-4", separable("z", "exp"), separable("exp", "z"))
+_B5 = ManufacturedField("B-5", wave("sin", 2, 1), wave("cos", 1, -2))
 
 
 def commuting_battery() -> List[ManufacturedField]:
@@ -220,24 +172,39 @@ class ReproductionField:
     The physical field at study level j is the contravariant image of
     the same reference member on that level's rectangle, so the
     interpolation error is zero up to roundoff at every level.
+
+    Structural flags come from the labels of the nonzero coefficients,
+    with no cutoff: a partial d^{a1}_x d^{a2}_y is nonzero exactly when
+    such a label reaches a Legendre coordinate (i, j) with i >= a1 and
+    j >= a2.  Tensor labels own distinct coordinates, and no P_k label
+    cancels the top coordinate of a BDM curl monomial (total degree k+1).
     """
 
     id = "MS-P"
 
     def __init__(self, member: SpaceMember):
         self.member = member
+        space = member.space
+        live = member.coeffs != 0.0
+        self._reach = space._label_degrees[live]  # (dx, dy) of u, then of v
+        # d/dx L_i reaches L_{i-1} (legendre.derivative_matrix), so div reaches
+        # (i-1, j) from a u label and (i, j-1) from a v label; curls are div-free
+        in_u = (np.arange(len(space._i)) < space._nx).astype(np.intp)
+        div_reach = np.stack([space._i - in_u, space._j - (1 - in_u)], axis=1)
+        self._div_reach = div_reach[live[: len(space._i)]]
 
     def deriv_nonzero(self, a1: int, a2: int, comp: int) -> bool:
-        p = self.member.u if comp == 0 else self.member.v
-        g = p.partial("x", a1).partial("y", a2).coeffs
-        return bool(np.max(np.abs(g)) > 1e-9) if g.size else False
+        return _reaches(self._reach[:, 2 * comp: 2 * comp + 2], a1, a2)
 
     def div_deriv_nonzero(self, a1: int, a2: int) -> bool:
-        g = self.member.divergence().partial("x", a1).partial("y", a2).coeffs
-        return bool(np.max(np.abs(g)) > 1e-9) if g.size else False
+        return _reaches(self._div_reach, a1, a2)
 
     def __repr__(self):
         return f"ReproductionField({self.member.space!r})"
+
+
+def _reaches(reach: np.ndarray, a1: int, a2: int) -> bool:
+    return bool(np.any((reach[:, 0] >= a1) & (reach[:, 1] >= a2)))
 
 
 def make_reproduction_field(family, k: int, seed: Optional[int] = None) -> ReproductionField:
@@ -255,9 +222,6 @@ class CallableField:
         self._div = div_fn
 
     def uv(self, x, y):
-        return self._uv(x, y)
-
-    def __call__(self, x, y):
         return self._uv(x, y)
 
     def div_values(self, x, y):

@@ -71,9 +71,6 @@ class PulledBackField:
         U, V = self.field.uv(self.rect.hx * np.asarray(x), self.rect.hy * np.asarray(y))
         return self.rect.hy * U, self.rect.hx * V
 
-    def __call__(self, x, y):
-        return self.uv(x, y)
-
     def div_values(self, x, y):
         d = self.field.div_values(self.rect.hx * np.asarray(x), self.rect.hy * np.asarray(y))
         return (self.rect.hx * self.rect.hy) * d
@@ -90,9 +87,6 @@ class PhysicalMemberField:
         U, V = self.member.uv(np.asarray(x) / self.rect.hx, np.asarray(y) / self.rect.hy)
         return U / self.rect.hy, V / self.rect.hx
 
-    def __call__(self, x, y):
-        return self.uv(x, y)
-
     def div_values(self, x, y):
         d = self.member.div_values(np.asarray(x) / self.rect.hx, np.asarray(y) / self.rect.hy)
         return d / (self.rect.hx * self.rect.hy)
@@ -103,11 +97,12 @@ def piola_pullback(rect: PhysicalRect, fld):
 
     Push-forward images of reference members round-trip exactly;
     polynomial fields map by coefficient scaling; anything else becomes
-    a sampling adapter.
+    a sampling adapter.  A bare space member is sampled too: its
+    monomial grids lose digits at high degree.
     """
     if isinstance(fld, PhysicalMemberField) and fld.rect == rect:
         return fld.member
-    if isinstance(fld, VectorPoly2D):
+    if isinstance(fld, VectorPoly2D) and not isinstance(fld, SpaceMember):
         u = fld.u.scale_arguments(rect.hx, rect.hy) * rect.hy
         v = fld.v.scale_arguments(rect.hx, rect.hy) * rect.hx
         return VectorPoly2D(u, v)
@@ -246,6 +241,11 @@ class StudyConfig:
             raise ValueError("aspect ratio must be positive and finite")
         if self.mode == "fixed_aspect" and self.h0 > self.rho:
             raise ValueError("fixed_aspect(R) needs h0 / R <= 1 (h_y may not exceed 1)")
+        try:  # the smallest rectangle; 2.0**-levels overflows past ~1e308 levels
+            self.rect_at(self.levels - 1)
+        except (ValueError, OverflowError):
+            raise ValueError(f"levels={self.levels} with h0={self.h0:g} and rho={self.rho:g} "
+                             f"shrinks a side below {MIN_H:g} at the last level") from None
 
     def rect_at(self, level: int) -> PhysicalRect:
         h = self.h0 * 2.0**-level

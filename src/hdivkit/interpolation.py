@@ -67,7 +67,6 @@ class InterpolationOperator:
             raise OperatorConstructionError(
                 f"{tag}: DOF matrix singular or ill-conditioned (cond {self.condition:.3e})"
             )
-        self.det_sign = int(np.linalg.slogdet(self.dof_matrix)[0])
         if self.condition > COND_WARN:
             warnings.warn(f"{tag}: DOF matrix condition {self.condition:.3e}", RuntimeWarning)
 
@@ -114,16 +113,12 @@ def unisolvence_report(family, k: int, replace_div_moments: bool = False) -> dic
     try:
         op = InterpolationOperator(space, build_dofs(space.family, k, replace_div_moments))
     except OperatorConstructionError as exc:
-        report.update(det_sign=0, condition=np.inf, nonsingular=False, ok=False,
-                      warn=True, detail=str(exc))
+        report.update(condition=np.inf, nonsingular=False, ok=False, warn=True,
+                      detail=str(exc))
         return report
-    report.update(
-        det_sign=op.det_sign,
-        condition=op.condition,
-        nonsingular=op.det_sign != 0,
-        ok=op.det_sign != 0 and op.condition <= COND_FAIL,
-        warn=op.condition > COND_WARN,
-    )
+    # construction succeeds only for a finite condition <= COND_FAIL
+    report.update(condition=op.condition, nonsingular=True, ok=True,
+                  warn=op.condition > COND_WARN)
     return report
 
 

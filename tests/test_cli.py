@@ -358,6 +358,16 @@ def test_aspect_below_h0_usage_error(capsys, rho):
     assert err == "error: fixed_aspect(R) needs h0 / R <= 1 (h_y may not exceed 1)\n"
 
 
+@pytest.mark.parametrize("argv", [("--levels", "60"),
+                                  ("--mode", "fixed_aspect(64)", "--levels", "40")])
+def test_levels_below_min_h_usage_error(capsys, argv):
+    # rejected before the first level instead of after 26 of them
+    code, out, err = run(capsys, "converge", *argv)
+    assert code == 2 and out == ""
+    assert err == (f"error: levels={argv[-1]} with h0=0.5 and rho=64 "
+                   "shrinks a side below 1e-08 at the last level\n")
+
+
 # -------------------------------------------------------- input validation
 
 

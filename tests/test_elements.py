@@ -165,6 +165,7 @@ def test_gram_matrix_spd(family, k):
     G = gram_matrix(build_space(family, k))
     np.testing.assert_allclose(G, G.T, atol=1e-15)
     assert np.linalg.eigvalsh(G).min() > 0
+    assert np.linalg.cond(G) < 1e6
 
 
 def _reference_gram(space):

@@ -3,17 +3,21 @@
 import numpy as np
 import pytest
 
+from hdivkit.elements import degree_range
 from hdivkit.fields import (
     CallableField,
     FIELD_IDS,
+    MAX_PARTIAL_ORDER,
     MS_G,
     MS_X,
     MS_Y,
+    ReproductionField,
     commuting_battery,
     env_seed,
     get_field,
     make_reproduction_field,
 )
+from hdivkit.harness import predicted_field_rate
 
 RNG = np.random.default_rng(23)
 PTS = RNG.uniform(0.1, 0.9, size=(10, 2))
@@ -47,7 +51,6 @@ def test_divergence_matches_component_partials(field):
     xs, ys = PTS[:, 0], PTS[:, 1]
     direct = field.partial(1, 0, 0)(xs, ys) + field.partial(0, 1, 1)(xs, ys)
     np.testing.assert_allclose(field.div_values(xs, ys), direct, rtol=1e-13, atol=1e-14)
-    np.testing.assert_allclose(field.div_eval(xs, ys), direct, rtol=1e-13, atol=1e-14)
 
 
 def test_ms_g_values():
@@ -88,6 +91,19 @@ def test_declared_zero_partials_are_zero():
                     if not field.deriv_nonzero(a1, a2, comp):
                         vals = field.partial(a1, a2, comp)(xs, ys)
                         np.testing.assert_allclose(vals, 0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("field", commuting_battery() + [MS_X, MS_Y])
+def test_flags_match_partials(field):
+    # both directions: a flag is True exactly when its partial is nonzero
+    # at some sample point
+    xs, ys = PTS[:, 0], PTS[:, 1]
+    for comp in (0, 1):
+        for a1 in range(MAX_PARTIAL_ORDER + 1):
+            for a2 in range(MAX_PARTIAL_ORDER + 1 - a1):
+                vals = field.partial(a1, a2, comp)(xs, ys)
+                want = bool(np.any(vals != 0.0))
+                assert field.deriv_nonzero(a1, a2, comp) == want, (field, a1, a2, comp)
 
 
 def test_partial_order_limit():
@@ -158,3 +174,41 @@ def test_callable_field_adapter():
     assert u == 1.0 and v == 0.0
     assert fld.div_values(0.2, 0.9) == 0.0
     assert fld.id == "unit"
+
+
+ALL_PAIRS = [(f, k) for f in ("RT", "BDM", "ABF") for k in degree_range(f)]
+ORDERS = [(a1, a2) for a1 in range(8) for a2 in range(8)]
+
+
+def _flags(rep):
+    return [(rep.deriv_nonzero(a1, a2, 0), rep.deriv_nonzero(a1, a2, 1),
+             rep.div_deriv_nonzero(a1, a2)) for a1, a2 in ORDERS]
+
+
+def _grid_flags(member):
+    # reference: partials of the monomial views, cut off at 1e-9
+    def nz(p, a1, a2):
+        g = p.partial("x", a1).partial("y", a2).coeffs
+        return bool(np.max(np.abs(g)) > 1e-9) if g.size else False
+
+    div = member.divergence()
+    return [(nz(member.u, a1, a2), nz(member.v, a1, a2), nz(div, a1, a2)) for a1, a2 in ORDERS]
+
+
+@pytest.mark.parametrize("family,k", ALL_PAIRS)
+def test_reproduction_flags_match_grid_partials(family, k):
+    for seed in range(8):
+        rep = make_reproduction_field(family, k, seed=seed)
+        assert _flags(rep) == _grid_flags(rep.member), (family, k, seed)
+    # a sparse member: only the labels with nonzero coefficients count
+    member = rep.member
+    keep = np.random.default_rng(k).random(member.space.dim) < 0.3
+    sparse = member.space.member(np.where(keep, member.coeffs, 0.0))
+    assert _flags(ReproductionField(sparse)) == _grid_flags(sparse)
+
+
+def test_reproduction_flags_are_scale_invariant():
+    rep = make_reproduction_field("ABF", 1, seed=3)
+    tiny = ReproductionField(rep.member.space.member(rep.member.coeffs * 1e-12))
+    assert _flags(tiny) == _flags(rep)
+    assert predicted_field_rate("ABF", 1, tiny, "isotropic", 1, 1) == 2.0

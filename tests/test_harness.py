@@ -6,10 +6,12 @@ import warnings
 import numpy as np
 import pytest
 
-from hdivkit.elements import build_space
+from hdivkit.elements import build_space, degree_range
 from hdivkit.fields import MS_G, MS_X, MS_Y
 from hdivkit.harness import (
+    MIN_H,
     MODES,
+    REPRO_TOL,
     ZERO_FIELD,
     ConvergenceTable,
     PhysicalRect,
@@ -104,6 +106,19 @@ def test_push_pull_round_trip():
     member = build_space("RT", 1).random_member(np.random.default_rng(5))
     phys = piola_push(rect, member)
     assert piola_pullback(rect, phys) is member
+
+
+ALL_PAIRS = [(f, k) for f in ("RT", "BDM", "ABF") for k in degree_range(f)]
+
+
+@pytest.mark.parametrize("family,k", ALL_PAIRS)
+def test_bare_member_interpolates_to_itself(family, k):
+    # a member handed in as a physical field is sampled, not pulled back
+    # through its monomial views (those lost 1.5e-9 at ABF_4)
+    member = build_space(family, k).random_member(np.random.default_rng(7))
+    interp = interpolate_on_rect(family, k, PhysicalRect(1.0, 1.0), member)
+    err = np.abs(interp.member.coeffs - member.coeffs).max() / np.abs(member.coeffs).max()
+    assert err <= REPRO_TOL
 
 
 def test_push_divergence_scaling():
@@ -320,12 +335,25 @@ def test_config_validation():
     ({"mode": "fixed_aspect", "rho": float("inf")}, "aspect ratio"),
     ({"mode": "fixed_aspect", "rho": float("nan")}, "aspect ratio"),
     ({"mode": "fixed_aspect", "rho": 1e-3}, "h0 / R <= 1"),
+    # rectangles below MIN_H: at construction, not partway through the study
+    ({"levels": 60}, "levels=60 with h0=0.5 and rho=64 shrinks a side below 1e-08"),
+    ({"levels": 27}, "levels=27 with h0=0.5 and rho=64 shrinks a side"),
+    ({"mode": "fixed_aspect", "levels": 40}, "levels=40 with h0=0.5 and rho=64 shrinks"),
+    ({"mode": "shrink_y", "h0": 1e-3, "levels": 18}, "levels=18 with h0=0.001 and rho=64"),
+    ({"levels": 10**400}, "shrinks a side"),  # 2.0**-levels overflows
 ])
 def test_config_owns_the_study_schema(kwargs, message):
     # the rules converge applies are the config's own, so a library caller
     # cannot build a study the CLI would reject
     with pytest.raises(ValueError, match=message):
         StudyConfig(**kwargs)
+
+
+def test_config_accepts_the_last_level_at_or_above_min_h():
+    for kwargs in ({"levels": 26}, {"mode": "shrink_y", "h0": 1e-3, "levels": 17}):
+        cfg = StudyConfig(**kwargs)
+        rect = cfg.rect_at(cfg.levels - 1)
+        assert min(rect.hx, rect.hy) >= MIN_H
 
 
 def test_rect_at_modes():
