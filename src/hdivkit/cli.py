@@ -384,10 +384,18 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     handlers = {"tabulate": cmd_tabulate, "check": cmd_check, "converge": cmd_converge}
     try:
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+        return code
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader left; devnull takes the rest, so shutdown raises nothing
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 3
 
 
 if __name__ == "__main__":

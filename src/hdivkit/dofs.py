@@ -60,7 +60,7 @@ import numpy as np
 
 from . import legendre
 from .elements import (
-    ElementFamily, ElementSpace, SpaceMember, _as_family, _validate_degree, space_dimension,
+    ElementFamily, ElementSpace, SpaceMember, _as_family, family_sets, space_dimension,
 )
 from .poly import VectorPoly2D
 from .quadrature import (
@@ -126,23 +126,15 @@ def build_dofs(family, k: int, replace_div_moments: bool = False) -> DofSet:
     keeps the set unisolvent but severs the divergence coupling, so the
     commuting property must fail: it exists as a negative control.
     """
-    family = _as_family(family)
-    _validate_degree(family, k)
+    sets = family_sets(family, k)
     fns = [DofFunctional("edge_moment", deg, edge=edge) for edge in EDGES for deg in range(k + 1)]
-    if family is ElementFamily.BDM:
-        fns += [_interior(comp, i, j)
-                for comp in (0, 1) for i in range(k - 1) for j in range(k - 1 - i)]
+    fns += [_interior(comp, i, j) for comp, tests in enumerate(sets.tests) for i, j in tests]
+    if sets.div_tests and replace_div_moments:
+        fns += [_interior(0, k, j) for j in range(k + 1)]
+        fns += [_interior(1, i, k) for i in range(k + 1)]
     else:
-        fns += [_interior(0, i, j) for i in range(k) for j in range(k + 1)]
-        fns += [_interior(1, i, j) for i in range(k + 1) for j in range(k)]
-    if family is ElementFamily.ABF:
-        if replace_div_moments:
-            fns += [_interior(0, k, j) for j in range(k + 1)]
-            fns += [_interior(1, i, k) for i in range(k + 1)]
-        else:
-            fns += [DofFunctional("div_moment", i, k + 1) for i in range(k + 1)]
-            fns += [DofFunctional("div_moment", k + 1, j) for j in range(k + 1)]
-    dofset = DofSet(family, int(k), tuple(fns))
+        fns += [DofFunctional("div_moment", i, j) for i, j in sets.div_tests]
+    dofset = DofSet(_as_family(family), int(k), tuple(fns))
     assert dofset.count == space_dimension(family, k)
     return dofset
 

@@ -13,20 +13,21 @@ The tensor components are spanned by shifted-Legendre products
 L_i(x) L_j(y) rather than raw monomials.  The spanned spaces are
 identical (the index sets are downward closed), but the orthogonal
 basis keeps the DOF matrices well-conditioned at k = 4 where monomial
-bases are numerically singular.  A space holds its basis as index data
-(component, i, j per label, plus BDM's two exact curl members) and
-evaluates it by the Legendre recurrence; a member is its coefficient
-vector, with monomial grids only as lazy views.  Because the Legendre
-products are orthogonal and differentiate with integer coefficients,
-the Gram matrix has a closed form and the div-span certificate runs in
-exact arithmetic, with no monomial grids at all.
+bases are numerically singular.  family_sets(family, k) holds the table
+above as (i, j) index sets (labels per component, divergence image,
+moment tests); a space holds its basis as that index data plus BDM's two
+exact curl members and evaluates it by the Legendre recurrence; a member
+is its coefficient vector, with monomial grids only as lazy views.
+Because the Legendre products are orthogonal and differentiate with
+integer coefficients, the Gram matrix has a closed form and the div-span
+certificate runs in exact arithmetic, with no monomial grids at all.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -50,37 +51,75 @@ def _as_family(family) -> ElementFamily:
     return ElementFamily(str(family).upper())
 
 
+_KMIN = {ElementFamily.RT: 0, ElementFamily.BDM: 1, ElementFamily.ABF: 0}
+
+
 def _validate_degree(family: ElementFamily, k: int) -> None:
     if not isinstance(k, (int, np.integer)):
         raise TypeError("degree k must be an integer")
     if not 0 <= k <= MAX_DEGREE:
         raise ValueError(f"k must be between 0 and {MAX_DEGREE}")
-    if family is ElementFamily.BDM and k == 0:
-        raise ValueError("BDM requires k >= 1")
+    if k < _KMIN[family]:
+        raise ValueError(f"{family.value} requires k >= {_KMIN[family]}")
 
 
 def degree_range(family, kmax: int = MAX_DEGREE) -> range:
     """The degrees k <= kmax that family supports (BDM starts at 1)."""
-    return range(1 if _as_family(family) is ElementFamily.BDM else 0, kmax + 1)
+    return range(_KMIN[_as_family(family)], kmax + 1)
+
+
+def _box(nx: int, ny: int) -> tuple:
+    """(i, j) with i <= nx and j <= ny, i-major; empty when nx or ny < 0."""
+    return tuple((i, j) for i in range(nx + 1) for j in range(ny + 1))
+
+
+def _triangle(n: int) -> tuple:
+    """(i, j) with i + j <= n, i-major; empty when n < 0."""
+    return tuple((i, j) for i in range(n + 1) for j in range(n + 1 - i))
+
+
+class FamilySets(NamedTuple):
+    """Every fact that tells the families apart, as (i, j) index sets for one k."""
+
+    u: tuple  # L_i(x) L_j(y) spanning component u
+    v: tuple  # ... and component v
+    curls: bool  # BDM's two curl members follow
+    div: tuple  # monomial exponents of the divergence image
+    div_name: str
+    tests: tuple  # per component, the Legendre tests of the interior moments
+    div_tests: tuple  # the monomial tests of the divergence moments
+
+
+def family_sets(family, k: int) -> FamilySets:
+    """The index sets of (family, k); one cached entry per family and degree."""
+    family = _as_family(family)
+    _validate_degree(family, k)
+    return _family_sets(family, int(k))
+
+
+@functools.lru_cache(maxsize=None)
+def _family_sets(family: ElementFamily, k: int) -> FamilySets:
+    if family is ElementFamily.BDM:
+        return FamilySets(_triangle(k), _triangle(k), True, _triangle(k - 1), f"P_{k - 1}",
+                          (_triangle(k - 2),) * 2, ())
+    tests = (_box(k - 1, k), _box(k, k - 1))
+    if family is ElementFamily.RT:
+        return FamilySets(_box(k + 1, k), _box(k, k + 1), False, _box(k, k), f"Q_{k}", tests, ())
+    div_tests = tuple((i, k + 1) for i in range(k + 1)) + tuple((k + 1, j) for j in range(k + 1))
+    return FamilySets(_box(k + 2, k), _box(k, k + 2), False,
+                      tuple(e for e in _box(k + 1, k + 1) if e != (k + 1, k + 1)),
+                      f"Q_{k + 1}-minus-corner", tests, div_tests)
 
 
 def component_degrees(family: ElementFamily, k: int) -> Tuple[Tuple[int, int], Tuple[int, int]]:
     """Maximal (x-degree, y-degree) per component, curl members included."""
-    family = _as_family(family)
-    if family is ElementFamily.RT:
-        return (k + 1, k), (k, k + 1)
-    if family is ElementFamily.BDM:
-        return (k + 1, k), (k, k + 1)
-    return (k + 2, k), (k, k + 2)
+    d = build_space(family, k)._label_degrees.max(axis=0)
+    return (int(d[0]), int(d[1])), (int(d[2]), int(d[3]))
 
 
 def space_dimension(family: ElementFamily, k: int) -> int:
-    family = _as_family(family)
-    if family is ElementFamily.RT:
-        return 2 * (k + 1) * (k + 2)
-    if family is ElementFamily.BDM:
-        return (k + 1) * (k + 2) + 2
-    return 2 * (k + 1) * (k + 3)
+    sets = family_sets(family, k)
+    return len(sets.u) + len(sets.v) + 2 * sets.curls
 
 
 class SpaceMember(VectorPoly2D):
@@ -160,22 +199,21 @@ class ElementSpace:
     """
 
     def __init__(self, family, k: int):
-        family = _as_family(family)
-        _validate_degree(family, k)
-        self.family = family
+        sets = family_sets(family, k)
+        self.family = _as_family(family)
         self.k = int(k)
-        self.labels: Tuple[tuple, ...] = tuple(_make_labels(family, self.k))
+        self.labels: Tuple[tuple, ...] = (
+            tuple(("x", i, j) for i, j in sets.u) + tuple(("y", i, j) for i, j in sets.v)
+            + ((("curl", 1), ("curl", 2)) if sets.curls else ()))
         self.dim = len(self.labels)
-        assert self.dim == space_dimension(family, self.k)
-        tensor = [lab for lab in self.labels if lab[0] != "curl"]
-        self._nx = sum(lab[0] == "x" for lab in tensor)
-        self._i, self._j = (np.array([lab[a] for lab in tensor], dtype=np.intp) for a in (1, 2))
-        self._curl: Tuple[VectorPoly2D, ...] = () if family is not ElementFamily.BDM else (
+        self._nx = len(sets.u)
+        self._i, self._j = np.array(sets.u + sets.v, dtype=np.intp).T.copy()
+        self._curl: Tuple[VectorPoly2D, ...] = () if not sets.curls else (
             curl_scalar(Polynomial2D.monomial(self.k + 1, 1)),
             curl_scalar(Polynomial2D.monomial(1, self.k + 1)))
         # per label: (dx, dy) of its u grid, then of its v grid; -1 where it has none
         self._label_degrees = np.array(
-            [(i, j, -1, -1) if c == "x" else (-1, -1, i, j) for c, i, j in tensor]
+            [(i, j, -1, -1) for i, j in sets.u] + [(-1, -1, i, j) for i, j in sets.v]
             + [(w.u.dx, w.u.dy, w.v.dx, w.v.dy) for w in self._curl], dtype=np.intp)
         self._maxdeg = int(self._label_degrees.max())
 
@@ -208,8 +246,8 @@ class ElementSpace:
     def tabulate_div(self, x, y):
         """Basis divergences, shape (dim,) + broadcast shape of x, y."""
         x, y = np.broadcast_arrays(x, y)
-        Lx, Ly, dLx, dLy = (np.array(fn(self._maxdeg, t))
-                            for fn in (legendre.values, legendre.deriv_values) for t in (x, y))
+        (Lx, dLx), (Ly, dLy) = (map(np.array, legendre.deriv_values(self._maxdeg, t))
+                                for t in (x, y))
         nx, I, J = self._nx, self._i, self._j
         rows = np.zeros((self.dim,) + x.shape, Lx.dtype)
         rows[:nx] = dLx[I[:nx]] * Ly[J[:nx]]
@@ -224,26 +262,6 @@ class ElementSpace:
 
     def __repr__(self):
         return f"ElementSpace({self.family.value}, k={self.k}, dim={self.dim})"
-
-
-def _make_labels(family: ElementFamily, k: int):
-    if family is ElementFamily.BDM:
-        for i in range(k + 1):
-            for j in range(k + 1 - i):
-                yield ("x", i, j)
-        for i in range(k + 1):
-            for j in range(k + 1 - i):
-                yield ("y", i, j)
-        yield ("curl", 1)
-        yield ("curl", 2)
-        return
-    (dx0, dy0), (dx1, dy1) = component_degrees(family, k)
-    for i in range(dx0 + 1):
-        for j in range(dy0 + 1):
-            yield ("x", i, j)
-    for i in range(dx1 + 1):
-        for j in range(dy1 + 1):
-            yield ("y", i, j)
 
 
 def build_space(family, k: int) -> ElementSpace:
@@ -271,21 +289,8 @@ class ScalarSpace:
 
 
 def build_div_space(family, k: int) -> ScalarSpace:
-    family = _as_family(family)
-    _validate_degree(family, k)
-    if family is ElementFamily.RT:
-        exps = [(i, j) for i in range(k + 1) for j in range(k + 1)]
-        return ScalarSpace(f"Q_{k}", exps)
-    if family is ElementFamily.BDM:
-        exps = [(i, j) for i in range(k) for j in range(k - i)]
-        return ScalarSpace(f"P_{k - 1}", exps)
-    exps = [
-        (i, j)
-        for i in range(k + 2)
-        for j in range(k + 2)
-        if (i, j) != (k + 1, k + 1)
-    ]
-    return ScalarSpace(f"Q_{k + 1}-minus-corner", exps)
+    sets = family_sets(family, k)
+    return ScalarSpace(sets.div_name, sets.div)
 
 
 def _legendre_coordinates(space: ElementSpace) -> np.ndarray:

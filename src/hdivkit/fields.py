@@ -230,19 +230,16 @@ class CallableField:
         return self._div(x, y)
 
 
-FIELD_IDS = ("MS-G", "MS-X", "MS-Y", "MS-P")
+_MANUFACTURED = {"MS-G": MS_G, "MS-X": MS_X, "MS-Y": MS_Y}
+FIELD_IDS = (*_MANUFACTURED, "MS-P")
 
 
 def get_field(fid: str, family=None, k: Optional[int] = None, seed: Optional[int] = None):
     """Look up a study field by id; MS-P requires family and degree."""
-    if fid == "MS-G":
-        return MS_G
-    if fid == "MS-X":
-        return MS_X
-    if fid == "MS-Y":
-        return MS_Y
-    if fid == "MS-P":
-        if family is None or k is None:
-            raise ValueError("MS-P requires an element family and degree")
-        return make_reproduction_field(family, k, seed)
-    raise ValueError(f"unknown field id {fid!r}; known ids: {', '.join(FIELD_IDS)}")
+    if fid not in FIELD_IDS:
+        raise ValueError(f"unknown field id {fid!r}; known ids: {', '.join(FIELD_IDS)}")
+    if fid in _MANUFACTURED:
+        return _MANUFACTURED[fid]
+    if family is None or k is None:
+        raise ValueError("MS-P requires an element family and degree")
+    return make_reproduction_field(family, k, seed)

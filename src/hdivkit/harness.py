@@ -28,9 +28,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .elements import (
-    ElementFamily, SpaceMember, _as_family, _validate_degree, build_space, degree_range,
-)
+from .elements import ElementFamily, SpaceMember, _as_family, _validate_degree, degree_range
 from .fields import FIELD_IDS, ReproductionField, commuting_battery, get_field
 from .interpolation import COMMUTING_TOL, commuting_residual, reference_operator
 from .poly import Polynomial2D, VectorPoly2D
@@ -39,7 +37,9 @@ from .quadrature import NONPOLY_POINTS, tensor_rule
 MIN_H = 1e-8
 REPRO_TOL = 1e-12
 MONOTONE_SLACK = 1.01
-MODES = ("shrink_x", "shrink_y", "isotropic", "fixed_aspect")
+# refinement directions per mode: level j scales h_x by 2^-(sx j) and h_y by 2^-(sy j)
+_SCALES = {"shrink_x": (1, 0), "shrink_y": (0, 1), "isotropic": (1, 1), "fixed_aspect": (1, 1)}
+MODES = tuple(_SCALES)
 
 
 @dataclass(frozen=True)
@@ -138,10 +138,7 @@ def error_Lp(fld, interpolant, rect: PhysicalRect, p: float, which: str) -> floa
     which='div' the absolute divergence difference.  Fixed 20 x 20
     Gauss rule mapped to the rectangle.
     """
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    if which not in ("field", "div"):
-        raise ValueError("which must be 'field' or 'div'")
+    _check_lp_args(p, which)
     rule = tensor_rule(NONPOLY_POINTS, NONPOLY_POINTS)
     xs = rect.hx * rule.xs
     ys = rect.hy * rule.ys
@@ -155,6 +152,13 @@ def error_Lp(fld, interpolant, rect: PhysicalRect, p: float, which: str) -> floa
         d2 = interpolant.div_values(xs, ys)
         mag = np.abs(np.asarray(d1 - d2, dtype=float))
     return _lp_sum(ws, mag, p)
+
+
+def _check_lp_args(p: float, which: str) -> None:
+    if not p >= 1:  # also rejects nan
+        raise ValueError("p must be >= 1")
+    if which not in ("field", "div"):
+        raise ValueError("which must be 'field' or 'div'")
 
 
 def _lp_sum(ws, mag, p: float) -> float:
@@ -182,8 +186,7 @@ def error_Lp_reference(ref_field, member: SpaceMember, rect: PhysicalRect,
     Consistency oracle for error_Lp: reference components scale by
     1/hy, 1/hx (divergence by 1/(hx hy)) and the measure by hx hy.
     """
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    _check_lp_args(p, which)
     rule = tensor_rule(NONPOLY_POINTS, NONPOLY_POINTS)
     xs, ys, ws = rule.xs, rule.ys, rule.ws
     area = rect.hx * rect.hy
@@ -248,21 +251,12 @@ class StudyConfig:
                              f"shrinks a side below {MIN_H:g} at the last level") from None
 
     def rect_at(self, level: int) -> PhysicalRect:
-        h = self.h0 * 2.0**-level
-        if self.mode == "shrink_x":
-            return PhysicalRect(h, self.h0)
-        if self.mode == "shrink_y":
-            return PhysicalRect(self.h0, h)
-        if self.mode == "isotropic":
-            return PhysicalRect(h, h)
-        return PhysicalRect(h, h / self.rho)
+        sx, sy = self.mode_scales()
+        aspect = self.rho if self.mode == "fixed_aspect" else 1.0
+        return PhysicalRect(self.h0 * 2.0**-(sx * level), self.h0 * 2.0**-(sy * level) / aspect)
 
     def mode_scales(self) -> Tuple[int, int]:
-        if self.mode == "shrink_x":
-            return 1, 0
-        if self.mode == "shrink_y":
-            return 0, 1
-        return 1, 1
+        return _SCALES[self.mode]
 
     def describe(self) -> dict:
         out = {
@@ -306,37 +300,40 @@ class ConvergenceTable:
 
 # --- rate predictions ---------------------------------------------------
 
-def _contributing_rate(terms, nonzero, sx: int, sy: int) -> float:
-    rates = [a1 * sx + a2 * sy for a1, a2 in terms if nonzero(a1, a2)]
-    return float(min(rates)) if rates else 0.0
+def _order(n: int) -> Tuple[Tuple[int, int], ...]:
+    """Every (a1, a2) of total order n."""
+    return tuple((a, n - a) for a in range(n + 1))
 
 
-def predicted_div_rate(family, k: int, fld, mode: str, sx: int, sy: int) -> float:
-    family = _as_family(family)
-    nz = fld.div_deriv_nonzero
-    if family is ElementFamily.RT:
-        return _contributing_rate([(k + 1, 0), (0, k + 1)], nz, sx, sy)
-    if family is ElementFamily.BDM:
-        terms = [(a, k - a) for a in range(k + 1)]
-        return _contributing_rate(terms, nz, sx, sy)
-    est2 = _contributing_rate([(k + 1, 0), (0, k + 1)], nz, sx, sy)
-    if mode in ("isotropic", "fixed_aspect"):
-        terms = [(a, k + 2 - a) for a in range(k + 3)]
-        est1 = _contributing_rate(terms, nz, sx, sy)
-        return max(est1, est2)
-    return est2
+def estimate_terms(family, k: int, which: str, sx: int, sy: int) -> Tuple[tuple, ...]:
+    """The theorem's estimates of one error, each a group of terms (a1, a2):
+    h_x^a1 h_y^a2 |d^a1_x d^a2_y u| (of div u for which='div').  ABF's
+    mixed order-(k+2) div estimate needs both directions refined."""
+    axes = ((k + 1, 0), (0, k + 1))
+    field, div = {
+        ElementFamily.RT: ((axes,), (axes,)),
+        ElementFamily.BDM: ((_order(k + 1),), (_order(k),)),
+        ElementFamily.ABF: ((axes,), (axes, _order(k + 2)) if sx and sy else (axes,)),
+    }[_as_family(family)]
+    return {"field": field, "div": div}[which]
 
 
-def predicted_field_rate(family, k: int, fld, mode: str, sx: int, sy: int) -> float:
-    family = _as_family(family)
+def _predicted_rate(groups, nonzero, sx: int, sy: int) -> float:
+    """Max over groups of the slowest rate a1 sx + a2 sy among the terms the
+    field keeps (nonzero partials); a group with no such term gives 0."""
+    return float(max(min((a1 * sx + a2 * sy for a1, a2 in group if nonzero(a1, a2)), default=0)
+                     for group in groups))
 
+
+def predicted_div_rate(family, k: int, fld, sx: int, sy: int) -> float:
+    return _predicted_rate(estimate_terms(family, k, "div", sx, sy), fld.div_deriv_nonzero, sx, sy)
+
+
+def predicted_field_rate(family, k: int, fld, sx: int, sy: int) -> float:
     def nz(a1, a2):
         return fld.deriv_nonzero(a1, a2, 0) or fld.deriv_nonzero(a1, a2, 1)
 
-    if family is ElementFamily.BDM:
-        terms = [(a, k + 1 - a) for a in range(k + 2)]
-        return _contributing_rate(terms, nz, sx, sy)
-    return _contributing_rate([(k + 1, 0), (0, k + 1)], nz, sx, sy)
+    return _predicted_rate(estimate_terms(family, k, "field", sx, sy), nz, sx, sy)
 
 
 # --- fitting and verdicts -------------------------------------------------
@@ -399,8 +396,8 @@ def run_refinement_study(config: StudyConfig) -> ConvergenceTable:
     errs_f = [r.err_field_Lp for r in records]
     errs_d = [r.err_div_Lp for r in records]
     sx, sy = config.mode_scales()
-    pred_f = predicted_field_rate(config.family, config.k, fld, config.mode, sx, sy)
-    pred_d = predicted_div_rate(config.family, config.k, fld, config.mode, sx, sy)
+    pred_f = predicted_field_rate(config.family, config.k, fld, sx, sy)
+    pred_d = predicted_div_rate(config.family, config.k, fld, sx, sy)
     fit_f = fitted_rate(errs_f, config.levels)
     fit_d = fitted_rate(errs_d, config.levels)
     verdict_f, flags_f = _verdict(errs_f, fit_f, pred_f, config.rate_tolerance)

@@ -50,8 +50,8 @@ def values(nmax: int, x) -> list:
     return out
 
 
-def deriv_values(nmax: int, x) -> list:
-    """First-derivative values (d/dx, including the chain-rule factor 2)."""
+def deriv_values(nmax: int, x) -> tuple:
+    """(values(nmax, x), first derivatives d/dx including the chain-rule factor 2)."""
     x = np.asarray(x)
     s = 2 * x - np.asarray(1, dtype=x.dtype if x.dtype.kind == "f" else float)
     p = values(nmax, x)
@@ -60,7 +60,7 @@ def deriv_values(nmax: int, x) -> list:
         out.append(np.full_like(s, 2))
     for n in range(2, nmax + 1):
         out.append(((2 * n - 1) * (2 * p[n - 1] + s * out[-1]) - (n - 1) * out[-2]) / n)
-    return out
+    return p, out
 
 
 def derivative_matrix(n: int) -> np.ndarray:

@@ -1,6 +1,9 @@
 """Command-line interface: output contracts, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -417,3 +420,24 @@ def test_converge_config_rejects_unverified_degree(tmp_path, capsys):
     code, out, err = run(capsys, "converge", "--config", str(cfg))
     assert code == 2
     assert out == "" and "error: k must be between 0 and 4" in err
+
+
+# ------------------------------------------------------------ closed stdout
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+@pytest.mark.parametrize("argv", [["tabulate"], ["converge", "--levels", "3"]])
+def test_closed_stdout_exits_3_quietly(argv):
+    # the reader is gone before anything is written, as in `... | head -0`
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "hdivkit.cli", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, env=env, timeout=300)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr

@@ -211,4 +211,4 @@ def test_reproduction_flags_are_scale_invariant():
     rep = make_reproduction_field("ABF", 1, seed=3)
     tiny = ReproductionField(rep.member.space.member(rep.member.coeffs * 1e-12))
     assert _flags(tiny) == _flags(rep)
-    assert predicted_field_rate("ABF", 1, tiny, "isotropic", 1, 1) == 2.0
+    assert predicted_field_rate("ABF", 1, tiny, 1, 1) == 2.0

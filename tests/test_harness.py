@@ -157,6 +157,21 @@ def test_error_Lp_validation():
         error_Lp(MS_G, ZERO_FIELD, rect, 2.0, "curl")
 
 
+@pytest.mark.parametrize("compute", [
+    lambda p, which: error_Lp(MS_G, ZERO_FIELD, PhysicalRect(1.0, 1.0), p, which),
+    lambda p, which: norm_Lp(MS_G, PhysicalRect(1.0, 1.0), p, which),
+    lambda p, which: error_Lp_reference(MS_G, ZERO_FIELD, PhysicalRect(1.0, 1.0), p, which),
+], ids=["error_Lp", "norm_Lp", "error_Lp_reference"])
+@pytest.mark.parametrize("p,which,message", [
+    (math.nan, "field", "p must be >= 1"),
+    (2.0, "bogus", "which must be 'field' or 'div'"),
+])
+def test_lp_arguments_checked(compute, p, which, message):
+    # nan slips past p < 1, and the oracle took any which but 'field' as 'div'
+    with pytest.raises(ValueError, match=message):
+        compute(p, which)
+
+
 def test_norm_homogeneity():
     rect = PhysicalRect(0.75, 0.5)
     fld = _vec(1, 1, 2, 0)
@@ -268,25 +283,25 @@ def test_verdict_rate_comparison():
 
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_predicted_rates_rt(k):
-    assert predicted_div_rate("RT", k, MS_X, "shrink_x", 1, 0) == k + 1
-    assert predicted_div_rate("RT", k, MS_Y, "shrink_y", 0, 1) == k + 1
+    assert predicted_div_rate("RT", k, MS_X, 1, 0) == k + 1
+    assert predicted_div_rate("RT", k, MS_Y, 0, 1) == k + 1
     # refining x cannot help a divergence that depends only on y
-    assert predicted_div_rate("RT", k, MS_Y, "shrink_x", 1, 0) == 0.0
-    assert predicted_field_rate("RT", k, MS_X, "shrink_x", 1, 0) == k + 1
-    assert predicted_div_rate("RT", k, MS_G, "isotropic", 1, 1) == k + 1
+    assert predicted_div_rate("RT", k, MS_Y, 1, 0) == 0.0
+    assert predicted_field_rate("RT", k, MS_X, 1, 0) == k + 1
+    assert predicted_div_rate("RT", k, MS_G, 1, 1) == k + 1
 
 
 @pytest.mark.parametrize("k", [1, 2])
 def test_predicted_rates_bdm(k):
-    assert predicted_div_rate("BDM", k, MS_G, "isotropic", 1, 1) == k
-    assert predicted_field_rate("BDM", k, MS_G, "isotropic", 1, 1) == k + 1
+    assert predicted_div_rate("BDM", k, MS_G, 1, 1) == k
+    assert predicted_field_rate("BDM", k, MS_G, 1, 1) == k + 1
 
 
 @pytest.mark.parametrize("k", [0, 1])
 def test_predicted_rates_abf(k):
-    assert predicted_div_rate("ABF", k, MS_G, "isotropic", 1, 1) == k + 2
-    assert predicted_div_rate("ABF", k, MS_X, "shrink_x", 1, 0) == k + 1
-    assert predicted_div_rate("ABF", k, MS_G, "fixed_aspect", 1, 1) == k + 2
+    assert predicted_div_rate("ABF", k, MS_G, 1, 1) == k + 2
+    assert predicted_div_rate("ABF", k, MS_X, 1, 0) == k + 1
+    assert predicted_div_rate("ABF", k, MS_G, 1, 1) == k + 2
 
 
 # ------------------------------------------------------------- sharpness

@@ -58,7 +58,7 @@ def test_derivative_matrix_exact():
 
 def test_deriv_values_matches_polynomial_derivative():
     xs = RNG.uniform(0, 1, size=13)
-    dvals = legendre.deriv_values(8, xs)
+    _, dvals = legendre.deriv_values(8, xs)
     for n in range(9):
         c = legendre.coeffs(n)
         dc = c[1:] * np.arange(1, len(c))
