@@ -33,6 +33,7 @@ from .harness import StudyConfig, run_refinement_study
 from .interpolation import (
     COMMUTING_TOL,
     COND_WARN,
+    REPRO_TOL,
     OperatorConstructionError,
     commuting_residual,
     reference_operator,
@@ -42,14 +43,23 @@ from .interpolation import (
 FAMILIES = tuple(f.value for f in ElementFamily)
 COMMUTING_KMAX = 3
 PROJECTION_MEMBERS = 20
-PROJECTION_TOL = 1e-12
 
-# converge's study flags, which are also its config-file keys; absent keys
-# take StudyConfig's defaults, output defaults to stdout and format to csv
-CONFIG_KEYS = ("family", "k", "p", "field", "mode", "levels", "h0", "rate_tolerance",
-               "output", "format")
-_INT_KEYS = {"k", "levels"}
-_FLOAT_KEYS = {"p", "h0", "rate_tolerance"}
+# converge's study flags, which are also its config-file keys: one table
+# types and checks both.  Absent keys take StudyConfig's defaults, output
+# defaults to stdout and format to csv.
+STUDY_FLAGS = {
+    "family": {},
+    "k": {"type": int},
+    "p": {"type": float},
+    "field": {},
+    "mode": {"help": "shrink_x, shrink_y, isotropic, or fixed_aspect(R)"},
+    "levels": {"type": int},
+    "h0": {"type": float},
+    "rate_tolerance": {"type": float},
+    "output": {},
+    "format": {"choices": ("csv", "json")},
+}
+CONFIG_KEYS = tuple(STUDY_FLAGS)
 
 
 class UsageError(Exception):
@@ -123,7 +133,7 @@ def cmd_check(args) -> int:
                 coeffs = op.solve_coefficients(member)
                 scale = np.abs(member.coeffs).max()
                 worst = max(worst, np.abs(coeffs - member.coeffs).max() / scale)
-            record("projection", family, k, "max_rel_coeff_err", worst, worst <= PROJECTION_TOL)
+            record("projection", family, k, "max_rel_coeff_err", worst, worst <= REPRO_TOL)
 
     battery = commuting_battery()
     for family in families:
@@ -165,13 +175,21 @@ def _parse_mode(text: str) -> dict:
     return {"mode": name}
 
 
-def _read_config_file(path: str) -> Dict[str, str]:
+def _add_study_flags(parser: argparse.ArgumentParser) -> None:
+    for key, options in STUDY_FLAGS.items():
+        parser.add_argument("--" + key.replace("_", "-"), dest=key, default=None, **options)
+
+
+def _read_config_file(path: str) -> Dict[str, object]:
+    """The file's key=value lines, typed and checked by the study flags."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file: {exc}")
-    out: Dict[str, str] = {}
+    flags = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    _add_study_flags(flags)
+    out: Dict[str, object] = {}
     for num, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -184,7 +202,12 @@ def _read_config_file(path: str) -> Dict[str, str]:
             raise UsageError(f"{path}:{num}: unknown key '{key}'")
         if key in out:
             raise UsageError(f"{path}:{num}: duplicate key '{key}'")
-        out[key] = value
+        # one --key=value token keeps a value that starts with '-' or holds '='
+        try:
+            parsed = flags.parse_args([f"--{key.replace('_', '-')}={value}"])
+        except argparse.ArgumentError as exc:
+            raise UsageError(f"{path}:{num}: {exc}")
+        out[key] = getattr(parsed, key)
     return out
 
 
@@ -195,40 +218,26 @@ def _converge_settings(args) -> dict:
         return settings
     if settings:
         raise UsageError("--config cannot be combined with study flags")
-    for key, value in _read_config_file(args.config).items():
-        if key in _INT_KEYS:
-            try:
-                settings[key] = int(value)
-            except ValueError:
-                raise UsageError(f"key '{key}' expects an integer, got '{value}'")
-        elif key in _FLOAT_KEYS:
-            try:
-                settings[key] = float(value)
-            except ValueError:
-                raise UsageError(f"key '{key}' expects a number, got '{value}'")
-        else:
-            settings[key] = value
-    return settings
+    return _read_config_file(args.config)
 
 
 def _fmt_float(x) -> str:
     return "%.17g" % float(x)
 
 
+def _rows(table) -> List[dict]:
+    """One dict per level: the CSV columns and the JSON records."""
+    rates = zip(table.level_rates("field"), table.level_rates("div"))
+    return [{"level": rec.level, "hx": rec.hx, "hy": rec.hy, "err_field": rec.err_field_Lp,
+             "err_div": rec.err_div_Lp, "rate_field": rate_f, "rate_div": rate_d}
+            for rec, (rate_f, rate_d) in zip(table.records, rates)]
+
+
 def _csv_text(table) -> str:
-    rate_f = table.level_rates("field")
-    rate_d = table.level_rates("div")
-    lines = ["level,hx,hy,err_field,err_div,rate_field,rate_div"]
-    for i, rec in enumerate(table.records):
-        lines.append(",".join([
-            str(rec.level),
-            _fmt_float(rec.hx),
-            _fmt_float(rec.hy),
-            _fmt_float(rec.err_field_Lp),
-            _fmt_float(rec.err_div_Lp),
-            "" if rate_f[i] is None else _fmt_float(rate_f[i]),
-            "" if rate_d[i] is None else _fmt_float(rate_d[i]),
-        ]))
+    rows = _rows(table)
+    lines = [",".join(rows[0])]
+    for row in rows:
+        lines.append(",".join("" if v is None else _json_value(v) for v in row.values()))
     return "\n".join(lines) + "\n"
 
 
@@ -252,22 +261,9 @@ def _json_value(value) -> str:
 
 
 def _json_text(table) -> str:
-    rate_f = table.level_rates("field")
-    rate_d = table.level_rates("div")
-    records = []
-    for i, rec in enumerate(table.records):
-        records.append({
-            "level": rec.level,
-            "hx": rec.hx,
-            "hy": rec.hy,
-            "err_field": rec.err_field_Lp,
-            "err_div": rec.err_div_Lp,
-            "rate_field": rate_f[i],
-            "rate_div": rate_d[i],
-        })
     payload = {
         "config": table.config.describe(),
-        "records": records,
+        "records": _rows(table),
         "fitted_rates": {"field": table.fitted_rate_field, "div": table.fitted_rate_div},
         "predicted_rates": {"field": table.predicted_rate_field, "div": table.predicted_rate_div},
         "verdicts": {"field": table.verdict_field, "div": table.verdict_div},
@@ -308,8 +304,6 @@ def cmd_converge(args) -> int:
     settings = _converge_settings(args)
     fmt = settings.pop("format", "csv")
     output = settings.pop("output", None)
-    if fmt not in ("csv", "json"):
-        raise UsageError(f"unknown format '{fmt}' (csv or json)")
     if "mode" in settings:
         settings.update(_parse_mode(settings["mode"]))
     try:
@@ -321,14 +315,15 @@ def cmd_converge(args) -> int:
         try:
             _atomic_write(output, text)
         except OSError as exc:
-            print(f"cannot write output: {exc}", file=sys.stderr)
+            # the error names the temp file; the target is what the user asked for
+            print(f"cannot write output {output}: {exc.strerror}", file=sys.stderr)
             return 3
         print(f"wrote {output}")
     else:
         sys.stdout.write(text)
     for line in _verdict_lines(table):
         print(line)
-    return 0 if table.verdict_field == "pass" and table.verdict_div == "pass" else 1
+    return 0 if table.ok else 1
 
 
 # --- entry point ----------------------------------------------------------
@@ -355,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run unisolvence, projection, commuting-diagram, and div-span suites",
     )
     chk.add_argument("--family", choices=FAMILIES, default=None)
-    chk.add_argument("--kmax", type=int, default=3)
+    chk.add_argument("--kmax", type=int, default=MAX_DEGREE)
     chk.add_argument(
         "--debug-disable-div-moments",
         action="store_true",
@@ -367,16 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run one refinement study and emit CSV or JSON plus a verdict summary",
     )
     conv.add_argument("--config", default=None, help="key=value study file; exclusive with the flags below")
-    conv.add_argument("--family", default=None)
-    conv.add_argument("--k", type=int, default=None)
-    conv.add_argument("--p", type=float, default=None)
-    conv.add_argument("--field", default=None)
-    conv.add_argument("--mode", default=None, help="shrink_x, shrink_y, isotropic, or fixed_aspect(R)")
-    conv.add_argument("--levels", type=int, default=None)
-    conv.add_argument("--h0", type=float, default=None)
-    conv.add_argument("--rate-tolerance", type=float, default=None, dest="rate_tolerance")
-    conv.add_argument("--output", default=None)
-    conv.add_argument("--format", choices=("csv", "json"), default=None)
+    _add_study_flags(conv)
     return parser
 
 

@@ -179,9 +179,6 @@ class SpaceMember(VectorPoly2D):
         U, V = self.space.tabulate(x, y)
         return np.tensordot(self.coeffs, U, axes=1), np.tensordot(self.coeffs, V, axes=1)
 
-    def __call__(self, x, y):
-        return self.uv(x, y)
-
     def div_values(self, x, y):
         return np.tensordot(self.coeffs, self.space.tabulate_div(x, y), axes=1)
 

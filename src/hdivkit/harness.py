@@ -30,12 +30,11 @@ import numpy as np
 
 from .elements import ElementFamily, SpaceMember, _as_family, _validate_degree, degree_range
 from .fields import FIELD_IDS, ReproductionField, commuting_battery, get_field
-from .interpolation import COMMUTING_TOL, commuting_residual, reference_operator
+from .interpolation import COMMUTING_TOL, REPRO_TOL, commuting_residual, reference_operator
 from .poly import Polynomial2D, VectorPoly2D
 from .quadrature import NONPOLY_POINTS, tensor_rule
 
 MIN_H = 1e-8
-REPRO_TOL = 1e-12
 MONOTONE_SLACK = 1.01
 # refinement directions per mode: level j scales h_x by 2^-(sx j) and h_y by 2^-(sy j)
 _SCALES = {"shrink_x": (1, 0), "shrink_y": (0, 1), "isotropic": (1, 1), "fixed_aspect": (1, 1)}
@@ -207,7 +206,6 @@ class ErrorRecord:
     level: int
     hx: float
     hy: float
-    p: float
     err_field_Lp: float
     err_div_Lp: float
 
@@ -232,6 +230,8 @@ class StudyConfig:
             raise ValueError(f"unknown field '{self.field}' (choose from {', '.join(FIELD_IDS)})")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode '{self.mode}' (choose from {', '.join(MODES)})")
+        if not isinstance(self.levels, (int, np.integer)):
+            raise ValueError("levels must be an integer")
         if self.levels < 3:
             raise ValueError("levels must be >= 3")
         if not (0 < self.h0 <= 1):
@@ -392,7 +392,7 @@ def run_refinement_study(config: StudyConfig) -> ConvergenceTable:
         nd = norm_Lp(phys, rect, config.p, "div")
         ef = error_Lp(phys, interp, rect, config.p, "field") / nf
         ed = error_Lp(phys, interp, rect, config.p, "div") / (nd if nd > 0 else nf)
-        records.append(ErrorRecord(level, rect.hx, rect.hy, config.p, ef, ed))
+        records.append(ErrorRecord(level, rect.hx, rect.hy, ef, ed))
     errs_f = [r.err_field_Lp for r in records]
     errs_d = [r.err_div_Lp for r in records]
     sx, sy = config.mode_scales()
@@ -422,17 +422,14 @@ def run_refinement_study(config: StudyConfig) -> ConvergenceTable:
 
 # --- aggregate suite ------------------------------------------------------
 
-def default_suite_configs(levels: int = 6, h0: float = 0.5) -> List[StudyConfig]:
+def default_suite_configs() -> List[StudyConfig]:
     configs = []
     for family in ElementFamily:
         for k in degree_range(family, 2):
             for p in (1.0, 2.0):
-                configs.append(StudyConfig(family, k, p, "MS-X", "shrink_x",
-                                           levels=levels, h0=h0))
-                configs.append(StudyConfig(family, k, p, "MS-Y", "shrink_y",
-                                           levels=levels, h0=h0))
-                configs.append(StudyConfig(family, k, p, "MS-G", "isotropic",
-                                           levels=levels, h0=h0))
+                configs.append(StudyConfig(family, k, p, "MS-X", "shrink_x"))
+                configs.append(StudyConfig(family, k, p, "MS-Y", "shrink_y"))
+                configs.append(StudyConfig(family, k, p, "MS-G", "isotropic"))
     return configs
 
 

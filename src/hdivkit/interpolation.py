@@ -38,6 +38,8 @@ COND_WARN = 1e9
 REFINE_SWEEPS = 3
 # the commuting-diagram guarantee: max |div(I u) - P(div u)| on the sample grid
 COMMUTING_TOL = 1e-10
+# the reproduction guarantee: a space member is interpolated to this relative accuracy
+REPRO_TOL = 1e-12
 
 
 class OperatorConstructionError(RuntimeError):

@@ -64,9 +64,6 @@ class Polynomial2D:
         c[i, j] = coef
         return cls(c)
 
-    def __call__(self, x, y):
-        return self.eval(x, y)
-
     def eval(self, x, y):
         """Evaluate by nested Horner recursion, dtype-preserving."""
         x = np.asarray(x)
@@ -154,9 +151,6 @@ class VectorPoly2D:
     def __init__(self, u: Polynomial2D, v: Polynomial2D):
         self.u = u
         self.v = v
-
-    def __call__(self, x, y):
-        return self.u.eval(x, y), self.v.eval(x, y)
 
     def uv(self, x, y):
         return self.u.eval(x, y), self.v.eval(x, y)

@@ -69,22 +69,14 @@ def gauss_legendre_01(n: int) -> QuadratureRule1D:
     ld = np.longdouble
     k = np.arange(1, n + 1, dtype=ld)
     s = np.cos(np.pi * (k - ld(0.25)) / (n + ld(0.5)))
-    if n == 1:
-        s = np.zeros(1, dtype=ld)
     for _ in range(100):
         p, dp = _legendre_and_deriv(n, s)
-        if n == 1:
-            # P_1 = s, root at 0; the loop below would divide by dp = 1 anyway
-            dp = np.ones_like(s)
         step = p / dp
         s = s - step
         if np.max(np.abs(step)) < ld(1e-19):
             break
     p, dp = _legendre_and_deriv(n, s)
-    if n == 1:
-        w = np.full(1, ld(2))
-    else:
-        w = 2 / ((1 - s * s) * dp * dp)
+    w = 2 / ((1 - s * s) * dp * dp)
     order = np.argsort(s)
     nodes = (s[order] + 1) / 2
     weights = w[order] / 2

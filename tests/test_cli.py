@@ -74,6 +74,14 @@ def test_check_kmax_out_of_range(capsys):
     assert out == "" and "error: k must be between 0 and 4" in err
 
 
+def test_plain_check_covers_every_degree(capsys):
+    # the default kmax stopped at 3, so "all checks passed" skipped k = 4
+    code, out, err = run(capsys, "check")
+    assert code == 0 and err == ""
+    assert any(line.startswith("projection ABF_4: ") for line in out.splitlines())
+    assert out.endswith("all checks passed\n")
+
+
 def test_check_debug_switch_fails_commuting_only(capsys):
     code, out, _ = run(
         capsys, "check", "--family", "ABF", "--kmax", "0", "--debug-disable-div-moments"
@@ -275,6 +283,21 @@ def test_converge_absent_keys_take_study_defaults(tmp_path, capsys):
     assert json.loads(target.read_text())["config"] == StudyConfig(levels=3).describe()
 
 
+@pytest.mark.parametrize("key,value", [("k", "x"), ("format", "xml"), ("rate_tolerance", "-x")])
+def test_config_value_errors_match_the_flag(tmp_path, capsys, key, value):
+    # a config value is typed and checked by its flag, so both report one text
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["converge", f"--{key.replace('_', '-')}={value}"])
+    assert exc.value.code == 2
+    flag_error = capsys.readouterr().err.splitlines()[-1]
+    assert flag_error.startswith(f"hdivkit converge: error: argument --{key.replace('_', '-')}: ")
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text(f"family = RT\n{key} = {value}\n")
+    code, out, err = run(capsys, "converge", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err == f"error: {cfg}:2: {flag_error.split('error: ', 1)[1]}\n"
+
+
 # text that str.splitlines cannot split and UTF-8 can encode
 _TEXT = st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")), max_size=12)
 _WILD = st.one_of(
@@ -333,6 +356,18 @@ def test_converge_unwritable_output(tmp_path, capsys):
     )
     assert code == 3
     assert "cannot write output" in err
+
+
+@pytest.mark.parametrize("missing_dir", [True, False], ids=["missing_dir", "directory"])
+def test_output_error_names_the_target(tmp_path, capsys, missing_dir):
+    # the message named the random temp file beside the target
+    target = tmp_path / "no_such_dir" / "out.json" if missing_dir else tmp_path / "a_dir"
+    if not missing_dir:
+        target.mkdir()
+    code, out, err = run(capsys, "converge", "--levels", "3", "--output", str(target))
+    assert code == 3 and out == ""
+    assert err.startswith(f"cannot write output {target}: ") and ".hdivkit." not in err
+    assert [p.name for p in tmp_path.iterdir()] == ([] if missing_dir else ["a_dir"])
 
 
 def test_unknown_field_usage_error(capsys):

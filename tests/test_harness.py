@@ -356,6 +356,9 @@ def test_config_validation():
     ({"mode": "fixed_aspect", "levels": 40}, "levels=40 with h0=0.5 and rho=64 shrinks"),
     ({"mode": "shrink_y", "h0": 1e-3, "levels": 18}, "levels=18 with h0=0.001 and rho=64"),
     ({"levels": 10**400}, "shrinks a side"),  # 2.0**-levels overflows
+    # a float level count constructed, then the study crashed in range()
+    ({"levels": 6.5}, "levels must be an integer"),
+    ({"levels": 4.0}, "levels must be an integer"),
 ])
 def test_config_owns_the_study_schema(kwargs, message):
     # the rules converge applies are the config's own, so a library caller
