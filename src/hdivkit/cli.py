@@ -44,11 +44,20 @@ FAMILIES = tuple(f.value for f in ElementFamily)
 COMMUTING_KMAX = 3
 PROJECTION_MEMBERS = 20
 
+
+def _family(name: str) -> ElementFamily:
+    """--family's type; argparse words a plain ValueError as 'invalid value'."""
+    try:
+        return _as_family(name)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 # converge's study flags, which are also its config-file keys: one table
 # types and checks both.  Absent keys take StudyConfig's defaults, output
 # defaults to stdout and format to csv.
 STUDY_FLAGS = {
-    "family": {},
+    "family": {"type": _family},
     "k": {"type": int},
     "p": {"type": float},
     "field": {},

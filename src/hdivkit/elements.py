@@ -48,7 +48,11 @@ class ElementFamily(enum.Enum):
 def _as_family(family) -> ElementFamily:
     if isinstance(family, ElementFamily):
         return family
-    return ElementFamily(str(family).upper())
+    try:
+        return ElementFamily(str(family).upper())
+    except ValueError:
+        names = ", ".join(f.value for f in ElementFamily)
+        raise ValueError(f"unknown family '{family}' (choose from {names})") from None
 
 
 _KMIN = {ElementFamily.RT: 0, ElementFamily.BDM: 1, ElementFamily.ABF: 0}

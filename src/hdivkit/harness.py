@@ -15,6 +15,14 @@ theorem's exponent table with the field's structural zero derivatives,
 so a study that refines a direction the field does not depend on is
 checked for stagnation instead of a bogus rate.
 
+Errors are integrated on one 20 x 20 Gauss rule.  A study tabulates its
+basis (U, V, div) on that rule once; each level samples the field once
+on the rule mapped to its rectangle, and the div norm and both errors
+share the sample.  The interpolant's values are its coefficients
+contracted with the table, times the Piola factors.  A reproduced member
+(MS-P) goes through the same table, so both sides of its error meet at
+the same points even where (h x) / h misses x by an ulp.
+
 Verdicts are one-sided: a fitted rate a whole tolerance above the
 prediction is flagged superconvergent but passes, since the theorems
 give upper bounds for the error (lower bounds for the rate).
@@ -118,30 +126,49 @@ def interpolate_on_rect(family, k: int, rect: PhysicalRect, fld) -> PhysicalMemb
     return PhysicalMemberField(op.interpolate(piola_pullback(rect, fld)), rect)
 
 
-class _ZeroField:
+class _Values:
+    """A field known only by its values (U, V, div), whatever the points.
+
+    Constants hold anywhere.  Arrays are one sample on the error rule of
+    one rectangle, which error_Lp reads there and nowhere else, so one
+    sample serves a level's norm and both of its errors.
+    """
+
+    def __init__(self, U, V, D):
+        self.U, self.V, self.D = U, V, D
+
     def uv(self, x, y):
-        z = np.zeros_like(np.asarray(x, dtype=float))
-        return z, z
+        return self.U, self.V
 
     def div_values(self, x, y):
-        return np.zeros_like(np.asarray(x, dtype=float))
+        return self.D
 
 
-ZERO_FIELD = _ZeroField()
+ZERO_FIELD = _Values(0.0, 0.0, 0.0)
+
+
+def _push_on_rule(tables, coeffs, rect: PhysicalRect) -> _Values:
+    """A member's push-forward on rect's mapped error rule: its coefficients
+    contracted with the tables as in SpaceMember.uv, then the Piola factors
+    of PhysicalMemberField; no point is mapped back to the reference square."""
+    U, V, D = (np.tensordot(coeffs, t, axes=1) for t in tables)
+    return _Values(U / rect.hy, V / rect.hx, D / (rect.hx * rect.hy))
+
+
+def _mapped_rule(rect: PhysicalRect):
+    """The fixed 20 x 20 Gauss rule mapped to the rectangle: xs, ys, ws."""
+    rule = tensor_rule(NONPOLY_POINTS, NONPOLY_POINTS)
+    return rect.hx * rule.xs, rect.hy * rule.ys, (rect.hx * rect.hy) * rule.ws
 
 
 def error_Lp(fld, interpolant, rect: PhysicalRect, p: float, which: str) -> float:
     """(integral over the rectangle of |fld - interpolant|^p)^(1/p).
 
     which='field' uses the Euclidean magnitude of the vector difference,
-    which='div' the absolute divergence difference.  Fixed 20 x 20
-    Gauss rule mapped to the rectangle.
+    which='div' the absolute divergence difference, on _mapped_rule(rect).
     """
     _check_lp_args(p, which)
-    rule = tensor_rule(NONPOLY_POINTS, NONPOLY_POINTS)
-    xs = rect.hx * rule.xs
-    ys = rect.hy * rule.ys
-    ws = (rect.hx * rect.hy) * rule.ws
+    xs, ys, ws = _mapped_rule(rect)
     if which == "field":
         U1, V1 = fld.uv(xs, ys)
         U2, V2 = interpolant.uv(xs, ys)
@@ -373,14 +400,21 @@ def _verdict(errors: List[float], fitted: Optional[float], predicted: float,
 
 def run_refinement_study(config: StudyConfig) -> ConvergenceTable:
     fld = get_field(config.field, config.family, config.k, config.seed)
+    space = reference_operator(config.family, config.k).space
+    rule = tensor_rule(NONPOLY_POINTS, NONPOLY_POINTS)
+    # the basis (U, V, div) on the reference error rule, tabulated once per study
+    tables = (*space.tabulate(rule.xs, rule.ys), space.tabulate_div(rule.xs, rule.ys))
     records = []
     for level in range(config.levels):
         rect = config.rect_at(level)
         if isinstance(fld, ReproductionField):
             phys = piola_push(rect, fld.member)
+            sample = _push_on_rule(tables, fld.member.coeffs, rect)
         else:
-            phys = fld
-        interp = interpolate_on_rect(config.family, config.k, rect, phys)
+            xs, ys, _ = _mapped_rule(rect)
+            phys, sample = fld, _Values(*fld.uv(xs, ys), fld.div_values(xs, ys))
+        member = interpolate_on_rect(config.family, config.k, rect, phys).member
+        interp = _push_on_rule(tables, member.coeffs, rect)
         # Field errors are mean-normalized (the measure factor (hx hy)^{1/p}
         # carries no rate content); every battery field vanishes at the
         # rectangle anchor, so dividing by the field's own shrinking norm
@@ -389,9 +423,9 @@ def run_refinement_study(config: StudyConfig) -> ConvergenceTable:
         # also keeps reproduction studies at machine zero when the Piola
         # factors grow with the aspect ratio.
         nf = (rect.hx * rect.hy) ** (1.0 / config.p)
-        nd = norm_Lp(phys, rect, config.p, "div")
-        ef = error_Lp(phys, interp, rect, config.p, "field") / nf
-        ed = error_Lp(phys, interp, rect, config.p, "div") / (nd if nd > 0 else nf)
+        nd = norm_Lp(sample, rect, config.p, "div")
+        ef = error_Lp(sample, interp, rect, config.p, "field") / nf
+        ed = error_Lp(sample, interp, rect, config.p, "div") / (nd if nd > 0 else nf)
         records.append(ErrorRecord(level, rect.hx, rect.hy, ef, ed))
     errs_f = [r.err_field_Lp for r in records]
     errs_d = [r.err_div_Lp for r in records]

@@ -298,6 +298,26 @@ def test_config_value_errors_match_the_flag(tmp_path, capsys, key, value):
     assert err == f"error: {cfg}:2: {flag_error.split('error: ', 1)[1]}\n"
 
 
+
+@pytest.mark.parametrize("name", ["", "xyz"])
+def test_unknown_family_flag_lists_the_choices(capsys, name):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["converge", f"--family={name}", "--levels", "3"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"hdivkit converge: error: argument --family: unknown family '{name}' "
+        "(choose from RT, BDM, ABF)")
+
+
+@pytest.mark.parametrize("name", ["", "xyz"])
+def test_unknown_family_in_config_lists_the_choices(tmp_path, capsys, name):
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text(f"levels = 3\nfamily = {name}\n")
+    code, out, err = run(capsys, "converge", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err == (f"error: {cfg}:2: argument --family: unknown family '{name}' "
+                   "(choose from RT, BDM, ABF)\n")
+
 # text that str.splitlines cannot split and UTF-8 can encode
 _TEXT = st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")), max_size=12)
 _WILD = st.one_of(

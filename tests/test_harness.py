@@ -6,14 +6,15 @@ import warnings
 import numpy as np
 import pytest
 
-from hdivkit.elements import build_space, degree_range
-from hdivkit.fields import MS_G, MS_X, MS_Y
+from hdivkit.elements import ElementFamily, ElementSpace, build_space, degree_range
+from hdivkit.fields import MS_G, MS_X, MS_Y, ReproductionField, get_field
 from hdivkit.harness import (
     MIN_H,
     MODES,
     REPRO_TOL,
     ZERO_FIELD,
     ConvergenceTable,
+    ErrorRecord,
     PhysicalRect,
     StudyConfig,
     bdm_sharpness_witness,
@@ -367,6 +368,13 @@ def test_config_owns_the_study_schema(kwargs, message):
         StudyConfig(**kwargs)
 
 
+
+@pytest.mark.parametrize("family", ["xyz", "", "RTX"])
+def test_config_names_the_family_choices(family):
+    with pytest.raises(ValueError) as exc:
+        StudyConfig(family=family)
+    assert str(exc.value) == f"unknown family '{family}' (choose from RT, BDM, ABF)"
+
 def test_config_accepts_the_last_level_at_or_above_min_h():
     for kwargs in ({"levels": 26}, {"mode": "shrink_y", "h0": 1e-3, "levels": 17}):
         cfg = StudyConfig(**kwargs)
@@ -423,6 +431,71 @@ def test_study_reproduction_field():
     assert table.flags == {"field": {"reproduction": True}, "div": {"reproduction": True}}
     assert table.ok
 
+
+
+def _per_level_records(config):
+    """A study's records computed level by level on the fields themselves:
+    interpolate_on_rect, then norm_Lp and error_Lp sampling both sides."""
+    fld = get_field(config.field, config.family, config.k, config.seed)
+    records = []
+    for level in range(config.levels):
+        rect = config.rect_at(level)
+        phys = piola_push(rect, fld.member) if isinstance(fld, ReproductionField) else fld
+        interp = interpolate_on_rect(config.family, config.k, rect, phys)
+        nf = (rect.hx * rect.hy) ** (1.0 / config.p)
+        nd = norm_Lp(phys, rect, config.p, "div")
+        ef = error_Lp(phys, interp, rect, config.p, "field") / nf
+        ed = error_Lp(phys, interp, rect, config.p, "div") / (nd if nd > 0 else nf)
+        records.append(ErrorRecord(level, rect.hx, rect.hy, ef, ed))
+    return records
+
+
+_PAIRS = [(f.value, k) for f in ElementFamily for k in degree_range(f)]
+
+
+@pytest.mark.parametrize("field,mode,levels", [
+    ("MS-X", "shrink_x", 4), ("MS-G", "isotropic", 3), ("MS-P", "fixed_aspect", 4)])
+@pytest.mark.parametrize("family,k", _PAIRS)
+def test_study_matches_per_level_loop(family, k, field, mode, levels):
+    # at h0 = 0.5 every side is a power of two, so the study's one table
+    # reads the very points the fields are sampled at: equal, not close
+    config = StudyConfig(family, k, field=field, mode=mode, rho=64.0, levels=levels, h0=0.5)
+    assert run_refinement_study(config).records == _per_level_records(config)
+
+
+# every study of these that read pass (reproduction) when each level sampled
+# both sides at its own points; at aspect 64 ABF_3 and ABF_4 read
+# inconclusive (non_monotone) at the Piola-inflated floor
+_NON_DYADIC = [(f, k, 10.0, 5) for f, k in _PAIRS] + [
+    (f, k, 64.0, 8) for f, k in _PAIRS if (f, k) not in (("ABF", 3), ("ABF", 4))]
+
+
+@pytest.mark.parametrize("family,k,rho,levels", _NON_DYADIC)
+def test_non_dyadic_reproduction_study_passes(family, k, rho, levels):
+    # at h0 = 0.3, (h x) / h misses x by an ulp at some points, so the
+    # member and its interpolant must be read at the same points
+    table = run_refinement_study(StudyConfig(family, k, field="MS-P", mode="fixed_aspect",
+                                             rho=rho, h0=0.3, levels=levels))
+    assert (table.verdict_field, table.verdict_div) == ("pass", "pass")
+    assert table.flags == {"field": {"reproduction": True}, "div": {"reproduction": True}}
+
+
+@pytest.mark.parametrize("family,k,field,mode", [
+    ("RT", 1, "MS-G", "isotropic"), ("ABF", 2, "MS-P", "fixed_aspect"),
+    ("BDM", 2, "MS-X", "shrink_x")])
+def test_study_tabulates_the_error_rule_once(monkeypatch, family, k, field, mode):
+    npoints = NONPOLY_POINTS**2
+    calls = {"tabulate": 0, "tabulate_div": 0}
+    for name in calls:
+        original = getattr(ElementSpace, name)
+
+        def counted(self, x, y, _name=name, _original=original):
+            calls[_name] += np.broadcast(x, y).size == npoints
+            return _original(self, x, y)
+
+        monkeypatch.setattr(ElementSpace, name, counted)
+    run_refinement_study(StudyConfig(family, k, field=field, mode=mode, levels=8))
+    assert calls == {"tabulate": 1, "tabulate_div": 1}
 
 def test_study_stagnation_mode():
     # shrinking x cannot reduce a y-only divergence: stagnation must pass
