@@ -14,6 +14,7 @@ formatted with 17 significant digits so they round-trip exactly.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -23,13 +24,13 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .dofs import build_dofs
+from .dofs import build_dofs, dof_vector_ld
 from .elements import (
     MAX_DEGREE, ElementFamily, _as_family, _validate_degree, build_div_space, build_space,
     degree_range, span_check,
 )
-from .fields import commuting_battery, env_seed
-from .harness import StudyConfig, run_refinement_study
+from .fields import FIELD_IDS, commuting_battery, env_seed
+from .harness import MODES, StudyConfig, check_choice, run_refinement_study
 from .interpolation import (
     COMMUTING_TOL,
     COND_WARN,
@@ -45,23 +46,45 @@ COMMUTING_KMAX = 3
 PROJECTION_MEMBERS = 20
 
 
-def _family(name: str) -> ElementFamily:
-    """--family's type; argparse words a plain ValueError as 'invalid value'."""
-    try:
-        return _as_family(name)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+class UsageError(Exception):
+    pass
+
+
+def _flag_type(parse, error):
+    """A flag type that rewords parse's ValueError as error.  argparse words
+    a plain ValueError as 'invalid value' and shows an ArgumentTypeError as
+    its own usage error; a UsageError passes it by, so main words it as
+    StudyConfig does.  A config file adds its file:line to either."""
+    def typed(text):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise error(str(exc)) from None
+    return typed
+
+
+def _parse_mode(text: str) -> dict:
+    """Split fixed_aspect(R) into mode and rho; StudyConfig checks rho."""
+    name = text.strip()
+    if name.startswith("fixed_aspect(") and name.endswith(")"):
+        inner = name[len("fixed_aspect("):-1]
+        try:
+            return {"mode": "fixed_aspect", "rho": float(inner)}
+        except ValueError:
+            raise ValueError(f"bad aspect ratio '{inner}'") from None
+    return {"mode": check_choice("mode", name, MODES)}
 
 
 # converge's study flags, which are also its config-file keys: one table
 # types and checks both.  Absent keys take StudyConfig's defaults, output
 # defaults to stdout and format to csv.
 STUDY_FLAGS = {
-    "family": {"type": _family},
+    "family": {"type": _flag_type(_as_family, argparse.ArgumentTypeError)},
     "k": {"type": int},
     "p": {"type": float},
-    "field": {},
-    "mode": {"help": "shrink_x, shrink_y, isotropic, or fixed_aspect(R)"},
+    "field": {"type": _flag_type(lambda name: check_choice("field", name, FIELD_IDS), UsageError)},
+    "mode": {"type": _flag_type(_parse_mode, UsageError),
+             "help": "shrink_x, shrink_y, isotropic, or fixed_aspect(R)"},
     "levels": {"type": int},
     "h0": {"type": float},
     "rate_tolerance": {"type": float},
@@ -69,10 +92,6 @@ STUDY_FLAGS = {
     "format": {"choices": ("csv", "json")},
 }
 CONFIG_KEYS = tuple(STUDY_FLAGS)
-
-
-class UsageError(Exception):
-    pass
 
 
 def _family_list(name: Optional[str]) -> List[str]:
@@ -136,12 +155,11 @@ def cmd_check(args) -> int:
                 record("projection", family, k, "max_rel_coeff_err", math.inf, False)
                 continue
             rng = np.random.default_rng(seed)
-            worst = 0.0
-            for _ in range(PROJECTION_MEMBERS):
-                member = op.space.random_member(rng)
-                coeffs = op.solve_coefficients(member)
-                scale = np.abs(member.coeffs).max()
-                worst = max(worst, np.abs(coeffs - member.coeffs).max() / scale)
+            members = [op.space.random_member(rng) for _ in range(PROJECTION_MEMBERS)]
+            # one stacked solve: each member still gets its own gesv
+            coeffs = op.solve(np.stack([dof_vector_ld(op.dofs, m) for m in members]))
+            worst = max(np.abs(c - m.coeffs).max() / np.abs(m.coeffs).max()
+                        for c, m in zip(coeffs, members))
             record("projection", family, k, "max_rel_coeff_err", worst, worst <= REPRO_TOL)
 
     battery = commuting_battery()
@@ -171,18 +189,6 @@ def cmd_check(args) -> int:
 
 
 # --- converge -------------------------------------------------------------
-
-def _parse_mode(text: str) -> dict:
-    """Split fixed_aspect(R) into mode and rho; StudyConfig checks both."""
-    name = text.strip()
-    if name.startswith("fixed_aspect(") and name.endswith(")"):
-        inner = name[len("fixed_aspect("):-1]
-        try:
-            return {"mode": "fixed_aspect", "rho": float(inner)}
-        except ValueError:
-            raise UsageError(f"bad aspect ratio '{inner}'")
-    return {"mode": name}
-
 
 def _add_study_flags(parser: argparse.ArgumentParser) -> None:
     for key, options in STUDY_FLAGS.items():
@@ -214,7 +220,7 @@ def _read_config_file(path: str) -> Dict[str, object]:
         # one --key=value token keeps a value that starts with '-' or holds '='
         try:
             parsed = flags.parse_args([f"--{key.replace('_', '-')}={value}"])
-        except argparse.ArgumentError as exc:
+        except (argparse.ArgumentError, UsageError) as exc:
             raise UsageError(f"{path}:{num}: {exc}")
         out[key] = getattr(parsed, key)
     return out
@@ -228,10 +234,6 @@ def _converge_settings(args) -> dict:
     if settings:
         raise UsageError("--config cannot be combined with study flags")
     return _read_config_file(args.config)
-
-
-def _fmt_float(x) -> str:
-    return "%.17g" % float(x)
 
 
 def _rows(table) -> List[dict]:
@@ -258,7 +260,7 @@ def _json_value(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        return _fmt_float(value)
+        return "%.17g" % float(value)
     if isinstance(value, str):
         return json.dumps(value)
     if isinstance(value, dict):
@@ -313,8 +315,7 @@ def cmd_converge(args) -> int:
     settings = _converge_settings(args)
     fmt = settings.pop("format", "csv")
     output = settings.pop("output", None)
-    if "mode" in settings:
-        settings.update(_parse_mode(settings["mode"]))
+    settings.update(settings.pop("mode", {}))
     try:
         table = run_refinement_study(StudyConfig(**settings))
     except ValueError as exc:
@@ -337,7 +338,9 @@ def cmd_converge(args) -> int:
 
 # --- entry point ----------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command line, built once per process: each parse fills a new namespace."""
     parser = argparse.ArgumentParser(
         prog="hdivkit",
         description=(
@@ -376,9 +379,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     handlers = {"tabulate": cmd_tabulate, "check": cmd_check, "converge": cmd_converge}
     try:
+        args = build_parser().parse_args(argv)
         code = handlers[args.command](args)
         sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
         return code

@@ -283,13 +283,15 @@ def _plan_for(dofset: DofSet, max_degree: Optional[int]) -> DofPlan:
 
 
 def dof_vector_ld(dofset: DofSet, field) -> np.ndarray:
-    """The field's DOF vector: one uv call, plus one div_values call for div moments."""
+    """The field's DOF vector: one uv call, plus one div_values call for div
+    moments.  Values with leading axes give one vector per row."""
     degs = _component_degrees(field)
     plan = _plan_for(dofset, None if degs is None else max(max(d) for d in degs))
-    U, V = (np.broadcast_to(a, plan.xs.shape) for a in field.uv(plan.xs, plan.ys))
+    U, V, _ = np.broadcast_arrays(*field.uv(plan.xs, plan.ys), plan.xs)
     D = None
     if plan.has_div:
-        D = np.broadcast_to(field.div_values(plan.grid_xs, plan.grid_ys), plan.grid_xs.shape)
+        D = np.broadcast_to(field.div_values(plan.grid_xs, plan.grid_ys),
+                            U.shape[:-1] + plan.grid_xs.shape)
     return plan.apply(U, V, D)
 
 

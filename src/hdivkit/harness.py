@@ -15,13 +15,17 @@ theorem's exponent table with the field's structural zero derivatives,
 so a study that refines a direction the field does not depend on is
 checked for stagnation instead of a bogus rate.
 
-Errors are integrated on one 20 x 20 Gauss rule.  A study tabulates its
-basis (U, V, div) on that rule once; each level samples the field once
-on the rule mapped to its rectangle, and the div norm and both errors
-share the sample.  The interpolant's values are its coefficients
-contracted with the table, times the Piola factors.  A reproduced member
-(MS-P) goes through the same table, so both sides of its error meet at
-the same points even where (h x) / h misses x by an ulp.
+A study runs its levels as one batch.  The field is pulled back to every
+rectangle at once (hx, hy as columns), so one DOF vector call evaluates
+it at levels x plan points and one stacked solve gives every level's
+coefficients; an MS-P member is its own pull-back, so it is solved once.
+Errors are integrated on one 20 x 20 Gauss rule: the basis (U, V, div)
+is tabulated there once, the field sampled once on every level's mapped
+rule.  A level's interpolant is its coefficients contracted with the
+table (one tensordot per level; one product over all levels moves last
+bits), times the Piola factors.  A reproduced member goes through the
+same table, so both sides of its error meet at the same points even
+where (h x) / h misses x by an ulp.
 
 Verdicts are one-sided: a fitted rate a whole tolerance above the
 prediction is flagged superconvergent but passes, since the theorems
@@ -67,20 +71,21 @@ class PulledBackField:
     """Reference-side view of a physical field under the Piola map.
 
     With F(x, y) = (hx x, hy y): u_ref = (hy u . F, hx v . F) and
-    div_ref = hx hy (div u) . F.
+    div_ref = hx hy (div u) . F.  hx and hy may be columns, one row per
+    rectangle; the values then carry that leading axis.
     """
 
-    def __init__(self, fld, rect: PhysicalRect):
+    def __init__(self, fld, hx, hy):
         self.field = fld
-        self.rect = rect
+        self.hx, self.hy = hx, hy
 
     def uv(self, x, y):
-        U, V = self.field.uv(self.rect.hx * np.asarray(x), self.rect.hy * np.asarray(y))
-        return self.rect.hy * U, self.rect.hx * V
+        U, V = self.field.uv(self.hx * np.asarray(x), self.hy * np.asarray(y))
+        return self.hy * U, self.hx * V
 
     def div_values(self, x, y):
-        d = self.field.div_values(self.rect.hx * np.asarray(x), self.rect.hy * np.asarray(y))
-        return (self.rect.hx * self.rect.hy) * d
+        d = self.field.div_values(self.hx * np.asarray(x), self.hy * np.asarray(y))
+        return (self.hx * self.hy) * d
 
 
 class PhysicalMemberField:
@@ -113,7 +118,7 @@ def piola_pullback(rect: PhysicalRect, fld):
         u = fld.u.scale_arguments(rect.hx, rect.hy) * rect.hy
         v = fld.v.scale_arguments(rect.hx, rect.hy) * rect.hx
         return VectorPoly2D(u, v)
-    return PulledBackField(fld, rect)
+    return PulledBackField(fld, rect.hx, rect.hy)
 
 
 def piola_push(rect: PhysicalRect, member: SpaceMember) -> PhysicalMemberField:
@@ -155,20 +160,21 @@ def _push_on_rule(tables, coeffs, rect: PhysicalRect) -> _Values:
     return _Values(U / rect.hy, V / rect.hx, D / (rect.hx * rect.hy))
 
 
-def _mapped_rule(rect: PhysicalRect):
-    """The fixed 20 x 20 Gauss rule mapped to the rectangle: xs, ys, ws."""
+def _mapped_rule(hx, hy):
+    """The fixed 20 x 20 Gauss rule mapped to [0, hx] x [0, hy]: xs, ys, ws;
+    columns hx, hy map it to one rectangle per row."""
     rule = tensor_rule(NONPOLY_POINTS, NONPOLY_POINTS)
-    return rect.hx * rule.xs, rect.hy * rule.ys, (rect.hx * rect.hy) * rule.ws
+    return hx * rule.xs, hy * rule.ys, (hx * hy) * rule.ws
 
 
 def error_Lp(fld, interpolant, rect: PhysicalRect, p: float, which: str) -> float:
     """(integral over the rectangle of |fld - interpolant|^p)^(1/p).
 
     which='field' uses the Euclidean magnitude of the vector difference,
-    which='div' the absolute divergence difference, on _mapped_rule(rect).
+    which='div' the absolute divergence difference, on _mapped_rule(rect.hx, rect.hy).
     """
     _check_lp_args(p, which)
-    xs, ys, ws = _mapped_rule(rect)
+    xs, ys, ws = _mapped_rule(rect.hx, rect.hy)
     if which == "field":
         U1, V1 = fld.uv(xs, ys)
         U2, V2 = interpolant.uv(xs, ys)
@@ -228,6 +234,13 @@ def error_Lp_reference(ref_field, member: SpaceMember, rect: PhysicalRect,
     return _lp_sum(area * ws, mag, p)
 
 
+def check_choice(kind: str, name: str, choices) -> str:
+    """name, or a ValueError listing the choices of this kind."""
+    if name not in choices:
+        raise ValueError(f"unknown {kind} '{name}' (choose from {', '.join(choices)})")
+    return name
+
+
 @dataclass(frozen=True)
 class ErrorRecord:
     level: int
@@ -253,10 +266,8 @@ class StudyConfig:
     def __post_init__(self):
         self.family = _as_family(self.family)
         _validate_degree(self.family, self.k)
-        if self.field not in FIELD_IDS:
-            raise ValueError(f"unknown field '{self.field}' (choose from {', '.join(FIELD_IDS)})")
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode '{self.mode}' (choose from {', '.join(MODES)})")
+        check_choice("field", self.field, FIELD_IDS)
+        check_choice("mode", self.mode, MODES)
         if not isinstance(self.levels, (int, np.integer)):
             raise ValueError("levels must be an integer")
         if self.levels < 3:
@@ -400,21 +411,25 @@ def _verdict(errors: List[float], fitted: Optional[float], predicted: float,
 
 def run_refinement_study(config: StudyConfig) -> ConvergenceTable:
     fld = get_field(config.field, config.family, config.k, config.seed)
-    space = reference_operator(config.family, config.k).space
+    op = reference_operator(config.family, config.k)
     rule = tensor_rule(NONPOLY_POINTS, NONPOLY_POINTS)
     # the basis (U, V, div) on the reference error rule, tabulated once per study
-    tables = (*space.tabulate(rule.xs, rule.ys), space.tabulate_div(rule.xs, rule.ys))
+    tables = (*op.space.tabulate(rule.xs, rule.ys), op.space.tabulate_div(rule.xs, rule.ys))
+    rects = [config.rect_at(level) for level in range(config.levels)]
+    if isinstance(fld, ReproductionField):
+        # the pull-back of the pushed member is the member at every level
+        coeffs = [op.solve_coefficients(fld.member)] * config.levels
+        samples = [_push_on_rule(tables, fld.member.coeffs, rect) for rect in rects]
+    else:
+        # every level at once: one DOF vector stack, one stacked solve, one sample
+        hx = np.array([[rect.hx] for rect in rects])
+        hy = np.array([[rect.hy] for rect in rects])
+        coeffs = op.solve_coefficients(PulledBackField(fld, hx, hy))
+        xs, ys, _ = _mapped_rule(hx, hy)
+        samples = [_Values(*row) for row in zip(*fld.uv(xs, ys), fld.div_values(xs, ys))]
     records = []
-    for level in range(config.levels):
-        rect = config.rect_at(level)
-        if isinstance(fld, ReproductionField):
-            phys = piola_push(rect, fld.member)
-            sample = _push_on_rule(tables, fld.member.coeffs, rect)
-        else:
-            xs, ys, _ = _mapped_rule(rect)
-            phys, sample = fld, _Values(*fld.uv(xs, ys), fld.div_values(xs, ys))
-        member = interpolate_on_rect(config.family, config.k, rect, phys).member
-        interp = _push_on_rule(tables, member.coeffs, rect)
+    for level, (rect, sample, c) in enumerate(zip(rects, samples, coeffs)):
+        interp = _push_on_rule(tables, c, rect)
         # Field errors are mean-normalized (the measure factor (hx hy)^{1/p}
         # carries no rate content); every battery field vanishes at the
         # rectangle anchor, so dividing by the field's own shrinking norm

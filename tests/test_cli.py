@@ -318,6 +318,56 @@ def test_unknown_family_in_config_lists_the_choices(tmp_path, capsys, name):
     assert err == (f"error: {cfg}:2: argument --family: unknown family '{name}' "
                    "(choose from RT, BDM, ABF)\n")
 
+@pytest.mark.parametrize("line,message", [
+    ("field = xyz", "unknown field 'xyz' (choose from MS-G, MS-X, MS-Y, MS-P)"),
+    ("mode = sideways", "unknown mode 'sideways' "
+                        "(choose from shrink_x, shrink_y, isotropic, fixed_aspect)"),
+    ("mode = fixed_aspect(abc)", "bad aspect ratio 'abc'")])
+def test_bad_field_or_mode_in_config_names_its_line(tmp_path, capsys, line, message):
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text(f"levels = 3\n{line}\n")
+    code, out, err = run(capsys, "converge", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err == f"error: {cfg}:2: {message}\n"
+
+
+@pytest.mark.parametrize("flag,message", [
+    ("--field=xyz", "unknown field 'xyz' (choose from MS-G, MS-X, MS-Y, MS-P)"),
+    ("--mode=fixed_aspect(abc)", "bad aspect ratio 'abc'")])
+def test_bad_field_or_mode_flag_is_worded_as_the_study(capsys, flag, message):
+    code, out, err = run(capsys, "converge", flag, "--levels", "3")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    # main reuses one parser; no value parsed in one call may reach the next
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text("levels = 3\nformat = json\nk = 1\n")
+    calls = [
+        ("converge", "--family", "BDM", "--k", "2", "--field", "MS-X",
+         "--mode", "fixed_aspect(4)", "--levels", "3", "--format", "json"),
+        ("converge", "--config", str(cfg)),
+        ("converge", "--levels", "3"),
+        ("check", "--family", "RT", "--kmax", "0"),
+        ("tabulate", "--kmax", "1"),
+        ("converge", "--config", str(cfg)),
+        ("tabulate", "--family", "ABF", "--kmax", "0"),
+        ("converge", "--levels", "4", "--p", "1"),
+    ]
+    assert cli.build_parser() is cli.build_parser()
+    reused = [run(capsys, *argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    assert reused == fresh
+    # the config after flags reads only its own keys, the flags after it csv
+    assert json.loads(reused[1][1].split("\nfield:")[0])["config"] == \
+        StudyConfig(k=1, levels=3).describe()
+    assert reused[2][1].startswith(CSV_HEADER + "\n0,0.5,0.5,")
+    assert {row.split(",")[0] for row in reused[4][1].splitlines()} == {"RT", "BDM", "ABF"}
+
+
 # text that str.splitlines cannot split and UTF-8 can encode
 _TEXT = st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")), max_size=12)
 _WILD = st.one_of(

@@ -31,9 +31,14 @@ from hdivkit.harness import (
     predicted_field_rate,
     run_refinement_study,
     theorem_suite,
+    _mapped_rule,
+    _push_on_rule,
+    _Values,
     _verdict,
 )
-from hdivkit.interpolation import reference_operator
+from hdivkit import interpolation
+from hdivkit.dofs import dof_vector_ld
+from hdivkit.interpolation import REFINE_SWEEPS, reference_operator
 from hdivkit.poly import Polynomial2D, VectorPoly2D
 from hdivkit.quadrature import NONPOLY_POINTS, tensor_rule
 
@@ -496,6 +501,73 @@ def test_study_tabulates_the_error_rule_once(monkeypatch, family, k, field, mode
         monkeypatch.setattr(ElementSpace, name, counted)
     run_refinement_study(StudyConfig(family, k, field=field, mode=mode, levels=8))
     assert calls == {"tabulate": 1, "tabulate_div": 1}
+
+
+def _lone_solve(op, field):
+    """One DOF vector and one 1-D gesv (plus the sweeps) for one field."""
+    b = dof_vector_ld(op.dofs, field)
+    x = np.longdouble(np.linalg.solve(op.dof_matrix, b.astype(float)))
+    for _ in range(REFINE_SWEEPS):
+        x = x + np.linalg.solve(op.dof_matrix, (b - op._M_ld @ x).astype(float))
+    return x.astype(float)
+
+
+def _level_by_level_records(config):
+    """The study one level at a time: a lone solve of the level's pull-back,
+    the field sampled on the level's mapped rule, both sides read from one
+    table of the basis on the error rule."""
+    fld = get_field(config.field, config.family, config.k, config.seed)
+    op = reference_operator(config.family, config.k)
+    rule = tensor_rule(NONPOLY_POINTS, NONPOLY_POINTS)
+    tables = (*op.space.tabulate(rule.xs, rule.ys), op.space.tabulate_div(rule.xs, rule.ys))
+    records = []
+    for level in range(config.levels):
+        rect = config.rect_at(level)
+        if isinstance(fld, ReproductionField):
+            phys = piola_push(rect, fld.member)
+            sample = _push_on_rule(tables, fld.member.coeffs, rect)
+        else:
+            xs, ys, _ = _mapped_rule(rect.hx, rect.hy)
+            phys, sample = fld, _Values(*fld.uv(xs, ys), fld.div_values(xs, ys))
+        interp = _push_on_rule(tables, _lone_solve(op, piola_pullback(rect, phys)), rect)
+        nf = (rect.hx * rect.hy) ** (1.0 / config.p)
+        nd = norm_Lp(sample, rect, config.p, "div")
+        ef = error_Lp(sample, interp, rect, config.p, "field") / nf
+        ed = error_Lp(sample, interp, rect, config.p, "div") / (nd if nd > 0 else nf)
+        records.append(ErrorRecord(level, rect.hx, rect.hy, ef, ed))
+    return records
+
+
+@pytest.mark.parametrize("h0,p", [(0.5, 1.0), (0.5, 7.5), (0.3, 1.0), (0.3, 7.5)])
+@pytest.mark.parametrize("field,mode", [
+    ("MS-X", "shrink_x"), ("MS-G", "isotropic"), ("MS-P", "fixed_aspect")])
+@pytest.mark.parametrize("family,k", _PAIRS)
+def test_batched_study_matches_level_by_level(family, k, field, mode, h0, p):
+    # the stacked solve runs one single-column gesv per level, so the batch
+    # keeps every bit, at non-dyadic sizes too
+    config = StudyConfig(family, k, p, field, mode, rho=64.0, levels=4, h0=h0)
+    assert run_refinement_study(config).records == _level_by_level_records(config)
+
+
+@pytest.mark.parametrize("levels", [3, 8])
+@pytest.mark.parametrize("field,mode", [
+    ("MS-G", "isotropic"), ("MS-P", "fixed_aspect"), ("MS-X", "shrink_x")])
+def test_study_solves_all_levels_at_once(monkeypatch, field, mode, levels):
+    config = StudyConfig("ABF", 2, field=field, mode=mode, levels=levels)
+    run_refinement_study(config)  # warm the operator
+    calls = {"dof_vector_ld": 0, "solve": 0}
+
+    def counting(name, original):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(interpolation, "dof_vector_ld",
+                        counting("dof_vector_ld", interpolation.dof_vector_ld))
+    monkeypatch.setattr(np.linalg, "solve", counting("solve", np.linalg.solve))
+    run_refinement_study(config)
+    assert calls == {"dof_vector_ld": 1, "solve": 1 + REFINE_SWEEPS}
 
 def test_study_stagnation_mode():
     # shrinking x cannot reduce a y-only divergence: stagnation must pass
