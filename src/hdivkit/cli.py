@@ -26,22 +26,19 @@ import numpy as np
 
 from .dofs import build_dofs, dof_vector_ld
 from .elements import (
-    MAX_DEGREE, ElementFamily, _as_family, _validate_degree, build_div_space, build_space,
-    degree_range, span_check,
+    FAMILIES, MAX_DEGREE, _as_family, _validate_degree, build_div_space, build_space,
+    check_choice, degree_range, span_check,
 )
-from .fields import FIELD_IDS, commuting_battery, env_seed
-from .harness import MODES, StudyConfig, check_choice, run_refinement_study
+from .fields import FIELD_IDS, env_seed
+from .harness import MODES, StudyConfig, run_refinement_study
 from .interpolation import (
-    COMMUTING_TOL,
-    COND_WARN,
     REPRO_TOL,
     OperatorConstructionError,
-    commuting_residual,
+    judge_commuting,
     reference_operator,
     unisolvence_report,
 )
 
-FAMILIES = tuple(f.value for f in ElementFamily)
 COMMUTING_KMAX = 3
 PROJECTION_MEMBERS = 20
 
@@ -126,61 +123,56 @@ def cmd_tabulate(args) -> int:
 
 # --- check ----------------------------------------------------------------
 
+def _judge_unisolvence(family: str, k: int, replace: bool):
+    report = unisolvence_report(family, k, replace_div_moments=replace)
+    return report["condition"], report["ok"]
+
+
+def _judge_projection(family: str, k: int, replace: bool):
+    """The worst relative coefficient error of random members interpolated back."""
+    op = reference_operator(family, k, replace)
+    rng = np.random.default_rng(env_seed())  # each (family, k) seeds its own generator
+    members = [op.space.random_member(rng) for _ in range(PROJECTION_MEMBERS)]
+    # one stacked solve: each member still gets its own gesv
+    coeffs = op.solve(np.stack([dof_vector_ld(op.dofs, m) for m in members]))
+    exact = np.stack([m.coeffs for m in members])
+    worst = np.max(np.abs(coeffs - exact).max(axis=1) / np.abs(exact).max(axis=1))
+    return worst, worst <= REPRO_TOL
+
+
+def _judge_span(family: str, k: int, replace: bool):
+    report = span_check(build_space(family, k))
+    return report["max_residual"], report["ok"]
+
+
+# check's rows in print order: (check, printed label, top degree, judge).
+# A judge returns (value, ok) for one (family, k), its value the worst over
+# members or fields by np.max, so a NaN anywhere fails.
+CHECKS = (
+    ("unisolvence", "condition", MAX_DEGREE, _judge_unisolvence),
+    ("projection", "max_rel_coeff_err", MAX_DEGREE, _judge_projection),
+    ("commuting", "max_residual", COMMUTING_KMAX, judge_commuting),
+    ("span", "max_residual", MAX_DEGREE, _judge_span),
+)
+
+
 def cmd_check(args) -> int:
     _check_kmax(args)
     try:
-        seed = env_seed()
+        env_seed()  # a bad HDIV_SEED is a usage error before any line prints
     except ValueError as exc:
         raise UsageError(str(exc))
-    replace = args.debug_disable_div_moments
-    families = _family_list(args.family)
     failures: List[str] = []
-
-    def record(check: str, family: str, k: int, label: str, value: float, ok: bool):
-        print(f"{check} {family}_{k}: {label}={value:.3e} {'ok' if ok else 'FAIL'}")
-        if not ok:
-            failures.append(f"{family}_{k} {check}")
-
-    for family in families:
-        for k in degree_range(family, args.kmax):
-            rep = unisolvence_report(family, k, replace_div_moments=replace)
-            ok = bool(rep["nonsingular"]) and rep["condition"] <= COND_WARN
-            record("unisolvence", family, k, "condition", rep["condition"], ok)
-
-    for family in families:
-        for k in degree_range(family, args.kmax):
-            try:
-                op = reference_operator(family, k, replace)
-            except OperatorConstructionError:
-                record("projection", family, k, "max_rel_coeff_err", math.inf, False)
-                continue
-            rng = np.random.default_rng(seed)
-            members = [op.space.random_member(rng) for _ in range(PROJECTION_MEMBERS)]
-            # one stacked solve: each member still gets its own gesv
-            coeffs = op.solve(np.stack([dof_vector_ld(op.dofs, m) for m in members]))
-            worst = max(np.abs(c - m.coeffs).max() / np.abs(m.coeffs).max()
-                        for c, m in zip(coeffs, members))
-            record("projection", family, k, "max_rel_coeff_err", worst, worst <= REPRO_TOL)
-
-    battery = commuting_battery()
-    for family in families:
-        for k in degree_range(family, min(args.kmax, COMMUTING_KMAX)):
-            try:
-                worst = max(
-                    commuting_residual(family, k, f, replace_div_moments=replace)
-                    for f in battery
-                )
-            except OperatorConstructionError:
-                worst, ok = math.inf, False
-            else:
-                ok = worst <= COMMUTING_TOL
-            record("commuting", family, k, "max_residual", worst, ok)
-
-    for family in families:
-        for k in degree_range(family, args.kmax):
-            report = span_check(build_space(family, k))
-            record("span", family, k, "max_residual", report["max_residual"], report["ok"])
-
+    for check, label, top, judge in CHECKS:
+        for family in _family_list(args.family):
+            for k in degree_range(family, min(args.kmax, top)):
+                try:
+                    value, ok = judge(family, k, args.debug_disable_div_moments)
+                except OperatorConstructionError:
+                    value, ok = math.inf, False
+                print(f"{check} {family}_{k}: {label}={value:.3e} {'ok' if ok else 'FAIL'}")
+                if not ok:
+                    failures.append(f"{family}_{k} {check}")
     if failures:
         print("FAILED: " + "; ".join(failures))
         return 1

@@ -27,8 +27,9 @@ vector therefore costs one field evaluation at all points (4n + n^2, or
 evaluation on the n^2 grid points when the set has divergence moments.
 The rule size n is
 
-    NONPOLY_POINTS (20)            non-polynomial fields
-    n_for_degree(d + t)            polynomial fields of maximal
+    NONPOLY_POINTS (20)            fields without degree_bounds
+    n_for_degree(d + t)            polynomial fields, whose
+                                   degree_bounds give the maximal
                                    component degree d, t the set's
                                    DofSet.test_degree (k + 1 for every
                                    standard set): every moment integrand
@@ -59,10 +60,7 @@ from typing import NamedTuple, Optional, Tuple
 import numpy as np
 
 from . import legendre
-from .elements import (
-    ElementFamily, ElementSpace, SpaceMember, _as_family, family_sets, space_dimension,
-)
-from .poly import VectorPoly2D
+from .elements import ElementFamily, ElementSpace, _as_family, family_sets, space_dimension
 from .quadrature import (
     EDGES, NONPOLY_POINTS, edge_rule, gauss_legendre_01, n_for_degree, tensor_rule,
 )
@@ -139,17 +137,9 @@ def build_dofs(family, k: int, replace_div_moments: bool = False) -> DofSet:
     return dofset
 
 
-def _component_degrees(field):
-    if isinstance(field, SpaceMember):
-        return field.degree_bounds  # from the labels, no grid build
-    if isinstance(field, VectorPoly2D):
-        return (field.u.dx, field.u.dy), (field.v.dx, field.v.dy)
-    return None
-
-
 def apply_dof_ld(fn: DofFunctional, field) -> np.longdouble:
     """One functional applied to a field, in extended precision."""
-    degs = _component_degrees(field)
+    degs = getattr(field, "degree_bounds", None)
     if fn.kind == "edge_moment":
         comp = _EDGE_COMPONENT[fn.edge]
         if degs is None:
@@ -285,7 +275,7 @@ def _plan_for(dofset: DofSet, max_degree: Optional[int]) -> DofPlan:
 def dof_vector_ld(dofset: DofSet, field) -> np.ndarray:
     """The field's DOF vector: one uv call, plus one div_values call for div
     moments.  Values with leading axes give one vector per row."""
-    degs = _component_degrees(field)
+    degs = getattr(field, "degree_bounds", None)
     plan = _plan_for(dofset, None if degs is None else max(max(d) for d in degs))
     U, V, _ = np.broadcast_arrays(*field.uv(plan.xs, plan.ys), plan.xs)
     D = None

@@ -37,6 +37,10 @@ from .poly import Polynomial2D, VectorPoly2D, curl_scalar
 # the verified range: `check` covers every (family, k) up to here, while
 # ABF_6 already misses the 1e-12 member reproduction
 MAX_DEGREE = 4
+# span_check: the largest L2 mass a basis divergence may leave outside the
+# scalar space, and the least-squares residual of an unreached direction
+SPAN_TOL = 1e-12
+UNREACHED_TOL = 1e-18
 
 
 class ElementFamily(enum.Enum):
@@ -45,14 +49,24 @@ class ElementFamily(enum.Enum):
     ABF = "ABF"
 
 
+FAMILIES = tuple(f.value for f in ElementFamily)
+
+
+def check_choice(kind: str, name: str, choices) -> str:
+    """name, or a ValueError listing the choices of this kind."""
+    if name not in choices:
+        raise ValueError(f"unknown {kind} '{name}' (choose from {', '.join(choices)})")
+    return name
+
+
 def _as_family(family) -> ElementFamily:
+    """A family, or its name in any case; an unknown name is quoted as given."""
     if isinstance(family, ElementFamily):
         return family
-    try:
-        return ElementFamily(str(family).upper())
-    except ValueError:
-        names = ", ".join(f.value for f in ElementFamily)
-        raise ValueError(f"unknown family '{family}' (choose from {names})") from None
+    name = str(family)
+    if name.upper() not in FAMILIES:
+        check_choice("family", name, FAMILIES)
+    return ElementFamily(name.upper())
 
 
 _KMIN = {ElementFamily.RT: 0, ElementFamily.BDM: 1, ElementFamily.ABF: 0}
@@ -350,11 +364,10 @@ def span_check(space: ElementSpace) -> dict:
     inside[rows, cols] = True
     # exactly zero outside the index set for every member of the space
     outside = div[:, ~inside].astype(float)
+    residuals = np.sqrt(outside**2 @ _product_norms(n)[~inside])
     failures = []
-    max_residual = 0.0
-    for b, residual in enumerate(np.sqrt(outside**2 @ _product_norms(n)[~inside]).tolist()):
-        max_residual = max(max_residual, residual)
-        if residual > 1e-12:
+    for b, residual in enumerate(residuals.tolist()):
+        if not residual <= SPAN_TOL:
             failures.append(f"basis member {space.labels[b]} leaves the scalar space "
                             f"(residual {residual:.3e})")
     A = div[:, rows, cols].astype(float)
@@ -364,13 +377,13 @@ def span_check(space: ElementSpace) -> dict:
             e = np.zeros(div_space.dim)
             e[m] = 1.0
             _, res, _, _ = np.linalg.lstsq(A.T, e, rcond=None)
-            if res.size and res[0] > 1e-18:
+            if res.size and res[0] > UNREACHED_TOL:
                 failures.append(f"scalar direction L_{exp[0]}(x) L_{exp[1]}(y) not reached")
     return {
         "family": space.family.value,
         "k": space.k,
         "div_space": div_space.description,
-        "max_residual": max_residual,
+        "max_residual": float(np.max(residuals)),
         "rank": rank,
         "div_dim": div_space.dim,
         "surjective": rank == div_space.dim,

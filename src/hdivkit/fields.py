@@ -24,7 +24,7 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from .elements import SpaceMember, build_space
+from .elements import SpaceMember, build_space, check_choice
 
 HALF_PI = np.pi / 2.0
 MAX_PARTIAL_ORDER = 6
@@ -236,8 +236,7 @@ FIELD_IDS = (*_MANUFACTURED, "MS-P")
 
 def get_field(fid: str, family=None, k: Optional[int] = None, seed: Optional[int] = None):
     """Look up a study field by id; MS-P requires family and degree."""
-    if fid not in FIELD_IDS:
-        raise ValueError(f"unknown field id {fid!r}; known ids: {', '.join(FIELD_IDS)}")
+    check_choice("field", fid, FIELD_IDS)
     if fid in _MANUFACTURED:
         return _MANUFACTURED[fid]
     if family is None or k is None:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import functools
 import warnings
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -34,6 +34,7 @@ from .elements import (
     ElementFamily, ElementSpace, ScalarSpace, SpaceMember, _as_family, build_div_space,
     build_space,
 )
+from .fields import commuting_battery
 from .poly import Polynomial2D
 from .quadrature import NONPOLY_POINTS, tensor_rule
 
@@ -119,6 +120,7 @@ def _reference_operator(family: ElementFamily, k: int, replace: bool) -> Interpo
 
 
 def unisolvence_report(family, k: int, replace_div_moments: bool = False) -> dict:
+    """The DOF matrix's condition; ok when it is nonsingular with condition <= COND_WARN."""
     space = build_space(family, k)
     report = {"family": space.family.value, "k": space.k}
     try:
@@ -128,7 +130,7 @@ def unisolvence_report(family, k: int, replace_div_moments: bool = False) -> dic
                       detail=str(exc))
         return report
     # construction succeeds only for a finite condition <= COND_FAIL
-    report.update(condition=op.condition, nonsingular=True, ok=True,
+    report.update(condition=op.condition, nonsingular=True, ok=op.condition <= COND_WARN,
                   warn=op.condition > COND_WARN)
     return report
 
@@ -199,6 +201,14 @@ def commuting_residual(family, k: int, field, replace_div_moments: bool = False)
     lhs = m.div_values(X, Y)
     rhs = _eval_legendre_sum(coeffs, X, Y)
     return float(np.max(np.abs(lhs - rhs)))
+
+
+def judge_commuting(family, k: int, replace_div_moments: bool = False) -> Tuple[float, bool]:
+    """The largest commuting residual over commuting_battery(), and whether
+    it is <= COMMUTING_TOL; np.max lets a NaN residual through, so it fails."""
+    worst = float(np.max([commuting_residual(family, k, f, replace_div_moments)
+                          for f in commuting_battery()]))
+    return worst, worst <= COMMUTING_TOL
 
 
 def _eval_legendre_sum(coeffs: dict, x, y):

@@ -152,6 +152,11 @@ class VectorPoly2D:
         self.u = u
         self.v = v
 
+    @property
+    def degree_bounds(self):
+        """((dx, dy) of u, (dx, dy) of v), which sizes exact DOF quadrature."""
+        return (self.u.dx, self.u.dy), (self.v.dx, self.v.dy)
+
     def uv(self, x, y):
         return self.u.eval(x, y), self.v.eval(x, y)
 

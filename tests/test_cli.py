@@ -1,6 +1,7 @@
 """Command-line interface: output contracts, exit codes, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hdivkit import cli
+from hdivkit import cli, interpolation
 from hdivkit.harness import StudyConfig
 
 CSV_HEADER = "level,hx,hy,err_field,err_div,rate_field,rate_div"
@@ -99,6 +100,41 @@ def test_check_debug_switch_leaves_rt_green(capsys):
         capsys, "check", "--family", "RT", "--kmax", "0", "--debug-disable-div-moments"
     )
     assert code == 0 and "all checks passed" in out
+
+
+def test_check_fails_a_nan_residual_on_a_later_field(capsys, monkeypatch):
+    # the worst residual decides: a NaN past the battery's first field fails too
+    real = interpolation.commuting_residual
+
+    def residual(family, k, fld, replace_div_moments=False):
+        return math.nan if fld.id == "B-3" else real(family, k, fld, replace_div_moments)
+
+    monkeypatch.setattr(interpolation, "commuting_residual", residual)
+    code, out, _ = run(capsys, "check", "--family", "RT", "--kmax", "0")
+    assert code == 1
+    assert "commuting RT_0: max_residual=nan FAIL" in out.splitlines()
+    assert out.endswith("FAILED: RT_0 commuting\n")
+
+
+def test_check_fails_a_condition_above_cond_warn(capsys, monkeypatch):
+    # unisolvence_report's ok is check's verdict: condition <= COND_WARN
+    interpolation.reference_operator("RT", 0)  # the cached operator stays the true one
+    real = interpolation.dof_matrix_ld
+
+    def scaled(dofs, space):
+        M = real(dofs, space).copy()
+        M[0] *= 1e10
+        return M
+
+    monkeypatch.setattr(interpolation, "dof_matrix_ld", scaled)
+    with pytest.warns(RuntimeWarning, match="DOF matrix condition"):
+        report = interpolation.unisolvence_report("RT", 0)
+        code, out, _ = run(capsys, "check", "--family", "RT", "--kmax", "0")
+    assert interpolation.COND_WARN < report["condition"] < interpolation.COND_FAIL
+    assert report["ok"] is False
+    assert code == 1
+    assert out.splitlines()[0] == f"unisolvence RT_0: condition={report['condition']:.3e} FAIL"
+    assert out.endswith("FAILED: RT_0 unisolvence\n")
 
 
 # ----------------------------------------------------------------- converge

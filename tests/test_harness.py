@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from hdivkit import harness, interpolation
 from hdivkit.elements import ElementFamily, ElementSpace, build_space, degree_range
 from hdivkit.fields import MS_G, MS_X, MS_Y, ReproductionField, get_field
 from hdivkit.harness import (
@@ -612,6 +613,30 @@ def test_theorem_suite_default_battery_all_pass():
     assert len(result["studies"]) == 48
     assert len(result["commuting"]) == 8
     assert max(c["residual"] for c in result["commuting"]) <= 1e-10
+
+
+def test_theorem_suite_fails_a_nan_commuting_residual(monkeypatch):
+    # the residual started at 0.0, and max(0.0, nan) read 0.0 and passed
+    real = interpolation.commuting_residual
+
+    def residual(family, k, fld, replace_div_moments=False):
+        return math.nan if fld.id == "B-3" else real(family, k, fld, replace_div_moments)
+
+    monkeypatch.setattr(interpolation, "commuting_residual", residual)
+    monkeypatch.setattr(harness, "default_suite_configs", lambda: [])  # commuting checks only
+    result = theorem_suite()
+    assert not result["ok"]
+    assert len(result["failures"]) == len(result["commuting"]) == 8
+    assert all(math.isnan(c["residual"]) for c in result["commuting"])
+    assert result["failures"][0] == "RT_0 commuting-diagram residual nan"
+
+
+def test_unknown_field_reads_the_same_from_every_entry_point():
+    message = "unknown field 'xyz' (choose from MS-G, MS-X, MS-Y, MS-P)"
+    for entry in (lambda: get_field("xyz"), lambda: StudyConfig(field="xyz")):
+        with pytest.raises(ValueError) as exc:
+            entry()
+        assert str(exc.value) == message
 
 
 def test_theorem_suite_reports_broken_commutation():

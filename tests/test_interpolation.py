@@ -10,10 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hdivkit import interpolation
 from hdivkit.dofs import apply_dof, build_dofs
 from hdivkit.elements import ElementFamily, build_div_space, build_space
 from hdivkit.fields import MS_G, CallableField, commuting_battery
 from hdivkit.interpolation import (
+    COND_FAIL,
+    COND_WARN,
     InterpolationOperator,
     L2Projector,
     OperatorConstructionError,
@@ -267,6 +270,24 @@ def test_commuting_battery(family, kmax):
         for field in commuting_battery():
             worst = max(worst, commuting_residual(family, k, field))
     assert worst <= 1e-10
+
+
+def test_unisolvence_report_not_ok_above_cond_warn(monkeypatch):
+    # a condition between COND_WARN and COND_FAIL builds an operator, with a
+    # warning, but the report is not ok
+    real = interpolation.dof_matrix_ld
+
+    def scaled(dofs, space):
+        M = real(dofs, space).copy()
+        M[0] *= 1e10
+        return M
+
+    monkeypatch.setattr(interpolation, "dof_matrix_ld", scaled)
+    with pytest.warns(RuntimeWarning, match="DOF matrix condition"):
+        report = unisolvence_report("RT", 0)
+    assert COND_WARN < report["condition"] < COND_FAIL
+    assert report["nonsingular"] and report["warn"]
+    assert report["ok"] is False
 
 
 def test_replaced_div_moments_break_commutation():

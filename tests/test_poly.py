@@ -123,6 +123,12 @@ def test_vector_field_eval_and_div_values():
     np.testing.assert_allclose(w.div_values(xs, ys), w.divergence().eval(xs, ys), rtol=1e-13, atol=1e-15)
 
 
+def test_vector_degree_bounds():
+    w = VectorPoly2D(Polynomial2D.monomial(3, 1), Polynomial2D.monomial(0, 2))
+    assert w.degree_bounds == ((3, 1), (0, 2))
+    assert curl_scalar(Polynomial2D.monomial(2, 2)).degree_bounds == ((2, 1), (1, 2))
+
+
 def test_vector_algebra():
     w1 = VectorPoly2D(Polynomial2D.monomial(1, 0), Polynomial2D.monomial(0, 1))
     w2 = VectorPoly2D(Polynomial2D.monomial(0, 0), Polynomial2D.monomial(0, 0))
