@@ -24,10 +24,10 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .dofs import build_dofs, dof_vector_ld
+from .dofs import build_dofs
 from .elements import (
-    FAMILIES, MAX_DEGREE, _as_family, _validate_degree, build_div_space, build_space,
-    check_choice, degree_range, span_check,
+    FAMILIES, MAX_DEGREE, ElementFamily, _as_family, _validate_degree, build_div_space,
+    build_space, check_choice, degree_range, span_check,
 )
 from .fields import FIELD_IDS, env_seed
 from .harness import MODES, StudyConfig, run_refinement_study
@@ -91,9 +91,9 @@ STUDY_FLAGS = {
 CONFIG_KEYS = tuple(STUDY_FLAGS)
 
 
-def _family_list(name: Optional[str]) -> List[str]:
-    # argparse choices restrict name to FAMILIES
-    return list(FAMILIES) if name is None else [name]
+def _family_list(family: Optional[ElementFamily]) -> List[str]:
+    # the --family flag type has already turned any case of a name into its family
+    return list(FAMILIES) if family is None else [family.value]
 
 
 def _check_kmax(args) -> None:
@@ -132,10 +132,9 @@ def _judge_projection(family: str, k: int, replace: bool):
     """The worst relative coefficient error of random members interpolated back."""
     op = reference_operator(family, k, replace)
     rng = np.random.default_rng(env_seed())  # each (family, k) seeds its own generator
-    members = [op.space.random_member(rng) for _ in range(PROJECTION_MEMBERS)]
-    # one stacked solve: each member still gets its own gesv
-    coeffs = op.solve(np.stack([dof_vector_ld(op.dofs, m) for m in members]))
-    exact = np.stack([m.coeffs for m in members])
+    exact = np.stack([op.space.random_member(rng).coeffs for _ in range(PROJECTION_MEMBERS)])
+    # the members as one stack: one DOF vector call, one stacked solve (a gesv per member)
+    coeffs = op.solve_coefficients(op.space.member(exact))
     worst = np.max(np.abs(coeffs - exact).max(axis=1) / np.abs(exact).max(axis=1))
     return worst, worst <= REPRO_TOL
 
@@ -346,14 +345,14 @@ def build_parser() -> argparse.ArgumentParser:
         "tabulate",
         help="print space dimension, DOF counts, and divergence space per family/degree",
     )
-    tab.add_argument("--family", choices=FAMILIES, default=None)
+    tab.add_argument("--family", default=None, **STUDY_FLAGS["family"])
     tab.add_argument("--kmax", type=int, default=MAX_DEGREE)
 
     chk = sub.add_parser(
         "check",
         help="run unisolvence, projection, commuting-diagram, and div-span suites",
     )
-    chk.add_argument("--family", choices=FAMILIES, default=None)
+    chk.add_argument("--family", default=None, **STUDY_FLAGS["family"])
     chk.add_argument("--kmax", type=int, default=MAX_DEGREE)
     chk.add_argument(
         "--debug-disable-div-moments",

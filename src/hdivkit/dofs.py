@@ -25,6 +25,10 @@ w t^a for divergence tests) and applies them by contraction.  A DOF
 vector therefore costs one field evaluation at all points (4n + n^2, or
 4n when the set has no interior moments), plus one divergence
 evaluation on the n^2 grid points when the set has divergence moments.
+Values with leading axes (a study's hx, hy columns, a SpaceMember's
+(m, dim) coefficient stack, a FieldStack) give one DOF vector per row
+from that one evaluation, each bit for bit the one its row gets alone
+when the rule is the same (a stack's degree_bounds cover all rows).
 The rule size n is
 
     NONPOLY_POINTS (20)            fields without degree_bounds

@@ -149,13 +149,19 @@ class SpaceMember(VectorPoly2D):
     and divergence() are lazy views for exact algebra, built on first
     access and cached; degree-6 grids lose digits to cancellation and
     must not feed quadrature.
+
+    coeffs may also be an (m, dim) stack, one member per row, as a
+    study's fields carry hx, hy columns: the basis is tabulated once,
+    uv/div_values return one row per member and degree_bounds covers
+    every row.  A stack has no monomial views; require_single guards
+    the code that takes one member.
     """
 
     __slots__ = ("space", "coeffs", "_grids", "_div")
 
     def __init__(self, space: "ElementSpace", coeffs):
         coeffs = np.array(coeffs, dtype=float)
-        if coeffs.shape != (space.dim,):
+        if coeffs.ndim not in (1, 2) or coeffs.shape[-1] != space.dim or not len(coeffs):
             raise ValueError(f"expected {space.dim} coefficients, got {coeffs.shape}")
         coeffs.setflags(write=False)
         self.space = space
@@ -166,11 +172,13 @@ class SpaceMember(VectorPoly2D):
     @property
     def degree_bounds(self) -> Tuple[Tuple[int, int], Tuple[int, int]]:
         """((dx, dy) of u, (dx, dy) of v), from the labels of the nonzero coefficients."""
-        d = self.space._label_degrees[self.coeffs != 0.0].max(axis=0, initial=0)
+        live = (self.coeffs != 0.0).reshape(-1, self.space.dim).any(axis=0)
+        d = self.space._label_degrees[live].max(axis=0, initial=0)
         return (int(d[0]), int(d[1])), (int(d[2]), int(d[3]))
 
     def _views(self) -> Tuple[Polynomial2D, Polynomial2D]:
         if self._grids is None:
+            require_single(self, "a monomial view")
             grids = tuple(np.zeros((dx + 1, dy + 1)) for dx, dy in self.degree_bounds)
             # in label order, one scaled grid per nonzero coefficient
             for b in np.flatnonzero(self.coeffs):
@@ -193,12 +201,26 @@ class SpaceMember(VectorPoly2D):
             self._div = super().divergence()
         return self._div
 
+    def _contract(self, table):
+        # a stack contracts row by row: one gemv per member, never one gemm,
+        # so each row keeps the bits of the lone member
+        if self.coeffs.ndim == 1:
+            return np.tensordot(self.coeffs, table, axes=1)
+        return np.stack([np.tensordot(c, table, axes=1) for c in self.coeffs])
+
     def uv(self, x, y):
         U, V = self.space.tabulate(x, y)
-        return np.tensordot(self.coeffs, U, axes=1), np.tensordot(self.coeffs, V, axes=1)
+        return self._contract(U), self._contract(V)
 
     def div_values(self, x, y):
-        return np.tensordot(self.coeffs, self.space.tabulate_div(x, y), axes=1)
+        return self._contract(self.space.tabulate_div(x, y))
+
+
+def require_single(member: SpaceMember, use: str) -> SpaceMember:
+    """member, or a ValueError when it holds a coefficient stack, which use cannot take."""
+    if member.coeffs.ndim != 1:
+        raise ValueError(f"{use} takes one member, not a stack of {len(member.coeffs)}")
+    return member
 
 
 _ZERO_GRID = Polynomial2D.zero().coeffs
@@ -270,6 +292,7 @@ class ElementSpace:
         return rows
 
     def member(self, coeffs) -> SpaceMember:
+        """The member with these coefficients; an (m, dim) stack gives m members in one."""
         return SpaceMember(self, coeffs)
 
     def random_member(self, rng: np.random.Generator) -> SpaceMember:

@@ -24,7 +24,7 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from .elements import SpaceMember, build_space, check_choice
+from .elements import SpaceMember, build_space, check_choice, require_single
 
 HALF_PI = np.pi / 2.0
 MAX_PARTIAL_ORDER = 6
@@ -183,7 +183,7 @@ class ReproductionField:
     id = "MS-P"
 
     def __init__(self, member: SpaceMember):
-        self.member = member
+        self.member = require_single(member, "ReproductionField")
         space = member.space
         live = member.coeffs != 0.0
         self._reach = space._label_degrees[live]  # (dx, dy) of u, then of v
@@ -211,6 +211,28 @@ def make_reproduction_field(family, k: int, seed: Optional[int] = None) -> Repro
     space = build_space(family, k)
     rng = np.random.default_rng(env_seed() if seed is None else seed)
     return ReproductionField(space.random_member(rng))
+
+
+class FieldStack:
+    """Several fields as one: uv and div_values return one row per field,
+    each the values of that field's own call, so one DOF-vector call and
+    one stacked solve interpolate them all with every field's own bits."""
+
+    def __init__(self, fields):
+        self.fields = tuple(fields)
+
+    def uv(self, x, y):
+        U, V = zip(*(f.uv(x, y) for f in self.fields))
+        return _rows(U, x, y), _rows(V, x, y)
+
+    def div_values(self, x, y):
+        return _rows([f.div_values(x, y) for f in self.fields], x, y)
+
+
+def _rows(values, x, y):
+    """One row per field's values, each broadcast to the points' shape."""
+    shape = np.broadcast(x, y).shape
+    return np.stack([np.broadcast_to(v, shape) for v in values])
 
 
 class CallableField:

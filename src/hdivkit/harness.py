@@ -42,6 +42,7 @@ import numpy as np
 
 from .elements import (
     ElementFamily, SpaceMember, _as_family, _validate_degree, check_choice, degree_range,
+    require_single,
 )
 from .fields import FIELD_IDS, ReproductionField, get_field
 from .interpolation import REPRO_TOL, judge_commuting, reference_operator
@@ -124,7 +125,7 @@ def piola_pullback(rect: PhysicalRect, fld):
 
 
 def piola_push(rect: PhysicalRect, member: SpaceMember) -> PhysicalMemberField:
-    return PhysicalMemberField(member, rect)
+    return PhysicalMemberField(require_single(member, "piola_push"), rect)
 
 
 def interpolate_on_rect(family, k: int, rect: PhysicalRect, fld) -> PhysicalMemberField:

@@ -8,10 +8,12 @@ residual-correction sweeps.  The coefficient error then tracks the
 extended epsilon rather than the double one, which is what keeps space
 members reproducible to 1e-12 through condition numbers around 1e6.
 `condition` is the exact 1-norm condition number of M, not an estimate.
-`solve` takes DOF vectors with leading axes (a study's levels) as a
-stack of single columns: numpy runs one nrhs = 1 gesv per vector, which
-keeps the bits of a lone solve; one gesv with many right-hand sides
-moved ABF_4 coefficients by 1e-14.
+`solve` takes DOF vectors with leading axes (a study's levels, the rows
+of a member stack or a FieldStack) as a stack of single columns: numpy
+runs one nrhs = 1 gesv per vector, which keeps the bits of a lone solve;
+one gesv with many right-hand sides moved ABF_4 coefficients by 1e-14.
+So `interpolate` of a stacked field is a stacked member, one row per
+field.
 
 The projector works in an orthogonal Legendre-product basis of the same
 span as the declared monomial basis (all divergence index sets are
@@ -34,7 +36,7 @@ from .elements import (
     ElementFamily, ElementSpace, ScalarSpace, SpaceMember, _as_family, build_div_space,
     build_space,
 )
-from .fields import commuting_battery
+from .fields import FieldStack, commuting_battery
 from .poly import Polynomial2D
 from .quadrature import NONPOLY_POINTS, tensor_rule
 
@@ -186,28 +188,38 @@ def _reference_projector(family: ElementFamily, k: int) -> L2Projector:
 SAMPLE_GRID = 21
 
 
-def commuting_residual(family, k: int, field, replace_div_moments: bool = False) -> float:
-    """max over a 21 x 21 grid of |div(I field) - P(div field)|.
+def commuting_residuals(family, k: int, fields, replace_div_moments: bool = False) -> np.ndarray:
+    """Per field, max over a 21 x 21 grid of |div(I field) - P(div field)|.
 
-    Both sides are sampled through the Legendre recurrence; expanding
-    either to a monomial grid first would cost two digits at k >= 3.
+    The fields are interpolated as one FieldStack: one DOF-vector call,
+    one stacked solve and one tabulation of the basis divergences on the
+    grid.  The stacked member contracts each field's coefficients with
+    that table by their own tensordot (one product over all rows would
+    be a gemm, whose sums may round apart from a lone field's gemv), so
+    every residual keeps the bits of a lone field.  Both sides are
+    sampled through the Legendre recurrence; expanding either to a
+    monomial grid first would cost two digits at k >= 3.
     """
+    fields = tuple(fields)
     op = reference_operator(family, k, replace_div_moments)
     proj = reference_projector(family, k)
-    m = op.interpolate(field)
-    coeffs = proj.coeffs_internal(field.div_values)
     s = np.linspace(0.0, 1.0, SAMPLE_GRID)
     X, Y = np.meshgrid(s, s, indexing="ij")
-    lhs = m.div_values(X, Y)
-    rhs = _eval_legendre_sum(coeffs, X, Y)
-    return float(np.max(np.abs(lhs - rhs)))
+    lhs = op.interpolate(FieldStack(fields)).div_values(X, Y)
+    rhs = [_eval_legendre_sum(proj.coeffs_internal(f.div_values), X, Y) for f in fields]
+    return np.array([np.max(np.abs(a - b)) for a, b in zip(lhs, rhs)])
+
+
+def commuting_residual(family, k: int, field, replace_div_moments: bool = False) -> float:
+    """commuting_residuals of the one field."""
+    return float(commuting_residuals(family, k, [field], replace_div_moments)[0])
 
 
 def judge_commuting(family, k: int, replace_div_moments: bool = False) -> Tuple[float, bool]:
     """The largest commuting residual over commuting_battery(), and whether
     it is <= COMMUTING_TOL; np.max lets a NaN residual through, so it fails."""
-    worst = float(np.max([commuting_residual(family, k, f, replace_div_moments)
-                          for f in commuting_battery()]))
+    worst = float(np.max(commuting_residuals(family, k, commuting_battery(),
+                                             replace_div_moments)))
     return worst, worst <= COMMUTING_TOL
 
 

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -104,12 +105,13 @@ def test_check_debug_switch_leaves_rt_green(capsys):
 
 def test_check_fails_a_nan_residual_on_a_later_field(capsys, monkeypatch):
     # the worst residual decides: a NaN past the battery's first field fails too
-    real = interpolation.commuting_residual
+    real = interpolation.commuting_residuals
 
-    def residual(family, k, fld, replace_div_moments=False):
-        return math.nan if fld.id == "B-3" else real(family, k, fld, replace_div_moments)
+    def residuals(family, k, fields, replace_div_moments=False):
+        out = real(family, k, fields, replace_div_moments)
+        return np.where([fld.id == "B-3" for fld in fields], math.nan, out)
 
-    monkeypatch.setattr(interpolation, "commuting_residual", residual)
+    monkeypatch.setattr(interpolation, "commuting_residuals", residuals)
     code, out, _ = run(capsys, "check", "--family", "RT", "--kmax", "0")
     assert code == 1
     assert "commuting RT_0: max_residual=nan FAIL" in out.splitlines()
@@ -342,6 +344,25 @@ def test_unknown_family_flag_lists_the_choices(capsys, name):
     assert exc.value.code == 2
     assert capsys.readouterr().err.splitlines()[-1] == (
         f"hdivkit converge: error: argument --family: unknown family '{name}' "
+        "(choose from RT, BDM, ABF)")
+
+
+@pytest.mark.parametrize("argv", [("check", "--kmax", "0"), ("tabulate",)])
+@pytest.mark.parametrize("name", ["abf", "Abf"])
+def test_check_and_tabulate_take_a_family_in_any_case(capsys, argv, name):
+    # converge took --family abf while check and tabulate refused it with argparse's wording
+    code, out, err = run(capsys, *argv, "--family", name)
+    assert (code, err) == (0, "")
+    assert (code, out, err) == run(capsys, *argv, "--family", "ABF")
+
+
+@pytest.mark.parametrize("command", ["check", "tabulate"])
+def test_check_and_tabulate_word_an_unknown_family_as_converge_does(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--family", "xyz"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"hdivkit {command}: error: argument --family: unknown family 'xyz' "
         "(choose from RT, BDM, ABF)")
 
 

@@ -617,12 +617,13 @@ def test_theorem_suite_default_battery_all_pass():
 
 def test_theorem_suite_fails_a_nan_commuting_residual(monkeypatch):
     # the residual started at 0.0, and max(0.0, nan) read 0.0 and passed
-    real = interpolation.commuting_residual
+    real = interpolation.commuting_residuals
 
-    def residual(family, k, fld, replace_div_moments=False):
-        return math.nan if fld.id == "B-3" else real(family, k, fld, replace_div_moments)
+    def residuals(family, k, fields, replace_div_moments=False):
+        out = real(family, k, fields, replace_div_moments)
+        return np.where([fld.id == "B-3" for fld in fields], math.nan, out)
 
-    monkeypatch.setattr(interpolation, "commuting_residual", residual)
+    monkeypatch.setattr(interpolation, "commuting_residuals", residuals)
     monkeypatch.setattr(harness, "default_suite_configs", lambda: [])  # commuting checks only
     result = theorem_suite()
     assert not result["ok"]
