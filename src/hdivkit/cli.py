@@ -189,7 +189,7 @@ def _add_study_flags(parser: argparse.ArgumentParser) -> None:
 def _read_config_file(path: str) -> Dict[str, object]:
     """The file's key=value lines, typed and checked by the study flags."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file: {exc}")
@@ -291,14 +291,13 @@ def _atomic_write(path: str, text: str) -> None:
 
 def _verdict_lines(table) -> List[str]:
     out = []
-    for which, fitted, predicted, verdict in (
-        ("field", table.fitted_rate_field, table.predicted_rate_field, table.verdict_field),
-        ("div", table.fitted_rate_div, table.predicted_rate_div, table.verdict_div),
+    for which, fitted, predicted in (
+        ("field", table.fitted_rate_field, table.predicted_rate_field),
+        ("div", table.fitted_rate_div, table.predicted_rate_div),
     ):
-        flags = table.flags.get(which, {})
-        note = "".join(f" ({name})" for name in sorted(flags) if flags[name])
         shown = "n/a" if fitted is None else "%.4f" % fitted
-        out.append(f"{which}: fitted={shown} predicted={predicted:g} verdict={verdict}{note}")
+        out.append(f"{which}: fitted={shown} predicted={predicted:g} "
+                   f"verdict={table.verdict_text(which)}")
     return out
 
 

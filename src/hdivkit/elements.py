@@ -17,10 +17,11 @@ bases are numerically singular.  family_sets(family, k) holds the table
 above as (i, j) index sets (labels per component, divergence image,
 moment tests); a space holds its basis as that index data plus BDM's two
 exact curl members and evaluates it by the Legendre recurrence; a member
-is its coefficient vector, with monomial grids only as lazy views.
-Because the Legendre products are orthogonal and differentiate with
-integer coefficients, the Gram matrix has a closed form and the div-span
-certificate runs in exact arithmetic, with no monomial grids at all.
+is its space and its coefficient vector, evaluated only through the
+space's tables, and has no monomial grids.  Because the Legendre
+products are orthogonal and differentiate with integer coefficients, the
+Gram matrix has a closed form and the div-span certificate runs in exact
+arithmetic, with no monomial grids at all.
 """
 
 from __future__ import annotations
@@ -143,21 +144,20 @@ def space_dimension(family: ElementFamily, k: int) -> int:
 class SpaceMember(VectorPoly2D):
     """A concrete field in an element space: its basis-coefficient vector.
 
-    uv/div_values contract the coefficients with ElementSpace.tabulate
-    (the Legendre recurrence, which DOF assembly uses too), so members
-    evaluate to full precision at high degree.  The monomial grids u, v
-    and divergence() are lazy views for exact algebra, built on first
-    access and cached; degree-6 grids lose digits to cancellation and
-    must not feed quadrature.
+    uv/div_values contract the coefficients with the space's tables
+    (tabulate, tabulate_div: the Legendre recurrence, as DOF assembly
+    uses), so members evaluate to full precision at high degree.  A
+    member has no monomial grids (u, v and divergence() raise
+    AttributeError); its VectorPoly2D base only marks it as a polynomial
+    field for the benchmark's tracer.
 
     coeffs may also be an (m, dim) stack, one member per row, as a
     study's fields carry hx, hy columns: the basis is tabulated once,
     uv/div_values return one row per member and degree_bounds covers
-    every row.  A stack has no monomial views; require_single guards
-    the code that takes one member.
+    every row; require_single guards the code that takes one member.
     """
 
-    __slots__ = ("space", "coeffs", "_grids", "_div")
+    __slots__ = ("space", "coeffs")
 
     def __init__(self, space: "ElementSpace", coeffs):
         coeffs = np.array(coeffs, dtype=float)
@@ -166,8 +166,6 @@ class SpaceMember(VectorPoly2D):
         coeffs.setflags(write=False)
         self.space = space
         self.coeffs = coeffs
-        self._grids = None
-        self._div = None
 
     @property
     def degree_bounds(self) -> Tuple[Tuple[int, int], Tuple[int, int]]:
@@ -175,31 +173,6 @@ class SpaceMember(VectorPoly2D):
         live = (self.coeffs != 0.0).reshape(-1, self.space.dim).any(axis=0)
         d = self.space._label_degrees[live].max(axis=0, initial=0)
         return (int(d[0]), int(d[1])), (int(d[2]), int(d[3]))
-
-    def _views(self) -> Tuple[Polynomial2D, Polynomial2D]:
-        if self._grids is None:
-            require_single(self, "a monomial view")
-            grids = tuple(np.zeros((dx + 1, dy + 1)) for dx, dy in self.degree_bounds)
-            # in label order, one scaled grid per nonzero coefficient
-            for b in np.flatnonzero(self.coeffs):
-                c = float(self.coeffs[b])
-                for g, part in zip(grids, self.space._monomial_grids(b)):
-                    g[: part.shape[0], : part.shape[1]] += part * c
-            self._grids = (Polynomial2D(grids[0]), Polynomial2D(grids[1]))
-        return self._grids
-
-    @property
-    def u(self) -> Polynomial2D:
-        return self._views()[0]
-
-    @property
-    def v(self) -> Polynomial2D:
-        return self._views()[1]
-
-    def divergence(self) -> Polynomial2D:
-        if self._div is None:
-            self._div = super().divergence()
-        return self._div
 
     def _contract(self, table):
         # a stack contracts row by row: one gemv per member, never one gemm,
@@ -215,15 +188,15 @@ class SpaceMember(VectorPoly2D):
     def div_values(self, x, y):
         return self._contract(self.space.tabulate_div(x, y))
 
+    def __repr__(self):
+        return f"SpaceMember({self.space!r}, coeffs={self.coeffs!r})"
+
 
 def require_single(member: SpaceMember, use: str) -> SpaceMember:
     """member, or a ValueError when it holds a coefficient stack, which use cannot take."""
     if member.coeffs.ndim != 1:
         raise ValueError(f"{use} takes one member, not a stack of {len(member.coeffs)}")
     return member
-
-
-_ZERO_GRID = Polynomial2D.zero().coeffs
 
 
 class ElementSpace:
@@ -257,14 +230,6 @@ class ElementSpace:
     @functools.cached_property
     def basis(self) -> List[SpaceMember]:
         return [SpaceMember(self, e) for e in np.eye(self.dim)]
-
-    def _monomial_grids(self, b: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Monomial coefficient grids (u, v) of basis member b."""
-        if b >= len(self._i):
-            w = self._curl[b - len(self._i)]
-            return w.u.coeffs, w.v.coeffs
-        g = np.outer(legendre.coeffs(self._i[b]), legendre.coeffs(self._j[b]))
-        return (g, _ZERO_GRID) if b < self._nx else (_ZERO_GRID, g)
 
     def tabulate(self, x, y):
         """Basis values (U, V), each of shape (dim,) + broadcast shape of x, y."""

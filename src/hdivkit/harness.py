@@ -112,8 +112,8 @@ def piola_pullback(rect: PhysicalRect, fld):
 
     Push-forward images of reference members round-trip exactly;
     polynomial fields map by coefficient scaling; anything else becomes
-    a sampling adapter.  A bare space member is sampled too: its
-    monomial grids lose digits at high degree.
+    a sampling adapter.  A bare space member is sampled too: it has no
+    monomial grids to scale.
     """
     if isinstance(fld, PhysicalMemberField) and fld.rect == rect:
         return fld.member
@@ -319,6 +319,12 @@ class ConvergenceTable:
     def ok(self) -> bool:
         return self.verdict_field == "pass" and self.verdict_div == "pass"
 
+    def verdict_text(self, which: str) -> str:
+        """which's verdict and its sorted reasons: 'inconclusive (non_monotone)'."""
+        flags = self.flags.get(which, {})
+        verdict = self.verdict_field if which == "field" else self.verdict_div
+        return verdict + "".join(f" ({name})" for name in sorted(flags) if flags[name])
+
     def level_rates(self, which: str) -> List[Optional[float]]:
         errs = [r.err_field_Lp if which == "field" else r.err_div_Lp for r in self.records]
         rates: List[Optional[float]] = [None]
@@ -484,12 +490,11 @@ def theorem_suite(configs: Optional[List[StudyConfig]] = None,
     for cfg in configs:
         table = run_refinement_study(cfg)
         studies.append(table)
+        mode = f"fixed_aspect({cfg.rho:g})" if cfg.mode == "fixed_aspect" else cfg.mode
         for which, verdict in (("field", table.verdict_field), ("div", table.verdict_div)):
             if verdict != "pass":
-                failures.append(
-                    f"{cfg.family.value}_{cfg.k} {cfg.mode} {cfg.field} p={cfg.p:g} "
-                    f"{which}: {verdict}"
-                )
+                failures.append(f"{cfg.family.value}_{cfg.k} {mode} {cfg.field} p={cfg.p:g} "
+                                f"{which}: {table.verdict_text(which)}")
     commuting = []
     if run_commuting:
         for family in ElementFamily:

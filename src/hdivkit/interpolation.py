@@ -144,18 +144,21 @@ class L2Projector:
         self.scalar_space = scalar_space
         self._index = scalar_space.exponents
 
+    @functools.cached_property
+    def _rule_tables(self) -> tuple:
+        """The fixed rule's long-double points, weights and Legendre values."""
+        rule = tensor_rule(NONPOLY_POINTS, NONPOLY_POINTS)
+        nmax = max(max(i, j) for i, j in self._index)
+        return (rule.xs_ld, rule.ys_ld, rule.ws_ld,
+                legendre.values(nmax, rule.xs_ld), legendre.values(nmax, rule.ys_ld))
+
     def coeffs_internal(self, w) -> dict:
         """Legendre-product coefficients of the projection, keyed (i, j)."""
         if isinstance(w, Polynomial2D):
             exact = legendre.grid_to_basis_exact(w.coeffs)
             return {ij: float(c) for ij, c in exact.items() if ij in self.scalar_space._expset}
-        n = NONPOLY_POINTS
-        rule = tensor_rule(n, n)
-        xs, ys, ws = rule.xs_ld, rule.ys_ld, rule.ws_ld
+        xs, ys, ws, Lx, Ly = self._rule_tables
         vals = np.asarray(w(xs, ys), dtype=np.longdouble)
-        nmax = max(max(i, j) for i, j in self._index)
-        Lx = legendre.values(nmax, xs)
-        Ly = legendre.values(nmax, ys)
         out = {}
         for i, j in self._index:
             c = np.sum(ws * vals * Lx[i] * Ly[j]) * ((2 * i + 1) * (2 * j + 1))

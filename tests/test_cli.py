@@ -259,6 +259,18 @@ def test_converge_config_file(tmp_path, capsys):
     assert out.splitlines()[0] == CSV_HEADER
 
 
+def test_converge_config_with_byte_order_mark(tmp_path, capsys):
+    # a UTF-8 byte-order mark is not part of the first key
+    text = "family = RT\nk = 0\nfield = MS-X\nmode = shrink_x\nlevels = 4\n"
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    expected = run(capsys, "converge", "--config", str(plain))
+    assert expected[0] == 0
+    assert run(capsys, "converge", "--config", str(marked)) == expected
+
+
 def test_converge_config_fixed_aspect(tmp_path, capsys):
     cfg = tmp_path / "aspect.cfg"
     cfg.write_text("mode = fixed_aspect(16)\nfield = MS-G\nlevels = 4\n")

@@ -600,6 +600,14 @@ def test_theorem_suite_explicit_configs():
     assert isinstance(result["studies"][0], ConvergenceTable)
 
 
+def test_theorem_suite_names_a_failure_as_converge_prints_it():
+    # the verdict carries its reason, and the mode its aspect ratio
+    cfg = StudyConfig("RT", 0, field="MS-G", mode="fixed_aspect", rho=64.0)
+    result = theorem_suite([cfg])
+    assert result["failures"] == ["RT_0 fixed_aspect(64) MS-G p=2 div: inconclusive (non_monotone)"]
+    assert result["studies"][0].verdict_text("div") == "inconclusive (non_monotone)"
+
+
 def test_theorem_suite_empty_battery():
     result = theorem_suite([])
     assert result["ok"]

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hdivkit import interpolation
+from hdivkit import interpolation, legendre
 from hdivkit.dofs import apply_dof, build_dofs
 from hdivkit.elements import ElementFamily, build_div_space, build_space
 from hdivkit.fields import MS_G, CallableField, commuting_battery
@@ -28,6 +28,7 @@ from hdivkit.interpolation import (
 )
 from hdivkit.poly import Polynomial2D, VectorPoly2D, curl_scalar
 from hdivkit.quadrature import tensor_rule
+from monomial_oracle import reference_field
 
 ALL_SPACES = [("RT", k) for k in range(5)] + [("BDM", k) for k in range(1, 5)] + [
     ("ABF", k) for k in range(5)
@@ -195,6 +196,17 @@ def test_projector_pinned_constant():
     assert proj.coeffs_internal(Polynomial2D.monomial(1, 0, 2.0)) == {(0, 0): 1.0}
 
 
+def test_projector_tabulates_its_rule_once(monkeypatch):
+    # the fixed rule's Legendre tables are built on the first projection only
+    proj = L2Projector(build_div_space("ABF", 2))
+    first = proj.coeffs_internal(MS_G.div_values)
+    calls = []
+    values = legendre.values
+    monkeypatch.setattr(legendre, "values", lambda *a: calls.append(a) or values(*a))
+    assert proj.coeffs_internal(MS_G.div_values) == first
+    assert calls == []
+
+
 @pytest.mark.parametrize("family,k", [("RT", 1), ("BDM", 2), ("ABF", 1)])
 def test_projector_against_normal_equations(family, k):
     # monomial-basis normal equations solved independently
@@ -310,8 +322,7 @@ def test_interpolant_divergence_stays_in_image(family, k):
     # projecting div(I u) onto the declared scalar space changes nothing
     op = reference_operator(family, k)
     proj = reference_projector(family, k)
-    m = op.interpolate(MS_G)
-    d = m.divergence()
+    d = reference_field(op.interpolate(MS_G)).divergence()
     p = proj.project(d)
     xs = np.linspace(0.0, 1.0, 11)
     X, Y = np.meshgrid(xs, xs, indexing="ij")

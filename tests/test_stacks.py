@@ -106,9 +106,13 @@ def _stack(rows=3):
 
 @pytest.mark.parametrize("view", [lambda m: m.u, lambda m: m.v, lambda m: m.divergence()],
                          ids=["u", "v", "divergence"])
-def test_a_stack_has_no_monomial_view(view):
-    with pytest.raises(ValueError, match="a monomial view takes one member, not a stack of 3"):
-        view(_stack())
+def test_a_member_has_no_monomial_view(view):
+    # single or stacked, a member is its space and its coefficients
+    single = build_space("RT", 1).random_member(np.random.default_rng(0))
+    for member in (single, _stack()):
+        with pytest.raises(AttributeError):
+            view(member)
+        assert repr(member).startswith("SpaceMember(ElementSpace(RT, k=1, dim=12), coeffs=")
 
 
 def test_reproduction_field_rejects_a_stack():
