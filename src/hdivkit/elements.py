@@ -147,9 +147,9 @@ class SpaceMember(VectorPoly2D):
     uv/div_values contract the coefficients with the space's tables
     (tabulate, tabulate_div: the Legendre recurrence, as DOF assembly
     uses), so members evaluate to full precision at high degree.  A
-    member has no monomial grids (u, v and divergence() raise
-    AttributeError); its VectorPoly2D base only marks it as a polynomial
-    field for the benchmark's tracer.
+    member has no monomial grids (u, v, divergence() and +, -, * raise);
+    its VectorPoly2D base only marks it as a polynomial field for the
+    benchmark's tracer.
 
     coeffs may also be an (m, dim) stack, one member per row, as a
     study's fields carry hx, hy columns: the basis is tabulated once,
@@ -174,22 +174,36 @@ class SpaceMember(VectorPoly2D):
         d = self.space._label_degrees[live].max(axis=0, initial=0)
         return (int(d[0]), int(d[1])), (int(d[2]), int(d[3]))
 
-    def _contract(self, table):
-        # a stack contracts row by row: one gemv per member, never one gemm,
-        # so each row keeps the bits of the lone member
-        if self.coeffs.ndim == 1:
-            return np.tensordot(self.coeffs, table, axes=1)
-        return np.stack([np.tensordot(c, table, axes=1) for c in self.coeffs])
-
     def uv(self, x, y):
         U, V = self.space.tabulate(x, y)
-        return self._contract(U), self._contract(V)
+        return contract(self.coeffs, U), contract(self.coeffs, V)
 
     def div_values(self, x, y):
-        return self._contract(self.space.tabulate_div(x, y))
+        return contract(self.coeffs, self.space.tabulate_div(x, y))
+
+    def divergence(self):
+        raise AttributeError("a SpaceMember has no divergence(); sample div_values(x, y)")
+
+    def __add__(self, other, symbol="+", hint="a.coeffs + b.coeffs"):
+        raise TypeError(f"a SpaceMember does not support '{symbol}' (it has no monomial "
+                        f"grids); combine coefficients: space.member({hint})")
+
+    __sub__ = functools.partialmethod(__add__, symbol="-", hint="a.coeffs - b.coeffs")
+    __mul__ = __rmul__ = functools.partialmethod(__add__, symbol="*", hint="s * a.coeffs")
 
     def __repr__(self):
         return f"SpaceMember({self.space!r}, coeffs={self.coeffs!r})"
+
+
+def contract(coeffs, table) -> np.ndarray:
+    """Coefficients (dim,) or (m, dim) against a basis table (dim, ...): one np.dot
+    of a (1, dim) row per row, the gemv np.tensordot makes; one gemm over a
+    stack may round a row apart from the lone member's."""
+    flat = table.reshape(len(table), -1)
+    out = np.empty(coeffs.shape[:-1] + flat.shape[1:], np.result_type(coeffs, flat))
+    for i in np.ndindex(coeffs.shape[:-1]):
+        np.dot(coeffs[i].reshape(1, -1), flat, out=out[i].reshape(1, -1))
+    return out.reshape(coeffs.shape[:-1] + table.shape[1:])
 
 
 def require_single(member: SpaceMember, use: str) -> SpaceMember:

@@ -19,13 +19,13 @@ A study runs its levels as one batch.  The field is pulled back to every
 rectangle at once (hx, hy as columns), so one DOF vector call evaluates
 it at levels x plan points and one stacked solve gives every level's
 coefficients; an MS-P member is its own pull-back, so it is solved once.
-Errors are integrated on one 20 x 20 Gauss rule: the basis (U, V, div)
-is tabulated there once, the field sampled once on every level's mapped
-rule.  A level's interpolant is its coefficients contracted with the
-table (one tensordot per level; one product over all levels moves last
-bits), times the Piola factors.  A reproduced member goes through the
-same table, so both sides of its error meet at the same points even
-where (h x) / h misses x by an ulp.
+Errors are integrated on one 20 x 20 Gauss rule, where the operator
+keeps its basis table (rule_tables) and the field is sampled once per
+level.  Interpolants are coefficients contracted with that table (one
+gemv per level; one gemm over all levels moves last bits), times the
+Piola factors; a reproduced member goes through the same table, so both
+sides of its error meet at the same points even where (h x) / h misses
+x by an ulp.  The norm and both errors are one error_Lp call each.
 
 Verdicts are one-sided: a fitted rate a whole tolerance above the
 prediction is flagged superconvergent but passes, since the theorems
@@ -41,8 +41,8 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .elements import (
-    ElementFamily, SpaceMember, _as_family, _validate_degree, check_choice, degree_range,
-    require_single,
+    ElementFamily, SpaceMember, _as_family, _validate_degree, check_choice, contract,
+    degree_range, require_single,
 )
 from .fields import FIELD_IDS, ReproductionField, get_field
 from .interpolation import REPRO_TOL, judge_commuting, reference_operator
@@ -58,15 +58,16 @@ MODES = tuple(_SCALES)
 
 @dataclass(frozen=True)
 class PhysicalRect:
-    """Axis-parallel element [0, hx] x [0, hy]."""
+    """Axis-parallel element [0, hx] x [0, hy]; (n, 1) columns hx, hy stack n of them."""
 
     hx: float
     hy: float
 
     def __post_init__(self):
-        if not (self.hx > 0 and self.hy > 0):
-            raise ValueError("rectangle dimensions must be positive")
-        if self.hx < MIN_H or self.hy < MIN_H:
+        sides = np.array((self.hx, self.hy), dtype=float)
+        if not (sides.min() > 0 and sides.max() < math.inf):  # nan too
+            raise ValueError("rectangle dimensions must be positive and finite")
+        if sides.min() < MIN_H:
             raise ValueError(f"dimensions below {MIN_H:g} are rejected")
 
 
@@ -137,9 +138,9 @@ def interpolate_on_rect(family, k: int, rect: PhysicalRect, fld) -> PhysicalMemb
 class _Values:
     """A field known only by its values (U, V, div), whatever the points.
 
-    Constants hold anywhere.  Arrays are one sample on the error rule of
-    one rectangle, which error_Lp reads there and nowhere else, so one
-    sample serves a level's norm and both of its errors.
+    Constants hold anywhere.  Arrays are one sample on the mapped error
+    rule of a rectangle or a stack, which error_Lp reads there and
+    nowhere else, so one sample serves the norm and both errors.
     """
 
     def __init__(self, U, V, D):
@@ -155,14 +156,6 @@ class _Values:
 ZERO_FIELD = _Values(0.0, 0.0, 0.0)
 
 
-def _push_on_rule(tables, coeffs, rect: PhysicalRect) -> _Values:
-    """A member's push-forward on rect's mapped error rule: its coefficients
-    contracted with the tables as in SpaceMember.uv, then the Piola factors
-    of PhysicalMemberField; no point is mapped back to the reference square."""
-    U, V, D = (np.tensordot(coeffs, t, axes=1) for t in tables)
-    return _Values(U / rect.hy, V / rect.hx, D / (rect.hx * rect.hy))
-
-
 def _mapped_rule(hx, hy):
     """The fixed 20 x 20 Gauss rule mapped to [0, hx] x [0, hy]: xs, ys, ws;
     columns hx, hy map it to one rectangle per row."""
@@ -170,8 +163,8 @@ def _mapped_rule(hx, hy):
     return hx * rule.xs, hy * rule.ys, (hx * hy) * rule.ws
 
 
-def error_Lp(fld, interpolant, rect: PhysicalRect, p: float, which: str) -> float:
-    """(integral over the rectangle of |fld - interpolant|^p)^(1/p).
+def error_Lp(fld, interpolant, rect: PhysicalRect, p: float, which: str):
+    """(integral over the rectangle of |fld - interpolant|^p)^(1/p); one per row of a stack.
 
     which='field' uses the Euclidean magnitude of the vector difference,
     which='div' the absolute divergence difference, on _mapped_rule(rect.hx, rect.hy).
@@ -196,21 +189,25 @@ def _check_lp_args(p: float, which: str) -> None:
         raise ValueError("which must be 'field' or 'div'")
 
 
-def _lp_sum(ws, mag, p: float) -> float:
-    """(sum ws mag^p)^(1/p).
+def _lp_sum(ws, mag, p: float):
+    """(sum ws mag^p)^(1/p) over the last axis: a float, or one per row.
 
-    When the plain sum underflows or overflows (large p), mag is first
-    scaled by its maximum, so the result stays finite and nonzero.
+    Where a row's plain sum underflows or overflows (large p), its mag is first
+    scaled by its maximum, so it stays finite and nonzero; roots are scalar powers.
     """
+    ws, mag = np.broadcast_arrays(ws, mag)
     with np.errstate(over="ignore", under="ignore"):
-        total = np.sum(ws * mag**p)
-        if (np.isfinite(total) and total >= np.finfo(float).tiny) or not np.any(mag):
-            return float(total ** (1.0 / p))
-        top = np.max(mag)
-        return float(top * np.sum(ws * (mag / top) ** p) ** (1.0 / p))
+        total = np.sum(ws * mag**p, axis=-1, keepdims=True)
+        rescale = np.any(mag, axis=-1, keepdims=True) & ~(
+            np.isfinite(total) & (total >= np.finfo(float).tiny))
+        top = np.where(rescale, np.max(mag, axis=-1, keepdims=True), 1.0)
+        if rescale.any():
+            total = np.where(rescale, np.sum(ws * (mag / top) ** p, -1, keepdims=True), total)
+        roots = [float(t * s ** (1.0 / p)) for t, s in zip(top.ravel(), total.ravel())]
+    return roots[0] if ws.ndim == 1 else np.array(roots)
 
 
-def norm_Lp(fld, rect: PhysicalRect, p: float, which: str) -> float:
+def norm_Lp(fld, rect: PhysicalRect, p: float, which: str):
     return error_Lp(fld, ZERO_FIELD, rect, p, which)
 
 
@@ -222,8 +219,7 @@ def error_Lp_reference(ref_field, member: SpaceMember, rect: PhysicalRect,
     1/hy, 1/hx (divergence by 1/(hx hy)) and the measure by hx hy.
     """
     _check_lp_args(p, which)
-    rule = tensor_rule(NONPOLY_POINTS, NONPOLY_POINTS)
-    xs, ys, ws = rule.xs, rule.ys, rule.ws
+    xs, ys, ws = _mapped_rule(1.0, 1.0)
     area = rect.hx * rect.hy
     if which == "field":
         U1, V1 = ref_field.uv(xs, ys)
@@ -409,38 +405,38 @@ def _verdict(errors: List[float], fitted: Optional[float], predicted: float,
 def run_refinement_study(config: StudyConfig) -> ConvergenceTable:
     fld = get_field(config.field, config.family, config.k, config.seed)
     op = reference_operator(config.family, config.k)
-    rule = tensor_rule(NONPOLY_POINTS, NONPOLY_POINTS)
-    # the basis (U, V, div) on the reference error rule, tabulated once per study
-    tables = (*op.space.tabulate(rule.xs, rule.ys), op.space.tabulate_div(rule.xs, rule.ys))
     rects = [config.rect_at(level) for level in range(config.levels)]
+    # every level at once: one rectangle per row, one DOF vector stack, one stacked solve
+    hx, hy = np.split(np.array([[rect.hx, rect.hy] for rect in rects]), 2, axis=1)
+
+    def push(coeffs):  # coefficients (one row, or one per level) on the mapped rules
+        U, V, D = (contract(coeffs, t) for t in op.rule_tables)
+        return _Values(U / hy, V / hx, D / (hx * hy))
+
     if isinstance(fld, ReproductionField):
         # the pull-back of the pushed member is the member at every level
-        coeffs = [op.solve_coefficients(fld.member)] * config.levels
-        samples = [_push_on_rule(tables, fld.member.coeffs, rect) for rect in rects]
+        coeffs = op.solve_coefficients(fld.member)
+        sample = push(fld.member.coeffs)
     else:
-        # every level at once: one DOF vector stack, one stacked solve, one sample
-        hx = np.array([[rect.hx] for rect in rects])
-        hy = np.array([[rect.hy] for rect in rects])
         coeffs = op.solve_coefficients(PulledBackField(fld, hx, hy))
         xs, ys, _ = _mapped_rule(hx, hy)
-        samples = [_Values(*row) for row in zip(*fld.uv(xs, ys), fld.div_values(xs, ys))]
-    records = []
-    for level, (rect, sample, c) in enumerate(zip(rects, samples, coeffs)):
-        interp = _push_on_rule(tables, c, rect)
-        # Field errors are mean-normalized (the measure factor (hx hy)^{1/p}
-        # carries no rate content); every battery field vanishes at the
-        # rectangle anchor, so dividing by the field's own shrinking norm
-        # would deflate each fitted rate by one.  The divergence never
-        # vanishes there, so div errors are relative to the div norm, which
-        # also keeps reproduction studies at machine zero when the Piola
-        # factors grow with the aspect ratio.
-        nf = (rect.hx * rect.hy) ** (1.0 / config.p)
-        nd = norm_Lp(sample, rect, config.p, "div")
-        ef = error_Lp(sample, interp, rect, config.p, "field") / nf
-        ed = error_Lp(sample, interp, rect, config.p, "div") / (nd if nd > 0 else nf)
-        records.append(ErrorRecord(level, rect.hx, rect.hy, ef, ed))
-    errs_f = [r.err_field_Lp for r in records]
-    errs_d = [r.err_div_Lp for r in records]
+        sample = _Values(*fld.uv(xs, ys), fld.div_values(xs, ys))
+    interp = push(coeffs)
+    # Field errors are mean-normalized (the measure factor (hx hy)^{1/p}
+    # carries no rate content); every battery field vanishes at the
+    # rectangle anchor, so dividing by the field's own shrinking norm
+    # would deflate each fitted rate by one.  The divergence never
+    # vanishes there, so div errors are relative to the div norm, which
+    # also keeps reproduction studies at machine zero when the Piola
+    # factors grow with the aspect ratio.
+    stack = PhysicalRect(hx, hy)
+    nf = np.array([(rect.hx * rect.hy) ** (1.0 / config.p) for rect in rects])
+    nd = norm_Lp(sample, stack, config.p, "div")
+    ef = error_Lp(sample, interp, stack, config.p, "field") / nf
+    ed = error_Lp(sample, interp, stack, config.p, "div") / np.where(nd > 0, nd, nf)
+    errs_f, errs_d = ef.tolist(), ed.tolist()
+    records = [ErrorRecord(level, rect.hx, rect.hy, f, d)
+               for level, (rect, f, d) in enumerate(zip(rects, errs_f, errs_d))]
     sx, sy = config.mode_scales()
     pred_f = predicted_field_rate(config.family, config.k, fld, sx, sy)
     pred_d = predicted_div_rate(config.family, config.k, fld, sx, sy)

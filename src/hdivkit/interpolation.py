@@ -13,7 +13,7 @@ of a member stack or a FieldStack) as a stack of single columns: numpy
 runs one nrhs = 1 gesv per vector, which keeps the bits of a lone solve;
 one gesv with many right-hand sides moved ABF_4 coefficients by 1e-14.
 So `interpolate` of a stacked field is a stacked member, one row per
-field.
+field.  An operator keeps its basis on the studies' error rule (rule_tables).
 
 The projector works in an orthogonal Legendre-product basis of the same
 span as the declared monomial basis (all divergence index sets are
@@ -78,6 +78,12 @@ class InterpolationOperator:
             )
         if self.condition > COND_WARN:
             warnings.warn(f"{tag}: DOF matrix condition {self.condition:.3e}", RuntimeWarning)
+
+    @functools.cached_property
+    def rule_tables(self) -> tuple:
+        """The basis (U, V, div) on the 20 x 20 error rule, tabulated on first use."""
+        rule = tensor_rule(NONPOLY_POINTS, NONPOLY_POINTS)
+        return (*self.space.tabulate(rule.xs, rule.ys), self.space.tabulate_div(rule.xs, rule.ys))
 
     def solve(self, b) -> np.ndarray:
         """Coefficients of extended-precision DOF vectors; leading axes batch."""
@@ -197,9 +203,9 @@ def commuting_residuals(family, k: int, fields, replace_div_moments: bool = Fals
     The fields are interpolated as one FieldStack: one DOF-vector call,
     one stacked solve and one tabulation of the basis divergences on the
     grid.  The stacked member contracts each field's coefficients with
-    that table by their own tensordot (one product over all rows would
-    be a gemm, whose sums may round apart from a lone field's gemv), so
-    every residual keeps the bits of a lone field.  Both sides are
+    that table by their own gemv (elements.contract: one product over
+    all rows would be a gemm, whose sums may round apart from a lone
+    field's), so every residual keeps the bits of a lone field.  Both sides are
     sampled through the Legendre recurrence; expanding either to a
     monomial grid first would cost two digits at k >= 3.
     """

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hdivkit import harness, interpolation
 from hdivkit.elements import ElementFamily, ElementSpace, build_space, degree_range
@@ -32,14 +34,14 @@ from hdivkit.harness import (
     predicted_field_rate,
     run_refinement_study,
     theorem_suite,
+    _lp_sum,
     _mapped_rule,
-    _push_on_rule,
     _Values,
     _verdict,
 )
 from hdivkit import interpolation
 from hdivkit.dofs import dof_vector_ld
-from hdivkit.interpolation import REFINE_SWEEPS, reference_operator
+from hdivkit.interpolation import REFINE_SWEEPS, InterpolationOperator, reference_operator
 from hdivkit.poly import Polynomial2D, VectorPoly2D
 from hdivkit.quadrature import NONPOLY_POINTS, tensor_rule
 
@@ -57,6 +59,16 @@ def _vec(ux, uy, vx, vy, cu=1.0, cv=1.0):
 def test_rect_rejects_degenerate(hx, hy):
     with pytest.raises(ValueError):
         PhysicalRect(hx, hy)
+
+
+@pytest.mark.parametrize("side", [math.inf, -math.inf, math.nan])
+def test_rect_rejects_non_finite_sides(side):
+    # an infinite side used to be accepted, and its norm read nan
+    column = np.array([[0.5], [side], [0.25]])
+    for hx, hy in ((side, 1.0), (1.0, side), (column, np.full((3, 1), 0.5)),
+                   (np.full((3, 1), 0.5), column)):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            PhysicalRect(hx, hy)
 
 
 def test_pullback_constant_field():
@@ -188,6 +200,47 @@ def test_norm_homogeneity():
             assert norm_Lp(scaled, rect, p, which) == pytest.approx(
                 3.0 * norm_Lp(fld, rect, p, which), rel=1e-13
             )
+
+
+def _lone_lp_sum(ws, mag, p):
+    """The scalar _lp_sum of one rectangle, as it was before stacks."""
+    with np.errstate(over="ignore", under="ignore"):
+        total = np.sum(ws * mag**p)
+        if (np.isfinite(total) and total >= np.finfo(float).tiny) or not np.any(mag):
+            return float(total ** (1.0 / p))
+        top = np.max(mag)
+        return float(top * np.sum(ws * (mag / top) ** p) ** (1.0 / p))
+
+
+_ROW = st.tuples(st.floats(1e-6, 1.0), st.floats(1e-6, 1.0),
+                 st.sampled_from([0.0, 1e-300, 1e-20, 1.0, 1e20, 1e300]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(_ROW, min_size=1, max_size=6),
+       p=st.sampled_from([1.0, 1.5, 2.0, 3.0, 40.0]) | st.floats(1.0, 300.0),
+       which=st.sampled_from(["field", "div"]), seed=st.integers(0, 2**32 - 1))
+@example(rows=[(0.5, 0.25, 0.0), (0.3, 0.3, 1e-20), (0.125, 1.0, 1.0), (0.01, 0.02, 1e300)],
+         p=40.0, which="field", seed=0)
+def test_stacked_errors_match_per_rectangle_calls(rows, p, which, seed):
+    # one row per rectangle, zero rows and rows whose plain sum underflows or
+    # overflows (the rescaling fallback) included: equal, not close
+    rng = np.random.default_rng(seed)
+    hx, hy, scale = (np.array(column)[:, None] for column in zip(*rows))
+    a, b = (_Values(*(scale * rng.standard_normal((len(rows), NONPOLY_POINTS**2))
+                      for _ in range(3))) for _ in range(2))
+    stack = PhysicalRect(hx, hy)
+    errors, norms = error_Lp(a, b, stack, p, which), norm_Lp(a, stack, p, which)
+    _, _, ws = _mapped_rule(hx, hy)
+    mags = np.hypot(a.U - b.U, a.V - b.V) if which == "field" else np.abs(a.D - b.D)
+    sums = _lp_sum(ws, mags, p)
+    assert errors.shape == norms.shape == sums.shape == (len(rows),)
+    for i, (x, y, _) in enumerate(rows):
+        rect = PhysicalRect(x, y)
+        a_i, b_i = (_Values(f.U[i], f.V[i], f.D[i]) for f in (a, b))
+        assert errors[i] == error_Lp(a_i, b_i, rect, p, which)
+        assert norms[i] == norm_Lp(a_i, rect, p, which)
+        assert sums[i] == _lp_sum(ws[i], mags[i], p) == _lone_lp_sum(ws[i], mags[i], p)
 
 
 def _lp_max_scaled(ws, mag, p):
@@ -490,6 +543,9 @@ def test_non_dyadic_reproduction_study_passes(family, k, rho, levels):
     ("RT", 1, "MS-G", "isotropic"), ("ABF", 2, "MS-P", "fixed_aspect"),
     ("BDM", 2, "MS-X", "shrink_x")])
 def test_study_tabulates_the_error_rule_once(monkeypatch, family, k, field, mode):
+    # the operator keeps its tables: two studies on one cold operator tabulate once
+    op = InterpolationOperator(build_space(family, k))
+    monkeypatch.setattr(harness, "reference_operator", lambda family, k: op)
     npoints = NONPOLY_POINTS**2
     calls = {"tabulate": 0, "tabulate_div": 0}
     for name in calls:
@@ -500,7 +556,8 @@ def test_study_tabulates_the_error_rule_once(monkeypatch, family, k, field, mode
             return _original(self, x, y)
 
         monkeypatch.setattr(ElementSpace, name, counted)
-    run_refinement_study(StudyConfig(family, k, field=field, mode=mode, levels=8))
+    for _ in range(2):
+        run_refinement_study(StudyConfig(family, k, field=field, mode=mode, levels=8))
     assert calls == {"tabulate": 1, "tabulate_div": 1}
 
 
@@ -511,6 +568,14 @@ def _lone_solve(op, field):
     for _ in range(REFINE_SWEEPS):
         x = x + np.linalg.solve(op.dof_matrix, (b - op._M_ld @ x).astype(float))
     return x.astype(float)
+
+
+def _push_on_rule(tables, coeffs, rect: PhysicalRect) -> _Values:
+    """A member's push-forward on rect's mapped error rule: its coefficients
+    contracted with the tables as in SpaceMember.uv, then the Piola factors
+    of PhysicalMemberField; no point is mapped back to the reference square."""
+    U, V, D = (np.tensordot(coeffs, t, axes=1) for t in tables)
+    return _Values(U / rect.hy, V / rect.hx, D / (rect.hx * rect.hy))
 
 
 def _level_by_level_records(config):
@@ -539,14 +604,24 @@ def _level_by_level_records(config):
     return records
 
 
-@pytest.mark.parametrize("h0,p", [(0.5, 1.0), (0.5, 7.5), (0.3, 1.0), (0.3, 7.5)])
-@pytest.mark.parametrize("field,mode", [
-    ("MS-X", "shrink_x"), ("MS-G", "isotropic"), ("MS-P", "fixed_aspect")])
+_LEVEL_CASES = [(field, mode, 64.0, h0, p)
+                for h0, p in [(0.5, 1.0), (0.5, 7.5), (0.3, 1.0), (0.3, 7.5)]
+                for field, mode in [("MS-X", "shrink_x"), ("MS-G", "isotropic"),
+                                    ("MS-P", "fixed_aspect")]] + [
+    ("MS-P", "fixed_aspect", 64.0, 0.3, 40.0),  # ABF_2-4's roundoff errors: the fallback
+    ("MS-G", "fixed_aspect", 0.5, 0.5, 2.0),
+    ("MS-X", "fixed_aspect", 0.5, 0.3, 3.0)]
+
+
+@pytest.mark.parametrize("field,mode,rho,h0,p", _LEVEL_CASES, ids=[
+    f"{field}-{mode}{'' if rho == 64.0 else f'({rho:g})'}-{h0}-{p}"
+    for field, mode, rho, h0, p in _LEVEL_CASES])
 @pytest.mark.parametrize("family,k", _PAIRS)
-def test_batched_study_matches_level_by_level(family, k, field, mode, h0, p):
-    # the stacked solve runs one single-column gesv per level, so the batch
-    # keeps every bit, at non-dyadic sizes too
-    config = StudyConfig(family, k, p, field, mode, rho=64.0, levels=4, h0=h0)
+def test_batched_study_matches_level_by_level(family, k, field, mode, rho, h0, p):
+    # the stacked solve runs one single-column gesv per level, the
+    # contraction one gemv per level and the errors one root per level, so
+    # the batch keeps every bit, at non-dyadic sizes too
+    config = StudyConfig(family, k, p, field, mode, rho=rho, levels=4, h0=h0)
     assert run_refinement_study(config).records == _level_by_level_records(config)
 
 

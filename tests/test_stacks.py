@@ -115,6 +115,22 @@ def test_a_member_has_no_monomial_view(view):
         assert repr(member).startswith("SpaceMember(ElementSpace(RT, k=1, dim=12), coeffs=")
 
 
+@pytest.mark.parametrize("operation,error,message", [
+    (lambda m: m.divergence(), AttributeError, r"no divergence\(\).*div_values\(x, y\)"),
+    (lambda m: m + m, TypeError, r"support '\+'.*a\.coeffs \+ b\.coeffs"),
+    (lambda m: m - m, TypeError, r"support '-'.*a\.coeffs - b\.coeffs"),
+    (lambda m: m * 2.0, TypeError, r"support '\*'.*s \* a\.coeffs"),
+    (lambda m: 2.0 * m, TypeError, r"support '\*'.*s \* a\.coeffs"),
+], ids=["divergence", "add", "sub", "mul", "rmul"])
+def test_member_algebra_names_the_operation(operation, error, message):
+    # VectorPoly2D's versions read monomial grids a member never has, and
+    # failed with "no attribute 'u'"
+    single = build_space("RT", 1).random_member(np.random.default_rng(0))
+    for member in (single, _stack()):
+        with pytest.raises(error, match=message):
+            operation(member)
+
+
 def test_reproduction_field_rejects_a_stack():
     with pytest.raises(ValueError, match="ReproductionField takes one member"):
         ReproductionField(_stack())
