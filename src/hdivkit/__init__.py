@@ -16,12 +16,10 @@ from .elements import (
     SpaceMember,
     build_div_space,
     build_space,
-    component_degrees,
-    gram_matrix,
     space_dimension,
     span_check,
 )
-from .dofs import DofFunctional, DofSet, apply_dof, build_dofs, dof_vector
+from .dofs import DofFunctional, DofSet, apply_dof, build_dofs
 from .fields import (
     CallableField,
     FIELD_IDS,
@@ -56,12 +54,11 @@ from .interpolation import (
     L2Projector,
     OperatorConstructionError,
     commuting_residual,
-    interpolate,
     reference_operator,
     reference_projector,
     unisolvence_report,
 )
-from .poly import Polynomial2D, VectorPoly2D, curl_scalar, divergence, integrate_rect
+from .poly import Polynomial2D, VectorPoly2D, curl_scalar, divergence
 from .quadrature import (
     QuadratureRule1D,
     QuadratureRule2D,

@@ -227,23 +227,36 @@ def _converge_settings(args) -> dict:
     return _read_config_file(args.config)
 
 
-def _rows(table) -> List[dict]:
-    """One dict per level: the CSV columns and the JSON records."""
+# the records, one line of the CSV or one object of the JSON per level:
+# 17 significant digits, and a missing rate (level 0) as "" or null
+_COLUMNS = ("level", "hx", "hy", "err_field", "err_div", "rate_field", "rate_div")
+_CSV_ROW = "%d,%.17g,%.17g,%.17g,%.17g,%s,%s"
+_JSON_ROW = ('{"level": %d, "hx": %.17g, "hy": %.17g, "err_field": %.17g, "err_div": %.17g, '
+             '"rate_field": %s, "rate_div": %s}')
+
+
+def _row_texts(table, template: str, none: str) -> List[str]:
+    """One formatted string per level."""
+    def rate(value):
+        return none if value is None else "%.17g" % value
+
     rates = zip(table.level_rates("field"), table.level_rates("div"))
-    return [{"level": rec.level, "hx": rec.hx, "hy": rec.hy, "err_field": rec.err_field_Lp,
-             "err_div": rec.err_div_Lp, "rate_field": rate_f, "rate_div": rate_d}
+    return [template % (rec.level, rec.hx, rec.hy, rec.err_field_Lp, rec.err_div_Lp,
+                        rate(rate_f), rate(rate_d))
             for rec, (rate_f, rate_d) in zip(table.records, rates)]
 
 
 def _csv_text(table) -> str:
-    rows = _rows(table)
-    lines = [",".join(rows[0])]
-    for row in rows:
-        lines.append(",".join("" if v is None else _json_value(v) for v in row.values()))
-    return "\n".join(lines) + "\n"
+    return "\n".join([",".join(_COLUMNS), *_row_texts(table, _CSV_ROW, "")]) + "\n"
+
+
+class _Raw(str):
+    """Text that is already JSON, written as it is."""
 
 
 def _json_value(value) -> str:
+    if isinstance(value, _Raw):
+        return value
     if value is None:
         return "null"
     if isinstance(value, bool):
@@ -265,7 +278,7 @@ def _json_value(value) -> str:
 def _json_text(table) -> str:
     payload = {
         "config": table.config.describe(),
-        "records": _rows(table),
+        "records": _Raw("[" + ", ".join(_row_texts(table, _JSON_ROW, "null")) + "]"),
         "fitted_rates": {"field": table.fitted_rate_field, "div": table.fitted_rate_div},
         "predicted_rates": {"field": table.predicted_rate_field, "div": table.predicted_rate_div},
         "verdicts": {"field": table.verdict_field, "div": table.verdict_div},

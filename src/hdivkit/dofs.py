@@ -16,19 +16,23 @@ then divergence moments.  Edge and interior tests are shifted-Legendre
 conditioning); divergence tests are the exact monomials, which the
 commuting property needs verbatim.
 
-A whole DOF set is applied through a plan: interpolation points plus
-weights, as Basix encodes DOFs and FIAT its point/weight functionals.
-The points are the n Gauss points of each edge (quadrature.edge_rule)
-and one n x n tensor grid; the weights are separable, so the plan
-stores only n-column 1-D matrices (w L_i(t) for edge and interior tests,
-w t^a for divergence tests) and applies them by contraction.  A DOF
-vector therefore costs one field evaluation at all points (4n + n^2, or
-4n when the set has no interior moments), plus one divergence
-evaluation on the n^2 grid points when the set has divergence moments.
-Values with leading axes (a study's hx, hy columns, a SpaceMember's
-(m, dim) coefficient stack, a FieldStack) give one DOF vector per row
-from that one evaluation, each bit for bit the one its row gets alone
-when the rule is the same (a stack's degree_bounds cover all rows).
+A whole DOF set is applied through a plan: an axis pair plus separable
+weights, as Basix encodes DOFs and FIAT its point/weight functionals,
+with the points given as a tensor product.  The axes are a column x and
+a row y with the nodes {0, t_1 ... t_n, 1}, t the n Gauss nodes of
+quadrature.edge_rule, so the (n + 2)^2 grid they span holds the four
+edges and the interior n x n grid.  The weights are n-column 1-D
+matrices (w L_i(t) for edge and interior tests, w t^a for divergence
+tests), applied by contraction.  A DOF vector therefore costs one field
+evaluation on the axes, plus one divergence evaluation on the inner
+axes (t, t) when the set has divergence moments; fields broadcast the
+axes, so transcendental factors and Legendre recurrences run once per
+distinct coordinate.  The values are those of the enumerated points bit
+for bit, and the contractions sum in the same order.  Values with
+leading axes (a study's (levels, 1, 1) sides, a SpaceMember's (m, dim)
+coefficient stack, a FieldStack) give one DOF vector per row from that
+one evaluation, each bit for bit the one its row gets alone when the
+rule is the same (a stack's degree_bounds cover all rows).
 The rule size n is
 
     NONPOLY_POINTS (20)            fields without degree_bounds
@@ -40,10 +44,10 @@ The rule size n is
                                    has degree <= d + t per direction, so
                                    the rule is exact
 
-dof_matrix_ld applies the same plan to the tabulated basis.  Matrix and
-member DOF vectors then share one rule, so M c and the DOF vector of
-the member with coefficients c agree to roundoff and members are
-reproduced to the extended-precision floor.  Plans are built from the
+dof_matrix_ld applies the same plan to the basis tabulated on the same
+axes.  Matrix and member DOF vectors then share one rule, so M c and the
+DOF vector of the member with coefficients c agree to roundoff and
+members are reproduced to the extended-precision floor.  Plans are built from the
 set's own functionals and cached by value on (functionals, n), so any
 DOF set applies, reordered ones included; n takes a handful of values
 per (family, k), so the cache stays bounded however many spaces and
@@ -196,17 +200,19 @@ def _max_index(functionals, kind: str) -> int:
 
 
 class DofPlan:
-    """One quadrature rule and separable weights for a whole DOF set.
+    """One axis pair and separable weights for a whole DOF set.
 
-    Points: the n Gauss points of each edge (EDGES), then the n x n
-    tensor grid, x-major, when there are interior moments; divergences
-    are sampled on the grid alone.  Weights are 1-D matrices over the n nodes:
-    ``edge[d] = w L_d(t)`` and ``interior[i] = w L_i(t)`` for the
-    Legendre tests, ``div[a] = w t^a`` for the monomial divergence tests.
-    A plan turns point values into the DOF vector by contraction: one
-    ``edge @ vals`` per edge and ``A G A^T`` on the tensor grid, where G
-    holds the grid values.  Moments land in one raw vector that
-    ``index`` reorders into functional order.
+    The axes are x of shape (n + 2, 1) and y of shape (1, n + 2), both
+    with nodes {0, t_1 ... t_n, 1} for the n Gauss nodes t of
+    quadrature.edge_rule, so the grid they span holds the four edges and
+    the interior n x n tensor grid; ``inner`` is the pair without the
+    end nodes, where divergences are sampled.  Weights are 1-D matrices
+    over the n nodes: ``edge[d] = w L_d(t)`` and ``interior[i] = w L_i(t)``
+    for the Legendre tests, ``div[a] = w t^a`` for the monomial
+    divergence tests.  ``apply`` reads each edge as one row or column of
+    the (n + 2, n + 2) values (``edge @ vals``) and the interior block as
+    G in ``A G A^T``; moments land in one raw vector that ``index``
+    reorders into functional order.
     """
 
     def __init__(self, functionals, n: int):
@@ -219,16 +225,12 @@ class DofPlan:
         self.edge = _weighted_legendre(edge_deg, t, w)
         self.interior = _weighted_legendre(int_deg, t, w)
         self.div = w * t ** np.arange(div_deg + 1)[:, None]
-        self.has_interior = int_deg >= 0
         self.has_div = div_deg >= 0
-        grid = tensor_rule(n, n)
-        self.grid_xs, self.grid_ys = grid.xs_ld, grid.ys_ld
-        # the grid carries field values only when there are interior moments
-        parts = [edge_rule(edge, n) for edge in EDGES]
-        if self.has_interior:
-            parts.append((grid.xs_ld, grid.ys_ld))
-        self.xs = np.concatenate([p[0] for p in parts])
-        self.ys = np.concatenate([p[1] for p in parts])
+        nodes = np.concatenate([[np.longdouble(0)], t, [np.longdouble(1)]])
+        self.x, self.y = nodes[:, None], nodes[None, :]
+        self.inner = t[:, None], t[None, :]
+        for a in (self.x, self.y, *self.inner):
+            a.setflags(write=False)
         ne, na, nd = edge_deg + 1, int_deg + 1, div_deg + 1
         index, signs = [], []
         for f in functionals:
@@ -247,20 +249,20 @@ class DofPlan:
         self.signs = np.array(signs, dtype=np.longdouble)
 
     def apply(self, U, V, D=None) -> np.ndarray:
-        """DOF values from point values; leading axes of U, V, D batch."""
-        n = self.n
-        batch = U.shape[:-1]
-        parts = []
-        for e, edge in enumerate(EDGES):
-            vals = U if _EDGE_COMPONENT[edge] == 0 else V
-            parts.append(vals[..., e * n:(e + 1) * n] @ self.edge.T)
-        if self.has_interior:
+        """DOF values from values on the axes, U and V of shape batch + (n + 2, n + 2),
+        and on the inner axes, D of shape batch + (n, n); the batch axes lead."""
+        batch = U.shape[:-2]
+        # the edges as rows of one (..., 4, n) array: left (0, t), right (1, t),
+        # bottom (t, 0), top (t, 1), as EDGES
+        sides = np.concatenate([U[..., [0, -1], 1:-1],
+                                np.swapaxes(V[..., 1:-1, [0, -1]], -1, -2)], axis=-2)
+        parts = [(sides @ self.edge.T).reshape(batch + (-1,))]
+        if len(self.interior):
             for vals in (U, V):
-                G = vals[..., 4 * n:].reshape(batch + (n, n))
+                G = vals[..., 1:-1, 1:-1]
                 parts.append((self.interior @ G @ self.interior.T).reshape(batch + (-1,)))
         if self.has_div:
-            G = D.reshape(batch + (n, n))
-            parts.append((self.div @ G @ self.div.T).reshape(batch + (-1,)))
+            parts.append((self.div @ D @ self.div.T).reshape(batch + (-1,)))
         return self.signs * np.concatenate(parts, axis=-1)[..., self.index]
 
 
@@ -277,30 +279,27 @@ def _plan_for(dofset: DofSet, max_degree: Optional[int]) -> DofPlan:
 
 
 def dof_vector_ld(dofset: DofSet, field) -> np.ndarray:
-    """The field's DOF vector: one uv call, plus one div_values call for div
-    moments.  Values with leading axes give one vector per row."""
+    """The field's DOF vector: one uv call on the plan's axes, plus one
+    div_values call on the inner axes for div moments.  Values with
+    leading axes give one vector per row."""
     degs = getattr(field, "degree_bounds", None)
     plan = _plan_for(dofset, None if degs is None else max(max(d) for d in degs))
-    U, V, _ = np.broadcast_arrays(*field.uv(plan.xs, plan.ys), plan.xs)
+    U, V = field.uv(plan.x, plan.y)
+    grid = np.broadcast(U, V, plan.x, plan.y).shape
+    U, V = (np.broadcast_to(vals, grid) for vals in (U, V))
     D = None
     if plan.has_div:
-        D = np.broadcast_to(field.div_values(plan.grid_xs, plan.grid_ys),
-                            U.shape[:-1] + plan.grid_xs.shape)
+        D = np.broadcast_to(field.div_values(*plan.inner), grid[:-2] + (plan.n,) * 2)
     return plan.apply(U, V, D)
-
-
-def dof_vector(dofset: DofSet, field) -> np.ndarray:
-    return dof_vector_ld(dofset, field).astype(float)
 
 
 def dof_matrix_ld(dofset: DofSet, space: ElementSpace) -> np.ndarray:
     """M[a, b] = functional a applied to basis member b, extended precision.
 
-    The basis is tabulated once at the points of the plan that every
+    The basis is tabulated once on the axes of the plan that every
     member's DOF vector uses, so M c and the DOF vector of the member
     with coefficients c come from the same quadrature.
     """
     plan = _plan_for(dofset, space._maxdeg)
-    U, V = space.tabulate(plan.xs, plan.ys)
-    D = space.tabulate_div(plan.grid_xs, plan.grid_ys) if plan.has_div else None
-    return plan.apply(U, V, D).T
+    D = space.tabulate_div(*plan.inner) if plan.has_div else None
+    return plan.apply(*space.tabulate(plan.x, plan.y), D).T

@@ -130,12 +130,6 @@ def _family_sets(family: ElementFamily, k: int) -> FamilySets:
                       f"Q_{k + 1}-minus-corner", tests, div_tests)
 
 
-def component_degrees(family: ElementFamily, k: int) -> Tuple[Tuple[int, int], Tuple[int, int]]:
-    """Maximal (x-degree, y-degree) per component, curl members included."""
-    d = build_space(family, k)._label_degrees.max(axis=0)
-    return (int(d[0]), int(d[1])), (int(d[2]), int(d[3]))
-
-
 def space_dimension(family: ElementFamily, k: int) -> int:
     sets = family_sets(family, k)
     return len(sets.u) + len(sets.v) + 2 * sets.curls
@@ -246,28 +240,35 @@ class ElementSpace:
         return [SpaceMember(self, e) for e in np.eye(self.dim)]
 
     def tabulate(self, x, y):
-        """Basis values (U, V), each of shape (dim,) + broadcast shape of x, y."""
-        x, y = np.broadcast_arrays(x, y)
+        """Basis values (U, V), each of shape (dim,) + broadcast shape of x, y.
+
+        The recurrences run on x and y as given, so a column and a row
+        (a tensor rule's axes) cost one pass per distinct coordinate; only
+        the products L_i(x) L_j(y) fill the broadcast grid.
+        """
+        x, y = _same_rank(x, y)
         Lx, Ly = (np.array(legendre.values(self._maxdeg, t)) for t in (x, y))
-        rows = Lx[self._i] * Ly[self._j]
         curl = [a for w in self._curl for a in w.uv(x, y)]  # u, v of each curl member
-        U = np.zeros((self.dim,) + x.shape, np.result_type(rows, *curl))
+        U = np.zeros((self.dim,) + np.broadcast(x, y).shape,
+                     np.result_type(Lx, Ly, *curl))
         V = np.zeros_like(U)
-        nx, nt = self._nx, len(self._i)
-        U[:nx], V[nx:nt] = rows[:nx], rows[nx:]
+        nx, nt, I, J = self._nx, len(self._i), self._i, self._j
+        np.multiply(Lx[I[:nx]], Ly[J[:nx]], out=U[:nx])
+        np.multiply(Lx[I[nx:]], Ly[J[nx:]], out=V[nx:nt])
         if curl:
             U[nt:], V[nt:] = curl[0::2], curl[1::2]
         return U, V
 
     def tabulate_div(self, x, y):
-        """Basis divergences, shape (dim,) + broadcast shape of x, y."""
-        x, y = np.broadcast_arrays(x, y)
+        """Basis divergences, shape (dim,) + broadcast shape of x, y; axes as in tabulate."""
+        x, y = _same_rank(x, y)
         (Lx, dLx), (Ly, dLy) = (map(np.array, legendre.deriv_values(self._maxdeg, t))
                                 for t in (x, y))
         nx, I, J = self._nx, self._i, self._j
-        rows = np.zeros((self.dim,) + x.shape, Lx.dtype)
-        rows[:nx] = dLx[I[:nx]] * Ly[J[:nx]]
-        rows[nx:len(I)] = Lx[I[nx:]] * dLy[J[nx:]]
+        rows = np.zeros((self.dim,) + np.broadcast(x, y).shape,
+                        np.result_type(Lx, Ly))
+        np.multiply(dLx[I[:nx]], Ly[J[:nx]], out=rows[:nx])
+        np.multiply(Lx[I[nx:]], dLy[J[nx:]], out=rows[nx:len(I)])
         return rows
 
     def member(self, coeffs) -> SpaceMember:
@@ -279,6 +280,14 @@ class ElementSpace:
 
     def __repr__(self):
         return f"ElementSpace({self.family.value}, k={self.k}, dim={self.dim})"
+
+
+def _same_rank(x, y):
+    """x, y as arrays of one rank, each keeping its own extents: a scalar x
+    with a vector y gives shapes (1,) and (m,)."""
+    x, y = np.asarray(x), np.asarray(y)
+    nd = max(x.ndim, y.ndim)
+    return x.reshape((1,) * (nd - x.ndim) + x.shape), y.reshape((1,) * (nd - y.ndim) + y.shape)
 
 
 def build_space(family, k: int) -> ElementSpace:
@@ -331,18 +340,6 @@ def _product_norms(n: int) -> np.ndarray:
     """Squared L2(K) norms 1 / ((2i+1)(2j+1)) of L_i(x) L_j(y), i, j < n."""
     r = 2.0 * np.arange(n) + 1.0
     return 1.0 / np.outer(r, r)
-
-
-def gram_matrix(space: ElementSpace) -> np.ndarray:
-    """L2(K) Gram matrix of the basis in closed form.
-
-    Legendre products are orthogonal, so with basis coordinates C
-    G = sum over components of C diag(1 / ((2i+1)(2j+1))) C^T.
-    """
-    n = space._maxdeg + 1
-    C = _legendre_coordinates(space).astype(float).reshape(space.dim, 2, n * n)
-    w = _product_norms(n).ravel()
-    return sum((C[:, comp] * w) @ C[:, comp].T for comp in range(2))
 
 
 def span_check(space: ElementSpace) -> dict:

@@ -53,8 +53,10 @@ def env_seed() -> int:
 
 
 def _zero_fn(x, y):
+    """Zeros of the points' broadcast shape, in x's float type (double otherwise)."""
     x = np.asarray(x)
-    return np.zeros_like(np.asarray(x, dtype=x.dtype if x.dtype.kind == "f" else float))
+    return np.zeros(np.broadcast(x, y).shape,
+                    x.dtype if x.dtype.kind == "f" else float)
 
 
 def _factor(kind: str, n: int) -> Optional[Callable]:

@@ -16,16 +16,20 @@ so a study that refines a direction the field does not depend on is
 checked for stagnation instead of a bogus rate.
 
 A study runs its levels as one batch.  The field is pulled back to every
-rectangle at once (hx, hy as columns), so one DOF vector call evaluates
-it at levels x plan points and one stacked solve gives every level's
-coefficients; an MS-P member is its own pull-back, so it is solved once.
-Errors are integrated on one 20 x 20 Gauss rule, where the operator
-keeps its basis table (rule_tables) and the field is sampled once per
-level.  Interpolants are coefficients contracted with that table (one
-gemv per level; one gemm over all levels moves last bits), times the
-Piola factors; a reproduced member goes through the same table, so both
-sides of its error meet at the same points even where (h x) / h misses
-x by an ulp.  The norm and both errors are one error_Lp call each.
+rectangle at once (hx, hy of shape (levels, 1, 1), a leading axis that
+never pairs with a rule axis of the same length), so one DOF vector call
+evaluates it on levels x the plan's axes and one stacked solve gives
+every level's coefficients; an MS-P member is its own pull-back, so it
+is solved once.  Errors are integrated on one 20 x 20 Gauss rule, handed
+out as axes (_mapped_rule): the field is sampled once per level and
+distinct coordinate, and error_Lp reads the (levels, 20, 20) values
+x-major as (levels, 400) rows, the order its sums have always had.  The
+operator keeps its basis on the same axes (rule_tables).  Interpolants
+are coefficients contracted with that table (one gemv per level; one
+gemm over all levels moves last bits), times the Piola factors; a
+reproduced member goes through the same table, so both sides of its
+error meet at the same points even where (h x) / h misses x by an ulp.
+The norm and both errors are one error_Lp call each.
 
 Verdicts are one-sided: a fitted rate a whole tolerance above the
 prediction is flagged superconvergent but passes, since the theorems
@@ -47,7 +51,7 @@ from .elements import (
 from .fields import FIELD_IDS, ReproductionField, get_field
 from .interpolation import REPRO_TOL, judge_commuting, reference_operator
 from .poly import Polynomial2D, VectorPoly2D
-from .quadrature import NONPOLY_POINTS, tensor_rule
+from .quadrature import NONPOLY_POINTS, gauss_legendre_01, tensor_rule
 
 MIN_H = 1e-8
 MONOTONE_SLACK = 1.01
@@ -58,7 +62,8 @@ MODES = tuple(_SCALES)
 
 @dataclass(frozen=True)
 class PhysicalRect:
-    """Axis-parallel element [0, hx] x [0, hy]; (n, 1) columns hx, hy stack n of them."""
+    """Axis-parallel element [0, hx] x [0, hy]; sides hx, hy of shape (n, 1, 1) stack n of
+    them, each beside the axes a tensor rule hands out."""
 
     hx: float
     hy: float
@@ -75,8 +80,9 @@ class PulledBackField:
     """Reference-side view of a physical field under the Piola map.
 
     With F(x, y) = (hx x, hy y): u_ref = (hy u . F, hx v . F) and
-    div_ref = hx hy (div u) . F.  hx and hy may be columns, one row per
-    rectangle; the values then carry that leading axis.
+    div_ref = hx hy (div u) . F.  hx and hy may have shape (n, 1, 1), one
+    row per rectangle ahead of the (x, y) axes; the values then carry that
+    leading axis.
     """
 
     def __init__(self, fld, hx, hy):
@@ -138,9 +144,10 @@ def interpolate_on_rect(family, k: int, rect: PhysicalRect, fld) -> PhysicalMemb
 class _Values:
     """A field known only by its values (U, V, div), whatever the points.
 
-    Constants hold anywhere.  Arrays are one sample on the mapped error
-    rule of a rectangle or a stack, which error_Lp reads there and
-    nowhere else, so one sample serves the norm and both errors.
+    Constants hold anywhere.  Arrays are one sample on the grid of the
+    mapped error rule of a rectangle or a stack, (..., 20, 20), which
+    error_Lp reads there and nowhere else, so one sample serves the norm
+    and both errors.
     """
 
     def __init__(self, U, V, D):
@@ -157,29 +164,35 @@ ZERO_FIELD = _Values(0.0, 0.0, 0.0)
 
 
 def _mapped_rule(hx, hy):
-    """The fixed 20 x 20 Gauss rule mapped to [0, hx] x [0, hy]: xs, ys, ws;
-    columns hx, hy map it to one rectangle per row."""
-    rule = tensor_rule(NONPOLY_POINTS, NONPOLY_POINTS)
-    return hx * rule.xs, hy * rule.ys, (hx * hy) * rule.ws
+    """The fixed 20 x 20 Gauss rule mapped to [0, hx] x [0, hy]: the axes x
+    (..., 20, 1) and y (..., 1, 20), and the weights ws (..., 400) of the
+    grid they span, x-major; sides of shape (m, 1, 1) map it to one
+    rectangle per row."""
+    n = NONPOLY_POINTS
+    t = gauss_legendre_01(n).nodes
+    ws = (hx * hy) * tensor_rule(n, n).ws.reshape(n, n)
+    return hx * t[:, None], hy * t[None, :], ws.reshape(ws.shape[:-2] + (n * n,))
 
 
 def error_Lp(fld, interpolant, rect: PhysicalRect, p: float, which: str):
     """(integral over the rectangle of |fld - interpolant|^p)^(1/p); one per row of a stack.
 
     which='field' uses the Euclidean magnitude of the vector difference,
-    which='div' the absolute divergence difference, on _mapped_rule(rect.hx, rect.hy).
+    which='div' the absolute divergence difference, sampled on the axes of
+    _mapped_rule(rect.hx, rect.hy) and summed in the grid's x-major order.
     """
     _check_lp_args(p, which)
-    xs, ys, ws = _mapped_rule(rect.hx, rect.hy)
+    x, y, ws = _mapped_rule(rect.hx, rect.hy)
     if which == "field":
-        U1, V1 = fld.uv(xs, ys)
-        U2, V2 = interpolant.uv(xs, ys)
+        U1, V1 = fld.uv(x, y)
+        U2, V2 = interpolant.uv(x, y)
         mag = np.hypot(np.asarray(U1 - U2, dtype=float), np.asarray(V1 - V2, dtype=float))
     else:
-        d1 = fld.div_values(xs, ys)
-        d2 = interpolant.div_values(xs, ys)
+        d1 = fld.div_values(x, y)
+        d2 = interpolant.div_values(x, y)
         mag = np.abs(np.asarray(d1 - d2, dtype=float))
-    return _lp_sum(ws, mag, p)
+    grid = np.broadcast(x, y).shape
+    return _lp_sum(ws, np.broadcast_to(mag, grid).reshape(ws.shape), p)
 
 
 def _check_lp_args(p: float, which: str) -> None:
@@ -209,28 +222,6 @@ def _lp_sum(ws, mag, p: float):
 
 def norm_Lp(fld, rect: PhysicalRect, p: float, which: str):
     return error_Lp(fld, ZERO_FIELD, rect, p, which)
-
-
-def error_Lp_reference(ref_field, member: SpaceMember, rect: PhysicalRect,
-                       p: float, which: str) -> float:
-    """The same physical error, integrated on the reference square.
-
-    Consistency oracle for error_Lp: reference components scale by
-    1/hy, 1/hx (divergence by 1/(hx hy)) and the measure by hx hy.
-    """
-    _check_lp_args(p, which)
-    xs, ys, ws = _mapped_rule(1.0, 1.0)
-    area = rect.hx * rect.hy
-    if which == "field":
-        U1, V1 = ref_field.uv(xs, ys)
-        U2, V2 = member.uv(xs, ys)
-        mag = np.hypot(np.asarray(U1 - U2, dtype=float) / rect.hy,
-                       np.asarray(V1 - V2, dtype=float) / rect.hx)
-    else:
-        d1 = ref_field.div_values(xs, ys)
-        d2 = member.div_values(xs, ys)
-        mag = np.abs(np.asarray(d1 - d2, dtype=float)) / area
-    return _lp_sum(area * ws, mag, p)
 
 
 @dataclass(frozen=True)
@@ -406,8 +397,9 @@ def run_refinement_study(config: StudyConfig) -> ConvergenceTable:
     fld = get_field(config.field, config.family, config.k, config.seed)
     op = reference_operator(config.family, config.k)
     rects = [config.rect_at(level) for level in range(config.levels)]
-    # every level at once: one rectangle per row, one DOF vector stack, one stacked solve
-    hx, hy = np.split(np.array([[rect.hx, rect.hy] for rect in rects]), 2, axis=1)
+    # every level at once: one rectangle per row, one DOF vector stack, one stacked solve;
+    # the trailing axes keep a level axis apart from a rule axis of the same length
+    hx, hy = (np.array(side).reshape(-1, 1, 1) for side in zip(*((r.hx, r.hy) for r in rects)))
 
     def push(coeffs):  # coefficients (one row, or one per level) on the mapped rules
         U, V, D = (contract(coeffs, t) for t in op.rule_tables)
@@ -419,8 +411,8 @@ def run_refinement_study(config: StudyConfig) -> ConvergenceTable:
         sample = push(fld.member.coeffs)
     else:
         coeffs = op.solve_coefficients(PulledBackField(fld, hx, hy))
-        xs, ys, _ = _mapped_rule(hx, hy)
-        sample = _Values(*fld.uv(xs, ys), fld.div_values(xs, ys))
+        x, y, _ = _mapped_rule(hx, hy)
+        sample = _Values(*fld.uv(x, y), fld.div_values(x, y))
     interp = push(coeffs)
     # Field errors are mean-normalized (the measure factor (hx hy)^{1/p}
     # carries no rate content); every battery field vanishes at the

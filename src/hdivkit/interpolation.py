@@ -38,7 +38,7 @@ from .elements import (
 )
 from .fields import FieldStack, commuting_battery
 from .poly import Polynomial2D
-from .quadrature import NONPOLY_POINTS, tensor_rule
+from .quadrature import NONPOLY_POINTS, gauss_legendre_01, tensor_rule
 
 COND_FAIL = 1e12
 COND_WARN = 1e9
@@ -81,9 +81,11 @@ class InterpolationOperator:
 
     @functools.cached_property
     def rule_tables(self) -> tuple:
-        """The basis (U, V, div) on the 20 x 20 error rule, tabulated on first use."""
-        rule = tensor_rule(NONPOLY_POINTS, NONPOLY_POINTS)
-        return (*self.space.tabulate(rule.xs, rule.ys), self.space.tabulate_div(rule.xs, rule.ys))
+        """The basis (U, V, div) on the axes of the 20 x 20 error rule, each of shape
+        (dim, 20, 20), tabulated on first use."""
+        t = gauss_legendre_01(NONPOLY_POINTS).nodes
+        x, y = t[:, None], t[None, :]
+        return (*self.space.tabulate(x, y), self.space.tabulate_div(x, y))
 
     def solve(self, b) -> np.ndarray:
         """Coefficients of extended-precision DOF vectors; leading axes batch."""
@@ -106,10 +108,6 @@ class InterpolationOperator:
     def __repr__(self):
         return (f"InterpolationOperator({self.space.family.value}, k={self.space.k}, "
                 f"cond={self.condition:.3e})")
-
-
-def interpolate(op: InterpolationOperator, field) -> SpaceMember:
-    return op.interpolate(field)
 
 
 def reference_operator(family, k: int,
@@ -152,20 +150,22 @@ class L2Projector:
 
     @functools.cached_property
     def _rule_tables(self) -> tuple:
-        """The fixed rule's long-double points, weights and Legendre values."""
-        rule = tensor_rule(NONPOLY_POINTS, NONPOLY_POINTS)
+        """The fixed rule's long-double axes, (20, 20) weights and Legendre values."""
+        n = NONPOLY_POINTS
+        t = gauss_legendre_01(n).nodes_ld
+        x, y = t[:, None], t[None, :]
         nmax = max(max(i, j) for i, j in self._index)
-        return (rule.xs_ld, rule.ys_ld, rule.ws_ld,
-                legendre.values(nmax, rule.xs_ld), legendre.values(nmax, rule.ys_ld))
+        return (x, y, tensor_rule(n, n).ws_ld.reshape(n, n),
+                legendre.values(nmax, x), legendre.values(nmax, y))
 
     def coeffs_internal(self, w) -> dict:
         """Legendre-product coefficients of the projection, keyed (i, j)."""
         if isinstance(w, Polynomial2D):
             exact = legendre.grid_to_basis_exact(w.coeffs)
             return {ij: float(c) for ij, c in exact.items() if ij in self.scalar_space._expset}
-        xs, ys, ws, Lx, Ly = self._rule_tables
-        vals = np.asarray(w(xs, ys), dtype=np.longdouble)
-        out = {}
+        x, y, ws, Lx, Ly = self._rule_tables
+        vals = np.asarray(w(x, y), dtype=np.longdouble)
+        out = {}  # each sum runs over the contiguous grid in x-major order
         for i, j in self._index:
             c = np.sum(ws * vals * Lx[i] * Ly[j]) * ((2 * i + 1) * (2 * j + 1))
             out[(i, j)] = float(c)
@@ -213,9 +213,9 @@ def commuting_residuals(family, k: int, fields, replace_div_moments: bool = Fals
     op = reference_operator(family, k, replace_div_moments)
     proj = reference_projector(family, k)
     s = np.linspace(0.0, 1.0, SAMPLE_GRID)
-    X, Y = np.meshgrid(s, s, indexing="ij")
-    lhs = op.interpolate(FieldStack(fields)).div_values(X, Y)
-    rhs = [_eval_legendre_sum(proj.coeffs_internal(f.div_values), X, Y) for f in fields]
+    x, y = s[:, None], s[None, :]
+    lhs = op.interpolate(FieldStack(fields)).div_values(x, y)
+    rhs = [_eval_legendre_sum(proj.coeffs_internal(f.div_values), x, y) for f in fields]
     return np.array([np.max(np.abs(a - b)) for a, b in zip(lhs, rhs)])
 
 
@@ -233,12 +233,13 @@ def judge_commuting(family, k: int, replace_div_moments: bool = False) -> Tuple[
 
 
 def _eval_legendre_sum(coeffs: dict, x, y):
+    """sum c L_i(x) L_j(y) on the broadcast shape of x, y; the recurrences run on x, y."""
+    out = np.zeros(np.broadcast(x, y).shape)
     if not coeffs:
-        return np.zeros_like(np.asarray(x, dtype=float))
+        return out
     nmax = max(max(i, j) for i, j in coeffs)
     Lx = legendre.values(nmax, np.asarray(x))
     Ly = legendre.values(nmax, np.asarray(y))
-    out = np.zeros_like(Lx[0])
     for (i, j), c in sorted(coeffs.items()):
         out = out + c * (Lx[i] * Ly[j])
     return out

@@ -65,15 +65,20 @@ class Polynomial2D:
         return cls(c)
 
     def eval(self, x, y):
-        """Evaluate by nested Horner recursion, dtype-preserving."""
+        """Evaluate by nested Horner recursion, dtype-preserving.
+
+        Each row's Horner sum in y runs on y's own shape, so axes (a column
+        x and a row y) cost one pass per distinct y; only the outer
+        recursion fills the broadcast shape, with the same operations per
+        point as on broadcast points.
+        """
         x = np.asarray(x)
         y = np.asarray(y)
         dt = np.result_type(x.dtype, y.dtype, np.float64)
         c = self.coeffs.astype(dt)
-        shape = np.broadcast_shapes(x.shape, y.shape)
-        acc = np.zeros(shape, dtype=dt)
+        acc = np.zeros(x.shape, dtype=dt)
         for i in range(c.shape[0] - 1, -1, -1):
-            row = np.zeros(shape, dtype=dt)
+            row = np.zeros(y.shape, dtype=dt)
             for j in range(c.shape[1] - 1, -1, -1):
                 row = row * y + c[i, j]
             acc = acc * x + row
@@ -191,12 +196,3 @@ def curl_scalar(phi: Polynomial2D) -> VectorPoly2D:
     """(dphi/dy, -dphi/dx); divergence-free by mixed-partial symmetry."""
     return VectorPoly2D(phi.partial("y", 1), -phi.partial("x", 1))
 
-
-def integrate_rect(p: Polynomial2D, hx: float, hy: float) -> float:
-    """Integral of p over [0, hx] x [0, hy] from the monomial closed form."""
-    if hx <= 0 or hy <= 0:
-        raise ValueError("rectangle dimensions must be positive")
-    c = p.coeffs
-    i = np.arange(1, c.shape[0] + 1, dtype=float)
-    j = np.arange(1, c.shape[1] + 1, dtype=float)
-    return float(np.sum(c * np.outer(hx**i / i, hy**j / j)))

@@ -33,3 +33,13 @@ def reference_field(member) -> VectorPoly2D:
     """The single member as a monomial field, from reference_grids."""
     assert np.ndim(member.coeffs) == 1, "one member, not a stack"
     return VectorPoly2D(*reference_grids(member.space, member.coeffs))
+
+
+def integrate_rect(p: Polynomial2D, hx: float, hy: float) -> float:
+    """Integral of p over [0, hx] x [0, hy] from the monomial closed form."""
+    if hx <= 0 or hy <= 0:
+        raise ValueError("rectangle dimensions must be positive")
+    c = p.coeffs
+    i = np.arange(1, c.shape[0] + 1, dtype=float)
+    j = np.arange(1, c.shape[1] + 1, dtype=float)
+    return float(np.sum(c * np.outer(hx**i / i, hy**j / j)))

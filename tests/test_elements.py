@@ -11,14 +11,13 @@ from hdivkit.elements import (
     ScalarSpace,
     build_div_space,
     build_space,
-    component_degrees,
     degree_range,
-    gram_matrix,
     space_dimension,
     span_check,
 )
-from hdivkit.poly import Polynomial2D, VectorPoly2D, integrate_rect
-from monomial_oracle import reference_field, reference_grids
+from hdivkit.poly import Polynomial2D, VectorPoly2D
+from monomial_oracle import integrate_rect, reference_field, reference_grids
+from reference_oracle import component_degrees, gram_matrix
 
 RNG = np.random.default_rng(11)
 

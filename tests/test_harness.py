@@ -23,7 +23,6 @@ from hdivkit.harness import (
     bdm_sharpness_witness,
     default_suite_configs,
     error_Lp,
-    error_Lp_reference,
     fit_window,
     fitted_rate,
     interpolate_on_rect,
@@ -44,6 +43,7 @@ from hdivkit.dofs import dof_vector_ld
 from hdivkit.interpolation import REFINE_SWEEPS, InterpolationOperator, reference_operator
 from hdivkit.poly import Polynomial2D, VectorPoly2D
 from hdivkit.quadrature import NONPOLY_POINTS, tensor_rule
+from reference_oracle import enumerated_rule, error_Lp_reference, on_grid
 
 
 def _vec(ux, uy, vx, vy, cu=1.0, cv=1.0):
@@ -225,14 +225,16 @@ _ROW = st.tuples(st.floats(1e-6, 1.0), st.floats(1e-6, 1.0),
 def test_stacked_errors_match_per_rectangle_calls(rows, p, which, seed):
     # one row per rectangle, zero rows and rows whose plain sum underflows or
     # overflows (the rescaling fallback) included: equal, not close
+    # values on the rule's (20, 20) grid, sides of shape (rows, 1, 1)
     rng = np.random.default_rng(seed)
-    hx, hy, scale = (np.array(column)[:, None] for column in zip(*rows))
-    a, b = (_Values(*(scale * rng.standard_normal((len(rows), NONPOLY_POINTS**2))
+    hx, hy, scale = (np.array(column)[:, None, None] for column in zip(*rows))
+    a, b = (_Values(*(scale * rng.standard_normal((len(rows), NONPOLY_POINTS, NONPOLY_POINTS))
                       for _ in range(3))) for _ in range(2))
     stack = PhysicalRect(hx, hy)
     errors, norms = error_Lp(a, b, stack, p, which), norm_Lp(a, stack, p, which)
     _, _, ws = _mapped_rule(hx, hy)
     mags = np.hypot(a.U - b.U, a.V - b.V) if which == "field" else np.abs(a.D - b.D)
+    mags = mags.reshape(ws.shape)
     sums = _lp_sum(ws, mags, p)
     assert errors.shape == norms.shape == sums.shape == (len(rows),)
     for i, (x, y, _) in enumerate(rows):
@@ -574,14 +576,14 @@ def _push_on_rule(tables, coeffs, rect: PhysicalRect) -> _Values:
     """A member's push-forward on rect's mapped error rule: its coefficients
     contracted with the tables as in SpaceMember.uv, then the Piola factors
     of PhysicalMemberField; no point is mapped back to the reference square."""
-    U, V, D = (np.tensordot(coeffs, t, axes=1) for t in tables)
+    U, V, D = (on_grid(np.tensordot(coeffs, t, axes=1)) for t in tables)
     return _Values(U / rect.hy, V / rect.hx, D / (rect.hx * rect.hy))
 
 
 def _level_by_level_records(config):
     """The study one level at a time: a lone solve of the level's pull-back,
-    the field sampled on the level's mapped rule, both sides read from one
-    table of the basis on the error rule."""
+    the field sampled at the level's enumerated rule points, both sides read
+    from one table of the basis at those points and laid out on the grid."""
     fld = get_field(config.field, config.family, config.k, config.seed)
     op = reference_operator(config.family, config.k)
     rule = tensor_rule(NONPOLY_POINTS, NONPOLY_POINTS)
@@ -593,8 +595,8 @@ def _level_by_level_records(config):
             phys = piola_push(rect, fld.member)
             sample = _push_on_rule(tables, fld.member.coeffs, rect)
         else:
-            xs, ys, _ = _mapped_rule(rect.hx, rect.hy)
-            phys, sample = fld, _Values(*fld.uv(xs, ys), fld.div_values(xs, ys))
+            xs, ys, _ = enumerated_rule(rect.hx, rect.hy)
+            phys, sample = fld, _Values(*map(on_grid, (*fld.uv(xs, ys), fld.div_values(xs, ys))))
         interp = _push_on_rule(tables, _lone_solve(op, piola_pullback(rect, phys)), rect)
         nf = (rect.hx * rect.hy) ** (1.0 / config.p)
         nd = norm_Lp(sample, rect, config.p, "div")
@@ -604,24 +606,30 @@ def _level_by_level_records(config):
     return records
 
 
-_LEVEL_CASES = [(field, mode, 64.0, h0, p)
+_LEVEL_CASES = [(field, mode, 64.0, h0, p, 4)
                 for h0, p in [(0.5, 1.0), (0.5, 7.5), (0.3, 1.0), (0.3, 7.5)]
                 for field, mode in [("MS-X", "shrink_x"), ("MS-G", "isotropic"),
                                     ("MS-P", "fixed_aspect")]] + [
-    ("MS-P", "fixed_aspect", 64.0, 0.3, 40.0),  # ABF_2-4's roundoff errors: the fallback
-    ("MS-G", "fixed_aspect", 0.5, 0.5, 2.0),
-    ("MS-X", "fixed_aspect", 0.5, 0.3, 3.0)]
+    ("MS-P", "fixed_aspect", 64.0, 0.3, 40.0, 4),  # ABF_2-4's roundoff errors: the fallback
+    ("MS-G", "fixed_aspect", 0.5, 0.5, 2.0, 4),
+    ("MS-X", "fixed_aspect", 0.5, 0.3, 3.0, 4)] + [
+    # as many levels as the error rule's axis (NONPOLY_POINTS) or the
+    # plan's (n + 2): a level axis must never pair with a rule axis
+    (field, mode, 0.5, h0, 2.0, levels)
+    for levels, h0 in [(NONPOLY_POINTS, 0.3), (NONPOLY_POINTS + 2, 0.5)]
+    for field, mode in [("MS-X", "shrink_x"), ("MS-G", "isotropic"), ("MS-P", "fixed_aspect")]]
 
 
-@pytest.mark.parametrize("field,mode,rho,h0,p", _LEVEL_CASES, ids=[
-    f"{field}-{mode}{'' if rho == 64.0 else f'({rho:g})'}-{h0}-{p}"
-    for field, mode, rho, h0, p in _LEVEL_CASES])
+@pytest.mark.parametrize("field,mode,rho,h0,p,levels", _LEVEL_CASES, ids=[
+    f"{field}-{mode}{'' if rho == 64.0 or mode != 'fixed_aspect' else f'({rho:g})'}-{h0}-{p}"
+    + ("" if levels == 4 else f"-L{levels}")
+    for field, mode, rho, h0, p, levels in _LEVEL_CASES])
 @pytest.mark.parametrize("family,k", _PAIRS)
-def test_batched_study_matches_level_by_level(family, k, field, mode, rho, h0, p):
+def test_batched_study_matches_level_by_level(family, k, field, mode, rho, h0, p, levels):
     # the stacked solve runs one single-column gesv per level, the
     # contraction one gemv per level and the errors one root per level, so
     # the batch keeps every bit, at non-dyadic sizes too
-    config = StudyConfig(family, k, p, field, mode, rho=rho, levels=4, h0=h0)
+    config = StudyConfig(family, k, p, field, mode, rho=rho, levels=levels, h0=h0)
     assert run_refinement_study(config).records == _level_by_level_records(config)
 
 

@@ -21,7 +21,6 @@ from hdivkit.interpolation import (
     L2Projector,
     OperatorConstructionError,
     commuting_residual,
-    interpolate,
     reference_operator,
     reference_projector,
     unisolvence_report,
@@ -128,7 +127,7 @@ def test_interpolate_is_linear(family, k, seed, a, b):
 
 def test_interpolate_helper():
     op = reference_operator("RT", 0)
-    m = interpolate(op, MS_G)
+    m = op.interpolate(MS_G)
     np.testing.assert_array_equal(m.coeffs, op.interpolate(MS_G).coeffs)
 
 

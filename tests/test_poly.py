@@ -8,8 +8,8 @@ from hdivkit.poly import (
     VectorPoly2D,
     curl_scalar,
     divergence,
-    integrate_rect,
 )
+from monomial_oracle import integrate_rect
 
 RNG = np.random.default_rng(42)
 

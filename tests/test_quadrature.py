@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from hdivkit.poly import Polynomial2D, integrate_rect
+from hdivkit.poly import Polynomial2D
+from monomial_oracle import integrate_rect
 from hdivkit.quadrature import (
     EDGES,
     MAX_POINTS,

@@ -86,7 +86,7 @@ def test_stack_rows_evaluate_as_single_members(pair, rows, seed, sparsity, point
     singles = [space.member(c) for c in coeffs]
     plan = _plan_for(build_dofs(*pair), space._maxdeg)
     x, y = np.array(points).T
-    for xs, ys in ((plan.xs, plan.ys), (plan.grid_xs, plan.grid_ys), (x, y)):
+    for xs, ys in ((plan.x, plan.y), plan.inner, (x, y)):
         U, V = stack.uv(xs, ys)
         D = stack.div_values(xs, ys)
         for r, m in enumerate(singles):
