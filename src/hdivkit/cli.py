@@ -133,7 +133,7 @@ def _judge_projection(family: str, k: int, replace: bool):
     op = reference_operator(family, k, replace)
     rng = np.random.default_rng(env_seed())  # each (family, k) seeds its own generator
     exact = np.stack([op.space.random_member(rng).coeffs for _ in range(PROJECTION_MEMBERS)])
-    # the members as one stack: one DOF vector call, one stacked solve (a gesv per member)
+    # the members as one stack: one DOF vector call, one stacked solve (a product per member)
     coeffs = op.solve_coefficients(op.space.member(exact))
     worst = np.max(np.abs(coeffs - exact).max(axis=1) / np.abs(exact).max(axis=1))
     return worst, worst <= REPRO_TOL

@@ -2,18 +2,22 @@
 
 The interpolation operator solves M c = F(field) where M is the
 DOF-matrix of the element basis and F the field's DOF vector.  M is
-assembled in extended precision; every solve goes through numpy's LAPACK
-gesv in doubles and is polished with three extended-precision
-residual-correction sweeps.  The coefficient error then tracks the
-extended epsilon rather than the double one, which is what keeps space
-members reproducible to 1e-12 through condition numbers around 1e6.
-`condition` is the exact 1-norm condition number of M, not an estimate.
-`solve` takes DOF vectors with leading axes (a study's levels, the rows
-of a member stack or a FieldStack) as a stack of single columns: numpy
-runs one nrhs = 1 gesv per vector, which keeps the bits of a lone solve;
-one gesv with many right-hand sides moved ABF_4 coefficients by 1e-14.
-So `interpolate` of a stacked field is a stacked member, one row per
-field.  An operator keeps its basis on the studies' error rule (rule_tables).
+assembled in extended precision and inverted once, in doubles, when the
+operator is built; that inverse also gives `condition`, the exact 1-norm
+condition number ||M||_1 ||M^-1||_1 (not an estimate).  Every solve is
+the product with the cached inverse, polished by three extended-precision
+residual-correction sweeps x <- x + M^-1 (b - M x): iterative refinement
+with an approximate inverse, which converges while ||I - M^-1 M|| < 1
+(Higham, Accuracy and Stability of Numerical Algorithms, ch. 12).  The
+coefficient error then tracks the extended epsilon rather than the double
+one, which is what keeps space members reproducible to 1e-12 through
+condition numbers around 1e6.  `solve` takes DOF vectors with leading
+axes (a study's levels, the rows of a member stack or a FieldStack) as a
+stack of single columns: numpy's matmul runs the same matrix-vector
+product for each column, which keeps the bits of a lone solve; one
+product with a matrix of many columns may sum in another order.  So
+`interpolate` of a stacked field is a stacked member, one row per field.
+An operator keeps its basis on the studies' error rule (rule_tables).
 
 The projector works in an orthogonal Legendre-product basis of the same
 span as the declared monomial basis (all divergence index sets are
@@ -70,8 +74,16 @@ class InterpolationOperator:
         self._M_ld = dof_matrix_ld(dofs, space)
         self.dof_matrix = self._M_ld.astype(float)
         tag = f"{space.family.value}_{space.k}"
-        # inf for a singular M, nan for a non-finite one
-        self.condition = float(np.linalg.cond(self.dof_matrix, 1))
+        # np.linalg.cond(M, 1) to the bit, keeping the inverse it builds; as
+        # there, nan for an M with a nan entry and inf for any other singular one
+        try:
+            self._inverse = np.linalg.inv(self.dof_matrix)
+            self.condition = float(np.linalg.norm(self.dof_matrix, 1)
+                                   * np.linalg.norm(self._inverse, 1))
+        except np.linalg.LinAlgError:
+            self.condition = np.nan
+        if np.isnan(self.condition) and not np.isnan(self.dof_matrix).any():
+            self.condition = np.inf
         if not np.isfinite(self.condition) or self.condition > COND_FAIL:
             raise OperatorConstructionError(
                 f"{tag}: DOF matrix singular or ill-conditioned (cond {self.condition:.3e})"
@@ -88,14 +100,18 @@ class InterpolationOperator:
         return (*self.space.tabulate(x, y), self.space.tabulate_div(x, y))
 
     def solve(self, b) -> np.ndarray:
-        """Coefficients of extended-precision DOF vectors; leading axes batch."""
+        """Coefficients of extended-precision DOF vectors; leading axes batch.
+
+        The cached inverse's product plus REFINE_SWEEPS extended-precision
+        residual corrections, each applied to a stack of single columns,
+        never to one matrix of many columns, so a row keeps a lone solve's bits.
+        """
         if not np.all(np.isfinite(b)):
             raise ValueError("DOF vector is not finite")
-        b = b[..., None]  # a stack of single columns, never one gesv with many
-        x = np.longdouble(np.linalg.solve(self.dof_matrix, b.astype(float)))
+        b = b[..., None]
+        x = np.longdouble(self._inverse @ b.astype(float))
         for _ in range(REFINE_SWEEPS):
-            r = b - self._M_ld @ x
-            x = x + np.linalg.solve(self.dof_matrix, r.astype(float))
+            x = x + self._inverse @ (b - self._M_ld @ x).astype(float)
         return x[..., 0].astype(float)
 
     def solve_coefficients(self, field) -> np.ndarray:

@@ -8,6 +8,7 @@ import numpy as np
 
 from hdivkit.elements import ElementSpace, _legendre_coordinates, _product_norms, build_space
 from hdivkit.harness import _check_lp_args, _lp_sum
+from hdivkit.interpolation import REFINE_SWEEPS
 from hdivkit.quadrature import NONPOLY_POINTS, tensor_rule
 
 
@@ -62,3 +63,14 @@ def component_degrees(family, k):
     degree bounds of the member with every coefficient nonzero."""
     space = build_space(family, k)
     return space.member(np.ones(space.dim)).degree_bounds
+
+
+def gesv_solve(op, b):
+    """The operator's solve by LU instead of its cached inverse: one nrhs = 1
+    np.linalg.solve per DOF vector (a getrf and a getrs each) and the same
+    REFINE_SWEEPS extended-precision residual corrections; leading axes batch."""
+    b = b[..., None]
+    x = np.longdouble(np.linalg.solve(op.dof_matrix, b.astype(float)))
+    for _ in range(REFINE_SWEEPS):
+        x = x + np.linalg.solve(op.dof_matrix, (b - op._M_ld @ x).astype(float))
+    return x[..., 0].astype(float)

@@ -40,7 +40,7 @@ from hdivkit.harness import (
 )
 from hdivkit import interpolation
 from hdivkit.dofs import dof_vector_ld
-from hdivkit.interpolation import REFINE_SWEEPS, InterpolationOperator, reference_operator
+from hdivkit.interpolation import InterpolationOperator, reference_operator
 from hdivkit.poly import Polynomial2D, VectorPoly2D
 from hdivkit.quadrature import NONPOLY_POINTS, tensor_rule
 from reference_oracle import enumerated_rule, error_Lp_reference, on_grid
@@ -564,12 +564,8 @@ def test_study_tabulates_the_error_rule_once(monkeypatch, family, k, field, mode
 
 
 def _lone_solve(op, field):
-    """One DOF vector and one 1-D gesv (plus the sweeps) for one field."""
-    b = dof_vector_ld(op.dofs, field)
-    x = np.longdouble(np.linalg.solve(op.dof_matrix, b.astype(float)))
-    for _ in range(REFINE_SWEEPS):
-        x = x + np.linalg.solve(op.dof_matrix, (b - op._M_ld @ x).astype(float))
-    return x.astype(float)
+    """One DOF vector and one lone solve of it for one field."""
+    return op.solve(dof_vector_ld(op.dofs, field))
 
 
 def _push_on_rule(tables, coeffs, rect: PhysicalRect) -> _Values:
@@ -626,8 +622,8 @@ _LEVEL_CASES = [(field, mode, 64.0, h0, p, 4)
     for field, mode, rho, h0, p, levels in _LEVEL_CASES])
 @pytest.mark.parametrize("family,k", _PAIRS)
 def test_batched_study_matches_level_by_level(family, k, field, mode, rho, h0, p, levels):
-    # the stacked solve runs one single-column gesv per level, the
-    # contraction one gemv per level and the errors one root per level, so
+    # the stacked solve runs one matrix-vector product per level and sweep,
+    # the contraction one gemv per level and the errors one root per level, so
     # the batch keeps every bit, at non-dyadic sizes too
     config = StudyConfig(family, k, p, field, mode, rho=rho, levels=levels, h0=h0)
     assert run_refinement_study(config).records == _level_by_level_records(config)
@@ -639,7 +635,9 @@ def test_batched_study_matches_level_by_level(family, k, field, mode, rho, h0, p
 def test_study_solves_all_levels_at_once(monkeypatch, field, mode, levels):
     config = StudyConfig("ABF", 2, field=field, mode=mode, levels=levels)
     run_refinement_study(config)  # warm the operator
-    calls = {"dof_vector_ld": 0, "solve": 0}
+    # one DOF-vector call and one stacked solve through the cached inverse:
+    # nothing is factorised, and a solve per level would count `levels`
+    calls = {"dof_vector_ld": 0, "solve": 0, "np.linalg.solve": 0, "np.linalg.inv": 0}
 
     def counting(name, original):
         def counted(*args, **kwargs):
@@ -649,9 +647,13 @@ def test_study_solves_all_levels_at_once(monkeypatch, field, mode, levels):
 
     monkeypatch.setattr(interpolation, "dof_vector_ld",
                         counting("dof_vector_ld", interpolation.dof_vector_ld))
-    monkeypatch.setattr(np.linalg, "solve", counting("solve", np.linalg.solve))
+    monkeypatch.setattr(InterpolationOperator, "solve",
+                        counting("solve", InterpolationOperator.solve))
+    for name in ("solve", "inv"):
+        monkeypatch.setattr(np.linalg, name, counting(f"np.linalg.{name}",
+                                                      getattr(np.linalg, name)))
     run_refinement_study(config)
-    assert calls == {"dof_vector_ld": 1, "solve": 1 + REFINE_SWEEPS}
+    assert calls == {"dof_vector_ld": 1, "solve": 1, "np.linalg.solve": 0, "np.linalg.inv": 0}
 
 def test_study_stagnation_mode():
     # shrinking x cannot reduce a y-only divergence: stagnation must pass

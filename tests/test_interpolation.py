@@ -11,12 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hdivkit import interpolation, legendre
-from hdivkit.dofs import apply_dof, build_dofs
+from hdivkit.dofs import apply_dof, build_dofs, dof_vector_ld
 from hdivkit.elements import ElementFamily, build_div_space, build_space
 from hdivkit.fields import MS_G, CallableField, commuting_battery
 from hdivkit.interpolation import (
     COND_FAIL,
     COND_WARN,
+    REPRO_TOL,
     InterpolationOperator,
     L2Projector,
     OperatorConstructionError,
@@ -28,6 +29,7 @@ from hdivkit.interpolation import (
 from hdivkit.poly import Polynomial2D, VectorPoly2D, curl_scalar
 from hdivkit.quadrature import tensor_rule
 from monomial_oracle import reference_field
+from reference_oracle import gesv_solve
 
 ALL_SPACES = [("RT", k) for k in range(5)] + [("BDM", k) for k in range(1, 5)] + [
     ("ABF", k) for k in range(5)
@@ -54,6 +56,28 @@ def test_member_reproduction(family, k):
         err = np.max(np.abs(back - member.coeffs)) / np.max(np.abs(member.coeffs))
         worst = max(worst, err)
     assert worst <= 1e-12
+
+
+def _worst_relative_error(coeffs, exact):
+    """The largest coefficient error of a member, relative to its largest coefficient."""
+    return np.max(np.abs(coeffs - exact).max(axis=1) / np.abs(exact).max(axis=1))
+
+
+def test_cached_inverse_reproduces_members_as_lu_does():
+    # 200 seeded members per (family, k), solved through the cached inverse
+    # and through one LU per DOF vector with the same sweeps: every pair keeps
+    # a tenth of the reproduction bound, and the worst pair is no worse than LU's
+    worst = worst_lu = 0.0
+    for family, k in ALL_SPACES:
+        op = reference_operator(family, k)
+        rng = np.random.default_rng(7)
+        exact = np.stack([op.space.random_member(rng).coeffs for _ in range(200)])
+        b = dof_vector_ld(op.dofs, op.space.member(exact))
+        err = _worst_relative_error(op.solve(b), exact)
+        assert err <= REPRO_TOL / 10, (family, k, err)
+        worst = max(worst, err)
+        worst_lu = max(worst_lu, _worst_relative_error(gesv_solve(op, b), exact))
+    assert worst <= worst_lu
 
 
 def test_rt0_pinned_interpolant():
@@ -144,6 +168,8 @@ def test_condition_is_exact(family, k):
     inv = np.linalg.solve(M, np.eye(len(M)))
     exact = np.abs(M).sum(axis=0).max() * np.abs(inv).sum(axis=0).max()
     assert op.condition == pytest.approx(exact, rel=1e-12)
+    # the norm product over the cached inverse is np.linalg.cond's, to the bit
+    assert op.condition == float(np.linalg.cond(M, 1))
 
 
 def test_abf2_condition_pinned():
@@ -156,8 +182,28 @@ def test_singular_dofset_rejected():
     dofs = build_dofs("RT", 1)
     first = dofs.functionals[0]
     twice = dataclasses.replace(dofs, functionals=(first, first) + dofs.functionals[2:])
-    with pytest.raises(OperatorConstructionError, match="singular or ill-conditioned"):
+    with pytest.raises(OperatorConstructionError,
+                       match=r"singular or ill-conditioned \(cond inf\)"):
         InterpolationOperator(build_space("RT", 1), twice)
+
+
+@pytest.mark.parametrize("entry,cond", [(np.nan, "nan"), (np.inf, "inf"), (-np.inf, "inf")])
+@pytest.mark.parametrize("family,k", [("RT", 1), ("ABF", 4)])
+def test_nonfinite_dof_matrix_rejected(monkeypatch, family, k, entry, cond):
+    # np.linalg.cond's reading: nan for a nan entry, inf for an infinite one
+    # (ABF_4's inverse then holds nans)
+    real = interpolation.dof_matrix_ld
+
+    def spoiled(dofs, space):
+        M = real(dofs, space).copy()
+        M[1, 2] = entry
+        return M
+
+    monkeypatch.setattr(interpolation, "dof_matrix_ld", spoiled)
+    with pytest.raises(OperatorConstructionError,
+                       match=rf"{family}_{k}: DOF matrix singular or ill-conditioned "
+                             rf"\(cond {cond}\)$"):
+        InterpolationOperator(build_space(family, k))
 
 
 def test_nonfinite_dof_vector_rejected():

@@ -70,6 +70,20 @@ def test_commuting_stack_matches_the_field_loop(family, k, replace):
     assert judge_commuting(family, k, replace) == (worst, worst <= COMMUTING_TOL)
 
 
+@pytest.mark.parametrize("rows", [1, 2, 8, 20, 22, "dim", "dim + 1"])
+@pytest.mark.parametrize("family,k", [("RT", 4), ("BDM", 4), ("ABF", 4)])
+@settings(max_examples=4, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), scale=st.floats(1e-3, 1e3))
+def test_stacked_solve_matches_lone_solves(family, k, rows, seed, scale):
+    # solve multiplies each column of the stack by the cached inverse on its
+    # own, so a row's coefficients never depend on the stack around it
+    op = reference_operator(family, k)
+    n = {"dim": op.space.dim, "dim + 1": op.space.dim + 1}.get(rows, rows)
+    rng = np.random.default_rng(seed)
+    b = dof_vector_ld(op.dofs, op.space.member(scale * rng.standard_normal((n, op.space.dim))))
+    assert np.array_equal(op.solve(b), np.stack([op.solve(row) for row in b]))
+
+
 ALL_PAIRS = [(f, k) for f in FAMILIES for k in degree_range(f, MAX_DEGREE)]
 
 
