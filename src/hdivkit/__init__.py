@@ -19,7 +19,7 @@ from .elements import (
     space_dimension,
     span_check,
 )
-from .dofs import DofFunctional, DofSet, apply_dof, build_dofs
+from .dofs import DofFunctional, DofSet, build_dofs
 from .fields import (
     CallableField,
     FIELD_IDS,
@@ -38,13 +38,12 @@ from .harness import (
     ErrorRecord,
     MODES,
     PhysicalRect,
+    PulledBackField,
     StudyConfig,
     bdm_sharpness_witness,
     default_suite_configs,
     error_Lp,
-    interpolate_on_rect,
     norm_Lp,
-    piola_pullback,
     piola_push,
     run_refinement_study,
     theorem_suite,
@@ -53,7 +52,7 @@ from .interpolation import (
     InterpolationOperator,
     L2Projector,
     OperatorConstructionError,
-    commuting_residual,
+    commuting_residuals,
     reference_operator,
     reference_projector,
     unisolvence_report,
@@ -62,7 +61,6 @@ from .poly import Polynomial2D, VectorPoly2D, curl_scalar, divergence
 from .quadrature import (
     QuadratureRule1D,
     QuadratureRule2D,
-    edge_rule,
     gauss_legendre_01,
     n_for_degree,
     tensor_rule,

@@ -19,8 +19,8 @@ commuting property needs verbatim.
 A whole DOF set is applied through a plan: an axis pair plus separable
 weights, as Basix encodes DOFs and FIAT its point/weight functionals,
 with the points given as a tensor product.  The axes are a column x and
-a row y with the nodes {0, t_1 ... t_n, 1}, t the n Gauss nodes of
-quadrature.edge_rule, so the (n + 2)^2 grid they span holds the four
+a row y with the nodes {0, t_1 ... t_n, 1}, t the n nodes of
+gauss_legendre_01(n), so the (n + 2)^2 grid they span holds the four
 edges and the interior n x n grid.  The weights are n-column 1-D
 matrices (w L_i(t) for edge and interior tests, w t^a for divergence
 tests), applied by contraction.  A DOF vector therefore costs one field
@@ -51,8 +51,9 @@ members are reproduced to the extended-precision floor.  Plans are built from th
 set's own functionals and cached by value on (functionals, n), so any
 DOF set applies, reordered ones included; n takes a handful of values
 per (family, k), so the cache stays bounded however many spaces and
-DOF sets are built.  apply_dof / apply_dof_ld keep the per-functional
-quadrature as an independent reference.
+DOF sets are built.  The plan is the one way to apply a functional;
+tests/reference_oracle.py keeps the per-functional quadrature
+(apply_dof_ld) as an independent reference.
 
 All quadrature in this module runs in extended precision: the DOF
 matrices reach condition 1e6 at k = 4 and the projection property at
@@ -69,13 +70,10 @@ import numpy as np
 
 from . import legendre
 from .elements import ElementFamily, ElementSpace, _as_family, family_sets, space_dimension
-from .quadrature import (
-    EDGES, NONPOLY_POINTS, edge_rule, gauss_legendre_01, n_for_degree, tensor_rule,
-)
+from .quadrature import EDGES, NONPOLY_POINTS, gauss_legendre_01, n_for_degree
 
 # outward normals: left (-1,0), right (1,0), bottom (0,-1), top (0,1)
 _EDGE_SIGN = {"left": -1, "right": 1, "bottom": -1, "top": 1}
-_EDGE_COMPONENT = {"left": 0, "right": 0, "bottom": 1, "top": 1}
 
 
 class DofFunctional(NamedTuple):
@@ -145,50 +143,6 @@ def build_dofs(family, k: int, replace_div_moments: bool = False) -> DofSet:
     return dofset
 
 
-def apply_dof_ld(fn: DofFunctional, field) -> np.longdouble:
-    """One functional applied to a field, in extended precision."""
-    degs = getattr(field, "degree_bounds", None)
-    if fn.kind == "edge_moment":
-        comp = _EDGE_COMPONENT[fn.edge]
-        if degs is None:
-            n = NONPOLY_POINTS
-        else:
-            along = degs[comp][1] if comp == 0 else degs[comp][0]
-            n = n_for_degree(along + fn.i)
-        x, y, t, w = edge_rule(fn.edge, n)
-        U, V = field.uv(x, y)
-        vals = U if comp == 0 else V
-        test = legendre.values(fn.i, t)[fn.i]
-        return np.longdouble(_EDGE_SIGN[fn.edge]) * np.sum(w * vals * test)
-    if fn.kind == "interior_moment":
-        if degs is None:
-            nx = ny = NONPOLY_POINTS
-        else:
-            dx, dy = degs[fn.component]
-            nx = n_for_degree(dx + fn.i)
-            ny = n_for_degree(dy + fn.j)
-        rule = tensor_rule(nx, ny)
-        U, V = field.uv(rule.xs_ld, rule.ys_ld)
-        vals = U if fn.component == 0 else V
-        test = legendre.values(fn.i, rule.xs_ld)[fn.i] * legendre.values(fn.j, rule.ys_ld)[fn.j]
-        return np.sum(rule.ws_ld * vals * test)
-    if fn.kind == "div_moment":
-        if degs is None:
-            nx = ny = NONPOLY_POINTS
-        else:
-            (dx0, dy0), (dx1, dy1) = degs
-            nx = n_for_degree(max(dx0 - 1, dx1, 0) + fn.i)
-            ny = n_for_degree(max(dy0, dy1 - 1, 0) + fn.j)
-        rule = tensor_rule(nx, ny)
-        vals = field.div_values(rule.xs_ld, rule.ys_ld)
-        return np.sum(rule.ws_ld * vals * rule.xs_ld ** fn.i * rule.ys_ld ** fn.j)
-    raise ValueError(f"unknown DOF kind {fn.kind!r}")
-
-
-def apply_dof(fn: DofFunctional, field) -> float:
-    return float(apply_dof_ld(fn, field))
-
-
 def _weighted_legendre(deg: int, t, w) -> np.ndarray:
     """Rows w L_i(t) for i = 0..deg; no rows when deg < 0."""
     return w * np.array(legendre.values(max(deg, 0), t)[: deg + 1]).reshape(deg + 1, len(t))
@@ -204,7 +158,7 @@ class DofPlan:
 
     The axes are x of shape (n + 2, 1) and y of shape (1, n + 2), both
     with nodes {0, t_1 ... t_n, 1} for the n Gauss nodes t of
-    quadrature.edge_rule, so the grid they span holds the four edges and
+    gauss_legendre_01(n), so the grid they span holds the four edges and
     the interior n x n tensor grid; ``inner`` is the pair without the
     end nodes, where divergences are sampled.  Weights are 1-D matrices
     over the n nodes: ``edge[d] = w L_d(t)`` and ``interior[i] = w L_i(t)``

@@ -15,21 +15,23 @@ theorem's exponent table with the field's structural zero derivatives,
 so a study that refines a direction the field does not depend on is
 checked for stagnation instead of a bogus rate.
 
-A study runs its levels as one batch.  The field is pulled back to every
-rectangle at once (hx, hy of shape (levels, 1, 1), a leading axis that
-never pairs with a rule axis of the same length), so one DOF vector call
-evaluates it on levels x the plan's axes and one stacked solve gives
-every level's coefficients; an MS-P member is its own pull-back, so it
-is solved once.  Errors are integrated on one 20 x 20 Gauss rule, handed
-out as axes (_mapped_rule): the field is sampled once per level and
-distinct coordinate, and error_Lp reads the (levels, 20, 20) values
-x-major as (levels, 400) rows, the order its sums have always had.  The
-operator keeps its basis on the same axes (rule_tables).  Interpolants
-are coefficients contracted with that table (one gemv per level; one
-gemm over all levels moves last bits), times the Piola factors; a
-reproduced member goes through the same table, so both sides of its
-error meet at the same points even where (h x) / h misses x by an ulp.
-The norm and both errors are one error_Lp call each.
+A field goes to the reference square one way, PulledBackField;
+piola_push gives one member's physical image.  A study runs its levels
+as one batch.  The field is pulled back to every rectangle at once
+(hx, hy of shape (levels, 1, 1), a leading axis that never pairs with a
+rule axis of the same length), so one DOF vector call evaluates it on
+levels x the plan's axes and one stacked solve gives every level's
+coefficients; an MS-P member is its own pull-back, so it is solved once.
+Errors are integrated on one 20 x 20 Gauss rule, handed out as axes
+(_mapped_rule): the field is sampled once per level and distinct
+coordinate, and error_Lp reads the (levels, 20, 20) values x-major as
+(levels, 400) rows, the order its sums have always had.  The operator
+keeps its basis on the same axes (rule_tables).  Interpolants are
+coefficients contracted with that table (one gemv per level; one gemm
+over all levels moves last bits), times the Piola factors; a reproduced
+member goes through the same table, so both sides of its error meet at
+the same points even where (h x) / h misses x by an ulp.  The norm and
+both errors are one error_Lp call each.
 
 Verdicts are one-sided: a fitted rate a whole tolerance above the
 prediction is flagged superconvergent but passes, since the theorems
@@ -69,11 +71,16 @@ class PhysicalRect:
     hy: float
 
     def __post_init__(self):
-        sides = np.array((self.hx, self.hy), dtype=float)
+        hx, hy = np.asarray(self.hx, dtype=float), np.asarray(self.hy, dtype=float)
+        sides = np.concatenate((hx.ravel(), hy.ravel()))
         if not (sides.min() > 0 and sides.max() < math.inf):  # nan too
             raise ValueError("rectangle dimensions must be positive and finite")
         if sides.min() < MIN_H:
             raise ValueError(f"dimensions below {MIN_H:g} are rejected")
+        # a flat (n,) side would pair its rows with a rule axis of the same length
+        if hx.shape != hy.shape or hx.shape not in ((), hx.shape[:1] + (1, 1)):
+            raise ValueError(f"sides must both be scalars or both of one shape (n, 1, 1), "
+                             f"got {hx.shape} and {hy.shape}")
 
 
 class PulledBackField:
@@ -114,31 +121,8 @@ class PhysicalMemberField:
         return d / (self.rect.hx * self.rect.hy)
 
 
-def piola_pullback(rect: PhysicalRect, fld):
-    """Transport a physical field to the reference square.
-
-    Push-forward images of reference members round-trip exactly;
-    polynomial fields map by coefficient scaling; anything else becomes
-    a sampling adapter.  A bare space member is sampled too: it has no
-    monomial grids to scale.
-    """
-    if isinstance(fld, PhysicalMemberField) and fld.rect == rect:
-        return fld.member
-    if isinstance(fld, VectorPoly2D) and not isinstance(fld, SpaceMember):
-        u = fld.u.scale_arguments(rect.hx, rect.hy) * rect.hy
-        v = fld.v.scale_arguments(rect.hx, rect.hy) * rect.hx
-        return VectorPoly2D(u, v)
-    return PulledBackField(fld, rect.hx, rect.hy)
-
-
 def piola_push(rect: PhysicalRect, member: SpaceMember) -> PhysicalMemberField:
     return PhysicalMemberField(require_single(member, "piola_push"), rect)
-
-
-def interpolate_on_rect(family, k: int, rect: PhysicalRect, fld) -> PhysicalMemberField:
-    """Pull back, interpolate on the reference square, push forward."""
-    op = reference_operator(_as_family(family), k)
-    return PhysicalMemberField(op.interpolate(piola_pullback(rect, fld)), rect)
 
 
 class _Values:
@@ -263,6 +247,9 @@ class StudyConfig:
             raise ValueError("rate tolerance must be finite and >= 0")
         if not (math.isfinite(self.rho) and self.rho > 0):
             raise ValueError("aspect ratio must be positive and finite")
+        if self.seed is not None and not (isinstance(self.seed, (int, np.integer))
+                                          and self.seed >= 0):
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.mode == "fixed_aspect" and self.h0 > self.rho:
             raise ValueError("fixed_aspect(R) needs h0 / R <= 1 (h_y may not exceed 1)")
         try:  # the smallest rectangle; 2.0**-levels overflows past ~1e308 levels

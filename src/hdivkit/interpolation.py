@@ -187,15 +187,6 @@ class L2Projector:
             out[(i, j)] = float(c)
         return out
 
-    def project(self, w) -> Polynomial2D:
-        coeffs = self.coeffs_internal(w)
-        out = Polynomial2D.zero()
-        for (i, j) in sorted(coeffs):
-            c = coeffs[(i, j)]
-            if c != 0.0:
-                out = out + legendre.product_poly(i, j) * c
-        return out
-
     def __repr__(self):
         return f"L2Projector({self.scalar_space.description})"
 
@@ -233,11 +224,6 @@ def commuting_residuals(family, k: int, fields, replace_div_moments: bool = Fals
     lhs = op.interpolate(FieldStack(fields)).div_values(x, y)
     rhs = [_eval_legendre_sum(proj.coeffs_internal(f.div_values), x, y) for f in fields]
     return np.array([np.max(np.abs(a - b)) for a, b in zip(lhs, rhs)])
-
-
-def commuting_residual(family, k: int, field, replace_div_moments: bool = False) -> float:
-    """commuting_residuals of the one field."""
-    return float(commuting_residuals(family, k, [field], replace_div_moments)[0])
 
 
 def judge_commuting(family, k: int, replace_div_moments: bool = False) -> Tuple[float, bool]:

@@ -2,8 +2,9 @@
 
 These are the package's workhorse orthogonal family: edge and interior
 test polynomials, the element-space trial bases, and the internal
-projector bases are all built from them.  Coefficients are exact
-integers, so grids are exactly representable; values are computed by the
+projector bases are all built from them.  Monomial coefficients are
+exact integers (coeffs_frac), so monomial grids expand into the basis in
+exact rationals (grid_to_basis_exact); values are computed by the
 three-term recurrence, which stays accurate where coefficient-grid
 evaluation of high-degree members would lose digits to cancellation.
 
@@ -18,24 +19,6 @@ import math
 from fractions import Fraction
 
 import numpy as np
-
-from .poly import Polynomial2D
-
-
-@functools.lru_cache(maxsize=None)
-def coeffs(n: int) -> np.ndarray:
-    """Monomial coefficients of the degree-n shifted Legendre polynomial.
-
-    Exact integers: coef[m] = (-1)**(n+m) * C(n, m) * C(n+m, m).
-    """
-    if n < 0:
-        raise ValueError("degree must be non-negative")
-    c = np.array(
-        [(-1) ** (n + m) * math.comb(n, m) * math.comb(n + m, m) for m in range(n + 1)],
-        dtype=float,
-    )
-    c.setflags(write=False)
-    return c
 
 
 def values(nmax: int, x) -> list:
@@ -122,8 +105,3 @@ def grid_to_basis_exact(grid) -> dict:
                     key = (i, j)
                     out[key] = out.get(key, Fraction(0)) + gf * bx[i] * by[j]
     return {k: v for k, v in out.items() if v != 0}
-
-
-def product_poly(i: int, j: int) -> Polynomial2D:
-    """L_i(x) * L_j(y) as a Polynomial2D with exact integer grid."""
-    return Polynomial2D(np.outer(coeffs(i), coeffs(j)))

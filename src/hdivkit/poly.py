@@ -104,12 +104,6 @@ class Polynomial2D:
                 c = c[:, 1:] * np.arange(1, c.shape[1])[None, :]
         return Polynomial2D(c)
 
-    def scale_arguments(self, ax: float, ay: float) -> "Polynomial2D":
-        """Return q(x, y) = p(ax*x, ay*y) via coefficient scaling."""
-        i = np.arange(self.coeffs.shape[0], dtype=float)
-        j = np.arange(self.coeffs.shape[1], dtype=float)
-        return Polynomial2D(self.coeffs * np.outer(ax**i, ay**j))
-
     def _binary(self, other, sign):
         oc = other.coeffs
         sc = self.coeffs

@@ -1,4 +1,4 @@
-"""Gauss-Legendre quadrature on [0, 1], tensor rules, and edge rules.
+"""Gauss-Legendre quadrature on [0, 1] and tensor rules.
 
 Nodes are found by Newton iteration on the recurrence-evaluated Legendre
 polynomial with Chebyshev-angle starting guesses.  The iteration runs in
@@ -7,10 +7,9 @@ doubles, and extended-precision copies are kept for the interpolation
 pipeline, which needs integrals a little more accurate than double
 rounding allows.
 
-``edge_rule`` owns the map from the edge parameter t to the boundary of
-the unit square (``EDGES`` fixes the edge order); its points, parameter
-and weights are extended precision, since the DOF functionals integrate
-along the edges with them.
+``EDGES`` fixes the order of the edges of the unit square: left (0, t),
+right (1, t), bottom (t, 0), top (t, 1), t running with the increasing
+coordinate.
 """
 
 from __future__ import annotations
@@ -110,22 +109,3 @@ def tensor_rule(nx: int, ny: int) -> QuadratureRule2D:
 
 
 EDGES = ("left", "right", "bottom", "top")
-
-
-@functools.lru_cache(maxsize=None)
-def edge_rule(edge: str, n: int) -> tuple:
-    """n Gauss points on an edge of the unit square, extended precision.
-
-    Returns read-only arrays (x, y, t, w): the points, the edge parameter
-    and the weights.  t runs with the increasing coordinate: left edge
-    (0, t), right (1, t), bottom (t, 0), top (t, 1).
-    """
-    if edge not in EDGES:
-        raise ValueError(f"unknown edge {edge!r}")
-    r = gauss_legendre_01(n)
-    t = r.nodes_ld
-    side = np.full(n, np.longdouble(edge in ("right", "top")))
-    side.setflags(write=False)
-    if edge in ("left", "right"):
-        return side, t, t, r.weights_ld
-    return t, side, t, r.weights_ld

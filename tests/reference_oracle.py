@@ -1,15 +1,22 @@
 """Reference computations that only the tests read.
 
-The library samples tensor rules on their axes; these oracles keep the
-enumerated points and the closed forms the tests compare it with.
+The library samples tensor rules on their axes and applies a whole DOF
+set through one plan; these oracles keep the enumerated points, the
+per-functional quadrature and the closed forms the tests compare it with.
 """
+
+import functools
 
 import numpy as np
 
+from hdivkit import legendre
+from hdivkit.dofs import _EDGE_SIGN
 from hdivkit.elements import ElementSpace, _legendre_coordinates, _product_norms, build_space
 from hdivkit.harness import _check_lp_args, _lp_sum
 from hdivkit.interpolation import REFINE_SWEEPS
-from hdivkit.quadrature import NONPOLY_POINTS, tensor_rule
+from hdivkit.quadrature import EDGES, NONPOLY_POINTS, gauss_legendre_01, n_for_degree, tensor_rule
+
+_EDGE_COMPONENT = {"left": 0, "right": 0, "bottom": 1, "top": 1}
 
 
 def enumerated_rule(hx, hy):
@@ -74,3 +81,67 @@ def gesv_solve(op, b):
     for _ in range(REFINE_SWEEPS):
         x = x + np.linalg.solve(op.dof_matrix, (b - op._M_ld @ x).astype(float))
     return x[..., 0].astype(float)
+
+
+@functools.lru_cache(maxsize=None)
+def edge_rule(edge: str, n: int) -> tuple:
+    """n Gauss points on an edge of the unit square, extended precision.
+
+    Returns read-only arrays (x, y, t, w): the points, the edge parameter
+    and the weights.  t runs with the increasing coordinate: left edge
+    (0, t), right (1, t), bottom (t, 0), top (t, 1).
+    """
+    if edge not in EDGES:
+        raise ValueError(f"unknown edge {edge!r}")
+    r = gauss_legendre_01(n)
+    t = r.nodes_ld
+    side = np.full(n, np.longdouble(edge in ("right", "top")))
+    side.setflags(write=False)
+    if edge in ("left", "right"):
+        return side, t, t, r.weights_ld
+    return t, side, t, r.weights_ld
+
+
+def apply_dof_ld(fn, field) -> np.longdouble:
+    """One functional applied to a field by its own quadrature, in extended
+    precision: the per-functional reference for dofs.DofPlan."""
+    degs = getattr(field, "degree_bounds", None)
+    if fn.kind == "edge_moment":
+        comp = _EDGE_COMPONENT[fn.edge]
+        if degs is None:
+            n = NONPOLY_POINTS
+        else:
+            along = degs[comp][1] if comp == 0 else degs[comp][0]
+            n = n_for_degree(along + fn.i)
+        x, y, t, w = edge_rule(fn.edge, n)
+        U, V = field.uv(x, y)
+        vals = U if comp == 0 else V
+        test = legendre.values(fn.i, t)[fn.i]
+        return np.longdouble(_EDGE_SIGN[fn.edge]) * np.sum(w * vals * test)
+    if fn.kind == "interior_moment":
+        if degs is None:
+            nx = ny = NONPOLY_POINTS
+        else:
+            dx, dy = degs[fn.component]
+            nx = n_for_degree(dx + fn.i)
+            ny = n_for_degree(dy + fn.j)
+        rule = tensor_rule(nx, ny)
+        U, V = field.uv(rule.xs_ld, rule.ys_ld)
+        vals = U if fn.component == 0 else V
+        test = legendre.values(fn.i, rule.xs_ld)[fn.i] * legendre.values(fn.j, rule.ys_ld)[fn.j]
+        return np.sum(rule.ws_ld * vals * test)
+    if fn.kind == "div_moment":
+        if degs is None:
+            nx = ny = NONPOLY_POINTS
+        else:
+            (dx0, dy0), (dx1, dy1) = degs
+            nx = n_for_degree(max(dx0 - 1, dx1, 0) + fn.i)
+            ny = n_for_degree(max(dy0, dy1 - 1, 0) + fn.j)
+        rule = tensor_rule(nx, ny)
+        vals = field.div_values(rule.xs_ld, rule.ys_ld)
+        return np.sum(rule.ws_ld * vals * rule.xs_ld ** fn.i * rule.ys_ld ** fn.j)
+    raise ValueError(f"unknown DOF kind {fn.kind!r}")
+
+
+def apply_dof(fn, field) -> float:
+    return float(apply_dof_ld(fn, field))

@@ -21,8 +21,8 @@ from hdivkit.fields import (
     separable, wave,
 )
 from hdivkit.harness import PulledBackField, _mapped_rule
-from hdivkit.quadrature import EDGES, NONPOLY_POINTS, edge_rule, gauss_legendre_01
-from reference_oracle import enumerated_rule
+from hdivkit.quadrature import EDGES, NONPOLY_POINTS, gauss_legendre_01
+from reference_oracle import edge_rule, enumerated_rule
 
 MANUFACTURED = [MS_G, MS_X, MS_Y] + commuting_battery()[1:]  # MS-G, B-2 ... B-5 and MS-X/Y
 PARTIALS = [(a1, a2, comp) for a1 in range(MAX_PARTIAL_ORDER + 1)
@@ -120,7 +120,7 @@ def test_member_tabulation(pair, grid, seed, rows):
 
 @pytest.mark.parametrize("family,k", ALL_PAIRS)
 def test_plan_axes_hold_the_edge_rules_and_the_grid(family, k):
-    # nodes {0, t, 1}: the four edges of quadrature.edge_rule and the n x n grid
+    # nodes {0, t, 1}: the four edges of reference_oracle.edge_rule and the n x n grid
     space = build_space(family, k)
     for degree in (space._maxdeg, None):
         plan = _plan_for(build_dofs(family, k), degree)

@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from hdivkit.dofs import (
     DofFunctional,
     DofSet,
-    apply_dof,
-    apply_dof_ld,
     build_dofs,
     dof_matrix_ld,
     dof_plan,
@@ -17,10 +15,11 @@ from hdivkit.dofs import (
 )
 from hdivkit.elements import build_space
 from hdivkit.fields import MS_G, CallableField
-from hdivkit.harness import PhysicalRect, piola_pullback
+from hdivkit.harness import PulledBackField
 from hdivkit.interpolation import InterpolationOperator
 from hdivkit.poly import Polynomial2D, VectorPoly2D
 from hdivkit.quadrature import EDGES
+from reference_oracle import apply_dof, apply_dof_ld
 
 
 def _field(ux, uy, vx, vy, cu=1.0, cv=1.0):
@@ -146,7 +145,7 @@ def test_dof_vector_matches_loop_nonpolynomial(family, k):
     # MS-G pulled back to a 1 x 1/64 rectangle: the plan's one evaluation
     # at all points against one quadrature per functional
     dofset = build_dofs(family, k)
-    fld = piola_pullback(PhysicalRect(1.0, 1.0 / 64.0), MS_G)
+    fld = PulledBackField(MS_G, 1.0, 1.0 / 64.0)
     vec = dof_vector_ld(dofset, fld)
     loop = np.array([apply_dof_ld(fn, fld) for fn in dofset.functionals])
     assert vec.dtype == np.longdouble
@@ -193,7 +192,7 @@ def test_permuted_dofset_permutes_matrix_and_vector(family, k, replace, data):
     np.testing.assert_array_equal(dof_matrix_ld(permuted, space),
                                   dof_matrix_ld(dofset, space)[perm])
     member = space.random_member(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
-    for fld in (member, piola_pullback(PhysicalRect(1.0, 1.0 / 64.0), MS_G)):
+    for fld in (member, PulledBackField(MS_G, 1.0, 1.0 / 64.0)):
         np.testing.assert_array_equal(dof_vector_ld(permuted, fld),
                                       dof_vector_ld(dofset, fld)[perm])
 

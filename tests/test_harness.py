@@ -19,15 +19,14 @@ from hdivkit.harness import (
     ConvergenceTable,
     ErrorRecord,
     PhysicalRect,
+    PulledBackField,
     StudyConfig,
     bdm_sharpness_witness,
     default_suite_configs,
     error_Lp,
     fit_window,
     fitted_rate,
-    interpolate_on_rect,
     norm_Lp,
-    piola_pullback,
     piola_push,
     predicted_div_rate,
     predicted_field_rate,
@@ -43,13 +42,19 @@ from hdivkit.dofs import dof_vector_ld
 from hdivkit.interpolation import InterpolationOperator, reference_operator
 from hdivkit.poly import Polynomial2D, VectorPoly2D
 from hdivkit.quadrature import NONPOLY_POINTS, tensor_rule
-from reference_oracle import enumerated_rule, error_Lp_reference, on_grid
+from reference_oracle import apply_dof, enumerated_rule, error_Lp_reference, on_grid
 
 
 def _vec(ux, uy, vx, vy, cu=1.0, cv=1.0):
     return VectorPoly2D(
         Polynomial2D.monomial(ux, uy, cu), Polynomial2D.monomial(vx, vy, cv)
     )
+
+
+def _on_rect(family, k, rect: PhysicalRect, fld):
+    """Pull fld back to the reference square, interpolate there, push the member forward."""
+    member = reference_operator(family, k).interpolate(PulledBackField(fld, rect.hx, rect.hy))
+    return piola_push(rect, member)
 
 
 # ------------------------------------------------------------- geometry
@@ -71,10 +76,25 @@ def test_rect_rejects_non_finite_sides(side):
             PhysicalRect(hx, hy)
 
 
+@pytest.mark.parametrize("n", [20, 3])
+def test_rect_rejects_sides_that_are_not_one_stack(n):
+    # flat (n,) sides pair their rows with a rule axis: at n = 20 norm_Lp read
+    # one scalar for 20 rectangles, at n = 3 it died in a numpy broadcast error
+    s = np.linspace(0.25, 1.0, n)
+    column = s[:, None, None]
+    for hx, hy in ((s, s), (s[:, None], s[:, None]), (column, s), (column, 0.5),
+                   (0.5, column), (column, column[:2])):
+        with pytest.raises(ValueError, match=r"both be scalars or both of one shape \(n, 1, 1\)"):
+            PhysicalRect(hx, hy)
+    norms = norm_Lp(MS_G, PhysicalRect(column, column), 2.0, "field")
+    assert norms.shape == (n,)
+    assert norms[-1] == norm_Lp(MS_G, PhysicalRect(1.0, 1.0), 2.0, "field")
+
+
 def test_pullback_constant_field():
     # contravariant map scales components by the opposite edge length
     rect = PhysicalRect(2.0, 3.0)
-    ref = piola_pullback(rect, _vec(0, 0, 0, 0, cv=0.0))
+    ref = PulledBackField(_vec(0, 0, 0, 0, cv=0.0), rect.hx, rect.hy)
     U, V = ref.uv(np.array([0.25]), np.array([0.5]))
     assert U[0] == pytest.approx(3.0, rel=1e-15)
     assert V[0] == pytest.approx(0.0, abs=1e-15)
@@ -84,47 +104,18 @@ def test_pullback_divergence_identity():
     # reference divergence is hx hy times the physical one at the image point
     rect = PhysicalRect(2.0, 3.0)
     fld = _vec(1, 0, 0, 0, cv=0.0)  # (x, 0), div = 1
-    ref = piola_pullback(rect, fld)
-    assert ref.divergence().eval(0.3, 0.8) == pytest.approx(6.0, rel=1e-15)
+    ref = PulledBackField(fld, rect.hx, rect.hy)
+    assert ref.div_values(0.3, 0.8) == pytest.approx(6.0, rel=1e-15)
 
 
 def test_pullback_identity_rect():
     rect = PhysicalRect(1.0, 1.0)
     fld = _vec(2, 1, 0, 2)
-    ref = piola_pullback(rect, fld)
+    ref = PulledBackField(fld, rect.hx, rect.hy)
     xs = np.linspace(0.0, 1.0, 5)
     X, Y = np.meshgrid(xs, xs, indexing="ij")
     np.testing.assert_allclose(ref.uv(X, Y)[0], fld.uv(X, Y)[0], atol=1e-15)
     np.testing.assert_allclose(ref.uv(X, Y)[1], fld.uv(X, Y)[1], atol=1e-15)
-
-
-def test_pullback_sampling_path_matches_poly_path():
-    rect = PhysicalRect(0.5, 0.125)
-    fld = _vec(2, 1, 1, 2, 1.5, -0.5)
-
-    class Wrapper:
-        def uv(self, x, y):
-            return fld.uv(x, y)
-
-        def div_values(self, x, y):
-            return fld.div_values(x, y)
-
-    exact = piola_pullback(rect, fld)
-    sampled = piola_pullback(rect, Wrapper())
-    xs = np.linspace(0.0, 1.0, 7)
-    X, Y = np.meshgrid(xs, xs, indexing="ij")
-    for a, b in zip(exact.uv(X, Y), sampled.uv(X, Y)):
-        np.testing.assert_allclose(a, b, atol=1e-14)
-    np.testing.assert_allclose(
-        exact.divergence().eval(X, Y), sampled.div_values(X, Y), atol=1e-14
-    )
-
-
-def test_push_pull_round_trip():
-    rect = PhysicalRect(0.25, 0.7)
-    member = build_space("RT", 1).random_member(np.random.default_rng(5))
-    phys = piola_push(rect, member)
-    assert piola_pullback(rect, phys) is member
 
 
 ALL_PAIRS = [(f, k) for f in ("RT", "BDM", "ABF") for k in degree_range(f)]
@@ -135,7 +126,7 @@ def test_bare_member_interpolates_to_itself(family, k):
     # a member handed in as a physical field is sampled, not pulled back
     # through its monomial views (those lost 1.5e-9 at ABF_4)
     member = build_space(family, k).random_member(np.random.default_rng(7))
-    interp = interpolate_on_rect(family, k, PhysicalRect(1.0, 1.0), member)
+    interp = _on_rect(family, k, PhysicalRect(1.0, 1.0), member)
     err = np.abs(interp.member.coeffs - member.coeffs).max() / np.abs(member.coeffs).max()
     assert err <= REPRO_TOL
 
@@ -147,6 +138,19 @@ def test_push_divergence_scaling():
     x, y = 0.3, 0.2
     ref_div = member.div_values(x / rect.hx, y / rect.hy)
     assert phys.div_values(x, y) == pytest.approx(ref_div / (rect.hx * rect.hy), rel=1e-14)
+
+
+def test_push_then_pull_back_samples_the_member():
+    # piola_push and PulledBackField are inverse maps: the round trip samples
+    # the member itself, up to the roundoff of (h x) / h and h (U / h)
+    rect = PhysicalRect(0.25, 0.7)
+    member = build_space("RT", 1).random_member(np.random.default_rng(5))
+    back = PulledBackField(piola_push(rect, member), rect.hx, rect.hy)
+    xs = np.linspace(0.0, 1.0, 7)
+    x, y = xs[:, None], xs[None, :]
+    for got, want in zip((*back.uv(x, y), back.div_values(x, y)),
+                         (*member.uv(x, y), member.div_values(x, y))):
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14)
 
 
 # ------------------------------------------------------------------ errors
@@ -263,7 +267,7 @@ def test_large_p_errors_are_not_vacuous():
     rule = tensor_rule(NONPOLY_POINTS, NONPOLY_POINTS)
     for rec in table.records:
         rect = PhysicalRect(rec.hx, rec.hy)
-        interp = interpolate_on_rect("RT", 1, rect, MS_G)
+        interp = _on_rect("RT", 1, rect, MS_G)
         xs, ys, ws = rect.hx * rule.xs, rect.hy * rule.ys, rect.hx * rect.hy * rule.ws
         (U1, V1), (U2, V2) = MS_G.uv(xs, ys), interp.uv(xs, ys)
         d1, d2 = MS_G.div_values(xs, ys), interp.div_values(xs, ys)
@@ -279,19 +283,17 @@ def test_large_p_errors_are_not_vacuous():
 def test_error_reference_side_consistency(which, p):
     # the physical integral and its reference-square form must agree
     rect = PhysicalRect(0.5, 0.125)
-    interp = interpolate_on_rect("RT", 1, rect, MS_G)
+    interp = _on_rect("RT", 1, rect, MS_G)
     a = error_Lp(MS_G, interp, rect, p, which)
-    b = error_Lp_reference(piola_pullback(rect, MS_G), interp.member, rect, p, which)
+    b = error_Lp_reference(PulledBackField(MS_G, rect.hx, rect.hy), interp.member, rect, p, which)
     assert a == pytest.approx(b, rel=1e-12)
 
 
 def test_physical_interpolant_matches_moments():
     # pulled-back field and interpolant agree on every reference moment
-    from hdivkit.dofs import apply_dof
-
     rect = PhysicalRect(1.0, 0.25)
-    interp = interpolate_on_rect("ABF", 1, rect, MS_G)
-    ref = piola_pullback(rect, MS_G)
+    interp = _on_rect("ABF", 1, rect, MS_G)
+    ref = PulledBackField(MS_G, rect.hx, rect.hy)
     op = reference_operator("ABF", 1)
     for fn in op.dofs.functionals:
         assert apply_dof(fn, interp.member) == pytest.approx(
@@ -377,8 +379,8 @@ def test_bdm_sharpness_witness():
     expected = {1: 1.0 / math.sqrt(12.0), 2: 1.0 / 12.0}
     for k in (1, 2):
         w = bdm_sharpness_witness(k)
-        bdm = interpolate_on_rect("BDM", k, rect, w)
-        rt = interpolate_on_rect("RT", k, rect, w)
+        bdm = _on_rect("BDM", k, rect, w)
+        rt = _on_rect("RT", k, rect, w)
         assert error_Lp(w, bdm, rect, 2.0, "div") == pytest.approx(expected[k], rel=1e-10)
         assert error_Lp(w, rt, rect, 2.0, "div") <= 1e-12
     with pytest.raises(ValueError):
@@ -427,6 +429,18 @@ def test_config_owns_the_study_schema(kwargs, message):
     # cannot build a study the CLI would reject
     with pytest.raises(ValueError, match=message):
         StudyConfig(**kwargs)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "7"])
+def test_config_rejects_unusable_seed(seed):
+    # each used to construct: MS-P then died in numpy, every other field ignored it
+    with pytest.raises(ValueError, match=f"seed must be a non-negative integer, got {seed!r}"):
+        StudyConfig(field="MS-P", seed=seed)
+
+
+def test_config_accepts_integer_seeds():
+    for seed in (None, 0, 7, np.int64(7)):
+        assert StudyConfig(field="MS-P", seed=seed).seed == seed
 
 
 
@@ -496,13 +510,18 @@ def test_study_reproduction_field():
 
 def _per_level_records(config):
     """A study's records computed level by level on the fields themselves:
-    interpolate_on_rect, then norm_Lp and error_Lp sampling both sides."""
+    pull back, interpolate and push forward (an MS-P member is its own
+    pull-back), then norm_Lp and error_Lp sampling both sides."""
     fld = get_field(config.field, config.family, config.k, config.seed)
+    op = reference_operator(config.family, config.k)
     records = []
     for level in range(config.levels):
         rect = config.rect_at(level)
-        phys = piola_push(rect, fld.member) if isinstance(fld, ReproductionField) else fld
-        interp = interpolate_on_rect(config.family, config.k, rect, phys)
+        if isinstance(fld, ReproductionField):
+            phys, ref = piola_push(rect, fld.member), fld.member
+        else:
+            phys, ref = fld, PulledBackField(fld, rect.hx, rect.hy)
+        interp = piola_push(rect, op.interpolate(ref))
         nf = (rect.hx * rect.hy) ** (1.0 / config.p)
         nd = norm_Lp(phys, rect, config.p, "div")
         ef = error_Lp(phys, interp, rect, config.p, "field") / nf
@@ -587,13 +606,14 @@ def _level_by_level_records(config):
     records = []
     for level in range(config.levels):
         rect = config.rect_at(level)
-        if isinstance(fld, ReproductionField):
-            phys = piola_push(rect, fld.member)
+        if isinstance(fld, ReproductionField):  # the pushed member pulls back to itself
+            ref = fld.member
             sample = _push_on_rule(tables, fld.member.coeffs, rect)
         else:
             xs, ys, _ = enumerated_rule(rect.hx, rect.hy)
-            phys, sample = fld, _Values(*map(on_grid, (*fld.uv(xs, ys), fld.div_values(xs, ys))))
-        interp = _push_on_rule(tables, _lone_solve(op, piola_pullback(rect, phys)), rect)
+            ref = PulledBackField(fld, rect.hx, rect.hy)
+            sample = _Values(*map(on_grid, (*fld.uv(xs, ys), fld.div_values(xs, ys))))
+        interp = _push_on_rule(tables, _lone_solve(op, ref), rect)
         nf = (rect.hx * rect.hy) ** (1.0 / config.p)
         nd = norm_Lp(sample, rect, config.p, "div")
         ef = error_Lp(sample, interp, rect, config.p, "field") / nf
