@@ -18,10 +18,10 @@ above as (i, j) index sets (labels per component, divergence image,
 moment tests); a space holds its basis as that index data plus BDM's two
 exact curl members and evaluates it by the Legendre recurrence; a member
 is its space and its coefficient vector, evaluated only through the
-space's tables, and has no monomial grids.  Because the Legendre
-products are orthogonal and differentiate with integer coefficients, the
-Gram matrix has a closed form and the div-span certificate runs in exact
-arithmetic, with no monomial grids at all.
+space's tables, with no monomial grids and no VectorPoly2D base.
+Because the Legendre products are orthogonal and differentiate with
+integer coefficients, the Gram matrix has a closed form and the div-span
+certificate runs in exact arithmetic, with no monomial grids at all.
 """
 
 from __future__ import annotations
@@ -135,15 +135,15 @@ def space_dimension(family: ElementFamily, k: int) -> int:
     return len(sets.u) + len(sets.v) + 2 * sets.curls
 
 
-class SpaceMember(VectorPoly2D):
+class SpaceMember:
     """A concrete field in an element space: its basis-coefficient vector.
 
     uv/div_values contract the coefficients with the space's tables
     (tabulate, tabulate_div: the Legendre recurrence, as DOF assembly
     uses), so members evaluate to full precision at high degree.  A
-    member has no monomial grids (u, v, divergence() and +, -, * raise);
-    its VectorPoly2D base only marks it as a polynomial field for the
-    benchmark's tracer.
+    member has no monomial grids and no algebra of its own (u, v,
+    divergence() and +, -, * do not exist); members combine by their
+    coefficients, space.member(a.coeffs + b.coeffs).
 
     coeffs may also be an (m, dim) stack, one member per row, as a
     study's fields carry hx, hy columns: the basis is tabulated once,
@@ -175,18 +175,13 @@ class SpaceMember(VectorPoly2D):
     def div_values(self, x, y):
         return contract(self.coeffs, self.space.tabulate_div(x, y))
 
-    def divergence(self):
-        raise AttributeError("a SpaceMember has no divergence(); sample div_values(x, y)")
-
-    def __add__(self, other, symbol="+", hint="a.coeffs + b.coeffs"):
-        raise TypeError(f"a SpaceMember does not support '{symbol}' (it has no monomial "
-                        f"grids); combine coefficients: space.member({hint})")
-
-    __sub__ = functools.partialmethod(__add__, symbol="-", hint="a.coeffs - b.coeffs")
-    __mul__ = __rmul__ = functools.partialmethod(__add__, symbol="*", hint="s * a.coeffs")
-
     def __repr__(self):
         return f"SpaceMember({self.space!r}, coeffs={self.coeffs!r})"
+
+
+# read only by the benchmark tracer's isinstance(field, VectorPoly2D), which skips
+# polynomial fields; delete it once the tracer reads degree_bounds instead
+VectorPoly2D.register(SpaceMember)
 
 
 def contract(coeffs, table) -> np.ndarray:
@@ -301,14 +296,6 @@ class ScalarSpace:
         self.description = description
         self.exponents: Tuple[Tuple[int, int], ...] = tuple(exponents)
         self.dim = len(self.exponents)
-        self._expset = frozenset(self.exponents)
-
-    @functools.cached_property
-    def basis(self) -> List[Polynomial2D]:
-        return [Polynomial2D.monomial(i, j) for i, j in self.exponents]
-
-    def contains_exponent(self, i: int, j: int) -> bool:
-        return (i, j) in self._expset
 
     def __repr__(self):
         return f"ScalarSpace({self.description}, dim={self.dim})"

@@ -52,6 +52,12 @@ def env_seed() -> int:
     return seed
 
 
+def check_seed(seed: Optional[int]) -> None:
+    """Raise ValueError unless seed is None or an integer >= 0."""
+    if seed is not None and not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+
+
 def _zero_fn(x, y):
     """Zeros of the points' broadcast shape, in x's float type (double otherwise)."""
     x = np.asarray(x)
@@ -211,6 +217,7 @@ def _reaches(reach: np.ndarray, a1: int, a2: int) -> bool:
 
 def make_reproduction_field(family, k: int, seed: Optional[int] = None) -> ReproductionField:
     space = build_space(family, k)
+    check_seed(seed)
     rng = np.random.default_rng(env_seed() if seed is None else seed)
     return ReproductionField(space.random_member(rng))
 

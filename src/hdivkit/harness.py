@@ -15,11 +15,11 @@ theorem's exponent table with the field's structural zero derivatives,
 so a study that refines a direction the field does not depend on is
 checked for stagnation instead of a bogus rate.
 
-A field goes to the reference square one way, PulledBackField;
-piola_push gives one member's physical image.  A study runs its levels
-as one batch.  The field is pulled back to every rectangle at once
-(hx, hy of shape (levels, 1, 1), a leading axis that never pairs with a
-rule axis of the same length), so one DOF vector call evaluates it on
+A field goes to the reference square one way, PulledBackField; piola_push
+pulls one member back through the inverse map.  A study runs its levels as
+one batch.  The field is pulled back to every rectangle at once (hx, hy of
+shape (levels, 1, 1), a leading axis that never pairs with a rule axis of
+the same length), so one DOF vector call evaluates it on
 levels x the plan's axes and one stacked solve gives every level's
 coefficients; an MS-P member is its own pull-back, so it is solved once.
 Errors are integrated on one 20 x 20 Gauss rule, handed out as axes
@@ -50,7 +50,7 @@ from .elements import (
     ElementFamily, SpaceMember, _as_family, _validate_degree, check_choice, contract,
     degree_range, require_single,
 )
-from .fields import FIELD_IDS, ReproductionField, get_field
+from .fields import FIELD_IDS, ReproductionField, check_seed, get_field
 from .interpolation import REPRO_TOL, judge_commuting, reference_operator
 from .poly import Polynomial2D, VectorPoly2D
 from .quadrature import NONPOLY_POINTS, gauss_legendre_01, tensor_rule
@@ -73,14 +73,15 @@ class PhysicalRect:
     def __post_init__(self):
         hx, hy = np.asarray(self.hx, dtype=float), np.asarray(self.hy, dtype=float)
         sides = np.concatenate((hx.ravel(), hy.ravel()))
-        if not (sides.min() > 0 and sides.max() < math.inf):  # nan too
+        # initial: an empty stack passes these and fails the shape rule below
+        if not (sides.min(initial=math.inf) > 0 and sides.max(initial=0.0) < math.inf):  # nan too
             raise ValueError("rectangle dimensions must be positive and finite")
-        if sides.min() < MIN_H:
+        if sides.min(initial=math.inf) < MIN_H:
             raise ValueError(f"dimensions below {MIN_H:g} are rejected")
         # a flat (n,) side would pair its rows with a rule axis of the same length
-        if hx.shape != hy.shape or hx.shape not in ((), hx.shape[:1] + (1, 1)):
-            raise ValueError(f"sides must both be scalars or both of one shape (n, 1, 1), "
-                             f"got {hx.shape} and {hy.shape}")
+        if hx.shape != hy.shape or hx.shape not in ((), hx.shape[:1] + (1, 1)) or not hx.size:
+            raise ValueError(f"sides must both be scalars or both of one shape (n, 1, 1) "
+                             f"with n >= 1, got {hx.shape} and {hy.shape}")
 
 
 class PulledBackField:
@@ -105,24 +106,9 @@ class PulledBackField:
         return (self.hx * self.hy) * d
 
 
-class PhysicalMemberField:
-    """Physical (push-forward) image of a reference-space member."""
-
-    def __init__(self, member: SpaceMember, rect: PhysicalRect):
-        self.member = member
-        self.rect = rect
-
-    def uv(self, x, y):
-        U, V = self.member.uv(np.asarray(x) / self.rect.hx, np.asarray(y) / self.rect.hy)
-        return U / self.rect.hy, V / self.rect.hx
-
-    def div_values(self, x, y):
-        d = self.member.div_values(np.asarray(x) / self.rect.hx, np.asarray(y) / self.rect.hy)
-        return d / (self.rect.hx * self.rect.hy)
-
-
-def piola_push(rect: PhysicalRect, member: SpaceMember) -> PhysicalMemberField:
-    return PhysicalMemberField(require_single(member, "piola_push"), rect)
+def piola_push(rect: PhysicalRect, member: SpaceMember) -> PulledBackField:
+    """One member's physical image: its pull-back through the inverse map."""
+    return PulledBackField(require_single(member, "piola_push"), 1 / rect.hx, 1 / rect.hy)
 
 
 class _Values:
@@ -247,9 +233,7 @@ class StudyConfig:
             raise ValueError("rate tolerance must be finite and >= 0")
         if not (math.isfinite(self.rho) and self.rho > 0):
             raise ValueError("aspect ratio must be positive and finite")
-        if self.seed is not None and not (isinstance(self.seed, (int, np.integer))
-                                          and self.seed >= 0):
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        check_seed(self.seed)
         if self.mode == "fixed_aspect" and self.h0 > self.rho:
             raise ValueError("fixed_aspect(R) needs h0 / R <= 1 (h_y may not exceed 1)")
         try:  # the smallest rectangle; 2.0**-levels overflows past ~1e308 levels

@@ -21,9 +21,9 @@ An operator keeps its basis on the studies' error rule (rule_tables).
 
 The projector works in an orthogonal Legendre-product basis of the same
 span as the declared monomial basis (all divergence index sets are
-downward closed, so the spans coincide).  Polynomial inputs are expanded
-exactly in rational arithmetic; only genuinely non-polynomial inputs go
-through quadrature.
+downward closed, so the spans coincide).  It takes any callable w(x, y),
+a field's div_values or a polynomial's eval alike, and integrates it on
+one fixed 20 x 20 Gauss rule in extended precision.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from .elements import (
     build_space,
 )
 from .fields import FieldStack, commuting_battery
-from .poly import Polynomial2D
 from .quadrature import NONPOLY_POINTS, gauss_legendre_01, tensor_rule
 
 COND_FAIL = 1e12
@@ -175,10 +174,7 @@ class L2Projector:
                 legendre.values(nmax, x), legendre.values(nmax, y))
 
     def coeffs_internal(self, w) -> dict:
-        """Legendre-product coefficients of the projection, keyed (i, j)."""
-        if isinstance(w, Polynomial2D):
-            exact = legendre.grid_to_basis_exact(w.coeffs)
-            return {ij: float(c) for ij, c in exact.items() if ij in self.scalar_space._expset}
+        """Legendre-product coefficients of the projection of w(x, y), keyed (i, j)."""
         x, y, ws, Lx, Ly = self._rule_tables
         vals = np.asarray(w(x, y), dtype=np.longdouble)
         out = {}  # each sum runs over the contiguous grid in x-major order

@@ -5,10 +5,14 @@ A polynomial is stored as a grid ``c[i, j]`` representing
 (at most a handful per direction), so the dense representation is both
 the simplest and the fastest choice.  Evaluation accepts scalars or
 arrays of any float dtype and preserves the dtype, which the rest of
-the package relies on for extended-precision quadrature.
+the package relies on for extended-precision quadrature.  The package
+reads them as exact data only (BDM's curl members, the BDM sharpness
+witness); space members are Legendre coefficients (elements.SpaceMember).
 """
 
 from __future__ import annotations
+
+import abc
 
 import numpy as np
 
@@ -142,8 +146,9 @@ class Polynomial2D:
         return f"Polynomial2D(dx={self.dx}, dy={self.dy})"
 
 
-class VectorPoly2D:
-    """Vector field (u, v) with polynomial components."""
+class VectorPoly2D(abc.ABC):
+    """Vector field (u, v) with polynomial components; an ABC so that elements can
+    register SpaceMember, which is no subclass, as a virtual one."""
 
     __slots__ = ("u", "v")
 
@@ -159,23 +164,9 @@ class VectorPoly2D:
     def uv(self, x, y):
         return self.u.eval(x, y), self.v.eval(x, y)
 
-    def divergence(self) -> Polynomial2D:
-        return divergence(self)
-
     def div_values(self, x, y):
-        """Divergence sampled at points; subclasses may use a stabler path."""
+        """divergence(self) sampled at points."""
         return divergence(self).eval(x, y)
-
-    def __add__(self, other):
-        return VectorPoly2D(self.u + other.u, self.v + other.v)
-
-    def __sub__(self, other):
-        return VectorPoly2D(self.u - other.u, self.v - other.v)
-
-    def __mul__(self, s):
-        return VectorPoly2D(self.u * float(s), self.v * float(s))
-
-    __rmul__ = __mul__
 
     def __repr__(self):
         return f"VectorPoly2D(u={self.u!r}, v={self.v!r})"

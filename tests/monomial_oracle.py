@@ -80,6 +80,11 @@ def project(proj, w) -> Polynomial2D:
     return out
 
 
+def monomial_basis(scalar_space) -> list:
+    """The monomials x^i y^j of scalar_space.exponents, in order."""
+    return [Polynomial2D.monomial(i, j) for i, j in scalar_space.exponents]
+
+
 def scale_arguments(p: Polynomial2D, ax: float, ay: float) -> Polynomial2D:
     """q(x, y) = p(ax*x, ay*y) via coefficient scaling."""
     i = np.arange(p.coeffs.shape[0], dtype=float)

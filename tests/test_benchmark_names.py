@@ -5,12 +5,15 @@ a benchmark runs; this scan fails first.  It reads `hdivkit.<name>`
 attribute chains, `from hdivkit[.<mod>] import <name>` lines and the
 tracer's direct `_wrap(_module("<mod>"), "<name>", ...)` patches.
 Spans listed in the tracer's SPANS table are skipped on purpose when
-their name is gone, so they are not read here.
+their name is gone, so they are not read here.  The last test pins which
+fields the tracer takes for polynomial ones.
 """
 
 import importlib
 import pathlib
 import re
+
+import numpy as np
 
 import hdivkit
 
@@ -61,3 +64,23 @@ def test_scan_finds_the_known_names():
 def test_every_benchmark_name_resolves():
     missing = sorted(name for name in benchmark_names() if not _resolves(name))
     assert missing == [], f"perfbench reads hdivkit names that are gone: {missing}"
+
+
+def test_members_are_virtual_vector_polys_for_the_tracer():
+    # the tracer counts a DOF vector's field evaluations unless the field is
+    # isinstance(…, VectorPoly2D): members are, by registration, not by a base
+    from hdivkit.fields import MS_G, CallableField, FieldStack, ManufacturedField
+    from hdivkit.harness import PulledBackField
+    from hdivkit.poly import VectorPoly2D
+
+    space = hdivkit.build_space("BDM", 2)
+    single = space.member(np.arange(space.dim, dtype=float))
+    stack = space.member(np.ones((3, space.dim)))
+    assert isinstance(MS_G, ManufacturedField)
+    assert VectorPoly2D not in hdivkit.SpaceMember.__mro__
+    for member in (single, stack):
+        assert isinstance(member, VectorPoly2D)
+        assert not any(hasattr(member, name) for name in ("u", "v", "divergence"))
+    for fld in (MS_G, CallableField(MS_G.uv), FieldStack([MS_G]),
+                PulledBackField(single, 0.5, 0.25)):
+        assert not isinstance(fld, VectorPoly2D)

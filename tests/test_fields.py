@@ -18,6 +18,7 @@ from hdivkit.fields import (
     make_reproduction_field,
 )
 from hdivkit.harness import predicted_field_rate
+from hdivkit.poly import divergence
 from monomial_oracle import reference_field
 
 RNG = np.random.default_rng(23)
@@ -148,6 +149,16 @@ def test_reproduction_field_respects_env(monkeypatch):
     np.testing.assert_array_equal(a.member.coeffs, b.member.coeffs)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, "3"])
+def test_reproduction_field_rejects_unusable_seed(seed):
+    # -1 and 1.5 used to die inside numpy (ValueError, TypeError); the wording is StudyConfig's
+    message = f"seed must be a non-negative integer, got {seed!r}"
+    with pytest.raises(ValueError, match=message):
+        make_reproduction_field("RT", 1, seed=seed)
+    with pytest.raises(ValueError, match=message):
+        get_field("MS-P", "RT", 1, seed=seed)
+
+
 def test_get_field_lookup():
     assert get_field("MS-G") is MS_G
     assert get_field("MS-X") is MS_X
@@ -193,7 +204,7 @@ def _grid_flags(member):
         return bool(np.max(np.abs(g)) > 1e-9) if g.size else False
 
     w = reference_field(member)
-    div = w.divergence()
+    div = divergence(w)
     return [(nz(w.u, a1, a2), nz(w.v, a1, a2), nz(div, a1, a2)) for a1, a2 in ORDERS]
 
 

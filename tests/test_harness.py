@@ -91,6 +91,13 @@ def test_rect_rejects_sides_that_are_not_one_stack(n):
     assert norms[-1] == norm_Lp(MS_G, PhysicalRect(1.0, 1.0), 2.0, "field")
 
 
+def test_rect_rejects_an_empty_stack():
+    # sides of shape (0, 1, 1) used to fail in numpy's minimum of an empty array
+    empty = np.ones((0, 1, 1))
+    with pytest.raises(ValueError, match=r"one shape \(n, 1, 1\) with n >= 1, got \(0, 1, 1\)"):
+        PhysicalRect(empty, empty)
+
+
 def test_pullback_constant_field():
     # contravariant map scales components by the opposite edge length
     rect = PhysicalRect(2.0, 3.0)
@@ -127,7 +134,7 @@ def test_bare_member_interpolates_to_itself(family, k):
     # through its monomial views (those lost 1.5e-9 at ABF_4)
     member = build_space(family, k).random_member(np.random.default_rng(7))
     interp = _on_rect(family, k, PhysicalRect(1.0, 1.0), member)
-    err = np.abs(interp.member.coeffs - member.coeffs).max() / np.abs(member.coeffs).max()
+    err = np.abs(interp.field.coeffs - member.coeffs).max() / np.abs(member.coeffs).max()
     assert err <= REPRO_TOL
 
 
@@ -285,7 +292,7 @@ def test_error_reference_side_consistency(which, p):
     rect = PhysicalRect(0.5, 0.125)
     interp = _on_rect("RT", 1, rect, MS_G)
     a = error_Lp(MS_G, interp, rect, p, which)
-    b = error_Lp_reference(PulledBackField(MS_G, rect.hx, rect.hy), interp.member, rect, p, which)
+    b = error_Lp_reference(PulledBackField(MS_G, rect.hx, rect.hy), interp.field, rect, p, which)
     assert a == pytest.approx(b, rel=1e-12)
 
 
@@ -296,7 +303,7 @@ def test_physical_interpolant_matches_moments():
     ref = PulledBackField(MS_G, rect.hx, rect.hy)
     op = reference_operator("ABF", 1)
     for fn in op.dofs.functionals:
-        assert apply_dof(fn, interp.member) == pytest.approx(
+        assert apply_dof(fn, interp.field) == pytest.approx(
             apply_dof(fn, ref), abs=1e-11
         )
 

@@ -130,15 +130,15 @@ def test_a_member_has_no_monomial_view(view):
 
 
 @pytest.mark.parametrize("operation,error,message", [
-    (lambda m: m.divergence(), AttributeError, r"no divergence\(\).*div_values\(x, y\)"),
-    (lambda m: m + m, TypeError, r"support '\+'.*a\.coeffs \+ b\.coeffs"),
-    (lambda m: m - m, TypeError, r"support '-'.*a\.coeffs - b\.coeffs"),
-    (lambda m: m * 2.0, TypeError, r"support '\*'.*s \* a\.coeffs"),
-    (lambda m: 2.0 * m, TypeError, r"support '\*'.*s \* a\.coeffs"),
+    (lambda m: m.divergence(), AttributeError, r"no attribute 'divergence'"),
+    (lambda m: m + m, TypeError, r"unsupported operand .* for \+: 'SpaceMember'"),
+    (lambda m: m - m, TypeError, r"unsupported operand .* for -: 'SpaceMember'"),
+    (lambda m: m * 2.0, TypeError, r"unsupported operand .* for \*: 'SpaceMember'"),
+    (lambda m: 2.0 * m, TypeError, r"unsupported operand .* for \*: 'float' and 'SpaceMember'"),
 ], ids=["divergence", "add", "sub", "mul", "rmul"])
 def test_member_algebra_names_the_operation(operation, error, message):
-    # VectorPoly2D's versions read monomial grids a member never has, and
-    # failed with "no attribute 'u'"
+    # a member has no algebra of its own (it combines by its coefficients), so
+    # Python's own errors name the operation
     single = build_space("RT", 1).random_member(np.random.default_rng(0))
     for member in (single, _stack()):
         with pytest.raises(error, match=message):
