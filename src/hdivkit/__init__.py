@@ -57,7 +57,7 @@ from .interpolation import (
     reference_projector,
     unisolvence_report,
 )
-from .poly import Polynomial2D, VectorPoly2D, curl_scalar, divergence
+from .poly import Polynomial2D, VectorPoly2D
 from .quadrature import (
     QuadratureRule1D,
     QuadratureRule2D,

@@ -2,21 +2,23 @@
 
 Three H(div) families over K = [0,1]^2:
 
-    RT_k  = Q_{k+1,k} x Q_{k,k+1}          dim 2(k+1)(k+2)   div -> Q_k
-    BDM_k = (P_k)^2 + span{curl x^{k+1}y,
-                           curl x y^{k+1}}  dim (k+1)(k+2)+2  div -> P_{k-1}
-    ABF_k = Q_{k+2,k} x Q_{k,k+2}          dim 2(k+1)(k+3)   div -> Q_{k+1}
-                                                             minus the corner
-                                                             monomial x^{k+1}y^{k+1}
+    RT_k  = Q_{k+1,k} x Q_{k,k+1}                  dim 2(k+1)(k+2)   div -> Q_k
+    BDM_k = (P_k)^2 + span{curl L_{k+1}(x)L_1(y),
+                           curl L_1(x)L_{k+1}(y)}  dim (k+1)(k+2)+2  div -> P_{k-1}
+    ABF_k = Q_{k+2,k} x Q_{k,k+2}                  dim 2(k+1)(k+3)   div -> Q_{k+1}
+                                                                     minus the corner
+                                                                     monomial x^{k+1}y^{k+1}
 
 The tensor components are spanned by shifted-Legendre products
 L_i(x) L_j(y) rather than raw monomials.  The spanned spaces are
 identical (the index sets are downward closed), but the orthogonal
 basis keeps the DOF matrices well-conditioned at k = 4 where monomial
-bases are numerically singular.  family_sets(family, k) holds the table
-above as (i, j) index sets (labels per component, divergence image,
-moment tests); a space holds its basis as that index data plus BDM's two
-exact curl members and evaluates it by the Legendre recurrence; a member
+bases are numerically singular.  BDM's curl label (i, j) is
+curl(L_i(x) L_j(y)) = (L_i(x) L_j'(y), -L_i'(x) L_j(y)); it spans, with
+P_k^2, what curl x^{k+1}y and curl x y^{k+1} span.  family_sets(family,
+k) holds the table above as (i, j) index sets (labels per component,
+curl labels, divergence image, moment tests); a space holds its basis as
+that index data only and evaluates it by the Legendre recurrence; a member
 is its space and its coefficient vector, evaluated only through the
 space's tables, with no monomial grids and no VectorPoly2D base.
 Because the Legendre products are orthogonal and differentiate with
@@ -28,12 +30,12 @@ from __future__ import annotations
 
 import enum
 import functools
-from typing import List, NamedTuple, Sequence, Tuple
+from typing import NamedTuple, Sequence, Tuple
 
 import numpy as np
 
 from . import legendre
-from .poly import Polynomial2D, VectorPoly2D, curl_scalar
+from .poly import VectorPoly2D
 
 # the verified range: `check` covers every (family, k) up to here, while
 # ABF_6 already misses the 1e-12 member reproduction
@@ -102,7 +104,7 @@ class FamilySets(NamedTuple):
 
     u: tuple  # L_i(x) L_j(y) spanning component u
     v: tuple  # ... and component v
-    curls: bool  # BDM's two curl members follow
+    curls: tuple  # (i, j) of BDM's curl members curl(L_i(x) L_j(y)), after u and v
     div: tuple  # monomial exponents of the divergence image
     div_name: str
     tests: tuple  # per component, the Legendre tests of the interior moments
@@ -119,20 +121,21 @@ def family_sets(family, k: int) -> FamilySets:
 @functools.lru_cache(maxsize=None)
 def _family_sets(family: ElementFamily, k: int) -> FamilySets:
     if family is ElementFamily.BDM:
-        return FamilySets(_triangle(k), _triangle(k), True, _triangle(k - 1), f"P_{k - 1}",
+        return FamilySets(_triangle(k), _triangle(k), ((k + 1, 1), (1, k + 1)),
+                          _triangle(k - 1), f"P_{k - 1}",
                           (_triangle(k - 2),) * 2, ())
     tests = (_box(k - 1, k), _box(k, k - 1))
     if family is ElementFamily.RT:
-        return FamilySets(_box(k + 1, k), _box(k, k + 1), False, _box(k, k), f"Q_{k}", tests, ())
+        return FamilySets(_box(k + 1, k), _box(k, k + 1), (), _box(k, k), f"Q_{k}", tests, ())
     div_tests = tuple((i, k + 1) for i in range(k + 1)) + tuple((k + 1, j) for j in range(k + 1))
-    return FamilySets(_box(k + 2, k), _box(k, k + 2), False,
+    return FamilySets(_box(k + 2, k), _box(k, k + 2), (),
                       tuple(e for e in _box(k + 1, k + 1) if e != (k + 1, k + 1)),
                       f"Q_{k + 1}-minus-corner", tests, div_tests)
 
 
 def space_dimension(family: ElementFamily, k: int) -> int:
     sets = family_sets(family, k)
-    return len(sets.u) + len(sets.v) + 2 * sets.curls
+    return len(sets.u) + len(sets.v) + len(sets.curls)
 
 
 class SpaceMember:
@@ -207,8 +210,8 @@ class ElementSpace:
 
     The basis is index data: tensor label b < len(_i) is L_i(x) L_j(y)
     with (i, j) = (_i[b], _j[b]) in component u for b < _nx and in v
-    after, and the BDM curl members (exact polynomial fields in _curl)
-    come last.
+    after, and the BDM curl labels come last, curl(L_i(x) L_j(y)) with
+    (i, j) = (_ci[c], _cj[c]) for label len(_i) + c.
     """
 
     def __init__(self, family, k: int):
@@ -217,22 +220,16 @@ class ElementSpace:
         self.k = int(k)
         self.labels: Tuple[tuple, ...] = (
             tuple(("x", i, j) for i, j in sets.u) + tuple(("y", i, j) for i, j in sets.v)
-            + ((("curl", 1), ("curl", 2)) if sets.curls else ()))
+            + tuple(("curl", i, j) for i, j in sets.curls))
         self.dim = len(self.labels)
         self._nx = len(sets.u)
         self._i, self._j = np.array(sets.u + sets.v, dtype=np.intp).T.copy()
-        self._curl: Tuple[VectorPoly2D, ...] = () if not sets.curls else (
-            curl_scalar(Polynomial2D.monomial(self.k + 1, 1)),
-            curl_scalar(Polynomial2D.monomial(1, self.k + 1)))
+        self._ci, self._cj = np.array(sets.curls, dtype=np.intp).reshape(-1, 2).T.copy()
         # per label: (dx, dy) of its u grid, then of its v grid; -1 where it has none
         self._label_degrees = np.array(
             [(i, j, -1, -1) for i, j in sets.u] + [(-1, -1, i, j) for i, j in sets.v]
-            + [(w.u.dx, w.u.dy, w.v.dx, w.v.dy) for w in self._curl], dtype=np.intp)
+            + [(i, j - 1, i - 1, j) for i, j in sets.curls], dtype=np.intp)
         self._maxdeg = int(self._label_degrees.max())
-
-    @functools.cached_property
-    def basis(self) -> List[SpaceMember]:
-        return [SpaceMember(self, e) for e in np.eye(self.dim)]
 
     def tabulate(self, x, y):
         """Basis values (U, V), each of shape (dim,) + broadcast shape of x, y.
@@ -243,15 +240,15 @@ class ElementSpace:
         """
         x, y = _same_rank(x, y)
         Lx, Ly = (np.array(legendre.values(self._maxdeg, t)) for t in (x, y))
-        curl = [a for w in self._curl for a in w.uv(x, y)]  # u, v of each curl member
-        U = np.zeros((self.dim,) + np.broadcast(x, y).shape,
-                     np.result_type(Lx, Ly, *curl))
+        U = np.zeros((self.dim,) + np.broadcast(x, y).shape, np.result_type(Lx, Ly))
         V = np.zeros_like(U)
-        nx, nt, I, J = self._nx, len(self._i), self._i, self._j
+        nx, nt, I, J, CI, CJ = self._nx, len(self._i), self._i, self._j, self._ci, self._cj
         np.multiply(Lx[I[:nx]], Ly[J[:nx]], out=U[:nx])
         np.multiply(Lx[I[nx:]], Ly[J[nx:]], out=V[nx:nt])
-        if curl:
-            U[nt:], V[nt:] = curl[0::2], curl[1::2]
+        if len(CI):  # BDM's curl rows, the only ones that read first derivatives
+            dLx, dLy = (np.array(legendre.deriv_values(self._maxdeg, t)[1]) for t in (x, y))
+            np.multiply(Lx[CI], dLy[CJ], out=U[nt:])
+            np.multiply(-dLx[CI], Ly[CJ], out=V[nt:])
         return U, V
 
     def tabulate_div(self, x, y):
@@ -309,17 +306,18 @@ def build_div_space(family, k: int) -> ScalarSpace:
 def _legendre_coordinates(space: ElementSpace) -> np.ndarray:
     """Exact coordinates C[b, comp, i, j] of basis member b over L_i(x) L_j(y).
 
-    Python numbers in an object array: tensor labels are unit
-    coordinates, the BDM curl members expand with Fractions.
+    Python integers in an object array: tensor labels are unit
+    coordinates, and curl label (i, j) has row j of the derivative matrix
+    in row i of u and minus row i in column j of v.
     """
     n = space._maxdeg + 1
     nt = len(space._i)
     C = np.zeros((space.dim, 2, n, n), dtype=object)
     C[np.arange(nt), (np.arange(nt) >= space._nx).astype(np.intp), space._i, space._j] = 1
-    for c, w in enumerate(space._curl):
-        for comp, p in enumerate((w.u, w.v)):
-            for (i, j), val in legendre.grid_to_basis_exact(p.coeffs).items():
-                C[nt + c, comp, i, j] = val
+    D = legendre.derivative_matrix(n)
+    curls = nt + np.arange(len(space._ci))
+    C[curls, 0, space._ci, :] = D[space._cj]
+    C[curls, 1, :, space._cj] = -D[space._ci]
     return C
 
 
@@ -333,12 +331,11 @@ def span_check(space: ElementSpace) -> dict:
     """Certify div(space) against the declared scalar space.
 
     Membership is exact: basis divergences come in Legendre coordinates
-    from the integer derivative matrix (Fractions only for the BDM curl
-    members), and the mass outside the scalar space's index set is
-    reported as an L2 residual.  Surjectivity is a rank check of the
-    divergence coordinates on that index set; the index sets are
-    downward closed, so the Legendre products on them span the same
-    space as the monomials.
+    from the integer derivative matrix, and the mass outside the scalar
+    space's index set is reported as an L2 residual.  Surjectivity is a
+    rank check of the divergence coordinates on that index set; the
+    index sets are downward closed, so the Legendre products on them span
+    the same space as the monomials.
     """
     div_space = build_div_space(space.family, space.k)
     C = _legendre_coordinates(space)

@@ -185,7 +185,7 @@ class ReproductionField:
     with no cutoff: a partial d^{a1}_x d^{a2}_y is nonzero exactly when
     such a label reaches a Legendre coordinate (i, j) with i >= a1 and
     j >= a2.  Tensor labels own distinct coordinates, and no P_k label
-    cancels the top coordinate of a BDM curl monomial (total degree k+1).
+    cancels the top coordinate of a BDM curl member (total degree k+1).
     """
 
     id = "MS-P"

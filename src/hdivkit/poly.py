@@ -6,8 +6,9 @@ A polynomial is stored as a grid ``c[i, j]`` representing
 the simplest and the fastest choice.  Evaluation accepts scalars or
 arrays of any float dtype and preserves the dtype, which the rest of
 the package relies on for extended-precision quadrature.  The package
-reads them as exact data only (BDM's curl members, the BDM sharpness
-witness); space members are Legendre coefficients (elements.SpaceMember).
+reads them only as the BDM sharpness witness, with no algebra beyond
+formal partials; space members, BDM's curl members included, are
+Legendre coefficients (elements.SpaceMember).
 """
 
 from __future__ import annotations
@@ -108,40 +109,6 @@ class Polynomial2D:
                 c = c[:, 1:] * np.arange(1, c.shape[1])[None, :]
         return Polynomial2D(c)
 
-    def _binary(self, other, sign):
-        oc = other.coeffs
-        sc = self.coeffs
-        nx = max(sc.shape[0], oc.shape[0])
-        ny = max(sc.shape[1], oc.shape[1])
-        out = np.zeros((nx, ny))
-        out[: sc.shape[0], : sc.shape[1]] = sc
-        out[: oc.shape[0], : oc.shape[1]] += sign * oc
-        return Polynomial2D(out)
-
-    def __add__(self, other):
-        return self._binary(other, 1.0)
-
-    def __sub__(self, other):
-        return self._binary(other, -1.0)
-
-    def __mul__(self, other):
-        if isinstance(other, Polynomial2D):
-            a, b = self.coeffs, other.coeffs
-            out = np.zeros((a.shape[0] + b.shape[0] - 1, a.shape[1] + b.shape[1] - 1))
-            if out.shape[0] - 1 > MAX_EXPONENT or out.shape[1] - 1 > MAX_EXPONENT:
-                raise ValueError("product exceeds the exponent bound")
-            for i in range(a.shape[0]):
-                for j in range(a.shape[1]):
-                    if a[i, j] != 0.0:
-                        out[i : i + b.shape[0], j : j + b.shape[1]] += a[i, j] * b
-            return Polynomial2D(out)
-        return Polynomial2D(self.coeffs * float(other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return Polynomial2D(-self.coeffs)
-
     def __repr__(self):
         return f"Polynomial2D(dx={self.dx}, dy={self.dy})"
 
@@ -165,19 +132,8 @@ class VectorPoly2D(abc.ABC):
         return self.u.eval(x, y), self.v.eval(x, y)
 
     def div_values(self, x, y):
-        """divergence(self) sampled at points."""
-        return divergence(self).eval(x, y)
+        """du/dx + dv/dy sampled at points, from the formal partials."""
+        return self.u.partial("x").eval(x, y) + self.v.partial("y").eval(x, y)
 
     def __repr__(self):
         return f"VectorPoly2D(u={self.u!r}, v={self.v!r})"
-
-
-def divergence(w: VectorPoly2D) -> Polynomial2D:
-    """du/dx + dv/dy as an exact formal derivative."""
-    return w.u.partial("x", 1) + w.v.partial("y", 1)
-
-
-def curl_scalar(phi: Polynomial2D) -> VectorPoly2D:
-    """(dphi/dy, -dphi/dx); divergence-free by mixed-partial symmetry."""
-    return VectorPoly2D(phi.partial("y", 1), -phi.partial("x", 1))
-

@@ -23,9 +23,9 @@ from hdivkit.interpolation import (
     reference_projector,
     unisolvence_report,
 )
-from hdivkit.poly import Polynomial2D, VectorPoly2D, curl_scalar, divergence
+from hdivkit.poly import Polynomial2D, VectorPoly2D
 from hdivkit.quadrature import gauss_legendre_01
-from monomial_oracle import project, pull_back, scale_arguments
+from monomial_oracle import curl_scalar, divergence, project, pull_back, scale_arguments
 
 TOL = 0.15
 

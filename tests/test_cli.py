@@ -70,6 +70,16 @@ def test_check_passes(capsys):
     assert "FAIL" not in out
 
 
+def test_check_pins_the_bdm_conditions(capsys):
+    # BDM's curl members curl(L_{k+1}(x) L_1(y)) and curl(L_1(x) L_{k+1}(y))
+    # keep its DOF matrices this well conditioned up to k = 4
+    code, out, err = run(capsys, "check", "--family", "BDM", "--kmax", "4")
+    assert code == 0 and err == ""
+    assert [line for line in out.splitlines() if line.startswith("unisolvence")] == [
+        f"unisolvence BDM_{k}: condition={c} ok"
+        for k, c in enumerate(("1.800e+01", "4.500e+01", "7.200e+01", "3.000e+02"), start=1)]
+
+
 def test_check_kmax_out_of_range(capsys):
     code, out, err = run(capsys, "check", "--kmax", "5")
     assert code == 2

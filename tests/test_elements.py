@@ -6,6 +6,7 @@ import pytest
 from hdivkit import elements
 from hdivkit.dofs import build_dofs, dof_vector_ld
 from hdivkit.elements import (
+    _legendre_coordinates,
     ElementFamily,
     MAX_DEGREE,
     ScalarSpace,
@@ -15,8 +16,11 @@ from hdivkit.elements import (
     space_dimension,
     span_check,
 )
-from hdivkit.poly import Polynomial2D, VectorPoly2D, divergence
-from monomial_oracle import integrate_rect, reference_field, reference_grids
+from hdivkit.poly import Polynomial2D, VectorPoly2D
+from monomial_oracle import (
+    Poly, curl_scalar, divergence, grid_to_basis_exact, integrate_rect, reference_field,
+    reference_grids,
+)
 from reference_oracle import component_degrees, gram_matrix
 
 RNG = np.random.default_rng(11)
@@ -34,7 +38,7 @@ def test_space_dimensions(family, k, dim):
     assert space_dimension(family, k) == dim
     space = build_space(family, k)
     assert space.dim == dim
-    assert len(space.basis) == dim
+    assert space.member(np.eye(dim)).uv(0.3, 0.7)[0].shape == (dim,)
 
 
 def test_component_degrees():
@@ -74,11 +78,8 @@ def _span_residual(space, target: VectorPoly2D) -> float:
     # least-squares fit of the target against basis samples on a grid
     xs = np.linspace(0.0, 1.0, 13)
     X, Y = np.meshgrid(xs, xs)
-    cols = []
-    for b in space.basis:
-        U, V = b.uv(X, Y)
-        cols.append(np.concatenate([U.ravel(), V.ravel()]))
-    A = np.column_stack(cols)
+    U, V = space.member(np.eye(space.dim)).uv(X, Y)  # one row per basis member
+    A = np.concatenate([U.reshape(space.dim, -1), V.reshape(space.dim, -1)], axis=1).T
     tu, tv = target.uv(X, Y)
     rhs = np.concatenate([np.broadcast_to(tu, X.shape).ravel(),
                           np.broadcast_to(tv, X.shape).ravel()])
@@ -193,7 +194,7 @@ def test_gram_closed_form_matches_monomial_products(family, k):
     # each rounded about 4 times, with cancellation: its error is at most
     # (N + 4) eps S, S the absolute sum of its terms (up to 1e11 at ABF_4,
     # where entries are below 1).  The closed form adds a few eps |G| from
-    # rounding the curl members' Legendre coordinates.
+    # its own sums of exact integer coordinates.
     space = build_space(family, k)
     G = gram_matrix(space)
     R, S, N = _reference_gram(space)
@@ -213,16 +214,63 @@ def test_member_views_match_label_grids(family, k):
 
 
 def test_member_dof_vectors_build_no_grids(monkeypatch):
-    space = build_space("ABF", 4)
-    dofs = build_dofs("ABF", 4)
-    calls = []
-    mul = Polynomial2D.__mul__
-    monkeypatch.setattr(Polynomial2D, "__mul__",
-                        lambda self, other: calls.append(1) or mul(self, other))
+    # no space, tabulation, member DOF vector or span certificate builds or
+    # evaluates a Polynomial2D: every basis row, BDM's curl rows included,
+    # is a product of Legendre recurrence values
+    def refuse(*args):
+        raise AssertionError("a Polynomial2D was built or evaluated")
+
+    monkeypatch.setattr(Polynomial2D, "__init__", refuse)
+    monkeypatch.setattr(Polynomial2D, "eval", refuse)
+    x = np.linspace(0.0, 1.0, 5, dtype=np.longdouble)[:, None]
     rng = np.random.default_rng(23)
-    for _ in range(20):
-        dof_vector_ld(dofs, space.random_member(rng))
-    assert calls == []
+    for family, k in ALL_PAIRS:
+        space = build_space(family, k)
+        for xs, ys in ((x, x.T), (x.astype(float), 0.25)):
+            U, V = space.tabulate(xs, ys)
+            assert U.shape == V.shape == space.tabulate_div(xs, ys).shape
+        dofs = build_dofs(family, k)
+        for _ in range(3):
+            dof_vector_ld(dofs, space.random_member(rng))
+        assert span_check(space)["ok"]
+
+
+@pytest.mark.parametrize("k", degree_range("BDM"))
+def test_curl_labels_span_the_monomial_curls(k):
+    # curl x^i y^j = c curl(L_i(x) L_j(y)) + a member of P_k^2, exactly, for
+    # either curl label (i, j): the space spans what the monomial curls span
+    space = build_space("BDM", k)
+    C = _legendre_coordinates(space)
+    n = C.shape[-1]
+    high = np.add.outer(np.arange(n), np.arange(n)) > k
+    for b in range(len(space._i), space.dim):
+        _, i, j = space.labels[b]
+        monomial = curl_scalar(Poly.monomial(i, j))
+        R = np.zeros((2, n, n), dtype=object)
+        for comp, p in enumerate((monomial.u, monomial.v)):
+            for ij, val in grid_to_basis_exact(p.coeffs).items():
+                R[(comp,) + ij] = val
+        c = R[0, i, j - 1] / C[b, 0, i, j - 1]  # the top coordinate of u
+        assert c != 0
+        assert not (R - c * C[b])[:, high].any(), space.labels[b]
+
+
+@pytest.mark.parametrize("k", degree_range("BDM"))
+def test_curl_rows_match_monomial_curls(k):
+    # curl label (i, j) against the monomial curl of L_i(x) L_j(y), both in
+    # extended precision: Horner's error on a grid of absolute coefficient
+    # sum S is below 2 (dx + dy) eps S, the recurrences' far below it
+    space = build_space("BDM", k)
+    rng = np.random.default_rng(29)
+    x, y = (rng.random(64).astype(np.longdouble) for _ in range(2))
+    U, V = space.tabulate(x, y)
+    eps = np.finfo(np.longdouble).eps
+    nt = len(space._i)
+    assert [lab[0] for lab in space.labels[nt:]] == ["curl", "curl"]
+    for b in range(nt, space.dim):
+        for got, want in zip((U[b], V[b]), reference_grids(space, np.eye(space.dim)[b])):
+            bound = 2 * (want.dx + want.dy) * eps * np.sum(np.abs(want.coeffs))
+            assert np.max(np.abs(got - want.eval(x, y))) <= bound, (space.labels[b], bound)
 
 
 def test_member_eval_matches_grid_polynomials():

@@ -1,8 +1,9 @@
 """The family table against the definitions in the elements module docstring.
 
-    RT_k  = Q_{k+1,k} x Q_{k,k+1}                         div -> Q_k
-    BDM_k = (P_k)^2 + span{curl x^{k+1}y, curl x y^{k+1}}  div -> P_{k-1}
-    ABF_k = Q_{k+2,k} x Q_{k,k+2}                         div -> Q_{k+1} minus x^{k+1}y^{k+1}
+    RT_k  = Q_{k+1,k} x Q_{k,k+1}                       div -> Q_k
+    BDM_k = (P_k)^2 + span{curl L_{k+1}(x)L_1(y),
+                           curl L_1(x)L_{k+1}(y)}        div -> P_{k-1}
+    ABF_k = Q_{k+2,k} x Q_{k,k+2}                       div -> Q_{k+1} minus x^{k+1}y^{k+1}
 
 Each space, DOF set and divergence image is written out below as plain
 loops, in the order the package has always used, and compared with what
@@ -29,7 +30,7 @@ def _labels(family, k):
             for i in range(k + 1):
                 for j in range(k + 1 - i):
                     out.append((comp, i, j))
-        return out + [("curl", 1), ("curl", 2)]
+        return out + [("curl", k + 1, 1), ("curl", 1, k + 1)]
     extra = 1 if family == "RT" else 2
     for i in range(k + extra + 1):
         for j in range(k + 1):
@@ -113,6 +114,8 @@ def test_table_matches_the_definitions(family, k):
     for arr, a in ((space._i, 1), (space._j, 2)):
         assert arr.dtype == np.intp and arr.flags.c_contiguous
         assert arr.tolist() == [lab[a] for lab in tensor]
+    curls = [lab[1:] for lab in labels if lab[0] == "curl"]
+    assert list(zip(space._ci.tolist(), space._cj.tolist())) == curls
     for replace in (False, True):
         got = build_dofs(family, k, replace_div_moments=replace).functionals
         assert list(got) == _functionals(family, k, replace)

@@ -7,15 +7,17 @@ import pytest
 
 from hdivkit import legendre
 from hdivkit.poly import Polynomial2D
-from monomial_oracle import coeffs, product_poly
+from monomial_oracle import (
+    coeffs, coeffs_frac, grid_to_basis_exact, monomial_in_basis, power_moment, product_poly,
+)
 
 RNG = np.random.default_rng(7)
 
 
 def _exact_integral_product(i, j):
     # int_0^1 L_i L_j via exact rational coefficient convolution
-    ci = legendre.coeffs_frac(i)
-    cj = legendre.coeffs_frac(j)
+    ci = coeffs_frac(i)
+    cj = coeffs_frac(j)
     total = Fraction(0)
     for a, ca in enumerate(ci):
         for b, cb in enumerate(cj):
@@ -33,7 +35,7 @@ def test_orthogonality_exact(i, j):
 
 @pytest.mark.parametrize("n", range(9))
 def test_endpoint_normalization(n):
-    c = legendre.coeffs_frac(n)
+    c = coeffs_frac(n)
     assert sum(c) == 1  # L_n(1) = 1
     assert c[0] == (-1) ** n  # L_n(0) = (-1)^n
 
@@ -50,9 +52,9 @@ def test_derivative_matrix_exact():
     # sum_m D[a, m] L_m has the monomial coefficients of d/dt L_a, exactly
     D = legendre.derivative_matrix(9)
     for a in range(9):
-        ca = legendre.coeffs_frac(a)
+        ca = coeffs_frac(a)
         want = [m * ca[m] for m in range(1, a + 1)] + [0] * (9 - a)
-        got = [sum(D[a, m] * legendre.coeffs_frac(m)[p] for m in range(p, 9))
+        got = [sum(D[a, m] * coeffs_frac(m)[p] for m in range(p, 9))
                for p in range(9)]
         assert got == want
 
@@ -77,14 +79,14 @@ def test_power_moment_exact():
     # int_0^1 t^a L_n(t) dt against direct rational integration
     for a in range(7):
         for n in range(7):
-            c = legendre.coeffs_frac(n)
+            c = coeffs_frac(n)
             want = sum(cm * Fraction(1, a + m + 1) for m, cm in enumerate(c))
-            assert legendre.power_moment(a, n) == want
+            assert power_moment(a, n) == want
 
 
 def test_monomial_in_basis_round_trip():
     for a in range(8):
-        expansion = legendre.monomial_in_basis(a)
+        expansion = monomial_in_basis(a)
         xs = RNG.uniform(0, 1, size=9)
         vals = legendre.values(a, xs)
         rebuilt = sum(float(c) * vals[n] for n, c in enumerate(expansion))
@@ -93,7 +95,7 @@ def test_monomial_in_basis_round_trip():
 
 def test_grid_to_basis_exact_round_trip():
     grid = np.array([[1.0, -2.0, 0.5], [3.0, 0.0, -1.25], [0.75, 2.0, 4.0]])
-    expansion = legendre.grid_to_basis_exact(grid)
+    expansion = grid_to_basis_exact(grid)
     X, Y = np.meshgrid(np.linspace(0.05, 0.95, 7), np.linspace(0.05, 0.95, 7))
     rebuilt = np.zeros_like(X)
     nmax = max(i for i, _ in expansion)
@@ -107,7 +109,7 @@ def test_grid_to_basis_exact_round_trip():
 
 
 def test_grid_to_basis_exact_is_rational():
-    expansion = legendre.grid_to_basis_exact(np.array([[0.0, 1.0]]))
+    expansion = grid_to_basis_exact(np.array([[0.0, 1.0]]))
     # y = L_0/2 + L_1(y)/2 in shifted Legendre terms
     assert expansion[(0, 0)] == Fraction(1, 2)
     assert expansion[(0, 1)] == Fraction(1, 2)
