@@ -156,17 +156,17 @@ def _max_index(functionals, kind: str) -> int:
 class DofPlan:
     """One axis pair and separable weights for a whole DOF set.
 
-    The axes are x of shape (n + 2, 1) and y of shape (1, n + 2), both
-    with nodes {0, t_1 ... t_n, 1} for the n Gauss nodes t of
-    gauss_legendre_01(n), so the grid they span holds the four edges and
-    the interior n x n tensor grid; ``inner`` is the pair without the
-    end nodes, where divergences are sampled.  Weights are 1-D matrices
-    over the n nodes: ``edge[d] = w L_d(t)`` and ``interior[i] = w L_i(t)``
-    for the Legendre tests, ``div[a] = w t^a`` for the monomial
-    divergence tests.  ``apply`` reads each edge as one row or column of
-    the (n + 2, n + 2) values (``edge @ vals``) and the interior block as
-    G in ``A G A^T``; moments land in one raw vector that ``index``
-    reorders into functional order.
+    The axes (plan_axes(n), shared by every plan at n points) are x of shape
+    (n + 2, 1) and y of shape (1, n + 2), both with nodes {0, t_1 ... t_n, 1}
+    for the n Gauss nodes t of gauss_legendre_01(n), so the grid they span
+    holds the four edges and the interior n x n tensor grid; ``inner`` is
+    the pair without the end nodes, where divergences are sampled.  Weights
+    are 1-D matrices over the n nodes: ``edge[d] = w L_d(t)`` and
+    ``interior[i] = w L_i(t)`` for the Legendre tests, ``div[a] = w t^a``
+    for the monomial divergence tests.  ``apply`` reads each edge as one
+    row or column of the (n + 2, n + 2) values (``edge @ vals``) and the
+    interior block as G in ``A G A^T``; moments land in one raw vector that
+    ``index`` reorders into functional order.
     """
 
     def __init__(self, functionals, n: int):
@@ -180,11 +180,7 @@ class DofPlan:
         self.interior = _weighted_legendre(int_deg, t, w)
         self.div = w * t ** np.arange(div_deg + 1)[:, None]
         self.has_div = div_deg >= 0
-        nodes = np.concatenate([[np.longdouble(0)], t, [np.longdouble(1)]])
-        self.x, self.y = nodes[:, None], nodes[None, :]
-        self.inner = t[:, None], t[None, :]
-        for a in (self.x, self.y, *self.inner):
-            a.setflags(write=False)
+        self.x, self.y, self.inner = plan_axes(n)
         ne, na, nd = edge_deg + 1, int_deg + 1, div_deg + 1
         index, signs = [], []
         for f in functionals:
@@ -218,6 +214,18 @@ class DofPlan:
         if self.has_div:
             parts.append((self.div @ D @ self.div.T).reshape(batch + (-1,)))
         return self.signs * np.concatenate(parts, axis=-1)[..., self.index]
+
+
+@functools.lru_cache(maxsize=None)
+def plan_axes(n: int) -> tuple:
+    """The read-only axes of every plan at n points: x, y with the nodes
+    {0, t_1 ... t_n, 1}, and the inner pair (t, t) without the end nodes."""
+    t = gauss_legendre_01(n).nodes_ld
+    nodes = np.concatenate([[np.longdouble(0)], t, [np.longdouble(1)]])
+    axes = nodes[:, None], nodes[None, :], t[:, None], t[None, :]
+    for a in axes:
+        a.setflags(write=False)
+    return axes[0], axes[1], axes[2:]
 
 
 @functools.lru_cache(maxsize=None)

@@ -244,6 +244,21 @@ def _rows(values, x, y):
     return np.stack([np.broadcast_to(v, shape) for v in values])
 
 
+class _Values:
+    """A field known only by its values (U, V, div), whatever the points: constants,
+    or one sample read on its own grid and nowhere else (harness: a study's mapped
+    error rule; interpolation.field_sample: the 20-point plan's and projector's axes)."""
+
+    def __init__(self, U, V, D):
+        self.U, self.V, self.D = U, V, D
+
+    def uv(self, x, y):
+        return self.U, self.V
+
+    def div_values(self, x, y):
+        return self.D
+
+
 class CallableField:
     """Adapter giving plain callables the field protocol (uv, div_values)."""
 

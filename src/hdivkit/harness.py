@@ -30,8 +30,9 @@ keeps its basis on the same axes (rule_tables).  Interpolants are
 coefficients contracted with that table (one gemv per level; one gemm
 over all levels moves last bits), times the Piola factors; a reproduced
 member goes through the same table, so both sides of its error meet at
-the same points even where (h x) / h misses x by an ulp.  The norm and
-both errors are one error_Lp call each.
+the same points even where (h x) / h misses x by an ulp.  Both samples
+are values-only fields (fields._Values), and the norm and both errors
+are one error_Lp call each.
 
 Verdicts are one-sided: a fitted rate a whole tolerance above the
 prediction is flagged superconvergent but passes, since the theorems
@@ -50,7 +51,7 @@ from .elements import (
     ElementFamily, SpaceMember, _as_family, _validate_degree, check_choice, contract,
     degree_range, require_single,
 )
-from .fields import FIELD_IDS, ReproductionField, check_seed, get_field
+from .fields import FIELD_IDS, ReproductionField, _Values, check_seed, get_field
 from .interpolation import REPRO_TOL, judge_commuting, reference_operator
 from .poly import Polynomial2D, VectorPoly2D
 from .quadrature import NONPOLY_POINTS, gauss_legendre_01, tensor_rule
@@ -109,25 +110,6 @@ class PulledBackField:
 def piola_push(rect: PhysicalRect, member: SpaceMember) -> PulledBackField:
     """One member's physical image: its pull-back through the inverse map."""
     return PulledBackField(require_single(member, "piola_push"), 1 / rect.hx, 1 / rect.hy)
-
-
-class _Values:
-    """A field known only by its values (U, V, div), whatever the points.
-
-    Constants hold anywhere.  Arrays are one sample on the grid of the
-    mapped error rule of a rectangle or a stack, (..., 20, 20), which
-    error_Lp reads there and nowhere else, so one sample serves the norm
-    and both errors.
-    """
-
-    def __init__(self, U, V, D):
-        self.U, self.V, self.D = U, V, D
-
-    def uv(self, x, y):
-        return self.U, self.V
-
-    def div_values(self, x, y):
-        return self.D
 
 
 ZERO_FIELD = _Values(0.0, 0.0, 0.0)

@@ -21,9 +21,12 @@ An operator keeps its basis on the studies' error rule (rule_tables).
 
 The projector works in an orthogonal Legendre-product basis of the same
 span as the declared monomial basis (all divergence index sets are
-downward closed, so the spans coincide).  It takes any callable w(x, y),
-a field's div_values or a polynomial's eval alike, and integrates it on
-one fixed 20 x 20 Gauss rule in extended precision.
+downward closed, so the spans coincide).  It integrates values on one
+fixed 20 x 20 Gauss rule in extended precision, whose axes are the inner
+axes of every 20-point DOF plan: `coefficients` takes a stack of values,
+one row per field, and `coeffs_internal` any callable w(x, y).  So the
+commuting check samples its fields once per process (field_sample), and
+their DOF vectors and projections both read that one sample.
 """
 
 from __future__ import annotations
@@ -35,12 +38,12 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import legendre
-from .dofs import DofSet, build_dofs, dof_vector_ld, dof_matrix_ld
+from .dofs import DofSet, build_dofs, dof_vector_ld, dof_matrix_ld, plan_axes
 from .elements import (
     ElementFamily, ElementSpace, ScalarSpace, SpaceMember, _as_family, build_div_space,
     build_space,
 )
-from .fields import FieldStack, commuting_battery
+from .fields import FieldStack, _Values, commuting_battery
 from .quadrature import NONPOLY_POINTS, gauss_legendre_01, tensor_rule
 
 COND_FAIL = 1e12
@@ -167,21 +170,24 @@ class L2Projector:
     def _rule_tables(self) -> tuple:
         """The fixed rule's long-double axes, (20, 20) weights and Legendre values."""
         n = NONPOLY_POINTS
-        t = gauss_legendre_01(n).nodes_ld
-        x, y = t[:, None], t[None, :]
+        x, y = plan_axes(n)[2]  # the inner axes of every 20-point DOF plan
         nmax = max(max(i, j) for i, j in self._index)
         return (x, y, tensor_rule(n, n).ws_ld.reshape(n, n),
                 legendre.values(nmax, x), legendre.values(nmax, y))
 
+    def coefficients(self, vals) -> np.ndarray:
+        """Projection coefficients of values (..., 20, 20) on the rule's grid, one
+        column per (i, j), leading axes batching: each row's bits as if alone."""
+        _, _, ws, Lx, Ly = self._rule_tables
+        wv = ws * np.asarray(vals, dtype=np.longdouble)
+        rows = wv.shape[:-2] + (-1,)  # each row sums its contiguous grid in x-major order
+        cols = [np.sum((wv * Lx[i] * Ly[j]).reshape(rows), axis=-1) * ((2 * i + 1) * (2 * j + 1))
+                for i, j in self._index]
+        return np.stack(cols, axis=-1).astype(float)
+
     def coeffs_internal(self, w) -> dict:
         """Legendre-product coefficients of the projection of w(x, y), keyed (i, j)."""
-        x, y, ws, Lx, Ly = self._rule_tables
-        vals = np.asarray(w(x, y), dtype=np.longdouble)
-        out = {}  # each sum runs over the contiguous grid in x-major order
-        for i, j in self._index:
-            c = np.sum(ws * vals * Lx[i] * Ly[j]) * ((2 * i + 1) * (2 * j + 1))
-            out[(i, j)] = float(c)
-        return out
+        return dict(zip(self._index, self.coefficients(w(*self._rule_tables[:2])).tolist()))
 
     def __repr__(self):
         return f"L2Projector({self.scalar_space.description})"
@@ -200,26 +206,37 @@ def _reference_projector(family: ElementFamily, k: int) -> L2Projector:
 SAMPLE_GRID = 21
 
 
+@functools.lru_cache(maxsize=8)
+def field_sample(fields: tuple) -> _Values:
+    """A FieldStack of the fields sampled once per process, read-only: uv on
+    the axes {0, t, 1} of every 20-point DOF plan, div_values on their inner
+    axes (t, t), which are also the projector's rule axes."""
+    (x, y, inner), stack = plan_axes(NONPOLY_POINTS), FieldStack(fields)
+    sample = _Values(*stack.uv(x, y), stack.div_values(*inner))
+    for a in (sample.U, sample.V, sample.D):
+        a.setflags(write=False)
+    return sample
+
+
 def commuting_residuals(family, k: int, fields, replace_div_moments: bool = False) -> np.ndarray:
     """Per field, max over a 21 x 21 grid of |div(I field) - P(div field)|.
 
-    The fields are interpolated as one FieldStack: one DOF-vector call,
-    one stacked solve and one tabulation of the basis divergences on the
-    grid.  The stacked member contracts each field's coefficients with
-    that table by their own gemv (elements.contract: one product over
-    all rows would be a gemm, whose sums may round apart from a lone
-    field's), so every residual keeps the bits of a lone field.  Both sides are
-    sampled through the Legendre recurrence; expanding either to a
-    monomial grid first would cost two digits at k >= 3.
+    Both sides read one field_sample, taken before any DOF vector: one
+    DOF-vector call and one stacked solve interpolate it, one tabulation of
+    the basis divergences on the grid and one gemv per field
+    (elements.contract; a gemm over all rows may round apart) evaluate the
+    interpolants, and one stacked projector pass integrates the divergences,
+    so every residual keeps a lone field's bits.  Both sides use the
+    Legendre recurrence; a monomial grid would cost two digits at k >= 3.
     """
-    fields = tuple(fields)
+    sample = field_sample(tuple(fields))
     op = reference_operator(family, k, replace_div_moments)
     proj = reference_projector(family, k)
     s = np.linspace(0.0, 1.0, SAMPLE_GRID)
     x, y = s[:, None], s[None, :]
-    lhs = op.interpolate(FieldStack(fields)).div_values(x, y)
-    rhs = [_eval_legendre_sum(proj.coeffs_internal(f.div_values), x, y) for f in fields]
-    return np.array([np.max(np.abs(a - b)) for a, b in zip(lhs, rhs)])
+    lhs = op.interpolate(sample).div_values(x, y)
+    rhs = _eval_legendre_sum(proj._index, proj.coefficients(sample.D), x, y)
+    return np.max(np.abs(lhs - rhs), axis=(1, 2))
 
 
 def judge_commuting(family, k: int, replace_div_moments: bool = False) -> Tuple[float, bool]:
@@ -230,14 +247,11 @@ def judge_commuting(family, k: int, replace_div_moments: bool = False) -> Tuple[
     return worst, worst <= COMMUTING_TOL
 
 
-def _eval_legendre_sum(coeffs: dict, x, y):
-    """sum c L_i(x) L_j(y) on the broadcast shape of x, y; the recurrences run on x, y."""
-    out = np.zeros(np.broadcast(x, y).shape)
-    if not coeffs:
-        return out
-    nmax = max(max(i, j) for i, j in coeffs)
-    Lx = legendre.values(nmax, np.asarray(x))
-    Ly = legendre.values(nmax, np.asarray(y))
-    for (i, j), c in sorted(coeffs.items()):
-        out = out + c * (Lx[i] * Ly[j])
+def _eval_legendre_sum(index, coeffs: np.ndarray, x, y):
+    """Per coeffs row (columns as index): sum c L_i(x) L_j(y) on the x, y grid, (i, j) sorted."""
+    nmax = max(max(ij) for ij in index)
+    Lx, Ly = (legendre.values(nmax, np.asarray(z)) for z in (x, y))
+    out = np.zeros(coeffs.shape[:1] + np.broadcast(x, y).shape)
+    for (i, j), c in sorted(zip(index, coeffs.T), key=lambda ic: ic[0]):
+        out = out + c[:, None, None] * (Lx[i] * Ly[j])
     return out

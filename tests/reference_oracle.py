@@ -2,7 +2,8 @@
 
 The library samples tensor rules on their axes and applies a whole DOF
 set through one plan; these oracles keep the enumerated points, the
-per-functional quadrature and the closed forms the tests compare it with.
+per-functional quadrature and the closed forms the tests compare it with,
+and the one-field projector sums that the stacked commuting check replaced.
 """
 
 import functools
@@ -145,3 +146,29 @@ def apply_dof_ld(fn, field) -> np.longdouble:
 
 def apply_dof(fn, field) -> float:
     return float(apply_dof_ld(fn, field))
+
+
+def coeffs_internal_reference(proj, w) -> dict:
+    """proj's Legendre-product coefficients of w(x, y), keyed (i, j), one
+    scalar x-major pairwise sum per (i, j) over the 20 x 20 rule: the
+    one-field reference for the stacked L2Projector.coefficients."""
+    x, y, ws, Lx, Ly = proj._rule_tables
+    vals = np.asarray(w(x, y), dtype=np.longdouble)
+    out = {}
+    for i, j in proj._index:
+        c = np.sum(ws * vals * Lx[i] * Ly[j]) * ((2 * i + 1) * (2 * j + 1))
+        out[(i, j)] = float(c)
+    return out
+
+
+def _eval_legendre_sum(coeffs: dict, x, y):
+    """sum c L_i(x) L_j(y) on the broadcast shape of x, y; the recurrences run on x, y."""
+    out = np.zeros(np.broadcast(x, y).shape)
+    if not coeffs:
+        return out
+    nmax = max(max(i, j) for i, j in coeffs)
+    Lx = legendre.values(nmax, np.asarray(x))
+    Ly = legendre.values(nmax, np.asarray(y))
+    for (i, j), c in sorted(coeffs.items()):
+        out = out + c * (Lx[i] * Ly[j])
+    return out

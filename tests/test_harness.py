@@ -34,11 +34,11 @@ from hdivkit.harness import (
     theorem_suite,
     _lp_sum,
     _mapped_rule,
-    _Values,
     _verdict,
 )
 from hdivkit import interpolation
 from hdivkit.dofs import dof_vector_ld
+from hdivkit.fields import _Values
 from hdivkit.interpolation import InterpolationOperator, reference_operator
 from hdivkit.poly import Polynomial2D, VectorPoly2D
 from hdivkit.quadrature import NONPOLY_POINTS, tensor_rule

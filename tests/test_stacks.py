@@ -1,7 +1,8 @@
 """Member and field stacks: the batched check judges against per-row loops.
 
 `check` interpolates its 20 projection members and the 5 commuting
-fields as stacks.  The oracles here keep the one-at-a-time code, and a
+fields as stacks, and projects the fields' divergences as one stack from
+one cached sample.  The oracles here keep the one-at-a-time code, and a
 stack must match it bit for bit (==, not isclose).
 """
 
@@ -10,15 +11,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hdivkit import cli
-from hdivkit.dofs import _plan_for, build_dofs, dof_vector_ld
-from hdivkit.elements import FAMILIES, MAX_DEGREE, build_space, degree_range
-from hdivkit.fields import FieldStack, ReproductionField, commuting_battery, env_seed
+from hdivkit import cli, interpolation
+from hdivkit.dofs import _plan_for, build_dofs, dof_vector_ld, plan_axes
+from hdivkit.elements import FAMILIES, MAX_DEGREE, ElementSpace, build_space, degree_range
+from hdivkit.fields import (
+    FieldStack, ManufacturedField, ReproductionField, commuting_battery, env_seed,
+)
 from hdivkit.harness import PhysicalRect, piola_push
 from hdivkit.interpolation import (
-    COMMUTING_TOL, SAMPLE_GRID, _eval_legendre_sum, commuting_residuals, judge_commuting,
+    COMMUTING_TOL, SAMPLE_GRID, commuting_residuals, field_sample, judge_commuting,
     reference_operator, reference_projector,
 )
+from hdivkit.quadrature import NONPOLY_POINTS
+from reference_oracle import _eval_legendre_sum, coeffs_internal_reference
 
 # every (family, k, replace) that check --kmax 4 and its negative control judge
 PROJECTION_CASES = [(f, k, r) for f in FAMILIES for k in degree_range(f, MAX_DEGREE)
@@ -55,7 +60,8 @@ def _residual_one_field(family, k, fld, replace):
     s = np.linspace(0.0, 1.0, SAMPLE_GRID)
     X, Y = np.meshgrid(s, s, indexing="ij")
     lhs = m.div_values(X, Y)
-    rhs = _eval_legendre_sum(reference_projector(family, k).coeffs_internal(fld.div_values), X, Y)
+    rhs = _eval_legendre_sum(coeffs_internal_reference(reference_projector(family, k),
+                                                       fld.div_values), X, Y)
     return m.coeffs, float(np.max(np.abs(lhs - rhs)))
 
 
@@ -70,6 +76,66 @@ def test_commuting_stack_matches_the_field_loop(family, k, replace):
     assert judge_commuting(family, k, replace) == (worst, worst <= COMMUTING_TOL)
 
 
+ALL_PAIRS = [(f, k) for f in FAMILIES for k in degree_range(f, MAX_DEGREE)]
+
+
+@pytest.mark.parametrize("family,k", ALL_PAIRS)
+def test_projection_draw_matches_the_member_loop(family, k, monkeypatch):
+    # one standard_normal((20, dim)) draw is the 20 random_member calls it replaced
+    drawn = []
+    member = ElementSpace.member
+    monkeypatch.setattr(ElementSpace, "member", lambda self, c: drawn.append(c) or member(self, c))
+    space = build_space(family, k)
+    for seed in range(10):
+        monkeypatch.setenv("HDIV_SEED", str(seed))
+        rng = np.random.default_rng(seed)
+        loop = [space.random_member(rng).coeffs for _ in range(cli.PROJECTION_MEMBERS)]
+        drawn.clear()
+        cli._judge_projection(family, k, False)
+        assert np.array_equal(drawn[0], np.stack(loop))
+
+
+@pytest.mark.parametrize("family,k", ALL_PAIRS)
+def test_stacked_projection_matches_lone_coefficients(family, k):
+    proj = reference_projector(family, k)
+    x, y = plan_axes(NONPOLY_POINTS)[2]
+    battery = commuting_battery()
+    # long-double values with bits below the double mantissa
+    noise = np.random.default_rng(7).standard_normal((4, 20, 20)).astype(np.longdouble) / 3
+    for fns in ([f.div_values for f in battery], [lambda x, y, v=v: v for v in noise]):
+        stack = proj.coefficients(np.stack([fn(x, y) for fn in fns]))
+        for row, fn in zip(stack, fns):
+            lone = proj.coeffs_internal(fn)
+            assert list(lone) == list(proj._index)
+            assert row.tolist() == list(lone.values())
+            assert lone == coeffs_internal_reference(proj, fn)
+
+
+def test_one_check_samples_each_battery_field_once(monkeypatch, capsys):
+    # the sample is filled outside any DOF vector and shared by every (family, k):
+    # one uv and one div_values call per battery field, not one per pair and side
+    calls = {}
+    for name in ("uv", "div_values"):
+        def counted(self, x, y, real=getattr(ManufacturedField, name), name=name):
+            calls[self.id, name] = calls.get((self.id, name), 0) + 1
+            return real(self, x, y)
+        monkeypatch.setattr(ManufacturedField, name, counted)
+    interpolation.field_sample.cache_clear()
+    assert cli.main(["check", "--kmax", "4"]) == 0
+    assert calls == {(f.id, n): 1 for f in commuting_battery() for n in ("uv", "div_values")}
+
+
+def test_the_cached_sample_is_read_only():
+    battery = tuple(commuting_battery())
+    sample = field_sample(battery)
+    assert field_sample(battery) is sample
+    assert sample.U.shape == sample.V.shape == (5, NONPOLY_POINTS + 2, NONPOLY_POINTS + 2)
+    assert sample.D.shape == (5, NONPOLY_POINTS, NONPOLY_POINTS)
+    for values in (sample.U, sample.V, sample.D):
+        with pytest.raises(ValueError, match="read-only"):
+            values[0, 0, 0] = 0.0
+
+
 @pytest.mark.parametrize("rows", [1, 2, 8, 20, 22, "dim", "dim + 1"])
 @pytest.mark.parametrize("family,k", [("RT", 4), ("BDM", 4), ("ABF", 4)])
 @settings(max_examples=4, deadline=None)
@@ -82,9 +148,6 @@ def test_stacked_solve_matches_lone_solves(family, k, rows, seed, scale):
     rng = np.random.default_rng(seed)
     b = dof_vector_ld(op.dofs, op.space.member(scale * rng.standard_normal((n, op.space.dim))))
     assert np.array_equal(op.solve(b), np.stack([op.solve(row) for row in b]))
-
-
-ALL_PAIRS = [(f, k) for f in FAMILIES for k in degree_range(f, MAX_DEGREE)]
 
 
 @settings(max_examples=25, deadline=None)
