@@ -4,17 +4,17 @@ Three kinds of moments:
 
     edge_moment      int_F (w . n) L_i(t) dt   i <= k, t the edge parameter
     interior_moment  int_K w_c L_i(x) L_j(y)   component c = 0 or 1
-    div_moment       int_K (div w) x^i y^j     ABF only, (i, k+1) and (k+1, j)
-                                               with i, j <= k
+    div_moment       int_K (div w) L_i(x) L_j(y)  ABF only, (i, k+1) and
+                                                  (k+1, j) with i, j <= k
 
 A functional is plain index data, (kind, i, j, edge, component), equal
 and hashable by value.  Ordering is deterministic: edges left, right,
 bottom, top (quadrature.EDGES) with test degree ascending, then interior
 moments (component 0 before 1, tests in lexicographic (i, j) order),
-then divergence moments.  Edge and interior tests are shifted-Legendre
-(same spans as the defining monomial test spaces, far better
-conditioning); divergence tests are the exact monomials, which the
-commuting property needs verbatim.
+then divergence moments.  Every test is shifted-Legendre: the spans of
+the defining monomial tests, far better conditioned.  ABF's divergence
+tests change the functionals, not their span (for a, b <= k, int (div w)
+x^a y^b is an edge moment minus interior moments), nor the interpolant.
 
 A whole DOF set is applied through a plan: an axis pair plus separable
 weights, as Basix encodes DOFs and FIAT its point/weight functionals,
@@ -22,8 +22,8 @@ with the points given as a tensor product.  The axes are a column x and
 a row y with the nodes {0, t_1 ... t_n, 1}, t the n nodes of
 gauss_legendre_01(n), so the (n + 2)^2 grid they span holds the four
 edges and the interior n x n grid.  The weights are n-column 1-D
-matrices (w L_i(t) for edge and interior tests, w t^a for divergence
-tests), applied by contraction.  A DOF vector therefore costs one field
+matrices of rows w L_i(t), one per kind of moment, applied by
+contraction.  A DOF vector therefore costs one field
 evaluation on the axes, plus one divergence evaluation on the inner
 axes (t, t) when the set has divergence moments; fields broadcast the
 axes, so transcendental factors and Legendre recurrences run once per
@@ -55,9 +55,10 @@ DOF sets are built.  The plan is the one way to apply a functional;
 tests/reference_oracle.py keeps the per-functional quadrature
 (apply_dof_ld) as an independent reference.
 
-All quadrature in this module runs in extended precision: the DOF
-matrices reach condition 1e6 at k = 4 and the projection property at
-1e-12 leaves no budget for double-rounded right-hand sides.
+All quadrature in this module runs in extended precision.  The DOF
+conditions stay at or below 504 up to k = 4, but a study compares pushed
+members, whose roundoff grows with the 1/h Piola factors, against the
+absolute 1e-12 reproduction bound, and fine levels spend that budget.
 """
 
 from __future__ import annotations
@@ -79,8 +80,8 @@ _EDGE_SIGN = {"left": -1, "right": 1, "bottom": -1, "top": 1}
 class DofFunctional(NamedTuple):
     """One moment as index data, equal and hashable by value.
 
-    The test is L_i(t) on an edge, L_i(x) L_j(y) against a component, or
-    x^i y^j against the divergence.
+    The test is L_i(t) on an edge, or L_i(x) L_j(y) against a component
+    or the divergence.
     """
 
     kind: str
@@ -161,12 +162,11 @@ class DofPlan:
     for the n Gauss nodes t of gauss_legendre_01(n), so the grid they span
     holds the four edges and the interior n x n tensor grid; ``inner`` is
     the pair without the end nodes, where divergences are sampled.  Weights
-    are 1-D matrices over the n nodes: ``edge[d] = w L_d(t)`` and
-    ``interior[i] = w L_i(t)`` for the Legendre tests, ``div[a] = w t^a``
-    for the monomial divergence tests.  ``apply`` reads each edge as one
-    row or column of the (n + 2, n + 2) values (``edge @ vals``) and the
-    interior block as G in ``A G A^T``; moments land in one raw vector that
-    ``index`` reorders into functional order.
+    are 1-D matrices over the n nodes, ``edge[d]``, ``interior[i]`` and
+    ``div[i]`` all ``w L_i(t)``.  ``apply`` reads each edge as one row or
+    column of the (n + 2, n + 2) values (``edge @ vals``) and the interior
+    and divergence blocks as G in ``A G A^T``; moments land in one raw
+    vector that ``index`` reorders into functional order.
     """
 
     def __init__(self, functionals, n: int):
@@ -178,7 +178,7 @@ class DofPlan:
         div_deg = _max_index(functionals, "div_moment")
         self.edge = _weighted_legendre(edge_deg, t, w)
         self.interior = _weighted_legendre(int_deg, t, w)
-        self.div = w * t ** np.arange(div_deg + 1)[:, None]
+        self.div = _weighted_legendre(div_deg, t, w)
         self.has_div = div_deg >= 0
         self.x, self.y, self.inner = plan_axes(n)
         ne, na, nd = edge_deg + 1, int_deg + 1, div_deg + 1
@@ -206,13 +206,10 @@ class DofPlan:
         # bottom (t, 0), top (t, 1), as EDGES
         sides = np.concatenate([U[..., [0, -1], 1:-1],
                                 np.swapaxes(V[..., 1:-1, [0, -1]], -1, -2)], axis=-2)
+        blocks = ((self.interior, U[..., 1:-1, 1:-1]), (self.interior, V[..., 1:-1, 1:-1]),
+                  (self.div, D))
         parts = [(sides @ self.edge.T).reshape(batch + (-1,))]
-        if len(self.interior):
-            for vals in (U, V):
-                G = vals[..., 1:-1, 1:-1]
-                parts.append((self.interior @ G @ self.interior.T).reshape(batch + (-1,)))
-        if self.has_div:
-            parts.append((self.div @ D @ self.div.T).reshape(batch + (-1,)))
+        parts += [(A @ G @ A.T).reshape(batch + (-1,)) for A, G in blocks if len(A)]
         return self.signs * np.concatenate(parts, axis=-1)[..., self.index]
 
 

@@ -37,8 +37,8 @@ import numpy as np
 from . import legendre
 from .poly import VectorPoly2D
 
-# the verified range: `check` covers every (family, k) up to here, while
-# ABF_6 already misses the 1e-12 member reproduction
+# the verified range of `check`; the DOFs stay well conditioned beyond it, but
+# studies at higher k reach the roundoff floor, which verdicts do not model yet
 MAX_DEGREE = 4
 # span_check: the largest L2 mass a basis divergence may leave outside the
 # scalar space, and the least-squares residual of an unreached direction
@@ -108,7 +108,7 @@ class FamilySets(NamedTuple):
     div: tuple  # monomial exponents of the divergence image
     div_name: str
     tests: tuple  # per component, the Legendre tests of the interior moments
-    div_tests: tuple  # the monomial tests of the divergence moments
+    div_tests: tuple  # the Legendre tests of the divergence moments
 
 
 def family_sets(family, k: int) -> FamilySets:

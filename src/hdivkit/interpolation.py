@@ -10,8 +10,8 @@ residual-correction sweeps x <- x + M^-1 (b - M x): iterative refinement
 with an approximate inverse, which converges while ||I - M^-1 M|| < 1
 (Higham, Accuracy and Stability of Numerical Algorithms, ch. 12).  The
 coefficient error then tracks the extended epsilon rather than the double
-one, which is what keeps space members reproducible to 1e-12 through
-condition numbers around 1e6.  `solve` takes DOF vectors with leading
+one, which keeps a study's pushed members, whose roundoff grows with the
+1/h Piola factors, within 1e-12.  `solve` takes DOF vectors with leading
 axes (a study's levels, the rows of a member stack or a FieldStack) as a
 stack of single columns: numpy's matmul runs the same matrix-vector
 product for each column, which keeps the bits of a lone solve; one

@@ -3,7 +3,9 @@
 The library samples tensor rules on their axes and applies a whole DOF
 set through one plan; these oracles keep the enumerated points, the
 per-functional quadrature and the closed forms the tests compare it with,
-and the one-field projector sums that the stacked commuting check replaced.
+the one-field projector sums that the stacked commuting check replaced, and
+ABF's divergence moments against the monomials x^i y^j, the other test
+basis of the same functionals' span.
 """
 
 import functools
@@ -11,7 +13,7 @@ import functools
 import numpy as np
 
 from hdivkit import legendre
-from hdivkit.dofs import _EDGE_SIGN
+from hdivkit.dofs import _EDGE_SIGN, build_dofs
 from hdivkit.elements import ElementSpace, _legendre_coordinates, _product_norms, build_space
 from hdivkit.harness import _check_lp_args, _lp_sum
 from hdivkit.interpolation import REFINE_SWEEPS
@@ -73,14 +75,15 @@ def component_degrees(family, k):
     return space.member(np.ones(space.dim)).degree_bounds
 
 
-def gesv_solve(op, b):
-    """The operator's solve by LU instead of its cached inverse: one nrhs = 1
-    np.linalg.solve per DOF vector (a getrf and a getrs each) and the same
-    REFINE_SWEEPS extended-precision residual corrections; leading axes batch."""
-    b = b[..., None]
-    x = np.longdouble(np.linalg.solve(op.dof_matrix, b.astype(float)))
+def gesv_solve(M_ld, b):
+    """An operator's solve by LU instead of its cached inverse, for the
+    extended-precision DOF matrix M_ld: one nrhs = 1 np.linalg.solve per DOF
+    vector (a getrf and a getrs each) and the same REFINE_SWEEPS
+    extended-precision residual corrections; leading axes batch."""
+    M, b = M_ld.astype(float), b[..., None]
+    x = np.longdouble(np.linalg.solve(M, b.astype(float)))
     for _ in range(REFINE_SWEEPS):
-        x = x + np.linalg.solve(op.dof_matrix, (b - op._M_ld @ x).astype(float))
+        x = x + np.linalg.solve(M, (b - M_ld @ x).astype(float))
     return x[..., 0].astype(float)
 
 
@@ -132,20 +135,59 @@ def apply_dof_ld(fn, field) -> np.longdouble:
         test = legendre.values(fn.i, rule.xs_ld)[fn.i] * legendre.values(fn.j, rule.ys_ld)[fn.j]
         return np.sum(rule.ws_ld * vals * test)
     if fn.kind == "div_moment":
-        if degs is None:
-            nx = ny = NONPOLY_POINTS
-        else:
-            (dx0, dy0), (dx1, dy1) = degs
-            nx = n_for_degree(max(dx0 - 1, dx1, 0) + fn.i)
-            ny = n_for_degree(max(dy0, dy1 - 1, 0) + fn.j)
-        rule = tensor_rule(nx, ny)
-        vals = field.div_values(rule.xs_ld, rule.ys_ld)
-        return np.sum(rule.ws_ld * vals * rule.xs_ld ** fn.i * rule.ys_ld ** fn.j)
+        return _div_moment_ld(fn, field, lambda x, y: (legendre.values(fn.i, x)[fn.i]
+                                                       * legendre.values(fn.j, y)[fn.j]))
     raise ValueError(f"unknown DOF kind {fn.kind!r}")
+
+
+def _div_moment_ld(fn, field, test) -> np.longdouble:
+    """int_K (div w) test(x, y) by a tensor rule exact for a polynomial field
+    against a test of degree (fn.i, fn.j)."""
+    degs = getattr(field, "degree_bounds", None)
+    if degs is None:
+        nx = ny = NONPOLY_POINTS
+    else:
+        (dx0, dy0), (dx1, dy1) = degs
+        nx = n_for_degree(max(dx0 - 1, dx1, 0) + fn.i)
+        ny = n_for_degree(max(dy0, dy1 - 1, 0) + fn.j)
+    rule = tensor_rule(nx, ny)
+    vals = field.div_values(rule.xs_ld, rule.ys_ld)
+    return np.sum(rule.ws_ld * vals * test(rule.xs_ld, rule.ys_ld))
 
 
 def apply_dof(fn, field) -> float:
     return float(apply_dof_ld(fn, field))
+
+
+def apply_monomial_dof_ld(fn, field) -> np.longdouble:
+    """apply_dof_ld, except that a divergence moment tests against the raw
+    monomial x^i y^j.  The two test sets span the same functionals (for
+    a, b <= k, int (div w) x^a y^b is an edge moment minus interior moments
+    against ABF's tests), so both define one interpolant; the monomial
+    tests only condition the DOF matrix far worse."""
+    if fn.kind != "div_moment":
+        return apply_dof_ld(fn, field)
+    return _div_moment_ld(fn, field, lambda x, y: x ** fn.i * y ** fn.j)
+
+
+@functools.lru_cache(maxsize=None)
+def monomial_dof_matrix_ld(family, k: int) -> np.ndarray:
+    """The DOF matrix of build_space(family, k) under the monomial divergence
+    tests, one apply_monomial_dof_ld per entry."""
+    space, dofs = build_space(family, k), build_dofs(family, k)
+    return np.stack([monomial_dof_vector_ld(dofs, space.member(e)) for e in np.eye(space.dim)],
+                    axis=1)
+
+
+def monomial_dof_vector_ld(dofs, field) -> np.ndarray:
+    return np.array([apply_monomial_dof_ld(fn, field) for fn in dofs.functionals])
+
+
+def monomial_interpolant(family, k: int, field) -> np.ndarray:
+    """The coefficients of the (family, k) interpolant of field under the
+    monomial divergence tests, by gesv_solve."""
+    return gesv_solve(monomial_dof_matrix_ld(family, k),
+                      monomial_dof_vector_ld(build_dofs(family, k), field))
 
 
 def coeffs_internal_reference(proj, w) -> dict:

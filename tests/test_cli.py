@@ -70,14 +70,17 @@ def test_check_passes(capsys):
     assert "FAIL" not in out
 
 
-def test_check_pins_the_bdm_conditions(capsys):
-    # BDM's curl members curl(L_{k+1}(x) L_1(y)) and curl(L_1(x) L_{k+1}(y))
-    # keep its DOF matrices this well conditioned up to k = 4
-    code, out, err = run(capsys, "check", "--family", "BDM", "--kmax", "4")
+# BDM's curl members curl(L_{k+1}(x) L_1(y)) and curl(L_1(x) L_{k+1}(y)) and
+# ABF's Legendre divergence tests keep the DOF matrices this well conditioned
+@pytest.mark.parametrize("family,k0,conditions", [
+    ("BDM", 1, ("1.800e+01", "4.500e+01", "7.200e+01", "3.000e+02")),
+    ("ABF", 0, ("4.000e+00", "2.400e+01", "1.200e+02", "2.800e+02", "5.040e+02"))],
+    ids=["BDM", "ABF"])
+def test_check_pins_the_conditions(capsys, family, k0, conditions):
+    code, out, err = run(capsys, "check", "--family", family, "--kmax", "4")
     assert code == 0 and err == ""
     assert [line for line in out.splitlines() if line.startswith("unisolvence")] == [
-        f"unisolvence BDM_{k}: condition={c} ok"
-        for k, c in enumerate(("1.800e+01", "4.500e+01", "7.200e+01", "3.000e+02"), start=1)]
+        f"unisolvence {family}_{k}: condition={c} ok" for k, c in enumerate(conditions, start=k0)]
 
 
 def test_check_kmax_out_of_range(capsys):
@@ -231,6 +234,18 @@ def test_converge_reproduction_field(capsys):
     )
     assert code == 0
     assert "verdict=pass (reproduction)" in out
+
+
+@pytest.mark.parametrize("k,levels", [(3, 6), (3, 8), (4, 6), (4, 8)])
+def test_converge_abf_reproduction_at_aspect_64(capsys, k, levels):
+    # the pushed member's roundoff grows with the 1/h Piola factors and must
+    # stay within the absolute 1e-12 at every level, so every error reads 0
+    code, out, err = run(capsys, "converge", "--family", "ABF", "--k", str(k), "--field", "MS-P",
+                         "--mode", "fixed_aspect(64)", "--levels", str(levels))
+    assert code == 0 and err == ""
+    assert out.splitlines()[-2:] == [
+        f"field: fitted=n/a predicted={k + 1} verdict=pass (reproduction)",
+        f"div: fitted=n/a predicted={k + 2} verdict=pass (reproduction)"]
 
 
 def test_converge_seed_env(tmp_path, capsys, monkeypatch):

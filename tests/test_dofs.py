@@ -101,17 +101,22 @@ def test_interior_moment_pinned():
 
 
 def test_div_moment_pinned():
-    # ABF_0 divergence tests are y then x; w = (x, 0) has div = 1
+    # ABF_0 divergence tests are L_1(y) then L_1(x); w = (x, 0) has div = 1,
+    # which both annihilate
     dofset = build_dofs("ABF", 0)
     divs = [f for f in dofset.functionals if f.kind == "div_moment"]
-    assert len(divs) == 2
+    assert [(f.i, f.j) for f in divs] == [(0, 1), (1, 0)]
     fld = _field(1, 0, 0, 0, cv=0.0)
-    assert apply_dof(divs[0], fld) == pytest.approx(0.5, rel=1e-14)
-    assert apply_dof(divs[1], fld) == pytest.approx(0.5, rel=1e-14)
-    # w = (x^2, 0): div = 2x, moments int 2xy = 1/2 and int 2x^2 = 2/3
+    assert apply_dof(divs[0], fld) == pytest.approx(0.0, abs=1e-15)
+    assert apply_dof(divs[1], fld) == pytest.approx(0.0, abs=1e-15)
+    # w = (x^2, 0): div = 2x, moments int 2x L_1(y) = 0 and int 2x (2x - 1) = 1/3
     fld2 = _field(2, 0, 0, 0, cv=0.0)
-    assert apply_dof(divs[0], fld2) == pytest.approx(0.5, rel=1e-14)
-    assert apply_dof(divs[1], fld2) == pytest.approx(2.0 / 3.0, rel=1e-14)
+    assert apply_dof(divs[0], fld2) == pytest.approx(0.0, abs=1e-15)
+    assert apply_dof(divs[1], fld2) == pytest.approx(1.0 / 3.0, rel=1e-14)
+    # w = (x y, 0): div = y, moments int y (2y - 1) = 1/6 and int y L_1(x) = 0
+    fld3 = _field(1, 1, 0, 0, cv=0.0)
+    assert apply_dof(divs[0], fld3) == pytest.approx(1.0 / 6.0, rel=1e-14)
+    assert apply_dof(divs[1], fld3) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_dof_vector_matches_loop():

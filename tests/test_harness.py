@@ -550,11 +550,9 @@ def test_study_matches_per_level_loop(family, k, field, mode, levels):
     assert run_refinement_study(config).records == _per_level_records(config)
 
 
-# every study of these that read pass (reproduction) when each level sampled
-# both sides at its own points; at aspect 64 ABF_3 and ABF_4 read
-# inconclusive (non_monotone) at the Piola-inflated floor
-_NON_DYADIC = [(f, k, 10.0, 5) for f, k in _PAIRS] + [
-    (f, k, 64.0, 8) for f, k in _PAIRS if (f, k) not in (("ABF", 3), ("ABF", 4))]
+# every study of these reads pass (reproduction) when each level samples
+# both sides at its own points
+_NON_DYADIC = [(f, k, 10.0, 5) for f, k in _PAIRS] + [(f, k, 64.0, 8) for f, k in _PAIRS]
 
 
 @pytest.mark.parametrize("family,k,rho,levels", _NON_DYADIC)

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from hdivkit import interpolation, legendre
 from hdivkit.dofs import build_dofs, dof_vector_ld
 from hdivkit.elements import ElementFamily, build_div_space, build_space
-from hdivkit.fields import MS_G, CallableField, commuting_battery
+from hdivkit.fields import MS_G, MS_X, CallableField, commuting_battery
+from hdivkit.harness import PulledBackField
 from hdivkit.interpolation import (
     COND_FAIL,
     COND_WARN,
@@ -29,7 +30,7 @@ from hdivkit.interpolation import (
 from hdivkit.poly import Polynomial2D, VectorPoly2D
 from hdivkit.quadrature import tensor_rule
 from monomial_oracle import Poly, curl_scalar, divergence, monomial_basis, project, reference_field
-from reference_oracle import apply_dof, gesv_solve
+from reference_oracle import apply_dof, gesv_solve, monomial_dof_matrix_ld, monomial_interpolant
 
 ALL_SPACES = [("RT", k) for k in range(5)] + [("BDM", k) for k in range(1, 5)] + [
     ("ABF", k) for k in range(5)
@@ -76,7 +77,7 @@ def test_cached_inverse_reproduces_members_as_lu_does():
         err = _worst_relative_error(op.solve(b), exact)
         assert err <= REPRO_TOL / 10, (family, k, err)
         worst = max(worst, err)
-        worst_lu = max(worst_lu, _worst_relative_error(gesv_solve(op, b), exact))
+        worst_lu = max(worst_lu, _worst_relative_error(gesv_solve(op._M_ld, b), exact))
     assert worst <= worst_lu
 
 
@@ -173,8 +174,30 @@ def test_condition_is_exact(family, k):
 
 
 def test_abf2_condition_pinned():
-    # LAPACK's gecon estimate read 2900 here
-    assert reference_operator("ABF", 2).condition == pytest.approx(3480.0, rel=1e-9)
+    assert reference_operator("ABF", 2).condition == pytest.approx(120.0, rel=1e-9)
+
+
+# ABF_0..4 DOF conditions when the divergence moments test against x^i y^j
+MONOMIAL_CONDITIONS = (12.0, 189.0, 3480.0, 85400.0, 1863960.0)
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_legendre_div_tests_keep_the_interpolant(k):
+    # the Legendre divergence tests change ABF's functionals, not their span:
+    # for a, b <= k, int (div w) x^a y^b = int_dK (w . n) x^a y^b - int w . grad(x^a y^b),
+    # an edge moment plus moments against ABF's interior tests.  So the two
+    # interpolants differ only by the monomial solve's forward error, at most
+    # its condition times the extended epsilon, and the rounding of both to doubles
+    M = monomial_dof_matrix_ld("ABF", k)
+    cond = np.linalg.cond(M.astype(float), 1)
+    assert cond == pytest.approx(MONOMIAL_CONDITIONS[k], rel=1e-9)
+    bound = cond * np.finfo(np.longdouble).eps + 4 * np.finfo(float).eps
+    op = reference_operator("ABF", k)
+    for fld in [MS_X] + commuting_battery():
+        pulled = PulledBackField(fld, 0.3, 0.7)
+        ref = monomial_interpolant("ABF", k, pulled)
+        got = op.solve_coefficients(pulled)
+        assert np.max(np.abs(got - ref)) <= bound * np.max(np.abs(ref)), fld.id
 
 
 def test_singular_dofset_rejected():
@@ -219,6 +242,20 @@ def test_no_scipy_at_import():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_check_passes_with_a_double_long_double():
+    # emulates the platforms whose np.longdouble is a plain double (MSVC
+    # Windows, macOS on arm64): the DOF conditions leave the element checks
+    # enough digits without 80-bit arithmetic.  It pins no study.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = ("import sys, numpy as np; np.longdouble = np.float64; from hdivkit import cli; "
+            "sys.exit(cli.main(['check', '--kmax', '4']))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert (out.returncode, out.stderr) == (0, "")
+    assert out.stdout.endswith("all checks passed\n")
 
 
 def test_operator_cache():
