@@ -36,6 +36,7 @@ from .fields import (
 from .harness import (
     ConvergenceTable,
     ErrorRecord,
+    Judgement,
     MODES,
     PhysicalRect,
     PulledBackField,
@@ -57,7 +58,6 @@ from .interpolation import (
     reference_projector,
     unisolvence_report,
 )
-from .poly import Polynomial2D, VectorPoly2D
 from .quadrature import (
     QuadratureRule1D,
     QuadratureRule2D,

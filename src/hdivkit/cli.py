@@ -241,7 +241,7 @@ def _row_texts(table, template: str, none: str) -> List[str]:
         return none if value is None else "%.17g" % value
 
     rates = zip(table.level_rates("field"), table.level_rates("div"))
-    return [template % (rec.level, rec.hx, rec.hy, rec.err_field_Lp, rec.err_div_Lp,
+    return [template % (rec.level, rec.hx, rec.hy, rec.errors["field"], rec.errors["div"],
                         rate(rate_f), rate(rate_d))
             for rec, (rate_f, rate_d) in zip(table.records, rates)]
 
@@ -279,9 +279,9 @@ def _json_text(table) -> str:
     payload = {
         "config": table.config.describe(),
         "records": _Raw("[" + ", ".join(_row_texts(table, _JSON_ROW, "null")) + "]"),
-        "fitted_rates": {"field": table.fitted_rate_field, "div": table.fitted_rate_div},
-        "predicted_rates": {"field": table.predicted_rate_field, "div": table.predicted_rate_div},
-        "verdicts": {"field": table.verdict_field, "div": table.verdict_div},
+        "fitted_rates": {w: j.fitted for w, j in table.judged.items()},
+        "predicted_rates": {w: j.predicted for w, j in table.judged.items()},
+        "verdicts": {w: j.verdict for w, j in table.judged.items()},
     }
     return _json_value(payload) + "\n"
 
@@ -304,12 +304,9 @@ def _atomic_write(path: str, text: str) -> None:
 
 def _verdict_lines(table) -> List[str]:
     out = []
-    for which, fitted, predicted in (
-        ("field", table.fitted_rate_field, table.predicted_rate_field),
-        ("div", table.fitted_rate_div, table.predicted_rate_div),
-    ):
-        shown = "n/a" if fitted is None else "%.4f" % fitted
-        out.append(f"{which}: fitted={shown} predicted={predicted:g} "
+    for which, j in table.judged.items():
+        shown = "n/a" if j.fitted is None else "%.4f" % j.fitted
+        out.append(f"{which}: fitted={shown} predicted={j.predicted:g} "
                    f"verdict={table.verdict_text(which)}")
     return out
 

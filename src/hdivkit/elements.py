@@ -20,7 +20,9 @@ k) holds the table above as (i, j) index sets (labels per component,
 curl labels, divergence image, moment tests); a space holds its basis as
 that index data only and evaluates it by the Legendre recurrence; a member
 is its space and its coefficient vector, evaluated only through the
-space's tables, with no monomial grids and no VectorPoly2D base.
+space's tables.  The package has no other polynomial representation:
+monomial grids live in the tests' oracle, and poly is only the benchmark
+tracer's marker.
 Because the Legendre products are orthogonal and differentiate with
 integer coefficients, the Gram matrix has a closed form and the div-span
 certificate runs in exact arithmetic, with no monomial grids at all.
@@ -35,7 +37,6 @@ from typing import NamedTuple, Sequence, Tuple
 import numpy as np
 
 from . import legendre
-from .poly import VectorPoly2D
 
 # the verified range of `check`; the DOFs stay well conditioned beyond it, but
 # studies at higher k reach the roundoff floor, which verdicts do not model yet
@@ -181,10 +182,6 @@ class SpaceMember:
     def __repr__(self):
         return f"SpaceMember({self.space!r}, coeffs={self.coeffs!r})"
 
-
-# read only by the benchmark tracer's isinstance(field, VectorPoly2D), which skips
-# polynomial fields; delete it once the tracer reads degree_bounds instead
-VectorPoly2D.register(SpaceMember)
 
 
 def contract(coeffs, table) -> np.ndarray:

@@ -42,18 +42,18 @@ give upper bounds for the error (lower bounds for the rate).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field, fields as dc_fields
-from typing import List, Optional, Tuple
+from dataclasses import dataclass, fields as dc_fields
+from fractions import Fraction
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .elements import (
-    ElementFamily, SpaceMember, _as_family, _validate_degree, check_choice, contract,
-    degree_range, require_single,
+    ElementFamily, SpaceMember, _as_family, _validate_degree, build_space, check_choice,
+    contract, degree_range, require_single,
 )
 from .fields import FIELD_IDS, ReproductionField, _Values, check_seed, get_field
 from .interpolation import REPRO_TOL, judge_commuting, reference_operator
-from .poly import Polynomial2D, VectorPoly2D
 from .quadrature import NONPOLY_POINTS, gauss_legendre_01, tensor_rule
 
 MIN_H = 1e-8
@@ -61,6 +61,8 @@ MONOTONE_SLACK = 1.01
 # refinement directions per mode: level j scales h_x by 2^-(sx j) and h_y by 2^-(sy j)
 _SCALES = {"shrink_x": (1, 0), "shrink_y": (0, 1), "isotropic": (1, 1), "fixed_aspect": (1, 1)}
 MODES = tuple(_SCALES)
+# the quantities a study measures and judges, in output order
+QUANTITIES = ("field", "div")
 
 
 @dataclass(frozen=True)
@@ -181,8 +183,7 @@ class ErrorRecord:
     level: int
     hx: float
     hy: float
-    err_field_Lp: float
-    err_div_Lp: float
+    errors: Dict[str, float]  # normalized L^p error per quantity
 
 
 @dataclass
@@ -243,30 +244,33 @@ class StudyConfig:
         return out
 
 
+class Judgement(NamedTuple):
+    """One quantity's judgement: the fitted rate (None when a fitted error is
+    not positive), the predicted rate, the verdict and the flags behind it."""
+
+    fitted: Optional[float]
+    predicted: float
+    verdict: str
+    flags: dict
+
+
 @dataclass
 class ConvergenceTable:
     config: StudyConfig
     records: List[ErrorRecord]
-    fitted_rate_field: Optional[float]
-    fitted_rate_div: Optional[float]
-    predicted_rate_field: float
-    predicted_rate_div: float
-    verdict_field: str
-    verdict_div: str
-    flags: dict = dc_field(default_factory=dict)
+    judged: Dict[str, Judgement]  # one per quantity, in QUANTITIES order
 
     @property
     def ok(self) -> bool:
-        return self.verdict_field == "pass" and self.verdict_div == "pass"
+        return all(j.verdict == "pass" for j in self.judged.values())
 
     def verdict_text(self, which: str) -> str:
         """which's verdict and its sorted reasons: 'inconclusive (non_monotone)'."""
-        flags = self.flags.get(which, {})
-        verdict = self.verdict_field if which == "field" else self.verdict_div
-        return verdict + "".join(f" ({name})" for name in sorted(flags) if flags[name])
+        j = self.judged[which]
+        return j.verdict + "".join(f" ({name})" for name in sorted(j.flags) if j.flags[name])
 
     def level_rates(self, which: str) -> List[Optional[float]]:
-        errs = [r.err_field_Lp if which == "field" else r.err_div_Lp for r in self.records]
+        errs = [r.errors[which] for r in self.records]
         rates: List[Optional[float]] = [None]
         for a, b in zip(errs, errs[1:]):
             rates.append(math.log2(a / b) if a > 0 and b > 0 else None)
@@ -309,6 +313,9 @@ def predicted_field_rate(family, k: int, fld, sx: int, sy: int) -> float:
         return fld.deriv_nonzero(a1, a2, 0) or fld.deriv_nonzero(a1, a2, 1)
 
     return _predicted_rate(estimate_terms(family, k, "field", sx, sy), nz, sx, sy)
+
+
+_PREDICTED = {"field": predicted_field_rate, "div": predicted_div_rate}
 
 
 # --- fitting and verdicts -------------------------------------------------
@@ -379,32 +386,17 @@ def run_refinement_study(config: StudyConfig) -> ConvergenceTable:
     nd = norm_Lp(sample, stack, config.p, "div")
     ef = error_Lp(sample, interp, stack, config.p, "field") / nf
     ed = error_Lp(sample, interp, stack, config.p, "div") / np.where(nd > 0, nd, nf)
-    errs_f, errs_d = ef.tolist(), ed.tolist()
-    records = [ErrorRecord(level, rect.hx, rect.hy, f, d)
-               for level, (rect, f, d) in enumerate(zip(rects, errs_f, errs_d))]
+    errors = dict(zip(QUANTITIES, (ef.tolist(), ed.tolist())))
+    records = [ErrorRecord(level, rect.hx, rect.hy, {w: errors[w][level] for w in QUANTITIES})
+               for level, rect in enumerate(rects)]
     sx, sy = config.mode_scales()
-    pred_f = predicted_field_rate(config.family, config.k, fld, sx, sy)
-    pred_d = predicted_div_rate(config.family, config.k, fld, sx, sy)
-    fit_f = fitted_rate(errs_f, config.levels)
-    fit_d = fitted_rate(errs_d, config.levels)
-    verdict_f, flags_f = _verdict(errs_f, fit_f, pred_f, config.rate_tolerance)
-    verdict_d, flags_d = _verdict(errs_d, fit_d, pred_d, config.rate_tolerance)
-    flags = {}
-    if flags_f:
-        flags["field"] = flags_f
-    if flags_d:
-        flags["div"] = flags_d
-    return ConvergenceTable(
-        config=config,
-        records=records,
-        fitted_rate_field=fit_f,
-        fitted_rate_div=fit_d,
-        predicted_rate_field=pred_f,
-        predicted_rate_div=pred_d,
-        verdict_field=verdict_f,
-        verdict_div=verdict_d,
-        flags=flags,
-    )
+    judged = {}
+    for which in QUANTITIES:
+        predicted = _PREDICTED[which](config.family, config.k, fld, sx, sy)
+        fitted = fitted_rate(errors[which], config.levels)
+        judged[which] = Judgement(fitted, predicted, *_verdict(
+            errors[which], fitted, predicted, config.rate_tolerance))
+    return ConvergenceTable(config, records, judged)
 
 
 # --- aggregate suite ------------------------------------------------------
@@ -432,8 +424,8 @@ def theorem_suite(configs: Optional[List[StudyConfig]] = None,
         table = run_refinement_study(cfg)
         studies.append(table)
         mode = f"fixed_aspect({cfg.rho:g})" if cfg.mode == "fixed_aspect" else cfg.mode
-        for which, verdict in (("field", table.verdict_field), ("div", table.verdict_div)):
-            if verdict != "pass":
+        for which, judgement in table.judged.items():
+            if judgement.verdict != "pass":
                 failures.append(f"{cfg.family.value}_{cfg.k} {mode} {cfg.field} p={cfg.p:g} "
                                 f"{which}: {table.verdict_text(which)}")
     commuting = []
@@ -454,12 +446,20 @@ def theorem_suite(configs: Optional[List[StudyConfig]] = None,
     }
 
 
-def bdm_sharpness_witness(k: int) -> VectorPoly2D:
-    """u = (0, x^{k-1} y^2 / 2): div = x^{k-1} y lies in Q_k but not P_{k-1}.
+def bdm_sharpness_witness(k: int) -> SpaceMember:
+    """u = (0, x^{k-1} y^2 / 2) as an RT_k member: div = x^{k-1} y lies in Q_k
+    but not P_{k-1}.
 
     BDM_k cannot reproduce this divergence while RT_k can, exhibiting
-    the P-versus-Q gap between the two div estimates.
+    the P-versus-Q gap between the two div estimates.  The coordinates are
+    exact products of x^n = sum_m (2m+1) n!^2 / ((n-m)! (n+m+1)!) L_m(x),
+    n = k - 1, and y^2 / 2 = L_0(y) / 6 + L_1(y) / 4 + L_2(y) / 12, each
+    rounded once.
     """
     if k < 1:
         raise ValueError("witness needs k >= 1")
-    return VectorPoly2D(Polynomial2D.zero(), Polynomial2D.monomial(k - 1, 2, 0.5))
+    space, n, f = build_space(ElementFamily.RT, k), k - 1, math.factorial
+    in_x = [Fraction((2 * m + 1) * f(n) ** 2, f(n - m) * f(n + m + 1)) for m in range(n + 1)]
+    in_y = (Fraction(1, 6), Fraction(1, 4), Fraction(1, 12))
+    return space.member([float(in_x[i] * in_y[j]) if kind == "y" and i <= n and j <= 2 else 0.0
+                         for kind, i, j in space.labels])

@@ -83,24 +83,17 @@ def gauss_legendre_01(n: int) -> QuadratureRule1D:
 
 
 class QuadratureRule2D:
-    """Tensor-product rule on the unit square."""
+    """Tensor-product weights on the unit square, x-major: ws[i * ny + j] is
+    w_i w_j of the 1-D rules (formed in extended precision, ws_ld, and rounded,
+    ws); the points are the 1-D rules' nodes, sampled as axes."""
 
-    __slots__ = ("xs", "ys", "ws", "xs_ld", "ys_ld", "ws_ld")
+    __slots__ = ("ws", "ws_ld")
 
     def __init__(self, rule_x: QuadratureRule1D, rule_y: QuadratureRule1D):
-        X, Y = np.meshgrid(rule_x.nodes_ld, rule_y.nodes_ld, indexing="ij")
-        W = np.outer(rule_x.weights_ld, rule_y.weights_ld)
-        self.xs_ld = X.ravel()
-        self.ys_ld = Y.ravel()
-        self.ws_ld = W.ravel()
-        self.xs = self.xs_ld.astype(float)
-        self.ys = self.ys_ld.astype(float)
+        self.ws_ld = np.outer(rule_x.weights_ld, rule_y.weights_ld).ravel()
         self.ws = self.ws_ld.astype(float)
-        for a in (self.xs, self.ys, self.ws, self.xs_ld, self.ys_ld, self.ws_ld):
+        for a in (self.ws, self.ws_ld):
             a.setflags(write=False)
-
-    def integrate(self, f) -> float:
-        return float(np.sum(self.ws * f(self.xs, self.ys)))
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,10 +1,13 @@
-"""Monomial grids of element-space members, the bit-exact test oracle.
+"""Monomial polynomials and the monomial grids of element-space members,
+the bit-exact test oracle.
 
-Members and projections hold Legendre-product coefficients only; tests
-that need exact monomial algebra (products, formal partials, the
-divergence and the curl) build the grids here from the labels or the
-coefficients, never from the member.  The library's Polynomial2D has no
-algebra of its own: Poly adds +, -, * and negation, and the shifted
+Members and projections hold Legendre-product coefficients only, and the
+library has no monomial polynomial at all; tests that need exact monomial
+algebra (products, formal partials, the divergence and the curl) build
+the grids here from the labels or the coefficients, never from the
+member.  Polynomial2D is a dense monomial grid with +, -, * and
+negation, VectorPoly2D a pair of them with the field interface the
+library evaluates (uv, div_values, degree_bounds), and the shifted
 Legendre polynomials expand into monomials and back in exact rationals.
 """
 
@@ -14,21 +17,97 @@ from fractions import Fraction
 
 import numpy as np
 
-from hdivkit.poly import Polynomial2D, VectorPoly2D
+# Hard cap on the exponent per direction.  The highest degree used by the
+# element spaces is 6 per direction; 16 leaves headroom while keeping
+# coefficient grids tiny.
+MAX_EXPONENT = 16
 
 
-class Poly(Polynomial2D):
-    """Polynomial2D with exact grid algebra: +, - and * (by a polynomial or a
-    number) and negation; the other operand may be any Polynomial2D."""
+class Polynomial2D:
+    """Polynomial ``sum c[i, j] x**i y**j`` on a dense coefficient grid.
 
-    __slots__ = ()
+    The declared bounds ``dx, dy`` come from the grid shape; trailing zero
+    rows or columns are kept as given rather than trimmed, so degree
+    queries report the declared bounds.  Evaluation preserves the dtype of
+    its arguments (extended precision in, extended precision out).  The
+    algebra is exact on the grids: +, - and * (by a polynomial or a
+    number) and negation.
+    """
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs):
+        c = np.array(coeffs, dtype=float, ndmin=2)
+        if c.ndim != 2:
+            raise ValueError("coefficient grid must be two-dimensional")
+        if c.shape[0] - 1 > MAX_EXPONENT or c.shape[1] - 1 > MAX_EXPONENT:
+            raise ValueError(
+                f"exponent bound exceeded: grid shape {c.shape}, max exponent {MAX_EXPONENT}"
+            )
+        c.setflags(write=False)
+        self.coeffs = c
+
+    @property
+    def dx(self) -> int:
+        return self.coeffs.shape[0] - 1
+
+    @property
+    def dy(self) -> int:
+        return self.coeffs.shape[1] - 1
+
+    @classmethod
+    def zero(cls) -> "Polynomial2D":
+        return cls([[0.0]])
+
+    @classmethod
+    def monomial(cls, i: int, j: int, coef: float = 1.0) -> "Polynomial2D":
+        if i < 0 or j < 0:
+            raise ValueError("exponents must be non-negative")
+        c = np.zeros((i + 1, j + 1))
+        c[i, j] = coef
+        return cls(c)
+
+    def eval(self, x, y):
+        """Evaluate by nested Horner recursion, dtype-preserving; each row's
+        sum in y runs on y's own shape, so axes cost one pass per distinct y."""
+        x = np.asarray(x)
+        y = np.asarray(y)
+        dt = np.result_type(x.dtype, y.dtype, np.float64)
+        c = self.coeffs.astype(dt)
+        acc = np.zeros(x.shape, dtype=dt)
+        for i in range(c.shape[0] - 1, -1, -1):
+            row = np.zeros(y.shape, dtype=dt)
+            for j in range(c.shape[1] - 1, -1, -1):
+                row = row * y + c[i, j]
+            acc = acc * x + row
+        return acc[()]
+
+    def partial(self, direction: str, order: int = 1) -> "Polynomial2D":
+        """Formal partial derivative; degree bound floored at 0."""
+        if direction not in ("x", "y"):
+            raise ValueError("direction must be 'x' or 'y'")
+        if order < 0:
+            raise ValueError("order must be non-negative")
+        c = self.coeffs
+        for _ in range(order):
+            if direction == "x":
+                if c.shape[0] == 1:
+                    c = np.zeros((1, c.shape[1]))
+                    break
+                c = c[1:, :] * np.arange(1, c.shape[0])[:, None]
+            else:
+                if c.shape[1] == 1:
+                    c = np.zeros((c.shape[0], 1))
+                    break
+                c = c[:, 1:] * np.arange(1, c.shape[1])[None, :]
+        return Polynomial2D(c)
 
     def _binary(self, other, sign):
         sc, oc = self.coeffs, other.coeffs
         out = np.zeros((max(sc.shape[0], oc.shape[0]), max(sc.shape[1], oc.shape[1])))
         out[: sc.shape[0], : sc.shape[1]] = sc
         out[: oc.shape[0], : oc.shape[1]] += sign * oc
-        return Poly(out)
+        return Polynomial2D(out)
 
     def __add__(self, other):
         return self._binary(other, 1.0)
@@ -38,34 +117,57 @@ class Poly(Polynomial2D):
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial2D):
-            return Poly(self.coeffs * float(other))
+            return Polynomial2D(self.coeffs * float(other))
         a, b = self.coeffs, other.coeffs
         out = np.zeros((a.shape[0] + b.shape[0] - 1, a.shape[1] + b.shape[1] - 1))
         for i in range(a.shape[0]):
             for j in range(a.shape[1]):
                 if a[i, j] != 0.0:
                     out[i : i + b.shape[0], j : j + b.shape[1]] += a[i, j] * b
-        return Poly(out)
+        return Polynomial2D(out)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return Poly(-self.coeffs)
+        return Polynomial2D(-self.coeffs)
+
+    def __repr__(self):
+        return f"Polynomial2D(dx={self.dx}, dy={self.dy})"
 
 
-def partial(p: Polynomial2D, direction: str) -> Poly:
-    """The formal first partial of p, with Poly's algebra."""
-    return Poly(p.partial(direction).coeffs)
+class VectorPoly2D:
+    """Vector field (u, v) with Polynomial2D components."""
+
+    __slots__ = ("u", "v")
+
+    def __init__(self, u: Polynomial2D, v: Polynomial2D):
+        self.u = u
+        self.v = v
+
+    @property
+    def degree_bounds(self):
+        """((dx, dy) of u, (dx, dy) of v), which sizes exact DOF quadrature."""
+        return (self.u.dx, self.u.dy), (self.v.dx, self.v.dy)
+
+    def uv(self, x, y):
+        return self.u.eval(x, y), self.v.eval(x, y)
+
+    def div_values(self, x, y):
+        """du/dx + dv/dy sampled at points, from the formal partials."""
+        return self.u.partial("x").eval(x, y) + self.v.partial("y").eval(x, y)
+
+    def __repr__(self):
+        return f"VectorPoly2D(u={self.u!r}, v={self.v!r})"
 
 
-def divergence(w: VectorPoly2D) -> Poly:
+def divergence(w: VectorPoly2D) -> Polynomial2D:
     """du/dx + dv/dy as an exact formal derivative."""
-    return partial(w.u, "x") + partial(w.v, "y")
+    return w.u.partial("x") + w.v.partial("y")
 
 
 def curl_scalar(phi: Polynomial2D) -> VectorPoly2D:
     """(dphi/dy, -dphi/dx); divergence-free by mixed-partial symmetry."""
-    return VectorPoly2D(partial(phi, "y"), -partial(phi, "x"))
+    return VectorPoly2D(phi.partial("y"), -phi.partial("x"))
 
 
 @functools.lru_cache(maxsize=None)
@@ -129,15 +231,15 @@ def grid_to_basis_exact(grid) -> dict:
     return {k: v for k, v in out.items() if v != 0}
 
 
-def product_poly(i: int, j: int) -> Poly:
-    """L_i(x) * L_j(y) as a Poly with exact integer grid."""
-    return Poly(np.outer(coeffs(i), coeffs(j)))
+def product_poly(i: int, j: int) -> Polynomial2D:
+    """L_i(x) * L_j(y) as a Polynomial2D with exact integer grid."""
+    return Polynomial2D(np.outer(coeffs(i), coeffs(j)))
 
 
 def reference_grids(space, coeffs):
     """Sum of c_b times the monomial grid of label b, in label order; curl
     label (i, j) is the monomial curl of product_poly(i, j)."""
-    u = v = Poly.zero()
+    u = v = Polynomial2D.zero()
     for c, (kind, i, j) in zip(coeffs, space.labels):
         if c == 0.0:
             continue
@@ -168,11 +270,11 @@ def integrate_rect(p: Polynomial2D, hx: float, hy: float) -> float:
     return float(np.sum(c * np.outer(hx**i / i, hy**j / j)))
 
 
-def project(proj, w) -> Poly:
+def project(proj, w) -> Polynomial2D:
     """proj's projection of w as a monomial grid, summed from
     proj.coeffs_internal(w) in sorted (i, j) order."""
     c = proj.coeffs_internal(w)
-    out = Poly.zero()
+    out = Polynomial2D.zero()
     for ij in sorted(c):
         if c[ij] != 0.0:
             out = out + product_poly(*ij) * c[ij]
@@ -181,14 +283,14 @@ def project(proj, w) -> Poly:
 
 def monomial_basis(scalar_space) -> list:
     """The monomials x^i y^j of scalar_space.exponents, in order."""
-    return [Poly.monomial(i, j) for i, j in scalar_space.exponents]
+    return [Polynomial2D.monomial(i, j) for i, j in scalar_space.exponents]
 
 
-def scale_arguments(p: Polynomial2D, ax: float, ay: float) -> Poly:
+def scale_arguments(p: Polynomial2D, ax: float, ay: float) -> Polynomial2D:
     """q(x, y) = p(ax*x, ay*y) via coefficient scaling."""
     i = np.arange(p.coeffs.shape[0], dtype=float)
     j = np.arange(p.coeffs.shape[1], dtype=float)
-    return Poly(p.coeffs * np.outer(ax**i, ay**j))
+    return Polynomial2D(p.coeffs * np.outer(ax**i, ay**j))
 
 
 def pull_back(fld: VectorPoly2D, hx: float, hy: float) -> VectorPoly2D:

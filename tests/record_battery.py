@@ -32,10 +32,11 @@ def battery() -> list:
     out = []
     for (f, k), fld, (mode, rho), p, h0 in itertools.product(pairs, FIELDS, MODES, PS, H0S):
         t = run_refinement_study(StudyConfig(f, k, p, fld, mode, rho=rho, h0=h0))
-        records = [[r.level, r.hx.hex(), r.hy.hex(), r.err_field_Lp.hex(), r.err_div_Lp.hex()]
+        records = [[r.level, r.hx.hex(), r.hy.hex(), *(e.hex() for e in r.errors.values())]
                    for r in t.records]
-        out.append([f.value, k, fld, mode, rho, p, h0, records, t.verdict_field,
-                    t.verdict_div, t.flags])
+        out.append([f.value, k, fld, mode, rho, p, h0, records,
+                    *(j.verdict for j in t.judged.values()),
+                    {w: j.flags for w, j in t.judged.items() if j.flags}])
     return out
 
 

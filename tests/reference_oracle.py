@@ -22,12 +22,22 @@ from hdivkit.quadrature import EDGES, NONPOLY_POINTS, gauss_legendre_01, n_for_d
 _EDGE_COMPONENT = {"left": 0, "right": 0, "bottom": 1, "top": 1}
 
 
+def rule_points(nx: int, ny: int, extended: bool = False):
+    """tensor_rule(nx, ny) as enumerated points: xs, ys from the 1-D rules and
+    the rule's weights ws, each of shape (nx * ny,), x-major; extended=True
+    gives the long-double nodes and weights."""
+    rx, ry, rule = gauss_legendre_01(nx), gauss_legendre_01(ny), tensor_rule(nx, ny)
+    if extended:
+        return np.repeat(rx.nodes_ld, ny), np.tile(ry.nodes_ld, nx), rule.ws_ld
+    return np.repeat(rx.nodes, ny), np.tile(ry.nodes, nx), rule.ws
+
+
 def enumerated_rule(hx, hy):
     """The fixed 20 x 20 Gauss rule mapped to [0, hx] x [0, hy] as enumerated
     points: xs, ys, ws of shape (..., 400), x-major; columns hx, hy of shape
     (m, 1) map it to one rectangle per row."""
-    rule = tensor_rule(NONPOLY_POINTS, NONPOLY_POINTS)
-    return hx * rule.xs, hy * rule.ys, (hx * hy) * rule.ws
+    xs, ys, ws = rule_points(NONPOLY_POINTS, NONPOLY_POINTS)
+    return hx * xs, hy * ys, (hx * hy) * ws
 
 
 def on_grid(values):
@@ -129,11 +139,11 @@ def apply_dof_ld(fn, field) -> np.longdouble:
             dx, dy = degs[fn.component]
             nx = n_for_degree(dx + fn.i)
             ny = n_for_degree(dy + fn.j)
-        rule = tensor_rule(nx, ny)
-        U, V = field.uv(rule.xs_ld, rule.ys_ld)
+        xs, ys, ws = rule_points(nx, ny, extended=True)
+        U, V = field.uv(xs, ys)
         vals = U if fn.component == 0 else V
-        test = legendre.values(fn.i, rule.xs_ld)[fn.i] * legendre.values(fn.j, rule.ys_ld)[fn.j]
-        return np.sum(rule.ws_ld * vals * test)
+        test = legendre.values(fn.i, xs)[fn.i] * legendre.values(fn.j, ys)[fn.j]
+        return np.sum(ws * vals * test)
     if fn.kind == "div_moment":
         return _div_moment_ld(fn, field, lambda x, y: (legendre.values(fn.i, x)[fn.i]
                                                        * legendre.values(fn.j, y)[fn.j]))
@@ -150,9 +160,8 @@ def _div_moment_ld(fn, field, test) -> np.longdouble:
         (dx0, dy0), (dx1, dy1) = degs
         nx = n_for_degree(max(dx0 - 1, dx1, 0) + fn.i)
         ny = n_for_degree(max(dy0, dy1 - 1, 0) + fn.j)
-    rule = tensor_rule(nx, ny)
-    vals = field.div_values(rule.xs_ld, rule.ys_ld)
-    return np.sum(rule.ws_ld * vals * test(rule.xs_ld, rule.ys_ld))
+    xs, ys, ws = rule_points(nx, ny, extended=True)
+    return np.sum(ws * field.div_values(xs, ys) * test(xs, ys))
 
 
 def apply_dof(fn, field) -> float:

@@ -23,9 +23,10 @@ from hdivkit.interpolation import (
     reference_projector,
     unisolvence_report,
 )
-from hdivkit.poly import Polynomial2D, VectorPoly2D
 from hdivkit.quadrature import gauss_legendre_01
-from monomial_oracle import curl_scalar, divergence, project, pull_back, scale_arguments
+from monomial_oracle import (
+    Polynomial2D, VectorPoly2D, curl_scalar, divergence, project, pull_back, scale_arguments,
+)
 
 TOL = 0.15
 
@@ -36,9 +37,7 @@ ALL_SPACES = [("RT", k) for k in range(5)] + [("BDM", k) for k in range(1, 5)] +
 
 def _passes(cfg: StudyConfig, which: str, two_sided: bool):
     table = run_refinement_study(cfg)
-    fitted = table.fitted_rate_div if which == "div" else table.fitted_rate_field
-    predicted = table.predicted_rate_div if which == "div" else table.predicted_rate_field
-    verdict = table.verdict_div if which == "div" else table.verdict_field
+    fitted, predicted, verdict, _ = table.judged[which]
     tag = f"{cfg.family.value}_{cfg.k} {cfg.mode} {cfg.field} p={cfg.p:g} {which}"
     assert verdict == "pass", f"{tag}: verdict {verdict}"
     assert fitted >= predicted - TOL, f"{tag}: fitted {fitted:.4f} below {predicted:g}"
@@ -90,11 +89,11 @@ def test_criterion_04_rt_directional_div_rates():
 def test_criterion_05_anisotropic_decoupling():
     for k in (0, 1, 2):
         table = run_refinement_study(StudyConfig("RT", k, 2.0, "MS-Y", "shrink_x"))
-        errs = [r.err_div_Lp for r in table.records]
+        errs = [r.errors["div"] for r in table.records]
         assert len(errs) == 6
         spread = (max(errs) - min(errs)) / max(errs)
         assert spread < 0.01, (k, spread)
-        assert table.verdict_div == "pass"
+        assert table.judged["div"].verdict == "pass"
 
 
 def test_criterion_06_bdm_isotropic_div_rates():
@@ -143,8 +142,8 @@ def test_criterion_09_aspect_ratio_robustness():
         stressed = run_refinement_study(
             StudyConfig(family, k, 2.0, fld, "fixed_aspect", rho=64.0)
         )
-        assert base.verdict_div == "pass", (family, k, fld)
-        assert stressed.verdict_div == base.verdict_div, (family, k, fld)
+        assert base.judged["div"].verdict == "pass", (family, k, fld)
+        assert stressed.judged["div"].verdict == base.judged["div"].verdict, (family, k, fld)
 
 
 def test_criterion_10_exactness_and_identities():

@@ -6,9 +6,11 @@ attribute chains, `from hdivkit[.<mod>] import <name>` lines and the
 tracer's direct `_wrap(_module("<mod>"), "<name>", ...)` patches.
 Spans listed in the tracer's SPANS table are skipped on purpose when
 their name is gone, so they are not read here.  The last test pins which
-fields the tracer takes for polynomial ones.
+fields the tracer takes for polynomial ones, and that hdivkit.poly is only
+the tracer's marker.
 """
 
+import ast
 import importlib
 import pathlib
 import re
@@ -18,6 +20,7 @@ import numpy as np
 import hdivkit
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+SRC = pathlib.Path(hdivkit.__file__).resolve().parent
 
 # the names the benchmark read when this guard was written: the scan must keep finding them
 KNOWN = {
@@ -84,3 +87,24 @@ def test_members_are_virtual_vector_polys_for_the_tracer():
     for fld in (MS_G, CallableField(MS_G.uv), FieldStack([MS_G]),
                 PulledBackField(single, 0.5, 0.25)):
         assert not isinstance(fld, VectorPoly2D)
+    # the marker is all that is left of poly: the package neither exports nor imports it
+    assert not any(hasattr(hdivkit, name) for name in ("Polynomial2D", "VectorPoly2D"))
+    assert not any(name in vars(VectorPoly2D) for name in ("uv", "div_values", "degree_bounds"))
+    importers = [path.name for path in sorted(SRC.glob("*.py"))
+                 if path.name != "poly.py" and _imports_poly(path)]
+    assert importers == []
+
+
+def _imports_poly(path: pathlib.Path) -> bool:
+    """Whether a module of the package imports its poly module, in any spelling."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            if any(a.name == "hdivkit.poly" or a.name.startswith("hdivkit.poly.")
+                   for a in node.names):
+                return True
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if module in ("poly", "hdivkit.poly") or (
+                    module in ("", "hdivkit") and any(a.name == "poly" for a in node.names)):
+                return True
+    return False

@@ -17,8 +17,8 @@ from hdivkit.elements import build_space
 from hdivkit.fields import MS_G, CallableField
 from hdivkit.harness import PulledBackField
 from hdivkit.interpolation import InterpolationOperator
-from hdivkit.poly import Polynomial2D, VectorPoly2D
 from hdivkit.quadrature import EDGES
+from monomial_oracle import Polynomial2D, VectorPoly2D
 from reference_oracle import apply_dof, apply_dof_ld
 
 

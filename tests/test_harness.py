@@ -9,7 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hdivkit import harness, interpolation
-from hdivkit.elements import ElementFamily, ElementSpace, build_space, degree_range
+from hdivkit.elements import (
+    ElementFamily, ElementSpace, SpaceMember, build_space, degree_range,
+)
 from hdivkit.fields import MS_G, MS_X, MS_Y, ReproductionField, get_field
 from hdivkit.harness import (
     MIN_H,
@@ -40,9 +42,11 @@ from hdivkit import interpolation
 from hdivkit.dofs import dof_vector_ld
 from hdivkit.fields import _Values
 from hdivkit.interpolation import InterpolationOperator, reference_operator
-from hdivkit.poly import Polynomial2D, VectorPoly2D
-from hdivkit.quadrature import NONPOLY_POINTS, tensor_rule
-from reference_oracle import apply_dof, enumerated_rule, error_Lp_reference, on_grid
+from hdivkit.quadrature import NONPOLY_POINTS
+from monomial_oracle import Polynomial2D, VectorPoly2D
+from reference_oracle import (
+    apply_dof, enumerated_rule, error_Lp_reference, on_grid, rule_points,
+)
 
 
 def _vec(ux, uy, vx, vy, cu=1.0, cv=1.0):
@@ -270,19 +274,18 @@ def test_large_p_errors_are_not_vacuous():
         warnings.simplefilter("error")
         table = run_refinement_study(StudyConfig("RT", 1, p, "MS-G", "isotropic"))
     for which in ("field", "div"):
-        assert "reproduction" not in table.flags.get(which, {})
-    rule = tensor_rule(NONPOLY_POINTS, NONPOLY_POINTS)
+        assert "reproduction" not in table.judged[which].flags
     for rec in table.records:
         rect = PhysicalRect(rec.hx, rec.hy)
         interp = _on_rect("RT", 1, rect, MS_G)
-        xs, ys, ws = rect.hx * rule.xs, rect.hy * rule.ys, rect.hx * rect.hy * rule.ws
+        xs, ys, ws = enumerated_rule(rect.hx, rect.hy)
         (U1, V1), (U2, V2) = MS_G.uv(xs, ys), interp.uv(xs, ys)
         d1, d2 = MS_G.div_values(xs, ys), interp.div_values(xs, ys)
         ef = _lp_max_scaled(ws, np.hypot(U1 - U2, V1 - V2), p) / (rect.hx * rect.hy) ** (1 / p)
         ed = _lp_max_scaled(ws, np.abs(d1 - d2), p) / _lp_max_scaled(ws, np.abs(d1), p)
-        assert rec.err_field_Lp > 0 and rec.err_div_Lp > 0
-        assert rec.err_field_Lp == pytest.approx(ef, rel=1e-12)
-        assert rec.err_div_Lp == pytest.approx(ed, rel=1e-12)
+        assert rec.errors["field"] > 0 and rec.errors["div"] > 0
+        assert rec.errors["field"] == pytest.approx(ef, rel=1e-12)
+        assert rec.errors["div"] == pytest.approx(ed, rel=1e-12)
 
 
 @pytest.mark.parametrize("which", ["field", "div"])
@@ -379,17 +382,30 @@ def test_predicted_rates_abf(k):
 
 
 def test_bdm_sharpness_witness():
+    # u = (0, x^{k-1} y^2 / 2) is an RT_k member whose exact Legendre
+    # coordinates give the monomial field, and RT_k interpolates it to itself.
     # div = x^{k-1} y sits in Q_k but outside P_{k-1}: BDM must miss it.
     # Commutation pins the BDM div error at the L2 distance of x^{k-1} y
     # from P_{k-1}: 1/sqrt(12) for k = 1, 1/12 for k = 2.
     rect = PhysicalRect(1.0, 1.0)
     expected = {1: 1.0 / math.sqrt(12.0), 2: 1.0 / 12.0}
-    for k in (1, 2):
+    t = np.linspace(0.0, 1.0, 11)
+    x, y = t[:, None], t[None, :]
+    for k in range(1, 5):
         w = bdm_sharpness_witness(k)
-        bdm = _on_rect("BDM", k, rect, w)
-        rt = _on_rect("RT", k, rect, w)
-        assert error_Lp(w, bdm, rect, 2.0, "div") == pytest.approx(expected[k], rel=1e-10)
-        assert error_Lp(w, rt, rect, 2.0, "div") <= 1e-12
+        assert isinstance(w, SpaceMember)
+        assert (w.space.family, w.space.k) == (ElementFamily.RT, k)
+        assert w.degree_bounds == ((0, 0), (k - 1, 2))
+        monomial = VectorPoly2D(Polynomial2D.zero(), Polynomial2D.monomial(k - 1, 2, 0.5))
+        for got, want in zip((*w.uv(x, y), w.div_values(x, y)),
+                             (*monomial.uv(x, y), monomial.div_values(x, y))):
+            np.testing.assert_allclose(got, np.broadcast_to(want, got.shape), rtol=0, atol=1e-15)
+        back = reference_operator("RT", k).solve_coefficients(w)
+        assert np.max(np.abs(back - w.coeffs)) <= REPRO_TOL
+        assert error_Lp(w, _on_rect("RT", k, rect, w), rect, 2.0, "div") <= 1e-12
+        if k in expected:
+            bdm = _on_rect("BDM", k, rect, w)
+            assert error_Lp(w, bdm, rect, 2.0, "div") == pytest.approx(expected[k], rel=1e-10)
     with pytest.raises(ValueError):
         bdm_sharpness_witness(0)
 
@@ -494,13 +510,13 @@ def test_study_directional_smoke():
     assert len(table.records) == 5
     assert [r.hx for r in table.records] == [0.5 * 2.0**-j for j in range(5)]
     assert all(r.hy == 0.5 for r in table.records)
-    assert table.predicted_rate_div == 1.0
-    assert table.verdict_div == "pass"
-    assert table.verdict_field == "pass"
+    assert table.judged["div"].predicted == 1.0
+    assert table.judged["div"].verdict == "pass"
+    assert table.judged["field"].verdict == "pass"
     assert table.ok
     rates = table.level_rates("div")
     assert rates[0] is None and len(rates) == 5
-    errs = [r.err_div_Lp for r in table.records]
+    errs = [r.errors["div"] for r in table.records]
     assert rates[1] == pytest.approx(math.log2(errs[0] / errs[1]))
 
 
@@ -508,9 +524,10 @@ def test_study_reproduction_field():
     cfg = StudyConfig(family="RT", k=1, field="MS-P", mode="fixed_aspect",
                       rho=64.0, levels=4, seed=11)
     table = run_refinement_study(cfg)
-    assert all(r.err_field_Lp <= 1e-12 for r in table.records)
-    assert all(r.err_div_Lp <= 1e-12 for r in table.records)
-    assert table.flags == {"field": {"reproduction": True}, "div": {"reproduction": True}}
+    assert all(r.errors["field"] <= 1e-12 for r in table.records)
+    assert all(r.errors["div"] <= 1e-12 for r in table.records)
+    assert {w: j.flags for w, j in table.judged.items()} == {"field": {"reproduction": True},
+                                                             "div": {"reproduction": True}}
     assert table.ok
 
 
@@ -533,7 +550,7 @@ def _per_level_records(config):
         nd = norm_Lp(phys, rect, config.p, "div")
         ef = error_Lp(phys, interp, rect, config.p, "field") / nf
         ed = error_Lp(phys, interp, rect, config.p, "div") / (nd if nd > 0 else nf)
-        records.append(ErrorRecord(level, rect.hx, rect.hy, ef, ed))
+        records.append(ErrorRecord(level, rect.hx, rect.hy, {"field": ef, "div": ed}))
     return records
 
 
@@ -561,8 +578,9 @@ def test_non_dyadic_reproduction_study_passes(family, k, rho, levels):
     # member and its interpolant must be read at the same points
     table = run_refinement_study(StudyConfig(family, k, field="MS-P", mode="fixed_aspect",
                                              rho=rho, h0=0.3, levels=levels))
-    assert (table.verdict_field, table.verdict_div) == ("pass", "pass")
-    assert table.flags == {"field": {"reproduction": True}, "div": {"reproduction": True}}
+    assert [j.verdict for j in table.judged.values()] == ["pass", "pass"]
+    assert {w: j.flags for w, j in table.judged.items()} == {"field": {"reproduction": True},
+                                                             "div": {"reproduction": True}}
 
 
 @pytest.mark.parametrize("family,k,field,mode", [
@@ -606,8 +624,8 @@ def _level_by_level_records(config):
     from one table of the basis at those points and laid out on the grid."""
     fld = get_field(config.field, config.family, config.k, config.seed)
     op = reference_operator(config.family, config.k)
-    rule = tensor_rule(NONPOLY_POINTS, NONPOLY_POINTS)
-    tables = (*op.space.tabulate(rule.xs, rule.ys), op.space.tabulate_div(rule.xs, rule.ys))
+    xs, ys, _ = rule_points(NONPOLY_POINTS, NONPOLY_POINTS)
+    tables = (*op.space.tabulate(xs, ys), op.space.tabulate_div(xs, ys))
     records = []
     for level in range(config.levels):
         rect = config.rect_at(level)
@@ -623,7 +641,7 @@ def _level_by_level_records(config):
         nd = norm_Lp(sample, rect, config.p, "div")
         ef = error_Lp(sample, interp, rect, config.p, "field") / nf
         ed = error_Lp(sample, interp, rect, config.p, "div") / (nd if nd > 0 else nf)
-        records.append(ErrorRecord(level, rect.hx, rect.hy, ef, ed))
+        records.append(ErrorRecord(level, rect.hx, rect.hy, {"field": ef, "div": ed}))
     return records
 
 
@@ -684,9 +702,9 @@ def test_study_stagnation_mode():
     # shrinking x cannot reduce a y-only divergence: stagnation must pass
     cfg = StudyConfig(family="RT", k=0, field="MS-Y", mode="shrink_x", levels=5)
     table = run_refinement_study(cfg)
-    assert table.predicted_rate_div == 0.0
-    assert table.verdict_div == "pass"
-    assert table.flags.get("div") == {"stagnation": True}
+    assert table.judged["div"].predicted == 0.0
+    assert table.judged["div"].verdict == "pass"
+    assert table.judged["div"].flags == {"stagnation": True}
 
 
 def test_default_suite_shape():

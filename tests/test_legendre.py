@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from hdivkit import legendre
-from hdivkit.poly import Polynomial2D
 from monomial_oracle import (
-    coeffs, coeffs_frac, grid_to_basis_exact, monomial_in_basis, power_moment, product_poly,
+    Polynomial2D, coeffs, coeffs_frac, grid_to_basis_exact, monomial_in_basis, power_moment, product_poly,
 )
 
 RNG = np.random.default_rng(7)

@@ -1,10 +1,11 @@
-"""Coefficient-grid polynomial algebra on the unit square."""
+"""The test oracle's monomial polynomials: evaluation, partials and exact grid algebra."""
 
 import numpy as np
 import pytest
 
-from hdivkit.poly import Polynomial2D, VectorPoly2D
-from monomial_oracle import Poly, curl_scalar, divergence, integrate_rect, scale_arguments
+from monomial_oracle import (
+    Polynomial2D, VectorPoly2D, curl_scalar, divergence, integrate_rect, scale_arguments,
+)
 
 RNG = np.random.default_rng(42)
 
@@ -53,8 +54,8 @@ def test_partial_order_zero_identity():
 
 
 def test_algebra_add_sub_mul():
-    a = Poly.monomial(1, 0)
-    b = Poly.monomial(0, 1)
+    a = Polynomial2D.monomial(1, 0)
+    b = Polynomial2D.monomial(0, 1)
     s = a + b
     d = a - b
     prod = a * b
