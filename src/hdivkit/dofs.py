@@ -44,16 +44,22 @@ The rule size n is
                                    has degree <= d + t per direction, so
                                    the rule is exact
 
-dof_matrix_ld applies the same plan to the basis tabulated on the same
-axes.  Matrix and member DOF vectors then share one rule, so M c and the
-DOF vector of the member with coefficients c agree to roundoff and
-members are reproduced to the extended-precision floor.  Plans are built from the
-set's own functionals and cached by value on (functionals, n), so any
-DOF set applies, reordered ones included; n takes a handful of values
-per (family, k), so the cache stays bounded however many spaces and
-DOF sets are built.  The plan is the one way to apply a functional;
-tests/reference_oracle.py keeps the per-functional quadrature
-(apply_dof_ld) as an independent reference.
+dof_matrix_ld tabulates no basis.  Every basis label and every test
+is a product X(x) Y(y), so each entry of M is a product of two 1-D
+moments (sum factorisation): a plan's weight rows contracted with the
+trial factors L_m, L_m' and -L_m' on the plan's own n nodes, and the
+factors' values at 0 and 1 for the edges.  moment_tables holds them per
+plan and trial degree, and M is filled by outer products of their rows.
+M c and the DOF vector of the member with coefficients c take the same
+rule, nodes and weights, so they are the same quadrature sums evaluated
+in another order: they agree to roundoff, and members are reproduced to
+the extended-precision floor.  Plans are built from the set's own
+functionals and cached by value on (functionals, n), so any DOF set
+applies, reordered ones included; n takes a handful of values per
+(family, k), so the plan and moment-table caches stay bounded however
+many spaces and DOF sets are built.  The plan is the one way to apply a
+functional to a field; tests/reference_oracle.py keeps the
+per-functional quadrature (apply_dof_ld) as an independent reference.
 
 All quadrature in this module runs in extended precision.  The DOF
 conditions stay at or below 504 up to k = 4, but a study compares pushed
@@ -252,13 +258,61 @@ def dof_vector_ld(dofset: DofSet, field) -> np.ndarray:
     return plan.apply(U, V, D)
 
 
+@functools.lru_cache(maxsize=None)
+def moment_tables(plan: DofPlan, deg: int) -> tuple:
+    """(ends, edge, interior, div): the plan's 1-D moments against the trial
+    factors of degree <= deg, cached per plan (one per (functionals, n)) and deg.
+
+    Factor row m is L_m, nf + m is L_m', 2 nf + m is -L_m' (nf = deg + 1) and
+    3 nf is zero.  ends holds each factor at 0 and 1; edge, interior and div
+    hold the plan's weight rows contracted with each factor on its n nodes.
+    """
+    def factors(t):
+        L, dL = (np.array(v) for v in legendre.deriv_values(deg, t))
+        return np.concatenate([L, dL, -dL, np.zeros_like(L[:1])])
+
+    F = factors(gauss_legendre_01(plan.n).nodes_ld)
+    tables = (factors(np.array([0, 1], dtype=np.longdouble)),) + tuple(
+        F @ W.T for W in (plan.edge, plan.interior, plan.div))
+    for a in tables:
+        a.setflags(write=False)
+    return tables
+
+
+@functools.lru_cache(maxsize=None)
+def _factor_rows(labels: tuple, nf: int) -> np.ndarray:
+    """Factor rows R[q, axis, b] of basis label b in moment tables of nf
+    degrees: q = 0, 1, 2 for u, v and div, axis 0 for the x factor, 1 for y.
+
+    Label ("x", i, j) is u = L_i(x) L_j(y) with div L_i'(x) L_j(y), ("y", i, j)
+    its mirror in v, and ("curl", i, j) is (L_i(x) L_j'(y), -L_i'(x) L_j(y))
+    with div zero.  Cached by value, like the plans.
+    """
+    z = (3 * nf, 3 * nf)
+    pairs = {"x": lambda i, j: ((i, j), z, (nf + i, j)),
+             "y": lambda i, j: (z, (i, j), (i, nf + j)),
+             "curl": lambda i, j: ((i, nf + j), (2 * nf + i, j), z)}
+    rows = np.array([pairs[kind](i, j) for kind, i, j in labels]).transpose(1, 2, 0)
+    rows.setflags(write=False)
+    return rows
+
+
 def dof_matrix_ld(dofset: DofSet, space: ElementSpace) -> np.ndarray:
     """M[a, b] = functional a applied to basis member b, extended precision.
 
-    The basis is tabulated once on the axes of the plan that every
-    member's DOF vector uses, so M c and the DOF vector of the member
-    with coefficients c come from the same quadrature.
+    Each entry is a product of two 1-D moments of the plan that every
+    member's DOF vector uses: an edge moment is one factor's value at the
+    edge's end node times the other's edge moment, and an interior or
+    divergence moment the product of the two factors' weighted sums.
+    Outer products of moment_tables' rows fill the raw moments, which the
+    plan's index and signs put in functional order, as DofPlan.apply does.
     """
     plan = _plan_for(dofset, space._maxdeg)
-    D = space.tabulate_div(*plan.inner) if plan.has_div else None
-    return plan.apply(*space.tabulate(plan.x, plan.y), D).T
+    ends, edge, interior, div = moment_tables(plan, space._maxdeg)
+    (ux, uy), (vx, vy), (dx, dy) = _factor_rows(space.labels, space._maxdeg + 1)
+    # edges left (0, t) and right (1, t), then bottom (t, 0) and top (t, 1), as EDGES
+    blocks = ((ends, edge, ux, uy), (ends, edge, vy, vx), (interior, interior, ux, uy),
+              (interior, interior, vx, vy), (div, div, dx, dy))
+    raw = np.concatenate([(A[fa][:, :, None] * B[fb][:, None, :]).reshape(space.dim, -1)
+                          for A, B, fa, fb in blocks], axis=1)
+    return (plan.signs * raw[:, plan.index]).T

@@ -143,8 +143,8 @@ class SpaceMember:
     """A concrete field in an element space: its basis-coefficient vector.
 
     uv/div_values contract the coefficients with the space's tables
-    (tabulate, tabulate_div: the Legendre recurrence, as DOF assembly
-    uses), so members evaluate to full precision at high degree.  A
+    (tabulate, tabulate_div: the Legendre recurrence, as the DOF moment
+    tables use), so members evaluate to full precision at high degree.  A
     member has no monomial grids and no algebra of its own (u, v,
     divergence() and +, -, * do not exist); members combine by their
     coefficients, space.member(a.coeffs + b.coeffs).

@@ -2,18 +2,20 @@
 
 The interpolation operator solves M c = F(field) where M is the
 DOF-matrix of the element basis and F the field's DOF vector.  M is
-assembled in extended precision and inverted once, in doubles, when the
-operator is built; that inverse also gives `condition`, the exact 1-norm
-condition number ||M||_1 ||M^-1||_1 (not an estimate).  Every solve is
-the product with the cached inverse, polished by three extended-precision
-residual-correction sweeps x <- x + M^-1 (b - M x): iterative refinement
-with an approximate inverse, which converges while ||I - M^-1 M|| < 1
-(Higham, Accuracy and Stability of Numerical Algorithms, ch. 12).  The
-coefficient error then tracks the extended epsilon rather than the double
-one, which keeps a study's pushed members, whose roundoff grows with the
-1/h Piola factors, within 1e-12.  `solve` takes DOF vectors with leading
-axes (a study's levels, the rows of a member stack or a FieldStack) as a
-stack of single columns: numpy's matmul runs the same matrix-vector
+assembled in extended precision from products of 1-D moments of the DOF
+plan, with no basis tabulated (dofs.dof_matrix_ld), and inverted once, in
+doubles, when the operator is built; that inverse also gives `condition`,
+the exact 1-norm condition number ||M||_1 ||M^-1||_1 (not an estimate).
+Every solve is the product with the cached inverse, polished by three
+extended-precision residual-correction sweeps x <- x + M^-1 (b - M x):
+iterative refinement with an approximate inverse, which converges while
+||I - M^-1 M|| < 1 (Higham, Accuracy and Stability of Numerical
+Algorithms, ch. 12).  The coefficient error then tracks the extended
+epsilon rather than the double one, which keeps a study's pushed members,
+whose roundoff grows with the 1/h Piola factors, within 1e-12.  `solve`
+takes DOF vectors with leading axes (a study's levels, the rows of a
+member stack or a FieldStack) as a stack of single columns: numpy's
+matmul runs the same matrix-vector
 product for each column, which keeps the bits of a lone solve; one
 product with a matrix of many columns may sum in another order.  So
 `interpolate` of a stacked field is a stacked member, one row per field.

@@ -12,6 +12,8 @@ from hdivkit.dofs import (
     dof_matrix_ld,
     dof_plan,
     dof_vector_ld,
+    moment_tables,
+    _factor_rows,
 )
 from hdivkit.elements import build_space
 from hdivkit.fields import MS_G, CallableField
@@ -179,6 +181,30 @@ def test_plan_cache_bounded():
     for i in range(50):
         InterpolationOperator(build_space(*PAIRS[i % len(PAIRS)]))
     assert dof_plan.cache_info().currsize == size
+
+
+def test_moment_table_cache_bounded():
+    # moment tables are keyed by the cached plan and the trial degree, and the
+    # factor rows by the labels, so more operators of the same pairs add none
+    caches = (moment_tables, _factor_rows)
+    for family, k in PAIRS:
+        InterpolationOperator(build_space(family, k))
+    sizes = [c.cache_info().currsize for c in caches]
+    for i in range(50):
+        InterpolationOperator(build_space(*PAIRS[i % len(PAIRS)]))
+    assert [c.cache_info().currsize for c in caches] == sizes
+
+
+@pytest.mark.parametrize("family,k", PAIRS)
+def test_matrix_product_matches_member_dof_vectors(family, k):
+    # M c and the member's DOF vector are the same quadrature sums of the same
+    # plan, evaluated in another order: 50 members agree to 32 extended ulps
+    space, dofs = build_space(family, k), build_dofs(family, k)
+    M = dof_matrix_ld(dofs, space)
+    C = np.random.default_rng(k).standard_normal((50, space.dim))
+    F = dof_vector_ld(dofs, space.member(C))
+    err = np.abs(F - C @ M.T).max()
+    assert err <= 32 * np.finfo(np.longdouble).eps * np.abs(M).max() * np.abs(C).max()
 
 
 def _permuted(dofset, perm):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hdivkit import elements
-from hdivkit.dofs import build_dofs, dof_vector_ld
+from hdivkit.dofs import build_dofs, dof_matrix_ld, dof_vector_ld
 from hdivkit.elements import (
     _legendre_coordinates,
     ElementFamily,
@@ -213,14 +213,20 @@ def test_member_views_match_label_grids(family, k):
 
 
 def test_member_dof_vectors_build_no_grids(monkeypatch):
-    # no space, tabulation, member DOF vector or span certificate builds or
-    # evaluates a Polynomial2D: every basis row, BDM's curl rows included,
-    # is a product of Legendre recurrence values
+    # every DOF matrix, the 14 standard sets and ABF's replaced ones, is
+    # assembled from 1-D moment tables without tabulating the basis on a grid
     def refuse(*args):
-        raise AssertionError("a Polynomial2D was built or evaluated")
+        raise AssertionError("the basis was tabulated to build a DOF matrix")
 
-    monkeypatch.setattr(Polynomial2D, "__init__", refuse)
-    monkeypatch.setattr(Polynomial2D, "eval", refuse)
+    monkeypatch.setattr(elements.ElementSpace, "tabulate", refuse)
+    monkeypatch.setattr(elements.ElementSpace, "tabulate_div", refuse)
+    sets = [(f, k, False) for f, k in ALL_PAIRS] + [("ABF", k, True) for k in degree_range("ABF")]
+    matrices = [dof_matrix_ld(build_dofs(f, k, replace_div_moments=replace), build_space(f, k))
+                for f, k, replace in sets]
+    assert len(matrices) == 19 and all(np.isfinite(M).all() for M in matrices)
+    monkeypatch.undo()
+    # members are evaluated through the space's tables: every basis row, BDM's
+    # curl rows included, is a product of Legendre recurrence values
     x = np.linspace(0.0, 1.0, 5, dtype=np.longdouble)[:, None]
     rng = np.random.default_rng(23)
     for family, k in ALL_PAIRS:

@@ -4,8 +4,9 @@ Members and tests are shifted-Legendre products, so each moment has a
 closed form: int_0^1 L_a L_b = delta_ab / (2a + 1), L_n(0) = (-1)^n and
 L_n(1) = 1 give the edge traces, and legendre.derivative_matrix gives
 the divergences and BDM's curl members.  The exact matrices pin what
-dofs.dof_matrix_ld approximates, prove unisolvence by a nonzero
-determinant, and give the exact 1-norm condition that `check` prints.
+dofs.dof_matrix_ld approximates (ABF's sets with replaced divergence
+moments included), prove unisolvence by a nonzero determinant, and give
+the exact 1-norm condition that `check` prints.
 """
 
 import functools
@@ -58,9 +59,9 @@ def _moment(fn, u, v, D) -> Fraction:
 
 
 @functools.lru_cache(maxsize=None)
-def exact_dof_matrix(family, k: int) -> tuple:
+def exact_dof_matrix(family, k: int, replace_div_moments: bool = False) -> tuple:
     """M[a][b], functional a of build_dofs applied to basis label b, as Fractions."""
-    space, dofs = build_space(family, k), build_dofs(family, k)
+    space, dofs = build_space(family, k), build_dofs(family, k, replace_div_moments)
     n = 1 + max([max(i, j) for _, i, j in space.labels]
                 + [max(f.i, f.j) for f in dofs.functionals])
     D = legendre.derivative_matrix(n)
@@ -102,15 +103,20 @@ def _norm1(A) -> Fraction:
     return max(sum(abs(r[b]) for r in A) for b in range(len(A[0])))
 
 
-# the plan sums n products per entry, of Gauss weights, node values and
-# Legendre recurrences each a few extended ulps off; k <= 4 reads at most 9
+# an entry is a product of two 1-D moments, each a sum of n products of Gauss
+# weights and Legendre recurrence values a few extended ulps off; k <= 4
+# reads at most 9
 ULP_BOUND = 32
 
+# the standard sets, and ABF's with the divergence moments replaced
+MATRIX_CASES = [pytest.param(f, k, False, id=i) for (f, k), i in zip(PAIRS, IDS)] + [
+    pytest.param("ABF", k, True, id=f"ABF-{k}-replaced") for k in range(5)]
 
-@pytest.mark.parametrize("family,k", PAIRS, ids=IDS)
-def test_dof_matrix_matches_the_exact_one(family, k):
-    exact = np.array(exact_dof_matrix(family, k), dtype=object)
-    M = dof_matrix_ld(build_dofs(family, k), build_space(family, k))
+
+@pytest.mark.parametrize("family,k,replace", MATRIX_CASES)
+def test_dof_matrix_matches_the_exact_one(family, k, replace):
+    exact = np.array(exact_dof_matrix(family, k, replace), dtype=object)
+    M = dof_matrix_ld(build_dofs(family, k, replace), build_space(family, k))
     scale = max(abs(x) for x in exact.ravel())
     err = max(abs(_rational(x) - y) for x, y in zip(M.ravel(), exact.ravel()))
     assert err <= ULP_BOUND * _rational(np.finfo(np.longdouble).eps) * scale
