@@ -47,9 +47,10 @@ The rule size n is
 dof_matrix_ld tabulates no basis.  Every basis label and every test
 is a product X(x) Y(y), so each entry of M is a product of two 1-D
 moments (sum factorisation): a plan's weight rows contracted with the
-trial factors L_m, L_m' and -L_m' on the plan's own n nodes, and the
-factors' values at 0 and 1 for the edges.  moment_tables holds them per
-plan and trial degree, and M is filled by outer products of their rows.
+rows of elements.factor_values (L_m, L_m', -L_m', zero) on the plan's
+own n nodes, and those rows' values at 0 and 1 for the edges.
+moment_tables holds them per plan and trial degree, and M is filled by
+outer products of the rows the space's factor rows (space._rows) name.
 M c and the DOF vector of the member with coefficients c take the same
 rule, nodes and weights, so they are the same quadrature sums evaluated
 in another order: they agree to roundoff, and members are reproduced to
@@ -76,7 +77,8 @@ from typing import NamedTuple, Optional, Tuple
 import numpy as np
 
 from . import legendre
-from .elements import ElementFamily, ElementSpace, _as_family, family_sets, space_dimension
+from .elements import (ElementFamily, ElementSpace, _as_family, factor_values, family_sets,
+                       space_dimension)
 from .quadrature import EDGES, NONPOLY_POINTS, gauss_legendre_01, n_for_degree
 
 # outward normals: left (-1,0), right (1,0), bottom (0,-1), top (0,1)
@@ -263,38 +265,16 @@ def moment_tables(plan: DofPlan, deg: int) -> tuple:
     """(ends, edge, interior, div): the plan's 1-D moments against the trial
     factors of degree <= deg, cached per plan (one per (functionals, n)) and deg.
 
-    Factor row m is L_m, nf + m is L_m', 2 nf + m is -L_m' (nf = deg + 1) and
-    3 nf is zero.  ends holds each factor at 0 and 1; edge, interior and div
-    hold the plan's weight rows contracted with each factor on its n nodes.
+    Rows are those of elements.factor_values.  ends holds each factor at 0
+    and 1; edge, interior and div hold the plan's weight rows contracted
+    with each factor on its n nodes.
     """
-    def factors(t):
-        L, dL = (np.array(v) for v in legendre.deriv_values(deg, t))
-        return np.concatenate([L, dL, -dL, np.zeros_like(L[:1])])
-
-    F = factors(gauss_legendre_01(plan.n).nodes_ld)
-    tables = (factors(np.array([0, 1], dtype=np.longdouble)),) + tuple(
+    F = factor_values(deg, gauss_legendre_01(plan.n).nodes_ld)
+    tables = (factor_values(deg, np.array([0, 1], dtype=np.longdouble)),) + tuple(
         F @ W.T for W in (plan.edge, plan.interior, plan.div))
     for a in tables:
         a.setflags(write=False)
     return tables
-
-
-@functools.lru_cache(maxsize=None)
-def _factor_rows(labels: tuple, nf: int) -> np.ndarray:
-    """Factor rows R[q, axis, b] of basis label b in moment tables of nf
-    degrees: q = 0, 1, 2 for u, v and div, axis 0 for the x factor, 1 for y.
-
-    Label ("x", i, j) is u = L_i(x) L_j(y) with div L_i'(x) L_j(y), ("y", i, j)
-    its mirror in v, and ("curl", i, j) is (L_i(x) L_j'(y), -L_i'(x) L_j(y))
-    with div zero.  Cached by value, like the plans.
-    """
-    z = (3 * nf, 3 * nf)
-    pairs = {"x": lambda i, j: ((i, j), z, (nf + i, j)),
-             "y": lambda i, j: (z, (i, j), (i, nf + j)),
-             "curl": lambda i, j: ((i, nf + j), (2 * nf + i, j), z)}
-    rows = np.array([pairs[kind](i, j) for kind, i, j in labels]).transpose(1, 2, 0)
-    rows.setflags(write=False)
-    return rows
 
 
 def dof_matrix_ld(dofset: DofSet, space: ElementSpace) -> np.ndarray:
@@ -309,7 +289,7 @@ def dof_matrix_ld(dofset: DofSet, space: ElementSpace) -> np.ndarray:
     """
     plan = _plan_for(dofset, space._maxdeg)
     ends, edge, interior, div = moment_tables(plan, space._maxdeg)
-    (ux, uy), (vx, vy), (dx, dy) = _factor_rows(space.labels, space._maxdeg + 1)
+    (ux, uy), (vx, vy), (dx, dy) = space._rows
     # edges left (0, t) and right (1, t), then bottom (t, 0) and top (t, 1), as EDGES
     blocks = ((ends, edge, ux, uy), (ends, edge, vy, vx), (interior, interior, ux, uy),
               (interior, interior, vx, vy), (div, div, dx, dy))

@@ -17,12 +17,16 @@ bases are numerically singular.  BDM's curl label (i, j) is
 curl(L_i(x) L_j(y)) = (L_i(x) L_j'(y), -L_i'(x) L_j(y)); it spans, with
 P_k^2, what curl x^{k+1}y and curl x y^{k+1} span.  family_sets(family,
 k) holds the table above as (i, j) index sets (labels per component,
-curl labels, divergence image, moment tests); a space holds its basis as
-that index data only and evaluates it by the Legendre recurrence; a member
-is its space and its coefficient vector, evaluated only through the
-space's tables.  The package has no other polynomial representation:
-monomial grids live in the tests' oracle, and poly is only the benchmark
-tracer's marker.
+curl labels, divergence image, moment tests).
+The basis has one encoding: each label's u, v and div are products
+X(x) Y(y) of two rows of factor_values (L_m, L_m', -L_m' or zero), and
+factor_rows names them.  Evaluation (tabulate, tabulate_div), the DOF
+matrix's 1-D moments (dofs.moment_tables), the exact Legendre
+coordinates and the structural degrees (_label_degrees) all read those
+rows, with no branch per kind of label.  A member is its space and its
+coefficient vector, evaluated only through the space's tables.  The
+package has no other polynomial representation: monomial grids live in
+the tests' oracle, and poly is only the benchmark tracer's marker.
 Because the Legendre products are orthogonal and differentiate with
 integer coefficients, the Gram matrix has a closed form and the div-span
 certificate runs in exact arithmetic, with no monomial grids at all.
@@ -77,7 +81,7 @@ _KMIN = {ElementFamily.RT: 0, ElementFamily.BDM: 1, ElementFamily.ABF: 0}
 
 
 def _validate_degree(family: ElementFamily, k: int) -> None:
-    if not isinstance(k, (int, np.integer)):
+    if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
         raise TypeError("degree k must be an integer")
     if not 0 <= k <= MAX_DEGREE:
         raise ValueError(f"k must be between 0 and {MAX_DEGREE}")
@@ -139,15 +143,40 @@ def space_dimension(family: ElementFamily, k: int) -> int:
     return len(sets.u) + len(sets.v) + len(sets.curls)
 
 
+def factor_values(deg: int, t) -> np.ndarray:
+    """The factor rows at t for degrees <= deg, from one recurrence pass: row m
+    is L_m, nf + m is L_m', 2 nf + m is -L_m' (nf = deg + 1) and 3 nf is zero."""
+    L, dL = (np.array(v) for v in legendre.deriv_values(deg, t))
+    return np.concatenate([L, dL, -dL, np.zeros_like(L[:1])])
+
+
+@functools.lru_cache(maxsize=None)
+def factor_rows(labels: tuple, nf: int) -> np.ndarray:
+    """Factor rows R[q, axis, b] of basis label b in factor_values of nf
+    degrees: q = 0, 1, 2 for u, v and div, axis 0 for the x factor, 1 for y.
+
+    Label ("x", i, j) is u = L_i(x) L_j(y) with div L_i'(x) L_j(y), ("y", i, j)
+    its mirror in v, and ("curl", i, j) is (L_i(x) L_j'(y), -L_i'(x) L_j(y))
+    with div zero.  Cached by value.
+    """
+    z = (3 * nf, 3 * nf)
+    pairs = {"x": lambda i, j: ((i, j), z, (nf + i, j)),
+             "y": lambda i, j: (z, (i, j), (i, nf + j)),
+             "curl": lambda i, j: ((i, nf + j), (2 * nf + i, j), z)}
+    rows = np.array([pairs[kind](i, j) for kind, i, j in labels]).transpose(1, 2, 0)
+    rows.setflags(write=False)
+    return rows
+
+
 class SpaceMember:
     """A concrete field in an element space: its basis-coefficient vector.
 
     uv/div_values contract the coefficients with the space's tables
-    (tabulate, tabulate_div: the Legendre recurrence, as the DOF moment
-    tables use), so members evaluate to full precision at high degree.  A
-    member has no monomial grids and no algebra of its own (u, v,
-    divergence() and +, -, * do not exist); members combine by their
-    coefficients, space.member(a.coeffs + b.coeffs).
+    (tabulate, tabulate_div: the factor rows the DOF moment tables use,
+    from the Legendre recurrence), so members evaluate to full precision
+    at high degree.  A member has no monomial grids and no algebra of its
+    own (u, v, divergence() and +, -, * do not exist); members combine by
+    their coefficients, space.member(a.coeffs + b.coeffs).
 
     coeffs may also be an (m, dim) stack, one member per row, as a
     study's fields carry hx, hy columns: the basis is tabulated once,
@@ -183,7 +212,6 @@ class SpaceMember:
         return f"SpaceMember({self.space!r}, coeffs={self.coeffs!r})"
 
 
-
 def contract(coeffs, table) -> np.ndarray:
     """Coefficients (dim,) or (m, dim) against a basis table (dim, ...): one np.dot
     of a (1, dim) row per row, the gemv np.tensordot makes; one gemm over a
@@ -205,10 +233,10 @@ def require_single(member: SpaceMember, use: str) -> SpaceMember:
 class ElementSpace:
     """Ordered basis of one of the reference H(div) spaces.
 
-    The basis is index data: tensor label b < len(_i) is L_i(x) L_j(y)
-    with (i, j) = (_i[b], _j[b]) in component u for b < _nx and in v
-    after, and the BDM curl labels come last, curl(L_i(x) L_j(y)) with
-    (i, j) = (_ci[c], _cj[c]) for label len(_i) + c.
+    The basis is its labels and their factor rows (factor_rows): label b
+    is u, v and div = products Fx[_rows[q, 0, b]] * Fy[_rows[q, 1, b]]
+    of factor_values rows, q = 0, 1, 2.  _label_degrees holds, per label,
+    the (x, y) degrees of those products' factors, -1 where a factor vanishes.
     """
 
     def __init__(self, family, k: int):
@@ -219,46 +247,37 @@ class ElementSpace:
             tuple(("x", i, j) for i, j in sets.u) + tuple(("y", i, j) for i, j in sets.v)
             + tuple(("curl", i, j) for i, j in sets.curls))
         self.dim = len(self.labels)
-        self._nx = len(sets.u)
-        self._i, self._j = np.array(sets.u + sets.v, dtype=np.intp).T.copy()
-        self._ci, self._cj = np.array(sets.curls, dtype=np.intp).reshape(-1, 2).T.copy()
-        # per label: (dx, dy) of its u grid, then of its v grid; -1 where it has none
-        self._label_degrees = np.array(
-            [(i, j, -1, -1) for i, j in sets.u] + [(-1, -1, i, j) for i, j in sets.v]
-            + [(i, j - 1, i - 1, j) for i, j in sets.curls], dtype=np.intp)
-        self._maxdeg = int(self._label_degrees.max())
+        self._maxdeg = max(max(i, j) for _, i, j in self.labels)
+        self._rows = factor_rows(self.labels, self._maxdeg + 1)
+        # per label: (dx, dy) of u, of v, then of div; L_m' has degree m - 1
+        m = np.arange(self._maxdeg + 1)
+        degrees = np.concatenate([m, m - 1, m - 1, [-1]])[self._rows]
+        self._label_degrees = degrees.transpose(2, 0, 1).reshape(self.dim, 6)
 
     def tabulate(self, x, y):
         """Basis values (U, V), each of shape (dim,) + broadcast shape of x, y.
 
-        The recurrences run on x and y as given, so a column and a row
-        (a tensor rule's axes) cost one pass per distinct coordinate; only
-        the products L_i(x) L_j(y) fill the broadcast grid.
+        One recurrence pass runs on the coordinates of x and y as given, so
+        a column and a row (a tensor rule's axes) cost one pass over their
+        distinct coordinates; only the factor products fill the broadcast grid.
         """
-        x, y = _same_rank(x, y)
-        Lx, Ly = (np.array(legendre.values(self._maxdeg, t)) for t in (x, y))
-        U = np.zeros((self.dim,) + np.broadcast(x, y).shape, np.result_type(Lx, Ly))
-        V = np.zeros_like(U)
-        nx, nt, I, J, CI, CJ = self._nx, len(self._i), self._i, self._j, self._ci, self._cj
-        np.multiply(Lx[I[:nx]], Ly[J[:nx]], out=U[:nx])
-        np.multiply(Lx[I[nx:]], Ly[J[nx:]], out=V[nx:nt])
-        if len(CI):  # BDM's curl rows, the only ones that read first derivatives
-            dLx, dLy = (np.array(legendre.deriv_values(self._maxdeg, t)[1]) for t in (x, y))
-            np.multiply(Lx[CI], dLy[CJ], out=U[nt:])
-            np.multiply(-dLx[CI], Ly[CJ], out=V[nt:])
-        return U, V
+        return self._tables(x, y, self._rows[:2])
 
     def tabulate_div(self, x, y):
         """Basis divergences, shape (dim,) + broadcast shape of x, y; axes as in tabulate."""
-        x, y = _same_rank(x, y)
-        (Lx, dLx), (Ly, dLy) = (map(np.array, legendre.deriv_values(self._maxdeg, t))
-                                for t in (x, y))
-        nx, I, J = self._nx, self._i, self._j
-        rows = np.zeros((self.dim,) + np.broadcast(x, y).shape,
-                        np.result_type(Lx, Ly))
-        np.multiply(dLx[I[:nx]], Ly[J[:nx]], out=rows[:nx])
-        np.multiply(Lx[I[nx:]], dLy[J[nx:]], out=rows[nx:len(I)])
-        return rows
+        return self._tables(x, y, self._rows[2:])[0]
+
+    def _tables(self, x, y, rows) -> tuple:
+        """Fx[rows_x] * Fy[rows_y] per (rows_x, rows_y) of rows, a slice of _rows;
+        one factor_values pass runs over the coordinates of x and y together,
+        and each axis keeps its own extents at the rank of the other (a scalar
+        x with a vector y gives shapes (1,) and (m,))."""
+        x, y = np.asarray(x), np.asarray(y)
+        F = factor_values(self._maxdeg, np.concatenate([x.ravel(), y.ravel()]))
+        nd = max(x.ndim, y.ndim)
+        Fx, Fy = (f.reshape((len(F),) + (1,) * (nd - t.ndim) + t.shape)
+                  for f, t in ((F[:, : x.size], x), (F[:, x.size:], y)))
+        return tuple(Fx[rx] * Fy[ry] for rx, ry in rows)
 
     def member(self, coeffs) -> SpaceMember:
         """The member with these coefficients; an (m, dim) stack gives m members in one."""
@@ -269,14 +288,6 @@ class ElementSpace:
 
     def __repr__(self):
         return f"ElementSpace({self.family.value}, k={self.k}, dim={self.dim})"
-
-
-def _same_rank(x, y):
-    """x, y as arrays of one rank, each keeping its own extents: a scalar x
-    with a vector y gives shapes (1,) and (m,)."""
-    x, y = np.asarray(x), np.asarray(y)
-    nd = max(x.ndim, y.ndim)
-    return x.reshape((1,) * (nd - x.ndim) + x.shape), y.reshape((1,) * (nd - y.ndim) + y.shape)
 
 
 def build_space(family, k: int) -> ElementSpace:
@@ -301,21 +312,18 @@ def build_div_space(family, k: int) -> ScalarSpace:
 
 
 def _legendre_coordinates(space: ElementSpace) -> np.ndarray:
-    """Exact coordinates C[b, comp, i, j] of basis member b over L_i(x) L_j(y).
+    """Exact coordinates C[b, q, i, j] of basis member b's u, v and div
+    (q = 0, 1, 2) over L_i(x) L_j(y).
 
-    Python integers in an object array: tensor labels are unit
-    coordinates, and curl label (i, j) has row j of the derivative matrix
-    in row i of u and minus row i in column j of v.
+    Python integers in an object array: each factor row's coordinates are
+    a unit row, a row of the derivative matrix, its negative or zero, and
+    a label's are their outer products.
     """
     n = space._maxdeg + 1
-    nt = len(space._i)
-    C = np.zeros((space.dim, 2, n, n), dtype=object)
-    C[np.arange(nt), (np.arange(nt) >= space._nx).astype(np.intp), space._i, space._j] = 1
     D = legendre.derivative_matrix(n)
-    curls = nt + np.arange(len(space._ci))
-    C[curls, 0, space._ci, :] = D[space._cj]
-    C[curls, 1, :, space._cj] = -D[space._ci]
-    return C
+    R = np.concatenate([np.eye(n, dtype=int).astype(object), D, -D, np.zeros((1, n), object)])
+    X, Y = R[space._rows[:, 0]], R[space._rows[:, 1]]
+    return (X[..., :, None] * Y[..., None, :]).transpose(1, 0, 2, 3)
 
 
 def _product_norms(n: int) -> np.ndarray:
@@ -335,10 +343,8 @@ def span_check(space: ElementSpace) -> dict:
     the same space as the monomials.
     """
     div_space = build_div_space(space.family, space.k)
-    C = _legendre_coordinates(space)
-    n = C.shape[-1]
-    D = legendre.derivative_matrix(n)
-    div = D.T @ C[:, 0] + C[:, 1] @ D
+    div = _legendre_coordinates(space)[:, 2]
+    n = div.shape[-1]
     inside = np.zeros((n, n), dtype=bool)
     rows, cols = np.array(div_space.exponents, dtype=np.intp).reshape(-1, 2).T
     inside[rows, cols] = True

@@ -192,20 +192,14 @@ class ReproductionField:
 
     def __init__(self, member: SpaceMember):
         self.member = require_single(member, "ReproductionField")
-        space = member.space
-        live = member.coeffs != 0.0
-        self._reach = space._label_degrees[live]  # (dx, dy) of u, then of v
-        # d/dx L_i reaches L_{i-1} (legendre.derivative_matrix), so div reaches
-        # (i-1, j) from a u label and (i, j-1) from a v label; curls are div-free
-        in_u = (np.arange(len(space._i)) < space._nx).astype(np.intp)
-        div_reach = np.stack([space._i - in_u, space._j - (1 - in_u)], axis=1)
-        self._div_reach = div_reach[live[: len(space._i)]]
+        # the (x, y) factor degrees of u, v and div (ElementSpace._label_degrees)
+        self._reach = member.space._label_degrees[member.coeffs != 0.0]
 
     def deriv_nonzero(self, a1: int, a2: int, comp: int) -> bool:
         return _reaches(self._reach[:, 2 * comp: 2 * comp + 2], a1, a2)
 
     def div_deriv_nonzero(self, a1: int, a2: int) -> bool:
-        return _reaches(self._div_reach, a1, a2)
+        return self.deriv_nonzero(a1, a2, 2)  # div is the reach's third pair
 
     def __repr__(self):
         return f"ReproductionField({self.member.space!r})"

@@ -204,13 +204,13 @@ class StudyConfig:
         _validate_degree(self.family, self.k)
         check_choice("field", self.field, FIELD_IDS)
         check_choice("mode", self.mode, MODES)
-        if not isinstance(self.levels, (int, np.integer)):
+        if not isinstance(self.levels, (int, np.integer)) or isinstance(self.levels, bool):
             raise ValueError("levels must be an integer")
         if self.levels < 3:
             raise ValueError("levels must be >= 3")
         if not (0 < self.h0 <= 1):
             raise ValueError("h0 must lie in (0, 1]")
-        if not (math.isfinite(self.p) and self.p >= 1):
+        if isinstance(self.p, (bool, np.bool_)) or not (math.isfinite(self.p) and self.p >= 1):
             raise ValueError("p must be finite and >= 1")
         if not (math.isfinite(self.rate_tolerance) and self.rate_tolerance >= 0):
             raise ValueError("rate tolerance must be finite and >= 0")
@@ -222,7 +222,8 @@ class StudyConfig:
         try:  # the smallest rectangle; 2.0**-levels overflows past ~1e308 levels
             self.rect_at(self.levels - 1)
         except (ValueError, OverflowError):
-            raise ValueError(f"levels={self.levels} with h0={self.h0:g} and rho={self.rho:g} "
+            rho = f" and rho={self.rho:g}" if self.mode == "fixed_aspect" else ""
+            raise ValueError(f"levels={self.levels} with h0={self.h0:g}{rho} "
                              f"shrinks a side below {MIN_H:g} at the last level") from None
 
     def rect_at(self, level: int) -> PhysicalRect:

@@ -98,10 +98,9 @@ class InterpolationOperator:
     @functools.cached_property
     def rule_tables(self) -> tuple:
         """The basis (U, V, div) on the axes of the 20 x 20 error rule, each of shape
-        (dim, 20, 20), tabulated on first use."""
+        (dim, 20, 20), tabulated on first use in one factor pass over both axes."""
         t = gauss_legendre_01(NONPOLY_POINTS).nodes
-        x, y = t[:, None], t[None, :]
-        return (*self.space.tabulate(x, y), self.space.tabulate_div(x, y))
+        return self.space._tables(t[:, None], t[None, :], self.space._rows)
 
     def solve(self, b) -> np.ndarray:
         """Coefficients of extended-precision DOF vectors; leading axes batch.

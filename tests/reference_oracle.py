@@ -73,7 +73,7 @@ def gram_matrix(space: ElementSpace) -> np.ndarray:
     G = sum over components of C diag(1 / ((2i+1)(2j+1))) C^T.
     """
     n = space._maxdeg + 1
-    C = _legendre_coordinates(space).astype(float).reshape(space.dim, 2, n * n)
+    C = _legendre_coordinates(space)[:, :2].astype(float).reshape(space.dim, 2, n * n)
     w = _product_norms(n).ravel()
     return sum((C[:, comp] * w) @ C[:, comp].T for comp in range(2))
 

@@ -564,9 +564,11 @@ def test_aspect_below_h0_usage_error(capsys, rho):
                                   ("--mode", "fixed_aspect(64)", "--levels", "40")])
 def test_levels_below_min_h_usage_error(capsys, argv):
     # rejected before the first level instead of after 26 of them
+    # rho is named only in fixed_aspect, the one mode that reads it
     code, out, err = run(capsys, "converge", *argv)
+    rho = " and rho=64" if "fixed_aspect(64)" in argv else ""
     assert code == 2 and out == ""
-    assert err == (f"error: levels={argv[-1]} with h0=0.5 and rho=64 "
+    assert err == (f"error: levels={argv[-1]} with h0=0.5{rho} "
                    "shrinks a side below 1e-08 at the last level\n")
 
 

@@ -13,9 +13,8 @@ from hdivkit.dofs import (
     dof_plan,
     dof_vector_ld,
     moment_tables,
-    _factor_rows,
 )
-from hdivkit.elements import build_space
+from hdivkit.elements import build_space, factor_rows
 from hdivkit.fields import MS_G, CallableField
 from hdivkit.harness import PulledBackField
 from hdivkit.interpolation import InterpolationOperator
@@ -186,7 +185,7 @@ def test_plan_cache_bounded():
 def test_moment_table_cache_bounded():
     # moment tables are keyed by the cached plan and the trial degree, and the
     # factor rows by the labels, so more operators of the same pairs add none
-    caches = (moment_tables, _factor_rows)
+    caches = (moment_tables, factor_rows)
     for family, k in PAIRS:
         InterpolationOperator(build_space(family, k))
     sizes = [c.cache_info().currsize for c in caches]

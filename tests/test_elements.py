@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hdivkit import elements
+from hdivkit import dofs, elements
 from hdivkit.dofs import build_dofs, dof_matrix_ld, dof_vector_ld
 from hdivkit.elements import (
     _legendre_coordinates,
@@ -58,6 +58,10 @@ def test_degree_bounds_rejected():
         build_space("RT", MAX_DEGREE + 1)
     with pytest.raises(ValueError):
         build_space("XF", 1)
+    # bool is an int subclass, but True is not a degree: it used to build RT_1
+    for k in (True, False):
+        with pytest.raises(TypeError, match="degree k must be an integer"):
+            build_space("RT", k)
 
 
 def test_degree_range_is_the_verified_range():
@@ -240,16 +244,28 @@ def test_member_dof_vectors_build_no_grids(monkeypatch):
         assert span_check(space)["ok"]
 
 
+@pytest.mark.parametrize("family,k", ALL_PAIRS)
+def test_the_factor_rows_are_the_one_basis_encoding(family, k):
+    # evaluation, divergence, DOF moments, span coordinates and structural
+    # flags all read ElementSpace._rows: no index arrays, no second factor table
+    space = build_space(family, k)
+    for name in ("_i", "_j", "_ci", "_cj", "_nx"):
+        assert not hasattr(space, name), name
+    assert not hasattr(dofs, "_factor_rows")
+    assert space._rows is elements.factor_rows(space.labels, space._maxdeg + 1)
+
+
 @pytest.mark.parametrize("k", degree_range("BDM"))
 def test_curl_labels_span_the_monomial_curls(k):
     # curl x^i y^j = c curl(L_i(x) L_j(y)) + a member of P_k^2, exactly, for
     # either curl label (i, j): the space spans what the monomial curls span
     space = build_space("BDM", k)
-    C = _legendre_coordinates(space)
+    C = _legendre_coordinates(space)[:, :2]
     n = C.shape[-1]
     high = np.add.outer(np.arange(n), np.arange(n)) > k
-    for b in range(len(space._i), space.dim):
-        _, i, j = space.labels[b]
+    for b in range(space.dim - 2, space.dim):
+        kind, i, j = space.labels[b]
+        assert kind == "curl"
         monomial = curl_scalar(Polynomial2D.monomial(i, j))
         R = np.zeros((2, n, n), dtype=object)
         for comp, p in enumerate((monomial.u, monomial.v)):
@@ -270,7 +286,7 @@ def test_curl_rows_match_monomial_curls(k):
     x, y = (rng.random(64).astype(np.longdouble) for _ in range(2))
     U, V = space.tabulate(x, y)
     eps = np.finfo(np.longdouble).eps
-    nt = len(space._i)
+    nt = space.dim - 2
     assert [lab[0] for lab in space.labels[nt:]] == ["curl", "curl"]
     for b in range(nt, space.dim):
         for got, want in zip((U[b], V[b]), reference_grids(space, np.eye(space.dim)[b])):

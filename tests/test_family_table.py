@@ -109,13 +109,21 @@ def test_table_matches_the_definitions(family, k):
     space = build_space(family, k)
     labels = _labels(family, k)
     assert list(space.labels) == labels
-    tensor = [lab for lab in labels if lab[0] != "curl"]
-    assert space._nx == sum(lab[0] == "x" for lab in tensor)
-    for arr, a in ((space._i, 1), (space._j, 2)):
-        assert arr.dtype == np.intp and arr.flags.c_contiguous
-        assert arr.tolist() == [lab[a] for lab in tensor]
-    curls = [lab[1:] for lab in labels if lab[0] == "curl"]
-    assert list(zip(space._ci.tolist(), space._cj.tolist())) == curls
+    # each label's (x, y) factor rows of u, v and div, in factor_values' rows
+    # L_m = m, L_m' = nf + m, -L_m' = 2 nf + m and zero = 3 nf
+    nf = max(max(lab[1:]) for lab in labels) + 1
+    zero = (3 * nf, 3 * nf)
+    rows = []
+    for kind, i, j in labels:
+        if kind == "x":  # u = L_i(x) L_j(y), div = L_i'(x) L_j(y)
+            rows.append(((i, j), zero, (nf + i, j)))
+        elif kind == "y":  # v = L_i(x) L_j(y), div = L_i(x) L_j'(y)
+            rows.append((zero, (i, j), (i, nf + j)))
+        else:  # curl(L_i(x) L_j(y)) = (L_i(x) L_j'(y), -L_i'(x) L_j(y)), div-free
+            rows.append(((i, nf + j), (2 * nf + i, j), zero))
+    assert space._maxdeg + 1 == nf and not space._rows.flags.writeable
+    assert space._rows.shape == (3, 2, len(labels))
+    assert space._rows.transpose(2, 0, 1).tolist() == [[list(r) for r in q] for q in rows]
     for replace in (False, True):
         got = build_dofs(family, k, replace_div_moments=replace).functionals
         assert list(got) == _functionals(family, k, replace)

@@ -217,6 +217,10 @@ def test_reproduction_flags_match_grid_partials(family, k):
     keep = np.random.default_rng(k).random(member.space.dim) < 0.3
     sparse = member.space.member(np.where(keep, member.coeffs, 0.0))
     assert _flags(ReproductionField(sparse)) == _grid_flags(sparse)
+    # every single-label member: each label's own factor degrees, div included
+    for b, e_b in enumerate(np.eye(member.space.dim)):
+        single = member.space.member(e_b)
+        assert _flags(ReproductionField(single)) == _grid_flags(single), member.space.labels[b]
 
 
 def test_reproduction_flags_are_scale_invariant():

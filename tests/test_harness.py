@@ -438,19 +438,28 @@ def test_config_validation():
     ({"mode": "fixed_aspect", "rho": float("nan")}, "aspect ratio"),
     ({"mode": "fixed_aspect", "rho": 1e-3}, "h0 / R <= 1"),
     # rectangles below MIN_H: at construction, not partway through the study
-    ({"levels": 60}, "levels=60 with h0=0.5 and rho=64 shrinks a side below 1e-08"),
-    ({"levels": 27}, "levels=27 with h0=0.5 and rho=64 shrinks a side"),
+    # rho is named only where the mode reads it
+    ({"levels": 60}, "levels=60 with h0=0.5 shrinks a side below 1e-08"),
+    ({"levels": 27}, "levels=27 with h0=0.5 shrinks a side"),
     ({"mode": "fixed_aspect", "levels": 40}, "levels=40 with h0=0.5 and rho=64 shrinks"),
-    ({"mode": "shrink_y", "h0": 1e-3, "levels": 18}, "levels=18 with h0=0.001 and rho=64"),
+    ({"mode": "shrink_y", "h0": 1e-3, "levels": 18}, "levels=18 with h0=0.001 shrinks"),
     ({"levels": 10**400}, "shrinks a side"),  # 2.0**-levels overflows
     # a float level count constructed, then the study crashed in range()
     ({"levels": 6.5}, "levels must be an integer"),
     ({"levels": 4.0}, "levels must be an integer"),
+    # bools are ints to isinstance: these ran, and converge wrote "k": true
+    ({"levels": True}, "levels must be an integer"),
+    ({"p": True}, "p must be finite and >= 1"),
+    ({"p": np.True_}, "p must be finite and >= 1"),
+    ({"k": True}, "degree k must be an integer"),
+    ({"k": True, "p": True}, "degree k must be an integer"),
 ])
 def test_config_owns_the_study_schema(kwargs, message):
     # the rules converge applies are the config's own, so a library caller
-    # cannot build a study the CLI would reject
-    with pytest.raises(ValueError, match=message):
+    # cannot build a study the CLI would reject; a degree that is no integer
+    # is refused by elements._validate_degree's TypeError
+    error = TypeError if message == "degree k must be an integer" else ValueError
+    with pytest.raises(error, match=message):
         StudyConfig(**kwargs)
 
 
@@ -587,22 +596,24 @@ def test_non_dyadic_reproduction_study_passes(family, k, rho, levels):
     ("RT", 1, "MS-G", "isotropic"), ("ABF", 2, "MS-P", "fixed_aspect"),
     ("BDM", 2, "MS-X", "shrink_x")])
 def test_study_tabulates_the_error_rule_once(monkeypatch, family, k, field, mode):
-    # the operator keeps its tables: two studies on one cold operator tabulate once
+    # the operator keeps its tables: two studies on one cold operator tabulate
+    # once, U, V and div in one pass (tabulate and tabulate_div also go through
+    # ElementSpace._tables, so counting it counts every route)
     op = InterpolationOperator(build_space(family, k))
     monkeypatch.setattr(harness, "reference_operator", lambda family, k: op)
     npoints = NONPOLY_POINTS**2
-    calls = {"tabulate": 0, "tabulate_div": 0}
-    for name in calls:
-        original = getattr(ElementSpace, name)
+    calls = []
+    original = ElementSpace._tables
 
-        def counted(self, x, y, _name=name, _original=original):
-            calls[_name] += np.broadcast(x, y).size == npoints
-            return _original(self, x, y)
+    def counted(self, x, y, rows):
+        if np.broadcast(x, y).size == npoints:
+            calls.append(len(rows))
+        return original(self, x, y, rows)
 
-        monkeypatch.setattr(ElementSpace, name, counted)
+    monkeypatch.setattr(ElementSpace, "_tables", counted)
     for _ in range(2):
         run_refinement_study(StudyConfig(family, k, field=field, mode=mode, levels=8))
-    assert calls == {"tabulate": 1, "tabulate_div": 1}
+    assert calls == [3]
 
 
 def _lone_solve(op, field):
