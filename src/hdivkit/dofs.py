@@ -16,51 +16,34 @@ the defining monomial tests, far better conditioned.  ABF's divergence
 tests change the functionals, not their span (for a, b <= k, int (div w)
 x^a y^b is an edge moment minus interior moments), nor the interpolant.
 
-A whole DOF set is applied through a plan: an axis pair plus separable
-weights, as Basix encodes DOFs and FIAT its point/weight functionals,
-with the points given as a tensor product.  The axes are a column x and
-a row y with the nodes {0, t_1 ... t_n, 1}, t the n nodes of
-gauss_legendre_01(n), so the (n + 2)^2 grid they span holds the four
-edges and the interior n x n grid.  The weights are n-column 1-D
-matrices of rows w L_i(t), one per kind of moment, applied by
-contraction.  A DOF vector therefore costs one field
-evaluation on the axes, plus one divergence evaluation on the inner
-axes (t, t) when the set has divergence moments; fields broadcast the
-axes, so transcendental factors and Legendre recurrences run once per
-distinct coordinate.  The values are those of the enumerated points bit
-for bit, and the contractions sum in the same order.  Values with
-leading axes (a study's (levels, 1, 1) sides, a SpaceMember's (m, dim)
-coefficient stack, a FieldStack) give one DOF vector per row from that
-one evaluation, each bit for bit the one its row gets alone when the
-rule is the same (a stack's degree_bounds cover all rows).
-The rule size n is
+A whole DOF set is applied through a plan: one node axis {0, t_1 ... t_n,
+1}, t the nodes of gauss_legendre_01(n), and weight rows w L_i(t), one
+matrix per kind of moment.  Every test is a product L_i(x) L_j(y), and
+whatever the plan is applied to is a sum of r products X(x) Y(y) sampled
+on the nodes (a factor sample, fields.py), so every functional is sum
+factorised (Orszag 1980): per term, a product of two 1-D moments.  An
+edge moment is one factor's value at 0 or 1 times the other's weighted
+sum over t, an interior or divergence moment the product of the two
+weighted sums.  _dof_values is the one contraction, from 1-D moments to
+DOF values in functional order with a trailing axis of the r terms.
+dof_matrix_ld reads it with the basis labels as the terms (their factor
+rows, whose moments moment_tables caches), so no basis is tabulated;
+dof_vector_ld reads it with a field's factor sample and sums the terms,
+or takes M c for a SpaceMember, with the M the operator solves with, bit
+for bit.  No field is sampled on a grid.  Leading axes of a sample (a
+study's (levels, 1, 1) sides, an (m, dim) coefficient stack, a
+FieldStack) give one DOF vector per row, each bit for bit its own.
+The rule size n is NONPOLY_POINTS (20) for fields without degree_bounds,
+and n_for_degree(d + t) for polynomial ones, d the maximal component
+degree of their degree_bounds (a member's space's) and t the set's
+DofSet.test_degree (k + 1 for every standard set): every moment
+integrand has degree <= d + t per direction, so the rule is exact.
 
-    NONPOLY_POINTS (20)            fields without degree_bounds
-    n_for_degree(d + t)            polynomial fields, whose
-                                   degree_bounds give the maximal
-                                   component degree d, t the set's
-                                   DofSet.test_degree (k + 1 for every
-                                   standard set): every moment integrand
-                                   has degree <= d + t per direction, so
-                                   the rule is exact
-
-dof_matrix_ld tabulates no basis.  Every basis label and every test
-is a product X(x) Y(y), so each entry of M is a product of two 1-D
-moments (sum factorisation): a plan's weight rows contracted with the
-rows of elements.factor_values (L_m, L_m', -L_m', zero) on the plan's
-own n nodes, and those rows' values at 0 and 1 for the edges.
-moment_tables holds them per plan and trial degree, and M is filled by
-outer products of the rows the space's factor rows (space._rows) name.
-M c and the DOF vector of the member with coefficients c take the same
-rule, nodes and weights, so they are the same quadrature sums evaluated
-in another order: they agree to roundoff, and members are reproduced to
-the extended-precision floor.  Plans are built from the set's own
-functionals and cached by value on (functionals, n), so any DOF set
-applies, reordered ones included; n takes a handful of values per
-(family, k), so the plan and moment-table caches stay bounded however
-many spaces and DOF sets are built.  The plan is the one way to apply a
-functional to a field; tests/reference_oracle.py keeps the
-per-functional quadrature (apply_dof_ld) as an independent reference.
+Plans are built from the set's own functionals and cached by value on
+(functionals, n), so any DOF set applies, reordered ones included, and
+the plan and moment-table caches stay bounded.  tests/reference_oracle.py
+keeps the per-functional quadrature (apply_dof_ld) as an independent
+reference.
 
 All quadrature in this module runs in extended precision.  The DOF
 conditions stay at or below 504 up to k = 4, but a study compares pushed
@@ -77,8 +60,8 @@ from typing import NamedTuple, Optional, Tuple
 import numpy as np
 
 from . import legendre
-from .elements import (ElementFamily, ElementSpace, _as_family, factor_values, family_sets,
-                       space_dimension)
+from .elements import (ElementFamily, ElementSpace, SpaceMember, _as_family, factor_values,
+                       family_sets, space_dimension)
 from .quadrature import EDGES, NONPOLY_POINTS, gauss_legendre_01, n_for_degree
 
 # outward normals: left (-1,0), right (1,0), bottom (0,-1), top (0,1)
@@ -152,85 +135,45 @@ def build_dofs(family, k: int, replace_div_moments: bool = False) -> DofSet:
     return dofset
 
 
-def _weighted_legendre(deg: int, t, w) -> np.ndarray:
-    """Rows w L_i(t) for i = 0..deg; no rows when deg < 0."""
-    return w * np.array(legendre.values(max(deg, 0), t)[: deg + 1]).reshape(deg + 1, len(t))
-
-
-def _max_index(functionals, kind: str) -> int:
-    """Largest test index of the functionals of one kind; -1 when there are none."""
-    return max((max(f.i, f.j) for f in functionals if f.kind == kind), default=-1)
-
-
 class DofPlan:
-    """One axis pair and separable weights for a whole DOF set.
+    """The nodes (plan_nodes(n)) and weight rows of a whole DOF set.
 
-    The axes (plan_axes(n), shared by every plan at n points) are x of shape
-    (n + 2, 1) and y of shape (1, n + 2), both with nodes {0, t_1 ... t_n, 1}
-    for the n Gauss nodes t of gauss_legendre_01(n), so the grid they span
-    holds the four edges and the interior n x n tensor grid; ``inner`` is
-    the pair without the end nodes, where divergences are sampled.  Weights
-    are 1-D matrices over the n nodes, ``edge[d]``, ``interior[i]`` and
-    ``div[i]`` all ``w L_i(t)``.  ``apply`` reads each edge as one row or
-    column of the (n + 2, n + 2) values (``edge @ vals``) and the interior
-    and divergence blocks as G in ``A G A^T``; moments land in one raw
-    vector that ``index`` reorders into functional order.
+    weights holds the edge, interior and div rows w L_i(t) over the inner
+    nodes t, applied by moment.  index reorders the raw moments of
+    _dof_values into functional order, and signs gives the edges their
+    outward normals.
     """
 
     def __init__(self, functionals, n: int):
         rule = gauss_legendre_01(n)
-        t, w = rule.nodes_ld, rule.weights_ld
-        self.n = n
-        edge_deg = _max_index(functionals, "edge_moment")
-        int_deg = _max_index(functionals, "interior_moment")
-        div_deg = _max_index(functionals, "div_moment")
-        self.edge = _weighted_legendre(edge_deg, t, w)
-        self.interior = _weighted_legendre(int_deg, t, w)
-        self.div = _weighted_legendre(div_deg, t, w)
-        self.has_div = div_deg >= 0
-        self.x, self.y, self.inner = plan_axes(n)
-        ne, na, nd = edge_deg + 1, int_deg + 1, div_deg + 1
-        index, signs = [], []
+        self.n, self.nodes = n, plan_nodes(n)
+        # the largest test index per kind, -1 (no rows) where a kind is absent
+        degs = [max((max(f.i, f.j) for f in functionals if f.kind == kind), default=-1)
+                for kind in ("edge_moment", "interior_moment", "div_moment")]
+        self.weights = [rule.weights_ld * np.reshape(legendre.values(max(d, 0), rule.nodes_ld)
+                                                     [: d + 1], (d + 1, n)) for d in degs]
+        ne, na, nd = (d + 1 for d in degs)
+        raw = {"edge_moment": lambda f: EDGES.index(f.edge) * ne + f.i,
+               "interior_moment": lambda f: 4 * ne + (f.component * na + f.i) * na + f.j,
+               "div_moment": lambda f: 4 * ne + 2 * na * na + f.i * nd + f.j}
         for f in functionals:
-            if f.kind == "edge_moment":
-                index.append(EDGES.index(f.edge) * ne + f.i)
-                signs.append(_EDGE_SIGN[f.edge])
-            elif f.kind == "interior_moment":
-                index.append(4 * ne + (f.component * na + f.i) * na + f.j)
-                signs.append(1)
-            elif f.kind == "div_moment":
-                index.append(4 * ne + 2 * na * na + f.i * nd + f.j)
-                signs.append(1)
-            else:
+            if f.kind not in raw:
                 raise ValueError(f"unknown DOF kind {f.kind!r}")
-        self.index = np.array(index)
-        self.signs = np.array(signs, dtype=np.longdouble)
+        self.index = np.array([raw[f.kind](f) for f in functionals])
+        self.signs = np.array([_EDGE_SIGN.get(f.edge, 1) for f in functionals], np.longdouble)
 
-    def apply(self, U, V, D=None) -> np.ndarray:
-        """DOF values from values on the axes, U and V of shape batch + (n + 2, n + 2),
-        and on the inner axes, D of shape batch + (n, n); the batch axes lead."""
-        batch = U.shape[:-2]
-        # the edges as rows of one (..., 4, n) array: left (0, t), right (1, t),
-        # bottom (t, 0), top (t, 1), as EDGES
-        sides = np.concatenate([U[..., [0, -1], 1:-1],
-                                np.swapaxes(V[..., 1:-1, [0, -1]], -1, -2)], axis=-2)
-        blocks = ((self.interior, U[..., 1:-1, 1:-1]), (self.interior, V[..., 1:-1, 1:-1]),
-                  (self.div, D))
-        parts = [(sides @ self.edge.T).reshape(batch + (-1,))]
-        parts += [(A @ G @ A.T).reshape(batch + (-1,)) for A, G in blocks if len(A)]
-        return self.signs * np.concatenate(parts, axis=-1)[..., self.index]
+    def moment(self, F, kind: int) -> np.ndarray:
+        """1-D moments of factors F (..., n + 2) on the nodes: kind 0 their values
+        at 0 and 1, kinds 1, 2, 3 the weighted sums of weights[kind - 1]."""
+        return F[..., [0, -1]] if kind == 0 else F[..., 1:-1] @ self.weights[kind - 1].T
 
 
 @functools.lru_cache(maxsize=None)
-def plan_axes(n: int) -> tuple:
-    """The read-only axes of every plan at n points: x, y with the nodes
-    {0, t_1 ... t_n, 1}, and the inner pair (t, t) without the end nodes."""
-    t = gauss_legendre_01(n).nodes_ld
-    nodes = np.concatenate([[np.longdouble(0)], t, [np.longdouble(1)]])
-    axes = nodes[:, None], nodes[None, :], t[:, None], t[None, :]
-    for a in axes:
-        a.setflags(write=False)
-    return axes[0], axes[1], axes[2:]
+def plan_nodes(n: int) -> np.ndarray:
+    """The read-only nodes {0, t_1 ... t_n, 1} of every plan at n points."""
+    nodes = np.concatenate([[np.longdouble(0)], gauss_legendre_01(n).nodes_ld, [np.longdouble(1)]])
+    nodes.setflags(write=False)
+    return nodes
 
 
 @functools.lru_cache(maxsize=None)
@@ -245,54 +188,49 @@ def _plan_for(dofset: DofSet, max_degree: Optional[int]) -> DofPlan:
     return dof_plan(dofset.functionals, n)
 
 
+def _dof_values(plan: DofPlan, moment, sample) -> np.ndarray:
+    """The one contraction: DOF values of r terms, batch + (functionals, r).
+
+    sample holds the (x, y) factors of u, v and div, and moment(F, kind) reads
+    their 1-D moments.
+    """
+    (ux, uy), (vx, vy), (dx, dy) = sample
+    # edges left (0, t) and right (1, t), then bottom (t, 0) and top (t, 1), as EDGES
+    blocks = ((ux, 0, uy, 1), (vy, 0, vx, 1), (ux, 2, uy, 2), (vx, 2, vy, 2), (dx, 3, dy, 3))
+    parts = [moment(X, a)[..., :, None] * moment(Y, b)[..., None, :] for X, a, Y, b in blocks]
+    raw = np.concatenate([p.reshape(p.shape[:-2] + (p.shape[-2] * p.shape[-1],)) for p in parts],
+                         axis=-1)
+    return np.swapaxes(plan.signs * raw[..., plan.index], -1, -2)
+def _basis_matrix(plan: DofPlan, space: ElementSpace) -> np.ndarray:
+    """The DOF matrix under plan: the contraction with the space's labels as its terms."""
+    tables = moment_tables(plan, space._maxdeg)
+    return _dof_values(plan, lambda rows, kind: tables[kind][rows], space._rows)
+
+
 def dof_vector_ld(dofset: DofSet, field) -> np.ndarray:
-    """The field's DOF vector: one uv call on the plan's axes, plus one
-    div_values call on the inner axes for div moments.  Values with
-    leading axes give one vector per row."""
+    """The field's DOF vector: its factor sample on the plan's nodes contracted
+    and summed over its terms, or M c for a member.  Leading axes give one
+    vector per row."""
+    if isinstance(field, SpaceMember):
+        M = _basis_matrix(_plan_for(dofset, field.space._maxdeg), field.space)
+        return (M @ field.coeffs.astype(np.longdouble)[..., None])[..., 0]
     degs = getattr(field, "degree_bounds", None)
     plan = _plan_for(dofset, None if degs is None else max(max(d) for d in degs))
-    U, V = field.uv(plan.x, plan.y)
-    grid = np.broadcast(U, V, plan.x, plan.y).shape
-    U, V = (np.broadcast_to(vals, grid) for vals in (U, V))
-    D = None
-    if plan.has_div:
-        D = np.broadcast_to(field.div_values(*plan.inner), grid[:-2] + (plan.n,) * 2)
-    return plan.apply(U, V, D)
+    return _dof_values(plan, plan.moment, field.factor_sample(plan.nodes, plan.nodes)).sum(-1)
 
 
 @functools.lru_cache(maxsize=None)
 def moment_tables(plan: DofPlan, deg: int) -> tuple:
-    """(ends, edge, interior, div): the plan's 1-D moments against the trial
-    factors of degree <= deg, cached per plan (one per (functionals, n)) and deg.
-
-    Rows are those of elements.factor_values.  ends holds each factor at 0
-    and 1; edge, interior and div hold the plan's weight rows contracted
-    with each factor on its n nodes.
-    """
-    F = factor_values(deg, gauss_legendre_01(plan.n).nodes_ld)
-    tables = (factor_values(deg, np.array([0, 1], dtype=np.longdouble)),) + tuple(
-        F @ W.T for W in (plan.edge, plan.interior, plan.div))
+    """plan.moment of every kind of the rows of factor_values(deg) on the plan's
+    nodes, read-only, cached per plan and trial degree."""
+    F = factor_values(deg, plan.nodes)
+    tables = tuple(plan.moment(F, kind) for kind in range(4))
     for a in tables:
         a.setflags(write=False)
     return tables
 
 
 def dof_matrix_ld(dofset: DofSet, space: ElementSpace) -> np.ndarray:
-    """M[a, b] = functional a applied to basis member b, extended precision.
-
-    Each entry is a product of two 1-D moments of the plan that every
-    member's DOF vector uses: an edge moment is one factor's value at the
-    edge's end node times the other's edge moment, and an interior or
-    divergence moment the product of the two factors' weighted sums.
-    Outer products of moment_tables' rows fill the raw moments, which the
-    plan's index and signs put in functional order, as DofPlan.apply does.
-    """
-    plan = _plan_for(dofset, space._maxdeg)
-    ends, edge, interior, div = moment_tables(plan, space._maxdeg)
-    (ux, uy), (vx, vy), (dx, dy) = space._rows
-    # edges left (0, t) and right (1, t), then bottom (t, 0) and top (t, 1), as EDGES
-    blocks = ((ends, edge, ux, uy), (ends, edge, vy, vx), (interior, interior, ux, uy),
-              (interior, interior, vx, vy), (div, div, dx, dy))
-    raw = np.concatenate([(A[fa][:, :, None] * B[fb][:, None, :]).reshape(space.dim, -1)
-                          for A, B, fa, fb in blocks], axis=1)
-    return (plan.signs * raw[:, plan.index]).T
+    """M[a, b] = functional a applied to basis member b, extended precision,
+    under the plan every member's DOF vector uses."""
+    return _basis_matrix(_plan_for(dofset, space._maxdeg), space)

@@ -10,26 +10,23 @@ Three H(div) families over K = [0,1]^2:
                                                                      monomial x^{k+1}y^{k+1}
 
 The tensor components are spanned by shifted-Legendre products
-L_i(x) L_j(y) rather than raw monomials.  The spanned spaces are
-identical (the index sets are downward closed), but the orthogonal
-basis keeps the DOF matrices well-conditioned at k = 4 where monomial
-bases are numerically singular.  BDM's curl label (i, j) is
-curl(L_i(x) L_j(y)) = (L_i(x) L_j'(y), -L_i'(x) L_j(y)); it spans, with
-P_k^2, what curl x^{k+1}y and curl x y^{k+1} span.  family_sets(family,
-k) holds the table above as (i, j) index sets (labels per component,
-curl labels, divergence image, moment tests).
+L_i(x) L_j(y) rather than raw monomials: the same spaces (the index sets
+are downward closed), but the orthogonal basis keeps the DOF matrices
+well-conditioned at k = 4 where monomial bases are numerically singular.
+BDM's curl label (i, j) is curl(L_i(x) L_j(y)) = (L_i(x) L_j'(y),
+-L_i'(x) L_j(y)); with P_k^2 it spans what curl x^{k+1}y and curl x y^{k+1}
+span.  family_sets(family, k) holds the table above as (i, j) index sets.
 The basis has one encoding: each label's u, v and div are products
-X(x) Y(y) of two rows of factor_values (L_m, L_m', -L_m' or zero), and
-factor_rows names them.  Evaluation (tabulate, tabulate_div), the DOF
-matrix's 1-D moments (dofs.moment_tables), the exact Legendre
-coordinates and the structural degrees (_label_degrees) all read those
-rows, with no branch per kind of label.  A member is its space and its
-coefficient vector, evaluated only through the space's tables.  The
-package has no other polynomial representation: monomial grids live in
-the tests' oracle, and poly is only the benchmark tracer's marker.
-Because the Legendre products are orthogonal and differentiate with
-integer coefficients, the Gram matrix has a closed form and the div-span
-certificate runs in exact arithmetic, with no monomial grids at all.
+X(x) Y(y) of two rows of factor_values (L_m, L_m', -L_m' or zero), named
+by factor_rows.  Evaluation (tabulate, tabulate_div), a member's factor
+sample, the DOF matrix's 1-D moments (dofs.moment_tables), the exact
+Legendre coordinates and the structural degrees (_label_degrees) all read
+those rows, with no branch per kind of label.  A member is its space and
+its coefficient vector; the package has no other polynomial
+representation (monomial grids live in the tests' oracle).  The Legendre
+products are orthogonal and differentiate with integer coefficients, so
+the Gram matrix has a closed form and the div-span certificate runs in
+exact arithmetic.
 """
 
 from __future__ import annotations
@@ -172,16 +169,13 @@ class SpaceMember:
     """A concrete field in an element space: its basis-coefficient vector.
 
     uv/div_values contract the coefficients with the space's tables
-    (tabulate, tabulate_div: the factor rows the DOF moment tables use,
-    from the Legendre recurrence), so members evaluate to full precision
-    at high degree.  A member has no monomial grids and no algebra of its
-    own (u, v, divergence() and +, -, * do not exist); members combine by
-    their coefficients, space.member(a.coeffs + b.coeffs).
-
-    coeffs may also be an (m, dim) stack, one member per row, as a
-    study's fields carry hx, hy columns: the basis is tabulated once,
-    uv/div_values return one row per member and degree_bounds covers
-    every row; require_single guards the code that takes one member.
+    (tabulate, tabulate_div), so members evaluate to full precision at
+    high degree.  A member has no monomial grids and no algebra of its own
+    (u, v, divergence() and +, -, * do not exist); members combine by
+    their coefficients, space.member(a.coeffs + b.coeffs).  coeffs may be
+    an (m, dim) stack, one member per row: the basis is tabulated once,
+    uv/div_values return one row per member and degree_bounds covers every
+    row; require_single guards the code that takes one member.
     """
 
     __slots__ = ("space", "coeffs")
@@ -207,6 +201,14 @@ class SpaceMember:
 
     def div_values(self, x, y):
         return contract(self.coeffs, self.space.tabulate_div(x, y))
+
+    def factor_sample(self, x, y) -> tuple:
+        """The factor sample (fields.py) at nodes x and y: one term per label, its
+        factor rows, the x rows weighted by the label's coefficient."""
+        Fx, Fy = (np.moveaxis(factor_values(self.space._maxdeg, np.asarray(z)), 0, -2)
+                  for z in (x, y))
+        return tuple((self.coeffs[..., None] * Fx[..., rx, :], Fy[..., ry, :])
+                     for rx, ry in self.space._rows)
 
     def __repr__(self):
         return f"SpaceMember({self.space!r}, coeffs={self.coeffs!r})"

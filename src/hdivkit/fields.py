@@ -1,12 +1,25 @@
-"""Manufactured vector fields with closed-form partial derivatives.
+"""Manufactured vector fields, their closed-form partials, and factor samples.
 
-Each component of a manufactured field is one term: a product fx(x) fy(y)
-of 1-D factors (1, the coordinate, exp, sin or cos of pi z) or a plane
-wave g(a x + b y) with g in sin, cos, exp.  Asked for a partial (a1, a2),
-a term returns its closed form, or None where it vanishes identically, so
-the partials (up to total order 6, enough for the rate k+2 at k = 4) and
-the structural zeros the rate predictions read share one description.
-The divergence is assembled from component partials.
+Each component of a manufactured field is one term: asked for a partial
+(a1, a2), up to total order 6 (the rate k+2 at k = 4), it returns the
+partial as 1-D factor pairs (fx, fy), summing to fx(x) fy(y), and ()
+where it vanishes identically.  A separable term (factors 1, the
+coordinate, exp, sin or cos of pi z) is one pair; a plane wave
+g(a x + b y) is one pair for exp and two for sin and cos, by angle
+addition.  partial, uv and div_values sum the same pairs (the
+divergence's are both component partials'), and the structural zeros the
+rate predictions read are the empty tuples.
+
+Factor samples.  Every field a DOF vector is taken of has
+factor_sample(x, y), for 1-D nodes x and y with optional leading axes:
+for u, v and div, a pair X, Y of shape batch + (r, n), one r for all
+three, whose products X[r, i] Y[r, j] summed over the r terms are the
+component at (x_i, y_j).  A manufactured field's terms are its pairs,
+padded with zero terms; a FieldStack's rows are its fields' samples,
+padded likewise; a CallableField is the full-rank case, the identity in
+x against its values on the grid; a SpaceMember's terms are its labels
+(elements); a PulledBackField scales its field's factors (harness).  dofs
+applies every functional to these 1-D samples.
 
 The fixed ids used by the refinement studies:
 
@@ -20,7 +33,7 @@ from __future__ import annotations
 
 import functools
 import os
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -30,8 +43,9 @@ HALF_PI = np.pi / 2.0
 MAX_PARTIAL_ORDER = 6
 DEFAULT_SEED = 42
 
-# (a1, a2) -> the partial d^{a1}_x d^{a2}_y, or None where it vanishes identically
-Term = Callable[[int, int], Optional[Callable]]
+# (a1, a2) -> the partial d^{a1}_x d^{a2}_y as factor pairs (fx, fy), () where it vanishes
+Pairs = Tuple[Tuple[Callable, Callable], ...]
+Term = Callable[[int, int], Pairs]
 
 
 def env_seed() -> int:
@@ -58,11 +72,22 @@ def check_seed(seed: Optional[int]) -> None:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
 
-def _zero_fn(x, y):
-    """Zeros of the points' broadcast shape, in x's float type (double otherwise)."""
+def _sum_of_products(pairs: Pairs, x, y):
+    """The sum of fx(x) fy(y) over the pairs, in their order; for none, zeros of the
+    points' broadcast shape in x's float type (double otherwise)."""
+    if pairs:
+        return functools.reduce(np.add, (fx(x) * fy(y) for fx, fy in pairs))
     x = np.asarray(x)
-    return np.zeros(np.broadcast(x, y).shape,
-                    x.dtype if x.dtype.kind == "f" else float)
+    return np.zeros(np.broadcast(x, y).shape, x.dtype if x.dtype.kind == "f" else float)
+
+
+def _factors(pairs: Pairs, r: int, x, y) -> tuple:
+    """The pairs' x factors at x and y factors at y, one row per pair and zero rows
+    up to r: shapes batch + (r, n) for nodes of shape batch + (n,)."""
+    xs, ys = zip(*pairs) if pairs else ((), ())
+    return tuple(np.moveaxis(np.reshape([f(z) for f in fs] + [np.zeros_like(z)] * (r - len(fs)),
+                                        (r,) + z.shape), 0, -2)
+                 for fs, z in ((xs, np.asarray(x)), (ys, np.asarray(y))))
 
 
 def _factor(kind: str, n: int) -> Optional[Callable]:
@@ -83,14 +108,12 @@ def _factor(kind: str, n: int) -> Optional[Callable]:
 
 
 def separable(fx: str, fy: str) -> Term:
-    """The term fx(x) * fy(y) of two 1-D factors (kinds as in _factor)."""
+    """The term fx(x) * fy(y) of two 1-D factors (kinds as in _factor): one pair."""
 
     @functools.lru_cache(maxsize=None)
-    def term(a1: int, a2: int) -> Optional[Callable]:
+    def term(a1: int, a2: int) -> Pairs:
         px, py = _factor(fx, a1), _factor(fy, a2)
-        if px is None or py is None:
-            return None
-        return lambda x, y: px(x) * py(y)
+        return () if px is None or py is None else ((px, py),)
 
     return term
 
@@ -100,52 +123,58 @@ def _times(c: int, z):
 
 
 def wave(g: str, a: int, b: int) -> Term:
-    """The plane-wave term g(a x + b y), g in sin, cos, exp, with a, b nonzero."""
-    fn = getattr(np, g)
+    """The plane-wave term g(a x + b y), g in sin, cos, exp, with a, b nonzero:
+    exp(a x) exp(b y), or sin(A + B) = sin A cos B + cos A sin B with B = b y
+    and A = a x plus the partial's phase (and cos's, cos z = sin(z + pi/2))."""
 
     @functools.lru_cache(maxsize=None)
-    def term(a1: int, a2: int) -> Callable:
+    def term(a1: int, a2: int) -> Pairs:
         amp = a**a1 * b**a2
-
-        def f(x, y):
-            t = _times(a, np.asarray(x)) + _times(b, np.asarray(y))
-            return _times(amp, fn(t) if g == "exp" else fn(t + (a1 + a2) * HALF_PI))
-
-        return f
+        if g == "exp":
+            return ((lambda x: _times(amp, np.exp(_times(a, np.asarray(x)))),
+                     lambda y: np.exp(_times(b, np.asarray(y)))),)
+        phase = (a1 + a2 + (g == "cos")) * HALF_PI
+        return tuple((lambda x, A=A: _times(amp, A(_times(a, np.asarray(x)) + phase)),
+                      lambda y, B=B: B(_times(b, np.asarray(y))))
+                     for A, B in ((np.sin, np.cos), (np.cos, np.sin)))
 
     return term
 
 
-def zero(a1: int, a2: int) -> None:
+def zero(a1: int, a2: int) -> Pairs:
     """The identically zero component."""
-    return None
+    return ()
 
 
 class ManufacturedField:
     """Smooth field on the plane: one term per component.
 
     partial(a1, a2, comp) returns a vectorized callable for
-    d^{a1+a2} u_comp / dx^{a1} dy^{a2}.  deriv_nonzero reads the same
-    term's answer, so a flag is False exactly when the partial vanishes
-    by construction, and rate predictions see every structural zero.
+    d^{a1+a2} u_comp / dx^{a1} dy^{a2}, the sum of the term's pairs.
+    deriv_nonzero reads the same pairs, so a flag is False exactly when the
+    partial vanishes by construction, and rate predictions see every
+    structural zero.
     """
 
     def __init__(self, fid: str, u: Term, v: Term):
         self.id = fid
         self._terms = (u, v)
 
-    def _term(self, a1: int, a2: int, comp: int) -> Optional[Callable]:
+    def _pairs(self, a1: int, a2: int, comp: int) -> Pairs:
         if comp not in (0, 1):
             raise ValueError("component must be 0 or 1")
         return self._terms[comp](a1, a2)
 
+    def _div_pairs(self) -> Pairs:
+        return self._pairs(1, 0, 0) + self._pairs(0, 1, 1)
+
     def partial(self, a1: int, a2: int, comp: int) -> Callable:
         if a1 < 0 or a2 < 0 or a1 + a2 > MAX_PARTIAL_ORDER:
             raise ValueError("partial order out of the supported range")
-        return self._term(a1, a2, comp) or _zero_fn
+        return functools.partial(_sum_of_products, self._pairs(a1, a2, comp))
 
     def deriv_nonzero(self, a1: int, a2: int, comp: int) -> bool:
-        return self._term(a1, a2, comp) is not None
+        return bool(self._pairs(a1, a2, comp))
 
     def div_deriv_nonzero(self, a1: int, a2: int) -> bool:
         return self.deriv_nonzero(a1 + 1, a2, 0) or self.deriv_nonzero(a1, a2 + 1, 1)
@@ -154,7 +183,11 @@ class ManufacturedField:
         return self.partial(0, 0, 0)(x, y), self.partial(0, 0, 1)(x, y)
 
     def div_values(self, x, y):
-        return self.partial(1, 0, 0)(x, y) + self.partial(0, 1, 1)(x, y)
+        return _sum_of_products(self._div_pairs(), x, y)
+
+    def factor_sample(self, x, y):
+        pairs = (self._pairs(0, 0, 0), self._pairs(0, 0, 1), self._div_pairs())
+        return tuple(_factors(p, max(map(len, pairs)), x, y) for p in pairs)
 
     def __repr__(self):
         return f"ManufacturedField({self.id})"
@@ -217,31 +250,25 @@ def make_reproduction_field(family, k: int, seed: Optional[int] = None) -> Repro
 
 
 class FieldStack:
-    """Several fields as one: uv and div_values return one row per field,
-    each the values of that field's own call, so one DOF-vector call and
-    one stacked solve interpolate them all with every field's own bits."""
+    """Several fields as one factor sample, one row per field padded with zero
+    terms, so one DOF-vector call and one stacked solve interpolate them all
+    with every field's own bits."""
 
     def __init__(self, fields):
         self.fields = tuple(fields)
 
-    def uv(self, x, y):
-        U, V = zip(*(f.uv(x, y) for f in self.fields))
-        return _rows(U, x, y), _rows(V, x, y)
-
-    def div_values(self, x, y):
-        return _rows([f.div_values(x, y) for f in self.fields], x, y)
-
-
-def _rows(values, x, y):
-    """One row per field's values, each broadcast to the points' shape."""
-    shape = np.broadcast(x, y).shape
-    return np.stack([np.broadcast_to(v, shape) for v in values])
+    def factor_sample(self, x, y):
+        samples = [f.factor_sample(x, y) for f in self.fields]
+        r = max(X.shape[-2] for (X, _), _, _ in samples)
+        pad = lambda F: np.concatenate(  # noqa: E731
+            [F, np.zeros(F.shape[:-2] + (r - F.shape[-2], F.shape[-1]), F.dtype)], axis=-2)
+        return tuple(tuple(np.stack([pad(F) for F in fs]) for fs in zip(*pairs))
+                     for pairs in zip(*samples))
 
 
 class _Values:
     """A field known only by its values (U, V, div), whatever the points: constants,
-    or one sample read on its own grid and nowhere else (harness: a study's mapped
-    error rule; interpolation.field_sample: the 20-point plan's and projector's axes)."""
+    or one sample read on its own grid and nowhere else (a study's error rule)."""
 
     def __init__(self, U, V, D):
         self.U, self.V, self.D = U, V, D
@@ -254,7 +281,10 @@ class _Values:
 
 
 class CallableField:
-    """Adapter giving plain callables the field protocol (uv, div_values)."""
+    """Adapter giving plain callables the field protocol.  Its factor sample is
+    the full-rank case, term r the identity at node x_r against the values at
+    (x_r, y); a missing divergence samples as nan, which only sets with div
+    moments read and solve rejects."""
 
     def __init__(self, uv_fn: Callable, div_fn: Optional[Callable] = None, fid: str = "custom"):
         self.id = fid
@@ -268,6 +298,14 @@ class CallableField:
         if self._div is None:
             raise ValueError(f"field {self.id!r} has no divergence callable")
         return self._div(x, y)
+
+    def factor_sample(self, x, y):
+        col, row = np.asarray(x)[..., :, None], np.asarray(y)[..., None, :]
+        grid = np.broadcast(col, row).shape
+        eye = np.broadcast_to(np.eye(grid[-2], dtype=np.result_type(col, float)),
+                              grid[:-1] + grid[-2:-1])
+        div = np.nan if self._div is None else self._div(col, row)
+        return tuple((eye, np.broadcast_to(v, grid)) for v in (*self._uv(col, row), div))
 
 
 _MANUFACTURED = {"MS-G": MS_G, "MS-X": MS_X, "MS-Y": MS_Y}

@@ -16,23 +16,22 @@ so a study that refines a direction the field does not depend on is
 checked for stagnation instead of a bogus rate.
 
 A field goes to the reference square one way, PulledBackField; piola_push
-pulls one member back through the inverse map.  A study runs its levels as
-one batch.  The field is pulled back to every rectangle at once (hx, hy of
-shape (levels, 1, 1), a leading axis that never pairs with a rule axis of
-the same length), so one DOF vector call evaluates it on
-levels x the plan's axes and one stacked solve gives every level's
-coefficients; an MS-P member is its own pull-back, so it is solved once.
-Errors are integrated on one 20 x 20 Gauss rule, handed out as axes
-(_mapped_rule): the field is sampled once per level and distinct
-coordinate, and error_Lp reads the (levels, 20, 20) values x-major as
-(levels, 400) rows, the order its sums have always had.  The operator
-keeps its basis on the same axes (rule_tables).  Interpolants are
-coefficients contracted with that table (one gemv per level; one gemm
-over all levels moves last bits), times the Piola factors; a reproduced
-member goes through the same table, so both sides of its error meet at
-the same points even where (h x) / h misses x by an ulp.  Both samples
-are values-only fields (fields._Values), and the norm and both errors
-are one error_Lp call each.
+pulls one member back through the inverse map.  A study pulls the field
+back to all its levels at once (hx, hy of shape (levels, 1, 1)): the
+pull-back's factor sample is its field's factors at hx s and hy s, one row
+of nodes per level, the x factors scaled by the Piola factors, so one DOF
+vector call samples levels x the plan's 1-D nodes and one stacked solve
+gives every level's coefficients; an MS-P member is its own pull-back, so
+it is solved once.  Errors are integrated on one 20 x 20 Gauss rule,
+handed out as axes (_mapped_rule): the field is sampled once per level and
+distinct coordinate, and error_Lp reads the (levels, 20, 20) values
+x-major as (levels, 400) rows.  The operator keeps its basis on the same
+axes (rule_tables).  Interpolants are coefficients contracted with that
+table (one gemv per level; one gemm moves last bits), times the Piola
+factors; a reproduced member goes through the same table, so both sides of
+its error meet at the same points even where (h x) / h misses x by an
+ulp.  Both samples are values-only fields (fields._Values), and the norm
+and both errors are one error_Lp call each.
 
 Verdicts are one-sided: a fitted rate a whole tolerance above the
 prediction is flagged superconvergent but passes, since the theorems
@@ -92,8 +91,8 @@ class PulledBackField:
 
     With F(x, y) = (hx x, hy y): u_ref = (hy u . F, hx v . F) and
     div_ref = hx hy (div u) . F.  hx and hy may have shape (n, 1, 1), one
-    row per rectangle ahead of the (x, y) axes; the values then carry that
-    leading axis.
+    row per rectangle ahead of the (x, y) axes or of the factors' (r, nodes)
+    axes; the values then carry that leading axis.
     """
 
     def __init__(self, fld, hx, hy):
@@ -107,6 +106,13 @@ class PulledBackField:
     def div_values(self, x, y):
         d = self.field.div_values(self.hx * np.asarray(x), self.hy * np.asarray(y))
         return (self.hx * self.hy) * d
+
+    def factor_sample(self, x, y):
+        # sides (n, 1, 1) map 1-D nodes to one row per rectangle, (n, len)
+        (ux, uy), (vx, vy), (dx, dy) = self.field.factor_sample(*(
+            (np.asarray(h)[..., 0] if np.ndim(h) else h) * np.asarray(z)
+            for h, z in ((self.hx, x), (self.hy, y))))
+        return (self.hy * ux, uy), (self.hx * vx, vy), ((self.hx * self.hy) * dx, dy)
 
 
 def piola_push(rect: PhysicalRect, member: SpaceMember) -> PulledBackField:
@@ -208,6 +214,9 @@ class StudyConfig:
             raise ValueError("levels must be an integer")
         if self.levels < 3:
             raise ValueError("levels must be >= 3")
+        for name in ("h0", "rho", "rate_tolerance"):  # bools are numbers to < and isfinite
+            if isinstance(getattr(self, name), (bool, np.bool_)):
+                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
         if not (0 < self.h0 <= 1):
             raise ValueError("h0 must lie in (0, 1]")
         if isinstance(self.p, (bool, np.bool_)) or not (math.isfinite(self.p) and self.p >= 1):

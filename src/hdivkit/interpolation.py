@@ -13,22 +13,22 @@ iterative refinement with an approximate inverse, which converges while
 Algorithms, ch. 12).  The coefficient error then tracks the extended
 epsilon rather than the double one, which keeps a study's pushed members,
 whose roundoff grows with the 1/h Piola factors, within 1e-12.  `solve`
-takes DOF vectors with leading axes (a study's levels, the rows of a
-member stack or a FieldStack) as a stack of single columns: numpy's
-matmul runs the same matrix-vector
-product for each column, which keeps the bits of a lone solve; one
-product with a matrix of many columns may sum in another order.  So
-`interpolate` of a stacked field is a stacked member, one row per field.
-An operator keeps its basis on the studies' error rule (rule_tables).
+takes DOF vectors with leading axes (a study's levels, a member stack or
+a FieldStack) as a stack of single columns: numpy's matmul runs the same
+matrix-vector product for each column, which keeps the bits of a lone
+solve.  So `interpolate` of a stacked field is a stacked member, one row
+per field.  An operator keeps its basis on the studies' error rule
+(rule_tables).
 
 The projector works in an orthogonal Legendre-product basis of the same
 span as the declared monomial basis (all divergence index sets are
 downward closed, so the spans coincide).  It integrates values on one
-fixed 20 x 20 Gauss rule in extended precision, whose axes are the inner
-axes of every 20-point DOF plan: `coefficients` takes a stack of values,
-one row per field, and `coeffs_internal` any callable w(x, y).  So the
-commuting check samples its fields once per process (field_sample), and
-their DOF vectors and projections both read that one sample.
+fixed 20 x 20 Gauss rule in extended precision, on the inner nodes of
+every 20-point DOF plan: `coefficients` takes a stack of values, one row
+per field, and `coeffs_internal` any callable w(x, y).  The commuting
+check caches its fields' factor samples on those plans' nodes once per
+process (cached_sample); the DOF vectors read the samples, and the
+projector the divergences their div factors give on its rule.
 """
 
 from __future__ import annotations
@@ -40,12 +40,12 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import legendre
-from .dofs import DofSet, build_dofs, dof_vector_ld, dof_matrix_ld, plan_axes
+from .dofs import DofSet, build_dofs, dof_vector_ld, dof_matrix_ld, plan_nodes
 from .elements import (
     ElementFamily, ElementSpace, ScalarSpace, SpaceMember, _as_family, build_div_space,
     build_space,
 )
-from .fields import FieldStack, _Values, commuting_battery
+from .fields import FieldStack, commuting_battery
 from .quadrature import NONPOLY_POINTS, gauss_legendre_01, tensor_rule
 
 COND_FAIL = 1e12
@@ -171,7 +171,8 @@ class L2Projector:
     def _rule_tables(self) -> tuple:
         """The fixed rule's long-double axes, (20, 20) weights and Legendre values."""
         n = NONPOLY_POINTS
-        x, y = plan_axes(n)[2]  # the inner axes of every 20-point DOF plan
+        t = gauss_legendre_01(n).nodes_ld  # the inner nodes of every 20-point DOF plan
+        x, y = t[:, None], t[None, :]
         nmax = max(max(i, j) for i, j in self._index)
         return (x, y, tensor_rule(n, n).ws_ld.reshape(n, n),
                 legendre.values(nmax, x), legendre.values(nmax, y))
@@ -207,36 +208,47 @@ def _reference_projector(family: ElementFamily, k: int) -> L2Projector:
 SAMPLE_GRID = 21
 
 
-@functools.lru_cache(maxsize=8)
-def field_sample(fields: tuple) -> _Values:
-    """A FieldStack of the fields sampled once per process, read-only: uv on
-    the axes {0, t, 1} of every 20-point DOF plan, div_values on their inner
-    axes (t, t), which are also the projector's rule axes."""
-    (x, y, inner), stack = plan_axes(NONPOLY_POINTS), FieldStack(fields)
-    sample = _Values(*stack.uv(x, y), stack.div_values(*inner))
-    for a in (sample.U, sample.V, sample.D):
-        a.setflags(write=False)
-    return sample
+class _Sampled:
+    """Fields known only by their factor sample, taken once, read-only, on the
+    nodes of every 20-point DOF plan, whatever nodes are asked for; div holds
+    their divergences on the projector's rule (the inner nodes), summed over
+    the terms in order as div_values sums its pairs."""
+
+    def __init__(self, fields):
+        nodes = plan_nodes(NONPOLY_POINTS)
+        self.sample = FieldStack(fields).factor_sample(nodes, nodes)
+        X, Y = (F[..., 1:-1] for F in self.sample[2])
+        self.div = functools.reduce(np.add, (X[:, r, :, None] * Y[:, r, None, :]
+                                             for r in range(X.shape[1])))
+        for a in (*sum(self.sample, ()), self.div):
+            a.setflags(write=False)
+
+    def factor_sample(self, x, y):
+        return self.sample
+
+
+# the cached sample of a tuple of fields, filled on first use
+cached_sample = functools.lru_cache(maxsize=8)(_Sampled)
 
 
 def commuting_residuals(family, k: int, fields, replace_div_moments: bool = False) -> np.ndarray:
     """Per field, max over a 21 x 21 grid of |div(I field) - P(div field)|.
 
-    Both sides read one field_sample, taken before any DOF vector: one
-    DOF-vector call and one stacked solve interpolate it, one tabulation of
-    the basis divergences on the grid and one gemv per field
-    (elements.contract; a gemm over all rows may round apart) evaluate the
-    interpolants, and one stacked projector pass integrates the divergences,
-    so every residual keeps a lone field's bits.  Both sides use the
-    Legendre recurrence; a monomial grid would cost two digits at k >= 3.
+    Both sides read one cached_sample: one DOF-vector call and one stacked
+    solve interpolate it, one tabulation of the basis divergences on the
+    grid and one gemv per field (elements.contract; a gemm over all rows may
+    round apart) evaluate the interpolants, and one stacked projector pass
+    integrates the sample's divergences, so every residual keeps a lone
+    field's bits.  Both sides use the Legendre recurrence; a monomial grid
+    would cost two digits at k >= 3.
     """
-    sample = field_sample(tuple(fields))
+    sample = cached_sample(tuple(fields))
     op = reference_operator(family, k, replace_div_moments)
     proj = reference_projector(family, k)
     s = np.linspace(0.0, 1.0, SAMPLE_GRID)
     x, y = s[:, None], s[None, :]
     lhs = op.interpolate(sample).div_values(x, y)
-    rhs = _eval_legendre_sum(proj._index, proj.coefficients(sample.D), x, y)
+    rhs = _eval_legendre_sum(proj._index, proj.coefficients(sample.div), x, y)
     return np.max(np.abs(lhs - rhs), axis=(1, 2))
 
 

@@ -7,7 +7,7 @@ algebra (products, formal partials, the divergence and the curl) build
 the grids here from the labels or the coefficients, never from the
 member.  Polynomial2D is a dense monomial grid with +, -, * and
 negation, VectorPoly2D a pair of them with the field interface the
-library evaluates (uv, div_values, degree_bounds), and the shifted
+library evaluates (uv, div_values, their factor samples, degree_bounds), and the shifted
 Legendre polynomials expand into monomials and back in exact rationals.
 """
 
@@ -82,6 +82,18 @@ class Polynomial2D:
             acc = acc * x + row
         return acc[()]
 
+    def factors(self, x, y):
+        """Factor pairs, one term per row i of the grid: x^i at the nodes x
+        against sum_j c[i, j] y^j at the nodes y, shapes (..., dx + 1, n)."""
+        x, y = np.asarray(x), np.asarray(y)
+        dt = np.result_type(x.dtype, y.dtype, np.float64)
+        c = self.coeffs.astype(dt)
+        X = np.stack([x.astype(dt) ** i for i in range(len(c))], axis=-2)
+        Y = np.zeros(y.shape[:-1] + (len(c), y.shape[-1]), dtype=dt)
+        for j in range(c.shape[1] - 1, -1, -1):
+            Y = Y * y[..., None, :] + c[:, j, None]
+        return X, Y
+
     def partial(self, direction: str, order: int = 1) -> "Polynomial2D":
         """Formal partial derivative; degree bound floored at 0."""
         if direction not in ("x", "y"):
@@ -155,6 +167,16 @@ class VectorPoly2D:
     def div_values(self, x, y):
         """du/dx + dv/dy sampled at points, from the formal partials."""
         return self.u.partial("x").eval(x, y) + self.v.partial("y").eval(x, y)
+
+    def factor_sample(self, x, y):
+        """u, v and div as factor pairs, each padded with zero terms to one count."""
+        ux, vx = self.u.partial("x").factors(x, y), self.v.partial("y").factors(x, y)
+        div = tuple(np.concatenate(fs, axis=-2) for fs in zip(ux, vx))
+        pairs = (self.u.factors(x, y), self.v.factors(x, y), div)
+        r = max(X.shape[-2] for X, _ in pairs)
+        return tuple(tuple(np.concatenate([F, np.zeros(F.shape[:-2] + (r - F.shape[-2],)
+                                                        + F.shape[-1:], F.dtype)], axis=-2)
+                           for F in pair) for pair in pairs)
 
     def __repr__(self):
         return f"VectorPoly2D(u={self.u!r}, v={self.v!r})"

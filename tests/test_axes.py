@@ -1,12 +1,24 @@
-"""Axis evaluation: a tensor grid sampled on its axes equals the grid enumerated.
+"""Axis evaluation: a tensor grid sampled on its axes equals the grid enumerated,
+and a factor sample on the grid's 1-D nodes equals the values on the grid.
 
 Every tensor rule hands its points out as a column x and a row y (with a
 leading level axis when a study stacks its rectangles), and the fields
 broadcast them.  The values must be the enumerated evaluation's, bit for
-bit (np.array_equal), in double and extended precision: the DOF vectors,
-errors and commuting residuals are pinned to the bits of the enumerated
-points.  This compares with the enumerated evaluation itself, not with a
-stored hash, so a libm whose vector and scalar paths differ shows here.
+bit (np.array_equal), in double and extended precision: the errors and
+commuting residuals are pinned to the bits of the enumerated points.
+This compares with the enumerated evaluation itself, not with a stored
+hash, so a libm whose vector and scalar paths differ shows here.
+
+The same grids check the factor-sample contract that the DOF vectors rest
+on: the sum over the terms r of X_r(x_i) Y_r(y_j) is uv / div_values at
+(x_i, y_j).  A manufactured field's uv, partials and div_values are sums
+of the very pairs its samples hold, waves' angle-addition pairs included,
+and a CallableField's sample is the identity against its values, so these
+agree bit for bit, and so does a FieldStack of them.  A pull-back scales
+one factor where uv scales the product, and a member weights its x
+factors where uv weights the products, so those agree within
+2 (r + 2) ulps of the sum of |X_r Y_r|, the reassociation bound of a
+sum of r products (floored at (r + 2) smallest normals, for subnormals).
 """
 
 import numpy as np
@@ -14,15 +26,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hdivkit.dofs import _plan_for, build_dofs
+from hdivkit.dofs import _plan_for, build_dofs, plan_nodes
 from hdivkit.elements import FAMILIES, MAX_DEGREE, build_space, degree_range
 from hdivkit.fields import (
-    MAX_PARTIAL_ORDER, MS_G, MS_X, MS_Y, FieldStack, ManufacturedField, commuting_battery,
-    separable, wave,
+    MAX_PARTIAL_ORDER, MS_G, MS_X, MS_Y, CallableField, FieldStack, ManufacturedField,
+    _factors, commuting_battery, separable, wave,
 )
 from hdivkit.harness import PulledBackField, _mapped_rule
 from hdivkit.quadrature import EDGES, NONPOLY_POINTS, gauss_legendre_01
-from reference_oracle import edge_rule, enumerated_rule
+from reference_oracle import edge_rule, enumerated_rule, rule_points
 
 MANUFACTURED = [MS_G, MS_X, MS_Y] + commuting_battery()[1:]  # MS-G, B-2 ... B-5 and MS-X/Y
 PARTIALS = [(a1, a2, comp) for a1 in range(MAX_PARTIAL_ORDER + 1)
@@ -42,6 +54,7 @@ class Grid:
 
     def __init__(self, xs, ys, dtype, sides=None):
         xs, ys = np.array(xs, dtype=dtype), np.array(ys, dtype=dtype)
+        self.nodes = xs, ys  # the 1-D coordinates before any sides scale them
         self.x, self.y = xs[:, None], ys[None, :]
         self.xs, self.ys = np.repeat(xs, len(ys)), np.tile(ys, len(xs))
         self.shape = (len(xs), len(ys))
@@ -61,6 +74,33 @@ class Grid:
         """fn on the axes and on the enumerated points."""
         return fn(self.x, self.y), fn(self.xs, self.ys)
 
+    def axis_nodes(self):
+        """The 1-D nodes of the axes, with the sides' leading axis: (nx,) or (levels, nx)."""
+        return self.x[..., 0], self.y[..., 0, :]
+
+
+def _summed(X, Y):
+    """The sum over the terms, in order, of X_r(x_i) Y_r(y_j), and of its magnitudes."""
+    shape = np.broadcast_shapes(X.shape[:-2] + X.shape[-1:] + (1,),
+                                Y.shape[:-2] + (1,) + Y.shape[-1:])
+    out = size = np.zeros(shape, np.result_type(X, Y))
+    for r in range(X.shape[-2]):
+        term = X[..., r, :, None] * Y[..., r, None, :]
+        out, size = out + term, size + np.abs(term)
+    return out, size
+
+
+def _contract_holds(pairs, values, exact: bool) -> bool:
+    """The factor pairs sum to values: bit for bit, or within 2 (r + 2) ulps of the
+    sum of the terms' magnitudes; below the normal range rounding is absolute,
+    so that bound is floored at (r + 2) times the smallest normal number."""
+    got, size = _summed(*pairs)
+    values = np.broadcast_to(values, got.shape)
+    if exact:
+        return np.array_equal(got, values)
+    r, info = pairs[0].shape[-2], np.finfo(got.dtype)
+    return bool(np.all(np.abs(got - values) <= (r + 2) * (2 * info.eps * size + info.tiny)))
+
 
 def _grids(sides=st.none() | _sides):
     return st.builds(Grid, _coords, _coords, st.sampled_from(DTYPES), sides)
@@ -73,11 +113,17 @@ def _values(fld):
 @settings(max_examples=40, deadline=None)
 @given(grid=_grids())
 def test_manufactured_fields_and_partials(grid):
+    x, y = grid.axis_nodes()
     for fld in MANUFACTURED:
         for on_axes, enumerated in zip(*grid.both(_values(fld))):
             assert grid.same(on_axes, enumerated), fld
+        for pairs, values in zip(fld.factor_sample(x, y), _values(fld)(grid.x, grid.y)):
+            assert _contract_holds(pairs, values, exact=True), fld
         for a1, a2, comp in PARTIALS:
             assert grid.same(*grid.both(fld.partial(a1, a2, comp))), (fld, a1, a2, comp)
+            pairs = fld._pairs(a1, a2, comp)
+            assert _contract_holds(_factors(pairs, len(pairs), x, y),
+                                   fld.partial(a1, a2, comp)(grid.x, grid.y), exact=True)
 
 
 @settings(max_examples=40, deadline=None)
@@ -86,8 +132,14 @@ def test_manufactured_fields_and_partials(grid):
        a=st.sampled_from((-3, -2, -1, 1, 2, 3)), b=st.sampled_from((-3, -2, -1, 1, 2, 3)))
 def test_every_factor_and_wave_term(grid, fx, fy, g, a, b):
     fld = ManufacturedField("terms", separable(fx, fy), wave(g, a, b))
+    x, y = grid.axis_nodes()
     for a1, a2, comp in PARTIALS:
         assert grid.same(*grid.both(fld.partial(a1, a2, comp))), (fx, fy, g, a, b, a1, a2, comp)
+        pairs = fld._pairs(a1, a2, comp)
+        assert _contract_holds(_factors(pairs, len(pairs), x, y),
+                               fld.partial(a1, a2, comp)(grid.x, grid.y), exact=True)
+    for pairs, values in zip(fld.factor_sample(x, y), _values(fld)(grid.x, grid.y)):
+        assert _contract_holds(pairs, values, exact=True), (fx, fy, g, a, b)
 
 
 @settings(max_examples=25, deadline=None)
@@ -100,8 +152,21 @@ def test_pulled_back_fields_and_stacks(grid, sides):
     for on_axes, enumerated in zip(_values(stacked)(grid.x, grid.y),
                                    _values(columns)(grid.xs, grid.ys)):
         assert grid.same(on_axes, enumerated, (len(sides),))
-    for on_axes, enumerated in zip(*grid.both(_values(FieldStack(MANUFACTURED)))):
-        assert grid.same(on_axes, enumerated, (len(MANUFACTURED),))
+    # factor samples on the grid's 1-D nodes: a stacked pull-back of every field
+    # (one row of nodes per side), a FieldStack (one row per field's values),
+    # and a scalar-valued callable
+    x, y = grid.axis_nodes()
+    for fld in MANUFACTURED:
+        pulled = PulledBackField(fld, hx[:, None, None], hy[:, None, None])
+        for pairs, values in zip(pulled.factor_sample(x, y), _values(pulled)(grid.x, grid.y)):
+            assert _contract_holds(pairs, values, exact=False), fld
+    rows = np.stack([np.stack(np.broadcast_arrays(*_values(f)(grid.x, grid.y)))
+                     for f in MANUFACTURED], axis=1)
+    for pairs, values in zip(FieldStack(MANUFACTURED).factor_sample(x, y), rows):
+        assert _contract_holds(pairs, values, exact=True)
+    constant = CallableField(lambda x, y: (1.0, 2.0), lambda x, y: 0.5)
+    for pairs, values in zip(constant.factor_sample(x, y), _values(constant)(grid.x, grid.y)):
+        assert _contract_holds(pairs, values, exact=True)
 
 
 @settings(max_examples=30, deadline=None)
@@ -116,24 +181,32 @@ def test_member_tabulation(pair, grid, seed, rows):
     member = space.member(np.random.default_rng(seed).standard_normal((rows, space.dim)))
     for on_axes, enumerated in zip(*grid.both(_values(member))):
         assert grid.same(on_axes, enumerated, (rows,))
+    # the member stack's factor sample: one term per label, weighted by its row
+    x, y = grid.nodes
+    for pairs, values in zip(member.factor_sample(x, y), _values(member)(x[:, None], y[None, :])):
+        assert _contract_holds(pairs, values, exact=False)
 
 
 @pytest.mark.parametrize("family,k", ALL_PAIRS)
 def test_plan_axes_hold_the_edge_rules_and_the_grid(family, k):
-    # nodes {0, t, 1}: the four edges of reference_oracle.edge_rule and the n x n grid
+    # one read-only node axis {0, t, 1}: the grid it spans holds the four edges
+    # of reference_oracle.edge_rule and the n x n interior rule
     space = build_space(family, k)
     for degree in (space._maxdeg, None):
         plan = _plan_for(build_dofs(family, k), degree)
-        t = gauss_legendre_01(plan.n).nodes_ld
-        X, Y = np.broadcast_arrays(plan.x, plan.y)
-        assert X.dtype == Y.dtype == np.longdouble and X.shape == (plan.n + 2,) * 2
+        nodes = plan.nodes
+        assert nodes is plan_nodes(plan.n) and not nodes.flags.writeable
+        assert nodes.dtype == np.longdouble and nodes.shape == (plan.n + 2,)
+        assert np.array_equal(nodes[1:-1], gauss_legendre_01(plan.n).nodes_ld)
+        X, Y = np.broadcast_arrays(nodes[:, None], nodes[None, :])
         sides = {"left": (X[0, 1:-1], Y[0, 1:-1]), "right": (X[-1, 1:-1], Y[-1, 1:-1]),
                  "bottom": (X[1:-1, 0], Y[1:-1, 0]), "top": (X[1:-1, -1], Y[1:-1, -1])}
         for edge in EDGES:
             ex, ey, _, _ = edge_rule(edge, plan.n)
             assert np.array_equal(sides[edge][0], ex) and np.array_equal(sides[edge][1], ey)
-        assert np.array_equal(plan.inner[0][:, 0], t) and np.array_equal(plan.inner[1][0], t)
-        assert np.array_equal(X[1:-1, 1:-1], np.broadcast_to(t[:, None], (plan.n, plan.n)))
+        xs, ys, _ = rule_points(plan.n, plan.n, extended=True)
+        assert np.array_equal(X[1:-1, 1:-1].ravel(), xs)
+        assert np.array_equal(Y[1:-1, 1:-1].ravel(), ys)
 
 
 @pytest.mark.parametrize("sides", [None, [(0.5, 0.25), (0.3, 1e-3)]])

@@ -14,8 +14,8 @@ from hdivkit.dofs import (
     dof_vector_ld,
     moment_tables,
 )
-from hdivkit.elements import build_space, factor_rows
-from hdivkit.fields import MS_G, CallableField
+from hdivkit.elements import ElementSpace, SpaceMember, build_space, factor_rows
+from hdivkit.fields import MS_G, MS_X, MS_Y, CallableField, ManufacturedField, commuting_battery
 from hdivkit.harness import PulledBackField
 from hdivkit.interpolation import InterpolationOperator
 from hdivkit.quadrature import EDGES
@@ -151,16 +151,49 @@ def test_dof_matrix_matches_per_entry(family, k, replace):
         np.testing.assert_allclose(M[:, b].astype(float), col, atol=1e-14)
 
 
+# the sides of an 8-level fixed_aspect(64) study, h0 = 0.5, as (8, 1, 1) stacks
+STUDY_HX = 0.5 * 2.0 ** -np.arange(8.0)
+STUDY_SIDES = STUDY_HX.reshape(-1, 1, 1), (STUDY_HX / 64.0).reshape(-1, 1, 1)
+
+
 @pytest.mark.parametrize("family,k", PAIRS)
 def test_dof_vector_matches_loop_nonpolynomial(family, k):
-    # MS-G pulled back to a 1 x 1/64 rectangle: the plan's one evaluation
-    # at all points against one quadrature per functional
+    # every study and battery field pulled back to a 1 x 1/64 rectangle, and
+    # stacked to the levels of a fixed_aspect(64) study: the sum-factorised DOF
+    # vector against one quadrature per functional (row by row for a stack)
     dofset = build_dofs(family, k)
-    fld = PulledBackField(MS_G, 1.0, 1.0 / 64.0)
-    vec = dof_vector_ld(dofset, fld)
-    loop = np.array([apply_dof_ld(fn, fld) for fn in dofset.functionals])
-    assert vec.dtype == np.longdouble
-    assert np.max(np.abs(vec - loop)) <= 1e-15 * np.max(np.abs(loop))
+    for base in [MS_G, MS_X, MS_Y] + commuting_battery()[1:]:
+        fld = PulledBackField(base, 1.0, 1.0 / 64.0)
+        vec = dof_vector_ld(dofset, fld)
+        loop = np.array([apply_dof_ld(fn, fld) for fn in dofset.functionals])
+        assert vec.dtype == np.longdouble
+        assert np.max(np.abs(vec - loop)) <= 1e-15 * np.max(np.abs(loop)), base
+        stacked = dof_vector_ld(dofset, PulledBackField(base, *STUDY_SIDES))
+        assert stacked.shape == (8, dofset.count)
+        for row, hx in zip(stacked, STUDY_HX):
+            level = PulledBackField(base, hx, hx / 64.0)
+            loop = np.array([apply_dof_ld(fn, level) for fn in dofset.functionals])
+            assert np.max(np.abs(row - loop)) <= 1e-15 * np.max(np.abs(loop)), (base, hx)
+
+
+@pytest.mark.parametrize("family,k", PAIRS)
+def test_dof_vectors_sample_no_grid(family, k, monkeypatch):
+    # DOF vectors read 1-D factor samples only: no field, pull-back or member is
+    # evaluated on a grid, and no basis is tabulated, even for RT_0, BDM_1 and
+    # ABF_0, whose functionals read only the edges and the divergence
+    def refuse(*args, **kwargs):
+        raise AssertionError("a DOF vector sampled a 2-D grid")
+
+    for cls in (ManufacturedField, PulledBackField, SpaceMember):
+        for name in ("uv", "div_values"):
+            monkeypatch.setattr(cls, name, refuse)
+    monkeypatch.setattr(ElementSpace, "_tables", refuse)
+    dofset, space = build_dofs(family, k), build_space(family, k)
+    fields = [MS_G, MS_X, MS_Y] + commuting_battery()
+    for fld in fields + [PulledBackField(f, *STUDY_SIDES) for f in fields]:
+        assert np.all(np.isfinite(dof_vector_ld(dofset, fld))), fld
+    members = space.member(np.random.default_rng(k).standard_normal((20, space.dim)))
+    assert dof_vector_ld(dofset, members).shape == (20, dofset.count)
 
 
 def test_dof_vector_scalar_valued_field():
@@ -196,8 +229,8 @@ def test_moment_table_cache_bounded():
 
 @pytest.mark.parametrize("family,k", PAIRS)
 def test_matrix_product_matches_member_dof_vectors(family, k):
-    # M c and the member's DOF vector are the same quadrature sums of the same
-    # plan, evaluated in another order: 50 members agree to 32 extended ulps
+    # a member's DOF vector is M c under the operator's own plan; a stack of 50
+    # members agrees with C M^T to 32 extended ulps
     space, dofs = build_space(family, k), build_dofs(family, k)
     M = dof_matrix_ld(dofs, space)
     C = np.random.default_rng(k).standard_normal((50, space.dim))

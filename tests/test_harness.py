@@ -453,6 +453,15 @@ def test_config_validation():
     ({"p": np.True_}, "p must be finite and >= 1"),
     ({"k": True}, "degree k must be an integer"),
     ({"k": True, "p": True}, "degree k must be an integer"),
+    # and to < and isfinite: these built studies with h0 = 1 and tolerance 0
+    ({"h0": True}, "h0 must be a number, got True"),
+    ({"h0": np.True_}, "h0 must be a number, got np.True_"),
+    ({"mode": "fixed_aspect", "rho": True}, "rho must be a number, got True"),
+    ({"rho": np.True_}, "rho must be a number, got np.True_"),
+    ({"rate_tolerance": False}, "rate_tolerance must be a number, got False"),
+    ({"rate_tolerance": np.False_}, "rate_tolerance must be a number, got np.False_"),
+    ({"h0": True, "rho": True, "rate_tolerance": False, "mode": "fixed_aspect"},
+     "h0 must be a number, got True"),
 ])
 def test_config_owns_the_study_schema(kwargs, message):
     # the rules converge applies are the config's own, so a library caller

@@ -235,6 +235,12 @@ def test_nonfinite_dof_vector_rejected():
     nan_field = CallableField(lambda x, y: (np.full_like(x, np.nan), np.zeros_like(x)))
     with pytest.raises(ValueError, match="DOF vector is not finite"):
         reference_operator("RT", 1).solve_coefficients(nan_field)
+    # a callable without a divergence samples it as nan: ABF's div moments read
+    # it and are refused, RT's functionals never read it
+    no_div = CallableField(lambda x, y: (np.ones_like(x), np.zeros_like(x)))
+    with pytest.raises(ValueError, match="DOF vector is not finite"):
+        reference_operator("ABF", 1).solve_coefficients(no_div)
+    assert np.all(np.isfinite(reference_operator("RT", 1).solve_coefficients(no_div)))
 
 
 def test_no_scipy_at_import():

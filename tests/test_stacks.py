@@ -2,7 +2,7 @@
 
 `check` interpolates its 20 projection members and the 5 commuting
 fields as stacks, and projects the fields' divergences as one stack from
-one cached sample.  The oracles here keep the one-at-a-time code, and a
+one cached factor sample.  The oracles here keep the one-at-a-time code, and a
 stack must match it bit for bit (==, not isclose).
 """
 
@@ -12,14 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hdivkit import cli, interpolation
-from hdivkit.dofs import _plan_for, build_dofs, dof_vector_ld, plan_axes
+from hdivkit.dofs import _plan_for, build_dofs, dof_vector_ld
 from hdivkit.elements import FAMILIES, MAX_DEGREE, ElementSpace, build_space, degree_range
 from hdivkit.fields import (
     FieldStack, ManufacturedField, ReproductionField, commuting_battery, env_seed,
 )
 from hdivkit.harness import PhysicalRect, piola_push
 from hdivkit.interpolation import (
-    COMMUTING_TOL, SAMPLE_GRID, commuting_residuals, field_sample, judge_commuting,
+    COMMUTING_TOL, SAMPLE_GRID, cached_sample, commuting_residuals, judge_commuting,
     reference_operator, reference_projector,
 )
 from hdivkit.quadrature import NONPOLY_POINTS
@@ -98,7 +98,7 @@ def test_projection_draw_matches_the_member_loop(family, k, monkeypatch):
 @pytest.mark.parametrize("family,k", ALL_PAIRS)
 def test_stacked_projection_matches_lone_coefficients(family, k):
     proj = reference_projector(family, k)
-    x, y = plan_axes(NONPOLY_POINTS)[2]
+    x, y = proj._rule_tables[:2]
     battery = commuting_battery()
     # long-double values with bits below the double mantissa
     noise = np.random.default_rng(7).standard_normal((4, 20, 20)).astype(np.longdouble) / 3
@@ -112,28 +112,37 @@ def test_stacked_projection_matches_lone_coefficients(family, k):
 
 
 def test_one_check_samples_each_battery_field_once(monkeypatch, capsys):
-    # the sample is filled outside any DOF vector and shared by every (family, k):
-    # one uv and one div_values call per battery field, not one per pair and side
+    # the factor sample is filled outside any DOF vector and shared by every
+    # (family, k): one factor_sample call per battery field, not one per pair
+    # and side, and no grid sample at all
     calls = {}
-    for name in ("uv", "div_values"):
+    for name in ("uv", "div_values", "factor_sample"):
         def counted(self, x, y, real=getattr(ManufacturedField, name), name=name):
             calls[self.id, name] = calls.get((self.id, name), 0) + 1
             return real(self, x, y)
         monkeypatch.setattr(ManufacturedField, name, counted)
-    interpolation.field_sample.cache_clear()
+    interpolation.cached_sample.cache_clear()
     assert cli.main(["check", "--kmax", "4"]) == 0
-    assert calls == {(f.id, n): 1 for f in commuting_battery() for n in ("uv", "div_values")}
+    assert calls == {(f.id, "factor_sample"): 1 for f in commuting_battery()}
 
 
 def test_the_cached_sample_is_read_only():
+    # 1-D factors on the nodes {0, t, 1} of every 20-point plan, with as many
+    # terms as the most any battery field needs (B-5's div: 4), and the div
+    # values on the projector's inner 20 x 20 rule
     battery = tuple(commuting_battery())
-    sample = field_sample(battery)
-    assert field_sample(battery) is sample
-    assert sample.U.shape == sample.V.shape == (5, NONPOLY_POINTS + 2, NONPOLY_POINTS + 2)
-    assert sample.D.shape == (5, NONPOLY_POINTS, NONPOLY_POINTS)
-    for values in (sample.U, sample.V, sample.D):
+    sample = cached_sample(battery)
+    assert cached_sample(battery) is sample
+    factors = sum(sample.factor_sample(None, None), ())
+    assert [F.shape for F in factors] == [(5, 4, NONPOLY_POINTS + 2)] * 6
+    assert sample.div.shape == (5, NONPOLY_POINTS, NONPOLY_POINTS)
+    for values in factors + (sample.div,):
         with pytest.raises(ValueError, match="read-only"):
             values[0, 0, 0] = 0.0
+    # the cached div values are each field's own div_values on the rule, bit for bit
+    x, y = reference_projector("RT", 0)._rule_tables[:2]
+    for row, fld in zip(sample.div, battery):
+        assert np.array_equal(row, fld.div_values(x, y)), fld
 
 
 @pytest.mark.parametrize("rows", [1, 2, 8, 20, 22, "dim", "dim + 1"])
@@ -161,15 +170,20 @@ def test_stack_rows_evaluate_as_single_members(pair, rows, seed, sparsity, point
     coeffs = rng.standard_normal((rows, space.dim)) * (rng.random((rows, space.dim)) >= sparsity)
     stack = space.member(coeffs)
     singles = [space.member(c) for c in coeffs]
-    plan = _plan_for(build_dofs(*pair), space._maxdeg)
+    nodes = _plan_for(build_dofs(*pair), space._maxdeg).nodes
     x, y = np.array(points).T
-    for xs, ys in ((plan.x, plan.y), plan.inner, (x, y)):
+    for xs, ys in ((nodes[:, None], nodes[None, :]), (nodes[1:-1, None], nodes[None, 1:-1]),
+                   (x, y)):
         U, V = stack.uv(xs, ys)
         D = stack.div_values(xs, ys)
         for r, m in enumerate(singles):
             u, v = m.uv(xs, ys)
             assert np.array_equal(U[r], u) and np.array_equal(V[r], v)
             assert np.array_equal(D[r], m.div_values(xs, ys))
+    # the factor samples on the plan's nodes: one row per member, each its own
+    for r, m in enumerate(singles):
+        for F, f in zip(stack.factor_sample(nodes, nodes), m.factor_sample(nodes, nodes)):
+            assert np.array_equal(F[0][r], f[0]) and np.array_equal(F[1], f[1])
     bounds = np.array([m.degree_bounds for m in singles]).max(axis=0)
     assert np.array_equal(np.array(stack.degree_bounds), bounds)
 
