@@ -29,15 +29,16 @@ DOF values in functional order with a trailing axis of the r terms.
 dof_matrix_ld reads it with the basis labels as the terms (their factor
 rows, whose moments moment_tables caches), so no basis is tabulated;
 dof_vector_ld reads it with a field's factor sample and sums the terms,
-or takes M c for a SpaceMember, with the M the operator solves with, bit
-for bit.  No field is sampled on a grid.  Leading axes of a sample (a
-study's (levels, 1, 1) sides, an (m, dim) coefficient stack, a
-FieldStack) give one DOF vector per row, each bit for bit its own.
-The rule size n is NONPOLY_POINTS (20) for fields without degree_bounds,
-and n_for_degree(d + t) for polynomial ones, d the maximal component
-degree of their degree_bounds (a member's space's) and t the set's
-DofSet.test_degree (k + 1 for every standard set): every moment
-integrand has degree <= d + t per direction, so the rule is exact.
+or takes M c for a SpaceMember, M the DOF matrix (an operator passes the
+one it holds, so it is not assembled again).  No field is sampled on a
+grid.  Leading axes of a sample (a study's (levels, 1, 1) sides, an
+(m, dim) coefficient stack, a FieldStack) give one DOF vector per row,
+each bit for bit its own.
+The rule size n is NONPOLY_POINTS (20) for a field's factor sample.  The
+DOF matrix, and so a member's M c, takes n_for_degree(d + t), d the
+space's maximal factor degree and t the set's DofSet.test_degree (k + 1
+for every standard set): every moment integrand has degree <= d + t per
+direction, so the rule is exact.
 
 Plans are built from the set's own functionals and cached by value on
 (functionals, n), so any DOF set applies, reordered ones included, and
@@ -207,15 +208,15 @@ def _basis_matrix(plan: DofPlan, space: ElementSpace) -> np.ndarray:
     return _dof_values(plan, lambda rows, kind: tables[kind][rows], space._rows)
 
 
-def dof_vector_ld(dofset: DofSet, field) -> np.ndarray:
-    """The field's DOF vector: its factor sample on the plan's nodes contracted
-    and summed over its terms, or M c for a member.  Leading axes give one
-    vector per row."""
+def dof_vector_ld(dofset: DofSet, field, M: Optional[np.ndarray] = None) -> np.ndarray:
+    """The field's DOF vector: M c for a member, M its space's DOF matrix
+    (dof_matrix_ld unless the caller holds it), else its factor sample on the
+    20-point plan's nodes contracted and summed over its terms.  Leading axes
+    give one vector per row."""
     if isinstance(field, SpaceMember):
-        M = _basis_matrix(_plan_for(dofset, field.space._maxdeg), field.space)
+        M = dof_matrix_ld(dofset, field.space) if M is None else M
         return (M @ field.coeffs.astype(np.longdouble)[..., None])[..., 0]
-    degs = getattr(field, "degree_bounds", None)
-    plan = _plan_for(dofset, None if degs is None else max(max(d) for d in degs))
+    plan = _plan_for(dofset, None)
     return _dof_values(plan, plan.moment, field.factor_sample(plan.nodes, plan.nodes)).sum(-1)
 
 

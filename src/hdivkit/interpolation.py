@@ -6,13 +6,13 @@ assembled in extended precision from products of 1-D moments of the DOF
 plan, with no basis tabulated (dofs.dof_matrix_ld), and inverted once, in
 doubles, when the operator is built; that inverse also gives `condition`,
 the exact 1-norm condition number ||M||_1 ||M^-1||_1 (not an estimate).
-Every solve is the product with the cached inverse, polished by three
-extended-precision residual-correction sweeps x <- x + M^-1 (b - M x):
-iterative refinement with an approximate inverse, which converges while
-||I - M^-1 M|| < 1 (Higham, Accuracy and Stability of Numerical
-Algorithms, ch. 12).  The coefficient error then tracks the extended
-epsilon rather than the double one, which keeps a study's pushed members,
-whose roundoff grows with the 1/h Piola factors, within 1e-12.  `solve`
+Every solve is x0 = M^-1 b by the cached inverse plus one extended-precision
+residual correction x = x0 + M^-1 (b - M x0) (Higham, Accuracy and
+Stability of Numerical Algorithms, ch. 12): as ||I - M^-1 M|| <= cond u_d
+(504 * 1.1e-16 at most up to k = 4), it reaches the extended floor, where
+more sweeps would only redraw roundoff, so a study's pushed members, whose
+roundoff grows with the 1/h Piola factors, stay within 1e-12.  A member of
+the operator's space takes its DOF vector M c from the M held.  `solve`
 takes DOF vectors with leading axes (a study's levels, a member stack or
 a FieldStack) as a stack of single columns: numpy's matmul runs the same
 matrix-vector product for each column, which keeps the bits of a lone
@@ -50,7 +50,6 @@ from .quadrature import NONPOLY_POINTS, gauss_legendre_01, tensor_rule
 
 COND_FAIL = 1e12
 COND_WARN = 1e9
-REFINE_SWEEPS = 3
 # the commuting-diagram guarantee: max |div(I u) - P(div u)| on the sample grid
 COMMUTING_TOL = 1e-10
 # the reproduction guarantee: a space member is interpolated to this relative accuracy
@@ -105,21 +104,21 @@ class InterpolationOperator:
     def solve(self, b) -> np.ndarray:
         """Coefficients of extended-precision DOF vectors; leading axes batch.
 
-        The cached inverse's product plus REFINE_SWEEPS extended-precision
-        residual corrections, each applied to a stack of single columns,
-        never to one matrix of many columns, so a row keeps a lone solve's bits.
+        The cached inverse's product plus one extended-precision residual
+        correction, both applied to a stack of single columns, never to one
+        matrix of many columns, so a row keeps a lone solve's bits.
         """
         if not np.all(np.isfinite(b)):
             raise ValueError("DOF vector is not finite")
         b = b[..., None]
         x = np.longdouble(self._inverse @ b.astype(float))
-        for _ in range(REFINE_SWEEPS):
-            x = x + self._inverse @ (b - self._M_ld @ x).astype(float)
+        x = x + self._inverse @ (b - self._M_ld @ x).astype(float)
         return x[..., 0].astype(float)
 
     def solve_coefficients(self, field) -> np.ndarray:
         """The interpolant's coefficients; one row per leading-axis row of values."""
-        return self.solve(dof_vector_ld(self.dofs, field))
+        own = isinstance(field, SpaceMember) and field.space.labels == self.space.labels
+        return self.solve(dof_vector_ld(self.dofs, field, self._M_ld if own else None))
 
     def interpolate(self, field) -> SpaceMember:
         return self.space.member(self.solve_coefficients(field))

@@ -16,7 +16,6 @@ from hdivkit import legendre
 from hdivkit.dofs import _EDGE_SIGN, build_dofs
 from hdivkit.elements import ElementSpace, _legendre_coordinates, _product_norms, build_space
 from hdivkit.harness import _check_lp_args, _lp_sum
-from hdivkit.interpolation import REFINE_SWEEPS
 from hdivkit.quadrature import EDGES, NONPOLY_POINTS, gauss_legendre_01, n_for_degree, tensor_rule
 
 _EDGE_COMPONENT = {"left": 0, "right": 0, "bottom": 1, "top": 1}
@@ -88,12 +87,22 @@ def component_degrees(family, k):
 def gesv_solve(M_ld, b):
     """An operator's solve by LU instead of its cached inverse, for the
     extended-precision DOF matrix M_ld: one nrhs = 1 np.linalg.solve per DOF
-    vector (a getrf and a getrs each) and the same REFINE_SWEEPS
-    extended-precision residual corrections; leading axes batch."""
+    vector (a getrf and a getrs each) and the operator's one extended-precision
+    residual correction; leading axes batch."""
     M, b = M_ld.astype(float), b[..., None]
     x = np.longdouble(np.linalg.solve(M, b.astype(float)))
-    for _ in range(REFINE_SWEEPS):
-        x = x + np.linalg.solve(M, (b - M_ld @ x).astype(float))
+    x = x + np.linalg.solve(M, (b - M_ld @ x).astype(float))
+    return x[..., 0].astype(float)
+
+
+def three_sweep_solve(op, b):
+    """op.solve through its cached inverse with three extended-precision
+    residual corrections, each on a stack of single columns, where the
+    operator makes one: the refinement loop to measure one correction against."""
+    b = b[..., None]
+    x = np.longdouble(op._inverse @ b.astype(float))
+    for _ in range(3):
+        x = x + op._inverse @ (b - op._M_ld @ x).astype(float)
     return x[..., 0].astype(float)
 
 

@@ -685,9 +685,10 @@ _LEVEL_CASES = [(field, mode, 64.0, h0, p, 4)
     for field, mode, rho, h0, p, levels in _LEVEL_CASES])
 @pytest.mark.parametrize("family,k", _PAIRS)
 def test_batched_study_matches_level_by_level(family, k, field, mode, rho, h0, p, levels):
-    # the stacked solve runs one matrix-vector product per level and sweep,
-    # the contraction one gemv per level and the errors one root per level, so
-    # the batch keeps every bit, at non-dyadic sizes too
+    # every product of the stacked solve and of its correction is one
+    # matrix-vector product per level, the contraction one gemv per level and
+    # the errors one root per level, so the batch keeps every bit, at
+    # non-dyadic sizes too
     config = StudyConfig(family, k, p, field, mode, rho=rho, levels=levels, h0=h0)
     assert run_refinement_study(config).records == _level_by_level_records(config)
 

@@ -32,6 +32,7 @@ from monomial_oracle import (
 )
 from reference_oracle import (
     apply_dof, gesv_solve, monomial_dof_matrix_ld, monomial_interpolant, rule_points,
+    three_sweep_solve,
 )
 
 ALL_SPACES = [("RT", k) for k in range(5)] + [("BDM", k) for k in range(1, 5)] + [
@@ -68,9 +69,10 @@ def _worst_relative_error(coeffs, exact):
 
 def test_cached_inverse_reproduces_members_as_lu_does():
     # 200 seeded members per (family, k), solved through the cached inverse
-    # and through one LU per DOF vector with the same sweeps: every pair keeps
-    # a tenth of the reproduction bound, and the worst pair is no worse than LU's
-    worst = worst_lu = 0.0
+    # and through one LU per DOF vector with the same one correction: every
+    # pair keeps a tenth of the reproduction bound, and the worst pair is no
+    # worse than LU's, nor than three corrections through the cached inverse
+    worst = worst_lu = worst_swept = 0.0
     for family, k in ALL_SPACES:
         op = reference_operator(family, k)
         rng = np.random.default_rng(7)
@@ -80,7 +82,24 @@ def test_cached_inverse_reproduces_members_as_lu_does():
         assert err <= REPRO_TOL / 10, (family, k, err)
         worst = max(worst, err)
         worst_lu = max(worst_lu, _worst_relative_error(gesv_solve(op._M_ld, b), exact))
+        worst_swept = max(worst_swept, _worst_relative_error(three_sweep_solve(op, b), exact))
     assert worst <= worst_lu
+    assert worst <= worst_swept
+
+
+@pytest.mark.parametrize("family,k", ALL_SPACES)
+@settings(max_examples=5, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), span=st.floats(0.0, 12.0))
+def test_one_correction_reproduces_members_of_any_scale(family, k, seed, span):
+    # one extended-precision correction reaches the extended floor whatever the
+    # members' scale: coefficients spanning up to 1e-12 .. 1e12 within one
+    # member keep a tenth of the reproduction bound
+    op = reference_operator(family, k)
+    rng = np.random.default_rng(seed)
+    shape = (8, op.space.dim)
+    exact = rng.standard_normal(shape) * 10.0 ** rng.uniform(-span, span, shape)
+    err = _worst_relative_error(op.solve_coefficients(op.space.member(exact)), exact)
+    assert err <= REPRO_TOL / 10, err
 
 
 def test_rt0_pinned_interpolant():

@@ -79,6 +79,30 @@ def test_commuting_stack_matches_the_field_loop(family, k, replace):
 ALL_PAIRS = [(f, k) for f in FAMILIES for k in degree_range(f, MAX_DEGREE)]
 
 
+@pytest.mark.parametrize("family,k,replace", PROJECTION_CASES)
+def test_member_solve_assembles_nothing(monkeypatch, family, k, replace):
+    # a member of the operator's own space, even one built apart as MS-P's is,
+    # takes its DOF vector from the M the operator holds: solving a 20-member
+    # stack assembles no DOF matrix and reads no 1-D moments
+    op = reference_operator(family, k, replace)
+    exact = np.random.default_rng(env_seed()).standard_normal((cli.PROJECTION_MEMBERS,
+                                                                op.space.dim))
+    # a member of another space, RT_0 (in every space), still gets its own matrix
+    rt0 = build_space("RT", 0).member(np.arange(1.0, 5.0))
+    s = np.linspace(0.0, 1.0, 7)
+    for got, want in zip(op.interpolate(rt0).uv(s[:, None], s), rt0.uv(s[:, None], s)):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+    def refuse(*args):
+        raise AssertionError("a member's solve assembled")
+
+    monkeypatch.setattr("hdivkit.dofs._basis_matrix", refuse)
+    monkeypatch.setattr("hdivkit.dofs.moment_tables", refuse)
+    want = op.solve((op._M_ld @ exact.astype(np.longdouble)[..., None])[..., 0])
+    for space in (op.space, build_space(family, k)):
+        assert np.array_equal(op.solve_coefficients(space.member(exact)), want)
+
+
 @pytest.mark.parametrize("family,k", ALL_PAIRS)
 def test_projection_draw_matches_the_member_loop(family, k, monkeypatch):
     # one standard_normal((20, dim)) draw is the 20 random_member calls it replaced
