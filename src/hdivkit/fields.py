@@ -83,11 +83,13 @@ def _sum_of_products(pairs: Pairs, x, y):
 
 def _factors(pairs: Pairs, r: int, x, y) -> tuple:
     """The pairs' x factors at x and y factors at y, one row per pair and zero rows
-    up to r: shapes batch + (r, n) for nodes of shape batch + (n,)."""
-    xs, ys = zip(*pairs) if pairs else ((), ())
-    return tuple(np.moveaxis(np.reshape([f(z) for f in fs] + [np.zeros_like(z)] * (r - len(fs)),
-                                        (r,) + z.shape), 0, -2)
-                 for fs, z in ((xs, np.asarray(x)), (ys, np.asarray(y))))
+    up to r: shapes batch + (r, n) for nodes of shape batch + (n,), filled in place
+    in the nodes' float type."""
+    X, Y = (np.zeros(np.shape(z)[:-1] + (r, np.shape(z)[-1]), np.result_type(z, 0.0))
+            for z in (x, y))
+    for q, (fx, fy) in enumerate(pairs):
+        X[..., q, :], Y[..., q, :] = fx(x), fy(y)
+    return X, Y
 
 
 def _factor(kind: str, n: int) -> Optional[Callable]:

@@ -17,21 +17,19 @@ checked for stagnation instead of a bogus rate.
 
 A field goes to the reference square one way, PulledBackField; piola_push
 pulls one member back through the inverse map.  A study pulls the field
-back to all its levels at once (hx, hy of shape (levels, 1, 1)): the
+back to all its levels at once (rect_at of levels (n, 1, 1)): the
 pull-back's factor sample is its field's factors at hx s and hy s, one row
 of nodes per level, the x factors scaled by the Piola factors, so one DOF
 vector call samples levels x the plan's 1-D nodes and one stacked solve
 gives every level's coefficients; an MS-P member is its own pull-back, so
 it is solved once.  Errors are integrated on one 20 x 20 Gauss rule,
-handed out as axes (_mapped_rule): the field is sampled once per level and
-distinct coordinate, and error_Lp reads the (levels, 20, 20) values
-x-major as (levels, 400) rows.  The operator keeps its basis on the same
-axes (rule_tables).  Interpolants are coefficients contracted with that
-table (one gemv per level; one gemm moves last bits), times the Piola
-factors; a reproduced member goes through the same table, so both sides of
-its error meet at the same points even where (h x) / h misses x by an
-ulp.  Both samples are values-only fields (fields._Values), and the norm
-and both errors are one error_Lp call each.
+mapped once per study and handed out as axes (_mapped_rule).  The operator
+keeps its basis U, V and div on the same axes as one table (rule_tables).
+Interpolants are coefficients contracted with it (one gemv per level; one
+gemm moves last bits), times the Piola factors; a reproduced member goes
+through the same table, so both sides of its error meet at the same points
+even where (h x) / h misses x by an ulp.  The div norm, the field error and
+the div error are the rows of one error_Lp call, each with its own bits.
 
 Verdicts are one-sided: a fitted rate a whole tolerance above the
 prediction is flagged superconvergent but passes, since the theorems
@@ -51,7 +49,7 @@ from .elements import (
     ElementFamily, SpaceMember, _as_family, _validate_degree, build_space, check_choice,
     contract, degree_range, require_single,
 )
-from .fields import FIELD_IDS, ReproductionField, _Values, check_seed, get_field
+from .fields import FIELD_IDS, CallableField, ReproductionField, _Values, check_seed, get_field
 from .interpolation import REPRO_TOL, judge_commuting, reference_operator
 from .quadrature import NONPOLY_POINTS, gauss_legendre_01, tensor_rule
 
@@ -139,7 +137,8 @@ def error_Lp(fld, interpolant, rect: PhysicalRect, p: float, which: str):
 
     which='field' uses the Euclidean magnitude of the vector difference,
     which='div' the absolute divergence difference, sampled on the axes of
-    _mapped_rule(rect.hx, rect.hy) and summed in the grid's x-major order.
+    _mapped_rule(rect.hx, rect.hy) and summed in the grid's x-major order;
+    values with more leading axes than the rectangle give one error per row.
     """
     _check_lp_args(p, which)
     x, y, ws = _mapped_rule(rect.hx, rect.hy)
@@ -151,13 +150,14 @@ def error_Lp(fld, interpolant, rect: PhysicalRect, p: float, which: str):
         d1 = fld.div_values(x, y)
         d2 = interpolant.div_values(x, y)
         mag = np.abs(np.asarray(d1 - d2, dtype=float))
-    grid = np.broadcast(x, y).shape
-    return _lp_sum(ws, np.broadcast_to(mag, grid).reshape(ws.shape), p)
+    grid = np.broadcast_shapes(mag.shape, np.broadcast(x, y).shape)
+    return _lp_sum(ws, np.broadcast_to(mag, grid).reshape(grid[:-2] + (-1,)), p)
 
 
 def _check_lp_args(p: float, which: str) -> None:
-    if not p >= 1:  # also rejects nan
-        raise ValueError("p must be >= 1")
+    # 0 ** (1 / inf) would read a zero error as 1; bools are numbers to isfinite and >=
+    if isinstance(p, (bool, np.bool_)) or not (math.isfinite(p) and p >= 1):
+        raise ValueError("p must be finite and >= 1")
     if which not in ("field", "div"):
         raise ValueError("which must be 'field' or 'div'")
 
@@ -168,7 +168,6 @@ def _lp_sum(ws, mag, p: float):
     Where a row's plain sum underflows or overflows (large p), its mag is first
     scaled by its maximum, so it stays finite and nonzero; roots are scalar powers.
     """
-    ws, mag = np.broadcast_arrays(ws, mag)
     with np.errstate(over="ignore", under="ignore"):
         total = np.sum(ws * mag**p, axis=-1, keepdims=True)
         rescale = np.any(mag, axis=-1, keepdims=True) & ~(
@@ -176,8 +175,8 @@ def _lp_sum(ws, mag, p: float):
         top = np.where(rescale, np.max(mag, axis=-1, keepdims=True), 1.0)
         if rescale.any():
             total = np.where(rescale, np.sum(ws * (mag / top) ** p, -1, keepdims=True), total)
-        roots = [float(t * s ** (1.0 / p)) for t, s in zip(top.ravel(), total.ravel())]
-    return roots[0] if ws.ndim == 1 else np.array(roots)
+        roots = [t * s ** (1.0 / p) for t, s in zip(top.ravel().tolist(), total.ravel().tolist())]
+    return roots[0] if total.ndim == 1 else np.reshape(roots, total.shape[:-1])
 
 
 def norm_Lp(fld, rect: PhysicalRect, p: float, which: str):
@@ -219,8 +218,7 @@ class StudyConfig:
                 raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
         if not (0 < self.h0 <= 1):
             raise ValueError("h0 must lie in (0, 1]")
-        if isinstance(self.p, (bool, np.bool_)) or not (math.isfinite(self.p) and self.p >= 1):
-            raise ValueError("p must be finite and >= 1")
+        _check_lp_args(self.p, "field")
         if not (math.isfinite(self.rate_tolerance) and self.rate_tolerance >= 0):
             raise ValueError("rate tolerance must be finite and >= 0")
         if not (math.isfinite(self.rho) and self.rho > 0):
@@ -228,17 +226,18 @@ class StudyConfig:
         check_seed(self.seed)
         if self.mode == "fixed_aspect" and self.h0 > self.rho:
             raise ValueError("fixed_aspect(R) needs h0 / R <= 1 (h_y may not exceed 1)")
-        try:  # the smallest rectangle; 2.0**-levels overflows past ~1e308 levels
+        try:  # the smallest rectangle; ldexp overflows past 2^63 levels
             self.rect_at(self.levels - 1)
         except (ValueError, OverflowError):
             rho = f" and rho={self.rho:g}" if self.mode == "fixed_aspect" else ""
             raise ValueError(f"levels={self.levels} with h0={self.h0:g}{rho} "
                              f"shrinks a side below {MIN_H:g} at the last level") from None
 
-    def rect_at(self, level: int) -> PhysicalRect:
+    def rect_at(self, level) -> PhysicalRect:
+        """The rectangle at level; levels of shape (n, 1, 1) give their stack, bit for bit."""
         sx, sy = self.mode_scales()
         aspect = self.rho if self.mode == "fixed_aspect" else 1.0
-        return PhysicalRect(self.h0 * 2.0**-(sx * level), self.h0 * 2.0**-(sy * level) / aspect)
+        return PhysicalRect(np.ldexp(self.h0, -sx * level), np.ldexp(self.h0 / aspect, -sy * level))
 
     def mode_scales(self) -> Tuple[int, int]:
         return _SCALES[self.mode]
@@ -366,39 +365,37 @@ def _verdict(errors: List[float], fitted: Optional[float], predicted: float,
 def run_refinement_study(config: StudyConfig) -> ConvergenceTable:
     fld = get_field(config.field, config.family, config.k, config.seed)
     op = reference_operator(config.family, config.k)
-    rects = [config.rect_at(level) for level in range(config.levels)]
     # every level at once: one rectangle per row, one DOF vector stack, one stacked solve;
     # the trailing axes keep a level axis apart from a rule axis of the same length
-    hx, hy = (np.array(side).reshape(-1, 1, 1) for side in zip(*((r.hx, r.hy) for r in rects)))
+    stack = config.rect_at(np.arange(config.levels)[:, None, None])
+    hx, hy = stack.hx, stack.hy
 
     def push(coeffs):  # coefficients (one row, or one per level) on the mapped rules
-        U, V, D = (contract(coeffs, t) for t in op.rule_tables)
+        U, V, D = contract(coeffs, op.rule_tables).swapaxes(0, -3)
         return _Values(U / hy, V / hx, D / (hx * hy))
 
     if isinstance(fld, ReproductionField):
         # the pull-back of the pushed member is the member at every level
-        coeffs = op.solve_coefficients(fld.member)
-        sample = push(fld.member.coeffs)
-    else:
-        coeffs = op.solve_coefficients(PulledBackField(fld, hx, hy))
-        x, y, _ = _mapped_rule(hx, hy)
-        sample = _Values(*fld.uv(x, y), fld.div_values(x, y))
-    interp = push(coeffs)
-    # Field errors are mean-normalized (the measure factor (hx hy)^{1/p}
-    # carries no rate content); every battery field vanishes at the
-    # rectangle anchor, so dividing by the field's own shrinking norm
-    # would deflate each fitted rate by one.  The divergence never
-    # vanishes there, so div errors are relative to the div norm, which
-    # also keeps reproduction studies at machine zero when the Piola
-    # factors grow with the aspect ratio.
-    stack = PhysicalRect(hx, hy)
-    nf = np.array([(rect.hx * rect.hy) ** (1.0 / config.p) for rect in rects])
-    nd = norm_Lp(sample, stack, config.p, "div")
-    ef = error_Lp(sample, interp, stack, config.p, "field") / nf
-    ed = error_Lp(sample, interp, stack, config.p, "div") / np.where(nd > 0, nd, nf)
-    errors = dict(zip(QUANTITIES, (ef.tolist(), ed.tolist())))
-    records = [ErrorRecord(level, rect.hx, rect.hy, {w: errors[w][level] for w in QUANTITIES})
-               for level, rect in enumerate(rects)]
+        sample, interp = push(fld.member.coeffs), push(op.solve_coefficients(fld.member))
+    else:  # sampled by error_Lp
+        sample, interp = fld, push(op.solve_coefficients(PulledBackField(fld, hx, hy)))
+
+    def rows(x, y):  # on the one mapped rule: the div norm, field error and div error
+        (U1, V1), (U2, V2), d1 = sample.uv(x, y), interp.uv(x, y), sample.div_values(x, y)
+        return np.stack((d1, np.hypot(U1 - U2, V1 - V2), d1 - interp.div_values(x, y)))
+
+    # a 'div' error against zero: |.| keeps the field error's magnitude
+    nd, ef, ed = error_Lp(CallableField(None, rows), ZERO_FIELD, stack, config.p, "div")
+    # Field errors are mean-normalized: the measure factor (hx hy)^{1/p} carries no rate
+    # content (a float power: numpy's array power may round it apart).  Every battery field
+    # vanishes at the rectangle anchor, so dividing by the field's own shrinking norm would
+    # deflate each fitted rate by one.  The divergence never vanishes there, so div errors
+    # are relative to the div norm, which also keeps reproduction studies at machine zero
+    # when the Piola factors grow with the aspect ratio.
+    nf = np.array([area ** (1.0 / config.p) for area in (hx * hy).ravel().tolist()])
+    errors = dict(zip(QUANTITIES, ((ef / nf).tolist(), (ed / np.where(nd > 0, nd, nf)).tolist())))
+    records = [ErrorRecord(level, x, y, {w: errors[w][level] for w in QUANTITIES})
+               for level, (x, y) in enumerate(zip(hx.ravel().tolist(), hy.ravel().tolist()))]
     sx, sy = config.mode_scales()
     judged = {}
     for which in QUANTITIES:

@@ -17,8 +17,8 @@ takes DOF vectors with leading axes (a study's levels, a member stack or
 a FieldStack) as a stack of single columns: numpy's matmul runs the same
 matrix-vector product for each column, which keeps the bits of a lone
 solve.  So `interpolate` of a stacked field is a stacked member, one row
-per field.  An operator keeps its basis on the studies' error rule
-(rule_tables).
+per field.  An operator keeps its basis on the studies' error rule, U, V
+and div in one table (rule_tables).
 
 The projector works in an orthogonal Legendre-product basis of the same
 span as the declared monomial basis (all divergence index sets are
@@ -95,11 +95,11 @@ class InterpolationOperator:
             warnings.warn(f"{tag}: DOF matrix condition {self.condition:.3e}", RuntimeWarning)
 
     @functools.cached_property
-    def rule_tables(self) -> tuple:
-        """The basis (U, V, div) on the axes of the 20 x 20 error rule, each of shape
-        (dim, 20, 20), tabulated on first use in one factor pass over both axes."""
+    def rule_tables(self) -> np.ndarray:
+        """The basis U, V and div on the axes of the 20 x 20 error rule, one table of
+        shape (dim, 3, 20, 20), tabulated on first use in one factor pass over both axes."""
         t = gauss_legendre_01(NONPOLY_POINTS).nodes
-        return self.space._tables(t[:, None], t[None, :], self.space._rows)
+        return np.stack(self.space._tables(t[:, None], t[None, :], self.space._rows), axis=1)
 
     def solve(self, b) -> np.ndarray:
         """Coefficients of extended-precision DOF vectors; leading axes batch.

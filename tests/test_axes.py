@@ -126,6 +126,19 @@ def test_manufactured_fields_and_partials(grid):
                                    fld.partial(a1, a2, comp)(grid.x, grid.y), exact=True)
 
 
+@pytest.mark.parametrize("dtype", (np.float32,) + DTYPES)
+def test_factors_fill_rows_in_the_nodes_float_type(dtype):
+    # batch + (r, n): one row per pair, zero rows up to r, in the nodes' own type
+    pairs = MS_G._pairs(0, 0, 0) + wave("sin", 2, -1)(1, 0)
+    x = np.array([[0.0, 0.25, 0.5], [0.125, 0.75, 1.0]], dtype)
+    y = np.array([[0.5, 0.0, 1.0], [0.375, 0.625, 0.875]], dtype)
+    X, Y = _factors(pairs, 5, x, y)
+    assert X.shape == Y.shape == (2, 5, 3) and X.dtype == Y.dtype == dtype
+    for q, (fx, fy) in enumerate(pairs):
+        assert np.array_equal(X[:, q], fx(x)) and np.array_equal(Y[:, q], fy(y))
+    assert not X[:, len(pairs):].any() and not Y[:, len(pairs):].any()
+
+
 @settings(max_examples=40, deadline=None)
 @given(grid=_grids(), fx=st.sampled_from(FACTORS), fy=st.sampled_from(FACTORS),
        g=st.sampled_from(("sin", "cos", "exp")),

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from hdivkit import harness, interpolation
 from hdivkit.elements import (
-    ElementFamily, ElementSpace, SpaceMember, build_space, degree_range,
+    ElementFamily, ElementSpace, SpaceMember, build_space, contract, degree_range,
 )
 from hdivkit.fields import MS_G, MS_X, MS_Y, ReproductionField, get_field
 from hdivkit.harness import (
@@ -197,13 +197,26 @@ def test_error_Lp_validation():
     lambda p, which: error_Lp_reference(MS_G, ZERO_FIELD, PhysicalRect(1.0, 1.0), p, which),
 ], ids=["error_Lp", "norm_Lp", "error_Lp_reference"])
 @pytest.mark.parametrize("p,which,message", [
-    (math.nan, "field", "p must be >= 1"),
+    (math.nan, "field", "p must be finite and >= 1"),
+    (math.inf, "div", "p must be finite and >= 1"),
+    (True, "field", "p must be finite and >= 1"),
     (2.0, "bogus", "which must be 'field' or 'div'"),
 ])
 def test_lp_arguments_checked(compute, p, which, message):
-    # nan slips past p < 1, and the oracle took any which but 'field' as 'div'
+    # nan slips past p < 1, inf read every zero error as 1.0, a bool is no p
+    # (as in StudyConfig), and the oracle took any which but 'field' as 'div'
     with pytest.raises(ValueError, match=message):
         compute(p, which)
+
+
+def test_lp_rejects_infinite_p():
+    # 0 ** (1 / inf) == 1: at p = inf a zero error read 1.0
+    rect = PhysicalRect(0.5, 0.25)
+    with pytest.raises(ValueError, match="p must be finite and >= 1"):
+        error_Lp(MS_G, MS_G, rect, math.inf, "field")
+    with pytest.raises(ValueError, match="p must be finite and >= 1"):
+        norm_Lp(ZERO_FIELD, rect, math.inf, "div")
+    assert error_Lp(MS_G, MS_G, rect, 1e300, "field") == 0.0
 
 
 def test_norm_homogeneity():
@@ -325,6 +338,10 @@ def test_fitted_rate_synthetic():
     errs = [4.0**-j for j in range(6)]
     assert fitted_rate(errs, 6) == pytest.approx(2.0, abs=1e-12)
     assert fitted_rate([1.0, 0.5, 0.0, 0.25], 4) is None
+    # an error in the window that is not positive and finite reads None; before it, nothing
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        assert fitted_rate(errs[:-1] + [bad], 6) is None
+        assert fitted_rate([bad] + errs[1:], 6) == fitted_rate(errs, 6)
 
 
 def test_verdict_reproduction():
@@ -506,6 +523,30 @@ def test_rect_at_modes():
     rect = StudyConfig(mode="fixed_aspect", rho=64.0, **base).rect_at(2)
     assert rect.hx == pytest.approx(0.125)
     assert rect.hy == pytest.approx(0.125 / 64.0)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("h0,rho", [(0.5, 64.0), (0.3, 10.0), (1.0, 3.7), (0.3, 0.5)])
+def test_rect_at_stacks_levels_bit_for_bit(mode, h0, rho):
+    # the formula h0 2^-(s level) / aspect in floats, one level at a time and as
+    # one stack, up to the deepest level a config takes (a side at MIN_H)
+    levels = 3
+    while True:
+        try:
+            config = StudyConfig(mode=mode, h0=h0, rho=rho, levels=levels + 1)
+        except ValueError:
+            break
+        levels += 1
+    config = StudyConfig(mode=mode, h0=h0, rho=rho, levels=levels)
+    sx, sy = config.mode_scales()
+    aspect = rho if mode == "fixed_aspect" else 1.0
+    rects = [PhysicalRect(h0 * 2.0**-(sx * j), h0 * 2.0**-(sy * j) / aspect)
+             for j in range(levels)]
+    stack = config.rect_at(np.arange(levels)[:, None, None])
+    assert stack.hx.shape == stack.hy.shape == (levels, 1, 1)
+    assert [PhysicalRect(x, y) for x, y in zip(stack.hx.ravel().tolist(),
+                                               stack.hy.ravel().tolist())] == rects
+    assert [config.rect_at(j) for j in range(levels)] == rects
 
 
 def test_mode_scales():
@@ -805,3 +846,77 @@ def test_theorem_suite_reports_broken_commutation():
     abf_failures = [f for f in result["failures"] if "commuting" in f]
     assert abf_failures and all(f.startswith("ABF_") for f in abf_failures)
     assert {f.split()[0] for f in abf_failures} == {"ABF_0", "ABF_1", "ABF_2"}
+
+
+# ------------------------------------------------------ one pass per study
+
+
+@pytest.mark.parametrize("family,k,field,mode", [
+    ("ABF", 2, "MS-G", "isotropic"), ("BDM", 3, "MS-P", "fixed_aspect")])
+def test_study_is_one_pass(monkeypatch, family, k, field, mode):
+    # one rectangle stack, one mapped error rule, one error_Lp and one _lp_sum
+    # for the div norm and both errors, one contraction with the operator's
+    # table per coefficient set (MS-P's member and its interpolant), and one
+    # np.polyfit per fitted rate (a two-column fit would move last bits)
+    config = StudyConfig(family, k, field=field, mode=mode, levels=6)
+    run_refinement_study(config)  # warm the operator and its table
+    calls = dict.fromkeys(["PhysicalRect", "_mapped_rule", "error_Lp", "_lp_sum", "contract",
+                           "np.polyfit"], 0)
+
+    def counting(name, original):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return counted
+
+    for name in ("_mapped_rule", "error_Lp", "_lp_sum", "contract"):
+        monkeypatch.setattr(harness, name, counting(name, getattr(harness, name)))
+    monkeypatch.setattr(PhysicalRect, "__post_init__",
+                        counting("PhysicalRect", PhysicalRect.__post_init__))
+    monkeypatch.setattr(np, "polyfit", counting("np.polyfit", np.polyfit))
+    table = run_refinement_study(config)
+    fitted = sum(j.fitted is not None for j in table.judged.values())
+    assert fitted == (2 if field == "MS-G" else 0)  # MS-P's windows hold exact zeros
+    assert calls == {"PhysicalRect": 1, "_mapped_rule": 1, "error_Lp": 1, "_lp_sum": 1,
+                     "contract": 2 if field == "MS-P" else 1, "np.polyfit": fitted}
+
+
+_REDUCTIONS = [(field, mode, p, h0) for field in ("MS-G", "MS-X", "MS-Y", "MS-P")
+               for mode in MODES for p in (1.0, 1.5, 2.0, 7.5, 40.0, 100.0) for h0 in (0.5, 0.3)]
+
+
+@pytest.mark.parametrize("field,mode,p,h0", _REDUCTIONS)
+def test_stacked_reduction_matches_per_quantity_calls(monkeypatch, field, mode, p, h0):
+    # the study's one error_Lp call returns the rows norm_Lp(div), error_Lp(field)
+    # and error_Lp(div) of the same two sides, equal, not close; 7 of the 16 MS-P
+    # cases at p >= 40 take the rescaling fallback on roundoff errors; the cases
+    # share out the 14 (family, k)
+    family, k = _PAIRS[_REDUCTIONS.index((field, mode, p, h0)) % len(_PAIRS)]
+    config = StudyConfig(family, k, p, field, mode, levels=6, h0=h0)
+    stacked = []
+
+    def keep(*args):
+        stacked.append(error_Lp(*args))
+        return stacked[-1]
+
+    monkeypatch.setattr(harness, "error_Lp", keep)
+    run_refinement_study(config)
+    monkeypatch.undo()
+    fld = get_field(field, family, k, config.seed)
+    op = reference_operator(family, k)
+    rect = config.rect_at(np.arange(config.levels)[:, None, None])
+    hx, hy = rect.hx, rect.hy
+
+    def push(coeffs):  # the study's interpolant: its contraction, then the Piola factors
+        U, V, D = np.moveaxis(contract(coeffs, op.rule_tables), -3, 0)
+        return _Values(U / hy, V / hx, D / (hx * hy))
+
+    if field == "MS-P":
+        sample, ref = push(fld.member.coeffs), fld.member
+    else:
+        sample, ref = fld, PulledBackField(fld, hx, hy)
+    interp = push(op.solve_coefficients(ref))
+    lone = [norm_Lp(sample, rect, p, "div"), error_Lp(sample, interp, rect, p, "field"),
+            error_Lp(sample, interp, rect, p, "div")]
+    assert len(stacked) == 1 and stacked[0].shape == (3, config.levels)
+    assert stacked[0].tolist() == [row.tolist() for row in lone]
