@@ -313,18 +313,20 @@ def build_div_space(family, k: int) -> ScalarSpace:
     return ScalarSpace(sets.div_name, sets.div)
 
 
-def _legendre_coordinates(space: ElementSpace) -> np.ndarray:
-    """Exact coordinates C[b, q, i, j] of basis member b's u, v and div
-    (q = 0, 1, 2) over L_i(x) L_j(y).
+def _legendre_coordinates(space: ElementSpace, rows=None) -> np.ndarray:
+    """Exact coordinates C[b, q, i, j] of basis member b over L_i(x) L_j(y), for
+    the factor rows q of rows, a slice of space._rows (default all of them:
+    q = 0, 1, 2 for u, v and div).
 
     Python integers in an object array: each factor row's coordinates are
     a unit row, a row of the derivative matrix, its negative or zero, and
     a label's are their outer products.
     """
+    rows = space._rows if rows is None else rows
     n = space._maxdeg + 1
     D = legendre.derivative_matrix(n)
     R = np.concatenate([np.eye(n, dtype=int).astype(object), D, -D, np.zeros((1, n), object)])
-    X, Y = R[space._rows[:, 0]], R[space._rows[:, 1]]
+    X, Y = R[rows[:, 0]], R[rows[:, 1]]
     return (X[..., :, None] * Y[..., None, :]).transpose(1, 0, 2, 3)
 
 
@@ -345,7 +347,7 @@ def span_check(space: ElementSpace) -> dict:
     the same space as the monomials.
     """
     div_space = build_div_space(space.family, space.k)
-    div = _legendre_coordinates(space)[:, 2]
+    div = _legendre_coordinates(space, space._rows[2:])[:, 0]
     n = div.shape[-1]
     inside = np.zeros((n, n), dtype=bool)
     rows, cols = np.array(div_space.exponents, dtype=np.intp).reshape(-1, 2).T

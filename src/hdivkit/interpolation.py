@@ -22,13 +22,15 @@ and div in one table (rule_tables).
 
 The projector works in an orthogonal Legendre-product basis of the same
 span as the declared monomial basis (all divergence index sets are
-downward closed, so the spans coincide).  It integrates values on one
+downward closed, so the spans coincide).  It integrates values V on one
 fixed 20 x 20 Gauss rule in extended precision, on the inner nodes of
-every 20-point DOF plan: `coefficients` takes a stack of values, one row
-per field, and `coeffs_internal` any callable w(x, y).  The commuting
-check caches its fields' factor samples on those plans' nodes once per
-process (cached_sample); the DOF vectors read the samples, and the
-projector the divergences their div factors give on its rule.
+every 20-point DOF plan, sum factorised (Orszag 1980): (2i+1)(2j+1)
+(W V W^T)[i, j], W = w L the weighted Legendre rows.  `coefficients` takes
+a stack of values, one row per field, and `coeffs_internal` any callable
+w(x, y), even one giving a scalar or a single axis.  The commuting check
+caches its fields' factor samples on those plans' nodes once per process
+(cached_sample): the DOF vectors read them, the projector the divergences
+their div factors give on its rule, and the residuals tabulate no basis.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from .elements import (
     build_space,
 )
 from .fields import FieldStack, commuting_battery
-from .quadrature import NONPOLY_POINTS, gauss_legendre_01, tensor_rule
+from .quadrature import NONPOLY_POINTS, gauss_legendre_01
 
 COND_FAIL = 1e12
 COND_WARN = 1e9
@@ -168,23 +170,22 @@ class L2Projector:
 
     @functools.cached_property
     def _rule_tables(self) -> tuple:
-        """The fixed rule's long-double axes, (20, 20) weights and Legendre values."""
-        n = NONPOLY_POINTS
-        t = gauss_legendre_01(n).nodes_ld  # the inner nodes of every 20-point DOF plan
-        x, y = t[:, None], t[None, :]
-        nmax = max(max(i, j) for i, j in self._index)
-        return (x, y, tensor_rule(n, n).ws_ld.reshape(n, n),
-                legendre.values(nmax, x), legendre.values(nmax, y))
+        """The fixed rule's long-double axes x (20, 1) and y (1, 20), W = w L, the
+        rule weights times the Legendre rows up to the index set's top degree, and
+        the index set as row and column arrays (i, j)."""
+        rule = gauss_legendre_01(NONPOLY_POINTS)  # the inner nodes of every 20-point DOF plan
+        t, (i, j) = rule.nodes_ld, np.array(self._index).T
+        W = rule.weights_ld * np.array(legendre.values(max(i.max(), j.max()), t))
+        return t[:, None], t[None, :], W, (i, j)
 
     def coefficients(self, vals) -> np.ndarray:
-        """Projection coefficients of values (..., 20, 20) on the rule's grid, one
-        column per (i, j), leading axes batching: each row's bits as if alone."""
-        _, _, ws, Lx, Ly = self._rule_tables
-        wv = ws * np.asarray(vals, dtype=np.longdouble)
-        rows = wv.shape[:-2] + (-1,)  # each row sums its contiguous grid in x-major order
-        cols = [np.sum((wv * Lx[i] * Ly[j]).reshape(rows), axis=-1) * ((2 * i + 1) * (2 * j + 1))
-                for i, j in self._index]
-        return np.stack(cols, axis=-1).astype(float)
+        """Projection coefficients of values on the rule's grid, broadcast to
+        (..., 20, 20), one column per (i, j), leading axes batching: (2i+1)(2j+1)
+        (W V W^T)[i, j] in extended precision, each row's bits as if alone."""
+        _, _, W, (i, j) = self._rule_tables
+        V = np.asarray(vals, dtype=np.longdouble)
+        C = W @ np.broadcast_to(V, np.broadcast_shapes(V.shape, (NONPOLY_POINTS,) * 2)) @ W.T
+        return (C[..., i, j] * ((2 * i + 1) * (2 * j + 1))).astype(float)
 
     def coeffs_internal(self, w) -> dict:
         """Legendre-product coefficients of the projection of w(x, y), keyed (i, j)."""
@@ -234,21 +235,25 @@ def commuting_residuals(family, k: int, fields, replace_div_moments: bool = Fals
     """Per field, max over a 21 x 21 grid of |div(I field) - P(div field)|.
 
     Both sides read one cached_sample: one DOF-vector call and one stacked
-    solve interpolate it, one tabulation of the basis divergences on the
-    grid and one gemv per field (elements.contract; a gemm over all rows may
-    round apart) evaluate the interpolants, and one stacked projector pass
-    integrates the sample's divergences, so every residual keeps a lone
-    field's bits.  Both sides use the Legendre recurrence; a monomial grid
-    would cost two digits at k >= 3.
+    solve interpolate it, and one stacked projector pass integrates the
+    sample's divergences.  Both are then evaluated on the grid's axis s from
+    1-D factors, one matrix product per field: div I u as X^T Y, X the
+    interpolant's coefficient-weighted x factor rows and Y its y rows of the
+    div terms (SpaceMember.factor_sample), and P div u as L(s)^T C L(s), C the
+    projector's coefficients on their index set.  No basis table fills the
+    grid, and every residual keeps a lone field's bits.  Both sides use the
+    Legendre recurrence; a monomial grid would cost two digits at k >= 3.
     """
     sample = cached_sample(tuple(fields))
     op = reference_operator(family, k, replace_div_moments)
     proj = reference_projector(family, k)
     s = np.linspace(0.0, 1.0, SAMPLE_GRID)
-    x, y = s[:, None], s[None, :]
-    lhs = op.interpolate(sample).div_values(x, y)
-    rhs = _eval_legendre_sum(proj._index, proj.coefficients(sample.div), x, y)
-    return np.max(np.abs(lhs - rhs), axis=(1, 2))
+    X, Y = op.interpolate(sample).factor_sample(s, s)[2]
+    _, _, W, (i, j) = proj._rule_tables
+    L = np.array(legendre.values(len(W) - 1, s))
+    C = np.zeros((len(X), len(W), len(W)))
+    C[:, i, j] = proj.coefficients(sample.div)
+    return np.max(np.abs(np.swapaxes(X, -1, -2) @ Y - L.T @ C @ L), axis=(1, 2))
 
 
 def judge_commuting(family, k: int, replace_div_moments: bool = False) -> Tuple[float, bool]:
@@ -258,12 +263,3 @@ def judge_commuting(family, k: int, replace_div_moments: bool = False) -> Tuple[
                                              replace_div_moments)))
     return worst, worst <= COMMUTING_TOL
 
-
-def _eval_legendre_sum(index, coeffs: np.ndarray, x, y):
-    """Per coeffs row (columns as index): sum c L_i(x) L_j(y) on the x, y grid, (i, j) sorted."""
-    nmax = max(max(ij) for ij in index)
-    Lx, Ly = (legendre.values(nmax, np.asarray(z)) for z in (x, y))
-    out = np.zeros(coeffs.shape[:1] + np.broadcast(x, y).shape)
-    for (i, j), c in sorted(zip(index, coeffs.T), key=lambda ic: ic[0]):
-        out = out + c[:, None, None] * (Lx[i] * Ly[j])
-    return out

@@ -3,9 +3,9 @@
 The library samples tensor rules on their axes and applies a whole DOF
 set through one plan; these oracles keep the enumerated points, the
 per-functional quadrature and the closed forms the tests compare it with,
-the one-field projector sums that the stacked commuting check replaced, and
-ABF's divergence moments against the monomials x^i y^j, the other test
-basis of the same functionals' span.
+the 2-D projector sums and Legendre sums that the commuting check's 1-D
+factor products replaced, and ABF's divergence moments against the
+monomials x^i y^j, the other test basis of the same functionals' span.
 """
 
 import functools
@@ -208,17 +208,39 @@ def monomial_interpolant(family, k: int, field) -> np.ndarray:
                       monomial_dof_vector_ld(build_dofs(family, k), field))
 
 
+def _projector_rule(proj) -> tuple:
+    """proj's fixed 20 x 20 rule as 2-D tables: the long-double axes x (20, 1)
+    and y (1, 20), the (20, 20) weights and the Legendre values on each axis."""
+    n = NONPOLY_POINTS
+    t = gauss_legendre_01(n).nodes_ld
+    x, y = t[:, None], t[None, :]
+    nmax = max(max(i, j) for i, j in proj._index)
+    return x, y, tensor_rule(n, n).ws_ld.reshape(n, n), legendre.values(nmax, x), \
+        legendre.values(nmax, y)
+
+
+def _projector_terms(proj, w):
+    """The rule's (20, 20) terms w v L_i L_j of each (i, j) of proj, long double."""
+    x, y, ws, Lx, Ly = _projector_rule(proj)
+    wv = ws * np.asarray(w(x, y), dtype=np.longdouble)
+    return {(i, j): wv * Lx[i] * Ly[j] for i, j in proj._index}
+
+
 def coeffs_internal_reference(proj, w) -> dict:
     """proj's Legendre-product coefficients of w(x, y), keyed (i, j), one
-    scalar x-major pairwise sum per (i, j) over the 20 x 20 rule: the
-    one-field reference for the stacked L2Projector.coefficients."""
-    x, y, ws, Lx, Ly = proj._rule_tables
-    vals = np.asarray(w(x, y), dtype=np.longdouble)
-    out = {}
-    for i, j in proj._index:
-        c = np.sum(ws * vals * Lx[i] * Ly[j]) * ((2 * i + 1) * (2 * j + 1))
-        out[(i, j)] = float(c)
-    return out
+    scalar x-major pairwise sum per (i, j) over the 20 x 20 rule: the 2-D
+    reference for the sum-factorised L2Projector.coefficients."""
+    return {(i, j): float(np.sum(t) * ((2 * i + 1) * (2 * j + 1)))
+            for (i, j), t in _projector_terms(proj, w).items()}
+
+
+def coeffs_internal_bound(proj, w) -> dict:
+    """Per (i, j), eps_d sum |w v L_i L_j| (2i+1)(2j+1): how far two summation
+    orders of one coefficient may part once each is rounded to a double (the
+    long-double sums part by far less)."""
+    eps = np.finfo(float).eps
+    return {(i, j): eps * float(np.sum(np.abs(t))) * ((2 * i + 1) * (2 * j + 1))
+            for (i, j), t in _projector_terms(proj, w).items()}
 
 
 def _eval_legendre_sum(coeffs: dict, x, y):

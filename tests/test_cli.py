@@ -109,6 +109,19 @@ def test_check_debug_switch_fails_commuting_only(capsys):
     assert lines[-1] == "FAILED: ABF_0 commuting"
 
 
+def test_check_debug_switch_fails_commuting_at_its_top_degree(capsys):
+    # the negative control CI runs: every ABF degree check judges commuting
+    # fails, each by a residual far above COMMUTING_TOL
+    code, out, _ = run(
+        capsys, "check", "--family", "ABF", "--kmax", "3", "--debug-disable-div-moments"
+    )
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[-1] == "FAILED: " + "; ".join(f"ABF_{k} commuting" for k in range(4))
+    residuals = [float(l.split("=")[1].split()[0]) for l in lines if l.startswith("commuting ")]
+    assert len(residuals) == 4 and min(residuals) >= 0.1
+
+
 def test_check_debug_switch_leaves_rt_green(capsys):
     code, out, _ = run(
         capsys, "check", "--family", "RT", "--kmax", "0", "--debug-disable-div-moments"

@@ -31,8 +31,8 @@ from monomial_oracle import (
     Polynomial2D, VectorPoly2D, curl_scalar, divergence, monomial_basis, project, reference_field,
 )
 from reference_oracle import (
-    apply_dof, gesv_solve, monomial_dof_matrix_ld, monomial_interpolant, rule_points,
-    three_sweep_solve,
+    apply_dof, coeffs_internal_bound, coeffs_internal_reference, gesv_solve,
+    monomial_dof_matrix_ld, monomial_interpolant, rule_points, three_sweep_solve,
 )
 
 ALL_SPACES = [("RT", k) for k in range(5)] + [("BDM", k) for k in range(1, 5)] + [
@@ -304,6 +304,23 @@ def test_projector_pinned_constant():
     xs = np.linspace(0.0, 1.0, 7)
     np.testing.assert_allclose(p.eval(xs, xs), 1.0, atol=1e-15)
     assert proj.coeffs_internal(w) == {(0, 0): 1.0}
+
+
+@pytest.mark.parametrize("family,k", [("RT", 0), ("BDM", 2), ("ABF", 3)])
+@pytest.mark.parametrize("w", [
+    lambda x, y: 2.5,
+    lambda x, y: np.exp(x) - x * x,
+    lambda x, y: np.cos(3.0 * y),
+], ids=["constant", "x-only", "y-only"])
+def test_projector_takes_a_callable_that_does_not_fill_the_grid(family, k, w):
+    # a scalar, a (20, 1) column or a (1, 20) row of values projects as the
+    # same values filled on the 20 x 20 grid, and within rounding of the 2-D sums
+    proj = reference_projector(family, k)
+    got = proj.coeffs_internal(w)
+    assert got == proj.coeffs_internal(lambda x, y: w(x, y) + np.zeros_like(x * y))
+    ref, bound = coeffs_internal_reference(proj, w), coeffs_internal_bound(proj, w)
+    assert list(got) == list(proj._index)
+    assert all(abs(got[ij] - ref[ij]) <= bound[ij] for ij in proj._index)
 
 
 def test_projector_tabulates_its_rule_once(monkeypatch):

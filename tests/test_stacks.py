@@ -3,7 +3,9 @@
 `check` interpolates its 20 projection members and the 5 commuting
 fields as stacks, and projects the fields' divergences as one stack from
 one cached factor sample.  The oracles here keep the one-at-a-time code, and a
-stack must match it bit for bit (==, not isclose).
+stack must match it bit for bit (==, not isclose).  The commuting check's
+1-D factor products are held to the 2-D references they replaced
+(reference_oracle) within the rounding of either summation order.
 """
 
 import numpy as np
@@ -11,9 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hdivkit import cli, interpolation
+from hdivkit import cli, interpolation, legendre
 from hdivkit.dofs import _plan_for, build_dofs, dof_vector_ld
-from hdivkit.elements import FAMILIES, MAX_DEGREE, ElementSpace, build_space, degree_range
+from hdivkit.elements import (
+    FAMILIES, MAX_DEGREE, ElementSpace, SpaceMember, build_space, degree_range,
+)
 from hdivkit.fields import (
     FieldStack, ManufacturedField, ReproductionField, commuting_battery, env_seed,
 )
@@ -23,7 +27,7 @@ from hdivkit.interpolation import (
     reference_operator, reference_projector,
 )
 from hdivkit.quadrature import NONPOLY_POINTS
-from reference_oracle import _eval_legendre_sum, coeffs_internal_reference
+from reference_oracle import _eval_legendre_sum, coeffs_internal_bound, coeffs_internal_reference
 
 # every (family, k, replace) that check --kmax 4 and its negative control judge
 PROJECTION_CASES = [(f, k, r) for f in FAMILIES for k in degree_range(f, MAX_DEGREE)
@@ -54,15 +58,19 @@ def test_projection_stack_matches_the_member_loop(family, k, replace):
 
 
 def _residual_one_field(family, k, fld, replace):
-    """The per-field commuting residual: its own interpolant and tabulation."""
+    """The per-field commuting residual in the check's order: its own
+    interpolant's div factors X^T Y and its own projection L^T C L on the grid's axis."""
     op = reference_operator(family, k, replace)
+    proj = reference_projector(family, k)
     m = op.interpolate(fld)
     s = np.linspace(0.0, 1.0, SAMPLE_GRID)
-    X, Y = np.meshgrid(s, s, indexing="ij")
-    lhs = m.div_values(X, Y)
-    rhs = _eval_legendre_sum(coeffs_internal_reference(reference_projector(family, k),
-                                                       fld.div_values), X, Y)
-    return m.coeffs, float(np.max(np.abs(lhs - rhs)))
+    X, Y = m.factor_sample(s, s)[2]
+    n = max(max(ij) for ij in proj._index) + 1
+    C = np.zeros((n, n))
+    for ij, c in proj.coeffs_internal(fld.div_values).items():
+        C[ij] = c
+    L = np.array(legendre.values(n - 1, s))
+    return m.coeffs, float(np.max(np.abs(X.T @ Y - L.T @ C @ L)))
 
 
 @pytest.mark.parametrize("family,k,replace", COMMUTING_CASES)
@@ -74,6 +82,49 @@ def test_commuting_stack_matches_the_field_loop(family, k, replace):
     assert np.array_equal(commuting_residuals(family, k, battery, replace), residuals)
     worst = max(residuals)
     assert judge_commuting(family, k, replace) == (worst, worst <= COMMUTING_TOL)
+
+
+@pytest.mark.parametrize("family,k,replace", COMMUTING_CASES)
+def test_commuting_sides_match_the_2d_references(family, k, replace):
+    # each side of the residual against the 2-D path it replaced: the basis
+    # divergences tabulated on the 21 x 21 grid, one x-major sum per projector
+    # coefficient and the (i, j) loop of the Legendre sum; the gaps stay within
+    # the rounding either order allows (gamma_n bounds of the float64 sums,
+    # coeffs_internal_bound for the long-double ones)
+    eps = np.finfo(float).eps
+    proj = reference_projector(family, k)
+    s = np.linspace(0.0, 1.0, SAMPLE_GRID)
+    x, y = s[:, None], s[None, :]
+    n = max(max(ij) for ij in proj._index) + 1
+    L = np.array(legendre.values(n - 1, s))
+    for fld in commuting_battery():
+        m = reference_operator(family, k, replace).interpolate(fld)
+        X, Y = m.factor_sample(s, s)[2]
+        gap = np.abs(X.T @ Y - m.div_values(x, y))
+        assert np.all(gap <= 2 * (m.space.dim + 1) * eps * (np.abs(X).T @ np.abs(Y)))
+        got = proj.coeffs_internal(fld.div_values)
+        ref = coeffs_internal_reference(proj, fld.div_values)
+        bound = coeffs_internal_bound(proj, fld.div_values)
+        assert all(abs(got[ij] - ref[ij]) <= bound[ij] for ij in proj._index)
+        C, B = np.zeros((n, n)), np.zeros((n, n))
+        for ij in proj._index:
+            C[ij], B[ij] = got[ij], bound[ij] + 2 * (len(got) + 1) * eps * abs(got[ij])
+        gap = np.abs(L.T @ C @ L - _eval_legendre_sum(ref, x, y))
+        assert np.all(gap <= np.abs(L).T @ B @ np.abs(L))
+
+
+@pytest.mark.parametrize("family,k,replace", COMMUTING_CASES)
+def test_commuting_check_fills_no_grid_table(monkeypatch, family, k, replace):
+    # both sides come from 1-D factors: no basis table is tabulated on the
+    # grid and no member is evaluated point by point
+    want = commuting_residuals(family, k, commuting_battery(), replace)
+
+    def refuse(*args):
+        raise AssertionError("the commuting check filled a grid table")
+
+    monkeypatch.setattr(ElementSpace, "_tables", refuse)
+    monkeypatch.setattr(SpaceMember, "div_values", refuse)
+    assert np.array_equal(commuting_residuals(family, k, commuting_battery(), replace), want)
 
 
 ALL_PAIRS = [(f, k) for f in FAMILIES for k in degree_range(f, MAX_DEGREE)]
@@ -132,7 +183,9 @@ def test_stacked_projection_matches_lone_coefficients(family, k):
             lone = proj.coeffs_internal(fn)
             assert list(lone) == list(proj._index)
             assert row.tolist() == list(lone.values())
-            assert lone == coeffs_internal_reference(proj, fn)
+            ref = coeffs_internal_reference(proj, fn)
+            bound = coeffs_internal_bound(proj, fn)
+            assert all(abs(lone[ij] - ref[ij]) <= bound[ij] for ij in proj._index)
 
 
 def test_one_check_samples_each_battery_field_once(monkeypatch, capsys):
