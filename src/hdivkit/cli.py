@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
@@ -140,7 +139,7 @@ def _judge_projection(family: str, k: int, replace: bool):
 
 
 def _judge_span(family: str, k: int, replace: bool):
-    report = span_check(build_space(family, k))
+    report = span_check(reference_operator(family, k, replace).space)
     return report["max_residual"], report["ok"]
 
 
@@ -235,14 +234,15 @@ _JSON_ROW = ('{"level": %d, "hx": %.17g, "hy": %.17g, "err_field": %.17g, "err_d
              '"rate_field": %s, "rate_div": %s}')
 
 
+def _rate_text(value: Optional[float], none: str) -> str:
+    return none if value is None else "%.17g" % value
+
+
 def _row_texts(table, template: str, none: str) -> List[str]:
     """One formatted string per level."""
-    def rate(value):
-        return none if value is None else "%.17g" % value
-
     rates = zip(table.level_rates("field"), table.level_rates("div"))
     return [template % (rec.level, rec.hx, rec.hy, rec.errors["field"], rec.errors["div"],
-                        rate(rate_f), rate(rate_d))
+                        _rate_text(rate_f, none), _rate_text(rate_d, none))
             for rec, (rate_f, rate_d) in zip(table.records, rates)]
 
 
@@ -250,40 +250,24 @@ def _csv_text(table) -> str:
     return "\n".join([",".join(_COLUMNS), *_row_texts(table, _CSV_ROW, "")]) + "\n"
 
 
-class _Raw(str):
-    """Text that is already JSON, written as it is."""
-
-
-def _json_value(value) -> str:
-    if isinstance(value, _Raw):
-        return value
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return "%.17g" % float(value)
-    if isinstance(value, str):
-        return json.dumps(value)
-    if isinstance(value, dict):
-        inner = ", ".join(f"{json.dumps(str(k))}: {_json_value(v)}" for k, v in value.items())
-        return "{" + inner + "}"
-    if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(_json_value(v) for v in value) + "]"
-    raise TypeError(f"cannot serialize {type(value).__name__}")
+# the JSON document, its config keys those of StudyConfig.describe(): the strings are
+# checked choices (a family, a field id, a mode name), so none needs escaping
+_JSON_CONFIG = ('"family": "%(family)s", "k": %(k)d, "p": %(p).17g, "field": "%(field)s", '
+                '"mode": "%(mode)s", "levels": %(levels)d, "h0": %(h0).17g, '
+                '"rate_tolerance": %(rate_tolerance).17g')
+_JSON_RHO = ', "rho": %(rho).17g'
+_JSON_DOC = ('{"config": {%s}, "records": [%s], "fitted_rates": {"field": %s, "div": %s}, '
+             '"predicted_rates": {"field": %.17g, "div": %.17g}, '
+             '"verdicts": {"field": "%s", "div": "%s"}}\n')
 
 
 def _json_text(table) -> str:
-    payload = {
-        "config": table.config.describe(),
-        "records": _Raw("[" + ", ".join(_row_texts(table, _JSON_ROW, "null")) + "]"),
-        "fitted_rates": {w: j.fitted for w, j in table.judged.items()},
-        "predicted_rates": {w: j.predicted for w, j in table.judged.items()},
-        "verdicts": {w: j.verdict for w, j in table.judged.items()},
-    }
-    return _json_value(payload) + "\n"
+    config = table.config.describe()
+    template = _JSON_CONFIG + _JSON_RHO if "rho" in config else _JSON_CONFIG
+    f, d = table.judged["field"], table.judged["div"]
+    return _JSON_DOC % (template % config, ", ".join(_row_texts(table, _JSON_ROW, "null")),
+                        _rate_text(f.fitted, "null"), _rate_text(d.fitted, "null"),
+                        f.predicted, d.predicted, f.verdict, d.verdict)
 
 
 def _atomic_write(path: str, text: str) -> None:

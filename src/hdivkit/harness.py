@@ -9,11 +9,11 @@ vanish at the anchor corner, so the field's own norm is not a stable
 yardstick), div errors against the field's div norm on the same
 rectangle (nonvanishing for every battery field, and it cancels the
 Piola growth of reproduction studies at extreme aspect ratios).
-Rates are fitted by least squares on
-the last levels and judged against predictions that combine the
-theorem's exponent table with the field's structural zero derivatives,
-so a study that refines a direction the field does not depend on is
-checked for stagnation instead of a bogus rate.
+Rates are least-squares slopes of the log2 errors on the last levels, in
+closed form since the levels are equally spaced, and are judged against
+predictions that combine the theorem's exponent table with the field's
+structural zero derivatives, so a study that refines a direction the
+field does not depend on is checked for stagnation instead of a bogus rate.
 
 A field goes to the reference square one way, PulledBackField; piola_push
 pulls one member back through the inverse map.  A study pulls the field
@@ -338,9 +338,12 @@ def fitted_rate(errors: List[float], levels: int) -> Optional[float]:
     tail = errors[-w:]
     if any(e <= 0 or not math.isfinite(e) for e in tail):
         return None
-    js = np.arange(levels - w, levels, dtype=float)
-    slope = np.polyfit(js, np.log2(tail), 1)[0]
-    return float(-slope)
+    # the least-squares slope over equally spaced levels, centred on m: sum (j - m) log2 e_j
+    # over sum (j - m)^2 = w (w^2 - 1) / 12; 0.0 - slope reads a flat series as +0.0
+    m = (w - 1) / 2
+    slope = math.fsum((j - m) * math.log2(e) for j, e in enumerate(tail)) * 12 / (w * (w * w - 1))
+    return 0.0 - slope
+
 
 def _verdict(errors: List[float], fitted: Optional[float], predicted: float,
              tol: float) -> Tuple[str, dict]:

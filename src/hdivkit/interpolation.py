@@ -45,7 +45,7 @@ from . import legendre
 from .dofs import DofSet, build_dofs, dof_vector_ld, dof_matrix_ld, plan_nodes
 from .elements import (
     ElementFamily, ElementSpace, ScalarSpace, SpaceMember, _as_family, build_div_space,
-    build_space,
+    build_space, factor_values,
 )
 from .fields import FieldStack, commuting_battery
 from .quadrature import NONPOLY_POINTS, gauss_legendre_01
@@ -237,18 +237,20 @@ def commuting_residuals(family, k: int, fields, replace_div_moments: bool = Fals
     Both sides read one cached_sample: one DOF-vector call and one stacked
     solve interpolate it, and one stacked projector pass integrates the
     sample's divergences.  Both are then evaluated on the grid's axis s from
-    1-D factors, one matrix product per field: div I u as X^T Y, X the
-    interpolant's coefficient-weighted x factor rows and Y its y rows of the
-    div terms (SpaceMember.factor_sample), and P div u as L(s)^T C L(s), C the
-    projector's coefficients on their index set.  No basis table fills the
-    grid, and every residual keeps a lone field's bits.  Both sides use the
-    Legendre recurrence; a monomial grid would cost two digits at k >= 3.
+    1-D factors, one matrix product per field: div I u as X^T Y, X the x rows
+    of the basis divergences (the space's div factor rows of one factor_values
+    table on s) weighted by the interpolant's coefficients and Y their y rows,
+    and P div u as L(s)^T C L(s), C the projector's coefficients on their index
+    set.  No basis table fills the grid, and every residual keeps a lone
+    field's bits.  Both sides use the Legendre recurrence; a monomial grid
+    would cost two digits at k >= 3.
     """
     sample = cached_sample(tuple(fields))
     op = reference_operator(family, k, replace_div_moments)
     proj = reference_projector(family, k)
     s = np.linspace(0.0, 1.0, SAMPLE_GRID)
-    X, Y = op.interpolate(sample).factor_sample(s, s)[2]
+    F, (rx, ry) = factor_values(op.space._maxdeg, s), op.space._rows[2]
+    X, Y = op.solve_coefficients(sample)[..., None] * F[rx], F[ry]
     _, _, W, (i, j) = proj._rule_tables
     L = np.array(legendre.values(len(W) - 1, s))
     C = np.zeros((len(X), len(W), len(W)))

@@ -12,7 +12,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hdivkit import cli, interpolation
+from hdivkit import cli, harness, interpolation
+from hdivkit.elements import (
+    FAMILIES, MAX_DEGREE, ElementSpace, build_space, degree_range, span_check,
+)
 from hdivkit.harness import StudyConfig
 
 CSV_HEADER = "level,hx,hy,err_field,err_div,rate_field,rate_div"
@@ -165,6 +168,27 @@ def test_check_fails_a_condition_above_cond_warn(capsys, monkeypatch):
     assert out.endswith("FAILED: RT_0 unisolvence\n")
 
 
+@pytest.mark.parametrize("replace", [False, True])
+def test_check_span_rows_read_the_cached_operators_space(monkeypatch, replace):
+    # the span row certifies the space of the operator the projection row solves
+    # with, so a warm check builds no second ElementSpace per (family, k)
+    pairs = [(f, k) for f in FAMILIES for k in degree_range(f, MAX_DEGREE)]
+    built = [span_check(build_space(f, k)) for f, k in pairs]
+    want = [(report["max_residual"], report["ok"]) for report in built]
+    for f, k in pairs:
+        interpolation.reference_operator(f, k, replace)
+    seen = []
+
+    def refuse(*args):
+        raise AssertionError("the span row built an ElementSpace")
+
+    monkeypatch.setattr(ElementSpace, "__init__", refuse)
+    monkeypatch.setattr(cli, "span_check", lambda space: seen.append(space) or span_check(space))
+    assert [cli._judge_span(f, k, replace) for f, k in pairs] == want
+    assert all(space is interpolation.reference_operator(f, k, replace).space
+               for space, (f, k) in zip(seen, pairs, strict=True))
+
+
 # ----------------------------------------------------------------- converge
 
 
@@ -227,6 +251,56 @@ def test_converge_json_contract(tmp_path, capsys):
     assert payload["records"][1]["rate_div"] is not None
     assert payload["predicted_rates"]["div"] == 2.0
     assert payload["verdicts"] == {"field": "pass", "div": "pass"}
+
+
+def _recursive_json(value) -> str:
+    """The recursive serialiser that wrote converge's JSON before its one template."""
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return "%.17g" % float(value)
+    if isinstance(value, str):
+        return json.dumps(value)
+    if isinstance(value, dict):
+        inner = ", ".join(f"{json.dumps(k)}: {_recursive_json(v)}" for k, v in value.items())
+        return "{" + inner + "}"
+    return "[" + ", ".join(_recursive_json(v) for v in value) + "]"
+
+
+@pytest.mark.parametrize("field,mode,family,k", [
+    (field, mode, family, k) for field, (family, k) in (("MS-G", ("ABF", 1)), ("MS-P", ("BDM", 2)))
+    for mode in ("shrink_x", "shrink_y", "isotropic", "fixed_aspect(8)")])
+def test_converge_json_is_the_recursive_serialisers_document(capsys, field, mode, family, k):
+    # the template writes the bytes the recursive serialiser wrote from the study's
+    # values: key order, config (describe(), rho only in fixed_aspect), and MS-P's
+    # fitted rates, whose windows hold exact zeros, as null
+    code, out, _ = run(capsys, "converge", "--family", family, "--k", str(k), "--field", field,
+                       "--mode", mode, "--levels", "4", "--p", "1", "--format", "json")
+    assert code in (0, 1)
+    text = out.split("\n", 1)[0] + "\n"
+    settings = {"mode": "fixed_aspect", "rho": 8.0} if mode == "fixed_aspect(8)" else {"mode": mode}
+    table = harness.run_refinement_study(StudyConfig(family, k, 1.0, field, levels=4, **settings))
+    rates = zip(table.level_rates("field"), table.level_rates("div"))
+    document = {
+        "config": table.config.describe(),
+        "records": [{"level": r.level, "hx": r.hx, "hy": r.hy, "err_field": r.errors["field"],
+                     "err_div": r.errors["div"], "rate_field": rf, "rate_div": rd}
+                    for r, (rf, rd) in zip(table.records, rates)],
+        "fitted_rates": {w: j.fitted for w, j in table.judged.items()},
+        "predicted_rates": {w: j.predicted for w, j in table.judged.items()},
+        "verdicts": {w: j.verdict for w, j in table.judged.items()},
+    }
+    assert text == _recursive_json(document) + "\n"
+    payload = json.loads(text)
+    assert list(payload["config"]) == list(table.config.describe())
+    assert payload["config"] == table.config.describe()
+    assert ("rho" in payload["config"]) == (mode == "fixed_aspect(8)")
+    fitted = list(payload["fitted_rates"].values())
+    assert (fitted == [None, None]) if field == "MS-P" else (None not in fitted)
 
 
 def test_converge_verdict_failure_exit_code(capsys):

@@ -116,14 +116,16 @@ def test_commuting_sides_match_the_2d_references(family, k, replace):
 @pytest.mark.parametrize("family,k,replace", COMMUTING_CASES)
 def test_commuting_check_fills_no_grid_table(monkeypatch, family, k, replace):
     # both sides come from 1-D factors: no basis table is tabulated on the
-    # grid and no member is evaluated point by point
+    # grid, no member is evaluated point by point, and the interpolant's u and
+    # v factor terms are never formed (div I u reads the space's div rows only)
     want = commuting_residuals(family, k, commuting_battery(), replace)
 
     def refuse(*args):
-        raise AssertionError("the commuting check filled a grid table")
+        raise AssertionError("the commuting check formed a table it does not read")
 
     monkeypatch.setattr(ElementSpace, "_tables", refuse)
     monkeypatch.setattr(SpaceMember, "div_values", refuse)
+    monkeypatch.setattr(SpaceMember, "factor_sample", refuse)
     assert np.array_equal(commuting_residuals(family, k, commuting_battery(), replace), want)
 
 
