@@ -289,7 +289,8 @@ def _atomic_write(path: str, text: str) -> None:
 def _verdict_lines(table) -> List[str]:
     out = []
     for which, j in table.judged.items():
-        shown = "n/a" if j.fitted is None else "%.4f" % j.fitted
+        # a fit that rounds to zero prints unsigned, whatever the sign of its noise
+        shown = "n/a" if j.fitted is None else "%.4f" % (round(j.fitted, 4) + 0.0)
         out.append(f"{which}: fitted={shown} predicted={j.predicted:g} "
                    f"verdict={table.verdict_text(which)}")
     return out
@@ -338,20 +339,15 @@ def build_parser() -> argparse.ArgumentParser:
         "tabulate",
         help="print space dimension, DOF counts, and divergence space per family/degree",
     )
-    tab.add_argument("--family", default=None, **STUDY_FLAGS["family"])
-    tab.add_argument("--kmax", type=int, default=MAX_DEGREE)
-
     chk = sub.add_parser(
         "check",
         help="run unisolvence, projection, commuting-diagram, and div-span suites",
     )
-    chk.add_argument("--family", default=None, **STUDY_FLAGS["family"])
-    chk.add_argument("--kmax", type=int, default=MAX_DEGREE)
-    chk.add_argument(
-        "--debug-disable-div-moments",
-        action="store_true",
-        help="swap ABF divergence moments for plain interior moments (negative control)",
-    )
+    for cmd in (tab, chk):
+        cmd.add_argument("--family", default=None, **STUDY_FLAGS["family"])
+        cmd.add_argument("--kmax", type=int, default=MAX_DEGREE)
+    chk.add_argument("--debug-disable-div-moments", action="store_true", help="swap ABF "
+                     "divergence moments for plain interior moments (negative control)")
 
     conv = sub.add_parser(
         "converge",

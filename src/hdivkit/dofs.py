@@ -46,7 +46,9 @@ the plan and moment-table caches stay bounded.  tests/reference_oracle.py
 keeps the per-functional quadrature (apply_dof_ld) as an independent
 reference.
 
-All quadrature in this module runs in extended precision.  The DOF
+All quadrature in this module runs in extended precision, and every
+long-double product is np.dot: it sums in index order from zero, as
+matmul does, so the bits are the same, but in a register.  The DOF
 conditions stay at or below 504 up to k = 4, but a study compares pushed
 members, whose roundoff grows with the 1/h Piola factors, against the
 absolute 1e-12 reproduction bound, and fine levels spend that budget.
@@ -60,7 +62,6 @@ from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from . import legendre
 from .elements import (ElementFamily, ElementSpace, SpaceMember, _as_family, factor_values,
                        family_sets, space_dimension)
 from .quadrature import EDGES, NONPOLY_POINTS, gauss_legendre_01, n_for_degree
@@ -151,8 +152,8 @@ class DofPlan:
         # the largest test index per kind, -1 (no rows) where a kind is absent
         degs = [max((max(f.i, f.j) for f in functionals if f.kind == kind), default=-1)
                 for kind in ("edge_moment", "interior_moment", "div_moment")]
-        self.weights = [rule.weights_ld * np.reshape(legendre.values(max(d, 0), rule.nodes_ld)
-                                                     [: d + 1], (d + 1, n)) for d in degs]
+        self.weights = [rule.weights_ld * factor_values(max(d, 0), rule.nodes_ld)[: d + 1]
+                        for d in degs]
         ne, na, nd = (d + 1 for d in degs)
         raw = {"edge_moment": lambda f: EDGES.index(f.edge) * ne + f.i,
                "interior_moment": lambda f: 4 * ne + (f.component * na + f.i) * na + f.j,
@@ -166,7 +167,7 @@ class DofPlan:
     def moment(self, F, kind: int) -> np.ndarray:
         """1-D moments of factors F (..., n + 2) on the nodes: kind 0 their values
         at 0 and 1, kinds 1, 2, 3 the weighted sums of weights[kind - 1]."""
-        return F[..., [0, -1]] if kind == 0 else F[..., 1:-1] @ self.weights[kind - 1].T
+        return F[..., [0, -1]] if kind == 0 else np.dot(F[..., 1:-1], self.weights[kind - 1].T)
 
 
 @functools.lru_cache(maxsize=None)
@@ -215,7 +216,7 @@ def dof_vector_ld(dofset: DofSet, field, M: Optional[np.ndarray] = None) -> np.n
     give one vector per row."""
     if isinstance(field, SpaceMember):
         M = dof_matrix_ld(dofset, field.space) if M is None else M
-        return (M @ field.coeffs.astype(np.longdouble)[..., None])[..., 0]
+        return np.dot(field.coeffs.astype(np.longdouble), M.T)
     plan = _plan_for(dofset, None)
     return _dof_values(plan, plan.moment, field.factor_sample(plan.nodes, plan.nodes)).sum(-1)
 

@@ -14,9 +14,9 @@ more sweeps would only redraw roundoff, so a study's pushed members, whose
 roundoff grows with the 1/h Piola factors, stay within 1e-12.  A member of
 the operator's space takes its DOF vector M c from the M held.  `solve`
 takes DOF vectors with leading axes (a study's levels, a member stack or
-a FieldStack) as a stack of single columns: numpy's matmul runs the same
-matrix-vector product for each column, which keeps the bits of a lone
-solve.  So `interpolate` of a stacked field is a stacked member, one row
+a FieldStack) row by row: matmul applies the inverse to single columns
+and one np.dot (see dofs) gives b - M x, so a row keeps a lone solve's
+bits and `interpolate` of a stacked field is a stacked member, one row
 per field.  An operator keeps its basis on the studies' error rule, U, V
 and div in one table (rule_tables).
 
@@ -41,7 +41,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from . import legendre
 from .dofs import DofSet, build_dofs, dof_vector_ld, dof_matrix_ld, plan_nodes
 from .elements import (
     ElementFamily, ElementSpace, ScalarSpace, SpaceMember, _as_family, build_div_space,
@@ -106,16 +105,15 @@ class InterpolationOperator:
     def solve(self, b) -> np.ndarray:
         """Coefficients of extended-precision DOF vectors; leading axes batch.
 
-        The cached inverse's product plus one extended-precision residual
-        correction, both applied to a stack of single columns, never to one
-        matrix of many columns, so a row keeps a lone solve's bits.
+        The cached inverse's product, on a stack of single columns, never one
+        matrix of many, plus one residual correction, b - M x by one np.dot
+        summed in index order, so a row keeps a lone solve's bits.
         """
         if not np.all(np.isfinite(b)):
             raise ValueError("DOF vector is not finite")
-        b = b[..., None]
-        x = np.longdouble(self._inverse @ b.astype(float))
-        x = x + self._inverse @ (b - self._M_ld @ x).astype(float)
-        return x[..., 0].astype(float)
+        x = np.longdouble(self._inverse @ b.astype(float)[..., None])[..., 0]
+        r = (b - np.dot(x, self._M_ld.T)).astype(float)
+        return (x + (self._inverse @ r[..., None])[..., 0]).astype(float)
 
     def solve_coefficients(self, field) -> np.ndarray:
         """The interpolant's coefficients; one row per leading-axis row of values."""
@@ -174,8 +172,8 @@ class L2Projector:
         rule weights times the Legendre rows up to the index set's top degree, and
         the index set as row and column arrays (i, j)."""
         rule = gauss_legendre_01(NONPOLY_POINTS)  # the inner nodes of every 20-point DOF plan
-        t, (i, j) = rule.nodes_ld, np.array(self._index).T
-        W = rule.weights_ld * np.array(legendre.values(max(i.max(), j.max()), t))
+        t, (i, j), d = rule.nodes_ld, np.array(self._index).T, int(np.max(self._index))
+        W = rule.weights_ld * factor_values(d, t)[: d + 1]
         return t[:, None], t[None, :], W, (i, j)
 
     def coefficients(self, vals) -> np.ndarray:
@@ -184,7 +182,8 @@ class L2Projector:
         (W V W^T)[i, j] in extended precision, each row's bits as if alone."""
         _, _, W, (i, j) = self._rule_tables
         V = np.asarray(vals, dtype=np.longdouble)
-        C = W @ np.broadcast_to(V, np.broadcast_shapes(V.shape, (NONPOLY_POINTS,) * 2)) @ W.T
+        V = np.broadcast_to(V, np.broadcast_shapes(V.shape, (NONPOLY_POINTS,) * 2))
+        C = np.dot(np.moveaxis(np.dot(W, V), 0, -2), W.T)
         return (C[..., i, j] * ((2 * i + 1) * (2 * j + 1))).astype(float)
 
     def coeffs_internal(self, w) -> dict:
@@ -231,6 +230,14 @@ class _Sampled:
 cached_sample = functools.lru_cache(maxsize=8)(_Sampled)
 
 
+@functools.lru_cache(maxsize=None)
+def axis_table(deg: int) -> np.ndarray:
+    """factor_values(deg) on the sample grid's axis, read-only, one per degree."""
+    F = factor_values(deg, np.linspace(0.0, 1.0, SAMPLE_GRID))
+    F.setflags(write=False)
+    return F
+
+
 def commuting_residuals(family, k: int, fields, replace_div_moments: bool = False) -> np.ndarray:
     """Per field, max over a 21 x 21 grid of |div(I field) - P(div field)|.
 
@@ -238,21 +245,20 @@ def commuting_residuals(family, k: int, fields, replace_div_moments: bool = Fals
     solve interpolate it, and one stacked projector pass integrates the
     sample's divergences.  Both are then evaluated on the grid's axis s from
     1-D factors, one matrix product per field: div I u as X^T Y, X the x rows
-    of the basis divergences (the space's div factor rows of one factor_values
-    table on s) weighted by the interpolant's coefficients and Y their y rows,
-    and P div u as L(s)^T C L(s), C the projector's coefficients on their index
-    set.  No basis table fills the grid, and every residual keeps a lone
-    field's bits.  Both sides use the Legendre recurrence; a monomial grid
-    would cost two digits at k >= 3.
+    of the basis divergences (the space's div factor rows of axis_table)
+    weighted by the interpolant's coefficients and Y their y rows, and P div u
+    as L(s)^T C L(s), L the table's first Legendre rows and C the projector's
+    coefficients on their index set.  No basis table fills the grid, no table
+    is recomputed, and every residual keeps a lone field's bits.  Both sides
+    use the Legendre recurrence; a monomial grid would cost two digits at k >= 3.
     """
     sample = cached_sample(tuple(fields))
     op = reference_operator(family, k, replace_div_moments)
     proj = reference_projector(family, k)
-    s = np.linspace(0.0, 1.0, SAMPLE_GRID)
-    F, (rx, ry) = factor_values(op.space._maxdeg, s), op.space._rows[2]
+    F, (rx, ry) = axis_table(op.space._maxdeg), op.space._rows[2]
     X, Y = op.solve_coefficients(sample)[..., None] * F[rx], F[ry]
     _, _, W, (i, j) = proj._rule_tables
-    L = np.array(legendre.values(len(W) - 1, s))
+    L = F[: len(W)]
     C = np.zeros((len(X), len(W), len(W)))
     C[:, i, j] = proj.coefficients(sample.div)
     return np.max(np.abs(np.swapaxes(X, -1, -2) @ Y - L.T @ C @ L), axis=(1, 2))

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import types
 import warnings
 
 import numpy as np
@@ -206,6 +207,27 @@ def test_converge_stdout_csv(capsys):
     assert first[5] == "" and first[6] == ""  # no rate at level 0
     assert lines[-2].startswith("field: fitted=") and "verdict=pass" in lines[-2]
     assert lines[-1].startswith("div: fitted=") and "verdict=pass" in lines[-1]
+
+
+@pytest.mark.parametrize("family,k", [("RT", 1), ("BDM", 2)])
+def test_converge_prints_a_fit_of_noise_unsigned(capsys, family, k):
+    # the div errors stagnate at roundoff, and their fit is -1e-16: the verdict
+    # line prints it as 0.0000, while the JSON keeps the raw signed rate
+    code, out, _ = run(capsys, "converge", "--family", family, "--k", str(k), "--field", "MS-X",
+                       "--mode", "shrink_y", "--levels", "8", "--format", "json")
+    lines = out.splitlines()
+    assert code == 0 and -1e-15 < json.loads(lines[0])["fitted_rates"]["div"] < 0
+    assert lines[-1] == "div: fitted=0.0000 predicted=0 verdict=pass (stagnation)"
+
+
+def test_verdict_lines_print_four_places_with_an_unsigned_zero():
+    fits = {"a": -1e-16, "b": -0.0, "c": 4.9e-5, "d": -4.9e-5, "e": -5.1e-5, "f": 1.23456,
+            "g": None}
+    table = types.SimpleNamespace(
+        judged={w: types.SimpleNamespace(fitted=f, predicted=2) for w, f in fits.items()},
+        verdict_text=lambda which: "pass")
+    shown = [line.split()[1] for line in cli._verdict_lines(table)]
+    assert shown == ["fitted=0.0000"] * 4 + ["fitted=-0.0001", "fitted=1.2346", "fitted=n/a"]
 
 
 def test_converge_large_p_is_not_vacuous(capsys):

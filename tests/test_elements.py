@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hdivkit import dofs, elements
+from hdivkit import dofs, elements, legendre
 from hdivkit.dofs import build_dofs, dof_matrix_ld, dof_vector_ld
 from hdivkit.elements import (
     _legendre_coordinates,
@@ -253,6 +253,24 @@ def test_the_factor_rows_are_the_one_basis_encoding(family, k):
         assert not hasattr(space, name), name
     assert not hasattr(dofs, "_factor_rows")
     assert space._rows is elements.factor_rows(space.labels, space._maxdeg + 1)
+
+
+@pytest.mark.parametrize("family,k", ALL_PAIRS)
+def test_legendre_coordinates_are_the_exact_int64_integers(family, k):
+    # the object-int products of the derivative matrix, entry for entry, for
+    # all rows (the oracle's u and v coordinates) and span_check's div rows
+    space = build_space(family, k)
+    n = space._maxdeg + 1
+    D = legendre.derivative_matrix(n)
+    R = np.concatenate([np.eye(n, dtype=int).astype(object), D, -D, np.zeros((1, n), object)])
+    for rows in (None, space._rows[2:]):
+        got = _legendre_coordinates(space, rows)
+        r = space._rows if rows is None else rows
+        X, Y = R[r[:, 0]], R[r[:, 1]]
+        want = (X[..., :, None] * Y[..., None, :]).transpose(1, 0, 2, 3)
+        assert got.dtype == np.int64 and got.shape == want.shape
+        assert all(type(w) is int and int(g) == w for g, w in zip(got.flat, want.flat))
+        assert np.array_equal(got.astype(float), want.astype(float))
 
 
 @pytest.mark.parametrize("k", degree_range("BDM"))

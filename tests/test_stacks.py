@@ -129,6 +129,23 @@ def test_commuting_check_fills_no_grid_table(monkeypatch, family, k, replace):
     assert np.array_equal(commuting_residuals(family, k, commuting_battery(), replace), want)
 
 
+@pytest.mark.parametrize("family,k", [(f, k) for f, k, r in COMMUTING_CASES if not r])
+def test_commuting_check_reuses_its_tables(monkeypatch, family, k):
+    # a second check recomputes no table: the grid axis's factor rows (the
+    # interpolant's div factors and the projector's Legendre rows) are one
+    # read-only axis_table per degree, the rule's W the cached projector's
+    want = judge_commuting(family, k)
+
+    def refuse(*args):
+        raise AssertionError("the commuting check recomputed a cached table")
+
+    monkeypatch.setattr(interpolation, "factor_values", refuse)
+    monkeypatch.setattr(legendre, "values", refuse)
+    assert judge_commuting(family, k) == want
+    table = interpolation.axis_table(reference_operator(family, k).space._maxdeg)
+    assert not table.flags.writeable
+
+
 ALL_PAIRS = [(f, k) for f in FAMILIES for k in degree_range(f, MAX_DEGREE)]
 
 
