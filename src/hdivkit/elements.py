@@ -173,9 +173,10 @@ class SpaceMember:
     high degree.  A member has no monomial grids and no algebra of its own
     (u, v, divergence() and +, -, * do not exist); members combine by
     their coefficients, space.member(a.coeffs + b.coeffs).  coeffs may be
-    an (m, dim) stack, one member per row: the basis is tabulated once,
-    uv/div_values return one row per member and degree_bounds covers every
-    row; require_single guards the code that takes one member.
+    an (m, dim) stack, one member per row: the basis is tabulated once and
+    uv/div_values return one row per member; require_single guards the code
+    that takes one member.  Its structural degrees are its space's
+    _label_degrees on the labels of its nonzero coefficients.
     """
 
     __slots__ = ("space", "coeffs")
@@ -187,13 +188,6 @@ class SpaceMember:
         coeffs.setflags(write=False)
         self.space = space
         self.coeffs = coeffs
-
-    @property
-    def degree_bounds(self) -> Tuple[Tuple[int, int], Tuple[int, int]]:
-        """((dx, dy) of u, (dx, dy) of v), from the labels of the nonzero coefficients."""
-        live = (self.coeffs != 0.0).reshape(-1, self.space.dim).any(axis=0)
-        d = self.space._label_degrees[live].max(axis=0, initial=0)
-        return (int(d[0]), int(d[1])), (int(d[2]), int(d[3]))
 
     def uv(self, x, y):
         U, V = self.space.tabulate(x, y)
@@ -359,12 +353,12 @@ def span_check(space: ElementSpace) -> dict:
     A = div[:, rows, cols].astype(float)
     rank = int(np.linalg.matrix_rank(A)) if A.size else 0
     if rank < div_space.dim:
-        for m, exp in enumerate(div_space.exponents):
-            e = np.zeros(div_space.dim)
-            e[m] = 1.0
-            _, res, _, _ = np.linalg.lstsq(A.T, e, rcond=None)
-            if res.size and res[0] > UNREACHED_TOL:
-                failures.append(f"scalar direction L_{exp[0]}(x) L_{exp[1]}(y) not reached")
+        # squared distances from the span; lstsq's own residuals are empty for a rank-deficient A
+        eye = np.eye(div_space.dim)
+        X = np.linalg.lstsq(A.T, eye, rcond=None)[0]
+        failures += [f"scalar direction L_{i}(x) L_{j}(y) not reached"
+                     for (i, j), r in zip(div_space.exponents, ((A.T @ X - eye) ** 2).sum(0))
+                     if r > UNREACHED_TOL]
     return {
         "family": space.family.value,
         "k": space.k,

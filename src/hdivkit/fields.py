@@ -1,14 +1,16 @@
 """Manufactured vector fields, their closed-form partials, and factor samples.
 
-Each component of a manufactured field is one term: asked for a partial
-(a1, a2), up to total order 6 (the rate k+2 at k = 4), it returns the
-partial as 1-D factor pairs (fx, fy), summing to fx(x) fy(y), and ()
-where it vanishes identically.  A separable term (factors 1, the
-coordinate, exp, sin or cos of pi z) is one pair; a plane wave
-g(a x + b y) is one pair for exp and two for sin and cos, by angle
-addition.  partial, uv and div_values sum the same pairs (the
-divergence's are both component partials'), and the structural zeros the
-rate predictions read are the empty tuples.
+One component index runs through every field: u, v and div are
+components 0, 1 and 2 of its terms, its structural zeros and its factor
+samples.  Each component of a manufactured field is one term: asked for
+a partial (a1, a2), up to total order 6 (the rate k+2 at k = 4), it
+returns the partial as 1-D factor pairs (fx, fy), summing to
+fx(x) fy(y), and () where it vanishes identically.  A separable term
+(factors 1, the coordinate, exp, sin or cos of pi z) is one pair; a
+plane wave g(a x + b y) is one pair for exp and two for sin and cos, by
+angle addition; the div term is u's (a1 + 1, a2) pairs then v's
+(a1, a2 + 1).  partial, uv and div_values sum the same pairs, and the
+structural zeros the rate predictions read are the empty tuples.
 
 Factor samples.  Every field a DOF vector is taken of has
 factor_sample(x, y), for 1-D nodes x and y with optional leading axes:
@@ -149,26 +151,24 @@ def zero(a1: int, a2: int) -> Pairs:
 
 
 class ManufacturedField:
-    """Smooth field on the plane: one term per component.
+    """Smooth field on the plane: one term per component, u, v and div.
 
     partial(a1, a2, comp) returns a vectorized callable for
-    d^{a1+a2} u_comp / dx^{a1} dy^{a2}, the sum of the term's pairs.
-    deriv_nonzero reads the same pairs, so a flag is False exactly when the
-    partial vanishes by construction, and rate predictions see every
-    structural zero.
+    d^{a1+a2} / dx^{a1} dy^{a2} of component comp (2 is the divergence),
+    the sum of the term's pairs.  deriv_nonzero reads the same pairs, so a
+    flag is False exactly when the partial vanishes by construction, and
+    rate predictions see every structural zero.
     """
 
     def __init__(self, fid: str, u: Term, v: Term):
         self.id = fid
-        self._terms = (u, v)
+        div = functools.lru_cache(maxsize=None)(lambda a1, a2: u(a1 + 1, a2) + v(a1, a2 + 1))
+        self._terms = (u, v, div)
 
     def _pairs(self, a1: int, a2: int, comp: int) -> Pairs:
-        if comp not in (0, 1):
-            raise ValueError("component must be 0 or 1")
+        if comp not in (0, 1, 2):
+            raise ValueError("component must be 0, 1 or 2")
         return self._terms[comp](a1, a2)
-
-    def _div_pairs(self) -> Pairs:
-        return self._pairs(1, 0, 0) + self._pairs(0, 1, 1)
 
     def partial(self, a1: int, a2: int, comp: int) -> Callable:
         if a1 < 0 or a2 < 0 or a1 + a2 > MAX_PARTIAL_ORDER:
@@ -178,17 +178,14 @@ class ManufacturedField:
     def deriv_nonzero(self, a1: int, a2: int, comp: int) -> bool:
         return bool(self._pairs(a1, a2, comp))
 
-    def div_deriv_nonzero(self, a1: int, a2: int) -> bool:
-        return self.deriv_nonzero(a1 + 1, a2, 0) or self.deriv_nonzero(a1, a2 + 1, 1)
-
     def uv(self, x, y):
         return self.partial(0, 0, 0)(x, y), self.partial(0, 0, 1)(x, y)
 
     def div_values(self, x, y):
-        return _sum_of_products(self._div_pairs(), x, y)
+        return self.partial(0, 0, 2)(x, y)
 
     def factor_sample(self, x, y):
-        pairs = (self._pairs(0, 0, 0), self._pairs(0, 0, 1), self._div_pairs())
+        pairs = [self._pairs(0, 0, comp) for comp in range(3)]
         return tuple(_factors(p, max(map(len, pairs)), x, y) for p in pairs)
 
     def __repr__(self):
@@ -233,9 +230,6 @@ class ReproductionField:
     def deriv_nonzero(self, a1: int, a2: int, comp: int) -> bool:
         return _reaches(self._reach[:, 2 * comp: 2 * comp + 2], a1, a2)
 
-    def div_deriv_nonzero(self, a1: int, a2: int) -> bool:
-        return self.deriv_nonzero(a1, a2, 2)  # div is the reach's third pair
-
     def __repr__(self):
         return f"ReproductionField({self.member.space!r})"
 
@@ -268,25 +262,13 @@ class FieldStack:
                      for pairs in zip(*samples))
 
 
-class _Values:
-    """A field known only by its values (U, V, div), whatever the points: constants,
-    or one sample read on its own grid and nowhere else (a study's error rule)."""
-
-    def __init__(self, U, V, D):
-        self.U, self.V, self.D = U, V, D
-
-    def uv(self, x, y):
-        return self.U, self.V
-
-    def div_values(self, x, y):
-        return self.D
-
-
 class CallableField:
-    """Adapter giving plain callables the field protocol.  Its factor sample is
-    the full-rank case, term r the identity at node x_r against the values at
-    (x_r, y); a missing divergence samples as nan, which only sets with div
-    moments read and solve rejects."""
+    """Adapter giving plain callables the field protocol; a field known only
+    by its values (constants, or a sample read on its own grid and nowhere
+    else, a study's error rule) is the callables returning them.  Its factor
+    sample is the full-rank case, term r the identity at node x_r against the
+    values at (x_r, y); a missing divergence samples as nan, which only sets
+    with div moments read and solve rejects."""
 
     def __init__(self, uv_fn: Callable, div_fn: Optional[Callable] = None, fid: str = "custom"):
         self.id = fid

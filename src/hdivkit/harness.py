@@ -11,9 +11,11 @@ rectangle (nonvanishing for every battery field, and it cancels the
 Piola growth of reproduction studies at extreme aspect ratios).
 Rates are least-squares slopes of the log2 errors on the last levels, in
 closed form since the levels are equally spaced, and are judged against
-predictions that combine the theorem's exponent table with the field's
-structural zero derivatives, so a study that refines a direction the
-field does not depend on is checked for stagnation instead of a bogus rate.
+predictions that combine the theorem's exponent table with the structural
+zero derivatives of the components the quantity reads (u and v for the
+field, div for the divergence: components 0, 1 and 2 of every field), so
+a study that refines a direction the field does not depend on is checked
+for stagnation instead of a bogus rate.
 
 A field goes to the reference square one way, PulledBackField; piola_push
 pulls one member back through the inverse map.  A study pulls the field
@@ -49,7 +51,7 @@ from .elements import (
     ElementFamily, SpaceMember, _as_family, _validate_degree, build_space, check_choice,
     contract, degree_range, require_single,
 )
-from .fields import FIELD_IDS, CallableField, ReproductionField, _Values, check_seed, get_field
+from .fields import FIELD_IDS, CallableField, ReproductionField, check_seed, get_field
 from .interpolation import REPRO_TOL, judge_commuting, reference_operator
 from .quadrature import NONPOLY_POINTS, gauss_legendre_01, tensor_rule
 
@@ -58,8 +60,9 @@ MONOTONE_SLACK = 1.01
 # refinement directions per mode: level j scales h_x by 2^-(sx j) and h_y by 2^-(sy j)
 _SCALES = {"shrink_x": (1, 0), "shrink_y": (0, 1), "isotropic": (1, 1), "fixed_aspect": (1, 1)}
 MODES = tuple(_SCALES)
-# the quantities a study measures and judges, in output order
-QUANTITIES = ("field", "div")
+# the quantities a study measures and judges, in output order, and the components each reads
+_COMPONENTS = {"field": (0, 1), "div": (2,)}
+QUANTITIES = tuple(_COMPONENTS)
 
 
 @dataclass(frozen=True)
@@ -118,7 +121,7 @@ def piola_push(rect: PhysicalRect, member: SpaceMember) -> PulledBackField:
     return PulledBackField(require_single(member, "piola_push"), 1 / rect.hx, 1 / rect.hy)
 
 
-ZERO_FIELD = _Values(0.0, 0.0, 0.0)
+ZERO_FIELD = CallableField(lambda x, y: (0.0, 0.0), lambda x, y: 0.0, "zero")
 
 
 def _mapped_rule(hx, hy):
@@ -306,25 +309,14 @@ def estimate_terms(family, k: int, which: str, sx: int, sy: int) -> Tuple[tuple,
     return {"field": field, "div": div}[which]
 
 
-def _predicted_rate(groups, nonzero, sx: int, sy: int) -> float:
-    """Max over groups of the slowest rate a1 sx + a2 sy among the terms the
-    field keeps (nonzero partials); a group with no such term gives 0."""
-    return float(max(min((a1 * sx + a2 * sy for a1, a2 in group if nonzero(a1, a2)), default=0)
-                     for group in groups))
-
-
-def predicted_div_rate(family, k: int, fld, sx: int, sy: int) -> float:
-    return _predicted_rate(estimate_terms(family, k, "div", sx, sy), fld.div_deriv_nonzero, sx, sy)
-
-
-def predicted_field_rate(family, k: int, fld, sx: int, sy: int) -> float:
-    def nz(a1, a2):
-        return fld.deriv_nonzero(a1, a2, 0) or fld.deriv_nonzero(a1, a2, 1)
-
-    return _predicted_rate(estimate_terms(family, k, "field", sx, sy), nz, sx, sy)
-
-
-_PREDICTED = {"field": predicted_field_rate, "div": predicted_div_rate}
+def predicted_rate(family, k: int, fld, which: str, sx: int, sy: int) -> float:
+    """Max over the estimate's groups of the slowest rate a1 sx + a2 sy among
+    the terms the field keeps, a partial nonzero in one of which's components;
+    a group with no such term gives 0."""
+    comps = _COMPONENTS[which]
+    return float(max(min((a1 * sx + a2 * sy for a1, a2 in group
+                          if any(fld.deriv_nonzero(a1, a2, c) for c in comps)), default=0)
+                     for group in estimate_terms(family, k, which, sx, sy)))
 
 
 # --- fitting and verdicts -------------------------------------------------
@@ -375,7 +367,7 @@ def run_refinement_study(config: StudyConfig) -> ConvergenceTable:
 
     def push(coeffs):  # coefficients (one row, or one per level) on the mapped rules
         U, V, D = contract(coeffs, op.rule_tables).swapaxes(0, -3)
-        return _Values(U / hy, V / hx, D / (hx * hy))
+        return CallableField(lambda x, y: (U / hy, V / hx), lambda x, y: D / (hx * hy))
 
     if isinstance(fld, ReproductionField):
         # the pull-back of the pushed member is the member at every level
@@ -402,7 +394,7 @@ def run_refinement_study(config: StudyConfig) -> ConvergenceTable:
     sx, sy = config.mode_scales()
     judged = {}
     for which in QUANTITIES:
-        predicted = _PREDICTED[which](config.family, config.k, fld, sx, sy)
+        predicted = predicted_rate(config.family, config.k, fld, which, sx, sy)
         fitted = fitted_rate(errors[which], config.levels)
         judged[which] = Judgement(fitted, predicted, *_verdict(
             errors[which], fitted, predicted, config.rate_tolerance))

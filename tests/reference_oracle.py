@@ -14,7 +14,9 @@ import numpy as np
 
 from hdivkit import legendre
 from hdivkit.dofs import _EDGE_SIGN, build_dofs
-from hdivkit.elements import ElementSpace, _legendre_coordinates, _product_norms, build_space
+from hdivkit.elements import (
+    ElementSpace, SpaceMember, _legendre_coordinates, _product_norms, build_space,
+)
 from hdivkit.harness import _check_lp_args, _lp_sum
 from hdivkit.quadrature import EDGES, NONPOLY_POINTS, gauss_legendre_01, n_for_degree, tensor_rule
 
@@ -77,11 +79,25 @@ def gram_matrix(space: ElementSpace) -> np.ndarray:
     return sum((C[:, comp] * w) @ C[:, comp].T for comp in range(2))
 
 
+def degree_bounds(field):
+    """((dx, dy) of u, (dx, dy) of v) of a polynomial field, None for any other.
+
+    A member's come from its space's _label_degrees on the labels of its
+    nonzero coefficients, over every row of a stack; a monomial field
+    (monomial_oracle.VectorPoly2D) states its own.
+    """
+    if not isinstance(field, SpaceMember):
+        return getattr(field, "degree_bounds", None)
+    live = (field.coeffs != 0.0).reshape(-1, field.space.dim).any(axis=0)
+    d = field.space._label_degrees[live].max(axis=0, initial=0)
+    return (int(d[0]), int(d[1])), (int(d[2]), int(d[3]))
+
+
 def component_degrees(family, k):
     """Maximal (x-degree, y-degree) per component, curl members included: the
     degree bounds of the member with every coefficient nonzero."""
     space = build_space(family, k)
-    return space.member(np.ones(space.dim)).degree_bounds
+    return degree_bounds(space.member(np.ones(space.dim)))
 
 
 def gesv_solve(M_ld, b):
@@ -128,7 +144,7 @@ def edge_rule(edge: str, n: int) -> tuple:
 def apply_dof_ld(fn, field) -> np.longdouble:
     """One functional applied to a field by its own quadrature, in extended
     precision: the per-functional reference for dofs.DofPlan."""
-    degs = getattr(field, "degree_bounds", None)
+    degs = degree_bounds(field)
     if fn.kind == "edge_moment":
         comp = _EDGE_COMPONENT[fn.edge]
         if degs is None:
@@ -162,7 +178,7 @@ def apply_dof_ld(fn, field) -> np.longdouble:
 def _div_moment_ld(fn, field, test) -> np.longdouble:
     """int_K (div w) test(x, y) by a tensor rule exact for a polynomial field
     against a test of degree (fn.i, fn.j)."""
-    degs = getattr(field, "degree_bounds", None)
+    degs = degree_bounds(field)
     if degs is None:
         nx = ny = NONPOLY_POINTS
     else:

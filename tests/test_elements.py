@@ -20,7 +20,7 @@ from monomial_oracle import (
     Polynomial2D, VectorPoly2D, curl_scalar, divergence, grid_to_basis_exact, integrate_rect,
     reference_field, reference_grids,
 )
-from reference_oracle import component_degrees, gram_matrix
+from reference_oracle import component_degrees, degree_bounds, gram_matrix
 
 RNG = np.random.default_rng(11)
 
@@ -164,6 +164,20 @@ def test_span_check_detects_missing_direction(monkeypatch):
     assert any("leaves the scalar space" in f for f in report["failures"])
 
 
+def test_span_check_names_unreached_directions():
+    # RT_1 cut to its ("x", i, j) labels with i <= 1: the divergences L_1'(x) L_j(y)
+    # span L_0(x) L_0(y) and L_0(x) L_1(y) of Q_1 and reach no L_1(x) direction
+    space = build_space("RT", 1)
+    keep = [b for b, (kind, i, _) in enumerate(space.labels) if kind == "x" and i <= 1]
+    space.labels = tuple(space.labels[b] for b in keep)
+    space.dim, space._rows = len(keep), space._rows[..., keep]
+    report = span_check(space)
+    assert (report["rank"], report["div_dim"], report["surjective"]) == (2, 4, False)
+    assert report["failures"] == ["scalar direction L_1(x) L_0(y) not reached",
+                                  "scalar direction L_1(x) L_1(y) not reached"]
+    assert not report["ok"]
+
+
 @pytest.mark.parametrize("family,k", ALL_PAIRS)
 def test_gram_matrix_spd(family, k):
     G = gram_matrix(build_space(family, k))
@@ -213,7 +227,7 @@ def test_member_views_match_label_grids(family, k):
     sparse = np.where(rng.random(space.dim) < 0.3, dense, 0.0)
     for coeffs in (dense, sparse, np.zeros(space.dim)):
         u, v = reference_grids(space, coeffs)
-        assert space.member(coeffs).degree_bounds == ((u.dx, u.dy), (v.dx, v.dy))
+        assert degree_bounds(space.member(coeffs)) == ((u.dx, u.dy), (v.dx, v.dy))
 
 
 def test_member_dof_vectors_build_no_grids(monkeypatch):

@@ -17,7 +17,7 @@ from hdivkit.fields import (
     get_field,
     make_reproduction_field,
 )
-from hdivkit.harness import predicted_field_rate
+from hdivkit.harness import predicted_rate
 from monomial_oracle import divergence, reference_field
 
 RNG = np.random.default_rng(23)
@@ -71,8 +71,8 @@ def test_ms_x_structure():
     assert not MS_X.deriv_nonzero(2, 3, 0)
     assert MS_X.deriv_nonzero(3, 0, 0)
     assert not MS_X.deriv_nonzero(0, 0, 1)
-    assert not MS_X.div_deriv_nonzero(0, 1)
-    assert MS_X.div_deriv_nonzero(2, 0)
+    assert not MS_X.deriv_nonzero(0, 1, 2)
+    assert MS_X.deriv_nonzero(2, 0, 2)
 
 
 def test_ms_y_mirrors_ms_x():
@@ -80,7 +80,7 @@ def test_ms_y_mirrors_ms_x():
     u, v = MS_Y.uv(x, y)
     assert u == 0.0
     assert v == pytest.approx(np.sin(np.pi * y), rel=1e-15)
-    assert not MS_Y.div_deriv_nonzero(1, 0)
+    assert not MS_Y.deriv_nonzero(1, 0, 2)
 
 
 def test_declared_zero_partials_are_zero():
@@ -110,6 +110,41 @@ def test_flags_match_partials(field):
 def test_partial_order_limit():
     with pytest.raises(ValueError):
         MS_G.partial(7, 0, 0)
+    with pytest.raises(ValueError, match="component must be 0, 1 or 2"):
+        MS_G.partial(0, 0, 3)
+
+
+# --- the component index: u, v and div are components 0, 1 and 2 -----------
+
+STUDY_AND_BATTERY = [MS_G, MS_X, MS_Y] + commuting_battery()[1:]
+
+
+@pytest.mark.parametrize("field", STUDY_AND_BATTERY, ids=lambda f: f.id)
+def test_div_flags_are_the_component_partials(field):
+    # div = du/dx + dv/dy: its partial (a1, a2) is kept exactly when u's
+    # (a1 + 1, a2) or v's (a1, a2 + 1) is
+    for a1 in range(MAX_PARTIAL_ORDER + 1):
+        for a2 in range(MAX_PARTIAL_ORDER + 1 - a1):
+            assert field.deriv_nonzero(a1, a2, 2) == (
+                field.deriv_nonzero(a1 + 1, a2, 0) or field.deriv_nonzero(a1, a2 + 1, 1)
+            ), (field, a1, a2)
+
+
+@pytest.mark.parametrize("field", STUDY_AND_BATTERY, ids=lambda f: f.id)
+def test_div_partial_is_div_values_bit_for_bit(field):
+    xs, ys = PTS[:, 0], PTS[:, 1]
+    t = np.linspace(0.0, 1.0, 7)
+    for x, y in ((xs, ys), (t[:, None], t[None, :]), (0.3, 0.7)):
+        got, want = field.partial(0, 0, 2)(x, y), field.div_values(x, y)
+        assert np.shape(got) == np.shape(want) and np.array_equal(got, want)
+    # higher partials of div are the component partials' sums (a wave's pairs add in order,
+    # so the two sides may round apart)
+    for a1, a2 in [(1, 0), (0, 1), (2, 3)]:
+        direct = field.partial(a1 + 1, a2, 0)(xs, ys) + field.partial(a1, a2 + 1, 1)(xs, ys)
+        np.testing.assert_allclose(field.partial(a1, a2, 2)(xs, ys), direct,
+                                   rtol=1e-13, atol=1e-12)
+    # the div term is cached like every other term
+    assert field._pairs(1, 1, 2) is field._pairs(1, 1, 2)
 
 
 def test_battery_ids_unique():
@@ -193,7 +228,7 @@ ORDERS = [(a1, a2) for a1 in range(8) for a2 in range(8)]
 
 def _flags(rep):
     return [(rep.deriv_nonzero(a1, a2, 0), rep.deriv_nonzero(a1, a2, 1),
-             rep.div_deriv_nonzero(a1, a2)) for a1, a2 in ORDERS]
+             rep.deriv_nonzero(a1, a2, 2)) for a1, a2 in ORDERS]
 
 
 def _grid_flags(member):
@@ -227,4 +262,4 @@ def test_reproduction_flags_are_scale_invariant():
     rep = make_reproduction_field("ABF", 1, seed=3)
     tiny = ReproductionField(rep.member.space.member(rep.member.coeffs * 1e-12))
     assert _flags(tiny) == _flags(rep)
-    assert predicted_field_rate("ABF", 1, tiny, 1, 1) == 2.0
+    assert predicted_rate("ABF", 1, tiny, "field", 1, 1) == 2.0

@@ -12,7 +12,7 @@ from hdivkit import harness, interpolation
 from hdivkit.elements import (
     ElementFamily, ElementSpace, SpaceMember, build_space, contract, degree_range,
 )
-from hdivkit.fields import MS_G, MS_X, MS_Y, ReproductionField, get_field
+from hdivkit.fields import MS_G, MS_X, MS_Y, CallableField, ReproductionField, get_field
 from hdivkit.harness import (
     MIN_H,
     MODES,
@@ -30,8 +30,7 @@ from hdivkit.harness import (
     fitted_rate,
     norm_Lp,
     piola_push,
-    predicted_div_rate,
-    predicted_field_rate,
+    predicted_rate,
     run_refinement_study,
     theorem_suite,
     _lp_sum,
@@ -40,13 +39,17 @@ from hdivkit.harness import (
 )
 from hdivkit import interpolation
 from hdivkit.dofs import dof_vector_ld
-from hdivkit.fields import _Values
 from hdivkit.interpolation import InterpolationOperator, reference_operator
 from hdivkit.quadrature import NONPOLY_POINTS
 from monomial_oracle import Polynomial2D, VectorPoly2D
 from reference_oracle import (
-    apply_dof, enumerated_rule, error_Lp_reference, on_grid, rule_points,
+    apply_dof, degree_bounds, enumerated_rule, error_Lp_reference, on_grid, rule_points,
 )
+
+
+def _values(U, V, D) -> CallableField:
+    """The field known only by its values U, V and div D, whatever the points."""
+    return CallableField(lambda x, y: (U, V), lambda x, y: D)
 
 
 def _vec(ux, uy, vx, vy, cu=1.0, cv=1.0):
@@ -256,18 +259,20 @@ def test_stacked_errors_match_per_rectangle_calls(rows, p, which, seed):
     # values on the rule's (20, 20) grid, sides of shape (rows, 1, 1)
     rng = np.random.default_rng(seed)
     hx, hy, scale = (np.array(column)[:, None, None] for column in zip(*rows))
-    a, b = (_Values(*(scale * rng.standard_normal((len(rows), NONPOLY_POINTS, NONPOLY_POINTS))
-                      for _ in range(3))) for _ in range(2))
+    (aU, aV, aD), (bU, bV, bD) = (
+        [scale * rng.standard_normal((len(rows), NONPOLY_POINTS, NONPOLY_POINTS))
+         for _ in range(3)] for _ in range(2))
+    a, b = _values(aU, aV, aD), _values(bU, bV, bD)
     stack = PhysicalRect(hx, hy)
     errors, norms = error_Lp(a, b, stack, p, which), norm_Lp(a, stack, p, which)
     _, _, ws = _mapped_rule(hx, hy)
-    mags = np.hypot(a.U - b.U, a.V - b.V) if which == "field" else np.abs(a.D - b.D)
+    mags = np.hypot(aU - bU, aV - bV) if which == "field" else np.abs(aD - bD)
     mags = mags.reshape(ws.shape)
     sums = _lp_sum(ws, mags, p)
     assert errors.shape == norms.shape == sums.shape == (len(rows),)
     for i, (x, y, _) in enumerate(rows):
         rect = PhysicalRect(x, y)
-        a_i, b_i = (_Values(f.U[i], f.V[i], f.D[i]) for f in (a, b))
+        a_i, b_i = _values(aU[i], aV[i], aD[i]), _values(bU[i], bV[i], bD[i])
         assert errors[i] == error_Lp(a_i, b_i, rect, p, which)
         assert norms[i] == norm_Lp(a_i, rect, p, which)
         assert sums[i] == _lp_sum(ws[i], mags[i], p) == _lone_lp_sum(ws[i], mags[i], p)
@@ -402,25 +407,57 @@ def test_verdict_rate_comparison():
 
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_predicted_rates_rt(k):
-    assert predicted_div_rate("RT", k, MS_X, 1, 0) == k + 1
-    assert predicted_div_rate("RT", k, MS_Y, 0, 1) == k + 1
+    assert predicted_rate("RT", k, MS_X, "div", 1, 0) == k + 1
+    assert predicted_rate("RT", k, MS_Y, "div", 0, 1) == k + 1
     # refining x cannot help a divergence that depends only on y
-    assert predicted_div_rate("RT", k, MS_Y, 1, 0) == 0.0
-    assert predicted_field_rate("RT", k, MS_X, 1, 0) == k + 1
-    assert predicted_div_rate("RT", k, MS_G, 1, 1) == k + 1
+    assert predicted_rate("RT", k, MS_Y, "div", 1, 0) == 0.0
+    assert predicted_rate("RT", k, MS_X, "field", 1, 0) == k + 1
+    assert predicted_rate("RT", k, MS_G, "div", 1, 1) == k + 1
 
 
 @pytest.mark.parametrize("k", [1, 2])
 def test_predicted_rates_bdm(k):
-    assert predicted_div_rate("BDM", k, MS_G, 1, 1) == k
-    assert predicted_field_rate("BDM", k, MS_G, 1, 1) == k + 1
+    assert predicted_rate("BDM", k, MS_G, "div", 1, 1) == k
+    assert predicted_rate("BDM", k, MS_G, "field", 1, 1) == k + 1
 
 
 @pytest.mark.parametrize("k", [0, 1])
 def test_predicted_rates_abf(k):
-    assert predicted_div_rate("ABF", k, MS_G, 1, 1) == k + 2
-    assert predicted_div_rate("ABF", k, MS_X, 1, 0) == k + 1
-    assert predicted_div_rate("ABF", k, MS_G, 1, 1) == k + 2
+    assert predicted_rate("ABF", k, MS_G, "div", 1, 1) == k + 2
+    assert predicted_rate("ABF", k, MS_X, "div", 1, 0) == k + 1
+    assert predicted_rate("ABF", k, MS_G, "div", 1, 1) == k + 2
+
+
+def _two_function_rate(family, k, fld, which, sx, sy):
+    """The prediction rule as two functions with their own flags: the field's
+    terms kept where u's or v's partial is, the divergence's where the
+    component partials (a1 + 1, a2) of u or (a1, a2 + 1) of v are, or, for an
+    MS-P member, where a label's div factors reach (a1, a2)."""
+    if which == "field":
+        def nonzero(a1, a2):
+            return fld.deriv_nonzero(a1, a2, 0) or fld.deriv_nonzero(a1, a2, 1)
+    elif isinstance(fld, ReproductionField):
+        def nonzero(a1, a2):
+            reach = fld._reach[:, 4:6]
+            return bool(np.any((reach[:, 0] >= a1) & (reach[:, 1] >= a2)))
+    else:
+        def nonzero(a1, a2):
+            return fld.deriv_nonzero(a1 + 1, a2, 0) or fld.deriv_nonzero(a1, a2 + 1, 1)
+    return float(max(min((a1 * sx + a2 * sy for a1, a2 in group if nonzero(a1, a2)), default=0)
+                     for group in harness.estimate_terms(family, k, which, sx, sy)))
+
+
+@pytest.mark.parametrize("family,k", ALL_PAIRS)
+def test_predicted_rate_is_the_two_function_rule(family, k):
+    fields = [MS_G, MS_X, MS_Y] + [get_field("MS-P", family, k, seed) for seed in (0, 1, 2)]
+    for fld in fields:
+        for mode in MODES:
+            sx, sy = harness._SCALES[mode]
+            for which in harness.QUANTITIES:
+                got = predicted_rate(family, k, fld, which, sx, sy)
+                assert type(got) is float
+                assert got == _two_function_rate(family, k, fld, which, sx, sy), (
+                    fld, mode, which)
 
 
 # ------------------------------------------------------------- sharpness
@@ -440,7 +477,7 @@ def test_bdm_sharpness_witness():
         w = bdm_sharpness_witness(k)
         assert isinstance(w, SpaceMember)
         assert (w.space.family, w.space.k) == (ElementFamily.RT, k)
-        assert w.degree_bounds == ((0, 0), (k - 1, 2))
+        assert degree_bounds(w) == ((0, 0), (k - 1, 2))
         monomial = VectorPoly2D(Polynomial2D.zero(), Polynomial2D.monomial(k - 1, 2, 0.5))
         for got, want in zip((*w.uv(x, y), w.div_values(x, y)),
                              (*monomial.uv(x, y), monomial.div_values(x, y))):
@@ -699,12 +736,12 @@ def _lone_solve(op, field):
     return op.solve(dof_vector_ld(op.dofs, field))
 
 
-def _push_on_rule(tables, coeffs, rect: PhysicalRect) -> _Values:
+def _push_on_rule(tables, coeffs, rect: PhysicalRect) -> CallableField:
     """A member's push-forward on rect's mapped error rule: its coefficients
     contracted with the tables as in SpaceMember.uv, then the Piola factors
     of PhysicalMemberField; no point is mapped back to the reference square."""
     U, V, D = (on_grid(np.tensordot(coeffs, t, axes=1)) for t in tables)
-    return _Values(U / rect.hy, V / rect.hx, D / (rect.hx * rect.hy))
+    return _values(U / rect.hy, V / rect.hx, D / (rect.hx * rect.hy))
 
 
 def _level_by_level_records(config):
@@ -724,7 +761,7 @@ def _level_by_level_records(config):
         else:
             xs, ys, _ = enumerated_rule(rect.hx, rect.hy)
             ref = PulledBackField(fld, rect.hx, rect.hy)
-            sample = _Values(*map(on_grid, (*fld.uv(xs, ys), fld.div_values(xs, ys))))
+            sample = _values(*map(on_grid, (*fld.uv(xs, ys), fld.div_values(xs, ys))))
         interp = _push_on_rule(tables, _lone_solve(op, ref), rect)
         nf = (rect.hx * rect.hy) ** (1.0 / config.p)
         nd = norm_Lp(sample, rect, config.p, "div")
@@ -937,7 +974,7 @@ def test_stacked_reduction_matches_per_quantity_calls(monkeypatch, field, mode, 
 
     def push(coeffs):  # the study's interpolant: its contraction, then the Piola factors
         U, V, D = np.moveaxis(contract(coeffs, op.rule_tables), -3, 0)
-        return _Values(U / hy, V / hx, D / (hx * hy))
+        return _values(U / hy, V / hx, D / (hx * hy))
 
     if field == "MS-P":
         sample, ref = push(fld.member.coeffs), fld.member
