@@ -69,9 +69,17 @@ def env_seed() -> int:
 
 
 def check_seed(seed: Optional[int]) -> None:
-    """Raise ValueError unless seed is None or an integer >= 0."""
-    if seed is not None and not (isinstance(seed, (int, np.integer)) and seed >= 0):
+    """Raise ValueError unless seed is None or an integer >= 0; a bool is no seed."""
+    if seed is not None and (isinstance(seed, bool) or not (
+            isinstance(seed, (int, np.integer)) and seed >= 0)):
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+
+
+def _component(comp: int) -> int:
+    """comp, once it names u, v or div."""
+    if comp not in (0, 1, 2):
+        raise ValueError("component must be 0, 1 or 2")
+    return comp
 
 
 def _sum_of_products(pairs: Pairs, x, y):
@@ -166,9 +174,7 @@ class ManufacturedField:
         self._terms = (u, v, div)
 
     def _pairs(self, a1: int, a2: int, comp: int) -> Pairs:
-        if comp not in (0, 1, 2):
-            raise ValueError("component must be 0, 1 or 2")
-        return self._terms[comp](a1, a2)
+        return self._terms[_component(comp)](a1, a2)
 
     def partial(self, a1: int, a2: int, comp: int) -> Callable:
         if a1 < 0 or a2 < 0 or a1 + a2 > MAX_PARTIAL_ORDER:
@@ -228,7 +234,7 @@ class ReproductionField:
         self._reach = member.space._label_degrees[member.coeffs != 0.0]
 
     def deriv_nonzero(self, a1: int, a2: int, comp: int) -> bool:
-        return _reaches(self._reach[:, 2 * comp: 2 * comp + 2], a1, a2)
+        return _reaches(self._reach[:, 2 * _component(comp): 2 * comp + 2], a1, a2)
 
     def __repr__(self):
         return f"ReproductionField({self.member.space!r})"

@@ -33,6 +33,15 @@ through the same table, so both sides of its error meet at the same points
 even where (h x) / h misses x by an ulp.  The div norm, the field error and
 the div error are the rows of one error_Lp call, each with its own bits.
 
+What a study reads of a manufactured field, its field side, depends on the
+field and the stack alone, so studies share it (field_side): the
+pull-back's factor sample on the 20-point DOF plan's nodes, which every DOF
+set reads, and the field's u, v and div on the mapped rule, read-only,
+keyed by the field and the floats of the sides, for the last 8 stacks (the
+48 default-suite studies sample 3).  It holds nothing of the element or of
+p: the DOF vector, solve, interpolant, error rows, fits and verdicts are
+the study's own, and an MS-P member is no manufactured field.
+
 Verdicts are one-sided: a fitted rate a whole tolerance above the
 prediction is flagged superconvergent but passes, since the theorems
 give upper bounds for the error (lower bounds for the rate).
@@ -40,6 +49,7 @@ give upper bounds for the error (lower bounds for the rate).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields as dc_fields
 from fractions import Fraction
@@ -47,6 +57,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from .dofs import plan_nodes
 from .elements import (
     ElementFamily, SpaceMember, _as_family, _validate_degree, build_space, check_choice,
     contract, degree_range, require_single,
@@ -133,6 +144,29 @@ def _mapped_rule(hx, hy):
     t = gauss_legendre_01(n).nodes
     ws = (hx * hy) * tensor_rule(n, n).ws.reshape(n, n)
     return hx * t[:, None], hy * t[None, :], ws.reshape(ws.shape[:-2] + (n * n,))
+
+
+class _FieldSide(CallableField):
+    """What a study reads of a field on one rectangle stack, sides hxs and hys as
+    floats: the pull-back's factor sample on the nodes of every 20-point DOF plan
+    and the field's u, v and div on the stack's mapped rule, each taken once and
+    read-only, whatever nodes or points are asked for."""
+
+    def __init__(self, fld, hxs: tuple, hys: tuple):
+        hx, hy = (np.array(h)[:, None, None] for h in (hxs, hys))
+        (x, y, _), nodes = _mapped_rule(hx, hy), plan_nodes(NONPOLY_POINTS)
+        self.sample = PulledBackField(fld, hx, hy).factor_sample(nodes, nodes)
+        U, V, D = *fld.uv(x, y), fld.div_values(x, y)
+        for a in (*sum(self.sample, ()), U, V, D):
+            a.setflags(write=False)
+        super().__init__(lambda x, y: (U, V), lambda x, y: D, fld.id)
+
+    def factor_sample(self, x, y):
+        return self.sample
+
+
+# the field side of a manufactured field on one stack, filled on first use
+field_side = functools.lru_cache(maxsize=8)(_FieldSide)
 
 
 def error_Lp(fld, interpolant, rect: PhysicalRect, p: float, which: str):
@@ -369,11 +403,11 @@ def run_refinement_study(config: StudyConfig) -> ConvergenceTable:
         U, V, D = contract(coeffs, op.rule_tables).swapaxes(0, -3)
         return CallableField(lambda x, y: (U / hy, V / hx), lambda x, y: D / (hx * hy))
 
-    if isinstance(fld, ReproductionField):
-        # the pull-back of the pushed member is the member at every level
-        sample, interp = push(fld.member.coeffs), push(op.solve_coefficients(fld.member))
-    else:  # sampled by error_Lp
-        sample, interp = fld, push(op.solve_coefficients(PulledBackField(fld, hx, hy)))
+    if isinstance(fld, ReproductionField):  # the pushed member pulls back to itself
+        sample, ref = push(fld.member.coeffs), fld.member
+    else:  # the stack's field side: the pull-back the DOF vector reads, the field on the rule
+        sample = ref = field_side(fld, tuple(hx.ravel().tolist()), tuple(hy.ravel().tolist()))
+    interp = push(op.solve_coefficients(ref))
 
     def rows(x, y):  # on the one mapped rule: the div norm, field error and div error
         (U1, V1), (U2, V2), d1 = sample.uv(x, y), interp.uv(x, y), sample.div_values(x, y)

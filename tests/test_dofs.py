@@ -177,7 +177,7 @@ def test_dof_vector_matches_loop_nonpolynomial(family, k):
 
 
 @pytest.mark.parametrize("family,k", PAIRS)
-def test_dof_vectors_sample_no_grid(family, k, monkeypatch):
+def test_dof_vectors_sample_no_grid(family, k, monkeypatch, fresh_field_sides):
     # DOF vectors read 1-D factor samples only: no field, pull-back or member is
     # evaluated on a grid, and no basis is tabulated, even for RT_0, BDM_1 and
     # ABF_0, whose functionals read only the edges and the divergence

@@ -17,7 +17,7 @@ from hdivkit.fields import (
     get_field,
     make_reproduction_field,
 )
-from hdivkit.harness import predicted_rate
+from hdivkit.harness import StudyConfig, predicted_rate
 from monomial_oracle import divergence, reference_field
 
 RNG = np.random.default_rng(23)
@@ -191,6 +191,29 @@ def test_reproduction_field_rejects_unusable_seed(seed):
         make_reproduction_field("RT", 1, seed=seed)
     with pytest.raises(ValueError, match=message):
         get_field("MS-P", "RT", 1, seed=seed)
+
+
+@pytest.mark.parametrize("seed", [True, False, np.True_, np.False_])
+def test_a_bool_is_no_seed(seed):
+    # True drew seed 1's member, and StudyConfig(seed=True) ran silently as seed 1
+    message = f"^seed must be a non-negative integer, got {seed!r}$"  # got True for True
+    for entry in (lambda: make_reproduction_field("RT", 1, seed=seed),
+                  lambda: get_field("MS-P", "RT", 1, seed=seed),
+                  lambda: StudyConfig(field="MS-P", family="RT", k=1, seed=seed),
+                  lambda: StudyConfig(field="MS-G", family="RT", k=1, seed=seed)):
+        with pytest.raises(ValueError, match=message):
+            entry()
+
+
+@pytest.mark.parametrize("comp", [3, -1])
+@pytest.mark.parametrize("fld", [MS_G, MS_X, make_reproduction_field("RT", 1, seed=0),
+                                 make_reproduction_field("ABF", 2, seed=4)], ids=repr)
+def test_every_field_refuses_a_component_outside_0_to_2(fld, comp):
+    # an MS-P member read an empty slice of its reach and died in numpy's IndexError
+    with pytest.raises(ValueError, match="^component must be 0, 1 or 2$"):
+        fld.deriv_nonzero(0, 0, comp)
+    for a1, a2, c in ((0, 0, 0), (0, 0, 1), (0, 0, 2)):  # the components still read
+        assert isinstance(fld.deriv_nonzero(a1, a2, c), bool)
 
 
 def test_get_field_lookup():

@@ -1,18 +1,23 @@
 """Piola transport, physical errors, rate fitting, and study verdicts."""
 
+import contextlib
+import io
 import math
+import types
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from hdivkit import harness, interpolation
+from hdivkit import cli, harness, interpolation
 from hdivkit.elements import (
     ElementFamily, ElementSpace, SpaceMember, build_space, contract, degree_range,
 )
-from hdivkit.fields import MS_G, MS_X, MS_Y, CallableField, ReproductionField, get_field
+from hdivkit.fields import (
+    MS_G, MS_X, MS_Y, CallableField, ManufacturedField, ReproductionField, get_field,
+)
 from hdivkit.harness import (
     MIN_H,
     MODES,
@@ -38,7 +43,7 @@ from hdivkit.harness import (
     _verdict,
 )
 from hdivkit import interpolation
-from hdivkit.dofs import dof_vector_ld
+from hdivkit.dofs import dof_vector_ld, plan_nodes
 from hdivkit.interpolation import InterpolationOperator, reference_operator
 from hdivkit.quadrature import NONPOLY_POINTS
 from monomial_oracle import Polynomial2D, VectorPoly2D
@@ -918,13 +923,13 @@ def test_theorem_suite_reports_broken_commutation():
 
 @pytest.mark.parametrize("family,k,field,mode", [
     ("ABF", 2, "MS-G", "isotropic"), ("BDM", 3, "MS-P", "fixed_aspect")])
-def test_study_is_one_pass(monkeypatch, family, k, field, mode):
+def test_study_is_one_pass(monkeypatch, fresh_field_sides, family, k, field, mode):
     # one rectangle stack, one mapped error rule, one error_Lp and one _lp_sum
     # for the div norm and both errors, one contraction with the operator's
     # table per coefficient set (MS-P's member and its interpolant), and no
     # np.polyfit: each rate is a closed-form slope
     config = StudyConfig(family, k, field=field, mode=mode, levels=6)
-    run_refinement_study(config)  # warm the operator and its table
+    run_refinement_study(config)  # warm the operator, its table and the stack's field side
     calls = dict.fromkeys(["PhysicalRect", "_mapped_rule", "error_Lp", "_lp_sum", "contract",
                            "np.polyfit"], 0)
 
@@ -985,3 +990,150 @@ def test_stacked_reduction_matches_per_quantity_calls(monkeypatch, field, mode, 
             error_Lp(sample, interp, rect, p, "div")]
     assert len(stacked) == 1 and stacked[0].shape == (3, config.levels)
     assert stacked[0].tolist() == [row.tolist() for row in lone]
+
+
+# ------------------------------------------- one field side per rectangle stack
+
+# the benchmark's refine battery: the default suite plus 18 high-degree 8-level studies
+REFINE_BATTERY = default_suite_configs() + [
+    StudyConfig(family, k, 2.0, field, mode, levels=8)
+    for family in ("RT", "BDM", "ABF") for k in (3, 4)
+    for field, mode in (("MS-G", "isotropic"), ("MS-P", "fixed_aspect"), ("MS-X", "shrink_x"))]
+
+
+def _tag(config) -> str:
+    return f"{config.family.value}_{config.k}-{config.field}-{config.mode}-p{config.p:g}-L{config.levels}"
+
+
+def _sides(config) -> tuple:
+    """The field-side key of a study: the floats of its stack's sides."""
+    stack = config.rect_at(np.arange(config.levels)[:, None, None])
+    return tuple(stack.hx.ravel().tolist()), tuple(stack.hy.ravel().tolist())
+
+
+def _inline_side(fld, hxs, hys):
+    """The field side built in place for every study, uncached: the pull-back's own
+    factor sample and the field's own uv and div_values, wherever they are asked for."""
+    hx, hy = (np.array(h)[:, None, None] for h in (hxs, hys))
+    return types.SimpleNamespace(factor_sample=PulledBackField(fld, hx, hy).factor_sample,
+                                 uv=fld.uv, div_values=fld.div_values)
+
+
+def _converge_output(config) -> tuple:
+    """converge --format json on the config: its exit code and stdout, the JSON
+    document and the verdict lines."""
+    mode = f"fixed_aspect({config.rho!r})" if config.mode == "fixed_aspect" else config.mode
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["converge", "--family", config.family.value, "--k", str(config.k),
+                         "--p", repr(config.p), "--field", config.field, "--mode", mode,
+                         "--levels", str(config.levels), "--h0", repr(config.h0),
+                         "--format", "json"])
+    return code, out.getvalue()
+
+
+def _cold_warm_inline(config) -> list:
+    """The study and its converge output three ways: each on an emptied cache, then
+    both again on the entry they filled (both read it: two hits, none for MS-P),
+    then with the field side built inline."""
+    runs = []
+    harness.field_side.cache_clear()
+    table = run_refinement_study(config)
+    harness.field_side.cache_clear()
+    runs.append((table, _converge_output(config)))
+    runs.append((run_refinement_study(config), _converge_output(config)))
+    assert harness.field_side.cache_info().hits == (0 if config.field == "MS-P" else 2)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(harness, "field_side", _inline_side)
+        runs.append((run_refinement_study(config), _converge_output(config)))
+    harness.field_side.cache_clear()
+    return runs
+
+
+@pytest.mark.parametrize("config", REFINE_BATTERY, ids=_tag)
+def test_a_cached_field_side_changes_no_battery_study(fresh_field_sides, config):
+    # records, fits, verdicts and the JSON bytes, equal, not close
+    cold, warm, inline = _cold_warm_inline(config)
+    assert cold == warm == inline
+    assert cold[1][1].startswith('{"config": ')
+
+
+@settings(max_examples=40, deadline=None)
+@given(field=st.sampled_from(harness.FIELD_IDS), mode=st.sampled_from(MODES),
+       h0=st.one_of(st.sampled_from([0.3, 0.5, 1.0]), st.floats(0.01, 1.0)),
+       rho=st.floats(0.5, 100.0), levels=st.integers(3, 10),
+       pair=st.sampled_from([(f.value, k) for f in ElementFamily for k in degree_range(f)]),
+       p=st.one_of(st.sampled_from([1.0, 2.0, 40.0]), st.floats(1.0, 60.0)))
+@example(field="MS-G", mode="isotropic", h0=0.3, rho=64.0, levels=6, pair=("ABF", 2), p=1.5)
+@example(field="MS-X", mode="fixed_aspect", h0=0.3, rho=0.5, levels=5, pair=("BDM", 4), p=7.5)
+def test_a_cached_field_side_changes_no_study(field, mode, h0, rho, levels, pair, p):
+    assume(mode != "fixed_aspect" or h0 <= rho)
+    cold, warm, inline = _cold_warm_inline(StudyConfig(*pair, p, field, mode, rho=rho,
+                                                       levels=levels, h0=h0))
+    assert cold == warm == inline
+
+
+@pytest.mark.parametrize("config", [c for c in REFINE_BATTERY if c.field != "MS-P"][::5],
+                         ids=_tag)
+def test_the_field_side_is_the_pull_back_and_the_field_on_the_rule(fresh_field_sides, config):
+    # the pull-back's factor sample on the 20-point plan's nodes and the field on the
+    # mapped rule, of the study's own stack, bit for bit and in the same float types
+    fld = get_field(config.field)
+    stack = config.rect_at(np.arange(config.levels)[:, None, None])
+    side = fresh_field_sides(fld, *_sides(config))
+    nodes = plan_nodes(NONPOLY_POINTS)
+    x, y, _ = _mapped_rule(stack.hx, stack.hy)
+    got = (*sum(side.factor_sample(nodes, nodes), ()), *side.uv(x, y), side.div_values(x, y))
+    want = (*sum(PulledBackField(fld, stack.hx, stack.hy).factor_sample(nodes, nodes), ()),
+            *fld.uv(x, y), fld.div_values(x, y))
+    assert len(got) == len(want) == 9
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape and np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("battery,sides", [(default_suite_configs(), 3), (REFINE_BATTERY, 5)],
+                         ids=["default-suite", "refine-battery"])
+def test_studies_on_one_field_and_stack_share_its_field_side(fresh_field_sides, battery, sides):
+    # one pull-back sample and one error-rule sample per field and stack, where
+    # every manufactured-field study took its own (48 and 60), and none on a second pass
+    targets = [(PulledBackField, "factor_sample"), (ManufacturedField, "factor_sample"),
+               (ManufacturedField, "uv"), (ManufacturedField, "div_values")]
+    calls = {f"{cls.__name__}.{name}": 0 for cls, name in targets}
+    with pytest.MonkeyPatch.context() as m:
+        for cls, name in targets:
+            def counted(self, x, y, real=getattr(cls, name), key=f"{cls.__name__}.{name}"):
+                calls[key] += 1
+                return real(self, x, y)
+            m.setattr(cls, name, counted)
+        for _ in range(2):
+            for config in battery:
+                run_refinement_study(config)
+    assert calls == dict.fromkeys(calls, sides)
+    assert fresh_field_sides.cache_info().currsize == sides
+
+
+def test_the_field_side_cache_is_bounded(fresh_field_sides):
+    maxsize = fresh_field_sides.cache_info().maxsize
+    assert maxsize is not None and maxsize <= 16
+    for i in range(50):  # 50 distinct stacks
+        run_refinement_study(StudyConfig("RT", 0, field=("MS-G", "MS-X")[i % 2],
+                                         h0=0.3 + i / 100, levels=3))
+        assert fresh_field_sides.cache_info().currsize <= maxsize
+    assert fresh_field_sides.cache_info().misses == 50
+
+
+@pytest.mark.parametrize("field,mode", [("MS-G", "isotropic"), ("MS-X", "shrink_x"),
+                                        ("MS-Y", "fixed_aspect")])
+def test_the_field_side_is_read_only(fresh_field_sides, field, mode):
+    config = StudyConfig("ABF", 1, field=field, mode=mode, levels=4)
+    run_refinement_study(config)
+    side = fresh_field_sides(get_field(field), *_sides(config))
+    assert fresh_field_sides.cache_info().hits == 1  # the study's own entry
+    arrays = (*sum(side.factor_sample(None, None), ()), *side.uv(None, None),
+              side.div_values(None, None))
+    assert len(arrays) == 9
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[(0,) * a.ndim] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            a *= 2

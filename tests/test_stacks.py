@@ -209,7 +209,7 @@ def test_stacked_projection_matches_lone_coefficients(family, k):
             assert all(abs(lone[ij] - ref[ij]) <= bound[ij] for ij in proj._index)
 
 
-def test_one_check_samples_each_battery_field_once(monkeypatch, capsys):
+def test_one_check_samples_each_battery_field_once(monkeypatch, capsys, fresh_field_sides):
     # the factor sample is filled outside any DOF vector and shared by every
     # (family, k): one factor_sample call per battery field, not one per pair
     # and side, and no grid sample at all
