@@ -7,51 +7,46 @@ Three kinds of moments:
     div_moment       int_K (div w) L_i(x) L_j(y)  ABF only, (i, k+1) and
                                                   (k+1, j) with i, j <= k
 
-A functional is plain index data, (kind, i, j, edge, component), equal
-and hashable by value.  Ordering is deterministic: edges left, right,
-bottom, top (quadrature.EDGES) with test degree ascending, then interior
-moments (component 0 before 1, tests in lexicographic (i, j) order),
-then divergence moments.  Every test is shifted-Legendre: the spans of
-the defining monomial tests, far better conditioned.  ABF's divergence
-tests change the functionals, not their span (for a, b <= k, int (div w)
-x^a y^b is an edge moment minus interior moments), nor the interpolant.
+A functional is index data, (kind, i, j, edge, component), equal and
+hashable by value, in a fixed order: edges left, right, bottom, top
+(quadrature.EDGES), test degree ascending, then interior moments
+(component 0 first, (i, j) lexicographic), then divergence moments.  The
+shifted-Legendre tests span what the defining monomials span, far better
+conditioned; ABF's divergence tests change the functionals, not their
+span (for a, b <= k, int (div w) x^a y^b is an edge moment minus interior
+moments), nor the interpolant.
 
-A whole DOF set is applied through a plan: one node axis {0, t_1 ... t_n,
-1}, t the nodes of gauss_legendre_01(n), and weight rows w L_i(t), one
-matrix per kind of moment.  Every test is a product L_i(x) L_j(y), and
-whatever the plan is applied to is a sum of r products X(x) Y(y) sampled
-on the nodes (a factor sample, fields.py), so every functional is sum
-factorised (Orszag 1980): per term, a product of two 1-D moments.  An
-edge moment is one factor's value at 0 or 1 times the other's weighted
-sum over t, an interior or divergence moment the product of the two
-weighted sums.  _dof_values is the one contraction, from 1-D moments to
-DOF values in functional order with a trailing axis of the r terms.
-dof_matrix_ld reads it with the basis labels as the terms (their factor
-rows, whose moments moment_tables caches), so no basis is tabulated;
-dof_vector_ld reads it with a field's factor sample and sums the terms,
-or takes M c for a SpaceMember, M the DOF matrix (an operator passes the
-one it holds, so it is not assembled again).  No field is sampled on a
-grid.  Leading axes of a sample (a study's (levels, 1, 1) sides, an
-(m, dim) coefficient stack, a FieldStack) give one DOF vector per row,
-each bit for bit its own.
-The rule size n is NONPOLY_POINTS (20) for a field's factor sample.  The
-DOF matrix, and so a member's M c, takes n_for_degree(d + t), d the
-space's maximal factor degree and t the set's DofSet.test_degree (k + 1
-for every standard set): every moment integrand has degree <= d + t per
-direction, so the rule is exact.
+A DOF set is applied through a plan: the nodes {0, t_1 ... t_n, 1}, t
+those of gauss_legendre_01(n), and weight rows w L_i(t) per kind.  Tests
+are products L_i(x) L_j(y), and a factor sample (fields.py) is r products
+X(x) Y(y) on the nodes, so per term a functional is the product of two
+1-D moments (sum factorisation, Orszag 1980): on an edge one factor's
+value at 0 or 1 and the other's weighted sum, else both weighted sums.
+The plan names each functional's two moments by columns, ca and cb, of
+the block-ordered moments of _block_moments; _dof_values, the one
+contraction, multiplies each pair and signs it, and no other pairing is
+formed.  dof_vector_ld sums a field's r terms, or takes M c for a
+SpaceMember (an operator passes the M it holds); dof_matrix_ld takes the
+labels as the terms, both moments read from block_tables at the factor
+rows they name, so no basis is tabulated, and no field is sampled on a
+grid.  Leading axes of a sample (a study's (levels, 1, 1) sides, an (m,
+dim) stack, a FieldStack) give one DOF vector per row, each bit for bit
+its own.
 
-Plans are built from the set's own functionals and cached by value on
-(functionals, n), so any DOF set applies, reordered ones included, and
-the plan and moment-table caches stay bounded.  tests/reference_oracle.py
-keeps the per-functional quadrature (apply_dof_ld) as an independent
-reference.
+A factor sample takes n = NONPOLY_POINTS (20).  The DOF matrix, and so
+M c, takes n_for_degree(d + t), d the space's highest factor degree and t
+the set's DofSet.test_degree (k + 1 for every standard set), which
+integrates every moment exactly.  Plans check their functionals and are
+cached by value on (functionals, n), so any set applies, reordered ones
+included, and the caches stay bounded.  tests/reference_oracle.py keeps
+the per-functional quadrature (apply_dof_ld) and the outer-product
+contraction as references.
 
-All quadrature in this module runs in extended precision, and every
-long-double product is np.dot: it sums in index order from zero, as
-matmul does, so the bits are the same, but in a register.  The DOF
-conditions stay at or below 504 up to k = 4, but a study compares pushed
-members, whose roundoff grows with the 1/h Piola factors, against the
-absolute 1e-12 reproduction bound, and fine levels spend that budget.
+Quadrature here runs in extended precision, every long-double product in
+np.dot, which sums in index order from zero as matmul does, in a register:
+the DOF conditions stay at or below 504 up to k = 4, but a study's pushed
+members, whose roundoff grows with the 1/h Piola factors, meet the
+absolute 1e-12 reproduction bound.
 """
 
 from __future__ import annotations
@@ -66,16 +61,14 @@ from .elements import (ElementFamily, ElementSpace, SpaceMember, _as_family, fac
                        family_sets, space_dimension)
 from .quadrature import EDGES, NONPOLY_POINTS, gauss_legendre_01, n_for_degree
 
-# outward normals: left (-1,0), right (1,0), bottom (0,-1), top (0,1)
-_EDGE_SIGN = {"left": -1, "right": 1, "bottom": -1, "top": 1}
+# per kind of functional, the edges and the components it may name
+_KINDS = {"edge_moment": (EDGES, (None,)), "interior_moment": ((None,), (0, 1)),
+          "div_moment": ((None,), (None,))}
 
 
 class DofFunctional(NamedTuple):
-    """One moment as index data, equal and hashable by value.
-
-    The test is L_i(t) on an edge, or L_i(x) L_j(y) against a component
-    or the divergence.
-    """
+    """One moment as index data, equal and hashable by value: the test L_i(t)
+    on an edge, or L_i(x) L_j(y) against a component or the divergence."""
 
     kind: str
     i: int
@@ -86,10 +79,8 @@ class DofFunctional(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class DofSet:
-    """An ordered DOF list; build_dofs makes the family's standard one.
-
-    Any set applies: its plan is built from its own functionals.
-    """
+    """An ordered DOF list, applied through a plan of its own functionals;
+    build_dofs makes the family's standard one."""
 
     family: ElementFamily
     k: int
@@ -106,14 +97,7 @@ class DofSet:
         return len(self.functionals)
 
     def count_by_kind(self) -> dict:
-        out = {"edge_moment": 0, "interior_moment": 0, "div_moment": 0}
-        for f in self.functionals:
-            out[f.kind] += 1
-        return out
-
-
-def _interior(comp: int, i: int, j: int) -> DofFunctional:
-    return DofFunctional("interior_moment", i, j, component=comp)
+        return {kind: sum(f.kind == kind for f in self.functionals) for kind in _KINDS}
 
 
 def build_dofs(family, k: int, replace_div_moments: bool = False) -> DofSet:
@@ -126,43 +110,59 @@ def build_dofs(family, k: int, replace_div_moments: bool = False) -> DofSet:
     """
     sets = family_sets(family, k)
     fns = [DofFunctional("edge_moment", deg, edge=edge) for edge in EDGES for deg in range(k + 1)]
-    fns += [_interior(comp, i, j) for comp, tests in enumerate(sets.tests) for i, j in tests]
+    tests = [(comp, i, j) for comp, ts in enumerate(sets.tests) for i, j in ts]
     if sets.div_tests and replace_div_moments:
-        fns += [_interior(0, k, j) for j in range(k + 1)]
-        fns += [_interior(1, i, k) for i in range(k + 1)]
-    else:
-        fns += [DofFunctional("div_moment", i, j) for i, j in sets.div_tests]
+        tests += [(0, k, j) for j in range(k + 1)] + [(1, i, k) for i in range(k + 1)]
+    fns += [DofFunctional("interior_moment", i, j, component=comp) for comp, i, j in tests]
+    fns += [DofFunctional("div_moment", i, j) for i, j in sets.div_tests if not replace_div_moments]
     dofset = DofSet(_as_family(family), int(k), tuple(fns))
     assert dofset.count == space_dimension(family, k)
     return dofset
 
 
-class DofPlan:
-    """The nodes (plan_nodes(n)) and weight rows of a whole DOF set.
+# The five blocks in functional order: left and right edges (u's x factor at 0 and 1,
+# its y factor's edge moments), bottom and top (v's, axes swapped), u's and v's interior
+# moments, div moments; per block its component, per factor (row) its kind and axis.
+_COMPONENT = (0, 1, 0, 1, 2)
+_MOMENT = ((0, 0, 2, 2, 3), (1, 1, 2, 2, 3))
+_AXIS = ((0, 1, 0, 0, 0), (1, 0, 1, 1, 1))
 
-    weights holds the edge, interior and div rows w L_i(t) over the inner
-    nodes t, applied by moment.  index reorders the raw moments of
-    _dof_values into functional order, and signs gives the edges their
-    outward normals.
-    """
+
+def _place(f: DofFunctional) -> tuple:
+    """(block, a, b): f's block and its two moments' places in the block's first
+    and second factor moments; a ValueError naming f if it is malformed."""
+    if f.kind not in _KINDS:
+        raise ValueError(f"unknown DOF kind {f.kind!r} in {f}")
+    edges, components = _KINDS[f.kind]
+    if (f.edge not in edges or f.component not in components or f.edge and f.j
+            or not all(isinstance(v, (int, np.integer)) and v >= 0 for v in (f.i, f.j))):
+        raise ValueError(f"malformed DOF functional {f}")
+    if f.edge:
+        return (*divmod(EDGES.index(f.edge), 2), f.i)
+    return 4 if f.component is None else 2 + f.component, f.i, f.j
+
+
+class DofPlan:
+    """The nodes (plan_nodes(n)) and weights of a whole DOF set: the edge, interior
+    and div rows w L_i(t) on the inner nodes t, read by moment.  Per functional:
+    comp and axes, the component and factor axes of its block, ca and cb, the
+    columns of its two moments in _block_moments, and signs, an edge's normal."""
 
     def __init__(self, functionals, n: int):
+        blk, a, b = np.array([_place(f) for f in functionals], int).reshape(-1, 3).T
         rule = gauss_legendre_01(n)
         self.n, self.nodes = n, plan_nodes(n)
         # the largest test index per kind, -1 (no rows) where a kind is absent
         degs = [max((max(f.i, f.j) for f in functionals if f.kind == kind), default=-1)
-                for kind in ("edge_moment", "interior_moment", "div_moment")]
+                for kind in _KINDS]
         self.weights = [rule.weights_ld * factor_values(max(d, 0), rule.nodes_ld)[: d + 1]
                         for d in degs]
-        ne, na, nd = (d + 1 for d in degs)
-        raw = {"edge_moment": lambda f: EDGES.index(f.edge) * ne + f.i,
-               "interior_moment": lambda f: 4 * ne + (f.component * na + f.i) * na + f.j,
-               "div_moment": lambda f: 4 * ne + 2 * na * na + f.i * nd + f.j}
-        for f in functionals:
-            if f.kind not in raw:
-                raise ValueError(f"unknown DOF kind {f.kind!r}")
-        self.index = np.array([raw[f.kind](f) for f in functionals])
-        self.signs = np.array([_EDGE_SIGN.get(f.edge, 1) for f in functionals], np.longdouble)
+        widths = np.array([2] + [d + 1 for d in degs])[np.array(_MOMENT)]
+        starts = np.cumsum(widths, axis=1) - widths
+        self.comp, self.axes = np.array(_COMPONENT)[blk], np.array(_AXIS)[:, blk]
+        self.ca, self.cb = starts[0, blk] + a, starts[1, blk] + b
+        # the outward normal of an edge: -1 at x = 0 and y = 0 (left, bottom), else 1
+        self.signs = np.where(blk < 2, 2 * a - 1, 1).astype(np.longdouble)
 
     def moment(self, F, kind: int) -> np.ndarray:
         """1-D moments of factors F (..., n + 2) on the nodes: kind 0 their values
@@ -178,10 +178,8 @@ def plan_nodes(n: int) -> np.ndarray:
     return nodes
 
 
-@functools.lru_cache(maxsize=None)
-def dof_plan(functionals: Tuple[DofFunctional, ...], n: int) -> DofPlan:
-    """The cached plan of these functionals at n points per direction."""
-    return DofPlan(functionals, n)
+# the plan of a tuple of functionals at n points per direction, cached by value
+dof_plan = functools.lru_cache(maxsize=None)(DofPlan)
 
 
 def _plan_for(dofset: DofSet, max_degree: Optional[int]) -> DofPlan:
@@ -190,23 +188,21 @@ def _plan_for(dofset: DofSet, max_degree: Optional[int]) -> DofPlan:
     return dof_plan(dofset.functionals, n)
 
 
-def _dof_values(plan: DofPlan, moment, sample) -> np.ndarray:
-    """The one contraction: DOF values of r terms, batch + (functionals, r).
+def _block_moments(plan: DofPlan, factor) -> tuple:
+    """Both factors' 1-D moments of every block, each side concatenated in block
+    order over the factors' common batch; factor(q, axis) is what a block reads."""
+    sides = [[plan.moment(factor(q, ax), kind) for q, kind, ax in zip(_COMPONENT, kinds, axes)]
+             for kinds, axes in zip(_MOMENT, _AXIS)]
+    batch = np.broadcast_shapes(*{m.shape[:-1] for ms in sides for m in ms})
+    return tuple(np.concatenate([m if m.shape[:-1] == batch else
+                                 np.broadcast_to(m, batch + m.shape[-1:]) for m in ms], -1)
+                 for ms in sides)
 
-    sample holds the (x, y) factors of u, v and div, and moment(F, kind) reads
-    their 1-D moments.
-    """
-    (ux, uy), (vx, vy), (dx, dy) = sample
-    # edges left (0, t) and right (1, t), then bottom (t, 0) and top (t, 1), as EDGES
-    blocks = ((ux, 0, uy, 1), (vy, 0, vx, 1), (ux, 2, uy, 2), (vx, 2, vy, 2), (dx, 3, dy, 3))
-    parts = [moment(X, a)[..., :, None] * moment(Y, b)[..., None, :] for X, a, Y, b in blocks]
-    raw = np.concatenate([p.reshape(p.shape[:-2] + (p.shape[-2] * p.shape[-1],)) for p in parts],
-                         axis=-1)
-    return np.swapaxes(plan.signs * raw[..., plan.index], -1, -2)
-def _basis_matrix(plan: DofPlan, space: ElementSpace) -> np.ndarray:
-    """The DOF matrix under plan: the contraction with the space's labels as its terms."""
-    tables = moment_tables(plan, space._maxdeg)
-    return _dof_values(plan, lambda rows, kind: tables[kind][rows], space._rows)
+
+def _dof_values(plan: DofPlan, A, B) -> np.ndarray:
+    """The one contraction: DOF values of r terms, batch + (functionals, r), from
+    each functional's two 1-D moments A and B, batch + (r, functionals)."""
+    return np.swapaxes(plan.signs * (A * B), -1, -2)
 
 
 def dof_vector_ld(dofset: DofSet, field, M: Optional[np.ndarray] = None) -> np.ndarray:
@@ -218,15 +214,17 @@ def dof_vector_ld(dofset: DofSet, field, M: Optional[np.ndarray] = None) -> np.n
         M = dof_matrix_ld(dofset, field.space) if M is None else M
         return np.dot(field.coeffs.astype(np.longdouble), M.T)
     plan = _plan_for(dofset, None)
-    return _dof_values(plan, plan.moment, field.factor_sample(plan.nodes, plan.nodes)).sum(-1)
+    sample = field.factor_sample(plan.nodes, plan.nodes)
+    A, B = _block_moments(plan, lambda q, axis: sample[q][axis])
+    return _dof_values(plan, A[..., plan.ca], B[..., plan.cb]).sum(-1)
 
 
 @functools.lru_cache(maxsize=None)
-def moment_tables(plan: DofPlan, deg: int) -> tuple:
-    """plan.moment of every kind of the rows of factor_values(deg) on the plan's
-    nodes, read-only, cached per plan and trial degree."""
+def block_tables(plan: DofPlan, deg: int) -> tuple:
+    """_block_moments of the rows of factor_values(deg) on the plan's nodes, every
+    block reading all of them, read-only, cached per plan and trial degree."""
     F = factor_values(deg, plan.nodes)
-    tables = tuple(plan.moment(F, kind) for kind in range(4))
+    tables = _block_moments(plan, lambda q, axis: F)
     for a in tables:
         a.setflags(write=False)
     return tables
@@ -234,5 +232,8 @@ def moment_tables(plan: DofPlan, deg: int) -> tuple:
 
 def dof_matrix_ld(dofset: DofSet, space: ElementSpace) -> np.ndarray:
     """M[a, b] = functional a applied to basis member b, extended precision,
-    under the plan every member's DOF vector uses."""
-    return _basis_matrix(_plan_for(dofset, space._maxdeg), space)
+    under the plan every member's DOF vector uses: the labels are the terms, both
+    moments read from the block tables at the factor rows the labels name."""
+    plan = _plan_for(dofset, space._maxdeg)
+    (TA, TB), (RA, RB) = block_tables(plan, space._maxdeg), space._rows[plan.comp, plan.axes]
+    return _dof_values(plan, TA[RA.T, plan.ca], TB[RB.T, plan.cb])

@@ -19,7 +19,7 @@ span.  family_sets(family, k) holds the table above as (i, j) index sets.
 The basis has one encoding: each label's u, v and div are products
 X(x) Y(y) of two rows of factor_values (L_m, L_m', -L_m' or zero), named
 by factor_rows.  Evaluation (tabulate, tabulate_div), a member's factor
-sample, the DOF matrix's 1-D moments (dofs.moment_tables), the exact
+sample, the DOF matrix's 1-D moments (dofs.block_tables), the exact
 Legendre coordinates and the structural degrees (_label_degrees) all read
 those rows, with no branch per kind of label.  A member is its space and
 its coefficient vector; the package has no other polynomial

@@ -258,6 +258,8 @@ class FieldStack:
 
     def __init__(self, fields):
         self.fields = tuple(fields)
+        if not self.fields:
+            raise ValueError("a FieldStack takes at least one field, got none")
 
     def factor_sample(self, x, y):
         samples = [f.factor_sample(x, y) for f in self.fields]

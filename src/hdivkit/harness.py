@@ -450,12 +450,14 @@ def default_suite_configs() -> List[StudyConfig]:
 
 def theorem_suite(configs: Optional[List[StudyConfig]] = None,
                   replace_div_moments: bool = False) -> dict:
-    """Run a study battery plus commuting spot-checks; aggregate verdicts."""
+    """Run a study battery plus commuting spot-checks; aggregate verdicts.
+    configs None runs the default suite and the commuting checks; an empty
+    battery is no pass, so it is refused."""
     run_commuting = configs is None
-    if configs is None:
-        configs = default_suite_configs()
-    studies = []
-    failures = []
+    configs = default_suite_configs() if run_commuting else configs
+    if not (configs or run_commuting):
+        raise ValueError("theorem_suite got an empty battery: no study, so no verdict")
+    studies, failures = [], []
     for cfg in configs:
         table = run_refinement_study(cfg)
         studies.append(table)
@@ -474,12 +476,7 @@ def theorem_suite(configs: Optional[List[StudyConfig]] = None,
                     failures.append(
                         f"{family.value}_{k} commuting-diagram residual {worst:.3e}"
                     )
-    return {
-        "studies": studies,
-        "commuting": commuting,
-        "failures": failures,
-        "ok": not failures,
-    }
+    return {"studies": studies, "commuting": commuting, "failures": failures, "ok": not failures}
 
 
 def bdm_sharpness_witness(k: int) -> SpaceMember:

@@ -2,7 +2,8 @@
 
 The library samples tensor rules on their axes and applies a whole DOF
 set through one plan; these oracles keep the enumerated points, the
-per-functional quadrature and the closed forms the tests compare it with,
+per-functional quadrature, the closed forms and the all-pairs (outer
+product) DOF contraction the tests compare it with,
 the 2-D projector sums and Legendre sums that the commuting check's 1-D
 factor products replaced, and ABF's divergence moments against the
 monomials x^i y^j, the other test basis of the same functionals' span.
@@ -13,14 +14,16 @@ import functools
 import numpy as np
 
 from hdivkit import legendre
-from hdivkit.dofs import _EDGE_SIGN, build_dofs
+from hdivkit.dofs import _plan_for, build_dofs
 from hdivkit.elements import (
-    ElementSpace, SpaceMember, _legendre_coordinates, _product_norms, build_space,
+    ElementSpace, SpaceMember, _legendre_coordinates, _product_norms, build_space, factor_values,
 )
 from hdivkit.harness import _check_lp_args, _lp_sum
 from hdivkit.quadrature import EDGES, NONPOLY_POINTS, gauss_legendre_01, n_for_degree, tensor_rule
 
 _EDGE_COMPONENT = {"left": 0, "right": 0, "bottom": 1, "top": 1}
+# outward normals: left (-1,0), right (1,0), bottom (0,-1), top (0,1)
+_EDGE_SIGN = {"left": -1, "right": 1, "bottom": -1, "top": 1}
 
 
 def rule_points(nx: int, ny: int, extended: bool = False):
@@ -187,6 +190,43 @@ def _div_moment_ld(fn, field, test) -> np.longdouble:
         ny = n_for_degree(max(dy0, dy1 - 1, 0) + fn.j)
     xs, ys, ws = rule_points(nx, ny, extended=True)
     return np.sum(ws * field.div_values(xs, ys) * test(xs, ys))
+
+
+def outer_product_dof_values(plan, moment, sample, functionals) -> np.ndarray:
+    """The all-pairs contraction: every pairing of a block's 1-D moments as an
+    outer product, concatenated, and only then each functional's pair picked out
+    and signed; batch + (functionals, r), as dofs._dof_values.  sample holds the
+    (x, y) factors of u, v and div, and moment(F, kind) reads their moments."""
+    (ux, uy), (vx, vy), (dx, dy) = sample
+    # edges left (0, t) and right (1, t), then bottom (t, 0) and top (t, 1), as EDGES
+    blocks = ((ux, 0, uy, 1), (vy, 0, vx, 1), (ux, 2, uy, 2), (vx, 2, vy, 2), (dx, 3, dy, 3))
+    parts = [moment(X, a)[..., :, None] * moment(Y, b)[..., None, :] for X, a, Y, b in blocks]
+    raw = np.concatenate([p.reshape(p.shape[:-2] + (p.shape[-2] * p.shape[-1],)) for p in parts],
+                         axis=-1)
+    ne, na, nd = (len(w) for w in plan.weights)
+    position = {"edge_moment": lambda f: EDGES.index(f.edge) * ne + f.i,
+                "interior_moment": lambda f: 4 * ne + (f.component * na + f.i) * na + f.j,
+                "div_moment": lambda f: 4 * ne + 2 * na * na + f.i * nd + f.j}
+    index = np.array([position[f.kind](f) for f in functionals])
+    signs = np.array([_EDGE_SIGN.get(f.edge, 1) for f in functionals], np.longdouble)
+    return np.swapaxes(signs * raw[..., index], -1, -2)
+
+
+def outer_product_dof_matrix(dofset, space) -> np.ndarray:
+    """dofs.dof_matrix_ld by the all-pairs contraction, the labels' factor rows
+    as the terms and their moments tabulated once per kind."""
+    plan = _plan_for(dofset, space._maxdeg)
+    F = factor_values(space._maxdeg, plan.nodes)
+    tables = [plan.moment(F, kind) for kind in range(4)]
+    return outer_product_dof_values(plan, lambda rows, kind: tables[kind][rows], space._rows,
+                                    dofset.functionals)
+
+
+def outer_product_dof_vector(dofset, field) -> np.ndarray:
+    """dofs.dof_vector_ld of a field's factor sample by the all-pairs contraction."""
+    plan = _plan_for(dofset, None)
+    sample = field.factor_sample(plan.nodes, plan.nodes)
+    return outer_product_dof_values(plan, plan.moment, sample, dofset.functionals).sum(-1)
 
 
 def apply_dof(fn, field) -> float:

@@ -5,22 +5,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hdivkit import harness
 from hdivkit.dofs import (
     DofFunctional,
     DofSet,
+    block_tables,
     build_dofs,
     dof_matrix_ld,
     dof_plan,
     dof_vector_ld,
-    moment_tables,
 )
 from hdivkit.elements import ElementSpace, SpaceMember, build_space, factor_rows
-from hdivkit.fields import MS_G, MS_X, MS_Y, CallableField, ManufacturedField, commuting_battery
+from hdivkit.fields import (
+    MS_G, MS_X, MS_Y, CallableField, FieldStack, ManufacturedField, commuting_battery, get_field,
+)
 from hdivkit.harness import PulledBackField
 from hdivkit.interpolation import InterpolationOperator
 from hdivkit.quadrature import EDGES
 from monomial_oracle import Polynomial2D, VectorPoly2D
-from reference_oracle import apply_dof, apply_dof_ld
+from reference_oracle import (
+    apply_dof, apply_dof_ld, outer_product_dof_matrix, outer_product_dof_vector,
+)
+from test_harness import REFINE_BATTERY, _sides
 
 
 PAIRS = [("RT", k) for k in range(5)] + [("BDM", k) for k in range(1, 5)] + \
@@ -216,9 +222,9 @@ def test_plan_cache_bounded():
 
 
 def test_moment_table_cache_bounded():
-    # moment tables are keyed by the cached plan and the trial degree, and the
+    # block tables are keyed by the cached plan and the trial degree, and the
     # factor rows by the labels, so more operators of the same pairs add none
-    caches = (moment_tables, factor_rows)
+    caches = (block_tables, factor_rows)
     for family, k in PAIRS:
         InterpolationOperator(build_space(family, k))
     sizes = [c.cache_info().currsize for c in caches]
@@ -291,12 +297,100 @@ def test_high_degree_functional_sizes_the_rule():
     assert np.max(np.abs(vec - loop)) <= 1e-15 * np.max(np.abs(loop))
 
 
+# ------------------------------------ the gather against the all-pairs contraction
+
+# the 14 standard sets and the 5 ABF negative controls
+SETS = [(f, k, False) for f, k in PAIRS] + [("ABF", k, True) for k in range(5)]
+
+
+def _same_bits(got, want, what):
+    assert got.dtype == want.dtype and got.shape == want.shape, what
+    assert np.array_equal(got, want), what
+    assert np.array_equal(np.signbit(got), np.signbit(want)), f"{what}: sign bits"
+
+
+def _hand_made_sets():
+    """A reversed ABF_2 set and test_high_degree_functional_sizes_the_rule's degree-6 set."""
+    abf2, rt1 = build_dofs("ABF", 2), build_dofs("RT", 1)
+    high = rt1.functionals[:-1] + (DofFunctional("interior_moment", 6, 6, component=1),)
+    return [(DofSet(abf2.family, abf2.k, abf2.functionals[::-1]), build_space("ABF", 2)),
+            (DofSet(rt1.family, rt1.k, high), build_space("RT", 1))]
+
+
+def _vector_fields():
+    """The refine battery's field sides (each distinct manufactured field and stack),
+    the commuting battery as one FieldStack, a CallableField (the full-rank case),
+    and a member stack pulled back, whose x and y factors differ in batch shape."""
+    sides = {(c.field, _sides(c)) for c in REFINE_BATTERY if c.field != "MS-P"}
+    space = build_space("ABF", 2)
+    members = space.member(np.random.default_rng(7).standard_normal((3, space.dim)))
+    return [harness._FieldSide(get_field(fid), *hs) for fid, hs in sorted(sides)] + [
+        FieldStack(commuting_battery()),
+        CallableField(lambda x, y: (np.sin(x + 2 * y), x * np.exp(y)), lambda x, y: x - y),
+        PulledBackField(members, 0.5, 0.125)]
+
+
+@pytest.mark.parametrize("family,k,replace", SETS)
+def test_dof_matrix_is_the_outer_product_contraction(family, k, replace):
+    # each functional's two moments, gathered from the block tables, are the pair
+    # the all-pairs outer products picked out: the same bits, sign bits included
+    dofset, space = build_dofs(family, k, replace), build_space(family, k)
+    _same_bits(dof_matrix_ld(dofset, space), outer_product_dof_matrix(dofset, space),
+               f"{family}_{k} replaced={replace}")
+
+
+def test_hand_made_dof_matrices_are_the_outer_product_contraction():
+    for dofset, space in _hand_made_sets():
+        _same_bits(dof_matrix_ld(dofset, space), outer_product_dof_matrix(dofset, space),
+                   dofset.functionals[-1])
+        vec = dof_vector_ld(dofset, _field(0, 0, 6, 6, cu=0.0))
+        _same_bits(vec, outer_product_dof_vector(dofset, _field(0, 0, 6, 6, cu=0.0)),
+                   dofset.functionals[-1])
+
+
+@pytest.mark.parametrize("family,k,replace", SETS)
+def test_dof_vectors_are_the_outer_product_contraction(family, k, replace):
+    dofset = build_dofs(family, k, replace)
+    for fld in _vector_fields():
+        vec = dof_vector_ld(dofset, fld)
+        assert vec.shape[-1] == dofset.count
+        _same_bits(vec, outer_product_dof_vector(dofset, fld), f"{family}_{k} {fld!r}")
+
+
+def _malformed(kind, i=0, j=0, edge=None, component=None):
+    return DofFunctional(kind, i, j, edge, component)
+
+
+# functionals the plan refuses, each naming itself: an unknown kind, an interior
+# component other than 0 or 1, an edge not in EDGES, a negative or non-integer
+# test index, a nonzero j on an edge, and an edge or component on a kind without one
+MALFORMED = [_malformed("interior_momnet", component=1),
+             *(_malformed("interior_moment", component=c) for c in (2, -1, None)),
+             *(_malformed("edge_moment", edge=e) for e in (None, "Left", "middle")),
+             _malformed("edge_moment", -1, edge="left"), _malformed("edge_moment", 0, 1, "top"),
+             _malformed("edge_moment", 1.5, edge="left"),
+             _malformed("interior_moment", -1, 0, component=0),
+             _malformed("interior_moment", 0, -1, component=1),
+             _malformed("div_moment", -1, 0), _malformed("div_moment", 0, -2),
+             _malformed("edge_moment", 0, edge="right", component=0),
+             _malformed("interior_moment", 0, 0, "left", 0), _malformed("div_moment", 0, 0, "top"),
+             _malformed("div_moment", 0, 0, component=1)]
+
+
 def test_unknown_kind_rejected():
-    dofset = build_dofs("RT", 1)
-    bad = DofSet(dofset.family, dofset.k,
-                 dofset.functionals[:-1] + (DofFunctional("interior_momnet", 0, 0, component=1),))
-    with pytest.raises(ValueError, match="unknown DOF kind"):
-        dof_vector_ld(bad, _field(1, 0, 0, 1))
+    # with the last functional of RT_1 or ABF_1 swapped for a malformed one, the DOF
+    # vector, the DOF matrix and the operator all refuse it by name
+    for family in ("RT", "ABF"):
+        dofset, space = build_dofs(family, 1), build_space(family, 1)
+        for fn in MALFORMED:
+            bad = DofSet(dofset.family, dofset.k, dofset.functionals[:-1] + (fn,))
+            match = "unknown DOF kind" if fn.kind == "interior_momnet" else "malformed DOF"
+            for use in (lambda: dof_vector_ld(bad, _field(1, 0, 0, 1)),
+                        lambda: dof_vector_ld(bad, MS_G), lambda: dof_matrix_ld(bad, space),
+                        lambda: InterpolationOperator(space, bad)):
+                with pytest.raises(ValueError, match=match) as err:
+                    use()
+                assert str(fn) in str(err.value), (family, fn)
 
 
 def test_functionals_are_values():

@@ -232,7 +232,7 @@ def test_member_views_match_label_grids(family, k):
 
 def test_member_dof_vectors_build_no_grids(monkeypatch):
     # every DOF matrix, the 14 standard sets and ABF's replaced ones, is
-    # assembled from 1-D moment tables without tabulating the basis on a grid
+    # assembled from the block tables of 1-D moments without tabulating the basis on a grid
     def refuse(*args):
         raise AssertionError("the basis was tabulated to build a DOF matrix")
 

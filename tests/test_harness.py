@@ -869,9 +869,10 @@ def test_theorem_suite_names_a_failure_as_converge_prints_it():
 
 
 def test_theorem_suite_empty_battery():
-    result = theorem_suite([])
-    assert result["ok"]
-    assert result["studies"] == [] and result["failures"] == []
+    # no study gives no verdict: an empty battery is refused, not passed
+    for configs in ([], ()):
+        with pytest.raises(ValueError, match="empty battery"):
+            theorem_suite(configs)
 
 
 def test_theorem_suite_default_battery_all_pass():

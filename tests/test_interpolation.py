@@ -443,6 +443,13 @@ def test_replaced_div_moments_break_commutation():
     assert commuting_residuals("BDM", 1, [MS_G], replace_div_moments=True)[0] <= 1e-10
 
 
+def test_commuting_residuals_refuse_no_fields():
+    # no field, no residual: an empty list is refused by name, not read as a pass
+    for fields in ([], ()):
+        with pytest.raises(ValueError, match="at least one field"):
+            commuting_residuals("RT", 1, fields)
+
+
 @pytest.mark.parametrize("family,k", [("RT", 2), ("BDM", 2), ("ABF", 1)])
 def test_interpolant_divergence_stays_in_image(family, k):
     # projecting div(I u) onto the declared scalar space changes nothing

@@ -86,6 +86,14 @@ def test_commuting_stack_matches_the_field_loop(family, k, replace):
     assert judge_commuting(family, k, replace) == (worst, worst <= COMMUTING_TOL)
 
 
+def test_an_empty_field_stack_is_refused():
+    # a stack of no fields has no factor sample to take, so it is refused when built
+    for fields in ([], (), iter([])):
+        with pytest.raises(ValueError, match="at least one field, got none"):
+            FieldStack(fields)
+
+
+
 @pytest.mark.parametrize("family,k,replace", COMMUTING_CASES)
 def test_commuting_sides_match_the_2d_references(family, k, replace):
     # each side of the residual against the 2-D path it replaced: the basis
@@ -155,7 +163,7 @@ ALL_PAIRS = [(f, k) for f in FAMILIES for k in degree_range(f, MAX_DEGREE)]
 def test_member_solve_assembles_nothing(monkeypatch, family, k, replace):
     # a member of the operator's own space, even one built apart as MS-P's is,
     # takes its DOF vector from the M the operator holds: solving a 20-member
-    # stack assembles no DOF matrix and reads no 1-D moments
+    # stack assembles no DOF matrix and reads no block table of 1-D moments
     op = reference_operator(family, k, replace)
     exact = np.random.default_rng(env_seed()).standard_normal((cli.PROJECTION_MEMBERS,
                                                                 op.space.dim))
@@ -168,8 +176,8 @@ def test_member_solve_assembles_nothing(monkeypatch, family, k, replace):
     def refuse(*args):
         raise AssertionError("a member's solve assembled")
 
-    monkeypatch.setattr("hdivkit.dofs._basis_matrix", refuse)
-    monkeypatch.setattr("hdivkit.dofs.moment_tables", refuse)
+    monkeypatch.setattr("hdivkit.dofs.dof_matrix_ld", refuse)
+    monkeypatch.setattr("hdivkit.dofs.block_tables", refuse)
     want = op.solve((op._M_ld @ exact.astype(np.longdouble)[..., None])[..., 0])
     for space in (op.space, build_space(family, k)):
         assert np.array_equal(op.solve_coefficients(space.member(exact)), want)
