@@ -17,30 +17,30 @@ span (for a, b <= k, int (div w) x^a y^b is an edge moment minus interior
 moments), nor the interpolant.
 
 A DOF set is applied through a plan: the nodes {0, t_1 ... t_n, 1}, t
-those of gauss_legendre_01(n), and weight rows w L_i(t) per kind.  Tests
-are products L_i(x) L_j(y), and a factor sample (fields.py) is r products
-X(x) Y(y) on the nodes, so per term a functional is the product of two
-1-D moments (sum factorisation, Orszag 1980): on an edge one factor's
-value at 0 or 1 and the other's weighted sum, else both weighted sums.
-The plan names each functional's two moments by columns, ca and cb, of
-the block-ordered moments of _block_moments; _dof_values, the one
-contraction, multiplies each pair and signs it, and no other pairing is
-formed.  dof_vector_ld sums a field's r terms, or takes M c for a
+those of gauss_legendre_01(n), and one weight matrix, the rows w L_i(t) of
+the edge, interior and div tests stacked.  Tests are products L_i(x)
+L_j(y), and a factor sample (fields.py) is r products X(x) Y(y) per
+component, so per term every functional is its x moment times its y
+moment (sum factorisation, Orszag 1980): on an edge one factor's value at
+0 or 1 and the other's weighted sum, else both weighted sums.
+DofPlan.moments takes all of them, and the plan names each functional's
+component and its two moments' columns; _dof_values, the one
+contraction, multiplies each pair and signs it.  dof_vector_ld gathers
+the pairs from a field's sample and sums its r terms, or takes M c for a
 SpaceMember (an operator passes the M it holds); dof_matrix_ld takes the
-labels as the terms, both moments read from block_tables at the factor
-rows they name, so no basis is tabulated, and no field is sampled on a
-grid.  Leading axes of a sample (a study's (levels, 1, 1) sides, an (m,
-dim) stack, a FieldStack) give one DOF vector per row, each bit for bit
-its own.
+labels as the terms, the pairs read from one moment_table at the factor
+rows they name, so no basis is tabulated, and no field is sampled on a grid.
+Leading axes of a sample (a study's (levels, 1, 1) sides, an (m, dim)
+stack, a FieldStack) give one DOF vector per row, each bit for bit its own.
 
 A factor sample takes n = NONPOLY_POINTS (20).  The DOF matrix, and so
 M c, takes n_for_degree(d + t), d the space's highest factor degree and t
 the set's DofSet.test_degree (k + 1 for every standard set), which
-integrates every moment exactly.  Plans check their functionals and are
-cached by value on (functionals, n), so any set applies, reordered ones
-included, and the caches stay bounded.  tests/reference_oracle.py keeps
-the per-functional quadrature (apply_dof_ld) and the outer-product
-contraction as references.
+integrates every moment exactly.  A set checks its functionals before a
+plan is sized; plans are cached by value on (functionals, n), so any set
+applies, reordered ones included, and the caches stay bounded.
+tests/reference_oracle.py keeps the per-functional quadrature
+(apply_dof_ld) and the outer-product contraction as references.
 
 Quadrature here runs in extended precision, every long-double product in
 np.dot, which sums in index order from zero as matmul does, in a register:
@@ -64,6 +64,7 @@ from .quadrature import EDGES, NONPOLY_POINTS, gauss_legendre_01, n_for_degree
 # per kind of functional, the edges and the components it may name
 _KINDS = {"edge_moment": (EDGES, (None,)), "interior_moment": ((None,), (0, 1)),
           "div_moment": ((None,), (None,))}
+_XY = np.array([[0], [1]])  # a label's x and y factor rows; a list is converted per call
 
 
 class DofFunctional(NamedTuple):
@@ -89,8 +90,10 @@ class DofSet:
     @functools.cached_property
     def test_degree(self) -> int:
         """Test degree the plan's rule covers: k + 1 (the ABF divergence
-        tests reach it) for every standard set, more for higher tests."""
-        return max(self.k + 1, max((max(f.i, f.j) for f in self.functionals), default=0))
+        tests reach it) for every standard set, more for higher tests.  Each
+        functional is checked on the way, so every plan of the set refuses a
+        malformed one by name before a rule is sized."""
+        return max(self.k + 1, max(map(_check, self.functionals), default=0))
 
     @property
     def count(self) -> int:
@@ -120,54 +123,56 @@ def build_dofs(family, k: int, replace_div_moments: bool = False) -> DofSet:
     return dofset
 
 
-# The five blocks in functional order: left and right edges (u's x factor at 0 and 1,
-# its y factor's edge moments), bottom and top (v's, axes swapped), u's and v's interior
-# moments, div moments; per block its component, per factor (row) its kind and axis.
-_COMPONENT = (0, 1, 0, 1, 2)
-_MOMENT = ((0, 0, 2, 2, 3), (1, 1, 2, 2, 3))
-_AXIS = ((0, 1, 0, 0, 0), (1, 0, 1, 1, 1))
+def _check(f: DofFunctional) -> int:
+    """f's highest test index; a ValueError naming f if it is malformed.  An index
+    is an int or a NumPy integer, exactly: a bool (True == 1) would alias one."""
+    kind, i, j, edge, comp = f
+    if kind not in _KINDS:
+        raise ValueError(f"unknown DOF kind {kind!r} in {f}")
+    edges, components = _KINDS[kind]
+    if (edge not in edges or comp not in components or edge and j
+            or not (type(i) is int or isinstance(i, np.integer))
+            or not (type(j) is int or isinstance(j, np.integer)) or i < 0 or j < 0
+            or not (comp is None or type(comp) is int or isinstance(comp, np.integer))):
+        raise ValueError(f"malformed DOF functional {f}")
+    return i if i > j else j
 
 
 def _place(f: DofFunctional) -> tuple:
-    """(block, a, b): f's block and its two moments' places in the block's first
-    and second factor moments; a ValueError naming f if it is malformed."""
-    if f.kind not in _KINDS:
-        raise ValueError(f"unknown DOF kind {f.kind!r} in {f}")
-    edges, components = _KINDS[f.kind]
-    if (f.edge not in edges or f.component not in components or f.edge and f.j
-            or not all(isinstance(v, (int, np.integer)) and v >= 0 for v in (f.i, f.j))):
-        raise ValueError(f"malformed DOF functional {f}")
-    if f.edge:
-        return (*divmod(EDGES.index(f.edge), 2), f.i)
-    return 4 if f.component is None else 2 + f.component, f.i, f.j
+    """(comp, kx, ix, ky, iy): f's component, then its x and its y moment as a
+    kind (0 the values at 0 and 1, 1, 2, 3 the edge, interior and div rows)
+    and an index in it, once _check passes it."""
+    _check(f)
+    if f.edge:  # left and right: u's x factor at 0 or 1; bottom and top: v's y factor
+        e = EDGES.index(f.edge)
+        return (0, 0, e, 1, f.i) if e < 2 else (1, 1, f.i, 0, e - 2)
+    return (2, 3, f.i, 3, f.j) if f.component is None else (f.component, 2, f.i, 2, f.j)
 
 
 class DofPlan:
-    """The nodes (plan_nodes(n)) and weights of a whole DOF set: the edge, interior
-    and div rows w L_i(t) on the inner nodes t, read by moment.  Per functional:
-    comp and axes, the component and factor axes of its block, ca and cb, the
-    columns of its two moments in _block_moments, and signs, an edge's normal."""
+    """The nodes (plan_nodes(n)) and weights of a whole DOF set: one matrix of
+    rows w L_i(t) on the inner nodes t, the edge, interior and div tests
+    stacked.  Per functional: comp, its component, cx and cy, the columns of
+    its x and y moments in moments(F), and signs, an edge's outward normal."""
 
     def __init__(self, functionals, n: int):
-        blk, a, b = np.array([_place(f) for f in functionals], int).reshape(-1, 3).T
+        comp, kx, ix, ky, iy = np.array([_place(f) for f in functionals], int).reshape(-1, 5).T
         rule = gauss_legendre_01(n)
         self.n, self.nodes = n, plan_nodes(n)
         # the largest test index per kind, -1 (no rows) where a kind is absent
         degs = [max((max(f.i, f.j) for f in functionals if f.kind == kind), default=-1)
                 for kind in _KINDS]
-        self.weights = [rule.weights_ld * factor_values(max(d, 0), rule.nodes_ld)[: d + 1]
-                        for d in degs]
-        widths = np.array([2] + [d + 1 for d in degs])[np.array(_MOMENT)]
-        starts = np.cumsum(widths, axis=1) - widths
-        self.comp, self.axes = np.array(_COMPONENT)[blk], np.array(_AXIS)[:, blk]
-        self.ca, self.cb = starts[0, blk] + a, starts[1, blk] + b
-        # the outward normal of an edge: -1 at x = 0 and y = 0 (left, bottom), else 1
-        self.signs = np.where(blk < 2, 2 * a - 1, 1).astype(np.longdouble)
+        wL = rule.weights_ld * factor_values(max(*degs, 0), rule.nodes_ld)
+        self.weights = np.concatenate([wL[: d + 1] for d in degs])
+        starts = np.cumsum([0, 2] + [d + 1 for d in degs])
+        self.comp, self.cx, self.cy = comp, starts[kx] + ix, starts[ky] + iy
+        # -1 where a functional reads a value at x = 0 or y = 0 (left, bottom), else 1
+        self.signs = np.where(np.minimum(self.cx, self.cy) == 0, -1, 1).astype(np.longdouble)
 
-    def moment(self, F, kind: int) -> np.ndarray:
-        """1-D moments of factors F (..., n + 2) on the nodes: kind 0 their values
-        at 0 and 1, kinds 1, 2, 3 the weighted sums of weights[kind - 1]."""
-        return F[..., [0, -1]] if kind == 0 else np.dot(F[..., 1:-1], self.weights[kind - 1].T)
+    def moments(self, F) -> np.ndarray:
+        """The 1-D moments of factors F (..., n + 2) on the nodes, ordered by kind:
+        their values at 0 and 1, then their weighted sums against every row."""
+        return np.concatenate([F[..., [0, -1]], np.dot(F[..., 1:-1], self.weights.T)], axis=-1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -183,26 +188,16 @@ dof_plan = functools.lru_cache(maxsize=None)(DofPlan)
 
 
 def _plan_for(dofset: DofSet, max_degree: Optional[int]) -> DofPlan:
-    # exact for component degree max_degree against the set's tests
-    n = NONPOLY_POINTS if max_degree is None else n_for_degree(max_degree + dofset.test_degree)
+    # exact for component degree max_degree against the set's tests (checked first)
+    t = dofset.test_degree
+    n = NONPOLY_POINTS if max_degree is None else n_for_degree(max_degree + t)
     return dof_plan(dofset.functionals, n)
 
 
-def _block_moments(plan: DofPlan, factor) -> tuple:
-    """Both factors' 1-D moments of every block, each side concatenated in block
-    order over the factors' common batch; factor(q, axis) is what a block reads."""
-    sides = [[plan.moment(factor(q, ax), kind) for q, kind, ax in zip(_COMPONENT, kinds, axes)]
-             for kinds, axes in zip(_MOMENT, _AXIS)]
-    batch = np.broadcast_shapes(*{m.shape[:-1] for ms in sides for m in ms})
-    return tuple(np.concatenate([m if m.shape[:-1] == batch else
-                                 np.broadcast_to(m, batch + m.shape[-1:]) for m in ms], -1)
-                 for ms in sides)
-
-
-def _dof_values(plan: DofPlan, A, B) -> np.ndarray:
+def _dof_values(plan: DofPlan, X, Y) -> np.ndarray:
     """The one contraction: DOF values of r terms, batch + (functionals, r), from
-    each functional's two 1-D moments A and B, batch + (r, functionals)."""
-    return np.swapaxes(plan.signs * (A * B), -1, -2)
+    each functional's x and y moments X and Y, batch + (r, functionals)."""
+    return np.swapaxes(plan.signs * (X * Y), -1, -2)
 
 
 def dof_vector_ld(dofset: DofSet, field, M: Optional[np.ndarray] = None) -> np.ndarray:
@@ -214,26 +209,23 @@ def dof_vector_ld(dofset: DofSet, field, M: Optional[np.ndarray] = None) -> np.n
         M = dof_matrix_ld(dofset, field.space) if M is None else M
         return np.dot(field.coeffs.astype(np.longdouble), M.T)
     plan = _plan_for(dofset, None)
-    sample = field.factor_sample(plan.nodes, plan.nodes)
-    A, B = _block_moments(plan, lambda q, axis: sample[q][axis])
-    return _dof_values(plan, A[..., plan.ca], B[..., plan.cb]).sum(-1)
+    X, Y = (plan.moments(F) for F in field.factor_sample(plan.nodes, plan.nodes))
+    return _dof_values(plan, X[..., plan.comp, plan.cx], Y[..., plan.comp, plan.cy]).sum(-1)
 
 
 @functools.lru_cache(maxsize=None)
-def block_tables(plan: DofPlan, deg: int) -> tuple:
-    """_block_moments of the rows of factor_values(deg) on the plan's nodes, every
-    block reading all of them, read-only, cached per plan and trial degree."""
-    F = factor_values(deg, plan.nodes)
-    tables = _block_moments(plan, lambda q, axis: F)
-    for a in tables:
-        a.setflags(write=False)
-    return tables
+def moment_table(plan: DofPlan, deg: int) -> np.ndarray:
+    """The plan's moments of the rows of factor_values(deg), read-only, cached
+    per plan and trial degree."""
+    T = plan.moments(factor_values(deg, plan.nodes))
+    T.setflags(write=False)
+    return T
 
 
 def dof_matrix_ld(dofset: DofSet, space: ElementSpace) -> np.ndarray:
     """M[a, b] = functional a applied to basis member b, extended precision,
     under the plan every member's DOF vector uses: the labels are the terms, both
-    moments read from the block tables at the factor rows the labels name."""
+    moments read from the moment table at the factor rows the labels name."""
     plan = _plan_for(dofset, space._maxdeg)
-    (TA, TB), (RA, RB) = block_tables(plan, space._maxdeg), space._rows[plan.comp, plan.axes]
-    return _dof_values(plan, TA[RA.T, plan.ca], TB[RB.T, plan.cb])
+    T, (RX, RY) = moment_table(plan, space._maxdeg), space._rows[plan.comp, _XY]
+    return _dof_values(plan, T[RX.T, plan.cx], T[RY.T, plan.cy])

@@ -19,7 +19,7 @@ span.  family_sets(family, k) holds the table above as (i, j) index sets.
 The basis has one encoding: each label's u, v and div are products
 X(x) Y(y) of two rows of factor_values (L_m, L_m', -L_m' or zero), named
 by factor_rows.  Evaluation (tabulate, tabulate_div), a member's factor
-sample, the DOF matrix's 1-D moments (dofs.block_tables), the exact
+sample, the DOF matrix's 1-D moments (dofs.moment_table), the exact
 Legendre coordinates and the structural degrees (_label_degrees) all read
 those rows, with no branch per kind of label.  A member is its space and
 its coefficient vector; the package has no other polynomial
@@ -198,11 +198,11 @@ class SpaceMember:
 
     def factor_sample(self, x, y) -> tuple:
         """The factor sample (fields.py) at nodes x and y: one term per label, its
-        factor rows, the x rows weighted by the label's coefficient."""
-        Fx, Fy = (np.moveaxis(factor_values(self.space._maxdeg, np.asarray(z)), 0, -2)
-                  for z in (x, y))
-        return tuple((self.coeffs[..., None] * Fx[..., rx, :], Fy[..., ry, :])
-                     for rx, ry in self.space._rows)
+        factor rows, the x rows weighted by the label's coefficient; only X
+        carries a stack's rows."""
+        X, Y = (np.moveaxis(factor_values(self.space._maxdeg, np.asarray(z)), 0, -2)
+                [..., self.space._rows[:, axis].T, :] for axis, z in enumerate((x, y)))
+        return self.coeffs[..., None, None] * X, Y
 
     def __repr__(self):
         return f"SpaceMember({self.space!r}, coeffs={self.coeffs!r})"

@@ -14,14 +14,14 @@ structural zeros the rate predictions read are the empty tuples.
 
 Factor samples.  Every field a DOF vector is taken of has
 factor_sample(x, y), for 1-D nodes x and y with optional leading axes:
-for u, v and div, a pair X, Y of shape batch + (r, n), one r for all
-three, whose products X[r, i] Y[r, j] summed over the r terms are the
-component at (x_i, y_j).  A manufactured field's terms are its pairs,
+two arrays X and Y of shape batch + (r, 3, n), axes term, component and
+node, whose products X[q, c, i] Y[q, c, j] summed over the r terms are
+component c at (x_i, y_j).  A manufactured field's terms are its pairs,
 padded with zero terms; a FieldStack's rows are its fields' samples,
 padded likewise; a CallableField is the full-rank case, the identity in
 x against its values on the grid; a SpaceMember's terms are its labels
-(elements); a PulledBackField scales its field's factors (harness).  dofs
-applies every functional to these 1-D samples.
+(elements); a PulledBackField scales its field's x factors (harness).
+dofs applies every functional to these 1-D samples.
 
 The fixed ids used by the refinement studies:
 
@@ -91,14 +91,16 @@ def _sum_of_products(pairs: Pairs, x, y):
     return np.zeros(np.broadcast(x, y).shape, x.dtype if x.dtype.kind == "f" else float)
 
 
-def _factors(pairs: Pairs, r: int, x, y) -> tuple:
-    """The pairs' x factors at x and y factors at y, one row per pair and zero rows
-    up to r: shapes batch + (r, n) for nodes of shape batch + (n,), filled in place
-    in the nodes' float type."""
-    X, Y = (np.zeros(np.shape(z)[:-1] + (r, np.shape(z)[-1]), np.result_type(z, 0.0))
+def _factors(terms, x, y) -> tuple:
+    """Each component's pairs, x factors at x and y factors at y, filled in place in
+    the nodes' float type: term q of component c its q-th pair, zero past its last,
+    shapes batch + (r, len(terms), n) for nodes batch + (n,), r the most pairs."""
+    shape = (max(map(len, terms)), len(terms))
+    X, Y = (np.zeros(np.shape(z)[:-1] + shape + np.shape(z)[-1:], np.result_type(z, 0.0))
             for z in (x, y))
-    for q, (fx, fy) in enumerate(pairs):
-        X[..., q, :], Y[..., q, :] = fx(x), fy(y)
+    for c, pairs in enumerate(terms):
+        for q, (fx, fy) in enumerate(pairs):
+            X[..., q, c, :], Y[..., q, c, :] = fx(x), fy(y)
     return X, Y
 
 
@@ -191,8 +193,7 @@ class ManufacturedField:
         return self.partial(0, 0, 2)(x, y)
 
     def factor_sample(self, x, y):
-        pairs = [self._pairs(0, 0, comp) for comp in range(3)]
-        return tuple(_factors(p, max(map(len, pairs)), x, y) for p in pairs)
+        return _factors([self._pairs(0, 0, comp) for comp in range(3)], x, y)
 
     def __repr__(self):
         return f"ManufacturedField({self.id})"
@@ -263,11 +264,10 @@ class FieldStack:
 
     def factor_sample(self, x, y):
         samples = [f.factor_sample(x, y) for f in self.fields]
-        r = max(X.shape[-2] for (X, _), _, _ in samples)
+        r = max(X.shape[-3] for X, _ in samples)
         pad = lambda F: np.concatenate(  # noqa: E731
-            [F, np.zeros(F.shape[:-2] + (r - F.shape[-2], F.shape[-1]), F.dtype)], axis=-2)
-        return tuple(tuple(np.stack([pad(F) for F in fs]) for fs in zip(*pairs))
-                     for pairs in zip(*samples))
+            [F, np.zeros(F.shape[:-3] + (r - F.shape[-3],) + F.shape[-2:], F.dtype)], axis=-3)
+        return tuple(np.stack([pad(F) for F in fs]) for fs in zip(*samples))
 
 
 class CallableField:
@@ -275,8 +275,9 @@ class CallableField:
     by its values (constants, or a sample read on its own grid and nowhere
     else, a study's error rule) is the callables returning them.  Its factor
     sample is the full-rank case, term r the identity at node x_r against the
-    values at (x_r, y); a missing divergence samples as nan, which only sets
-    with div moments read and solve rejects."""
+    values at (x_r, y), the three components side by side; a missing
+    divergence samples as nan, which only sets with div moments read and
+    solve rejects."""
 
     def __init__(self, uv_fn: Callable, div_fn: Optional[Callable] = None, fid: str = "custom"):
         self.id = fid
@@ -294,10 +295,10 @@ class CallableField:
     def factor_sample(self, x, y):
         col, row = np.asarray(x)[..., :, None], np.asarray(y)[..., None, :]
         grid = np.broadcast(col, row).shape
-        eye = np.broadcast_to(np.eye(grid[-2], dtype=np.result_type(col, float)),
-                              grid[:-1] + grid[-2:-1])
         div = np.nan if self._div is None else self._div(col, row)
-        return tuple((eye, np.broadcast_to(v, grid)) for v in (*self._uv(col, row), div))
+        Y = np.stack([np.broadcast_to(v, grid) for v in (*self._uv(col, row), div)], axis=-2)
+        eye = np.eye(grid[-2], dtype=np.result_type(col, float))[:, None, :]
+        return np.broadcast_to(eye, Y.shape[:-1] + grid[-2:-1]), Y
 
 
 _MANUFACTURED = {"MS-G": MS_G, "MS-X": MS_X, "MS-Y": MS_Y}

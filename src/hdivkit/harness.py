@@ -20,8 +20,8 @@ for stagnation instead of a bogus rate.
 A field goes to the reference square one way, PulledBackField; piola_push
 pulls one member back through the inverse map.  A study pulls the field
 back to all its levels at once (rect_at of levels (n, 1, 1)): the
-pull-back's factor sample is its field's factors at hx s and hy s, one row
-of nodes per level, the x factors scaled by the Piola factors, so one DOF
+pull-back's factor sample is its field's two arrays at hx s and hy s, one
+row of nodes per level, the x factors scaled by the Piola factors, so one DOF
 vector call samples levels x the plan's 1-D nodes and one stacked solve
 gives every level's coefficients; an MS-P member is its own pull-back, so
 it is solved once.  Errors are integrated on one 20 x 20 Gauss rule,
@@ -103,7 +103,7 @@ class PulledBackField:
 
     With F(x, y) = (hx x, hy y): u_ref = (hy u . F, hx v . F) and
     div_ref = hx hy (div u) . F.  hx and hy may have shape (n, 1, 1), one
-    row per rectangle ahead of the (x, y) axes or of the factors' (r, nodes)
+    row per rectangle ahead of the (x, y) axes or of the factors' (r, 3, nodes)
     axes; the values then carry that leading axis.
     """
 
@@ -121,10 +121,11 @@ class PulledBackField:
 
     def factor_sample(self, x, y):
         # sides (n, 1, 1) map 1-D nodes to one row per rectangle, (n, len)
-        (ux, uy), (vx, vy), (dx, dy) = self.field.factor_sample(*(
+        X, Y = self.field.factor_sample(*(
             (np.asarray(h)[..., 0] if np.ndim(h) else h) * np.asarray(z)
             for h, z in ((self.hx, x), (self.hy, y))))
-        return (self.hy * ux, uy), (self.hx * vx, vy), ((self.hx * self.hy) * dx, dy)
+        scale = np.stack(np.broadcast_arrays(self.hy, self.hx, self.hx * self.hy), axis=-1)
+        return scale.reshape(scale.shape[:-3] + (1, 3, 1)) * X, Y
 
 
 def piola_push(rect: PhysicalRect, member: SpaceMember) -> PulledBackField:
@@ -148,16 +149,16 @@ def _mapped_rule(hx, hy):
 
 class _FieldSide(CallableField):
     """What a study reads of a field on one rectangle stack, sides hxs and hys as
-    floats: the pull-back's factor sample on the nodes of every 20-point DOF plan
-    and the field's u, v and div on the stack's mapped rule, each taken once and
-    read-only, whatever nodes or points are asked for."""
+    floats: the pull-back's factor sample, its two arrays X and Y, on the nodes of
+    every 20-point DOF plan and the field's u, v and div on the stack's mapped
+    rule, each taken once and read-only, whatever nodes or points are asked for."""
 
     def __init__(self, fld, hxs: tuple, hys: tuple):
         hx, hy = (np.array(h)[:, None, None] for h in (hxs, hys))
         (x, y, _), nodes = _mapped_rule(hx, hy), plan_nodes(NONPOLY_POINTS)
         self.sample = PulledBackField(fld, hx, hy).factor_sample(nodes, nodes)
         U, V, D = *fld.uv(x, y), fld.div_values(x, y)
-        for a in (*sum(self.sample, ()), U, V, D):
+        for a in (*self.sample, U, V, D):
             a.setflags(write=False)
         super().__init__(lambda x, y: (U, V), lambda x, y: D, fld.id)
 

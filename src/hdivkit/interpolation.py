@@ -28,9 +28,9 @@ every 20-point DOF plan, sum factorised (Orszag 1980): (2i+1)(2j+1)
 (W V W^T)[i, j], W = w L the weighted Legendre rows.  `coefficients` takes
 a stack of values, one row per field, and `coeffs_internal` any callable
 w(x, y), even one giving a scalar or a single axis.  The commuting check
-caches its fields' factor samples on those plans' nodes once per process
-(cached_sample): the DOF vectors read them, the projector the divergences
-their div factors give on its rule, and the residuals tabulate no basis.
+caches its fields' factor sample on those plans' nodes once per process
+(cached_sample): the DOF vectors read it, the projector the divergences its
+component 2 gives on its rule, and the residuals tabulate no basis.
 """
 
 from __future__ import annotations
@@ -208,18 +208,18 @@ SAMPLE_GRID = 21
 
 
 class _Sampled:
-    """Fields known only by their factor sample, taken once, read-only, on the
-    nodes of every 20-point DOF plan, whatever nodes are asked for; div holds
-    their divergences on the projector's rule (the inner nodes), summed over
-    the terms in order as div_values sums its pairs."""
+    """Fields known only by their factor sample, its two arrays taken once,
+    read-only, on the nodes of every 20-point DOF plan, whatever nodes are asked
+    for; div holds their divergences, component 2, on the projector's rule (the
+    inner nodes), summed over the terms in order as div_values sums its pairs."""
 
     def __init__(self, fields):
         nodes = plan_nodes(NONPOLY_POINTS)
         self.sample = FieldStack(fields).factor_sample(nodes, nodes)
-        X, Y = (F[..., 1:-1] for F in self.sample[2])
+        X, Y = (F[..., 2, 1:-1] for F in self.sample)
         self.div = functools.reduce(np.add, (X[:, r, :, None] * Y[:, r, None, :]
                                              for r in range(X.shape[1])))
-        for a in (*sum(self.sample, ()), self.div):
+        for a in (*self.sample, self.div):
             a.setflags(write=False)
 
     def factor_sample(self, x, y):

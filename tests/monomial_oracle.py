@@ -169,14 +169,15 @@ class VectorPoly2D:
         return self.u.partial("x").eval(x, y) + self.v.partial("y").eval(x, y)
 
     def factor_sample(self, x, y):
-        """u, v and div as factor pairs, each padded with zero terms to one count."""
+        """u, v and div as factor pairs, each padded with zero terms to one count,
+        then set side by side on a component axis: X and Y of shape (..., r, 3, n)."""
         ux, vx = self.u.partial("x").factors(x, y), self.v.partial("y").factors(x, y)
         div = tuple(np.concatenate(fs, axis=-2) for fs in zip(ux, vx))
         pairs = (self.u.factors(x, y), self.v.factors(x, y), div)
         r = max(X.shape[-2] for X, _ in pairs)
-        return tuple(tuple(np.concatenate([F, np.zeros(F.shape[:-2] + (r - F.shape[-2],)
-                                                        + F.shape[-1:], F.dtype)], axis=-2)
-                           for F in pair) for pair in pairs)
+        return tuple(np.stack([np.concatenate([F, np.zeros(F.shape[:-2] + (r - F.shape[-2],)
+                                                           + F.shape[-1:], F.dtype)], axis=-2)
+                               for F in fs], axis=-2) for fs in zip(*pairs))
 
     def __repr__(self):
         return f"VectorPoly2D(u={self.u!r}, v={self.v!r})"

@@ -192,7 +192,23 @@ def _div_moment_ld(fn, field, test) -> np.longdouble:
     return np.sum(ws * field.div_values(xs, ys) * test(xs, ys))
 
 
-def outer_product_dof_values(plan, moment, sample, functionals) -> np.ndarray:
+def kind_weights(functionals, n: int) -> list:
+    """Per kind (edge, interior, div), the rows w L_i(t) of the n-point rule up to
+    the kind's largest test index among the functionals (none where it is absent),
+    one factor_values pass each."""
+    rule = gauss_legendre_01(n)
+    degs = [max((max(f.i, f.j) for f in functionals if f.kind == kind), default=-1)
+            for kind in ("edge_moment", "interior_moment", "div_moment")]
+    return [rule.weights_ld * factor_values(max(d, 0), rule.nodes_ld)[: d + 1] for d in degs]
+
+
+def _moment(weights, F, kind: int) -> np.ndarray:
+    """The 1-D moments of factors F of one kind: 0 their values at 0 and 1, 1, 2
+    and 3 their weighted sums against weights[kind - 1]."""
+    return F[..., [0, -1]] if kind == 0 else np.dot(F[..., 1:-1], weights[kind - 1].T)
+
+
+def outer_product_dof_values(weights, moment, sample, functionals) -> np.ndarray:
     """The all-pairs contraction: every pairing of a block's 1-D moments as an
     outer product, concatenated, and only then each functional's pair picked out
     and signed; batch + (functionals, r), as dofs._dof_values.  sample holds the
@@ -203,7 +219,7 @@ def outer_product_dof_values(plan, moment, sample, functionals) -> np.ndarray:
     parts = [moment(X, a)[..., :, None] * moment(Y, b)[..., None, :] for X, a, Y, b in blocks]
     raw = np.concatenate([p.reshape(p.shape[:-2] + (p.shape[-2] * p.shape[-1],)) for p in parts],
                          axis=-1)
-    ne, na, nd = (len(w) for w in plan.weights)
+    ne, na, nd = (len(w) for w in weights)
     position = {"edge_moment": lambda f: EDGES.index(f.edge) * ne + f.i,
                 "interior_moment": lambda f: 4 * ne + (f.component * na + f.i) * na + f.j,
                 "div_moment": lambda f: 4 * ne + 2 * na * na + f.i * nd + f.j}
@@ -216,17 +232,22 @@ def outer_product_dof_matrix(dofset, space) -> np.ndarray:
     """dofs.dof_matrix_ld by the all-pairs contraction, the labels' factor rows
     as the terms and their moments tabulated once per kind."""
     plan = _plan_for(dofset, space._maxdeg)
+    weights = kind_weights(dofset.functionals, plan.n)
     F = factor_values(space._maxdeg, plan.nodes)
-    tables = [plan.moment(F, kind) for kind in range(4)]
-    return outer_product_dof_values(plan, lambda rows, kind: tables[kind][rows], space._rows,
+    tables = [_moment(weights, F, kind) for kind in range(4)]
+    return outer_product_dof_values(weights, lambda rows, kind: tables[kind][rows], space._rows,
                                     dofset.functionals)
 
 
 def outer_product_dof_vector(dofset, field) -> np.ndarray:
-    """dofs.dof_vector_ld of a field's factor sample by the all-pairs contraction."""
+    """dofs.dof_vector_ld of a field's factor sample by the all-pairs contraction,
+    the sample's two arrays read as one (X, Y) pair per component."""
     plan = _plan_for(dofset, None)
-    sample = field.factor_sample(plan.nodes, plan.nodes)
-    return outer_product_dof_values(plan, plan.moment, sample, dofset.functionals).sum(-1)
+    weights = kind_weights(dofset.functionals, plan.n)
+    X, Y = field.factor_sample(plan.nodes, plan.nodes)
+    sample = [(X[..., c, :], Y[..., c, :]) for c in range(3)]
+    return outer_product_dof_values(weights, functools.partial(_moment, weights), sample,
+                                    dofset.functionals).sum(-1)
 
 
 def apply_dof(fn, field) -> float:

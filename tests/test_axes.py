@@ -10,15 +10,18 @@ This compares with the enumerated evaluation itself, not with a stored
 hash, so a libm whose vector and scalar paths differ shows here.
 
 The same grids check the factor-sample contract that the DOF vectors rest
-on: the sum over the terms r of X_r(x_i) Y_r(y_j) is uv / div_values at
-(x_i, y_j).  A manufactured field's uv, partials and div_values are sums
-of the very pairs its samples hold, waves' angle-addition pairs included,
-and a CallableField's sample is the identity against its values, so these
-agree bit for bit, and so does a FieldStack of them.  A pull-back scales
-one factor where uv scales the product, and a member weights its x
-factors where uv weights the products, so those agree within
-2 (r + 2) ulps of the sum of |X_r Y_r|, the reassociation bound of a
-sum of r products (floored at (r + 2) smallest normals, for subnormals).
+on: a sample is two arrays X and Y of shape batch + (r, 3, n), one r for
+u, v and div, and the sum over the terms r of X[r, c, i] Y[r, c, j] is
+component c of uv / div_values at (x_i, y_j).  A manufactured field's uv,
+partials and div_values are sums of the very pairs its samples hold,
+waves' angle-addition pairs included, and a CallableField's sample is the
+identity against its values (nan for a missing divergence), so these
+agree bit for bit, and so does a FieldStack of them and the check's
+cached sample.  A pull-back (and so a study's field side) scales one
+factor where uv scales the product, and a member weights its x factors
+where uv weights the products, so those agree within 2 (r + 2) ulps of
+the sum of |X_r Y_r|, the reassociation bound of a sum of r products
+(floored at (r + 2) smallest normals, for subnormals).
 """
 
 import numpy as np
@@ -32,7 +35,8 @@ from hdivkit.fields import (
     MAX_PARTIAL_ORDER, MS_G, MS_X, MS_Y, CallableField, FieldStack, ManufacturedField,
     _factors, commuting_battery, separable, wave,
 )
-from hdivkit.harness import PulledBackField, _mapped_rule
+from hdivkit.harness import PulledBackField, _FieldSide, _mapped_rule
+from hdivkit.interpolation import _Sampled
 from hdivkit.quadrature import EDGES, NONPOLY_POINTS, gauss_legendre_01
 from reference_oracle import edge_rule, enumerated_rule, rule_points
 
@@ -90,16 +94,23 @@ def _summed(X, Y):
     return out, size
 
 
-def _contract_holds(pairs, values, exact: bool) -> bool:
-    """The factor pairs sum to values: bit for bit, or within 2 (r + 2) ulps of the
-    sum of the terms' magnitudes; below the normal range rounding is absolute,
-    so that bound is floored at (r + 2) times the smallest normal number."""
-    got, size = _summed(*pairs)
-    values = np.broadcast_to(values, got.shape)
-    if exact:
-        return np.array_equal(got, values)
-    r, info = pairs[0].shape[-2], np.finfo(got.dtype)
-    return bool(np.all(np.abs(got - values) <= (r + 2) * (2 * info.eps * size + info.tiny)))
+def _contract_holds(sample, values, exact: bool) -> bool:
+    """The factor sample (X, Y), batch + (r, components, n) each, one r for every
+    component, sums on component c to values[c]: bit for bit (nan where the values
+    are nan), or within 2 (r + 2) ulps of the sum of the terms' magnitudes; below
+    the normal range rounding is absolute, so that bound is floored at (r + 2)
+    times the smallest normal number."""
+    X, Y = sample
+    if X.shape[-3:-1] != Y.shape[-3:-1] or X.shape[-2] != len(values):
+        return False
+    info = np.finfo(np.result_type(X, Y))
+    for c, want in enumerate(values):
+        got, size = _summed(X[..., c, :], Y[..., c, :])
+        want = np.broadcast_to(want, got.shape)
+        if not (np.array_equal(got, want, equal_nan=True) if exact else np.all(
+                np.abs(got - want) <= (X.shape[-3] + 2) * (2 * info.eps * size + info.tiny))):
+            return False
+    return True
 
 
 def _grids(sides=st.none() | _sides):
@@ -117,26 +128,28 @@ def test_manufactured_fields_and_partials(grid):
     for fld in MANUFACTURED:
         for on_axes, enumerated in zip(*grid.both(_values(fld))):
             assert grid.same(on_axes, enumerated), fld
-        for pairs, values in zip(fld.factor_sample(x, y), _values(fld)(grid.x, grid.y)):
-            assert _contract_holds(pairs, values, exact=True), fld
+        assert _contract_holds(fld.factor_sample(x, y), _values(fld)(grid.x, grid.y),
+                               exact=True), fld
         for a1, a2, comp in PARTIALS:
             assert grid.same(*grid.both(fld.partial(a1, a2, comp))), (fld, a1, a2, comp)
-            pairs = fld._pairs(a1, a2, comp)
-            assert _contract_holds(_factors(pairs, len(pairs), x, y),
-                                   fld.partial(a1, a2, comp)(grid.x, grid.y), exact=True)
+            assert _contract_holds(_factors((fld._pairs(a1, a2, comp),), x, y),
+                                   (fld.partial(a1, a2, comp)(grid.x, grid.y),), exact=True)
 
 
 @pytest.mark.parametrize("dtype", (np.float32,) + DTYPES)
 def test_factors_fill_rows_in_the_nodes_float_type(dtype):
-    # batch + (r, n): one row per pair, zero rows up to r, in the nodes' own type
+    # batch + (r, components, n): one term per pair of each component, zero terms
+    # past its last up to the most pairs r of any, in the nodes' own type
     pairs = MS_G._pairs(0, 0, 0) + wave("sin", 2, -1)(1, 0)
+    terms = (pairs[:1], pairs, ())
     x = np.array([[0.0, 0.25, 0.5], [0.125, 0.75, 1.0]], dtype)
     y = np.array([[0.5, 0.0, 1.0], [0.375, 0.625, 0.875]], dtype)
-    X, Y = _factors(pairs, 5, x, y)
-    assert X.shape == Y.shape == (2, 5, 3) and X.dtype == Y.dtype == dtype
-    for q, (fx, fy) in enumerate(pairs):
-        assert np.array_equal(X[:, q], fx(x)) and np.array_equal(Y[:, q], fy(y))
-    assert not X[:, len(pairs):].any() and not Y[:, len(pairs):].any()
+    X, Y = _factors(terms, x, y)
+    assert X.shape == Y.shape == (2, len(pairs), 3, 3) and X.dtype == Y.dtype == dtype
+    for c, component in enumerate(terms):
+        for q, (fx, fy) in enumerate(component):
+            assert np.array_equal(X[:, q, c], fx(x)) and np.array_equal(Y[:, q, c], fy(y))
+        assert not X[:, len(component):, c].any() and not Y[:, len(component):, c].any()
 
 
 @settings(max_examples=40, deadline=None)
@@ -148,11 +161,10 @@ def test_every_factor_and_wave_term(grid, fx, fy, g, a, b):
     x, y = grid.axis_nodes()
     for a1, a2, comp in PARTIALS:
         assert grid.same(*grid.both(fld.partial(a1, a2, comp))), (fx, fy, g, a, b, a1, a2, comp)
-        pairs = fld._pairs(a1, a2, comp)
-        assert _contract_holds(_factors(pairs, len(pairs), x, y),
-                               fld.partial(a1, a2, comp)(grid.x, grid.y), exact=True)
-    for pairs, values in zip(fld.factor_sample(x, y), _values(fld)(grid.x, grid.y)):
-        assert _contract_holds(pairs, values, exact=True), (fx, fy, g, a, b)
+        assert _contract_holds(_factors((fld._pairs(a1, a2, comp),), x, y),
+                               (fld.partial(a1, a2, comp)(grid.x, grid.y),), exact=True)
+    assert _contract_holds(fld.factor_sample(x, y), _values(fld)(grid.x, grid.y),
+                           exact=True), (fx, fy, g, a, b)
 
 
 @settings(max_examples=25, deadline=None)
@@ -166,20 +178,36 @@ def test_pulled_back_fields_and_stacks(grid, sides):
                                    _values(columns)(grid.xs, grid.ys)):
         assert grid.same(on_axes, enumerated, (len(sides),))
     # factor samples on the grid's 1-D nodes: a stacked pull-back of every field
-    # (one row of nodes per side), a FieldStack (one row per field's values),
-    # and a scalar-valued callable
+    # (one row of nodes per side), a FieldStack (one row per field's values), and
+    # callables: one on the grid, a scalar-valued one, and one with no divergence
     x, y = grid.axis_nodes()
     for fld in MANUFACTURED:
         pulled = PulledBackField(fld, hx[:, None, None], hy[:, None, None])
-        for pairs, values in zip(pulled.factor_sample(x, y), _values(pulled)(grid.x, grid.y)):
-            assert _contract_holds(pairs, values, exact=False), fld
-    rows = np.stack([np.stack(np.broadcast_arrays(*_values(f)(grid.x, grid.y)))
-                     for f in MANUFACTURED], axis=1)
-    for pairs, values in zip(FieldStack(MANUFACTURED).factor_sample(x, y), rows):
-        assert _contract_holds(pairs, values, exact=True)
-    constant = CallableField(lambda x, y: (1.0, 2.0), lambda x, y: 0.5)
-    for pairs, values in zip(constant.factor_sample(x, y), _values(constant)(grid.x, grid.y)):
-        assert _contract_holds(pairs, values, exact=True)
+        assert _contract_holds(pulled.factor_sample(x, y), _values(pulled)(grid.x, grid.y),
+                               exact=False), fld
+
+    def rows(x, y):  # per component, one row per manufactured field's values
+        return np.stack([np.stack(np.broadcast_arrays(*_values(f)(x, y))) for f in MANUFACTURED],
+                        axis=1)
+
+    assert _contract_holds(FieldStack(MANUFACTURED).factor_sample(x, y), rows(grid.x, grid.y),
+                           exact=True)
+    for fld in (CallableField(lambda x, y: (np.sin(x) * y, x - y), lambda x, y: np.cos(x) + 0 * y),
+                CallableField(lambda x, y: (1.0, 2.0), lambda x, y: 0.5)):
+        assert _contract_holds(fld.factor_sample(x, y), _values(fld)(grid.x, grid.y), exact=True)
+    no_div = CallableField(lambda x, y: (x * y, -x))  # its divergence samples as nan
+    assert _contract_holds(no_div.factor_sample(x, y), (*no_div.uv(grid.x, grid.y), np.nan),
+                           exact=True)
+    # what a study and the check read, on the nodes of every 20-point DOF plan: a
+    # field side (the stacked pull-back) and the cached sample (a FieldStack)
+    nodes = plan_nodes(NONPOLY_POINTS)
+    for fld in MANUFACTURED:
+        side = _FieldSide(fld, tuple(hx.tolist()), tuple(hy.tolist()))
+        pulled = PulledBackField(fld, hx[:, None, None], hy[:, None, None])
+        assert _contract_holds(side.factor_sample(None, None),
+                               _values(pulled)(nodes[:, None], nodes[None, :]), exact=False), fld
+    assert _contract_holds(_Sampled(tuple(MANUFACTURED)).factor_sample(None, None),
+                           rows(nodes[:, None], nodes[None, :]), exact=True)
 
 
 @settings(max_examples=30, deadline=None)
@@ -194,10 +222,12 @@ def test_member_tabulation(pair, grid, seed, rows):
     member = space.member(np.random.default_rng(seed).standard_normal((rows, space.dim)))
     for on_axes, enumerated in zip(*grid.both(_values(member))):
         assert grid.same(on_axes, enumerated, (rows,))
-    # the member stack's factor sample: one term per label, weighted by its row
+    # the factor samples of the stack and of its first row alone: one term per
+    # label, weighted by its row
     x, y = grid.nodes
-    for pairs, values in zip(member.factor_sample(x, y), _values(member)(x[:, None], y[None, :])):
-        assert _contract_holds(pairs, values, exact=False)
+    for m in (member, space.member(member.coeffs[0])):
+        assert _contract_holds(m.factor_sample(x, y), _values(m)(x[:, None], y[None, :]),
+                               exact=False)
 
 
 @pytest.mark.parametrize("family,k", ALL_PAIRS)

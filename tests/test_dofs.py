@@ -9,11 +9,12 @@ from hdivkit import harness
 from hdivkit.dofs import (
     DofFunctional,
     DofSet,
-    block_tables,
+    _plan_for,
     build_dofs,
     dof_matrix_ld,
     dof_plan,
     dof_vector_ld,
+    moment_table,
 )
 from hdivkit.elements import ElementSpace, SpaceMember, build_space, factor_rows
 from hdivkit.fields import (
@@ -222,15 +223,29 @@ def test_plan_cache_bounded():
 
 
 def test_moment_table_cache_bounded():
-    # block tables are keyed by the cached plan and the trial degree, and the
+    # moment tables are keyed by the cached plan and the trial degree, and the
     # factor rows by the labels, so more operators of the same pairs add none
-    caches = (block_tables, factor_rows)
+    caches = (moment_table, factor_rows)
     for family, k in PAIRS:
         InterpolationOperator(build_space(family, k))
     sizes = [c.cache_info().currsize for c in caches]
     for i in range(50):
         InterpolationOperator(build_space(*PAIRS[i % len(PAIRS)]))
     assert [c.cache_info().currsize for c in caches] == sizes
+
+
+def test_moment_tables_hold_each_column_once():
+    # one read-only table per plan and trial degree, each factor row's end values
+    # and moments held once: the 19 operators' tables (the 14 standard sets and
+    # the 5 ABF negative controls) take at most 0.05 MB together
+    sets = [(f, k, False) for f, k in PAIRS] + [("ABF", k, True) for k in range(5)]
+    total = 0
+    for family, k, replace in sets:
+        deg = build_space(family, k)._maxdeg
+        table = moment_table(_plan_for(build_dofs(family, k, replace), deg), deg)
+        assert not table.flags.writeable
+        total += table.nbytes
+    assert total <= 0.05e6
 
 
 @pytest.mark.parametrize("family,k", PAIRS)
@@ -363,8 +378,14 @@ def _malformed(kind, i=0, j=0, edge=None, component=None):
 
 # functionals the plan refuses, each naming itself: an unknown kind, an interior
 # component other than 0 or 1, an edge not in EDGES, a negative or non-integer
-# test index, a nonzero j on an edge, and an edge or component on a kind without one
+# test index, a nonzero j on an edge, an edge or component on a kind without one,
+# a missing index (which sized no rule), and a bool or float where an index goes
+# (True == 1, so these are equal to integer functionals)
 MALFORMED = [_malformed("interior_momnet", component=1),
+             _malformed("interior_moment", None, 0, component=0),
+             _malformed("interior_moment", True, 0, component=0),
+             *(_malformed("interior_moment", component=c) for c in (True, 0.0)),
+             _malformed("edge_moment", False, edge="left"),
              *(_malformed("interior_moment", component=c) for c in (2, -1, None)),
              *(_malformed("edge_moment", edge=e) for e in (None, "Left", "middle")),
              _malformed("edge_moment", -1, edge="left"), _malformed("edge_moment", 0, 1, "top"),

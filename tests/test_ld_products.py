@@ -12,11 +12,12 @@ import platform
 import numpy as np
 import pytest
 
-from hdivkit.dofs import _block_moments, _plan_for, block_tables, dof_vector_ld
+from hdivkit.dofs import _plan_for, dof_vector_ld, moment_table
 from hdivkit.elements import FAMILIES, MAX_DEGREE, degree_range, factor_values
 from hdivkit.fields import FieldStack, commuting_battery
 from hdivkit.interpolation import reference_operator, reference_projector
 from hdivkit.quadrature import NONPOLY_POINTS
+from reference_oracle import kind_weights
 
 PAIRS = [(f, k) for f in FAMILIES for k in degree_range(f, MAX_DEGREE)]
 # the 14 standard operators and the 5 ABF negative controls
@@ -58,49 +59,30 @@ def test_member_dof_vectors_and_solves_match_matmul(family, k, replace):
     _same(op.solve(b), _matmul_solve(op, b), f"{family}_{k} solve of the battery")
 
 
-# per block, in functional order (left/right edges, bottom/top edges, u and v
-# interior, div): the (component, axis) and the moment kind of its first and its
-# second factor; kind 0 is the values at 0 and 1, kinds 1-3 the weighted sums
-BLOCKS = [(((0, 0), 0), ((0, 1), 1)), (((1, 1), 0), ((1, 0), 1)), (((0, 0), 2), ((0, 1), 2)),
-          (((1, 0), 2), ((1, 1), 2)), (((2, 0), 3), ((2, 1), 3))]
-
-
-def _block_slices_match(plan, tables, factor, what):
-    """Every block's slice of tables, the first and second factors' block-ordered
-    moments, against its factor's end values or its @ weighted sums."""
-    for side, T in enumerate(tables):
-        start = 0
-        for block, pair in enumerate(BLOCKS):
-            (q, axis), kind = pair[side]
-            F = factor(q, axis)
-            want = F[..., [0, -1]] if kind == 0 else F[..., 1:-1] @ plan.weights[kind - 1].T
-            got = T[..., start: start + want.shape[-1]]
-            _same(got, np.broadcast_to(want, got.shape), f"{what}, side {side}, block {block}")
-            start += want.shape[-1]
-        assert start == T.shape[-1], what
+def _columns_match(got, F, weights, what):
+    """Every column of got, the moments of factors F ordered by kind, against F's
+    values at 0 and 1 or its @ weighted sums of one kind's rows; the oracle's own
+    weights, from gauss_legendre_01 and factor_values, not read off the plan."""
+    start = 0
+    for kind, want in enumerate([F[..., [0, -1]]] + [F[..., 1:-1] @ w.T for w in weights]):
+        _same(got[..., start: start + want.shape[-1]], want, f"{what}, kind {kind}")
+        start += want.shape[-1]
+    assert start == got.shape[-1], what
 
 
 @pytest.mark.parametrize("family,k,replace", OPERATORS)
 def test_dof_plan_moments_match_matmul(family, k, replace):
     op = reference_operator(family, k, replace)
-    # the basis rows the DOF matrix reads, and every slice of its cached block tables
+    # the basis rows the DOF matrix reads, and every column of its cached moment table
     plan, deg = _plan_for(op.dofs, op.space._maxdeg), op.space._maxdeg
-    F = factor_values(deg, plan.nodes)
-    for kind in (1, 2, 3):
-        want = F[..., 1:-1] @ plan.weights[kind - 1].T
-        _same(plan.moment(F, kind), want, f"{family}_{k} basis moment {kind}")
-    _block_slices_match(plan, block_tables(plan, deg), lambda q, axis: F,
-                        f"{family}_{k} block tables")
-    # a field stack's factor sample, (fields, terms, n + 2) per factor, and its block moments
+    F, weights = factor_values(deg, plan.nodes), kind_weights(op.dofs.functionals, plan.n)
+    _columns_match(plan.moments(F), F, weights, f"{family}_{k} basis moments")
+    _columns_match(moment_table(plan, deg), F, weights, f"{family}_{k} moment table")
+    # both arrays of a field stack's factor sample, (fields, terms, 3, n + 2) each
     plan = _plan_for(op.dofs, None)
-    sample = FieldStack(commuting_battery()).factor_sample(plan.nodes, plan.nodes)
-    for X, Y in sample:
-        for F in (X, Y):
-            for kind in (1, 2, 3):
-                _same(plan.moment(F, kind), F[..., 1:-1] @ plan.weights[kind - 1].T,
-                      f"{family}_{k} field moment {kind}, factors {F.shape}")
-    factor = lambda q, axis: sample[q][axis]  # noqa: E731
-    _block_slices_match(plan, _block_moments(plan, factor), factor, f"{family}_{k} field blocks")
+    weights = kind_weights(op.dofs.functionals, plan.n)
+    for F in FieldStack(commuting_battery()).factor_sample(plan.nodes, plan.nodes):
+        _columns_match(plan.moments(F), F, weights, f"{family}_{k} field moments {F.shape}")
 
 
 @pytest.mark.parametrize("family,k", PAIRS)

@@ -66,7 +66,7 @@ def _residual_one_field(family, k, fld, replace):
     proj = reference_projector(family, k)
     m = op.interpolate(fld)
     s = np.linspace(0.0, 1.0, SAMPLE_GRID)
-    X, Y = m.factor_sample(s, s)[2]
+    X, Y = (F[:, 2] for F in m.factor_sample(s, s))  # the div component's terms
     n = max(max(ij) for ij in proj._index) + 1
     C = np.zeros((n, n))
     for ij, c in proj.coeffs_internal(fld.div_values).items():
@@ -109,7 +109,7 @@ def test_commuting_sides_match_the_2d_references(family, k, replace):
     L = np.array(legendre.values(n - 1, s))
     for fld in commuting_battery():
         m = reference_operator(family, k, replace).interpolate(fld)
-        X, Y = m.factor_sample(s, s)[2]
+        X, Y = (F[:, 2] for F in m.factor_sample(s, s))
         gap = np.abs(X.T @ Y - m.div_values(x, y))
         assert np.all(gap <= 2 * (m.space.dim + 1) * eps * (np.abs(X).T @ np.abs(Y)))
         got = proj.coeffs_internal(fld.div_values)
@@ -163,7 +163,7 @@ ALL_PAIRS = [(f, k) for f in FAMILIES for k in degree_range(f, MAX_DEGREE)]
 def test_member_solve_assembles_nothing(monkeypatch, family, k, replace):
     # a member of the operator's own space, even one built apart as MS-P's is,
     # takes its DOF vector from the M the operator holds: solving a 20-member
-    # stack assembles no DOF matrix and reads no block table of 1-D moments
+    # stack assembles no DOF matrix and reads no moment table
     op = reference_operator(family, k, replace)
     exact = np.random.default_rng(env_seed()).standard_normal((cli.PROJECTION_MEMBERS,
                                                                 op.space.dim))
@@ -177,7 +177,7 @@ def test_member_solve_assembles_nothing(monkeypatch, family, k, replace):
         raise AssertionError("a member's solve assembled")
 
     monkeypatch.setattr("hdivkit.dofs.dof_matrix_ld", refuse)
-    monkeypatch.setattr("hdivkit.dofs.block_tables", refuse)
+    monkeypatch.setattr("hdivkit.dofs.moment_table", refuse)
     want = op.solve((op._M_ld @ exact.astype(np.longdouble)[..., None])[..., 0])
     for space in (op.space, build_space(family, k)):
         assert np.array_equal(op.solve_coefficients(space.member(exact)), want)
@@ -233,14 +233,15 @@ def test_one_check_samples_each_battery_field_once(monkeypatch, capsys, fresh_fi
 
 
 def test_the_cached_sample_is_read_only():
-    # 1-D factors on the nodes {0, t, 1} of every 20-point plan, with as many
-    # terms as the most any battery field needs (B-5's div: 4), and the div
-    # values on the projector's inner 20 x 20 rule
+    # 1-D factors on the nodes {0, t, 1} of every 20-point plan, two arrays of
+    # (fields, terms, components, nodes), with as many terms as the most any
+    # battery field needs (B-5's div: 4), and the div values on the projector's
+    # inner 20 x 20 rule
     battery = tuple(commuting_battery())
     sample = cached_sample(battery)
     assert cached_sample(battery) is sample
-    factors = sum(sample.factor_sample(None, None), ())
-    assert [F.shape for F in factors] == [(5, 4, NONPOLY_POINTS + 2)] * 6
+    factors = sample.factor_sample(None, None)
+    assert [F.shape for F in factors] == [(5, 4, 3, NONPOLY_POINTS + 2)] * 2
     assert sample.div.shape == (5, NONPOLY_POINTS, NONPOLY_POINTS)
     for values in factors + (sample.div,):
         with pytest.raises(ValueError, match="read-only"):
@@ -287,9 +288,11 @@ def test_stack_rows_evaluate_as_single_members(pair, rows, seed, sparsity, point
             assert np.array_equal(U[r], u) and np.array_equal(V[r], v)
             assert np.array_equal(D[r], m.div_values(xs, ys))
     # the factor samples on the plan's nodes: one row per member, each its own
+    # (only X carries the stack's rows)
+    SX, SY = stack.factor_sample(nodes, nodes)
     for r, m in enumerate(singles):
-        for F, f in zip(stack.factor_sample(nodes, nodes), m.factor_sample(nodes, nodes)):
-            assert np.array_equal(F[0][r], f[0]) and np.array_equal(F[1], f[1])
+        X, Y = m.factor_sample(nodes, nodes)
+        assert np.array_equal(SX[r], X) and np.array_equal(SY, Y)
     bounds = np.array([degree_bounds(m) for m in singles]).max(axis=0)
     assert np.array_equal(np.array(degree_bounds(stack)), bounds)
 
