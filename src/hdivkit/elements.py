@@ -15,18 +15,18 @@ are downward closed), but the orthogonal basis keeps the DOF matrices
 well-conditioned at k = 4 where monomial bases are numerically singular.
 BDM's curl label (i, j) is curl(L_i(x) L_j(y)) = (L_i(x) L_j'(y),
 -L_i'(x) L_j(y)); with P_k^2 it spans what curl x^{k+1}y and curl x y^{k+1}
-span.  family_sets(family, k) holds the table above as (i, j) index sets.
-The basis has one encoding: each label's u, v and div are products
-X(x) Y(y) of two rows of factor_values (L_m, L_m', -L_m' or zero), named
-by factor_rows.  Evaluation (tabulate, tabulate_div), a member's factor
-sample, the DOF matrix's 1-D moments (dofs.moment_table), the exact
-Legendre coordinates and the structural degrees (_label_degrees) all read
-those rows, with no branch per kind of label.  A member is its space and
-its coefficient vector; the package has no other polynomial
-representation (monomial grids live in the tests' oracle).  The Legendre
-products are orthogonal and differentiate with integer coefficients, so
-the Gram matrix has a closed form and the div-span certificate runs in
-exact arithmetic.
+span.  family_sets(family, k) holds the table above as (i, j) index
+sets.  The basis has one encoding: each label's u, v and div are
+products X(x) Y(y) of two rows of factor_values (L_m, L_m', -L_m' or
+zero), named by factor_rows.  A member's factor sample, the operator's
+table on the error rule (interpolation), the DOF matrix's 1-D moments
+(dofs.moment_table), the exact Legendre coordinates and the structural
+degrees (_label_degrees) all read those rows, with no branch per kind of
+label.  A member is its space and its coefficient vector; the package
+has no other polynomial representation (monomial grids live in the
+tests' oracle).  The Legendre products are orthogonal and differentiate
+with integer coefficients, so the Gram matrix has a closed form and the
+div-span certificate runs in exact arithmetic.
 """
 
 from __future__ import annotations
@@ -168,13 +168,13 @@ def factor_rows(labels: tuple, nf: int) -> np.ndarray:
 class SpaceMember:
     """A concrete field in an element space: its basis-coefficient vector.
 
-    uv/div_values contract the coefficients with the space's tables
-    (tabulate, tabulate_div), so members evaluate to full precision at
-    high degree.  A member has no monomial grids and no algebra of its own
+    Like every field it is read through its factor sample, the Legendre
+    factor rows of its labels, so it evaluates to full precision at high
+    degree.  A member has no monomial grids and no algebra of its own
     (u, v, divergence() and +, -, * do not exist); members combine by
     their coefficients, space.member(a.coeffs + b.coeffs).  coeffs may be
-    an (m, dim) stack, one member per row: the basis is tabulated once and
-    uv/div_values return one row per member; require_single guards the code
+    an (m, dim) stack, one member per row: the factor rows are taken once
+    and the sample has one row per member; require_single guards the code
     that takes one member.  Its structural degrees are its space's
     _label_degrees on the labels of its nonzero coefficients.
     """
@@ -189,20 +189,14 @@ class SpaceMember:
         self.space = space
         self.coeffs = coeffs
 
-    def uv(self, x, y):
-        U, V = self.space.tabulate(x, y)
-        return contract(self.coeffs, U), contract(self.coeffs, V)
-
-    def div_values(self, x, y):
-        return contract(self.coeffs, self.space.tabulate_div(x, y))
-
     def factor_sample(self, x, y) -> tuple:
         """The factor sample (fields.py) at nodes x and y: one term per label, its
         factor rows, the x rows weighted by the label's coefficient; only X
-        carries a stack's rows."""
+        carries a stack's rows, ahead of the nodes' leading axes."""
         X, Y = (np.moveaxis(factor_values(self.space._maxdeg, np.asarray(z)), 0, -2)
                 [..., self.space._rows[:, axis].T, :] for axis, z in enumerate((x, y)))
-        return self.coeffs[..., None, None] * X, Y
+        c = self.coeffs
+        return c.reshape(c.shape[:-1] + (1,) * (X.ndim - 3) + (-1, 1, 1)) * X, Y
 
     def __repr__(self):
         return f"SpaceMember({self.space!r}, coeffs={self.coeffs!r})"
@@ -249,31 +243,6 @@ class ElementSpace:
         m = np.arange(self._maxdeg + 1)
         degrees = np.concatenate([m, m - 1, m - 1, [-1]])[self._rows]
         self._label_degrees = degrees.transpose(2, 0, 1).reshape(self.dim, 6)
-
-    def tabulate(self, x, y):
-        """Basis values (U, V), each of shape (dim,) + broadcast shape of x, y.
-
-        One recurrence pass runs on the coordinates of x and y as given, so
-        a column and a row (a tensor rule's axes) cost one pass over their
-        distinct coordinates; only the factor products fill the broadcast grid.
-        """
-        return self._tables(x, y, self._rows[:2])
-
-    def tabulate_div(self, x, y):
-        """Basis divergences, shape (dim,) + broadcast shape of x, y; axes as in tabulate."""
-        return self._tables(x, y, self._rows[2:])[0]
-
-    def _tables(self, x, y, rows) -> tuple:
-        """Fx[rows_x] * Fy[rows_y] per (rows_x, rows_y) of rows, a slice of _rows;
-        one factor_values pass runs over the coordinates of x and y together,
-        and each axis keeps its own extents at the rank of the other (a scalar
-        x with a vector y gives shapes (1,) and (m,))."""
-        x, y = np.asarray(x), np.asarray(y)
-        F = factor_values(self._maxdeg, np.concatenate([x.ravel(), y.ravel()]))
-        nd = max(x.ndim, y.ndim)
-        Fx, Fy = (f.reshape((len(F),) + (1,) * (nd - t.ndim) + t.shape)
-                  for f, t in ((F[:, : x.size], x), (F[:, x.size:], y)))
-        return tuple(Fx[rx] * Fy[ry] for rx, ry in rows)
 
     def member(self, coeffs) -> SpaceMember:
         """The member with these coefficients; an (m, dim) stack gives m members in one."""

@@ -9,19 +9,20 @@ fx(x) fy(y), and () where it vanishes identically.  A separable term
 (factors 1, the coordinate, exp, sin or cos of pi z) is one pair; a
 plane wave g(a x + b y) is one pair for exp and two for sin and cos, by
 angle addition; the div term is u's (a1 + 1, a2) pairs then v's
-(a1, a2 + 1).  partial, uv and div_values sum the same pairs, and the
+(a1, a2 + 1).  partial and the factor sample hold the same pairs, and the
 structural zeros the rate predictions read are the empty tuples.
 
-Factor samples.  Every field a DOF vector is taken of has
-factor_sample(x, y), for 1-D nodes x and y with optional leading axes:
-two arrays X and Y of shape batch + (r, 3, n), axes term, component and
-node, whose products X[q, c, i] Y[q, c, j] summed over the r terms are
-component c at (x_i, y_j).  A manufactured field's terms are its pairs,
-padded with zero terms; a FieldStack's rows are its fields' samples,
-padded likewise; a CallableField is the full-rank case, the identity in
-x against its values on the grid; a SpaceMember's terms are its labels
-(elements); a PulledBackField scales its field's x factors (harness).
-dofs applies every functional to these 1-D samples.
+Factor samples.  A field is read one way, factor_sample(x, y), for 1-D
+nodes x and y with optional leading axes: two arrays X and Y of shape
+batch + (r, 3, n), axes term, component and node, whose products
+X[q, c, i] Y[q, c, j] summed over the r terms are component c at
+(x_i, y_j), what grid_values sums.  A manufactured field's terms are its
+pairs, padded with zero terms; a FieldStack's rows are its fields'
+samples, padded likewise; a CallableField is the full-rank case, the
+identity in x against its values on the grid; a SpaceMember's terms are
+its labels (elements); a PulledBackField scales its field's x factors
+(harness).  dofs applies every functional to these 1-D samples, and the
+error rule and the projector read their grid_values.
 
 The fixed ids used by the refinement studies:
 
@@ -89,6 +90,16 @@ def _sum_of_products(pairs: Pairs, x, y):
         return functools.reduce(np.add, (fx(x) * fy(y) for fx, fy in pairs))
     x = np.asarray(x)
     return np.zeros(np.broadcast(x, y).shape, x.dtype if x.dtype.kind == "f" else float)
+
+
+def grid_values(sample) -> np.ndarray:
+    """u, v and div (or the components a sample is sliced to) on the tensor grid
+    of a factor sample's nodes, shape (3,) + batch + (nx, ny): each term's x
+    factor times its y factor, summed in term order as _sum_of_products sums
+    its pairs."""
+    X, Y = sample
+    return np.moveaxis(functools.reduce(np.add, (
+        X[..., q, :, :, None] * Y[..., q, :, None, :] for q in range(X.shape[-3]))), -3, 0)
 
 
 def _factors(terms, x, y) -> tuple:
@@ -165,9 +176,10 @@ class ManufacturedField:
 
     partial(a1, a2, comp) returns a vectorized callable for
     d^{a1+a2} / dx^{a1} dy^{a2} of component comp (2 is the divergence),
-    the sum of the term's pairs.  deriv_nonzero reads the same pairs, so a
-    flag is False exactly when the partial vanishes by construction, and
-    rate predictions see every structural zero.
+    the sum of the term's pairs, the closed form its factor sample is checked
+    against.  deriv_nonzero reads the same pairs, so a flag is False exactly
+    when the partial vanishes by construction, and rate predictions see
+    every structural zero.
     """
 
     def __init__(self, fid: str, u: Term, v: Term):
@@ -185,12 +197,6 @@ class ManufacturedField:
 
     def deriv_nonzero(self, a1: int, a2: int, comp: int) -> bool:
         return bool(self._pairs(a1, a2, comp))
-
-    def uv(self, x, y):
-        return self.partial(0, 0, 0)(x, y), self.partial(0, 0, 1)(x, y)
-
-    def div_values(self, x, y):
-        return self.partial(0, 0, 2)(x, y)
 
     def factor_sample(self, x, y):
         return _factors([self._pairs(0, 0, comp) for comp in range(3)], x, y)
@@ -271,26 +277,17 @@ class FieldStack:
 
 
 class CallableField:
-    """Adapter giving plain callables the field protocol; a field known only
-    by its values (constants, or a sample read on its own grid and nowhere
-    else, a study's error rule) is the callables returning them.  Its factor
-    sample is the full-rank case, term r the identity at node x_r against the
-    values at (x_r, y), the three components side by side; a missing
-    divergence samples as nan, which only sets with div moments read and
-    solve rejects."""
+    """Adapter giving plain callables the field protocol: uv_fn(x, y) returns
+    (u, v) and div_fn(x, y) the divergence, each broadcasting a column x
+    against a row y.  Its factor sample is the full-rank case, term r the
+    identity at node x_r against the values at (x_r, y), the three components
+    side by side; a missing divergence samples as nan, which only sets with
+    div moments read, solve rejects and the div error refuses."""
 
     def __init__(self, uv_fn: Callable, div_fn: Optional[Callable] = None, fid: str = "custom"):
         self.id = fid
         self._uv = uv_fn
         self._div = div_fn
-
-    def uv(self, x, y):
-        return self._uv(x, y)
-
-    def div_values(self, x, y):
-        if self._div is None:
-            raise ValueError(f"field {self.id!r} has no divergence callable")
-        return self._div(x, y)
 
     def factor_sample(self, x, y):
         col, row = np.asarray(x)[..., :, None], np.asarray(y)[..., None, :]

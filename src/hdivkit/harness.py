@@ -25,13 +25,15 @@ row of nodes per level, the x factors scaled by the Piola factors, so one DOF
 vector call samples levels x the plan's 1-D nodes and one stacked solve
 gives every level's coefficients; an MS-P member is its own pull-back, so
 it is solved once.  Errors are integrated on one 20 x 20 Gauss rule,
-mapped once per study and handed out as axes (_mapped_rule).  The operator
-keeps its basis U, V and div on the same axes as one table (rule_tables).
-Interpolants are coefficients contracted with it (one gemv per level; one
-gemm moves last bits), times the Piola factors; a reproduced member goes
-through the same table, so both sides of its error meet at the same points
-even where (h x) / h misses x by an ulp.  The div norm, the field error and
-the div error are the rows of one error_Lp call, each with its own bits.
+mapped once per study and handed out as 1-D axes (_mapped_rule); error_Lp
+and norm_Lp read a field there as the grid_values of its factor sample on
+those axes, the one way a field is read.  The operator keeps its basis U,
+V and div on the same axes as one table (rule_tables).  Interpolants are
+coefficients contracted with it (one gemv per level; one gemm moves last
+bits), times the Piola factors; a reproduced member goes through the same
+table, so both sides of its error meet at the same points even where
+(h x) / h misses x by an ulp.  The div norm, the field error and the div
+error are three rows of one L^p sum, each with its own bits.
 
 What a study reads of a manufactured field, its field side, depends on the
 field and the stack alone, so studies share it (field_side): the
@@ -62,7 +64,7 @@ from .elements import (
     ElementFamily, SpaceMember, _as_family, _validate_degree, build_space, check_choice,
     contract, degree_range, require_single,
 )
-from .fields import FIELD_IDS, CallableField, ReproductionField, check_seed, get_field
+from .fields import FIELD_IDS, ReproductionField, check_seed, get_field, grid_values
 from .interpolation import REPRO_TOL, judge_commuting, reference_operator
 from .quadrature import NONPOLY_POINTS, gauss_legendre_01, tensor_rule
 
@@ -85,6 +87,8 @@ class PhysicalRect:
     hy: float
 
     def __post_init__(self):
+        if any(np.asarray(h).dtype == bool for h in (self.hx, self.hy)):  # float(True) is 1.0
+            raise ValueError(f"rectangle sides must be numbers, got {self.hx!r} and {self.hy!r}")
         hx, hy = np.asarray(self.hx, dtype=float), np.asarray(self.hy, dtype=float)
         sides = np.concatenate((hx.ravel(), hy.ravel()))
         # initial: an empty stack passes these and fails the shape rule below
@@ -102,28 +106,18 @@ class PulledBackField:
     """Reference-side view of a physical field under the Piola map.
 
     With F(x, y) = (hx x, hy y): u_ref = (hy u . F, hx v . F) and
-    div_ref = hx hy (div u) . F.  hx and hy may have shape (n, 1, 1), one
-    row per rectangle ahead of the (x, y) axes or of the factors' (r, 3, nodes)
-    axes; the values then carry that leading axis.
+    div_ref = hx hy (div u) . F: its field's factor sample at hx x and hy y,
+    the x factors scaled by (hy, hx, hx hy) on the component axis.  hx and hy
+    may have shape (n, 1, 1), one row per rectangle ahead of the factors'
+    (r, 3, nodes) axes; the sample then carries that leading axis.
     """
 
     def __init__(self, fld, hx, hy):
         self.field = fld
         self.hx, self.hy = hx, hy
 
-    def uv(self, x, y):
-        U, V = self.field.uv(self.hx * np.asarray(x), self.hy * np.asarray(y))
-        return self.hy * U, self.hx * V
-
-    def div_values(self, x, y):
-        d = self.field.div_values(self.hx * np.asarray(x), self.hy * np.asarray(y))
-        return (self.hx * self.hy) * d
-
     def factor_sample(self, x, y):
-        # sides (n, 1, 1) map 1-D nodes to one row per rectangle, (n, len)
-        X, Y = self.field.factor_sample(*(
-            (np.asarray(h)[..., 0] if np.ndim(h) else h) * np.asarray(z)
-            for h, z in ((self.hx, x), (self.hy, y))))
+        X, Y = self.field.factor_sample(_scaled(self.hx, x), _scaled(self.hy, y))
         scale = np.stack(np.broadcast_arrays(self.hy, self.hx, self.hx * self.hy), axis=-1)
         return scale.reshape(scale.shape[:-3] + (1, 3, 1)) * X, Y
 
@@ -133,34 +127,35 @@ def piola_push(rect: PhysicalRect, member: SpaceMember) -> PulledBackField:
     return PulledBackField(require_single(member, "piola_push"), 1 / rect.hx, 1 / rect.hy)
 
 
-ZERO_FIELD = CallableField(lambda x, y: (0.0, 0.0), lambda x, y: 0.0, "zero")
+def _scaled(h, t):
+    """1-D nodes t times a side h; sides (n, 1, 1) give one row per rectangle, (n, len)."""
+    return (np.asarray(h)[..., 0] if np.ndim(h) else h) * np.asarray(t)
 
 
 def _mapped_rule(hx, hy):
-    """The fixed 20 x 20 Gauss rule mapped to [0, hx] x [0, hy]: the axes x
-    (..., 20, 1) and y (..., 1, 20), and the weights ws (..., 400) of the
-    grid they span, x-major; sides of shape (m, 1, 1) map it to one
-    rectangle per row."""
+    """The fixed 20 x 20 Gauss rule mapped to [0, hx] x [0, hy]: the 1-D axes
+    x and y (..., 20), and the weights ws (..., 400) of the grid they span,
+    x-major; sides of shape (m, 1, 1) map it to one rectangle per row."""
     n = NONPOLY_POINTS
     t = gauss_legendre_01(n).nodes
     ws = (hx * hy) * tensor_rule(n, n).ws.reshape(n, n)
-    return hx * t[:, None], hy * t[None, :], ws.reshape(ws.shape[:-2] + (n * n,))
+    return _scaled(hx, t), _scaled(hy, t), ws.reshape(ws.shape[:-2] + (n * n,))
 
 
-class _FieldSide(CallableField):
+class _FieldSide:
     """What a study reads of a field on one rectangle stack, sides hxs and hys as
-    floats: the pull-back's factor sample, its two arrays X and Y, on the nodes of
-    every 20-point DOF plan and the field's u, v and div on the stack's mapped
-    rule, each taken once and read-only, whatever nodes or points are asked for."""
+    floats, each taken once and read-only: sample, the pull-back's factor sample
+    on the nodes of every 20-point DOF plan, which it hands out whatever nodes
+    are asked for, and values, the field's u, v and div on the stack's mapped
+    rule, shape (3, n, 20, 20)."""
 
     def __init__(self, fld, hxs: tuple, hys: tuple):
         hx, hy = (np.array(h)[:, None, None] for h in (hxs, hys))
         (x, y, _), nodes = _mapped_rule(hx, hy), plan_nodes(NONPOLY_POINTS)
         self.sample = PulledBackField(fld, hx, hy).factor_sample(nodes, nodes)
-        U, V, D = *fld.uv(x, y), fld.div_values(x, y)
-        for a in (*self.sample, U, V, D):
+        self.values = grid_values(fld.factor_sample(x, y))
+        for a in (*self.sample, self.values):
             a.setflags(write=False)
-        super().__init__(lambda x, y: (U, V), lambda x, y: D, fld.id)
 
     def factor_sample(self, x, y):
         return self.sample
@@ -174,22 +169,27 @@ def error_Lp(fld, interpolant, rect: PhysicalRect, p: float, which: str):
     """(integral over the rectangle of |fld - interpolant|^p)^(1/p); one per row of a stack.
 
     which='field' uses the Euclidean magnitude of the vector difference,
-    which='div' the absolute divergence difference, sampled on the axes of
-    _mapped_rule(rect.hx, rect.hy) and summed in the grid's x-major order;
-    values with more leading axes than the rectangle give one error per row.
+    which='div' the absolute divergence difference, each field read as the
+    grid_values of its factor sample on the axes of _mapped_rule(rect.hx,
+    rect.hy) and summed in the grid's x-major order; samples with more
+    leading axes than the rectangle give one error per row.  An interpolant
+    None reads as zero (norm_Lp), and a divergence that samples as nan (a
+    CallableField without div_fn) is refused for which='div'.
     """
     _check_lp_args(p, which)
     x, y, ws = _mapped_rule(rect.hx, rect.hy)
-    if which == "field":
-        U1, V1 = fld.uv(x, y)
-        U2, V2 = interpolant.uv(x, y)
-        mag = np.hypot(np.asarray(U1 - U2, dtype=float), np.asarray(V1 - V2, dtype=float))
-    else:
-        d1 = fld.div_values(x, y)
-        d2 = interpolant.div_values(x, y)
-        mag = np.abs(np.asarray(d1 - d2, dtype=float))
-    grid = np.broadcast_shapes(mag.shape, np.broadcast(x, y).shape)
-    return _lp_sum(ws, np.broadcast_to(mag, grid).reshape(grid[:-2] + (-1,)), p)
+
+    def on_rule(f):  # the components which reads, each with the sample's own leading axes
+        values = grid_values([F[..., _COMPONENTS[which], :] for F in f.factor_sample(x, y)])
+        if which == "div" and np.isnan(values).any():
+            raise ValueError(f"field {getattr(f, 'id', f)!r} has no divergence (it samples as nan)")
+        return values
+
+    diff = on_rule(fld)
+    if interpolant is not None:  # component by component, so the leading axes broadcast
+        diff = [a - b for a, b in zip(diff, on_rule(interpolant))]
+    mag = np.hypot(*diff) if which == "field" else np.abs(diff[0])
+    return _lp_sum(ws, mag.reshape(mag.shape[:-2] + (-1,)), p)
 
 
 def _check_lp_args(p: float, which: str) -> None:
@@ -218,7 +218,7 @@ def _lp_sum(ws, mag, p: float):
 
 
 def norm_Lp(fld, rect: PhysicalRect, p: float, which: str):
-    return error_Lp(fld, ZERO_FIELD, rect, p, which)
+    return error_Lp(fld, None, rect, p, which)
 
 
 @dataclass(frozen=True)
@@ -400,22 +400,20 @@ def run_refinement_study(config: StudyConfig) -> ConvergenceTable:
     stack = config.rect_at(np.arange(config.levels)[:, None, None])
     hx, hy = stack.hx, stack.hy
 
-    def push(coeffs):  # coefficients (one row, or one per level) on the mapped rules
+    def push(coeffs):  # coefficients (one row, or one per level): u, v, div on the mapped rules
         U, V, D = contract(coeffs, op.rule_tables).swapaxes(0, -3)
-        return CallableField(lambda x, y: (U / hy, V / hx), lambda x, y: D / (hx * hy))
+        return np.stack((U / hy, V / hx, D / (hx * hy)))
 
     if isinstance(fld, ReproductionField):  # the pushed member pulls back to itself
-        sample, ref = push(fld.member.coeffs), fld.member
+        values, ref = push(fld.member.coeffs), fld.member
     else:  # the stack's field side: the pull-back the DOF vector reads, the field on the rule
-        sample = ref = field_side(fld, tuple(hx.ravel().tolist()), tuple(hy.ravel().tolist()))
+        ref = field_side(fld, tuple(hx.ravel().tolist()), tuple(hy.ravel().tolist()))
+        values = ref.values
     interp = push(op.solve_coefficients(ref))
-
-    def rows(x, y):  # on the one mapped rule: the div norm, field error and div error
-        (U1, V1), (U2, V2), d1 = sample.uv(x, y), interp.uv(x, y), sample.div_values(x, y)
-        return np.stack((d1, np.hypot(U1 - U2, V1 - V2), d1 - interp.div_values(x, y)))
-
-    # a 'div' error against zero: |.| keeps the field error's magnitude
-    nd, ef, ed = error_Lp(CallableField(None, rows), ZERO_FIELD, stack, config.p, "div")
+    # on the one mapped rule, one L^p sum of three rows: the div norm, field error and div error
+    rows = np.abs(np.stack((values[2], np.hypot(*(values[:2] - interp[:2])),
+                            values[2] - interp[2])))
+    nd, ef, ed = _lp_sum(_mapped_rule(hx, hy)[2], rows.reshape(3, config.levels, -1), config.p)
     # Field errors are mean-normalized: the measure factor (hx hy)^{1/p} carries no rate
     # content (a float power: numpy's array power may round it apart).  Every battery field
     # vanishes at the rectangle anchor, so dividing by the field's own shrinking norm would

@@ -18,7 +18,8 @@ a FieldStack) row by row: matmul applies the inverse to single columns
 and one np.dot (see dofs) gives b - M x, so a row keeps a lone solve's
 bits and `interpolate` of a stacked field is a stacked member, one row
 per field.  An operator keeps its basis on the studies' error rule, U, V
-and div in one table (rule_tables).
+and div in one table (rule_tables), the products of its labels' factor
+rows on the rule's nodes.
 
 The projector works in an orthogonal Legendre-product basis of the same
 span as the declared monomial basis (all divergence index sets are
@@ -29,8 +30,9 @@ every 20-point DOF plan, sum factorised (Orszag 1980): (2i+1)(2j+1)
 a stack of values, one row per field, and `coeffs_internal` any callable
 w(x, y), even one giving a scalar or a single axis.  The commuting check
 caches its fields' factor sample on those plans' nodes once per process
-(cached_sample): the DOF vectors read it, the projector the divergences its
-component 2 gives on its rule, and the residuals tabulate no basis.
+(cached_sample): the DOF vectors read it, the projector the divergence
+grid_values sums on its inner nodes, the rule, and the residuals tabulate
+no basis.
 """
 
 from __future__ import annotations
@@ -43,10 +45,10 @@ import numpy as np
 
 from .dofs import DofSet, build_dofs, dof_vector_ld, dof_matrix_ld, plan_nodes
 from .elements import (
-    ElementFamily, ElementSpace, ScalarSpace, SpaceMember, _as_family, build_div_space,
-    build_space, factor_values,
+    ElementFamily, ElementSpace, ScalarSpace, SpaceMember, _as_family, _validate_degree,
+    build_div_space, build_space, factor_values,
 )
-from .fields import FieldStack, commuting_battery
+from .fields import FieldStack, commuting_battery, grid_values
 from .quadrature import NONPOLY_POINTS, gauss_legendre_01
 
 COND_FAIL = 1e12
@@ -98,9 +100,11 @@ class InterpolationOperator:
     @functools.cached_property
     def rule_tables(self) -> np.ndarray:
         """The basis U, V and div on the axes of the 20 x 20 error rule, one table of
-        shape (dim, 3, 20, 20), tabulated on first use in one factor pass over both axes."""
-        t = gauss_legendre_01(NONPOLY_POINTS).nodes
-        return np.stack(self.space._tables(t[:, None], t[None, :], self.space._rows), axis=1)
+        shape (dim, 3, 20, 20), filled on first use from one factor_values pass over
+        the rule's nodes: label b's x rows times its y rows, at space._rows."""
+        F = factor_values(self.space._maxdeg, gauss_legendre_01(NONPOLY_POINTS).nodes)
+        rows = self.space._rows.transpose(2, 0, 1)  # (dim, 3, axis)
+        return F[rows[..., 0], :, None] * F[rows[..., 1], None, :]
 
     def solve(self, b) -> np.ndarray:
         """Coefficients of extended-precision DOF vectors; leading axes batch.
@@ -133,9 +137,12 @@ def reference_operator(family, k: int,
     """The cached operator of build_space(family, k) and build_dofs(family, k, ...).
 
     replace_div_moments=True gives the negative-control operator whose
-    ABF divergence moments are swapped out (see build_dofs).
+    ABF divergence moments are swapped out (see build_dofs).  (family, k) is
+    checked before the cache, where a bool k would hit its integer's entry.
     """
-    return _reference_operator(_as_family(family), k, replace_div_moments)
+    family = _as_family(family)
+    _validate_degree(family, k)
+    return _reference_operator(family, k, replace_div_moments)
 
 
 @functools.lru_cache(maxsize=None)
@@ -195,8 +202,11 @@ class L2Projector:
 
 
 def reference_projector(family, k: int) -> L2Projector:
-    """The cached projector onto build_div_space(family, k)."""
-    return _reference_projector(_as_family(family), k)
+    """The cached projector onto build_div_space(family, k); (family, k) is
+    checked before the cache, as in reference_operator."""
+    family = _as_family(family)
+    _validate_degree(family, k)
+    return _reference_projector(family, k)
 
 
 @functools.lru_cache(maxsize=None)
@@ -210,15 +220,13 @@ SAMPLE_GRID = 21
 class _Sampled:
     """Fields known only by their factor sample, its two arrays taken once,
     read-only, on the nodes of every 20-point DOF plan, whatever nodes are asked
-    for; div holds their divergences, component 2, on the projector's rule (the
-    inner nodes), summed over the terms in order as div_values sums its pairs."""
+    for; div holds their divergences, the grid_values component 2 of the inner
+    nodes, the projector's rule."""
 
     def __init__(self, fields):
         nodes = plan_nodes(NONPOLY_POINTS)
         self.sample = FieldStack(fields).factor_sample(nodes, nodes)
-        X, Y = (F[..., 2, 1:-1] for F in self.sample)
-        self.div = functools.reduce(np.add, (X[:, r, :, None] * Y[:, r, None, :]
-                                             for r in range(X.shape[1])))
+        self.div = grid_values(tuple(F[..., 1:-1] for F in self.sample))[2]
         for a in (*self.sample, self.div):
             a.setflags(write=False)
 

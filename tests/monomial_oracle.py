@@ -7,8 +7,9 @@ algebra (products, formal partials, the divergence and the curl) build
 the grids here from the labels or the coefficients, never from the
 member.  Polynomial2D is a dense monomial grid with +, -, * and
 negation, VectorPoly2D a pair of them with the field interface the
-library evaluates (uv, div_values, their factor samples, degree_bounds), and the shifted
-Legendre polynomials expand into monomials and back in exact rationals.
+library reads (factor_sample, degree_bounds) and pointwise uv and
+div_values of its own, and the shifted Legendre polynomials expand into
+monomials and back in exact rationals.
 """
 
 import functools

@@ -1,9 +1,10 @@
 """Reference computations that only the tests read.
 
-The library samples tensor rules on their axes and applies a whole DOF
-set through one plan; these oracles keep the enumerated points, the
-per-functional quadrature, the closed forms and the all-pairs (outer
-product) DOF contraction the tests compare it with,
+The library reads every field through its factor sample, samples tensor
+rules on their axes and applies a whole DOF set through one plan; these
+oracles keep pointwise values by another path (point_values), the
+enumerated points, the per-functional quadrature, the closed forms and
+the all-pairs (outer product) DOF contraction the tests compare it with,
 the 2-D projector sums and Legendre sums that the commuting check's 1-D
 factor products replaced, and ABF's divergence moments against the
 monomials x^i y^j, the other test basis of the same functionals' span.
@@ -18,12 +19,47 @@ from hdivkit.dofs import _plan_for, build_dofs
 from hdivkit.elements import (
     ElementSpace, SpaceMember, _legendre_coordinates, _product_norms, build_space, factor_values,
 )
-from hdivkit.harness import _check_lp_args, _lp_sum
+from hdivkit.fields import CallableField, FieldStack, ManufacturedField
+from hdivkit.harness import PulledBackField, _check_lp_args, _lp_sum
 from hdivkit.quadrature import EDGES, NONPOLY_POINTS, gauss_legendre_01, n_for_degree, tensor_rule
 
 _EDGE_COMPONENT = {"left": 0, "right": 0, "bottom": 1, "top": 1}
 # outward normals: left (-1,0), right (1,0), bottom (0,-1), top (0,1)
 _EDGE_SIGN = {"left": -1, "right": 1, "bottom": -1, "top": 1}
+
+
+def point_values(field, x, y, comps=(0, 1, 2)) -> np.ndarray:
+    """Components comps (u, v and div) of field at the points (x, y), shape
+    (len(comps),) + batch + the points' broadcast shape, by a path apart from
+    factor samples: a manufactured field's closed-form partials, a member's
+    exact Legendre coordinates against the recurrence's values, a pull-back's
+    Piola scaling of its field's values, a callable's own callables (nan for a
+    missing divergence), a stack's rows, and a monomial field's
+    (monomial_oracle) own uv and div_values."""
+    x, y = np.broadcast_arrays(np.asarray(x), np.asarray(y))
+    if isinstance(field, ManufacturedField):
+        return np.stack([np.broadcast_to(field.partial(0, 0, c)(x, y), x.shape) for c in comps])
+    if isinstance(field, SpaceMember):
+        n = field.space._maxdeg + 1
+        Lx, Ly = (np.array(legendre.values(n - 1, z)) for z in (x, y))
+        dt = np.result_type(Lx, float)
+        # the coefficients against the exact coordinates, then one Legendre sum per point
+        C = _legendre_coordinates(field.space)[:, list(comps)].astype(dt)
+        A = np.tensordot(field.coeffs.astype(dt), C, 1)
+        values = np.einsum("mqij,i...,j...->mq...", A.reshape((-1,) + C.shape[1:]), Lx, Ly)
+        return np.moveaxis(values.reshape(A.shape[:-2] + x.shape), -1 - x.ndim, 0)
+    if isinstance(field, PulledBackField):
+        hx, hy = field.hx, field.hy
+        values = point_values(field.field, hx * x, hy * y, comps)
+        return np.stack([(hy, hx, hx * hy)[c] * v for c, v in zip(comps, values)])
+    if isinstance(field, FieldStack):
+        return np.stack([point_values(f, x, y, comps) for f in field.fields], axis=1)
+    if isinstance(field, CallableField):
+        div = np.nan if field._div is None else field._div(x, y)
+        values = (*field._uv(x, y), div)
+    else:
+        values = (*field.uv(x, y), field.div_values(x, y))
+    return np.stack([np.broadcast_to(values[c], x.shape) for c in comps])
 
 
 def rule_points(nx: int, ny: int, extended: bool = False):
@@ -58,15 +94,11 @@ def error_Lp_reference(ref_field, member, rect, p: float, which: str) -> float:
     _check_lp_args(p, which)
     xs, ys, ws = enumerated_rule(1.0, 1.0)
     area = rect.hx * rect.hy
+    (U, V, D) = point_values(ref_field, xs, ys) - point_values(member, xs, ys)
     if which == "field":
-        U1, V1 = ref_field.uv(xs, ys)
-        U2, V2 = member.uv(xs, ys)
-        mag = np.hypot(np.asarray(U1 - U2, dtype=float) / rect.hy,
-                       np.asarray(V1 - V2, dtype=float) / rect.hx)
+        mag = np.hypot(np.asarray(U, dtype=float) / rect.hy, np.asarray(V, dtype=float) / rect.hx)
     else:
-        d1 = ref_field.div_values(xs, ys)
-        d2 = member.div_values(xs, ys)
-        mag = np.abs(np.asarray(d1 - d2, dtype=float)) / area
+        mag = np.abs(np.asarray(D, dtype=float)) / area
     return _lp_sum(area * ws, mag, p)
 
 
@@ -156,8 +188,7 @@ def apply_dof_ld(fn, field) -> np.longdouble:
             along = degs[comp][1] if comp == 0 else degs[comp][0]
             n = n_for_degree(along + fn.i)
         x, y, t, w = edge_rule(fn.edge, n)
-        U, V = field.uv(x, y)
-        vals = U if comp == 0 else V
+        vals = point_values(field, x, y, (comp,))[0]
         test = legendre.values(fn.i, t)[fn.i]
         return np.longdouble(_EDGE_SIGN[fn.edge]) * np.sum(w * vals * test)
     if fn.kind == "interior_moment":
@@ -168,8 +199,7 @@ def apply_dof_ld(fn, field) -> np.longdouble:
             nx = n_for_degree(dx + fn.i)
             ny = n_for_degree(dy + fn.j)
         xs, ys, ws = rule_points(nx, ny, extended=True)
-        U, V = field.uv(xs, ys)
-        vals = U if fn.component == 0 else V
+        vals = point_values(field, xs, ys, (fn.component,))[0]
         test = legendre.values(fn.i, xs)[fn.i] * legendre.values(fn.j, ys)[fn.j]
         return np.sum(ws * vals * test)
     if fn.kind == "div_moment":
@@ -189,7 +219,7 @@ def _div_moment_ld(fn, field, test) -> np.longdouble:
         nx = n_for_degree(max(dx0 - 1, dx1, 0) + fn.i)
         ny = n_for_degree(max(dy0, dy1 - 1, 0) + fn.j)
     xs, ys, ws = rule_points(nx, ny, extended=True)
-    return np.sum(ws * field.div_values(xs, ys) * test(xs, ys))
+    return np.sum(ws * point_values(field, xs, ys, (2,))[0] * test(xs, ys))
 
 
 def kind_weights(functionals, n: int) -> list:

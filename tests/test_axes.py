@@ -9,19 +9,21 @@ commuting residuals are pinned to the bits of the enumerated points.
 This compares with the enumerated evaluation itself, not with a stored
 hash, so a libm whose vector and scalar paths differ shows here.
 
-The same grids check the factor-sample contract that the DOF vectors rest
-on: a sample is two arrays X and Y of shape batch + (r, 3, n), one r for
-u, v and div, and the sum over the terms r of X[r, c, i] Y[r, c, j] is
-component c of uv / div_values at (x_i, y_j).  A manufactured field's uv,
-partials and div_values are sums of the very pairs its samples hold,
-waves' angle-addition pairs included, and a CallableField's sample is the
-identity against its values (nan for a missing divergence), so these
-agree bit for bit, and so does a FieldStack of them and the check's
+The same grids check the factor-sample contract that every reader of a
+field rests on: a sample is two arrays X and Y of shape batch + (r, 3, n),
+one r for u, v and div, and the sum over the terms r of X[r, c, i]
+Y[r, c, j] (fields.grid_values) is component c at (x_i, y_j).  A
+manufactured field's partials are sums of the very pairs its samples
+hold, waves' angle-addition pairs included, and a CallableField's sample
+is the identity against its values (nan for a missing divergence), so
+these agree bit for bit, and so does a FieldStack of them and the check's
 cached sample.  A pull-back (and so a study's field side) scales one
-factor where uv scales the product, and a member weights its x factors
-where uv weights the products, so those agree within 2 (r + 2) ulps of
-the sum of |X_r Y_r|, the reassociation bound of a sum of r products
-(floored at (r + 2) smallest normals, for subnormals).
+factor where reference_oracle.point_values scales the product, so those
+agree within 2 (r + 2) ulps of the sum of |X_r Y_r|, the reassociation
+bound of a sum of r products (floored at (r + 2) smallest normals, for
+subnormals).  A member's sample is held to its monomial grids
+(monomial_oracle.reference_field) within the rounding of those grids and
+of Horner's rule on them.
 """
 
 import numpy as np
@@ -33,12 +35,13 @@ from hdivkit.dofs import _plan_for, build_dofs, plan_nodes
 from hdivkit.elements import FAMILIES, MAX_DEGREE, build_space, degree_range
 from hdivkit.fields import (
     MAX_PARTIAL_ORDER, MS_G, MS_X, MS_Y, CallableField, FieldStack, ManufacturedField,
-    _factors, commuting_battery, separable, wave,
+    _factors, commuting_battery, grid_values, separable, wave,
 )
 from hdivkit.harness import PulledBackField, _FieldSide, _mapped_rule
 from hdivkit.interpolation import _Sampled
 from hdivkit.quadrature import EDGES, NONPOLY_POINTS, gauss_legendre_01
-from reference_oracle import edge_rule, enumerated_rule, rule_points
+from monomial_oracle import Polynomial2D, divergence, reference_field, reference_grids
+from reference_oracle import edge_rule, enumerated_rule, point_values, rule_points
 
 MANUFACTURED = [MS_G, MS_X, MS_Y] + commuting_battery()[1:]  # MS-G, B-2 ... B-5 and MS-X/Y
 PARTIALS = [(a1, a2, comp) for a1 in range(MAX_PARTIAL_ORDER + 1)
@@ -118,7 +121,17 @@ def _grids(sides=st.none() | _sides):
 
 
 def _values(fld):
-    return lambda x, y: (*fld.uv(x, y), fld.div_values(x, y))
+    """u, v and div at points, apart from the factor sample: a manufactured field's
+    closed-form partials, reference_oracle.point_values for any other."""
+    if isinstance(fld, ManufacturedField):
+        return lambda x, y: tuple(fld.partial(0, 0, c)(x, y) for c in range(3))
+    return lambda x, y: tuple(point_values(fld, x, y))
+
+
+def _on_points(fld, xs, ys):
+    """fld's sample values at the points (xs[i], ys[i]): the diagonal of the grid
+    its sample spans on them."""
+    return np.diagonal(grid_values(fld.factor_sample(xs, ys)), axis1=-2, axis2=-1)
 
 
 @settings(max_examples=40, deadline=None)
@@ -130,6 +143,9 @@ def test_manufactured_fields_and_partials(grid):
             assert grid.same(on_axes, enumerated), fld
         assert _contract_holds(fld.factor_sample(x, y), _values(fld)(grid.x, grid.y),
                                exact=True), fld
+        # grid_values sums the sample to the partials, bit for bit
+        want = np.stack(np.broadcast_arrays(*_values(fld)(grid.x, grid.y)))
+        assert np.array_equal(grid_values(fld.factor_sample(x, y)), want), fld
         for a1, a2, comp in PARTIALS:
             assert grid.same(*grid.both(fld.partial(a1, a2, comp))), (fld, a1, a2, comp)
             assert _contract_holds(_factors((fld._pairs(a1, a2, comp),), x, y),
@@ -173,10 +189,9 @@ def test_pulled_back_fields_and_stacks(grid, sides):
     # a pull-back's sides lead the grid, as a study's levels do; a stack's fields too
     hx, hy = np.array(sides).T
     stacked = PulledBackField(MS_G, hx[:, None, None], hy[:, None, None])
-    columns = PulledBackField(MS_G, hx[:, None], hy[:, None])
-    for on_axes, enumerated in zip(_values(stacked)(grid.x, grid.y),
-                                   _values(columns)(grid.xs, grid.ys)):
-        assert grid.same(on_axes, enumerated, (len(sides),))
+    on_axes = grid_values(stacked.factor_sample(*grid.nodes))
+    for c, enumerated in enumerate(_on_points(stacked, grid.xs, grid.ys)):
+        assert grid.same(on_axes[c], enumerated, (len(sides),))
     # factor samples on the grid's 1-D nodes: a stacked pull-back of every field
     # (one row of nodes per side), a FieldStack (one row per field's values), and
     # callables: one on the grid, a scalar-valued one, and one with no divergence
@@ -196,7 +211,8 @@ def test_pulled_back_fields_and_stacks(grid, sides):
                 CallableField(lambda x, y: (1.0, 2.0), lambda x, y: 0.5)):
         assert _contract_holds(fld.factor_sample(x, y), _values(fld)(grid.x, grid.y), exact=True)
     no_div = CallableField(lambda x, y: (x * y, -x))  # its divergence samples as nan
-    assert _contract_holds(no_div.factor_sample(x, y), (*no_div.uv(grid.x, grid.y), np.nan),
+    assert np.isnan(_values(no_div)(grid.x, grid.y)[2]).all()
+    assert _contract_holds(no_div.factor_sample(x, y), _values(no_div)(grid.x, grid.y),
                            exact=True)
     # what a study and the check read, on the nodes of every 20-point DOF plan: a
     # field side (the stacked pull-back) and the cached sample (a FieldStack)
@@ -214,20 +230,48 @@ def test_pulled_back_fields_and_stacks(grid, sides):
 @given(pair=st.sampled_from(ALL_PAIRS), grid=_grids(), seed=st.integers(0, 2**32 - 1),
        rows=st.integers(1, 3))
 def test_member_tabulation(pair, grid, seed, rows):
-    # the basis tables, and member stacks contracted with them row by row
+    # a member stack sampled on the grid's nodes: its values on the axes are the
+    # enumerated points' (the basis rows are the stack with one unit row each),
+    # each row is the member of that row alone, and each is its monomial grids'
     space = build_space(*pair)
-    tables = lambda x, y: (*space.tabulate(x, y), space.tabulate_div(x, y))  # noqa: E731
-    for on_axes, enumerated in zip(*grid.both(tables)):
-        assert grid.same(on_axes, enumerated, (space.dim,))
     member = space.member(np.random.default_rng(seed).standard_normal((rows, space.dim)))
-    for on_axes, enumerated in zip(*grid.both(_values(member))):
-        assert grid.same(on_axes, enumerated, (rows,))
-    # the factor samples of the stack and of its first row alone: one term per
-    # label, weighted by its row
     x, y = grid.nodes
-    for m in (member, space.member(member.coeffs[0])):
-        assert _contract_holds(m.factor_sample(x, y), _values(m)(x[:, None], y[None, :]),
-                               exact=False)
+    xs, ys = np.repeat(x, len(y)), np.tile(y, len(x))
+    for m in (member, space.member(np.eye(space.dim))):
+        on_axes = grid_values(m.factor_sample(x, y))
+        for c, enumerated in enumerate(_on_points(m, xs, ys)):
+            assert on_axes[c].shape == (len(m.coeffs), len(x), len(y))
+            assert np.array_equal(on_axes[c].reshape(enumerated.shape), enumerated)
+    on_axes = grid_values(member.factor_sample(x, y))
+    X, Y = member.factor_sample(x, y)
+    size = np.stack([_summed(X[..., c, :], Y[..., c, :])[1] for c in range(3)], axis=-3)
+    for r, coeffs in enumerate(member.coeffs):
+        single = space.member(coeffs)
+        assert np.array_equal(grid_values(single.factor_sample(x, y)), on_axes[:, r])
+        exact = reference_field(single)
+        want = [p.eval(x[:, None], y[None, :]) for p in (exact.u, exact.v, divergence(exact))]
+        bound = _monomial_bound(single, x, y, size[r])
+        assert np.all(np.abs(on_axes[:, r] - np.stack(want)) <= bound), (pair, r)
+
+
+def _monomial_bound(member, x, y, size):
+    """How far a member's sample may lie from its monomial grids at the grid of
+    x, y: per component, 2 eps (n M + (dim + 2) size) plus (dim + 2) tiny, with
+    M the sum over labels of |c_b| times the label's monomial grid with
+    absolute coefficients at |x|, |y| (every product the grids and Horner's
+    rule round, n of them at most), and size the sum of the sample's |X_r Y_r|;
+    rounded in double, whatever the nodes' type, as the grids are."""
+    space = member.space
+    ax, ay = np.abs(x.astype(float))[:, None], np.abs(y.astype(float))[None, :]
+    M = 0.0
+    for c, e in zip(np.abs(member.coeffs), np.eye(space.dim)):
+        u, v = reference_grids(space, e)
+        div = divergence(reference_field(space.member(e)))
+        M = M + c * np.stack([Polynomial2D(np.abs(p.coeffs)).eval(ax, ay) for p in (u, v, div)])
+    n = space.dim + 4 * (space._maxdeg + 2) + 8
+    info = np.finfo(float)
+    return 2 * info.eps * (n * M + (space.dim + 2) * size.astype(float)) \
+        + (space.dim + 2) * info.tiny
 
 
 @pytest.mark.parametrize("family,k", ALL_PAIRS)
@@ -261,7 +305,7 @@ def test_error_rule_axes_span_the_enumerated_rule(sides):
         hx, hy = np.array(sides).T
         x, y, ws = _mapped_rule(hx[:, None, None], hy[:, None, None])
         xs, ys, wse = enumerated_rule(hx[:, None], hy[:, None])
-    X, Y = np.broadcast_arrays(x, y)
+    X, Y = np.broadcast_arrays(x[..., :, None], y[..., None, :])
     n = NONPOLY_POINTS
     assert X.shape[-2:] == (n, n) and ws.shape == wse.shape
     assert np.array_equal(X.reshape(xs.shape), xs) and np.array_equal(Y.reshape(ys.shape), ys)

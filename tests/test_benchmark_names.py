@@ -84,7 +84,7 @@ def test_members_are_virtual_vector_polys_for_the_tracer():
     for member in (single, stack):
         assert isinstance(member, VectorPoly2D)
         assert not any(hasattr(member, name) for name in ("u", "v", "divergence"))
-    for fld in (MS_G, CallableField(MS_G.uv), FieldStack([MS_G]),
+    for fld in (MS_G, CallableField(lambda x, y: (x, y)), FieldStack([MS_G]),
                 PulledBackField(single, 0.5, 0.25)):
         assert not isinstance(fld, VectorPoly2D)
     # the marker is all that is left of poly: the package neither exports nor imports it

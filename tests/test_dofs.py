@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hdivkit import harness
+from hdivkit import fields, harness, interpolation
 from hdivkit.dofs import (
     DofFunctional,
     DofSet,
@@ -16,7 +16,7 @@ from hdivkit.dofs import (
     dof_vector_ld,
     moment_table,
 )
-from hdivkit.elements import ElementSpace, SpaceMember, build_space, factor_rows
+from hdivkit.elements import build_space, factor_rows
 from hdivkit.fields import (
     MS_G, MS_X, MS_Y, CallableField, FieldStack, ManufacturedField, commuting_battery, get_field,
 )
@@ -185,19 +185,20 @@ def test_dof_vector_matches_loop_nonpolynomial(family, k):
 
 @pytest.mark.parametrize("family,k", PAIRS)
 def test_dof_vectors_sample_no_grid(family, k, monkeypatch, fresh_field_sides):
-    # DOF vectors read 1-D factor samples only: no field, pull-back or member is
-    # evaluated on a grid, and no basis is tabulated, even for RT_0, BDM_1 and
-    # ABF_0, whose functionals read only the edges and the divergence
+    # DOF vectors read 1-D factor samples only: no sample is summed on a grid, no
+    # closed-form partial is evaluated and no basis is tabulated on the error rule,
+    # even for RT_0, BDM_1 and ABF_0, whose functionals read only the edges and
+    # the divergence
     def refuse(*args, **kwargs):
         raise AssertionError("a DOF vector sampled a 2-D grid")
 
-    for cls in (ManufacturedField, PulledBackField, SpaceMember):
-        for name in ("uv", "div_values"):
-            monkeypatch.setattr(cls, name, refuse)
-    monkeypatch.setattr(ElementSpace, "_tables", refuse)
+    for module in (fields, harness, interpolation):
+        monkeypatch.setattr(module, "grid_values", refuse)
+    monkeypatch.setattr(ManufacturedField, "partial", refuse)
+    monkeypatch.setattr(InterpolationOperator, "rule_tables", property(refuse))
     dofset, space = build_dofs(family, k), build_space(family, k)
-    fields = [MS_G, MS_X, MS_Y] + commuting_battery()
-    for fld in fields + [PulledBackField(f, *STUDY_SIDES) for f in fields]:
+    battery = [MS_G, MS_X, MS_Y] + commuting_battery()
+    for fld in battery + [PulledBackField(f, *STUDY_SIDES) for f in battery]:
         assert np.all(np.isfinite(dof_vector_ld(dofset, fld))), fld
     members = space.member(np.random.default_rng(k).standard_normal((20, space.dim)))
     assert dof_vector_ld(dofset, members).shape == (20, dofset.count)

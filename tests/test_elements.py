@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hdivkit import dofs, elements, legendre
+from hdivkit import dofs, elements, fields, legendre
 from hdivkit.dofs import build_dofs, dof_matrix_ld, dof_vector_ld
 from hdivkit.elements import (
     _legendre_coordinates,
@@ -16,11 +16,12 @@ from hdivkit.elements import (
     space_dimension,
     span_check,
 )
+from hdivkit.fields import grid_values
 from monomial_oracle import (
     Polynomial2D, VectorPoly2D, curl_scalar, divergence, grid_to_basis_exact, integrate_rect,
     reference_field, reference_grids,
 )
-from reference_oracle import component_degrees, degree_bounds, gram_matrix
+from reference_oracle import component_degrees, degree_bounds, gram_matrix, point_values
 
 RNG = np.random.default_rng(11)
 
@@ -37,7 +38,8 @@ def test_space_dimensions(family, k, dim):
     assert space_dimension(family, k) == dim
     space = build_space(family, k)
     assert space.dim == dim
-    assert space.member(np.eye(dim)).uv(0.3, 0.7)[0].shape == (dim,)
+    sample = space.member(np.eye(dim)).factor_sample(np.array([0.3]), np.array([0.7]))
+    assert grid_values(sample).shape == (3, dim, 1, 1)
 
 
 def test_component_degrees():
@@ -77,15 +79,15 @@ def test_degree_range_is_the_verified_range():
         build_div_space("ABF", 5)
 
 
-def _span_residual(space, target: VectorPoly2D) -> float:
+def _span_residual(space, target) -> float:
     # least-squares fit of the target against basis samples on a grid
     xs = np.linspace(0.0, 1.0, 13)
-    X, Y = np.meshgrid(xs, xs)
-    U, V = space.member(np.eye(space.dim)).uv(X, Y)  # one row per basis member
+    X, Y = xs[:, None], xs[None, :]
+    # one row per basis member, on the x-major grid of the sample's nodes
+    U, V, _ = grid_values(space.member(np.eye(space.dim)).factor_sample(xs, xs))
     A = np.concatenate([U.reshape(space.dim, -1), V.reshape(space.dim, -1)], axis=1).T
-    tu, tv = target.uv(X, Y)
-    rhs = np.concatenate([np.broadcast_to(tu, X.shape).ravel(),
-                          np.broadcast_to(tv, X.shape).ravel()])
+    tu, tv, _ = point_values(target, X, Y)
+    rhs = np.concatenate([tu.ravel(), tv.ravel()])
     sol, *_ = np.linalg.lstsq(A, rhs, rcond=None)
     return float(np.max(np.abs(A @ sol - rhs)))
 
@@ -232,26 +234,28 @@ def test_member_views_match_label_grids(family, k):
 
 def test_member_dof_vectors_build_no_grids(monkeypatch):
     # every DOF matrix, the 14 standard sets and ABF's replaced ones, is
-    # assembled from the block tables of 1-D moments without tabulating the basis on a grid
+    # assembled from the moment tables of 1-D factor rows, sampling no member
+    # and filling no grid of basis values
     def refuse(*args):
-        raise AssertionError("the basis was tabulated to build a DOF matrix")
+        raise AssertionError("the basis was sampled to build a DOF matrix")
 
-    monkeypatch.setattr(elements.ElementSpace, "tabulate", refuse)
-    monkeypatch.setattr(elements.ElementSpace, "tabulate_div", refuse)
+    monkeypatch.setattr(elements.SpaceMember, "factor_sample", refuse)
+    monkeypatch.setattr(fields, "grid_values", refuse)
     sets = [(f, k, False) for f, k in ALL_PAIRS] + [("ABF", k, True) for k in degree_range("ABF")]
     matrices = [dof_matrix_ld(build_dofs(f, k, replace_div_moments=replace), build_space(f, k))
                 for f, k, replace in sets]
     assert len(matrices) == 19 and all(np.isfinite(M).all() for M in matrices)
     monkeypatch.undo()
-    # members are evaluated through the space's tables: every basis row, BDM's
-    # curl rows included, is a product of Legendre recurrence values
-    x = np.linspace(0.0, 1.0, 5, dtype=np.longdouble)[:, None]
+    # members are sampled on their nodes: every basis row, BDM's curl rows
+    # included, is a product of Legendre recurrence values
+    x = np.linspace(0.0, 1.0, 5, dtype=np.longdouble)
     rng = np.random.default_rng(23)
     for family, k in ALL_PAIRS:
         space = build_space(family, k)
-        for xs, ys in ((x, x.T), (x.astype(float), 0.25)):
-            U, V = space.tabulate(xs, ys)
-            assert U.shape == V.shape == space.tabulate_div(xs, ys).shape
+        for xs, ys in ((x, x), (x.astype(float), np.array([0.25]))):
+            X, Y = space.member(np.eye(space.dim)).factor_sample(xs, ys)
+            assert X.shape == (space.dim, space.dim, 3, len(xs)) and X.dtype == xs.dtype
+            assert Y.shape == (space.dim, 3, len(ys))
         dofs = build_dofs(family, k)
         for _ in range(3):
             dof_vector_ld(dofs, space.random_member(rng))
@@ -316,43 +320,42 @@ def test_curl_rows_match_monomial_curls(k):
     space = build_space("BDM", k)
     rng = np.random.default_rng(29)
     x, y = (rng.random(64).astype(np.longdouble) for _ in range(2))
-    U, V = space.tabulate(x, y)
     eps = np.finfo(np.longdouble).eps
     nt = space.dim - 2
     assert [lab[0] for lab in space.labels[nt:]] == ["curl", "curl"]
+    # the two curl rows' samples on the grid of the points
+    U, V, _ = grid_values(space.member(np.eye(space.dim)[nt:]).factor_sample(x, y))
     for b in range(nt, space.dim):
-        for got, want in zip((U[b], V[b]), reference_grids(space, np.eye(space.dim)[b])):
+        for got, want in zip((U[b - nt], V[b - nt]), reference_grids(space, np.eye(space.dim)[b])):
             bound = 2 * (want.dx + want.dy) * eps * np.sum(np.abs(want.coeffs))
-            assert np.max(np.abs(got - want.eval(x, y))) <= bound, (space.labels[b], bound)
+            err = np.max(np.abs(got - want.eval(x[:, None], y[None, :])))
+            assert err <= bound, (space.labels[b], bound)
 
 
 def test_member_eval_matches_grid_polynomials():
     space = build_space("RT", 2)
     member = space.random_member(np.random.default_rng(3))
-    X, Y = np.meshgrid(np.linspace(0, 1, 9), np.linspace(0, 1, 9))
-    U, V = member.uv(X, Y)
+    s = np.linspace(0, 1, 9)
+    X, Y = s[:, None], s[None, :]
+    U, V, D = grid_values(member.factor_sample(s, s))
     # the label-by-label monomial grids are the ground truth
     exact = reference_field(member)
     np.testing.assert_allclose(U, exact.u.eval(X, Y), atol=1e-13)
     np.testing.assert_allclose(V, exact.v.eval(X, Y), atol=1e-13)
-    np.testing.assert_allclose(
-        member.div_values(X, Y), divergence(exact).eval(X, Y), atol=1e-12
-    )
+    np.testing.assert_allclose(D, divergence(exact).eval(X, Y), atol=1e-12)
 
 
 @pytest.mark.parametrize("family,k", [("RT", 1), ("BDM", 2), ("ABF", 1)])
 def test_member_eval_broadcasts(family, k):
-    # points given as a column and a row evaluate on their outer grid
+    # nodes of two lengths sample to their outer grid, the points' values
     member = build_space(family, k).random_member(np.random.default_rng(5))
-    x = np.linspace(0, 1, 4)[:, None]
-    y = np.linspace(0, 1, 3)[None, :]
-    X, Y = np.broadcast_arrays(x, y)
-    for a, b in zip(member.uv(x, y), member.uv(X, Y)):
-        assert a.shape == (4, 3)
-        np.testing.assert_array_equal(a, b)
-    np.testing.assert_array_equal(member.div_values(x, y), member.div_values(X, Y))
-    u, v = member.uv(0.3, np.linspace(0, 1, 5))
-    assert u.shape == v.shape == (5,)
+    x, y = np.linspace(0, 1, 4), np.linspace(0, 1, 3)
+    got = grid_values(member.factor_sample(x, y))
+    assert got.shape == (3, 4, 3)
+    np.testing.assert_allclose(got, point_values(member, x[:, None], y[None, :]),
+                               rtol=1e-13, atol=1e-13)
+    assert grid_values(member.factor_sample(np.array([0.3]), np.linspace(0, 1, 5))).shape \
+        == (3, 1, 5)
 
 
 def test_member_linear_in_coefficients():
@@ -360,9 +363,9 @@ def test_member_linear_in_coefficients():
     c1 = RNG.standard_normal(space.dim)
     c2 = RNG.standard_normal(space.dim)
     m1, m2, msum = space.member(c1), space.member(c2), space.member(c1 + c2)
-    x, y = 0.63, 0.18
-    assert msum.uv(x, y)[0] == pytest.approx(m1.uv(x, y)[0] + m2.uv(x, y)[0], rel=1e-12, abs=1e-14)
-    assert msum.uv(x, y)[1] == pytest.approx(m1.uv(x, y)[1] + m2.uv(x, y)[1], rel=1e-12, abs=1e-14)
+    x, y = np.array([0.63]), np.array([0.18])
+    one, two, both = (grid_values(m.factor_sample(x, y))[:, 0, 0] for m in (m1, m2, msum))
+    assert both == pytest.approx(one + two, rel=1e-12, abs=1e-14)
 
 
 def test_member_coefficient_length_enforced():

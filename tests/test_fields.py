@@ -15,6 +15,7 @@ from hdivkit.fields import (
     commuting_battery,
     env_seed,
     get_field,
+    grid_values,
     make_reproduction_field,
 )
 from hdivkit.harness import StudyConfig, predicted_rate
@@ -22,6 +23,11 @@ from monomial_oracle import divergence, reference_field
 
 RNG = np.random.default_rng(23)
 PTS = RNG.uniform(0.1, 0.9, size=(10, 2))
+
+
+def _at(field, x, y):
+    """u, v and div of field at the one point (x, y), from its factor sample."""
+    return grid_values(field.factor_sample(np.array([x]), np.array([y])))[:, 0, 0]
 
 
 def _fd_check(field, a1, a2, comp, step=1e-5, rtol=1e-6):
@@ -51,19 +57,20 @@ def test_partials_vs_finite_differences(field, a1, a2):
 def test_divergence_matches_component_partials(field):
     xs, ys = PTS[:, 0], PTS[:, 1]
     direct = field.partial(1, 0, 0)(xs, ys) + field.partial(0, 1, 1)(xs, ys)
-    np.testing.assert_allclose(field.div_values(xs, ys), direct, rtol=1e-13, atol=1e-14)
+    sampled = np.diagonal(grid_values(field.factor_sample(xs, ys))[2])
+    np.testing.assert_allclose(sampled, direct, rtol=1e-13, atol=1e-14)
 
 
 def test_ms_g_values():
     x, y = 0.3, 0.7
-    u, v = MS_G.uv(x, y)
+    u, v, _ = _at(MS_G, x, y)
     assert u == pytest.approx(np.sin(np.pi * x) * np.cos(np.pi * y), rel=1e-15)
     assert v == pytest.approx(x * np.exp(y), rel=1e-15)
 
 
 def test_ms_x_structure():
     x, y = 0.25, 0.6
-    u, v = MS_X.uv(x, y)
+    u, v, _ = _at(MS_X, x, y)
     assert u == pytest.approx(np.sin(np.pi * x), rel=1e-15)
     assert v == 0.0
     # no y-dependence anywhere in the only nonzero component
@@ -77,7 +84,7 @@ def test_ms_x_structure():
 
 def test_ms_y_mirrors_ms_x():
     x, y = 0.25, 0.6
-    u, v = MS_Y.uv(x, y)
+    u, v, _ = _at(MS_Y, x, y)
     assert u == 0.0
     assert v == pytest.approx(np.sin(np.pi * y), rel=1e-15)
     assert not MS_Y.deriv_nonzero(1, 0, 2)
@@ -134,8 +141,10 @@ def test_div_flags_are_the_component_partials(field):
 def test_div_partial_is_div_values_bit_for_bit(field):
     xs, ys = PTS[:, 0], PTS[:, 1]
     t = np.linspace(0.0, 1.0, 7)
-    for x, y in ((xs, ys), (t[:, None], t[None, :]), (0.3, 0.7)):
-        got, want = field.partial(0, 0, 2)(x, y), field.div_values(x, y)
+    # the sample's div on a grid is the div partial there, bit for bit
+    for x, y in ((xs, ys), (t, t), ([0.3], [0.7])):
+        got = grid_values(field.factor_sample(np.array(x), np.array(y)))[2]
+        want = field.partial(0, 0, 2)(np.array(x)[:, None], np.array(y)[None, :])
         assert np.shape(got) == np.shape(want) and np.array_equal(got, want)
     # higher partials of div are the component partials' sums (a wave's pairs add in order,
     # so the two sides may round apart)
@@ -239,9 +248,9 @@ def test_reproduction_field_derivative_flags():
 
 def test_callable_field_adapter():
     fld = CallableField(lambda x, y: (x * 0 + 1.0, x * 0), div_fn=lambda x, y: x * 0, fid="unit")
-    u, v = fld.uv(0.5, 0.5)
+    u, v, _ = _at(fld, 0.5, 0.5)
     assert u == 1.0 and v == 0.0
-    assert fld.div_values(0.2, 0.9) == 0.0
+    assert _at(fld, 0.2, 0.9)[2] == 0.0
     assert fld.id == "unit"
 
 

@@ -11,22 +11,23 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from hdivkit import cli, harness, interpolation
+from hdivkit import cli, fields, harness, interpolation
 from hdivkit.elements import (
-    ElementFamily, ElementSpace, SpaceMember, build_space, contract, degree_range,
+    ElementFamily, ElementSpace, SpaceMember, build_space, contract, degree_range, factor_values,
 )
 from hdivkit.fields import (
-    MS_G, MS_X, MS_Y, CallableField, ManufacturedField, ReproductionField, get_field,
+    MS_G, MS_X, MS_Y, CallableField, FieldStack, ManufacturedField, ReproductionField, get_field,
+    grid_values,
 )
 from hdivkit.harness import (
     MIN_H,
     MODES,
     REPRO_TOL,
-    ZERO_FIELD,
     ConvergenceTable,
     ErrorRecord,
     PhysicalRect,
     PulledBackField,
+    QUANTITIES,
     StudyConfig,
     bdm_sharpness_witness,
     default_suite_configs,
@@ -48,13 +49,21 @@ from hdivkit.interpolation import InterpolationOperator, reference_operator
 from hdivkit.quadrature import NONPOLY_POINTS
 from monomial_oracle import Polynomial2D, VectorPoly2D
 from reference_oracle import (
-    apply_dof, degree_bounds, enumerated_rule, error_Lp_reference, on_grid, rule_points,
+    apply_dof, degree_bounds, enumerated_rule, error_Lp_reference, on_grid, point_values,
+    rule_points,
 )
+
+_ZERO = CallableField(lambda x, y: (0.0, 0.0), lambda x, y: 0.0, "zero")
 
 
 def _values(U, V, D) -> CallableField:
     """The field known only by its values U, V and div D, whatever the points."""
     return CallableField(lambda x, y: (U, V), lambda x, y: D)
+
+
+def _at(fld, x, y):
+    """u, v and div of fld's factor sample on the grid of the nodes x and y."""
+    return grid_values(fld.factor_sample(np.atleast_1d(x), np.atleast_1d(y)))
 
 
 def _vec(ux, uy, vx, vy, cu=1.0, cv=1.0):
@@ -110,13 +119,23 @@ def test_rect_rejects_an_empty_stack():
         PhysicalRect(empty, empty)
 
 
+def test_rect_rejects_boolean_sides():
+    # float(True) is 1.0: a bool side was stored as given (hx=True), where
+    # StudyConfig refuses a bool h0
+    half = np.full((2, 1, 1), 0.5)
+    for hx, hy in ((True, 0.5), (0.5, np.bool_(True)), (np.ones((2, 1, 1), bool), half),
+                   (half, np.ones((2, 1, 1), bool)), (False, 0.5)):
+        with pytest.raises(ValueError, match="rectangle sides must be numbers"):
+            PhysicalRect(hx, hy)
+
+
 def test_pullback_constant_field():
     # contravariant map scales components by the opposite edge length
     rect = PhysicalRect(2.0, 3.0)
     ref = PulledBackField(_vec(0, 0, 0, 0, cv=0.0), rect.hx, rect.hy)
-    U, V = ref.uv(np.array([0.25]), np.array([0.5]))
-    assert U[0] == pytest.approx(3.0, rel=1e-15)
-    assert V[0] == pytest.approx(0.0, abs=1e-15)
+    U, V, _ = _at(ref, 0.25, 0.5)[:, 0, 0]
+    assert U == pytest.approx(3.0, rel=1e-15)
+    assert V == pytest.approx(0.0, abs=1e-15)
 
 
 def test_pullback_divergence_identity():
@@ -124,7 +143,7 @@ def test_pullback_divergence_identity():
     rect = PhysicalRect(2.0, 3.0)
     fld = _vec(1, 0, 0, 0, cv=0.0)  # (x, 0), div = 1
     ref = PulledBackField(fld, rect.hx, rect.hy)
-    assert ref.div_values(0.3, 0.8) == pytest.approx(6.0, rel=1e-15)
+    assert _at(ref, 0.3, 0.8)[2, 0, 0] == pytest.approx(6.0, rel=1e-15)
 
 
 def test_pullback_identity_rect():
@@ -132,9 +151,7 @@ def test_pullback_identity_rect():
     fld = _vec(2, 1, 0, 2)
     ref = PulledBackField(fld, rect.hx, rect.hy)
     xs = np.linspace(0.0, 1.0, 5)
-    X, Y = np.meshgrid(xs, xs, indexing="ij")
-    np.testing.assert_allclose(ref.uv(X, Y)[0], fld.uv(X, Y)[0], atol=1e-15)
-    np.testing.assert_allclose(ref.uv(X, Y)[1], fld.uv(X, Y)[1], atol=1e-15)
+    np.testing.assert_allclose(_at(ref, xs, xs)[:2], _at(fld, xs, xs)[:2], atol=1e-15)
 
 
 ALL_PAIRS = [(f, k) for f in ("RT", "BDM", "ABF") for k in degree_range(f)]
@@ -155,8 +172,8 @@ def test_push_divergence_scaling():
     member = build_space("ABF", 0).random_member(np.random.default_rng(6))
     phys = piola_push(rect, member)
     x, y = 0.3, 0.2
-    ref_div = member.div_values(x / rect.hx, y / rect.hy)
-    assert phys.div_values(x, y) == pytest.approx(ref_div / (rect.hx * rect.hy), rel=1e-14)
+    ref_div = point_values(member, x / rect.hx, y / rect.hy)[2]
+    assert _at(phys, x, y)[2, 0, 0] == pytest.approx(ref_div / (rect.hx * rect.hy), rel=1e-14)
 
 
 def test_push_then_pull_back_samples_the_member():
@@ -166,10 +183,7 @@ def test_push_then_pull_back_samples_the_member():
     member = build_space("RT", 1).random_member(np.random.default_rng(5))
     back = PulledBackField(piola_push(rect, member), rect.hx, rect.hy)
     xs = np.linspace(0.0, 1.0, 7)
-    x, y = xs[:, None], xs[None, :]
-    for got, want in zip((*back.uv(x, y), back.div_values(x, y)),
-                         (*member.uv(x, y), member.div_values(x, y))):
-        np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14)
+    np.testing.assert_allclose(_at(back, xs, xs), _at(member, xs, xs), rtol=1e-14, atol=1e-14)
 
 
 # ------------------------------------------------------------------ errors
@@ -179,30 +193,30 @@ def test_error_Lp_pinned_div():
     # unit divergence against zero on a 2 x 3 box: L2 mass is sqrt(6)
     rect = PhysicalRect(2.0, 3.0)
     fld = _vec(1, 0, 0, 0, cv=0.0)
-    assert error_Lp(fld, ZERO_FIELD, rect, 2.0, "div") == pytest.approx(
+    assert error_Lp(fld, _ZERO, rect, 2.0, "div") == pytest.approx(
         math.sqrt(6.0), rel=1e-14
     )
-    assert error_Lp(fld, ZERO_FIELD, rect, 1.0, "div") == pytest.approx(6.0, rel=1e-14)
+    assert error_Lp(fld, _ZERO, rect, 1.0, "div") == pytest.approx(6.0, rel=1e-14)
 
 
 def test_error_Lp_pinned_field():
     rect = PhysicalRect(1.0, 1.0)
     fld = _vec(0, 0, 0, 0, cu=3.0, cv=4.0)  # |(3,4)| = 5 everywhere
-    assert error_Lp(fld, ZERO_FIELD, rect, 2.0, "field") == pytest.approx(5.0, rel=1e-14)
+    assert error_Lp(fld, _ZERO, rect, 2.0, "field") == pytest.approx(5.0, rel=1e-14)
 
 
 def test_error_Lp_validation():
     rect = PhysicalRect(1.0, 1.0)
     with pytest.raises(ValueError):
-        error_Lp(MS_G, ZERO_FIELD, rect, 0.5, "field")
+        error_Lp(MS_G, _ZERO, rect, 0.5, "field")
     with pytest.raises(ValueError):
-        error_Lp(MS_G, ZERO_FIELD, rect, 2.0, "curl")
+        error_Lp(MS_G, _ZERO, rect, 2.0, "curl")
 
 
 @pytest.mark.parametrize("compute", [
-    lambda p, which: error_Lp(MS_G, ZERO_FIELD, PhysicalRect(1.0, 1.0), p, which),
+    lambda p, which: error_Lp(MS_G, _ZERO, PhysicalRect(1.0, 1.0), p, which),
     lambda p, which: norm_Lp(MS_G, PhysicalRect(1.0, 1.0), p, which),
-    lambda p, which: error_Lp_reference(MS_G, ZERO_FIELD, PhysicalRect(1.0, 1.0), p, which),
+    lambda p, which: error_Lp_reference(MS_G, _ZERO, PhysicalRect(1.0, 1.0), p, which),
 ], ids=["error_Lp", "norm_Lp", "error_Lp_reference"])
 @pytest.mark.parametrize("p,which,message", [
     (math.nan, "field", "p must be finite and >= 1"),
@@ -217,13 +231,61 @@ def test_lp_arguments_checked(compute, p, which, message):
         compute(p, which)
 
 
+def test_a_missing_divergence_is_refused_by_name():
+    # a CallableField without div_fn samples its divergence as nan: its div norm
+    # and div errors on either side are refused by name, not read as nan, while
+    # its field error runs
+    no_div = CallableField(lambda x, y: (x * y, -x), fid="no-div")
+    rect = PhysicalRect(0.5, 0.25)
+    stack = PhysicalRect(np.full((2, 1, 1), 0.5), np.array([0.5, 0.25])[:, None, None])
+    for compute in (lambda which: norm_Lp(no_div, rect, 2.0, which),
+                    lambda which: error_Lp(no_div, MS_G, stack, 2.0, which),
+                    lambda which: error_Lp(MS_G, no_div, rect, 1.0, which)):
+        with pytest.raises(ValueError, match="field 'no-div' has no divergence"):
+            compute("div")
+        assert np.all(np.isfinite(compute("field")))
+    with pytest.raises(ValueError, match="has no divergence"):
+        norm_Lp(PulledBackField(no_div, 2.0, 4.0), rect, 2.0, "div")
+
+
+def test_fields_are_read_through_their_factor_samples_alone(monkeypatch, fresh_field_sides):
+    # one field protocol: no field class keeps a pointwise uv or div_values and
+    # no space a basis tabulation, and with the closed forms refused the L^p
+    # norm and error of every field kind, on one rectangle and on a stack, and
+    # a study on every study field still run
+    for cls in (ManufacturedField, CallableField, PulledBackField, SpaceMember, ElementSpace):
+        for name in ("uv", "div_values", "tabulate", "tabulate_div"):
+            assert not hasattr(cls, name), (cls.__name__, name)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a field was read pointwise")
+
+    monkeypatch.setattr(ManufacturedField, "partial", refuse)
+    monkeypatch.setattr(fields, "_sum_of_products", refuse)
+    rect = PhysicalRect(0.5, 0.25)
+    stack = PhysicalRect(np.full((3, 1, 1), 0.5), np.array([0.5, 0.25, 0.125])[:, None, None])
+    member = build_space("ABF", 2).random_member(np.random.default_rng(1))
+    kinds = [MS_G, CallableField(lambda x, y: (x * y, -x), lambda x, y: y - 1.0),
+             PulledBackField(MS_X, 2.0, 4.0), member, piola_push(rect, member),
+             FieldStack([MS_G, MS_Y])]
+    for fld in kinds:
+        for which in QUANTITIES:
+            for r in (rect, stack):
+                assert np.all(np.isfinite(norm_Lp(fld, r, 2.0, which))), fld
+                assert np.all(np.isfinite(error_Lp(fld, MS_G, r, 1.5, which))), fld
+    for field, mode in (("MS-G", "isotropic"), ("MS-X", "shrink_x"), ("MS-Y", "shrink_y"),
+                        ("MS-P", "fixed_aspect")):
+        table = run_refinement_study(StudyConfig("RT", 1, field=field, mode=mode, levels=3))
+        assert len(table.records) == 3
+
+
 def test_lp_rejects_infinite_p():
     # 0 ** (1 / inf) == 1: at p = inf a zero error read 1.0
     rect = PhysicalRect(0.5, 0.25)
     with pytest.raises(ValueError, match="p must be finite and >= 1"):
         error_Lp(MS_G, MS_G, rect, math.inf, "field")
     with pytest.raises(ValueError, match="p must be finite and >= 1"):
-        norm_Lp(ZERO_FIELD, rect, math.inf, "div")
+        norm_Lp(_ZERO, rect, math.inf, "div")
     assert error_Lp(MS_G, MS_G, rect, 1e300, "field") == 0.0
 
 
@@ -283,6 +345,32 @@ def test_stacked_errors_match_per_rectangle_calls(rows, p, which, seed):
         assert sums[i] == _lp_sum(ws[i], mags[i], p) == _lone_lp_sum(ws[i], mags[i], p)
 
 
+def test_a_field_stack_on_a_rectangle_stack_gives_one_error_per_pair():
+    # a member stack's or a FieldStack's rows lead the rectangles' rows, against a
+    # lone field too: one value per row and rectangle, each with its own
+    # one-field, one-rectangle call's bits; two rows, as many as the field error
+    # has components, so a row paired with a component would show
+    space = build_space("ABF", 1)
+    members = space.member(np.random.default_rng(4).standard_normal((2, space.dim)))
+    hxs, hys = np.array([0.5, 0.25, 0.125]), np.array([0.125, 0.25, 0.5])
+    stack = PhysicalRect(hxs[:, None, None], hys[:, None, None])
+    for rows, singles in ((members, [space.member(c) for c in members.coeffs]),
+                          (FieldStack([MS_X, MS_Y]), [MS_X, MS_Y])):
+        for which in QUANTITIES:
+            norms = norm_Lp(rows, stack, 2.0, which)
+            errors, mirrored = (error_Lp(*pair, stack, 1.5, which) for pair in
+                                ((rows, MS_G), (MS_G, rows)))
+            assert norms.shape == errors.shape == (2, 3)
+            assert np.array_equal(errors, mirrored)
+            for i, single in enumerate(singles):
+                for j, rect in enumerate(map(PhysicalRect, hxs, hys)):
+                    assert norms[i, j] == norm_Lp(single, rect, 2.0, which)
+                    assert errors[i, j] == error_Lp(single, MS_G, rect, 1.5, which)
+            assert np.array_equal(error_Lp(rows, MS_G, PhysicalRect(0.5, 0.25), 1.5, which),
+                                  [error_Lp(f, MS_G, PhysicalRect(0.5, 0.25), 1.5, which)
+                                   for f in singles])
+
+
 def _lp_max_scaled(ws, mag, p):
     top = np.max(mag)
     return top * np.sum(ws * (mag / top) ** p) ** (1.0 / p)
@@ -302,8 +390,7 @@ def test_large_p_errors_are_not_vacuous():
         rect = PhysicalRect(rec.hx, rec.hy)
         interp = _on_rect("RT", 1, rect, MS_G)
         xs, ys, ws = enumerated_rule(rect.hx, rect.hy)
-        (U1, V1), (U2, V2) = MS_G.uv(xs, ys), interp.uv(xs, ys)
-        d1, d2 = MS_G.div_values(xs, ys), interp.div_values(xs, ys)
+        (U1, V1, d1), (U2, V2, d2) = point_values(MS_G, xs, ys), point_values(interp, xs, ys)
         ef = _lp_max_scaled(ws, np.hypot(U1 - U2, V1 - V2), p) / (rect.hx * rect.hy) ** (1 / p)
         ed = _lp_max_scaled(ws, np.abs(d1 - d2), p) / _lp_max_scaled(ws, np.abs(d1), p)
         assert rec.errors["field"] > 0 and rec.errors["div"] > 0
@@ -484,8 +571,7 @@ def test_bdm_sharpness_witness():
         assert (w.space.family, w.space.k) == (ElementFamily.RT, k)
         assert degree_bounds(w) == ((0, 0), (k - 1, 2))
         monomial = VectorPoly2D(Polynomial2D.zero(), Polynomial2D.monomial(k - 1, 2, 0.5))
-        for got, want in zip((*w.uv(x, y), w.div_values(x, y)),
-                             (*monomial.uv(x, y), monomial.div_values(x, y))):
+        for got, want in zip(_at(w, t, t), (*monomial.uv(x, y), monomial.div_values(x, y))):
             np.testing.assert_allclose(got, np.broadcast_to(want, got.shape), rtol=0, atol=1e-15)
         back = reference_operator("RT", k).solve_coefficients(w)
         assert np.max(np.abs(back - w.coeffs)) <= REPRO_TOL
@@ -661,20 +747,29 @@ def test_study_reproduction_field():
 
 
 
-def _per_level_records(config):
+def _per_level_records(config, pushed: bool = False):
     """A study's records computed level by level on the fields themselves:
     pull back, interpolate and push forward (an MS-P member is its own
-    pull-back), then norm_Lp and error_Lp sampling both sides."""
+    pull-back), then norm_Lp and error_Lp sampling both sides.  A member is
+    read from the operator's table on the rule, as the study reads it, or,
+    pushed=True, as piola_push's factor sample, which rounds apart."""
     fld = get_field(config.field, config.family, config.k, config.seed)
     op = reference_operator(config.family, config.k)
     records = []
     for level in range(config.levels):
         rect = config.rect_at(level)
+
+        def push(member):
+            if pushed:
+                return piola_push(rect, member)
+            U, V, D = contract(member.coeffs, op.rule_tables)
+            return _values(U / rect.hy, V / rect.hx, D / (rect.hx * rect.hy))
+
         if isinstance(fld, ReproductionField):
-            phys, ref = piola_push(rect, fld.member), fld.member
+            phys, ref = push(fld.member), fld.member
         else:
             phys, ref = fld, PulledBackField(fld, rect.hx, rect.hy)
-        interp = piola_push(rect, op.interpolate(ref))
+        interp = push(op.interpolate(ref))
         nf = (rect.hx * rect.hy) ** (1.0 / config.p)
         nd = norm_Lp(phys, rect, config.p, "div")
         ef = error_Lp(phys, interp, rect, config.p, "field") / nf
@@ -691,9 +786,14 @@ _PAIRS = [(f.value, k) for f in ElementFamily for k in degree_range(f)]
 @pytest.mark.parametrize("family,k", _PAIRS)
 def test_study_matches_per_level_loop(family, k, field, mode, levels):
     # at h0 = 0.5 every side is a power of two, so the study's one table
-    # reads the very points the fields are sampled at: equal, not close
+    # reads the very points the fields are sampled at: equal, not close; the
+    # pushed members' factor samples give the same errors up to their rounding
     config = StudyConfig(family, k, field=field, mode=mode, rho=64.0, levels=levels, h0=0.5)
-    assert run_refinement_study(config).records == _per_level_records(config)
+    records = run_refinement_study(config).records
+    assert records == _per_level_records(config)
+    for got, want in zip(_per_level_records(config, pushed=True), records):
+        for which in QUANTITIES:
+            assert got.errors[which] == pytest.approx(want.errors[which], rel=1e-12, abs=1e-12)
 
 
 # every study of these reads pass (reproduction) when each level samples
@@ -716,24 +816,22 @@ def test_non_dyadic_reproduction_study_passes(family, k, rho, levels):
     ("RT", 1, "MS-G", "isotropic"), ("ABF", 2, "MS-P", "fixed_aspect"),
     ("BDM", 2, "MS-X", "shrink_x")])
 def test_study_tabulates_the_error_rule_once(monkeypatch, family, k, field, mode):
-    # the operator keeps its tables: two studies on one cold operator tabulate
-    # once, U, V and div in one pass (tabulate and tabulate_div also go through
-    # ElementSpace._tables, so counting it counts every route)
+    # the operator keeps its table: two studies on one cold operator tabulate
+    # once, U, V and div from one factor_values pass over the rule's 20 nodes
     op = InterpolationOperator(build_space(family, k))
     monkeypatch.setattr(harness, "reference_operator", lambda family, k: op)
-    npoints = NONPOLY_POINTS**2
     calls = []
-    original = ElementSpace._tables
+    original = interpolation.factor_values
 
-    def counted(self, x, y, rows):
-        if np.broadcast(x, y).size == npoints:
-            calls.append(len(rows))
-        return original(self, x, y, rows)
+    def counted(deg, t):
+        calls.append(np.shape(t))
+        return original(deg, t)
 
-    monkeypatch.setattr(ElementSpace, "_tables", counted)
+    monkeypatch.setattr(interpolation, "factor_values", counted)
     for _ in range(2):
         run_refinement_study(StudyConfig(family, k, field=field, mode=mode, levels=8))
-    assert calls == [3]
+    assert calls == [(NONPOLY_POINTS,)]
+    assert op.rule_tables.shape == (op.space.dim, 3, NONPOLY_POINTS, NONPOLY_POINTS)
 
 
 def _lone_solve(op, field):
@@ -743,20 +841,28 @@ def _lone_solve(op, field):
 
 def _push_on_rule(tables, coeffs, rect: PhysicalRect) -> CallableField:
     """A member's push-forward on rect's mapped error rule: its coefficients
-    contracted with the tables as in SpaceMember.uv, then the Piola factors
-    of PhysicalMemberField; no point is mapped back to the reference square."""
+    contracted with the tables, then the Piola factors; no point is mapped
+    back to the reference square."""
     U, V, D = (on_grid(np.tensordot(coeffs, t, axes=1)) for t in tables)
     return _values(U / rect.hy, V / rect.hx, D / (rect.hx * rect.hy))
 
 
+def _enumerated_tables(space):
+    """The basis U, V and div at the enumerated points of the 20 x 20 rule, one
+    (dim, 400) table each: label b's x factor row times its y factor row
+    (ElementSpace._rows) at each point."""
+    xs, ys, _ = rule_points(NONPOLY_POINTS, NONPOLY_POINTS)
+    Fx, Fy = (factor_values(space._maxdeg, z) for z in (xs, ys))
+    return tuple(Fx[rx] * Fy[ry] for rx, ry in space._rows)
+
+
 def _level_by_level_records(config):
     """The study one level at a time: a lone solve of the level's pull-back,
-    the field sampled at the level's enumerated rule points, both sides read
-    from one table of the basis at those points and laid out on the grid."""
+    the field's closed form at the level's enumerated rule points, both sides
+    read from one table of the basis at those points and laid out on the grid."""
     fld = get_field(config.field, config.family, config.k, config.seed)
     op = reference_operator(config.family, config.k)
-    xs, ys, _ = rule_points(NONPOLY_POINTS, NONPOLY_POINTS)
-    tables = (*op.space.tabulate(xs, ys), op.space.tabulate_div(xs, ys))
+    tables = _enumerated_tables(op.space)
     records = []
     for level in range(config.levels):
         rect = config.rect_at(level)
@@ -766,7 +872,7 @@ def _level_by_level_records(config):
         else:
             xs, ys, _ = enumerated_rule(rect.hx, rect.hy)
             ref = PulledBackField(fld, rect.hx, rect.hy)
-            sample = _values(*map(on_grid, (*fld.uv(xs, ys), fld.div_values(xs, ys))))
+            sample = _values(*map(on_grid, point_values(fld, xs, ys)))
         interp = _push_on_rule(tables, _lone_solve(op, ref), rect)
         nf = (rect.hx * rect.hy) ** (1.0 / config.p)
         nd = norm_Lp(sample, rect, config.p, "div")
@@ -925,8 +1031,8 @@ def test_theorem_suite_reports_broken_commutation():
 @pytest.mark.parametrize("family,k,field,mode", [
     ("ABF", 2, "MS-G", "isotropic"), ("BDM", 3, "MS-P", "fixed_aspect")])
 def test_study_is_one_pass(monkeypatch, fresh_field_sides, family, k, field, mode):
-    # one rectangle stack, one mapped error rule, one error_Lp and one _lp_sum
-    # for the div norm and both errors, one contraction with the operator's
+    # one rectangle stack, one mapped error rule, one _lp_sum for the div norm
+    # and both errors and no public error_Lp, one contraction with the operator's
     # table per coefficient set (MS-P's member and its interpolant), and no
     # np.polyfit: each rate is a closed-form slope
     config = StudyConfig(family, k, field=field, mode=mode, levels=6)
@@ -948,7 +1054,7 @@ def test_study_is_one_pass(monkeypatch, fresh_field_sides, family, k, field, mod
     table = run_refinement_study(config)
     fitted = sum(j.fitted is not None for j in table.judged.values())
     assert fitted == (2 if field == "MS-G" else 0)  # MS-P's windows hold exact zeros
-    assert calls == {"PhysicalRect": 1, "_mapped_rule": 1, "error_Lp": 1, "_lp_sum": 1,
+    assert calls == {"PhysicalRect": 1, "_mapped_rule": 1, "error_Lp": 0, "_lp_sum": 1,
                      "contract": 2 if field == "MS-P" else 1, "np.polyfit": 0}
 
 
@@ -958,7 +1064,7 @@ _REDUCTIONS = [(field, mode, p, h0) for field in ("MS-G", "MS-X", "MS-Y", "MS-P"
 
 @pytest.mark.parametrize("field,mode,p,h0", _REDUCTIONS)
 def test_stacked_reduction_matches_per_quantity_calls(monkeypatch, field, mode, p, h0):
-    # the study's one error_Lp call returns the rows norm_Lp(div), error_Lp(field)
+    # the study's one L^p sum returns the rows norm_Lp(div), error_Lp(field)
     # and error_Lp(div) of the same two sides, equal, not close; 7 of the 16 MS-P
     # cases at p >= 40 take the rescaling fallback on roundoff errors; the cases
     # share out the 14 (family, k)
@@ -967,10 +1073,10 @@ def test_stacked_reduction_matches_per_quantity_calls(monkeypatch, field, mode, 
     stacked = []
 
     def keep(*args):
-        stacked.append(error_Lp(*args))
+        stacked.append(_lp_sum(*args))
         return stacked[-1]
 
-    monkeypatch.setattr(harness, "error_Lp", keep)
+    monkeypatch.setattr(harness, "_lp_sum", keep)
     run_refinement_study(config)
     monkeypatch.undo()
     fld = get_field(field, family, k, config.seed)
@@ -1012,12 +1118,20 @@ def _sides(config) -> tuple:
     return tuple(stack.hx.ravel().tolist()), tuple(stack.hy.ravel().tolist())
 
 
+def _on_rule(fld, hx, hy):
+    """fld's closed-form u, v and div on the axes of the stack's mapped rule,
+    (3, n, 20, 20), apart from its factor sample."""
+    x, y, _ = _mapped_rule(hx, hy)
+    x, y = x[..., :, None], y[..., None, :]
+    return np.stack(np.broadcast_arrays(*(fld.partial(0, 0, c)(x, y) for c in range(3))))
+
+
 def _inline_side(fld, hxs, hys):
     """The field side built in place for every study, uncached: the pull-back's own
-    factor sample and the field's own uv and div_values, wherever they are asked for."""
+    factor sample, wherever it is asked for, and the field's closed form on the rule."""
     hx, hy = (np.array(h)[:, None, None] for h in (hxs, hys))
     return types.SimpleNamespace(factor_sample=PulledBackField(fld, hx, hy).factor_sample,
-                                 uv=fld.uv, div_values=fld.div_values)
+                                 values=_on_rule(fld, hx, hy))
 
 
 def _converge_output(config) -> tuple:
@@ -1083,11 +1197,10 @@ def test_the_field_side_is_the_pull_back_and_the_field_on_the_rule(fresh_field_s
     stack = config.rect_at(np.arange(config.levels)[:, None, None])
     side = fresh_field_sides(fld, *_sides(config))
     nodes = plan_nodes(NONPOLY_POINTS)
-    x, y, _ = _mapped_rule(stack.hx, stack.hy)
-    got = (*side.factor_sample(nodes, nodes), *side.uv(x, y), side.div_values(x, y))
+    got = (*side.factor_sample(nodes, nodes), side.values)
     want = (*PulledBackField(fld, stack.hx, stack.hy).factor_sample(nodes, nodes),
-            *fld.uv(x, y), fld.div_values(x, y))
-    assert len(got) == len(want) == 5
+            _on_rule(fld, stack.hx, stack.hy))
+    assert len(got) == len(want) == 3
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and g.shape == w.shape and np.array_equal(g, w)
 
@@ -1095,21 +1208,23 @@ def test_the_field_side_is_the_pull_back_and_the_field_on_the_rule(fresh_field_s
 @pytest.mark.parametrize("battery,sides", [(default_suite_configs(), 3), (REFINE_BATTERY, 5)],
                          ids=["default-suite", "refine-battery"])
 def test_studies_on_one_field_and_stack_share_its_field_side(fresh_field_sides, battery, sides):
-    # one pull-back sample and one error-rule sample per field and stack, where
-    # every manufactured-field study took its own (48 and 60), and none on a second pass
+    # one pull-back sample and one error-rule sample per field and stack (two
+    # factor samples of the field), where every manufactured-field study took its
+    # own (48 and 60), none on a second pass, and no closed-form partial
     targets = [(PulledBackField, "factor_sample"), (ManufacturedField, "factor_sample"),
-               (ManufacturedField, "uv"), (ManufacturedField, "div_values")]
+               (ManufacturedField, "partial")]
     calls = {f"{cls.__name__}.{name}": 0 for cls, name in targets}
     with pytest.MonkeyPatch.context() as m:
         for cls, name in targets:
-            def counted(self, x, y, real=getattr(cls, name), key=f"{cls.__name__}.{name}"):
+            def counted(self, *args, real=getattr(cls, name), key=f"{cls.__name__}.{name}"):
                 calls[key] += 1
-                return real(self, x, y)
+                return real(self, *args)
             m.setattr(cls, name, counted)
         for _ in range(2):
             for config in battery:
                 run_refinement_study(config)
-    assert calls == dict.fromkeys(calls, sides)
+    assert calls == {"PulledBackField.factor_sample": sides,
+                     "ManufacturedField.factor_sample": 2 * sides, "ManufacturedField.partial": 0}
     assert fresh_field_sides.cache_info().currsize == sides
 
 
@@ -1130,8 +1245,8 @@ def test_the_field_side_is_read_only(fresh_field_sides, field, mode):
     run_refinement_study(config)
     side = fresh_field_sides(get_field(field), *_sides(config))
     assert fresh_field_sides.cache_info().hits == 1  # the study's own entry
-    arrays = (*side.factor_sample(None, None), *side.uv(None, None), side.div_values(None, None))
-    assert len(arrays) == 5
+    arrays = (*side.factor_sample(None, None), side.values)
+    assert len(arrays) == 3
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a[(0,) * a.ndim] = 1.0

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from hdivkit import interpolation, legendre
 from hdivkit.dofs import build_dofs, dof_vector_ld
 from hdivkit.elements import ElementFamily, build_div_space, build_space
-from hdivkit.fields import MS_G, MS_X, CallableField, commuting_battery
+from hdivkit.fields import MS_G, MS_X, CallableField, commuting_battery, grid_values
 from hdivkit.harness import PulledBackField
 from hdivkit.interpolation import (
     COND_FAIL,
@@ -32,7 +32,7 @@ from monomial_oracle import (
 )
 from reference_oracle import (
     apply_dof, coeffs_internal_bound, coeffs_internal_reference, gesv_solve,
-    monomial_dof_matrix_ld, monomial_interpolant, rule_points, three_sweep_solve,
+    monomial_dof_matrix_ld, monomial_interpolant, point_values, rule_points, three_sweep_solve,
 )
 
 ALL_SPACES = [("RT", k) for k in range(5)] + [("BDM", k) for k in range(1, 5)] + [
@@ -108,7 +108,7 @@ def test_rt0_pinned_interpolant():
     fld = VectorPoly2D(Polynomial2D.monomial(2, 0), Polynomial2D.zero())
     m = op.interpolate(fld)
     xs = np.linspace(0.0, 1.0, 11)
-    U, V = m.uv(xs, 0.3 + 0.0 * xs)
+    U, V, _ = grid_values(m.factor_sample(xs, np.array([0.3])))[..., 0]
     np.testing.assert_allclose(U, xs, atol=1e-14)
     np.testing.assert_allclose(V, 0.0, atol=1e-14)
 
@@ -119,7 +119,7 @@ def test_bdm1_curl_reproduction():
     m = op.interpolate(fld)
     xs = np.linspace(0.0, 1.0, 9)
     X, Y = np.meshgrid(xs, xs, indexing="ij")
-    U, V = m.uv(X, Y)
+    U, V, _ = grid_values(m.factor_sample(xs, xs))
     np.testing.assert_allclose(U, X**2, atol=1e-13)
     np.testing.assert_allclose(V, -2 * X * Y, atol=1e-13)
 
@@ -160,11 +160,10 @@ def test_interpolate_is_linear(family, k, seed, a, b):
     rng = np.random.default_rng(seed)
     f, g = op.space.random_member(rng), op.space.random_member(rng)
 
-    def uv(x, y):
-        (Uf, Vf), (Ug, Vg) = f.uv(x, y), g.uv(x, y)
-        return a * Uf + b * Ug, a * Vf + b * Vg
+    def values(x, y):
+        return a * point_values(f, x, y) + b * point_values(g, x, y)
 
-    combo = CallableField(uv, lambda x, y: a * f.div_values(x, y) + b * g.div_values(x, y))
+    combo = CallableField(lambda x, y: values(x, y)[:2], lambda x, y: values(x, y)[2])
     got = op.interpolate(combo).coeffs
     want = a * op.interpolate(f).coeffs + b * op.interpolate(g).coeffs
     scale = max(abs(a), abs(b), 1.0) * max(np.abs(f.coeffs).max(), np.abs(g.coeffs).max())
@@ -293,6 +292,18 @@ def test_operator_cache():
         assert cached("ABF", 1) is cached("ABF", 1)
 
 
+def test_a_bool_degree_never_reads_an_integer_entry():
+    # True == 1 and False == 0 hash alike: checked only inside the cache, a
+    # bool k was refused cold and read RT_1's (or RT_0's) entry once it was warm
+    for k in (0, 1):
+        reference_operator("RT", k), reference_projector("RT", k)
+    for k in (True, False):
+        for call in (lambda: reference_operator("RT", k), lambda: reference_projector("RT", k),
+                     lambda: commuting_residuals("RT", k, [MS_G])):
+            with pytest.raises(TypeError, match="degree k must be an integer"):
+                call()
+
+
 # ---------------------------------------------------------------- projector
 
 
@@ -326,11 +337,11 @@ def test_projector_takes_a_callable_that_does_not_fill_the_grid(family, k, w):
 def test_projector_tabulates_its_rule_once(monkeypatch):
     # the fixed rule's Legendre tables are built on the first projection only
     proj = L2Projector(build_div_space("ABF", 2))
-    first = proj.coeffs_internal(MS_G.div_values)
+    first = proj.coeffs_internal(MS_G.partial(0, 0, 2))
     calls = []
     values = legendre.values
     monkeypatch.setattr(legendre, "values", lambda *a: calls.append(a) or values(*a))
-    assert proj.coeffs_internal(MS_G.div_values) == first
+    assert proj.coeffs_internal(MS_G.partial(0, 0, 2)) == first
     assert calls == []
 
 

@@ -19,16 +19,17 @@ from hdivkit.elements import (
     FAMILIES, MAX_DEGREE, ElementSpace, SpaceMember, build_space, degree_range,
 )
 from hdivkit.fields import (
-    FieldStack, ManufacturedField, ReproductionField, commuting_battery, env_seed,
+    FieldStack, ManufacturedField, ReproductionField, commuting_battery, env_seed, grid_values,
 )
 from hdivkit.harness import PhysicalRect, piola_push
 from hdivkit.interpolation import (
-    COMMUTING_TOL, SAMPLE_GRID, cached_sample, commuting_residuals, judge_commuting,
-    reference_operator, reference_projector,
+    COMMUTING_TOL, SAMPLE_GRID, InterpolationOperator, cached_sample, commuting_residuals,
+    judge_commuting, reference_operator, reference_projector,
 )
 from hdivkit.quadrature import NONPOLY_POINTS
 from reference_oracle import (
     _eval_legendre_sum, coeffs_internal_bound, coeffs_internal_reference, degree_bounds,
+    point_values,
 )
 
 # every (family, k, replace) that check --kmax 4 and its negative control judge
@@ -69,7 +70,7 @@ def _residual_one_field(family, k, fld, replace):
     X, Y = (F[:, 2] for F in m.factor_sample(s, s))  # the div component's terms
     n = max(max(ij) for ij in proj._index) + 1
     C = np.zeros((n, n))
-    for ij, c in proj.coeffs_internal(fld.div_values).items():
+    for ij, c in proj.coeffs_internal(fld.partial(0, 0, 2)).items():
         C[ij] = c
     L = np.array(legendre.values(n - 1, s))
     return m.coeffs, float(np.max(np.abs(X.T @ Y - L.T @ C @ L)))
@@ -96,8 +97,9 @@ def test_an_empty_field_stack_is_refused():
 
 @pytest.mark.parametrize("family,k,replace", COMMUTING_CASES)
 def test_commuting_sides_match_the_2d_references(family, k, replace):
-    # each side of the residual against the 2-D path it replaced: the basis
-    # divergences tabulated on the 21 x 21 grid, one x-major sum per projector
+    # each side of the residual against the 2-D path it replaced: the
+    # interpolant's divergence at the 21 x 21 grid's points (point_values, from
+    # its exact Legendre coordinates), one x-major sum per projector
     # coefficient and the (i, j) loop of the Legendre sum; the gaps stay within
     # the rounding either order allows (gamma_n bounds of the float64 sums,
     # coeffs_internal_bound for the long-double ones)
@@ -110,11 +112,12 @@ def test_commuting_sides_match_the_2d_references(family, k, replace):
     for fld in commuting_battery():
         m = reference_operator(family, k, replace).interpolate(fld)
         X, Y = (F[:, 2] for F in m.factor_sample(s, s))
-        gap = np.abs(X.T @ Y - m.div_values(x, y))
+        gap = np.abs(X.T @ Y - point_values(m, x, y)[2])
         assert np.all(gap <= 2 * (m.space.dim + 1) * eps * (np.abs(X).T @ np.abs(Y)))
-        got = proj.coeffs_internal(fld.div_values)
-        ref = coeffs_internal_reference(proj, fld.div_values)
-        bound = coeffs_internal_bound(proj, fld.div_values)
+        div = fld.partial(0, 0, 2)
+        got = proj.coeffs_internal(div)
+        ref = coeffs_internal_reference(proj, div)
+        bound = coeffs_internal_bound(proj, div)
         assert all(abs(got[ij] - ref[ij]) <= bound[ij] for ij in proj._index)
         C, B = np.zeros((n, n)), np.zeros((n, n))
         for ij in proj._index:
@@ -125,16 +128,15 @@ def test_commuting_sides_match_the_2d_references(family, k, replace):
 
 @pytest.mark.parametrize("family,k,replace", COMMUTING_CASES)
 def test_commuting_check_fills_no_grid_table(monkeypatch, family, k, replace):
-    # both sides come from 1-D factors: no basis table is tabulated on the
-    # grid, no member is evaluated point by point, and the interpolant's u and
-    # v factor terms are never formed (div I u reads the space's div rows only)
+    # both sides come from 1-D factors: the operator's basis table on the error
+    # rule is not read, and the interpolant is never sampled, so its u and v
+    # factor terms are never formed (div I u reads the space's div rows only)
     want = commuting_residuals(family, k, commuting_battery(), replace)
 
     def refuse(*args):
         raise AssertionError("the commuting check formed a table it does not read")
 
-    monkeypatch.setattr(ElementSpace, "_tables", refuse)
-    monkeypatch.setattr(SpaceMember, "div_values", refuse)
+    monkeypatch.setattr(InterpolationOperator, "rule_tables", property(refuse))
     monkeypatch.setattr(SpaceMember, "factor_sample", refuse)
     assert np.array_equal(commuting_residuals(family, k, commuting_battery(), replace), want)
 
@@ -170,8 +172,8 @@ def test_member_solve_assembles_nothing(monkeypatch, family, k, replace):
     # a member of another space, RT_0 (in every space), still gets its own matrix
     rt0 = build_space("RT", 0).member(np.arange(1.0, 5.0))
     s = np.linspace(0.0, 1.0, 7)
-    for got, want in zip(op.interpolate(rt0).uv(s[:, None], s), rt0.uv(s[:, None], s)):
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+    got, want = (grid_values(m.factor_sample(s, s)) for m in (op.interpolate(rt0), rt0))
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
 
     def refuse(*args):
         raise AssertionError("a member's solve assembled")
@@ -206,7 +208,7 @@ def test_stacked_projection_matches_lone_coefficients(family, k):
     battery = commuting_battery()
     # long-double values with bits below the double mantissa
     noise = np.random.default_rng(7).standard_normal((4, 20, 20)).astype(np.longdouble) / 3
-    for fns in ([f.div_values for f in battery], [lambda x, y, v=v: v for v in noise]):
+    for fns in ([f.partial(0, 0, 2) for f in battery], [lambda x, y, v=v: v for v in noise]):
         stack = proj.coefficients(np.stack([fn(x, y) for fn in fns]))
         for row, fn in zip(stack, fns):
             lone = proj.coeffs_internal(fn)
@@ -220,12 +222,12 @@ def test_stacked_projection_matches_lone_coefficients(family, k):
 def test_one_check_samples_each_battery_field_once(monkeypatch, capsys, fresh_field_sides):
     # the factor sample is filled outside any DOF vector and shared by every
     # (family, k): one factor_sample call per battery field, not one per pair
-    # and side, and no grid sample at all
+    # and side, and no closed-form partial at all
     calls = {}
-    for name in ("uv", "div_values", "factor_sample"):
-        def counted(self, x, y, real=getattr(ManufacturedField, name), name=name):
+    for name in ("partial", "factor_sample"):
+        def counted(self, *args, real=getattr(ManufacturedField, name), name=name):
             calls[self.id, name] = calls.get((self.id, name), 0) + 1
-            return real(self, x, y)
+            return real(self, *args)
         monkeypatch.setattr(ManufacturedField, name, counted)
     interpolation.cached_sample.cache_clear()
     assert cli.main(["check", "--kmax", "4"]) == 0
@@ -246,10 +248,10 @@ def test_the_cached_sample_is_read_only():
     for values in factors + (sample.div,):
         with pytest.raises(ValueError, match="read-only"):
             values[0, 0, 0] = 0.0
-    # the cached div values are each field's own div_values on the rule, bit for bit
+    # the cached div values are each field's own div partial on the rule, bit for bit
     x, y = reference_projector("RT", 0)._rule_tables[:2]
     for row, fld in zip(sample.div, battery):
-        assert np.array_equal(row, fld.div_values(x, y)), fld
+        assert np.array_equal(row, fld.partial(0, 0, 2)(x, y)), fld
 
 
 @pytest.mark.parametrize("rows", [1, 2, 8, 20, 22, "dim", "dim + 1"])
@@ -279,14 +281,10 @@ def test_stack_rows_evaluate_as_single_members(pair, rows, seed, sparsity, point
     singles = [space.member(c) for c in coeffs]
     nodes = _plan_for(build_dofs(*pair), space._maxdeg).nodes
     x, y = np.array(points).T
-    for xs, ys in ((nodes[:, None], nodes[None, :]), (nodes[1:-1, None], nodes[None, 1:-1]),
-                   (x, y)):
-        U, V = stack.uv(xs, ys)
-        D = stack.div_values(xs, ys)
+    for xs, ys in ((nodes, nodes), (nodes[1:-1], nodes[1:-1]), (x, y)):
+        values = grid_values(stack.factor_sample(xs, ys))
         for r, m in enumerate(singles):
-            u, v = m.uv(xs, ys)
-            assert np.array_equal(U[r], u) and np.array_equal(V[r], v)
-            assert np.array_equal(D[r], m.div_values(xs, ys))
+            assert np.array_equal(values[:, r], grid_values(m.factor_sample(xs, ys)))
     # the factor samples on the plan's nodes: one row per member, each its own
     # (only X carries the stack's rows)
     SX, SY = stack.factor_sample(nodes, nodes)
